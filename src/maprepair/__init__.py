@@ -5,7 +5,7 @@ from .conflict_detector import (
     detect_topological, unreachable_nodes,
 )
 from .error_localizer import (
-    CandidateEdge, PathPair, candidate_edges, crg_proxy_rank,
+    CandidateEdge, PathPair, candidate_edges,
     lowest_common_ancestor, minimal_path_pair, score_candidates,
     shortest_path,
 )
@@ -28,7 +28,7 @@ __all__ = [
     "CandidateEdge", "Commit", "Conflict", "DIRECTIONS", "Edge", "EdgeDelta",
     "AdvisorContext", "NavGraph", "PathPair", "PositionMap", "RepairAction",
     "RepairSession", "ToolConfig", "VersionChain", "add", "apply_action",
-    "candidate_edges", "construct_graph", "crg_proxy_rank", "detect_all",
+    "candidate_edges", "construct_graph", "detect_all",
     "detect_directional", "detect_naming", "detect_topological",
     "displacement", "infer_positions", "is_direction",
     "lowest_common_ancestor", "minimal_path_pair", "normalize_name",

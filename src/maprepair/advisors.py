@@ -141,14 +141,20 @@ class HeuristicAdvisor:
 
 def _unique_resolving_direction(g: NavGraph, e: Edge, conflict_key,
                                 before: set) -> Optional[str]:
+    """Trial-relabel `e` in place; the graph is restored after each."""
     fixes = []
     for d in DIRECTIONS:
         if d == e.direction:
             continue
-        trial = g.copy()
-        trial.remove_edge(e)
-        trial.add_edge(e.src, e.dst, d, e.step_id)
-        after = {x.key for x in detect_all(trial)}
+        g.remove_edge(e)
+        try:
+            trial = g.add_edge(e.src, e.dst, d, e.step_id)
+            try:
+                after = {x.key for x in detect_all(g)}
+            finally:
+                g.remove_edge(trial)
+        finally:
+            g.add_edge(e.src, e.dst, e.direction, e.step_id)
         if conflict_key not in after and after <= before:
             fixes.append(d)
     return fixes[0] if len(fixes) == 1 else None

@@ -145,9 +145,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = fault_injector.WorldSpec(shape=args.shape,
-                                    params=tuple(args.params),
-                                    seed=args.seed)
+    spec = fault_injector.WorldSpec(args.shape, tuple(args.params))
     world = fault_injector.generate_world(spec)
     corrupted, ledger = fault_injector.inject(world, args.fault or [],
                                               seed=args.seed)

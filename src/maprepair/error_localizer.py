@@ -201,11 +201,3 @@ def score_candidates(g: NavGraph, conflicts: Iterable[Conflict],
     ]
     scored.sort(key=lambda c: (-c.score, -c.conflict_count, -c.edge.step_id))
     return scored
-
-
-def crg_proxy_rank(scored: Sequence[CandidateEdge]) -> list[CandidateEdge]:
-    """Named stage: the composite score order stands in for the expected
-    conflict-revelation gain.  An exact evaluator can replace this in
-    experiments; here it re-asserts the score ordering."""
-    return sorted(scored,
-                  key=lambda c: (-c.score, -c.conflict_count, -c.edge.step_id))

@@ -3,7 +3,8 @@
 A World bundles a MANGO-format transcript with the graph it reconstructs.
 Faults corrupt the transcript only; the ledger records (true, corrupted)
 specs so oracle advisors and correctness metrics can judge repairs.
-Generation is deterministic in the seed.
+World generation is deterministic; fault injection is deterministic in
+its seed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ FAULT_SILENT = "silent_misdirection"
 class WorldSpec:
     shape: str  # "grid" | "tree" | "loopchain"
     params: tuple[int, ...]
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def _world_from_walk(names: Sequence[str],
     return World(steps=steps, truth=truth)
 
 
-def generate_grid(width: int, height: int, seed: int = 0) -> World:
+def generate_grid(width: int, height: int) -> World:
     """Serpentine spanning walk over a width x height lattice."""
     if width < 1 or height < 1 or width * height < 2:
         raise ValueError("grid needs at least 2 rooms")
@@ -142,7 +142,7 @@ def generate_grid(width: int, height: int, seed: int = 0) -> World:
     return _world_from_walk([name(0, 0)], moves)
 
 
-def generate_loopchain(n: int, seed: int = 0) -> World:
+def generate_loopchain(n: int) -> World:
     """One-directional loop of n rooms around a rectangle perimeter."""
     if n < 4 or n % 2:
         raise ValueError("loopchain needs an even n >= 4")
@@ -158,7 +158,7 @@ _TREE_DIR_ORDER = ("north", "east", "south", "west", "northeast",
                    "southeast", "southwest", "northwest", "up", "down")
 
 
-def generate_tree(depth: int, branching: int, seed: int = 0) -> World:
+def generate_tree(depth: int, branching: int) -> World:
     """DFS walk over a lattice-embedded tree; return moves use the exact
     reverse direction, and the final walk back to the root is trimmed."""
     if depth < 1 or branching < 1:
@@ -198,13 +198,11 @@ def generate_tree(depth: int, branching: int, seed: int = 0) -> World:
 
 
 def generate_world(spec: WorldSpec) -> World:
-    if spec.shape == "grid":
-        return generate_grid(*spec.params, seed=spec.seed)
-    if spec.shape == "tree":
-        return generate_tree(*spec.params, seed=spec.seed)
-    if spec.shape == "loopchain":
-        return generate_loopchain(*spec.params, seed=spec.seed)
-    raise ValueError(f"unknown world shape: {spec.shape}")
+    shapes = {"grid": generate_grid, "tree": generate_tree,
+              "loopchain": generate_loopchain}
+    if spec.shape not in shapes:
+        raise ValueError(f"unknown world shape: {spec.shape}")
+    return shapes[spec.shape](*spec.params)
 
 
 # ---------------------------------------------------------------------------

@@ -85,10 +85,11 @@ class Edge:
 class NavGraph:
     nodes: dict[str, str] = field(default_factory=dict)  # id -> raw name
     origin: Optional[str] = None
-    _edges: dict[tuple, Edge] = field(default_factory=dict)  # key -> Edge
     _name_index: dict[str, set[str]] = field(default_factory=dict)
-    _out_index: dict[tuple[str, str], set[Edge]] = field(default_factory=dict)
-    _in_index: dict[str, set[Edge]] = field(default_factory=dict)
+    # The one edge index, src -> direction -> step_id -> Edge, plus
+    # dst -> entering edges.  Empty levels are pruned.
+    _out: dict[str, dict[str, dict[int, Edge]]] = field(default_factory=dict)
+    _in: dict[str, set[Edge]] = field(default_factory=dict)
     _next_id: int = 0
 
     # -- nodes ------------------------------------------------------------
@@ -121,11 +122,14 @@ class NavGraph:
     def nodes_named(self, name: str) -> set[str]:
         return set(self._name_index.get(normalize_name(name), ()))
 
+    def _unindex_name(self, node_id: str, name: str) -> None:
+        ids = self._name_index[normalize_name(name)]
+        ids.discard(node_id)
+        if not ids:
+            del self._name_index[normalize_name(name)]
+
     def rename_node(self, node_id: str, new_name: str) -> None:
-        old = self.node_name(node_id)
-        self._name_index[normalize_name(old)].discard(node_id)
-        if not self._name_index[normalize_name(old)]:
-            del self._name_index[normalize_name(old)]
+        self._unindex_name(node_id, self.node_name(node_id))
         self.nodes[node_id] = new_name
         self._name_index.setdefault(normalize_name(new_name), set()).add(node_id)
 
@@ -133,12 +137,9 @@ class NavGraph:
         """Remove a node with no incident edges."""
         if node_id not in self.nodes:
             raise UnknownNode(node_id)
-        if any(e.src == node_id or e.dst == node_id for e in self.edges()):
+        if node_id in self._out or node_id in self._in:
             raise DuplicateEdge(f"node still has edges: {node_id}")
-        name = self.nodes.pop(node_id)
-        self._name_index[normalize_name(name)].discard(node_id)
-        if not self._name_index[normalize_name(name)]:
-            del self._name_index[normalize_name(name)]
+        self._unindex_name(node_id, self.nodes.pop(node_id))
         if self.origin == node_id:
             self.origin = next(iter(self.nodes), None)
 
@@ -150,53 +151,59 @@ class NavGraph:
         if dst not in self.nodes:
             raise UnknownNode(dst)
         edge = Edge(src, dst, direction, step_id)
-        if edge.key in self._edges:
+        # a duplicate key finds its level already there, so nothing is left
+        # behind when it is rejected
+        by_step = self._out.setdefault(src, {}).setdefault(direction, {})
+        if step_id in by_step:
             raise DuplicateEdge(f"duplicate (src, direction, step): {edge.key}")
-        self._edges[edge.key] = edge
-        self._out_index.setdefault((src, direction), set()).add(edge)
-        self._in_index.setdefault(dst, set()).add(edge)
+        by_step[step_id] = edge
+        self._in.setdefault(dst, set()).add(edge)
         return edge
 
     def remove_edge(self, edge: Edge) -> None:
-        stored = self._edges.get(edge.key)
-        if stored != edge:
+        if not self.has_edge(edge):
             raise UnknownNode(f"edge not present: {edge}")
-        del self._edges[edge.key]
-        self._out_index[(edge.src, edge.direction)].discard(edge)
-        if not self._out_index[(edge.src, edge.direction)]:
-            del self._out_index[(edge.src, edge.direction)]
-        self._in_index[edge.dst].discard(edge)
-        if not self._in_index[edge.dst]:
-            del self._in_index[edge.dst]
+        by_dir = self._out[edge.src]
+        del by_dir[edge.direction][edge.step_id]
+        if not by_dir[edge.direction]:
+            del by_dir[edge.direction]
+        if not by_dir:
+            del self._out[edge.src]
+        self._in[edge.dst].discard(edge)
+        if not self._in[edge.dst]:
+            del self._in[edge.dst]
 
     def has_edge(self, edge: Edge) -> bool:
-        return self._edges.get(edge.key) == edge
+        by_step = self._out.get(edge.src, {}).get(edge.direction, {})
+        return by_step.get(edge.step_id) == edge
+
+    def _out_iter(self, src: str) -> Iterator[Edge]:
+        return (e for by_step in self._out.get(src, {}).values()
+                for e in by_step.values())
 
     def edges(self) -> Iterator[Edge]:
-        return iter(self._edges.values())
+        return (e for by_dir in self._out.values()
+                for by_step in by_dir.values() for e in by_step.values())
 
     def edge_set(self) -> set[Edge]:
-        return set(self._edges.values())
+        return set(self.edges())
 
     def out_edges(self, src: str, direction: Optional[str] = None) -> list[Edge]:
         if direction is not None:
-            return sorted(self._out_index.get((src, direction), ()))
-        out: list[Edge] = []
-        for (s, _), es in self._out_index.items():
-            if s == src:
-                out.extend(es)
-        return sorted(out)
+            return sorted(self._out.get(src, {}).get(direction, {}).values())
+        return sorted(self._out_iter(src))
 
     def in_edges(self, dst: str) -> list[Edge]:
-        return sorted(self._in_index.get(dst, ()))
+        return sorted(self._in.get(dst, ()))
 
     def edges_between(self, src: str, dst: str) -> list[Edge]:
-        return sorted(e for e in self._edges.values()
-                      if e.src == src and e.dst == dst)
+        return sorted(e for e in self._out_iter(src) if e.dst == dst)
 
     def out_groups(self) -> dict[tuple[str, str], list[Edge]]:
         """(src, direction) -> edges, for directional-conflict scanning."""
-        return {k: sorted(v) for k, v in self._out_index.items()}
+        return {(src, d): sorted(by_step.values())
+                for src, by_dir in self._out.items()
+                for d, by_step in by_dir.items()}
 
     # -- queries ----------------------------------------------------------
 
@@ -217,61 +224,53 @@ class NavGraph:
         """Induced subgraph within undirected `radius` hops of seeds."""
         keep = set(seeds)
         frontier = set(keep)
-        undirected: dict[str, set[str]] = {}
-        for e in self.edges():
-            undirected.setdefault(e.src, set()).add(e.dst)
-            undirected.setdefault(e.dst, set()).add(e.src)
         for _ in range(radius):
-            frontier = {m for n in frontier for m in undirected.get(n, ())} - keep
+            frontier = {m for n in frontier
+                        for e in (*self._out_iter(n), *self._in.get(n, ()))
+                        for m in (e.src, e.dst)} - keep
             keep |= frontier
         sub = NavGraph()
         for nid in self.nodes:
             if nid in keep:
                 sub.add_node(self.nodes[nid], node_id=nid)
         sub.origin = self.origin if self.origin in keep else None
-        for e in self.edges():
-            if e.src in keep and e.dst in keep:
-                sub.add_edge(e.src, e.dst, e.direction, e.step_id)
+        for nid in sub.nodes:
+            for e in self._out_iter(nid):
+                if e.dst in keep:
+                    sub.add_edge(e.src, e.dst, e.direction, e.step_id)
         return sub
 
     # -- maintenance ------------------------------------------------------
 
     def copy(self) -> "NavGraph":
-        g = NavGraph()
-        for nid, name in self.nodes.items():
-            g.add_node(name, node_id=nid)
-        g.origin = self.origin
+        g = NavGraph.from_json(self.to_json())
         g._next_id = self._next_id
-        for e in self._edges.values():
-            g.add_edge(e.src, e.dst, e.direction, e.step_id)
         return g
 
     def state_equal(self, other: "NavGraph") -> bool:
         return (self.nodes == other.nodes
                 and self.origin == other.origin
-                and set(self._edges) == set(other._edges)
-                and self.edge_set() == other.edge_set())
+                and self._out == other._out)
 
-    def rebuilt_indices(self) -> tuple[dict, dict]:
-        """Recompute name/out indices from scratch (invariant checks)."""
+    def indices_consistent(self) -> bool:
+        """Do the indices equal ones rebuilt from the nodes and edges?"""
         name_index: dict[str, set[str]] = {}
         for nid, name in self.nodes.items():
             name_index.setdefault(normalize_name(name), set()).add(nid)
-        out_index: dict[tuple[str, str], set[Edge]] = {}
-        for e in self._edges.values():
-            out_index.setdefault((e.src, e.direction), set()).add(e)
-        return name_index, out_index
-
-    def indices_consistent(self) -> bool:
-        name_index, out_index = self.rebuilt_indices()
-        return name_index == self._name_index and out_index == self._out_index
+        out: dict[str, dict[str, dict[int, Edge]]] = {}
+        inn: dict[str, set[Edge]] = {}
+        for e in self.edges():
+            out.setdefault(e.src, {}).setdefault(e.direction, {})[e.step_id] = e
+            inn.setdefault(e.dst, set()).add(e)
+        return (name_index == self._name_index and out == self._out
+                and inn == self._in and set(inn) | set(out) <= set(self.nodes))
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
         return {
             "nodes": [{"id": nid, "name": name} for nid, name in self.nodes.items()],
-            "edges": [e.to_json() for e in sorted(self._edges.values())],
+            "edges": [e.to_json() for e in sorted(self.edges())],
             "origin": self.origin,
         }
 
@@ -291,7 +290,7 @@ class NavGraph:
         for nid, name in self.nodes.items():
             shape = ' shape=doubleoctagon' if nid == self.origin else ""
             lines.append(f'  "{nid}" [label="{name}"{shape}];')
-        for e in sorted(self._edges.values()):
+        for e in sorted(self.edges()):
             lines.append(
                 f'  "{e.src}" -> "{e.dst}" '
                 f'[label="{e.direction} (step {e.step_id})"];')

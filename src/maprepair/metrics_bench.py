@@ -42,12 +42,6 @@ class Metrics:
         }
 
 
-def from_counts(avg_loops: Optional[float], total: int, repaired: int,
-                correct: Optional[int]) -> Metrics:
-    return Metrics(avg_loops=avg_loops, total_conflicts=total,
-                   repaired=repaired, correct=correct)
-
-
 def compute_metrics(sessions: Sequence, ledger=None, graph=None) -> Metrics:
     """Aggregate repair sessions.
 

@@ -1,10 +1,14 @@
-"""Linear append-only commit chain over the graph: rollback, recall, diff.
+"""Linear append-only commit chain over the graph: replay, recall, diff.
 
 Each commit logs edge deltas plus any node bookkeeping (introductions,
-renames, drops).  The chain is never truncated: a rollback materializes a
-past state and, when used for repair, is recorded as a fresh commit of
-inverse deltas.  With a log path set, every commit line is flushed to the
-JSONL log before the in-memory graph mutates (write-ahead discipline).
+renames, drops).  The chain is never truncated: a past state is rebuilt by
+replaying the chain (`materialize`) and, when used for repair, is recorded
+as a fresh commit of inverse deltas.
+
+A commit is applied to the live graph; a rejected step undoes the steps
+before it, so a rejected commit leaves no trace.  With a log path set, the
+commit's JSONL line is then written and flushed, and a failed write undoes
+the commit: a commit becomes visible only after its line is flushed.
 """
 
 from __future__ import annotations
@@ -90,36 +94,53 @@ class Commit:
         )
 
 
+def _steps(c: Commit) -> list[tuple]:
+    """The commit as (sign, node id or edge, *names) steps, in apply order."""
+    return ([("+", nid, name) for nid, name in c.new_nodes]
+            + [(d.op, d.edge) for d in c.deltas]
+            + [("~", nid, old, new) for nid, old, new in c.renames]
+            + [("-", nid, name) for nid, name in c.drops])
+
+
+def _run(g: NavGraph, step: tuple, forward: bool) -> None:
+    """Apply one step, or its inverse: a rename swaps its names, and an
+    addition and a removal trade places."""
+    sign, target, *names = step
+    if sign == "~":
+        g.rename_node(target, names[1] if forward else names[0])
+    elif (sign == "+") == forward:
+        if isinstance(target, Edge):
+            g.add_edge(target.src, target.dst, target.direction,
+                       target.step_id)
+        else:
+            g.add_node(names[0], node_id=target)
+    elif not isinstance(target, Edge):
+        g.remove_node(target)
+    elif not g.has_edge(target):
+        raise InvalidDelta(f"remove of absent edge: {target}")
+    else:
+        g.remove_edge(target)
+
+
 def _apply_commit(g: NavGraph, c: Commit) -> None:
-    for nid, name in c.new_nodes:
-        g.add_node(name, node_id=nid)
-    for delta in c.deltas:
-        if delta.op == "+":
-            g.add_edge(delta.edge.src, delta.edge.dst,
-                       delta.edge.direction, delta.edge.step_id)
-        else:
-            if not g.has_edge(delta.edge):
-                raise InvalidDelta(f"remove of absent edge: {delta.edge}")
-            g.remove_edge(delta.edge)
-    for nid, _, new in c.renames:
-        g.rename_node(nid, new)
-    for nid, _ in c.drops:
-        g.remove_node(nid)
+    """Apply `c` whole or not at all: a rejected step first undoes the
+    steps before it, then re-raises."""
+    origin = g.origin
+    for done, step in enumerate(_steps(c)):
+        try:
+            _run(g, step, forward=True)
+        except BaseException:
+            _unapply_commit(g, c, done)
+            g.origin = origin
+            raise
 
 
-def _unapply_commit(g: NavGraph, c: Commit) -> None:
-    for nid, name in c.drops:
-        g.add_node(name, node_id=nid)
-    for nid, old, _ in c.renames:
-        g.rename_node(nid, old)
-    for delta in reversed(c.deltas):
-        if delta.op == "+":
-            g.remove_edge(delta.edge)
-        else:
-            g.add_edge(delta.edge.src, delta.edge.dst,
-                       delta.edge.direction, delta.edge.step_id)
-    for nid, _ in reversed(c.new_nodes):
-        g.remove_node(nid)
+def _unapply_commit(g: NavGraph, c: Commit,
+                    applied: Optional[int] = None) -> None:
+    """Inverse of _apply_commit (of its first `applied` steps), last step
+    first.  A dropped origin comes back as a node, not as the origin."""
+    for step in reversed(_steps(c)[:applied]):
+        _run(g, step, forward=False)
 
 
 class VersionChain:
@@ -158,12 +179,16 @@ class VersionChain:
             renames=tuple(renames),
             drops=tuple(drops),
         )
-        # validate against a scratch copy so a bad commit leaves no trace
-        _apply_commit(self.graph.copy(), commit)
-        if self._log is not None:
-            self._log.write(json.dumps(commit.to_json()) + "\n")
-            self._log.flush()
+        origin = self.graph.origin
         _apply_commit(self.graph, commit)
+        if self._log is not None:
+            try:
+                self._log.write(json.dumps(commit.to_json()) + "\n")
+                self._log.flush()
+            except BaseException:
+                _unapply_commit(self.graph, commit)
+                self.graph.origin = origin
+                raise
         self.commits.append(commit)
         return commit
 
@@ -177,19 +202,6 @@ class VersionChain:
         g = NavGraph()
         for c in self.commits[: version + 1]:
             _apply_commit(g, c)
-        return g
-
-    def rollback_to(self, version: int) -> NavGraph:
-        """State as of `version` via inverse-applying head..version+1.
-
-        Non-destructive: the chain keeps all commits; callers wanting the
-        rollback to stick must commit the inverse deltas themselves (the
-        repair engine's RollbackTo action does exactly that).
-        """
-        self._check_version(version)
-        g = self.graph.copy()
-        for c in reversed(self.commits[version + 1:]):
-            _unapply_commit(g, c)
         return g
 
     def recall_step(self, version: int) -> Commit:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 
 from maprepair.graph_core import DIRECTIONS, Edge, NavGraph
+from maprepair.version_store import _unapply_commit
 
 
 def brute_reachable(g: NavGraph, start: str) -> set[str]:
@@ -127,6 +128,15 @@ def flip_edges(g: NavGraph, rng: random.Random, count: int) -> NavGraph:
                 continue
             flipped += 1
             break
+    return g
+
+
+def unapplied(chain, version: int) -> NavGraph:
+    """State as of `version` by inverse-applying head..version+1 to a copy
+    of the live graph: the inverse path, checked against replay."""
+    g = chain.graph.copy()
+    for c in reversed(chain.commits[version + 1:]):
+        _unapply_commit(g, c)
     return g
 
 

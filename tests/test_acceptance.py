@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import brute_closure, brute_shortest, edge_by
+from helpers import brute_closure, brute_shortest, edge_by, unapplied
 from maprepair import fault_injector as fi
 from maprepair.advisors import OracleAdvisor
 from maprepair.conflict_detector import (
@@ -21,7 +21,7 @@ from maprepair.error_localizer import (
     candidate_edges, conflict_targets, minimal_path_pair, score_candidates,
 )
 from maprepair.graph_core import DIRECTIONS, NavGraph
-from maprepair.metrics_bench import from_counts
+from maprepair.metrics_bench import Metrics
 from maprepair.repair_engine import (
     ACT_GIVE_UP, ACT_RECALL_STEP, RepairAction, ToolConfig, run_repair,
     run_session,
@@ -154,6 +154,13 @@ def _random_chain(rng: random.Random, log_path: Path) -> VersionChain:
                          analysis="rename",
                          renames=[(nid, chain.graph.nodes[nid],
                                    f"Renamed {step}")])
+        elif roll < 0.42 and ids:
+            # two renames of one node in one commit undo in reverse
+            nid = rng.choice(ids)
+            chain.commit([], TRIGGER_OBSERVATION, obs_id=step,
+                         analysis="rename twice",
+                         renames=[(nid, chain.graph.nodes[nid], f"A {step}"),
+                                  (nid, f"A {step}", f"B {step}")])
         else:
             nid = chain.allocate_node_id()
             new_nodes = [(nid, f"Room {len(ids)}")]
@@ -179,7 +186,7 @@ def test_criterion_4_version_store_round_trip(tmp_path):
         i = rng.randint(0, head)
         j = rng.randint(0, head)
 
-        rolled = chain.rollback_to(i)
+        rolled = unapplied(chain, i)
         assert rolled.state_equal(chain.materialize(i))
         for c in chain.commits[i + 1:]:
             _apply_commit(rolled, c)
@@ -285,8 +292,8 @@ def test_criterion_5_constant_normalization_is_zero():
 @pytest.mark.parametrize("shape,params", [("grid", (4, 4)),
                                           ("loopchain", (10,))])
 def test_criterion_6_oracle_repairs_seeded_worlds(shape, params):
+    world = fi.generate_world(fi.WorldSpec(shape, params))
     for seed in range(50):
-        world = fi.generate_world(fi.WorldSpec(shape, params, seed=seed))
         corrupted, ledger = fi.inject(world, ["misdirection"], seed=seed)
         chain = corrupted.build()
         g, sessions, metrics = run_repair(chain, ToolConfig(),
@@ -322,9 +329,9 @@ def test_criterion_6_secondary_conflicts_cost_no_attempts():
 def test_criterion_7_metric_formula_fidelity(numerator, denominator,
                                              expected, field):
     if field == "repair_rate_pct":
-        m = from_counts(None, denominator, numerator, None)
+        m = Metrics(None, denominator, numerator, None)
     else:
-        m = from_counts(None, denominator, denominator, numerator)
+        m = Metrics(None, denominator, denominator, numerator)
     assert abs(getattr(m, field) - expected) <= 0.01
 
 

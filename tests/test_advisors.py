@@ -7,8 +7,9 @@ from maprepair.advisors import (
     EndpointConfig, HeuristicAdvisor, LlmAdvisor, OracleAdvisor,
     PlaybackAdvisor, RecordingAdvisor, _extract_json_object,
 )
-from maprepair.conflict_detector import detect_all
+from maprepair.conflict_detector import KIND_DIRECTIONAL, detect_all
 from maprepair.errors import AdvisorFailure
+from maprepair.graph_core import NavGraph
 from maprepair.repair_engine import (
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_GIVE_UP, RepairAction,
     ToolConfig, build_context, run_repair, run_session,
@@ -104,6 +105,30 @@ def test_heuristic_resolves_demo_world():
                                       HeuristicAdvisor())
     assert detect_all(g) == []
     assert metrics.repair_rate_pct == 100.0
+
+
+def test_build_and_heuristic_trials_copy_no_graph(monkeypatch):
+    def no_copy(self):
+        raise AssertionError("whole-graph copy")
+
+    monkeypatch.setattr(NavGraph, "copy", no_copy)
+    world = fi.generate_grid(10, 10)
+    assert world.build().graph.state_equal(world.truth)
+    corrupted, ledger = fi.inject(
+        world, ["misdirection", "misname", "phantom_edge"], seed=3)
+    kinds = []
+
+    def checked(ctx):
+        before = NavGraph.from_json(ctx.graph.to_json())
+        action = HeuristicAdvisor()(ctx)
+        assert ctx.graph.state_equal(before)
+        assert ctx.graph.indices_consistent()
+        kinds.append(ctx.conflict.kind)
+        return action
+
+    run_repair(corrupted.build(), ToolConfig(), checked, ledger=ledger)
+    # relabel trials run only for non-directional conflicts
+    assert any(k != KIND_DIRECTIONAL for k in kinds)
 
 
 # -- remote advisor ----------------------------------------------------------

@@ -58,7 +58,7 @@ def test_loopchain_closes_on_origin():
 
 
 def test_generate_world_dispatch():
-    spec = fi.WorldSpec("loopchain", (6,), seed=3)
+    spec = fi.WorldSpec("loopchain", (6,))
     assert len(fi.generate_world(spec).truth.nodes) == 6
     with pytest.raises(ValueError):
         fi.generate_world(fi.WorldSpec("torus", (3,)))

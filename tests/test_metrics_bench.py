@@ -4,23 +4,23 @@ import io
 from maprepair import fault_injector as fi
 from maprepair.advisors import OracleAdvisor
 from maprepair.metrics_bench import (
-    Metrics, compute_metrics, emit_csv, emit_table, from_counts,
+    Metrics, compute_metrics, emit_csv, emit_table,
 )
 from maprepair.repair_engine import ToolConfig, run_repair
 
 
-def test_from_counts_and_rates():
-    m = from_counts(6.39, 238, 179, 80)
+def test_counts_and_rates():
+    m = Metrics(6.39, 238, 179, 80)
     assert m.total_conflicts == 238
     assert round(m.repair_rate_pct, 2) == 75.21
     assert round(m.accuracy_pct, 2) == 44.69
 
 
 def test_rates_undefined_not_zero():
-    assert from_counts(None, 0, 0, 0).repair_rate_pct is None
-    assert from_counts(None, 5, 0, 0).accuracy_pct is None
-    assert from_counts(None, 5, 2, None).accuracy_pct is None
-    assert from_counts(None, 0, 0, None).avg_loops is None
+    assert Metrics(None, 0, 0, 0).repair_rate_pct is None
+    assert Metrics(None, 5, 0, 0).accuracy_pct is None
+    assert Metrics(None, 5, 2, None).accuracy_pct is None
+    assert Metrics(None, 0, 0, None).avg_loops is None
 
 
 def test_compute_metrics_from_sessions():
@@ -43,8 +43,8 @@ def test_compute_metrics_without_ledger_leaves_correct_unknown():
 
 
 def test_emit_table_formats_na():
-    rows = [("full", from_counts(6.39, 238, 179, 80)),
-            ("none", from_counts(None, 0, 0, None))]
+    rows = [("full", Metrics(6.39, 238, 179, 80)),
+            ("none", Metrics(None, 0, 0, None))]
     table = emit_table(rows)
     lines = table.splitlines()
     assert lines[0].split() == ["config", "avg_loops", "total_conflicts",
@@ -55,13 +55,13 @@ def test_emit_table_formats_na():
 
 
 def test_emit_csv_round_trips():
-    rows = [("oracle", from_counts(2.0, 4, 4, 4))]
+    rows = [("oracle", Metrics(2.0, 4, 4, 4))]
     parsed = list(csv.reader(io.StringIO(emit_csv(rows))))
     assert parsed[0][0] == "config"
     assert parsed[1] == ["oracle", "2.00", "4", "4", "4", "100.00", "100.00"]
 
 
 def test_metrics_json():
-    payload = from_counts(1.5, 2, 1, 1).to_json()
+    payload = Metrics(1.5, 2, 1, 1).to_json()
     assert payload["repair_rate_pct"] == 50.0
     assert payload["accuracy_pct"] == 100.0

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import unapplied
 from maprepair import fault_injector as fi
 from maprepair.conflict_detector import detect_all
 from maprepair.errors import AdvisorFailure, IllegalAction
@@ -104,9 +105,10 @@ def test_merge_nodes_redirects_edges_and_drops():
     assert "n1" not in g.nodes
     assert {(e.src, e.direction) for e in g.in_edges("n9")} >= in_before
     assert out_before <= {(e.dst, e.direction) for e in g.out_edges("n9")}
-    # merge survives inverse application (rollback restores the old node)
-    past = chain.rollback_to(chain.head - 1)
+    # merge survives inverse application (undo restores the old node)
+    past = unapplied(chain, chain.head - 1)
     assert "n1" in past.nodes
+    assert past.state_equal(chain.materialize(chain.head - 1))
 
 
 def test_rollback_to_is_a_new_commit():

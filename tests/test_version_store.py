@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from maprepair.errors import InvalidDelta, UnknownVersion
+from helpers import unapplied
+from maprepair.errors import InvalidDelta, MapRepairError, UnknownVersion
 from maprepair.graph_core import Edge
 from maprepair.version_store import (
     Commit, EdgeDelta, TRIGGER_OBSERVATION, TRIGGER_REPAIR, VersionChain,
@@ -58,7 +60,7 @@ def test_rollback_is_non_destructive():
     _grow(chain)
     head_before = chain.head
     snapshot = chain.graph.copy()
-    rolled = chain.rollback_to(0)
+    rolled = chain.materialize(0)
     assert len(rolled.nodes) == 1 and rolled.edge_set() == set()
     assert chain.head == head_before
     assert chain.graph.state_equal(snapshot)
@@ -69,8 +71,13 @@ def test_rollback_equals_materialize_everywhere():
     ids = _grow(chain, n=4)
     chain.commit([remove(Edge(ids[2], ids[3], "north", 3))],
                  TRIGGER_REPAIR, obs_id=5, analysis="prune")
+    # one commit renaming a node twice must unwind to the first name
+    chain.commit([], TRIGGER_REPAIR, obs_id=6, analysis="rename twice",
+                 renames=[(ids[0], "Room 0", "B"), (ids[0], "B", "C")])
+    assert chain.graph.nodes[ids[0]] == "C"
     for v in range(chain.head + 1):
-        assert chain.rollback_to(v).state_equal(chain.materialize(v))
+        assert unapplied(chain, v).state_equal(chain.materialize(v))
+    assert unapplied(chain, chain.head - 1).nodes[ids[0]] == "Room 0"
 
 
 def test_recall_and_diff():
@@ -94,8 +101,6 @@ def test_unknown_versions_rejected():
         with pytest.raises(UnknownVersion):
             chain.materialize(bad)
         with pytest.raises(UnknownVersion):
-            chain.rollback_to(bad)
-        with pytest.raises(UnknownVersion):
             chain.recall_step(bad)
         with pytest.raises(UnknownVersion):
             chain.diff(0, bad)
@@ -112,7 +117,8 @@ def test_rename_and_drop_round_trip():
     assert chain.graph.nodes[ids[1]] == "Correct Name"
     assert ids[2] not in chain.graph.nodes
     # inverse application restores both the name and the node
-    past = chain.rollback_to(2)
+    past = unapplied(chain, 2)
+    assert past.state_equal(chain.materialize(2))
     assert past.nodes[ids[1]] == "Room 1"
     assert past.nodes[ids[2]] == "Room 2"
 
@@ -181,3 +187,113 @@ def test_commit_json_round_trip():
                renames=(("n2", "Old", "New"),))
     assert Commit.from_json(c.to_json()) == c
     assert EdgeDelta.from_json(c.deltas[0].to_json()) == c.deltas[0]
+
+
+def _commit_with_one_bad_step(data, chain, ids):
+    """A commit that is valid step by step except for one bad step at a
+    random position.  The edge out of ids[1] at step 2 is never removed,
+    so a duplicate of its key and a drop of its endpoint always fail."""
+    sim = chain.graph.copy()
+    pinned = Edge(ids[1], ids[2], "north", 2)
+    new_nodes = [(f"x{i}", f"Extra {i}")
+                 for i in range(data.draw(st.integers(0, 2)))]
+    for nid, name in new_nodes:
+        sim.add_node(name, node_id=nid)
+    deltas = []
+    for step in range(100, 100 + data.draw(st.integers(0, 4))):
+        live = sorted(sim.edge_set() - {pinned})
+        if live and data.draw(st.booleans()):
+            e = data.draw(st.sampled_from(live))
+            sim.remove_edge(e)
+            deltas.append(remove(e))
+        else:
+            nodes = sorted(sim.nodes)
+            e = sim.add_edge(data.draw(st.sampled_from(nodes)),
+                             data.draw(st.sampled_from(nodes)),
+                             data.draw(st.sampled_from(["east", "up"])), step)
+            deltas.append(add(e))
+    renames = []
+    for i in range(data.draw(st.integers(0, 2))):
+        nid = data.draw(st.sampled_from(sorted(sim.nodes)))
+        renames.append((nid, sim.nodes[nid], f"Renamed {i}"))
+        sim.rename_node(nid, f"Renamed {i}")
+    bare = [n for n in sorted(sim.nodes)
+            if not sim.out_edges(n) and not sim.in_edges(n)]
+    drops = [(n, sim.nodes[n])
+             for n in data.draw(st.lists(st.sampled_from(bare), unique=True)
+                                if bare else st.just([]))]
+
+    bad = data.draw(st.sampled_from(
+        ["absent_edge", "duplicate_key", "unknown_node", "drop_with_edges"]))
+    if bad == "absent_edge":
+        target, bad_step = deltas, remove(Edge(ids[0], ids[1], "up", 999))
+    elif bad == "duplicate_key":
+        target, bad_step = deltas, add(Edge(ids[1], ids[3], "north", 2))
+    elif bad == "unknown_node" and data.draw(st.booleans()):
+        target, bad_step = deltas, add(Edge(ids[0], "ghost", "east", 998))
+    elif bad == "unknown_node":
+        target, bad_step = renames, ("ghost", "Ghost", "Still A Ghost")
+    else:
+        target, bad_step = drops, (ids[2], sim.nodes[ids[2]])
+    target.insert(data.draw(st.integers(0, len(target))), bad_step)
+    return dict(deltas=deltas, new_nodes=new_nodes, renames=renames,
+                drops=drops)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rejected_commit_leaves_graph_and_log_untouched(data, tmp_path_factory):
+    log = tmp_path_factory.mktemp("wal") / "chain.jsonl"
+    chain = VersionChain(log_path=log)
+    try:
+        ids = _grow(chain, n=4)
+        # cut the origin loose, so a valid step may drop it (which moves it)
+        chain.commit([remove(Edge(ids[0], ids[1], "north", 1)),
+                      add(Edge(ids[3], ids[1], "south", 5))],
+                     TRIGGER_OBSERVATION, obs_id=5, analysis="loop back")
+        parts = _commit_with_one_bad_step(data, chain, ids)
+        before, head, wal = chain.graph.copy(), chain.head, log.read_bytes()
+        with pytest.raises(MapRepairError):
+            chain.commit(trigger=TRIGGER_REPAIR, obs_id=9, analysis="bad",
+                         **parts)
+        assert chain.graph.state_equal(before)
+        assert chain.graph.indices_consistent()
+        assert chain.head == head
+        assert log.read_bytes() == wal
+    finally:
+        chain.close()
+
+
+class _FailingLog:
+    def write(self, line):
+        raise OSError("disk full")
+
+    def close(self):
+        pass
+
+
+def test_failed_log_write_undoes_the_commit(tmp_path):
+    log = tmp_path / "chain.jsonl"
+    chain = VersionChain(log_path=log)
+    ids = _grow(chain)
+    before, head, wal = chain.graph.copy(), chain.head, log.read_bytes()
+    real_log, chain._log = chain._log, _FailingLog()
+    with pytest.raises(OSError):
+        # every kind of step, and a drop of the origin, which moves it
+        chain.commit([remove(Edge(ids[0], ids[1], "north", 1)),
+                      add(Edge(ids[3], "x0", "east", 9))],
+                     TRIGGER_REPAIR, obs_id=9, analysis="doomed",
+                     new_nodes=[("x0", "Annex")],
+                     renames=[(ids[1], "Room 1", "Hall")],
+                     drops=[(ids[0], "Room 0")])
+    assert chain.graph.state_equal(before)
+    assert chain.graph.indices_consistent()
+    assert chain.head == head
+    chain._log = real_log
+    # the chain stays usable and its log still replays to the live graph
+    c = chain.commit([], TRIGGER_REPAIR, obs_id=10, analysis="ok",
+                     renames=[(ids[1], "Room 1", "Hall")])
+    chain.close()
+    assert c.index == head + 1
+    assert log.read_bytes().startswith(wal)
+    assert VersionChain.load(log).graph.state_equal(chain.graph)
