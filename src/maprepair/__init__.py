@@ -13,8 +13,8 @@ from .graph_core import (
     DIRECTIONS, Edge, NavGraph, displacement, is_direction, normalize_name,
     reverse_direction,
 )
-from .position_inference import PositionMap, infer_positions, \
-    position_overlaps
+from .position_inference import PositionMap, extend_positions, \
+    infer_positions, position_overlaps
 from .repair_engine import (
     AdvisorContext, RepairAction, RepairSession, ToolConfig, apply_action,
     run_repair, run_session,
@@ -30,7 +30,7 @@ __all__ = [
     "RepairSession", "ToolConfig", "VersionChain", "add", "apply_action",
     "candidate_edges", "construct_graph", "detect_all",
     "detect_directional", "detect_naming", "detect_topological",
-    "displacement", "infer_positions", "is_direction",
+    "displacement", "extend_positions", "infer_positions", "is_direction",
     "lowest_common_ancestor", "minimal_path_pair", "normalize_name",
     "parse_transcript", "position_overlaps", "remove", "reverse_direction",
     "run_repair", "run_session", "score_candidates", "shortest_path",

@@ -17,6 +17,10 @@ class UnknownVersion(MapRepairError):
     """A version index is outside the commit chain."""
 
 
+class CorruptLog(MapRepairError):
+    """A commit log line does not parse, or its commits are out of order."""
+
+
 class InvalidDelta(MapRepairError):
     """A commit tried to remove an edge that is not in the current state."""
 

@@ -267,11 +267,6 @@ def _apply_fault(world: World, fault: Fault) -> World:
     raise ValueError(fault.kind)
 
 
-def _conflict_count(world: World) -> int:
-    chain = world.build()
-    return len(detect_all(chain.graph))
-
-
 def _draw_fault(corrupted: World, truth_world: World, kind: str,
                 rng: random.Random) -> tuple[Fault, World]:
     sources = _walk_sources(corrupted)
@@ -292,9 +287,9 @@ def _draw_fault(corrupted: World, truth_world: World, kind: str,
             fault = Fault(kind, step, true_direction=true_dir,
                           corrupted_direction=d)
             trial = _apply_fault(corrupted, fault)
-            n = _conflict_count(trial)
-            if (n == 0) == want_silent and \
-                    _graphs_differ(trial.build().graph, truth_world.truth):
+            built = trial.build().graph
+            if (not detect_all(built)) == want_silent and \
+                    _graphs_differ(built, truth_world.truth):
                 return fault, trial
         raise ValueError(f"no viable {kind} fault for this world")
 
@@ -314,7 +309,7 @@ def _draw_fault(corrupted: World, truth_world: World, kind: str,
             fault = Fault(kind, step, true_name=true_name,
                           corrupted_name=wrong)
             trial = _apply_fault(corrupted, fault)
-            if _conflict_count(trial) > 0:
+            if detect_all(trial.build().graph):
                 return fault, trial
         raise ValueError("no viable misname fault for this world")
 
@@ -331,7 +326,7 @@ def _draw_fault(corrupted: World, truth_world: World, kind: str,
             fault = Fault(kind, len(corrupted.steps),
                           corrupted_direction=d, corrupted_name=n)
             trial = _apply_fault(corrupted, fault)
-            if _conflict_count(trial) > 0:
+            if detect_all(trial.build().graph):
                 return fault, trial
         raise ValueError("no viable phantom fault for this world")
 

@@ -73,6 +73,43 @@ def infer_positions(g: NavGraph) -> PositionMap:
     return pm
 
 
+def extend_positions(g: NavGraph, pm: PositionMap, edge: Edge) -> bool:
+    """Turn `pm`, the map of `g` without `edge`, into the map of `g` with it.
+
+    False when the result might differ from ``infer_positions(g)``: `pm`
+    already records an inconsistency, `edge` displaces an older
+    minimum-step edge of its (src, direction), or the search from its
+    destination derives a second position for a positioned node.  `pm` is
+    then left part-updated and must be recomputed.
+
+    Exact otherwise: with no inconsistency every propagating edge agrees
+    with the positions, so BFS order cannot matter, and the only nodes that
+    gain a position are those reachable from the new destination.
+    """
+    if pm.inconsistent:
+        return False
+    if edge.direction not in COMPASS or edge.src not in pm.assignment:
+        return True
+    others = [e for e in g.out_edges(edge.src, edge.direction) if e != edge]
+    if any(e.step_id < edge.step_id for e in others):
+        return True  # an older edge still defines this direction's geometry
+    if others:
+        return False
+    pending: deque[Edge] = deque([edge])
+    while pending:
+        e = pending.popleft()
+        px, py, pz = pm.assignment[e.src]
+        dx, dy, dz = displacement(e.direction)
+        derived = (px + dx, py + dy, pz + dz)
+        known = pm.assignment.get(e.dst)
+        if known is None:
+            pm.assignment[e.dst] = derived
+            pending.extend(_propagating_edges(g, e.dst))
+        elif known != derived:
+            return False
+    return True
+
+
 def position_overlaps(pm: PositionMap) -> list[tuple[str, str, Position]]:
     """Unordered pairs of distinct nodes sharing one position."""
     by_pos: dict[Position, list[str]] = {}

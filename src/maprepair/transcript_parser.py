@@ -18,6 +18,10 @@ names a different location commits one edge.  The destination reuses an
 existing node only when both the normalized name and the inferred lattice
 position agree; otherwise a fresh node is created, which is what lets
 naming conflicts surface naturally downstream.
+
+The position map is inferred at the first revisit of a name and then
+extended by each commit's edge; it is inferred again only after an
+extension that could differ from a from-scratch inference.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from typing import Optional, Sequence
 from .errors import MalformedBlock, NonMonotonicStep
 from .graph_core import COMPASS, Edge, NavGraph, displacement, is_direction, \
     normalize_name
-from .position_inference import infer_positions
+from .position_inference import PositionMap, extend_positions, \
+    infer_positions
 from .version_store import TRIGGER_OBSERVATION, VersionChain, add
 
 _SEPARATOR = re.compile(r"^={5,}\s*$")
@@ -146,13 +151,14 @@ def construct_graph(steps: Sequence[WalkthroughStep],
     chain.commit([], TRIGGER_OBSERVATION, obs_id=steps[0].step_num,
                  analysis=origin_name, new_nodes=[(origin_id, origin_name)])
     cursor = origin_id
+    pm: Optional[PositionMap] = None  # built at the first namesake lookup
     for step in steps[1:]:
         if not step.is_movement:
             continue
         name = step.location_line
         if normalize_name(name) == normalize_name(g.nodes[cursor]):
             continue  # blocked move: observation repeats the current room
-        dst = _reuse_or_none(g, cursor, step.direction, name)
+        dst, pm = _reuse_or_none(g, pm, cursor, step.direction, name)
         new_nodes = []
         if dst is None:
             dst = chain.allocate_node_id()
@@ -161,26 +167,32 @@ def construct_graph(steps: Sequence[WalkthroughStep],
         chain.commit([add(edge)], TRIGGER_OBSERVATION,
                      obs_id=step.step_num, analysis=name,
                      new_nodes=new_nodes)
+        if pm is not None and not extend_positions(g, pm, edge):
+            pm = None
         cursor = dst
     return g
 
 
-def _reuse_or_none(g: NavGraph, cursor: str, direction: str,
-                   name: str) -> Optional[str]:
+def _reuse_or_none(g: NavGraph, pm: Optional[PositionMap], cursor: str,
+                   direction: str, name: str
+                   ) -> tuple[Optional[str], Optional[PositionMap]]:
+    """The namesake of `name` to reuse, if any, and the position map of `g`
+    (`pm`, or inferred when it is None and a namesake exists)."""
     same_name = sorted(g.nodes_named(name))
     if not same_name:
-        return None
-    pm = infer_positions(g)
+        return None, pm
+    if pm is None:
+        pm = infer_positions(g)
     cur_pos = pm.get(cursor)
     if cur_pos is None or direction not in COMPASS:
         # no geometry to check against: reuse an unpositioned namesake
         for nid in same_name:
             if pm.get(nid) is None:
-                return nid
-        return None
+                return nid, pm
+        return None, pm
     dx, dy, dz = displacement(direction)
     target = (cur_pos[0] + dx, cur_pos[1] + dy, cur_pos[2] + dz)
     for nid in same_name:
         if pm.get(nid) == target:
-            return nid
-    return None
+            return nid, pm
+    return None, pm

@@ -9,16 +9,21 @@ A commit is applied to the live graph; a rejected step undoes the steps
 before it, so a rejected commit leaves no trace.  With a log path set, the
 commit's JSONL line is then written and flushed, and a failed write undoes
 the commit: a commit becomes visible only after its line is flushed.
+
+Loading drops a torn final line (cut off before its newline, so it does not
+parse) with a warning.  Any other line that does not parse, or a commit whose
+index is out of sequence, raises `CorruptLog`.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Optional
 
-from .errors import InvalidDelta, UnknownVersion
+from .errors import CorruptLog, InvalidDelta, UnknownVersion
 from .graph_core import Edge, NavGraph
 
 TRIGGER_OBSERVATION = "observation_update"
@@ -226,16 +231,35 @@ class VersionChain:
     @classmethod
     def load(cls, log_path: str | Path,
              append: bool = False) -> "VersionChain":
+        """Replay the log at `log_path`.  With `append`, later commits go
+        to its end, after a torn final line is cut off."""
         chain = cls()
-        with open(log_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                c = Commit.from_json(json.loads(line))
-                _apply_commit(chain.graph, c)
-                chain.commits.append(c)
+        good_end, kept = 0, b"\n"  # end of the last line kept, and that line
+        with open(log_path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if raw.strip():
+                    try:
+                        c = Commit.from_json(json.loads(raw))
+                    except (ValueError, KeyError, TypeError) as exc:
+                        if raw.endswith(b"\n"):
+                            raise CorruptLog(
+                                f"{log_path}:{lineno}: {exc}") from exc
+                        warnings.warn(f"{log_path}:{lineno}: dropped a torn "
+                                      f"final line ({len(raw)} bytes)")
+                        break
+                    if c.index != len(chain.commits):
+                        raise CorruptLog(
+                            f"{log_path}:{lineno}: commit {c.index} where "
+                            f"{len(chain.commits)} was expected")
+                    _apply_commit(chain.graph, c)
+                    chain.commits.append(c)
+                good_end, kept = good_end + len(raw), raw
         if append:
+            with open(log_path, "r+b") as fh:
+                fh.truncate(good_end)
+                if not kept.endswith(b"\n"):
+                    fh.seek(good_end)
+                    fh.write(b"\n")
             chain.log_path = Path(log_path)
             chain._log = open(log_path, "a", encoding="utf-8")
         return chain

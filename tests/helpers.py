@@ -9,8 +9,13 @@ from __future__ import annotations
 
 import random
 
-from maprepair.graph_core import DIRECTIONS, Edge, NavGraph
-from maprepair.version_store import _unapply_commit
+from maprepair.graph_core import (
+    DIRECTIONS, Edge, NavGraph, displacement, normalize_name,
+)
+from maprepair.position_inference import infer_positions
+from maprepair.version_store import (
+    TRIGGER_OBSERVATION, VersionChain, _unapply_commit, add,
+)
 
 
 def brute_reachable(g: NavGraph, start: str) -> set[str]:
@@ -138,6 +143,43 @@ def unapplied(chain, version: int) -> NavGraph:
     for c in reversed(chain.commits[version + 1:]):
         _unapply_commit(g, c)
     return g
+
+
+def reference_construct(steps) -> VersionChain:
+    """Construction as first specified: infer positions from scratch at
+    every revisit of a name, and reuse the namesake found at the target
+    position (or, with no geometry to go on, an unpositioned one)."""
+    chain = VersionChain()
+    g = chain.graph
+    cursor = chain.allocate_node_id()
+    chain.commit([], TRIGGER_OBSERVATION, obs_id=steps[0].step_num,
+                 analysis=steps[0].location_line,
+                 new_nodes=[(cursor, steps[0].location_line)])
+    for step in steps[1:]:
+        name = step.location_line
+        if not step.is_movement or \
+                normalize_name(name) == normalize_name(g.nodes[cursor]):
+            continue
+        dst = None
+        namesakes = sorted(g.nodes_named(name))
+        if namesakes:
+            pm = infer_positions(g)
+            here = pm.get(cursor)
+            shift = displacement(step.direction)
+            if here is None or shift == (0, 0, 0):
+                target = None
+            else:
+                target = tuple(a + b for a, b in zip(here, shift))
+            dst = next((n for n in namesakes if pm.get(n) == target), None)
+        new_nodes = []
+        if dst is None:
+            dst = chain.allocate_node_id()
+            new_nodes.append((dst, name))
+        chain.commit([add(Edge(cursor, dst, step.direction, step.step_num))],
+                     TRIGGER_OBSERVATION, obs_id=step.step_num, analysis=name,
+                     new_nodes=new_nodes)
+        cursor = dst
+    return chain
 
 
 def names(g: NavGraph, ids) -> list[str]:

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import pytest
 
 from helpers import edge_by
+from maprepair import transcript_parser
 from maprepair.conflict_detector import detect_all
+from maprepair.fault_injector import WorldSpec, generate_world
 from maprepair.errors import MalformedBlock, NonMonotonicStep
 from maprepair.transcript_parser import (
     construct_graph, normalize_act, origin_location_line, parse_transcript,
@@ -136,3 +140,20 @@ def test_construct_requires_fresh_chain():
     construct_graph(steps, chain)
     with pytest.raises(NonMonotonicStep):
         construct_graph(steps, chain)
+
+
+@pytest.mark.parametrize("spec, most", [
+    (WorldSpec("tree", (6, 3)), 1),   # every return move is a revisit
+    (WorldSpec("grid", (20, 20)), 0),  # no revisit: no position map at all
+], ids=["tree-6x3", "grid-20x20"])
+def test_construction_infers_positions_at_most_once(spec, most):
+    """The map is extended per commit, not inferred again per revisit."""
+    world = generate_world(spec)
+    calls = []
+    real = transcript_parser.infer_positions
+    with mock.patch.object(transcript_parser, "infer_positions",
+                           lambda g: calls.append(1) or real(g)):
+        g = world.build().graph
+    assert len(calls) <= most
+    assert g.nodes == world.truth.nodes
+    assert g.edge_set() == world.truth.edge_set()

@@ -1,10 +1,14 @@
+import contextlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import unapplied
-from maprepair.errors import InvalidDelta, MapRepairError, UnknownVersion
+from maprepair.errors import (
+    CorruptLog, InvalidDelta, MapRepairError, UnknownVersion,
+)
+from maprepair.fault_injector import WorldSpec, generate_world
 from maprepair.graph_core import Edge
 from maprepair.version_store import (
     Commit, EdgeDelta, TRIGGER_OBSERVATION, TRIGGER_REPAIR, VersionChain,
@@ -177,6 +181,63 @@ def test_load_append_continues_log(tmp_path):
     final = VersionChain.load(log)
     assert final.head == 2
     assert final.graph.state_equal(reopened.graph)
+
+
+def _tree_log(tmp_path):
+    log = tmp_path / "tree.jsonl"
+    chain = generate_world(WorldSpec("tree", (3, 2))).build(log_path=log)
+    chain.close()
+    return log, chain
+
+
+def test_load_drops_a_torn_final_line(tmp_path):
+    log, chain = _tree_log(tmp_path)
+    wal = log.read_bytes()
+    last = len(wal.splitlines(keepends=True)[-1])
+    for cut in range(2, last):  # every cut inside the final line
+        log.write_bytes(wal[:-cut])
+        with pytest.warns(UserWarning, match="torn final line"):
+            loaded = VersionChain.load(log)
+        assert loaded.commits == chain.commits[:-1]
+        assert loaded.graph.state_equal(chain.materialize(chain.head - 1))
+    # cut at a line boundary, or only the newline gone: nothing is torn
+    for cut, kept in ((last, chain.head), (1, chain.head + 1)):
+        log.write_bytes(wal[:-cut])
+        loaded = VersionChain.load(log)
+        assert loaded.commits == chain.commits[:kept]
+
+
+@pytest.mark.parametrize("cut", [20, 1])
+def test_load_append_cuts_the_torn_tail_before_appending(tmp_path, cut):
+    log, chain = _tree_log(tmp_path)
+    wal = log.read_bytes()
+    log.write_bytes(wal[:-cut])
+    torn = cut > 1  # a cut newline alone leaves a line that parses
+    with pytest.warns(UserWarning) if torn else contextlib.nullcontext():
+        reopened = VersionChain.load(log, append=True)
+    nid = reopened.allocate_node_id()
+    c = reopened.commit([add(Edge(reopened.graph.origin, nid, "up", 99))],
+                        TRIGGER_OBSERVATION, obs_id=99, analysis="Loft",
+                        new_nodes=[(nid, "Loft")])
+    reopened.close()
+    kept = wal[:wal.rindex(b"\n", 0, -1) + 1] if torn else wal
+    assert log.read_bytes() == kept + json.dumps(c.to_json()).encode() + b"\n"
+    final = VersionChain.load(log)
+    assert final.commits == reopened.commits
+    assert final.graph.state_equal(reopened.graph)
+
+
+def test_load_rejects_gaps_reordering_and_garbled_lines(tmp_path):
+    log, chain = _tree_log(tmp_path)
+    lines = log.read_bytes().splitlines(keepends=True)
+    gap = lines[:3] + lines[4:]
+    swapped = lines[:3] + [lines[4], lines[3]] + lines[5:]
+    garbled = lines[:3] + [lines[3][:10] + b"\n"] + lines[4:]
+    for broken in (gap, swapped, garbled, lines[1:]):
+        log.write_bytes(b"".join(broken))
+        with pytest.raises(CorruptLog):
+            VersionChain.load(log)
+    assert issubclass(CorruptLog, MapRepairError)
 
 
 def test_commit_json_round_trip():
