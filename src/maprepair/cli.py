@@ -80,7 +80,8 @@ def cmd_localize(args) -> int:
     pp = minimal_path_pair(chain.graph, target)
     cands = candidate_edges(chain.graph, pp,
                             include_silent=args.include_silent)
-    ranked = score_candidates(chain.graph, conflicts, cands)
+    # no candidate when every edge on the path pair has its reverse
+    ranked = score_candidates(chain.graph, conflicts, cands) if cands else []
     payload = {
         "conflict": target.to_json(),
         "lca": pp.lca,

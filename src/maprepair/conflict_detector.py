@@ -9,6 +9,13 @@ pair is suppressed as a duplicate symptom of the same defect.
 Unreachable nodes are reported as warnings, not conflicts: construction
 legitimately creates frontier nodes.  Over-connected components are out of
 scope (no threshold is defined for them).
+
+Detection makes one pass over the graph's adjacency and name indices and
+sorts only what it reports: the (src, direction) groups with two or more
+exits, the asymmetric pairs (each stored lesser edge first), the names
+held by nodes at two or more positions and the cells that hold more than
+one room.  Edges are ordered by plain tuples, never by `Edge` comparison.
+Each conflict is built once, stamped with the commit it was detected at.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph_core import Edge, NavGraph, normalize_name, reverse_direction
+from .graph_core import Edge, NavGraph, reverse_direction
 from .position_inference import PositionMap, infer_positions, position_overlaps
 
 KIND_DIRECTIONAL = "directional"
@@ -71,55 +78,78 @@ def _jsonable(x):
     return x
 
 
-def detect_directional(g: NavGraph) -> list[Conflict]:
+def _edge_order(e: Edge) -> tuple:
+    """`Edge` order as a plain tuple, so sorting calls no Python `__lt__`."""
+    return (e.src, e.dst, e.direction, e.step_id)
+
+
+def detect_directional(g: NavGraph,
+                       commit: Optional[int] = None) -> list[Conflict]:
+    groups = [(src, direction, exits) for src in g.nodes
+              for direction, exits in g.exits(src) if len(exits) >= 2]
+    groups.sort(key=lambda group: group[:2])
     out = []
-    for (src, direction), edges in sorted(g.out_groups().items()):
-        if len(edges) >= 2:
-            out.append(Conflict(
-                kind=KIND_DIRECTIONAL,
-                subkind=KIND_DIRECTIONAL,
-                nodes=tuple(sorted({src} | {e.dst for e in edges})),
-                edges=tuple(edges),
-                witness=(src, direction),
-            ))
+    for src, direction, exits in groups:
+        edges = tuple(sorted(exits, key=_edge_order))
+        out.append(Conflict(
+            kind=KIND_DIRECTIONAL,
+            subkind=KIND_DIRECTIONAL,
+            nodes=tuple(sorted({src} | {e.dst for e in edges})),
+            edges=edges,
+            witness=(src, direction),
+            first_visible_commit=commit,
+        ))
     return out
 
 
-def detect_naming(g: NavGraph, pm: PositionMap) -> list[Conflict]:
+def detect_naming(g: NavGraph, pm: PositionMap,
+                  commit: Optional[int] = None) -> list[Conflict]:
     out = []
-    by_name: dict[str, list[str]] = {}
-    for nid, name in g.nodes.items():
-        if pm.get(nid) is not None:
-            by_name.setdefault(normalize_name(name), []).append(nid)
-    for name in sorted(by_name):
-        nodes = sorted(by_name[name])
-        positions = {pm.get(n) for n in nodes}
-        if len(nodes) >= 2 and len(positions) >= 2:
+    for name, ids in g.namesakes():
+        nodes = sorted(n for n in ids if n in pm.assignment)
+        positions = sorted(pm.assignment[n] for n in nodes)
+        if len(nodes) >= 2 and positions[0] != positions[-1]:
             out.append(Conflict(
                 kind=KIND_NAMING,
                 subkind=KIND_NAMING,
                 nodes=tuple(nodes),
                 edges=(),
-                witness=(name, tuple(sorted(pm.get(n) for n in nodes))),
+                witness=(name, tuple(positions)),
+                first_visible_commit=commit,
             ))
+    out.sort(key=lambda c: c.witness[0])
     return out
 
 
-def detect_topological(g: NavGraph, pm: PositionMap) -> list[Conflict]:
+def _asymmetric_pairs(g: NavGraph) -> list[tuple[Edge, Edge]]:
+    """Pairs of edges joining two rooms both ways whose directions are not
+    each other's reverse, the lesser edge first, in order."""
+    between: dict[tuple[str, str], list[Edge]] = {}
+    for e in g.edges():
+        between.setdefault((e.src, e.dst), []).append(e)
+    pairs = []
+    for (src, dst), edges in between.items():
+        if src == dst:  # self-loops pair with each other
+            for i, e in enumerate(edges):
+                for f in edges[i + 1:]:
+                    if f.direction != reverse_direction(e.direction):
+                        pairs.append((e, f) if _edge_order(e) < _edge_order(f)
+                                     else (f, e))
+        elif src < dst:  # so the edge from `src` is the lesser
+            for e in edges:
+                for f in between.get((dst, src), ()):
+                    if f.direction != reverse_direction(e.direction):
+                        pairs.append((e, f))
+    pairs.sort(key=lambda pair: _edge_order(pair[0]) + _edge_order(pair[1]))
+    return pairs
+
+
+def detect_topological(g: NavGraph, pm: PositionMap,
+                       commit: Optional[int] = None) -> list[Conflict]:
     out: list[Conflict] = []
-    asym_pairs: list[tuple[Edge, Edge]] = []
-    seen: set[frozenset] = set()
-    for e in sorted(g.edges()):
-        for f in g.edges_between(e.dst, e.src):
-            if f.direction == reverse_direction(e.direction):
-                continue
-            pair_key = frozenset((e.key, f.key))
-            if pair_key in seen or e == f:
-                continue
-            seen.add(pair_key)
-            asym_pairs.append((e, f))
+    asym_pairs = _asymmetric_pairs(g)
     asym_edges = {e.key for pair in asym_pairs for e in pair}
-    for e, f in sorted(asym_pairs):
+    for e, f in asym_pairs:
         out.append(Conflict(
             kind=KIND_TOPOLOGICAL,
             subkind=SUB_ASYMMETRY,
@@ -127,6 +157,7 @@ def detect_topological(g: NavGraph, pm: PositionMap) -> list[Conflict]:
             edges=(e, f),
             witness=(e.direction, f.direction,
                      reverse_direction(e.direction)),
+            first_visible_commit=commit,
         ))
     for a, b, pos in position_overlaps(pm):
         out.append(Conflict(
@@ -135,6 +166,7 @@ def detect_topological(g: NavGraph, pm: PositionMap) -> list[Conflict]:
             nodes=(a, b),
             edges=(),
             witness=(pos,),
+            first_visible_commit=commit,
         ))
     for inc in pm.inconsistent:
         if inc.via.key in asym_edges:
@@ -145,6 +177,7 @@ def detect_topological(g: NavGraph, pm: PositionMap) -> list[Conflict]:
             nodes=(inc.node,),
             edges=(inc.via,),
             witness=(inc.assigned, inc.derived),
+            first_visible_commit=commit,
         ))
     return out
 
@@ -152,13 +185,9 @@ def detect_topological(g: NavGraph, pm: PositionMap) -> list[Conflict]:
 def detect_all(g: NavGraph, commit: Optional[int] = None) -> list[Conflict]:
     """All conflicts: directional, then topological, then naming."""
     pm = infer_positions(g)
-    conflicts = (detect_directional(g)
-                 + detect_topological(g, pm)
-                 + detect_naming(g, pm))
-    if commit is not None:
-        conflicts = [Conflict(c.kind, c.subkind, c.nodes, c.edges, c.witness,
-                              first_visible_commit=commit) for c in conflicts]
-    return conflicts
+    return (detect_directional(g, commit)
+            + detect_topological(g, pm, commit)
+            + detect_naming(g, pm, commit))
 
 
 def unreachable_nodes(g: NavGraph) -> list[str]:

@@ -8,7 +8,7 @@ them is the conflict detector's job, removing them the refiner's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .errors import DuplicateEdge, UnknownNode
 
@@ -122,6 +122,12 @@ class NavGraph:
     def nodes_named(self, name: str) -> set[str]:
         return set(self._name_index.get(normalize_name(name), ()))
 
+    def namesakes(self) -> Iterator[tuple[str, frozenset[str]]]:
+        """(normalized name, ids) for every name two or more nodes share,
+        in no particular order."""
+        return ((name, frozenset(ids)) for name, ids in self._name_index.items()
+                if len(ids) >= 2)
+
     def _unindex_name(self, node_id: str, name: str) -> None:
         ids = self._name_index[normalize_name(name)]
         ids.discard(node_id)
@@ -199,11 +205,11 @@ class NavGraph:
     def edges_between(self, src: str, dst: str) -> list[Edge]:
         return sorted(e for e in self._out_iter(src) if e.dst == dst)
 
-    def out_groups(self) -> dict[tuple[str, str], list[Edge]]:
-        """(src, direction) -> edges, for directional-conflict scanning."""
-        return {(src, d): sorted(by_step.values())
-                for src, by_dir in self._out.items()
-                for d, by_step in by_dir.items()}
+    def exits(self, src: str) -> Iterator[tuple[str, Collection[Edge]]]:
+        """(direction, out-edges) for every direction `src` has an exit in.
+        Neither the directions nor the edges come in any particular order."""
+        return ((d, by_step.values())
+                for d, by_step in self._out.get(src, {}).items())
 
     # -- queries ----------------------------------------------------------
 

@@ -6,12 +6,19 @@ recorded, never overwritten.  Containment moves (in/out/enter/exit) carry no
 geometry and do not propagate.  When a node has several same-direction
 out-edges (a directional conflict), only the minimum-step one defines
 geometry; the others do not fabricate positions.
+
+A node's propagating edges are read straight from the graph's adjacency
+index, one minimum-step edge per compass direction; only those few are
+sorted.  Two directions whose minimum steps are equal go in the order
+their exits come in `Edge` order: the direction with the lowest
+destination among its exits first, then by direction name.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .graph_core import COMPASS, Edge, NavGraph, displacement
 
@@ -36,15 +43,21 @@ class PositionMap:
 
 
 def _propagating_edges(g: NavGraph, node: str) -> list[Edge]:
-    """Compass out-edges of `node`, one per direction (minimum step)."""
-    best: dict[str, Edge] = {}
-    for e in g.out_edges(node):
-        if e.direction not in COMPASS:
+    """Compass out-edges of `node`, one per direction (minimum step), in
+    step order; equal steps in `Edge` order of their directions' exits."""
+    ranked = []
+    for direction, exits in g.exits(node):
+        if direction not in COMPASS:
             continue
-        cur = best.get(e.direction)
-        if cur is None or e.step_id < cur.step_id:
-            best[e.direction] = e
-    return sorted(best.values(), key=lambda e: e.step_id)
+        if len(exits) == 1:
+            first, = exits
+            ranked.append((first.step_id, first.dst, direction, first))
+        else:
+            first = min(exits, key=attrgetter("step_id"))
+            ranked.append((first.step_id, min(e.dst for e in exits),
+                           direction, first))
+    ranked.sort()  # directions differ, so no two edges are compared
+    return [r[3] for r in ranked]
 
 
 def infer_positions(g: NavGraph) -> PositionMap:
@@ -112,12 +125,15 @@ def extend_positions(g: NavGraph, pm: PositionMap, edge: Edge) -> bool:
 
 def position_overlaps(pm: PositionMap) -> list[tuple[str, str, Position]]:
     """Unordered pairs of distinct nodes sharing one position."""
-    by_pos: dict[Position, list[str]] = {}
+    first: dict[Position, str] = {}
+    shared: dict[Position, list[str]] = {}
     for node, pos in pm.assignment.items():
-        by_pos.setdefault(pos, []).append(node)
+        holder = first.setdefault(pos, node)
+        if holder != node:
+            shared.setdefault(pos, [holder]).append(node)
     out = []
-    for pos in sorted(by_pos):
-        nodes = sorted(by_pos[pos])
+    for pos in sorted(shared):
+        nodes = sorted(shared[pos])
         for i in range(len(nodes)):
             for j in range(i + 1, len(nodes)):
                 out.append((nodes[i], nodes[j], pos))

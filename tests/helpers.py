@@ -9,10 +9,20 @@ from __future__ import annotations
 
 import random
 
-from maprepair.graph_core import (
-    DIRECTIONS, Edge, NavGraph, displacement, normalize_name,
+from collections import deque
+from typing import Optional
+
+from maprepair.conflict_detector import (
+    KIND_DIRECTIONAL, KIND_NAMING, KIND_TOPOLOGICAL, SUB_ASYMMETRY,
+    SUB_INCONSISTENCY, SUB_OVERLAP, Conflict,
 )
-from maprepair.position_inference import infer_positions
+from maprepair.graph_core import (
+    COMPASS, DIRECTIONS, Edge, NavGraph, displacement, normalize_name,
+    reverse_direction,
+)
+from maprepair.position_inference import (
+    Inconsistency, PositionMap, infer_positions,
+)
 from maprepair.version_store import (
     TRIGGER_OBSERVATION, VersionChain, _unapply_commit, add,
 )
@@ -191,3 +201,160 @@ def edge_by(g: NavGraph, src_name: str, dst_name: str) -> Edge:
         if g.nodes[e.src] == src_name and g.nodes[e.dst] == dst_name:
             return e
     raise AssertionError(f"no edge {src_name} -> {dst_name}")
+
+
+# ---------------------------------------------------------------------------
+# detection and position inference as first written: every edge sorted,
+# every name normalized, one `edges_between` per edge
+
+
+def _reference_out_groups(g: NavGraph) -> dict[tuple[str, str], list[Edge]]:
+    """(src, direction) -> edges, re-derived from the edge list."""
+    groups: dict[tuple[str, str], list[Edge]] = {}
+    for e in g.edges():
+        groups.setdefault((e.src, e.direction), []).append(e)
+    return {key: sorted(edges) for key, edges in groups.items()}
+
+
+def _reference_propagating_edges(g: NavGraph, node: str) -> list[Edge]:
+    """Compass out-edges of `node`, one per direction (minimum step)."""
+    best: dict[str, Edge] = {}
+    for e in g.out_edges(node):
+        if e.direction not in COMPASS:
+            continue
+        cur = best.get(e.direction)
+        if cur is None or e.step_id < cur.step_id:
+            best[e.direction] = e
+    return sorted(best.values(), key=lambda e: e.step_id)
+
+
+def reference_infer_positions(g: NavGraph) -> PositionMap:
+    pm = PositionMap()
+    if g.origin is None:
+        return pm
+    pm.assignment[g.origin] = (0, 0, 0)
+    queue: deque[str] = deque([g.origin])
+    seen_bad: set[tuple] = set()
+    while queue:
+        node = queue.popleft()
+        px, py, pz = pm.assignment[node]
+        for e in _reference_propagating_edges(g, node):
+            dx, dy, dz = displacement(e.direction)
+            derived = (px + dx, py + dy, pz + dz)
+            known = pm.assignment.get(e.dst)
+            if known is None:
+                pm.assignment[e.dst] = derived
+                queue.append(e.dst)
+            elif known != derived:
+                inc = Inconsistency(e.dst, known, derived, e)
+                if (inc.node, inc.assigned, inc.derived, inc.via) not in seen_bad:
+                    seen_bad.add((inc.node, inc.assigned, inc.derived, inc.via))
+                    pm.inconsistent.append(inc)
+    pm.inconsistent.sort()
+    return pm
+
+
+def _reference_position_overlaps(pm: PositionMap) -> list[tuple]:
+    """Unordered pairs of distinct nodes sharing one position."""
+    by_pos: dict[tuple, list[str]] = {}
+    for node, pos in pm.assignment.items():
+        by_pos.setdefault(pos, []).append(node)
+    out = []
+    for pos in sorted(by_pos):
+        nodes = sorted(by_pos[pos])
+        for i in range(len(nodes)):
+            for j in range(i + 1, len(nodes)):
+                out.append((nodes[i], nodes[j], pos))
+    return out
+
+
+def _reference_detect_directional(g: NavGraph) -> list[Conflict]:
+    out = []
+    for (src, direction), edges in sorted(_reference_out_groups(g).items()):
+        if len(edges) >= 2:
+            out.append(Conflict(
+                kind=KIND_DIRECTIONAL,
+                subkind=KIND_DIRECTIONAL,
+                nodes=tuple(sorted({src} | {e.dst for e in edges})),
+                edges=tuple(edges),
+                witness=(src, direction),
+            ))
+    return out
+
+
+def _reference_detect_naming(g: NavGraph, pm: PositionMap) -> list[Conflict]:
+    out = []
+    by_name: dict[str, list[str]] = {}
+    for nid, name in g.nodes.items():
+        if pm.get(nid) is not None:
+            by_name.setdefault(normalize_name(name), []).append(nid)
+    for name in sorted(by_name):
+        nodes = sorted(by_name[name])
+        positions = {pm.get(n) for n in nodes}
+        if len(nodes) >= 2 and len(positions) >= 2:
+            out.append(Conflict(
+                kind=KIND_NAMING,
+                subkind=KIND_NAMING,
+                nodes=tuple(nodes),
+                edges=(),
+                witness=(name, tuple(sorted(pm.get(n) for n in nodes))),
+            ))
+    return out
+
+
+def _reference_detect_topological(g: NavGraph,
+                                  pm: PositionMap) -> list[Conflict]:
+    out: list[Conflict] = []
+    asym_pairs: list[tuple[Edge, Edge]] = []
+    seen: set[frozenset] = set()
+    for e in sorted(g.edges()):
+        for f in g.edges_between(e.dst, e.src):
+            if f.direction == reverse_direction(e.direction):
+                continue
+            pair_key = frozenset((e.key, f.key))
+            if pair_key in seen or e == f:
+                continue
+            seen.add(pair_key)
+            asym_pairs.append((e, f))
+    asym_edges = {e.key for pair in asym_pairs for e in pair}
+    for e, f in sorted(asym_pairs):
+        out.append(Conflict(
+            kind=KIND_TOPOLOGICAL,
+            subkind=SUB_ASYMMETRY,
+            nodes=tuple(sorted({e.src, e.dst})),
+            edges=(e, f),
+            witness=(e.direction, f.direction,
+                     reverse_direction(e.direction)),
+        ))
+    for a, b, pos in _reference_position_overlaps(pm):
+        out.append(Conflict(
+            kind=KIND_TOPOLOGICAL,
+            subkind=SUB_OVERLAP,
+            nodes=(a, b),
+            edges=(),
+            witness=(pos,),
+        ))
+    for inc in pm.inconsistent:
+        if inc.via.key in asym_edges:
+            continue  # symptom of the asymmetry already reported
+        out.append(Conflict(
+            kind=KIND_TOPOLOGICAL,
+            subkind=SUB_INCONSISTENCY,
+            nodes=(inc.node,),
+            edges=(inc.via,),
+            witness=(inc.assigned, inc.derived),
+        ))
+    return out
+
+
+def reference_detect_all(g: NavGraph,
+                         commit: Optional[int] = None) -> list[Conflict]:
+    """All conflicts: directional, then topological, then naming."""
+    pm = reference_infer_positions(g)
+    conflicts = (_reference_detect_directional(g)
+                 + _reference_detect_topological(g, pm)
+                 + _reference_detect_naming(g, pm))
+    if commit is not None:
+        conflicts = [Conflict(c.kind, c.subkind, c.nodes, c.edges, c.witness,
+                              first_visible_commit=commit) for c in conflicts]
+    return conflicts

@@ -74,6 +74,26 @@ def test_localize_ranks_candidates(built_log, capsys):
     assert cli.main(["localize", "--log", str(log), "--conflict", "99"]) == 2
 
 
+@pytest.mark.parametrize("silent", [[], ["--include-silent"]],
+                         ids=["suffix", "include-silent"])
+def test_localize_with_no_candidate_prints_an_empty_ranking(tmp_path, capsys,
+                                                           silent):
+    """Every edge on this world's naming conflict has its reverse
+    observation, so no edge is a candidate: that is an answer, not bad
+    input."""
+    walk, log = tmp_path / "walk.txt", tmp_path / "map.jsonl"
+    assert cli.main(["synth", "--shape", "tree", "--params", "4", "3",
+                     "--fault", "misname", "--seed", "2",
+                     "--out", str(walk)]) == 0
+    assert cli.main(["build", "--transcript", str(walk),
+                     "--log", str(log)]) == 0
+    capsys.readouterr()
+    assert cli.main(["localize", "--log", str(log), *silent]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["conflict"]["kind"] == "naming"
+    assert payload["candidates"] == []
+
+
 def test_repair_with_oracle_then_clean(built_log, tmp_path, capsys):
     log, ledger = built_log
     out_graph = tmp_path / "repaired.json"

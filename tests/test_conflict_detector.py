@@ -1,8 +1,22 @@
+import sys
+from collections import Counter
+from contextlib import ExitStack
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import reference_detect_all, reference_infer_positions
 from maprepair.conflict_detector import (
     KIND_DIRECTIONAL, KIND_NAMING, KIND_TOPOLOGICAL, SUB_ASYMMETRY,
     SUB_INCONSISTENCY, SUB_OVERLAP, detect_all, unreachable_nodes,
 )
-from maprepair.graph_core import NavGraph
+from maprepair.errors import DuplicateEdge
+from maprepair.fault_injector import WorldSpec, generate_world
+from maprepair.graph_core import (
+    DIRECTIONS, Edge, NavGraph, normalize_name, reverse_direction,
+)
+from maprepair.position_inference import infer_positions
 
 
 def _clean_square():
@@ -170,3 +184,84 @@ def test_to_json_shape():
                             "commit"}
     assert payload["commit"] == 3
     assert payload["participants"]["edges"][0]["dir"] == "north"
+
+
+# names that differ only in case or spacing, so they share a name index entry
+_NAMES = ("Hall", "hall", "  HALL ", "Great Hall", "great   hall", "Cellar",
+          "CELLAR", "Attic")
+# a few directions drawn often, so (src, direction) groups repeat
+_OFTEN = ("north", "south", "east", "in")
+
+
+@st.composite
+def _graphs(draw):
+    """Small multigraphs: self-loops, reverse pairs, repeated exits, equal
+    step ids in different directions, containment moves, then removals
+    and renames that reorder and prune the indices."""
+    g = NavGraph()
+    ids = [g.add_node(draw(st.sampled_from(_NAMES)))
+           for _ in range(draw(st.integers(1, 7)))]
+    g.origin = draw(st.sampled_from(ids))
+    direction = st.one_of(st.sampled_from(_OFTEN), st.sampled_from(DIRECTIONS))
+    moves = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                                    direction, st.integers(0, 5),
+                                    st.booleans()), max_size=30))
+    for src, dst, d, step, back in moves:
+        edges = [(src, dst, d, step)]
+        if back:
+            edges.append((dst, src, reverse_direction(d), step + 1))
+        for edge in edges:
+            try:
+                g.add_edge(*edge)
+            except DuplicateEdge:
+                pass
+    for i in draw(st.lists(st.integers(0, 60), max_size=4)):
+        present = sorted(g.edges())
+        if present:
+            e = present[i % len(present)]
+            g.remove_edge(e)
+            if draw(st.booleans()):  # back in, at the end of its level
+                g.add_edge(e.src, e.dst, e.direction, e.step_id)
+    for node, name in draw(st.lists(st.tuples(st.sampled_from(ids),
+                                              st.sampled_from(_NAMES)),
+                                    max_size=3)):
+        g.rename_node(node, name)
+    return g
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graphs(), st.one_of(st.none(), st.integers(0, 99)))
+def test_detection_and_positions_equal_the_reference(g, commit):
+    pm, ref = infer_positions(g), reference_infer_positions(g)
+    assert pm == ref
+    assert list(pm.assignment.items()) == list(ref.assignment.items())
+    assert detect_all(g, commit) == reference_detect_all(g, commit)
+
+
+def _counting(counts, key, real):
+    def counted(*args):
+        counts[key] += 1
+        return real(*args)
+    return counted
+
+
+@pytest.mark.parametrize("spec", [WorldSpec("grid", (30, 30)),
+                                  WorldSpec("tree", (6, 3))],
+                         ids=["grid-30x30", "tree-6x3"])
+def test_detection_on_a_clean_map_compares_and_normalizes_nothing(spec):
+    """Detection sorts only what it reports, and reads names from the
+    graph's name index: a clean map needs no comparison of edges and no
+    normalization of a name."""
+    g = generate_world(spec).build().graph
+    counts: Counter = Counter()
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(
+            Edge, "__lt__", _counting(counts, "compare", Edge.__lt__)))
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "maprepair" and \
+                    getattr(module, "normalize_name", None) is normalize_name:
+                stack.enter_context(mock.patch.object(
+                    module, "normalize_name",
+                    _counting(counts, "normalize", normalize_name)))
+        assert detect_all(g) == []
+    assert counts == Counter()

@@ -60,6 +60,15 @@ def test_same_name_nodes_are_distinct():
     assert g.nodes_named("CELLAR") == {a, b}
 
 
+def test_namesakes_lists_shared_names_only():
+    g = NavGraph()
+    a, b = g.add_node("Cellar"), g.add_node("  CELLAR ")
+    c = g.add_node("Attic")
+    assert list(g.namesakes()) == [("cellar", {a, b})]
+    g.rename_node(b, "attic")
+    assert sorted(g.namesakes()) == [("attic", {b, c})]
+
+
 def test_explicit_node_id_collision_rejected():
     g = NavGraph()
     a = g.add_node("Room A")
@@ -124,7 +133,9 @@ def test_out_in_and_between_queries():
     assert g.out_edges(a) == [e1, e2]
     assert g.in_edges(a) == [e3]
     assert g.edges_between(a, b) == [e1]
-    assert g.out_groups()[(a, "north")] == [e1]
+    assert {d: list(es) for d, es in g.exits(a)} == {"north": [e1],
+                                                       "east": [e2]}
+    assert list(g.exits(c)) == []
 
 
 def test_reachable_matches_matrix_closure():

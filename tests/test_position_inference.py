@@ -77,6 +77,24 @@ def test_directional_duplicates_propagate_min_step_only():
     assert position_overlaps(pm) == []
 
 
+def test_equal_steps_propagate_in_edge_order_of_their_directions():
+    """Exits with equal steps go in the order their directions' exits come
+    in `Edge` order: lowest destination first, then direction."""
+    g = NavGraph()
+    o, a, y = g.add_node("O"), g.add_node("A"), g.add_node("Y")
+    g.add_edge(o, y, "north", 2)
+    g.add_edge(o, y, "east", 2)
+    pm = infer_positions(g)
+    assert pm.get(y) == (1, 0, 0)  # same destination: east before north
+    assert [i.via.direction for i in pm.inconsistent] == ["north"]
+
+    g.add_edge(o, a, "north", 9)  # a later north exit to a lower id
+    pm = infer_positions(g)
+    assert pm.get(y) == (0, 1, 0)
+    assert pm.get(a) is None
+    assert [i.via.direction for i in pm.inconsistent] == ["east"]
+
+
 def test_consistent_cycle_is_clean():
     g, ids = _chain(["north", "east", "south"])
     g.add_edge(ids[3], ids[0], "west", 4)

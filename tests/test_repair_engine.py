@@ -1,6 +1,9 @@
+from unittest import mock
+
 import pytest
 
-from helpers import unapplied
+from helpers import reference_detect_all, unapplied
+from maprepair import advisors, repair_engine
 from maprepair import fault_injector as fi
 from maprepair.conflict_detector import detect_all
 from maprepair.errors import AdvisorFailure, IllegalAction
@@ -8,7 +11,8 @@ from maprepair.graph_core import Edge
 from maprepair.repair_engine import (
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_DIFF_VERSIONS, ACT_GIVE_UP,
     ACT_MERGE_NODES, ACT_RECALL_STEP, ACT_REDIRECT_EDGE, ACT_RENAME_NODE,
-    ACT_ROLLBACK_TO, RepairAction, ToolConfig, apply_action, run_session,
+    ACT_ROLLBACK_TO, RepairAction, ToolConfig, apply_action, run_repair,
+    run_session,
 )
 from maprepair.version_store import TRIGGER_REPAIR
 
@@ -239,3 +243,41 @@ def test_context_neighborhood_is_local():
     assert len(ctx.neighborhood.nodes) < len(chain.graph.nodes)
     assert ctx.ranked_candidates and ctx.path_pair is not None
     assert ctx.chain is chain
+
+
+def _repair_cases():
+    visible = (fi.FAULT_MISDIRECTION, fi.FAULT_MISNAME, fi.FAULT_PHANTOM)
+    for spec in (fi.WorldSpec("grid", (4, 4)), fi.WorldSpec("tree", (3, 2)),
+                 fi.WorldSpec("tree", (4, 3)), fi.WorldSpec("loopchain", (12,))):
+        world = fi.generate_world(spec)
+        for seed in range(3):
+            for kinds in [[kind] for kind in visible] + [list(visible)]:
+                yield fi.inject(world, kinds, seed=seed)
+
+
+def _repaired(world, ledger, advisor, log):
+    chain = world.build(log_path=log)
+    _, sessions, metrics = run_repair(chain, ToolConfig(), advisor,
+                                      ledger=ledger)
+    chain.close()
+    return sessions, metrics, log.read_bytes()
+
+
+def test_repair_runs_as_with_the_reference_detector(tmp_path):
+    calls = []
+
+    def reference(g, commit=None):
+        calls.append(commit)
+        return reference_detect_all(g, commit)
+
+    for n, (world, ledger) in enumerate(_repair_cases()):
+        for name, make in (("oracle", lambda: advisors.OracleAdvisor(ledger)),
+                           ("heuristic", advisors.HeuristicAdvisor)):
+            with mock.patch.object(repair_engine, "detect_all", reference), \
+                    mock.patch.object(advisors, "detect_all", reference):
+                want = _repaired(world, ledger, make(),
+                                 tmp_path / f"{n}-{name}-ref.jsonl")
+            got = _repaired(world, ledger, make(),
+                            tmp_path / f"{n}-{name}.jsonl")
+            assert got == want, (n, name)
+    assert calls
