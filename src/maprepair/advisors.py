@@ -123,7 +123,7 @@ class HeuristicAdvisor:
         for e in _visible_edges(ctx):
             if e not in order:
                 order.append(e)
-        before = {x.key for x in detect_all(ctx.graph)}
+        before = {x.key for x in ctx.conflicts}
         for e in order:
             if not ctx.graph.has_edge(e):
                 continue

@@ -209,13 +209,6 @@ def generate_world(spec: WorldSpec) -> World:
 # fault injection
 
 
-def _graphs_differ(a: NavGraph, b: NavGraph) -> bool:
-    def canon(g):
-        return {(g.nodes[e.src], g.nodes[e.dst], e.direction, e.step_id)
-                for e in g.edges()}
-    return canon(a) != canon(b)
-
-
 def _corrupt_steps(world: World, step: int, act=None, obs=None) -> World:
     steps = list(world.steps)
     old_act, old_obs = steps[step]
@@ -237,10 +230,12 @@ def inject(world: World, kinds: Sequence[str], seed: int = 0,
            explicit: Sequence[Fault] = ()) -> tuple[World, FaultLedger]:
     """Corrupt the transcript with one fault per requested kind.
 
-    Misdirection and misname faults are drawn at random (seeded) from the
-    choices that actually produce at least one detectable conflict; silent
-    misdirections from those that produce none while changing the graph.
-    Explicit faults, when given, are applied verbatim instead of drawn.
+    Each fault is drawn at random (seeded) from the choices of its kind:
+    a silent misdirection from those whose built map shows no conflict,
+    every other kind from those whose built map shows one.  A misdirection
+    always changes the map: its step commits an edge in a direction the
+    truth lacks there.  Explicit faults, when given, are applied verbatim
+    before the drawn ones.
     """
     rng = random.Random(seed)
     ledger = FaultLedger()
@@ -249,7 +244,7 @@ def inject(world: World, kinds: Sequence[str], seed: int = 0,
         corrupted = _apply_fault(corrupted, fault)
         ledger.faults.append(fault)
     for kind in kinds:
-        fault, corrupted = _draw_fault(corrupted, world, kind, rng)
+        fault, corrupted = _draw_fault(corrupted, kind, rng)
         ledger.faults.append(fault)
     return corrupted, ledger
 
@@ -267,70 +262,56 @@ def _apply_fault(world: World, fault: Fault) -> World:
     raise ValueError(fault.kind)
 
 
-def _draw_fault(corrupted: World, truth_world: World, kind: str,
-                rng: random.Random) -> tuple[Fault, World]:
+def _fault_options(corrupted: World, kind: str) -> list[tuple]:
+    """Every fault of `kind` this transcript can take, in a fixed order, as
+    the `Fault` fields after `kind`: there are O(rooms^2) misname options,
+    and a `Fault` is made only of those tried."""
     sources = _walk_sources(corrupted)
     move_steps = [i for i in range(1, len(corrupted.steps))
                   if corrupted.steps[i][0] in COMPASS]
-    want_silent = kind == FAULT_SILENT
-
+    options = []
     if kind in (FAULT_MISDIRECTION, FAULT_SILENT):
-        options = []
         for step in move_steps:
             true_dir = corrupted.steps[step][0]
             used = {corrupted.steps[i][0] for i in range(1, len(corrupted.steps))
                     if sources[i] == sources[step]}
-            for d in sorted(COMPASS - used):
-                options.append((step, true_dir, d))
-        rng.shuffle(options)
-        for step, true_dir, d in options:
-            fault = Fault(kind, step, true_direction=true_dir,
-                          corrupted_direction=d)
-            trial = _apply_fault(corrupted, fault)
-            built = trial.build().graph
-            if (not detect_all(built)) == want_silent and \
-                    _graphs_differ(built, truth_world.truth):
-                return fault, trial
-        raise ValueError(f"no viable {kind} fault for this world")
-
-    if kind == FAULT_MISNAME:
+            options.extend((step, true_dir, d) for d in sorted(COMPASS - used))
+    elif kind == FAULT_MISNAME:
         visited: list[str] = [corrupted.steps[0][1].splitlines()[0]]
-        options = []
         for step in move_steps:
             name = corrupted.steps[step][1].splitlines()[0]
             if name not in visited:
                 # corrupt only first arrivals, and never to the move's own
                 # source room: that would read as a blocked move, not an edge
-                options.extend((step, name, other) for other in visited
-                               if other != sources[step])
+                options.extend((step, None, None, name, other)
+                               for other in visited if other != sources[step])
             visited.append(name)
-        rng.shuffle(options)
-        for step, true_name, wrong in options:
-            fault = Fault(kind, step, true_name=true_name,
-                          corrupted_name=wrong)
-            trial = _apply_fault(corrupted, fault)
-            if detect_all(trial.build().graph):
-                return fault, trial
-        raise ValueError("no viable misname fault for this world")
-
-    if kind == FAULT_PHANTOM:
+    elif kind == FAULT_PHANTOM:
         final_src = corrupted.steps[-1][1].splitlines()[0]
         used = {corrupted.steps[i][0] for i in range(1, len(corrupted.steps))
                 if sources[i] == final_src}
         names = sorted({obs.splitlines()[0]
                         for _, obs in corrupted.steps}) + [final_src]
-        options = [(d, n) for d in sorted(COMPASS - used)
-                   for n in names if n != final_src]
-        rng.shuffle(options)
-        for d, n in options:
-            fault = Fault(kind, len(corrupted.steps),
-                          corrupted_direction=d, corrupted_name=n)
-            trial = _apply_fault(corrupted, fault)
-            if detect_all(trial.build().graph):
-                return fault, trial
-        raise ValueError("no viable phantom fault for this world")
+        options.extend((len(corrupted.steps), None, d, None, n)
+                       for d in sorted(COMPASS - used)
+                       for n in names if n != final_src)
+    else:
+        raise ValueError(kind)
+    return options
 
-    raise ValueError(kind)
+
+def _draw_fault(corrupted: World, kind: str,
+                rng: random.Random) -> tuple[Fault, World]:
+    """A seeded random fault of `kind` whose built map shows a conflict,
+    or, for a silent misdirection, shows none."""
+    options = _fault_options(corrupted, kind)
+    rng.shuffle(options)
+    for fields in options:
+        fault = Fault(kind, *fields)
+        trial = _apply_fault(corrupted, fault)
+        if bool(detect_all(trial.build().graph)) != (kind == FAULT_SILENT):
+            return fault, trial
+    raise ValueError(f"no viable {kind} fault for this world")
 
 
 def first_visible_commit(world: World) -> Optional[int]:
@@ -339,8 +320,7 @@ def first_visible_commit(world: World) -> Optional[int]:
     probe = VersionChain()
     for c in chain.commits:
         probe.commit(c.deltas, c.trigger, c.obs_id, c.analysis,
-                     step_id=c.step_id, new_nodes=c.new_nodes,
-                     renames=c.renames, drops=c.drops)
+                     new_nodes=c.new_nodes, renames=c.renames, drops=c.drops)
         if detect_all(probe.graph):
             return probe.head
     return None

@@ -1,11 +1,17 @@
 """Bounded advisor-in-the-loop repair.
 
 The engine picks the first open conflict as the session's primary, hands
-the advisor a context (conflict, local neighborhood, and, when enabled,
-ranked candidates plus the witness path pair and a version-chain handle),
-and applies the proposed actions as repair commits.  A session ends when
-the primary conflict plus any conflicts newly exposed by its fixes are
-gone, or when the attempt budget runs out.
+the advisor a context (conflict, local neighborhood, the conflicts open
+at the chain head, and, when enabled, ranked candidates plus the witness
+path pair and a version-chain handle), and applies the proposed actions
+as repair commits.  A session ends when the primary conflict plus any
+conflicts newly exposed by its fixes are gone, or when the attempt budget
+runs out.
+
+Detection runs here and nowhere else in the loop: once when `run_repair`
+starts and once after each applied commit, the only event that changes
+the map.  Each session starts from the conflicts its predecessor ended
+on, and every context carries them as `ctx.conflicts`.
 
 Budget rules: mutating proposals and GiveUp consume an attempt; read-only
 version queries consume a loop but no attempt; conflicts first exposed
@@ -15,6 +21,7 @@ consecutive advisor failures abort the session.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -125,7 +132,7 @@ class AdvisorContext:
     path_pair: Optional[PathPair]
     chain: Optional[VersionChain]  # None when version control is disabled
     transcript: list[dict]
-    config: ToolConfig
+    conflicts: list[Conflict]  # detected at the chain head, one per key
 
 
 Advisor = Callable[[AdvisorContext], RepairAction]
@@ -262,7 +269,7 @@ def _state_commit(chain: VersionChain, target: NavGraph, obs_id: int,
 
 def build_context(chain: VersionChain, config: ToolConfig, conflict: Conflict,
                   transcript: list[dict],
-                  conflicts: Optional[list[Conflict]] = None) -> AdvisorContext:
+                  conflicts: list[Conflict]) -> AdvisorContext:
     g = chain.graph
     seeds = set(conflict.nodes)
     for e in conflict.edges:
@@ -278,8 +285,7 @@ def build_context(chain: VersionChain, config: ToolConfig, conflict: Conflict,
             if not cands:
                 cands = candidate_edges(g, pp, include_silent=True)
             if cands:
-                known = conflicts if conflicts is not None else detect_all(g)
-                ranked = score_candidates(g, known, cands)
+                ranked = score_candidates(g, conflicts, cands)
     return AdvisorContext(
         conflict=conflict,
         graph=g,
@@ -288,27 +294,28 @@ def build_context(chain: VersionChain, config: ToolConfig, conflict: Conflict,
         path_pair=pp,
         chain=chain if config.version_control else None,
         transcript=transcript,
-        config=config,
+        conflicts=conflicts,
     )
 
 
 def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
-                primary: Conflict, baseline_keys: set, max_attempts: int = 10,
-                loop_cap: int = 200) -> RepairSession:
+                primary: Conflict, conflicts: list[Conflict],
+                max_attempts: int = 10, loop_cap: int = 200
+                ) -> tuple[RepairSession, list[Conflict]]:
+    """Repair `primary`, given the `conflicts` detected at the chain head.
+    Returns the session and the conflicts at the head it ends on."""
+    baseline_keys = {c.key for c in conflicts}
+    current = {c.key: c for c in conflicts}
     transcript: list[dict] = []
-    attempts = loops = consecutive_failures = 0
+    spent: Counter = Counter()  # attempts per conflict key
+    loops = consecutive_failures = 0
     secondary_seen: dict = {}
-    secondary_attempts: dict = {}
     abandoned: set = set()
     outcome = OUTCOME_EXHAUSTED
 
     while True:
-        current = {c.key: c for c in detect_all(chain.graph,
-                                                commit=chain.head)}
         if primary.key in current:
             target, is_primary = current[primary.key], True
-            if attempts >= max_attempts:
-                break
         else:
             fresh = [c for k, c in current.items()
                      if k not in baseline_keys and k not in abandoned]
@@ -318,14 +325,16 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
                 outcome = OUTCOME_REPAIRED
                 break
             target, is_primary = fresh[0], False
-            if secondary_attempts.get(target.key, 0) >= max_attempts:
-                abandoned.add(target.key)
-                continue
+        if spent[target.key] >= max_attempts:
+            if is_primary:
+                break
+            abandoned.add(target.key)
+            continue
         if loops >= loop_cap:
             break
 
         ctx = build_context(chain, config, target, transcript,
-                            conflicts=list(current.values()))
+                            list(current.values()))
         loops += 1
         try:
             action = advisor(ctx)
@@ -342,7 +351,7 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
                        "action": action.to_json()}
         if action.kind == ACT_GIVE_UP:
             if is_primary:
-                attempts += 1
+                spent[target.key] += 1
             else:
                 abandoned.add(target.key)
             entry["result"] = "gave up"
@@ -365,22 +374,22 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
             continue
 
         # mutating proposal: spends an attempt whether or not it applies
-        if is_primary:
-            attempts += 1
-        else:
-            secondary_attempts[target.key] = \
-                secondary_attempts.get(target.key, 0) + 1
+        spent[target.key] += 1
         try:
             apply_action(chain, action, obs_id=chain.head + 1)
             entry["result"] = "applied"
         except (IllegalAction, InvalidDelta, UnknownNode,
                 DuplicateEdge) as exc:
             entry["error"] = _describe(exc)
+        else:
+            conflicts = detect_all(chain.graph, commit=chain.head)
+            current = {c.key: c for c in conflicts}
         transcript.append(entry)
 
-    return RepairSession(primary=primary, outcome=outcome, attempts=attempts,
-                         loop_count=loops, transcript=transcript,
-                         secondary=tuple(secondary_seen.values()))
+    return RepairSession(primary=primary, outcome=outcome,
+                         attempts=spent[primary.key], loop_count=loops,
+                         transcript=transcript,
+                         secondary=tuple(secondary_seen.values())), conflicts
 
 
 def run_repair(chain: VersionChain, config: ToolConfig, advisor: Advisor,
@@ -388,15 +397,14 @@ def run_repair(chain: VersionChain, config: ToolConfig, advisor: Advisor,
                ) -> tuple[NavGraph, list[RepairSession], Metrics]:
     sessions: list[RepairSession] = []
     unresolved: set = set()
+    conflicts = detect_all(chain.graph, commit=chain.head)
     while True:
-        conflicts = detect_all(chain.graph, commit=chain.head)
         open_conflicts = [c for c in conflicts if c.key not in unresolved]
         if not open_conflicts:
             break
         primary = open_conflicts[0]
-        baseline = {c.key for c in conflicts}
-        session = run_session(chain, config, advisor, primary, baseline,
-                              max_attempts=max_attempts)
+        session, conflicts = run_session(chain, config, advisor, primary,
+                                         conflicts, max_attempts=max_attempts)
         sessions.append(session)
         if session.outcome != OUTCOME_REPAIRED:
             unresolved.add(primary.key)

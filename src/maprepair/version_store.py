@@ -149,7 +149,11 @@ def _unapply_commit(g: NavGraph, c: Commit,
 
 
 class VersionChain:
-    """Owns a NavGraph; all mutation goes through commit()."""
+    """Owns a NavGraph; all mutation goes through commit().
+
+    A `log_path` starts a new log: an existing file raises
+    `FileExistsError` and is left as it was.  `load(append=True)` goes on
+    with an existing one."""
 
     def __init__(self, log_path: Optional[str | Path] = None):
         self.graph = NavGraph()
@@ -157,7 +161,7 @@ class VersionChain:
         self._log: Optional[IO[str]] = None
         self.log_path = Path(log_path) if log_path else None
         if self.log_path:
-            self._log = open(self.log_path, "a", encoding="utf-8")
+            self._log = open(self.log_path, "x", encoding="utf-8")
 
     @property
     def head(self) -> int:
@@ -169,13 +173,13 @@ class VersionChain:
     # -- core operations ----------------------------------------------------
 
     def commit(self, deltas: Iterable[EdgeDelta], trigger: str, obs_id: int,
-               analysis: str, step_id: Optional[int] = None,
+               analysis: str,
                new_nodes: Iterable[tuple[str, str]] = (),
                renames: Iterable[tuple[str, str, str]] = (),
                drops: Iterable[tuple[str, str]] = ()) -> Commit:
         commit = Commit(
             index=self.head + 1,
-            step_id=obs_id if step_id is None else step_id,
+            step_id=obs_id,
             deltas=tuple(deltas),
             trigger=trigger,
             obs_id=obs_id,

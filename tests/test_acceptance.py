@@ -359,10 +359,11 @@ def test_criterion_8_edge_impact_off_hides_scores():
 
 def test_criterion_8_version_control_off_blocks_queries():
     chain, _ = fi.demo_chain(corrupted=True)
-    primary = detect_all(chain.graph)[0]
+    conflicts = detect_all(chain.graph, commit=chain.head)
     probe = _ProbeAdvisor(action=RepairAction(ACT_RECALL_STEP, version=0))
-    session = run_session(chain, ToolConfig(version_control=False), probe,
-                          primary, {primary.key}, max_attempts=2, loop_cap=5)
+    session, _ = run_session(chain, ToolConfig(version_control=False), probe,
+                             conflicts[0], conflicts, max_attempts=2,
+                             loop_cap=5)
     assert probe.contexts
     assert all(ctx.chain is None for ctx in probe.contexts)
     blocked = [t for t in session.transcript

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from maprepair import advisors
 from maprepair import fault_injector as fi
 from maprepair.advisors import (
     EndpointConfig, HeuristicAdvisor, LlmAdvisor, OracleAdvisor,
@@ -9,7 +10,7 @@ from maprepair.advisors import (
 )
 from maprepair.conflict_detector import KIND_DIRECTIONAL, detect_all
 from maprepair.errors import AdvisorFailure
-from maprepair.graph_core import NavGraph
+from maprepair.graph_core import DIRECTIONS, NavGraph
 from maprepair.repair_engine import (
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_GIVE_UP, RepairAction,
     ToolConfig, build_context, run_repair, run_session,
@@ -18,8 +19,9 @@ from maprepair.repair_engine import (
 
 def _demo_context(config=None):
     chain, ledger = fi.demo_chain(corrupted=True)
-    conflict = detect_all(chain.graph, commit=chain.head)[0]
-    ctx = build_context(chain, config or ToolConfig(), conflict, [])
+    conflicts = detect_all(chain.graph, commit=chain.head)
+    ctx = build_context(chain, config or ToolConfig(), conflicts[0], [],
+                        conflicts)
     return chain, ledger, ctx
 
 
@@ -92,8 +94,8 @@ def test_heuristic_drops_later_directional_edge():
         chain.commit([add(Edge(nid_a, nid, "north", step))],
                      TRIGGER_OBSERVATION, step, dst,
                      new_nodes=[(nid, dst)])
-    conflict = detect_all(chain.graph)[0]
-    ctx = build_context(chain, ToolConfig(), conflict, [])
+    conflicts = detect_all(chain.graph, commit=chain.head)
+    ctx = build_context(chain, ToolConfig(), conflicts[0], [], conflicts)
     action = HeuristicAdvisor()(ctx)
     assert action.kind == ACT_DELETE_EDGE
     assert action.edge.step_id == 6
@@ -223,6 +225,31 @@ def test_extract_json_object_skips_noise():
         _extract_json_object("no objects here")
 
 
+def test_heuristic_detects_only_its_trial_relabels(monkeypatch):
+    calls = []
+
+    def counting(g, commit=None):
+        calls.append(commit)
+        return detect_all(g, commit)
+
+    monkeypatch.setattr(advisors, "detect_all", counting)
+    world = fi.generate_grid(4, 4)
+    corrupted, ledger = fi.inject(
+        world, ["misdirection", "misname", "phantom_edge"], seed=0)
+    per_call = []
+
+    def counted(ctx):
+        before = len(calls)
+        action = HeuristicAdvisor()(ctx)
+        per_call.append(len(calls) - before)
+        return action
+
+    run_repair(corrupted.build(), ToolConfig(), counted, ledger=ledger)
+    assert any(per_call)
+    # each trial relabels one edge to every other direction
+    assert all(n % (len(DIRECTIONS) - 1) == 0 for n in per_call), per_call
+
+
 # -- record / replay -----------------------------------------------------------
 
 
@@ -241,8 +268,8 @@ def test_recorded_session_replays_identically():
 
 def test_playback_gives_up_when_dry():
     chain, _ = fi.demo_chain(corrupted=True)
-    primary = detect_all(chain.graph)[0]
-    session = run_session(chain, ToolConfig(), PlaybackAdvisor([]), primary,
-                          {primary.key}, max_attempts=3)
+    conflicts = detect_all(chain.graph, commit=chain.head)
+    session, _ = run_session(chain, ToolConfig(), PlaybackAdvisor([]),
+                             conflicts[0], conflicts, max_attempts=3)
     assert session.outcome == "exhausted"
     assert session.attempts == 3

@@ -33,6 +33,22 @@ def test_missing_input_exits_2(tmp_path, capsys):
                      "--log", str(tmp_path / "out.jsonl")]) == 2
 
 
+def test_build_refuses_an_existing_log(tmp_path, capsys):
+    walk = tmp_path / "w.txt"
+    log = tmp_path / "m.jsonl"
+    assert cli.main(["synth", "--shape", "loopchain", "--params", "10",
+                     "--fault", "misdirection", "--seed", "3",
+                     "--out", str(walk)]) == 0
+    build = ["build", "--transcript", str(walk), "--log", str(log)]
+    assert cli.main(build) == 0
+    before = log.read_bytes()
+    capsys.readouterr()
+    assert cli.main(build) == 2
+    assert "exists" in capsys.readouterr().err
+    assert log.read_bytes() == before
+    assert cli.main(["detect", "--log", str(log)]) == 3
+
+
 def test_malformed_transcript_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("===========\n==>STEP NUM: 0\n==>ACT: Init\n")

@@ -133,21 +133,22 @@ def test_queries_return_payloads():
     assert len(diffed["added"]) == 3 and diffed["removed"] == []
 
 
-def _primary(chain):
-    return detect_all(chain.graph, commit=chain.head)[0]
+def _conflicts(chain):
+    return detect_all(chain.graph, commit=chain.head)
 
 
 def test_give_up_consumes_attempts_until_exhausted():
     chain, _ = _demo()
-    primary = _primary(chain)
+    conflicts = _conflicts(chain)
+    primary = conflicts[0]
     calls = []
 
     def advisor(ctx):
         calls.append(ctx)
         return RepairAction(ACT_GIVE_UP)
 
-    session = run_session(chain, ToolConfig(), advisor, primary,
-                          {primary.key}, max_attempts=4)
+    session, _ = run_session(chain, ToolConfig(), advisor, primary,
+                             conflicts, max_attempts=4)
     assert session.outcome == "exhausted"
     assert session.attempts == 4
     assert len(calls) == 4
@@ -155,13 +156,14 @@ def test_give_up_consumes_attempts_until_exhausted():
 
 def test_three_consecutive_advisor_failures_abort():
     chain, _ = _demo()
-    primary = _primary(chain)
+    conflicts = _conflicts(chain)
+    primary = conflicts[0]
 
     def advisor(ctx):
         raise AdvisorFailure("no endpoint")
 
-    session = run_session(chain, ToolConfig(), advisor, primary,
-                          {primary.key}, max_attempts=10)
+    session, _ = run_session(chain, ToolConfig(), advisor, primary,
+                             conflicts, max_attempts=10)
     assert session.outcome == "exhausted"
     assert session.loop_count == 3
     assert session.attempts == 0
@@ -169,7 +171,8 @@ def test_three_consecutive_advisor_failures_abort():
 
 def test_failures_counter_resets_on_success():
     chain, _ = _demo()
-    primary = _primary(chain)
+    conflicts = _conflicts(chain)
+    primary = conflicts[0]
     state = {"n": 0}
 
     def advisor(ctx):
@@ -178,15 +181,16 @@ def test_failures_counter_resets_on_success():
             return RepairAction(ACT_GIVE_UP)
         raise AdvisorFailure("flaky")
 
-    session = run_session(chain, ToolConfig(), advisor, primary,
-                          {primary.key}, max_attempts=2)
+    session, _ = run_session(chain, ToolConfig(), advisor, primary,
+                             conflicts, max_attempts=2)
     assert session.outcome == "exhausted"
     assert session.attempts == 2  # two GiveUps got through
 
 
 def test_queries_cost_loops_not_attempts():
     chain, _ = _demo()
-    primary = _primary(chain)
+    conflicts = _conflicts(chain)
+    primary = conflicts[0]
     bad = _edge(chain, 5)
     script = [RepairAction(ACT_RECALL_STEP, version=5),
               RepairAction(ACT_DIFF_VERSIONS, i=0, j=5),
@@ -200,8 +204,8 @@ def test_queries_cost_loops_not_attempts():
     def advisor(ctx):
         return next(it)
 
-    session = run_session(chain, ToolConfig(), advisor, primary,
-                          {primary.key}, max_attempts=10)
+    session, _ = run_session(chain, ToolConfig(), advisor, primary,
+                             conflicts, max_attempts=10)
     assert session.outcome == "repaired"
     assert session.attempts == 1       # only the primary's mutating action
     assert session.loop_count == 4
@@ -210,7 +214,8 @@ def test_queries_cost_loops_not_attempts():
 
 def test_illegal_proposal_spends_attempt_but_session_continues():
     chain, _ = _demo()
-    primary = _primary(chain)
+    conflicts = _conflicts(chain)
+    primary = conflicts[0]
     bad = _edge(chain, 5)
     script = [RepairAction(ACT_DELETE_EDGE,
                            edge=Edge("n0", "n9", "down", 55)),
@@ -220,8 +225,8 @@ def test_illegal_proposal_spends_attempt_but_session_continues():
                            edge=Edge("n4", "n8", "northeast", 9),
                            new_direction="southeast")]
     it = iter(script)
-    session = run_session(chain, ToolConfig(), lambda ctx: next(it), primary,
-                          {primary.key}, max_attempts=10)
+    session, _ = run_session(chain, ToolConfig(), lambda ctx: next(it),
+                             primary, conflicts, max_attempts=10)
     assert session.outcome == "repaired"
     assert session.attempts == 2
     assert "IllegalAction" in session.transcript[0]["error"]
@@ -229,14 +234,15 @@ def test_illegal_proposal_spends_attempt_but_session_continues():
 
 def test_context_neighborhood_is_local():
     chain, _ = _demo()
-    primary = _primary(chain)
+    conflicts = _conflicts(chain)
+    primary = conflicts[0]
     seen = {}
 
     def advisor(ctx):
         seen["ctx"] = ctx
         return RepairAction(ACT_GIVE_UP)
 
-    run_session(chain, ToolConfig(), advisor, primary, {primary.key},
+    run_session(chain, ToolConfig(), advisor, primary, conflicts,
                 max_attempts=1)
     ctx = seen["ctx"]
     assert set(primary.nodes) <= set(ctx.neighborhood.nodes)
@@ -281,3 +287,31 @@ def test_repair_runs_as_with_the_reference_detector(tmp_path):
                             tmp_path / f"{n}-{name}.jsonl")
             assert got == want, (n, name)
     assert calls
+
+
+def _visible_fault_chains():
+    yield "demo", fi.demo_chain(corrupted=True)
+    world, ledger = fi.inject(
+        fi.generate_world(fi.WorldSpec("grid", (4, 4))),
+        [fi.FAULT_MISDIRECTION, fi.FAULT_MISNAME, fi.FAULT_PHANTOM], seed=0)
+    yield "grid-4x4", (world.build(), ledger)
+
+
+@pytest.mark.parametrize("advisor", ["oracle", "heuristic"])
+def test_repair_detects_once_per_chain_head(advisor):
+    for name, (chain, ledger) in _visible_fault_chains():
+        heads = []
+
+        def counting(g, commit=None):
+            heads.append(commit)
+            return detect_all(g, commit)
+
+        start = chain.head
+        make = {"oracle": lambda: advisors.OracleAdvisor(ledger),
+                "heuristic": advisors.HeuristicAdvisor}[advisor]
+        with mock.patch.object(repair_engine, "detect_all", counting):
+            run_repair(chain, ToolConfig(), make(), ledger=ledger)
+        applied = chain.head - start
+        assert applied > 0, name
+        # once at the start, then once after each applied commit
+        assert heads == list(range(start, chain.head + 1)), name

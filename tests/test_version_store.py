@@ -167,6 +167,17 @@ def test_load_reproduces_chain(tmp_path):
     assert loaded.commits == chain.commits
 
 
+def test_new_chain_refuses_an_existing_log(tmp_path):
+    log = tmp_path / "chain.jsonl"
+    chain = VersionChain(log_path=log)
+    _grow(chain)
+    chain.close()
+    before = log.read_bytes()
+    with pytest.raises(FileExistsError):
+        VersionChain(log_path=log)
+    assert log.read_bytes() == before
+    assert VersionChain.load(log).commits == chain.commits
+
 def test_load_append_continues_log(tmp_path):
     log = tmp_path / "chain.jsonl"
     chain = VersionChain(log_path=log)
