@@ -5,9 +5,9 @@ from .conflict_detector import (
     detect_topological, unreachable_nodes,
 )
 from .error_localizer import (
-    CandidateEdge, PathPair, candidate_edges,
+    CandidateEdge, PathPair, PathTree, candidate_edges,
     lowest_common_ancestor, minimal_path_pair, score_candidates,
-    shortest_path,
+    shortest_path, shortest_path_tree,
 )
 from .graph_core import (
     DIRECTIONS, Edge, NavGraph, displacement, is_direction, normalize_name,
@@ -26,7 +26,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CandidateEdge", "Commit", "Conflict", "DIRECTIONS", "Edge", "EdgeDelta",
-    "AdvisorContext", "NavGraph", "PathPair", "PositionMap", "RepairAction",
+    "AdvisorContext", "NavGraph", "PathPair", "PathTree", "PositionMap",
+    "RepairAction",
     "RepairSession", "ToolConfig", "VersionChain", "add", "apply_action",
     "candidate_edges", "construct_graph", "detect_all",
     "detect_directional", "detect_naming", "detect_topological",
@@ -34,5 +35,5 @@ __all__ = [
     "lowest_common_ancestor", "minimal_path_pair", "normalize_name",
     "parse_transcript", "position_overlaps", "remove", "reverse_direction",
     "run_repair", "run_session", "score_candidates", "shortest_path",
-    "unreachable_nodes",
+    "shortest_path_tree", "unreachable_nodes",
 ]

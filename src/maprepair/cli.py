@@ -15,7 +15,7 @@ from . import advisors, fault_injector
 from .conflict_detector import detect_all, unreachable_nodes
 from .dataset_refiner import RawEdge, refine
 from .error_localizer import candidate_edges, minimal_path_pair, \
-    score_candidates
+    score_candidates, shortest_path_tree
 from .errors import MapRepairError, Unreachable
 from .metrics_bench import emit_csv, emit_table
 from .position_inference import positions_tsv
@@ -77,18 +77,21 @@ def cmd_localize(args) -> int:
               f"0..{len(conflicts) - 1}", file=sys.stderr)
         return EXIT_DATA
     target = conflicts[args.conflict]
-    pp = minimal_path_pair(chain.graph, target)
-    cands = candidate_edges(chain.graph, pp,
-                            include_silent=args.include_silent)
-    # no candidate when every edge on the path pair has its reverse
-    ranked = score_candidates(chain.graph, conflicts, cands) if cands else []
-    payload = {
-        "conflict": target.to_json(),
-        "lca": pp.lca,
-        "path1": list(pp.nodes1),
-        "path2": list(pp.nodes2),
-        "candidates": [c.to_json() for c in ranked],
-    }
+    g = chain.graph
+    tree = shortest_path_tree(g, g.origin) if g.origin is not None else None
+    payload = {"conflict": target.to_json(), "lca": None,
+               "path1": [], "path2": [], "candidates": []}
+    try:
+        pp = minimal_path_pair(g, target, tree)
+    except Unreachable:
+        pass  # the origin cannot reach it: no path pair, no ranking
+    else:
+        cands = candidate_edges(g, pp, include_silent=args.include_silent)
+        # no candidate when every edge on the path pair has its reverse
+        ranked = score_candidates(g, conflicts, cands, tree) if cands else []
+        payload.update(lca=pp.lca, path1=list(pp.nodes1),
+                       path2=list(pp.nodes2),
+                       candidates=[c.to_json() for c in ranked])
     _write_or_print(json.dumps(payload, indent=2), args.out)
     return EXIT_OK
 

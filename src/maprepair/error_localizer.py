@@ -6,6 +6,13 @@ disjointly, and rank the edges on the divergent suffixes by a composite of
 reachability, distinct-conflict membership and conflict-path usage
 (min-max normalized within the candidate set, so the score lies in [0, 3]).
 
+Paths are ordered by (length, step-id sequence), an order that survives
+appending an edge, so one single-source search from the origin
+(`shortest_path_tree`) holds every node's path.  A repair context builds
+that tree once and reads both the target's path pair and every other open
+conflict's from it; the candidates' reach comes from one strongly
+connected component pass (`NavGraph.reach_sizes`), not one search each.
+
 Edges corroborated by a consistent reverse observation (u->v:d matched by
 v->u:reverse(d)) are exempt from candidacy: both directions were observed
 to agree, so the edge is very unlikely to be the root cause.
@@ -14,8 +21,9 @@ to agree, so the edge is very unlikely to be the root cause.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .conflict_detector import (
     KIND_NAMING, SUB_ASYMMETRY, SUB_INCONSISTENCY, SUB_OVERLAP, Conflict,
@@ -44,11 +52,8 @@ class PathPair:
     @property
     def suffix_nodes(self) -> tuple[str, ...]:
         """Nodes strictly after the LCA, path 1 first, deduplicated."""
-        seen = []
-        for n in self.nodes1[self.lca_index + 1:] + self.nodes2[self.lca_index + 1:]:
-            if n not in seen:
-                seen.append(n)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.nodes1[self.lca_index + 1:]
+                                   + self.nodes2[self.lca_index + 1:]))
 
 
 @dataclass(frozen=True)
@@ -69,27 +74,54 @@ class CandidateEdge:
         return d
 
 
-def shortest_path(g: NavGraph, start: str,
-                  target: str) -> tuple[tuple[str, ...], tuple[Edge, ...]]:
-    """BFS shortest path, ties broken by the lexicographically smallest
-    step-id sequence.  Raises Unreachable when no path exists."""
+@dataclass(frozen=True)
+class PathTree:
+    """Shortest paths from `start` to every node it reaches, as the edge
+    each path enters its node by.  Valid for the graph state it was built
+    on."""
+    start: str
+    via: dict[str, Edge]
+
+    def path(self, target: str) -> tuple[tuple[str, ...], tuple[Edge, ...]]:
+        """Nodes and edges from `start` to `target`.  Raises Unreachable
+        when `target` is not reached."""
+        if target != self.start and target not in self.via:
+            raise Unreachable(f"no path from {self.start} to {target}")
+        nodes, edges = [target], []
+        while nodes[-1] != self.start:
+            e = self.via[nodes[-1]]
+            edges.append(e)
+            nodes.append(e.src)
+        return tuple(reversed(nodes)), tuple(reversed(edges))
+
+
+def shortest_path_tree(g: NavGraph, start: str) -> PathTree:
+    """BFS shortest paths from `start`, ties broken by the lexicographically
+    smallest step-id sequence, then by node id.  A path's key only grows
+    when an edge is appended, so each node keeps the entering edge of its
+    best key and every path from the tree is the one a search for that
+    node alone would settle on."""
     best: dict[str, tuple] = {start: (0, ())}
-    heap = [(0, (), start, (start,), ())]
+    via: dict[str, Edge] = {}
+    heap = [(0, (), start)]
     while heap:
-        length, steps, node, path, edges = heapq.heappop(heap)
-        if (length, steps) > best.get(node, (length, steps)):
+        length, steps, node = heapq.heappop(heap)
+        if (length, steps) > best[node]:
             continue
-        if node == target:
-            return path, edges
         for e in sorted(g.out_edges(node), key=lambda e: e.step_id):
-            if e.dst in path:
-                continue
             key = (length + 1, steps + (e.step_id,))
             if e.dst not in best or key < best[e.dst]:
                 best[e.dst] = key
-                heapq.heappush(heap, (key[0], key[1], e.dst,
-                                      path + (e.dst,), edges + (e,)))
-    raise Unreachable(f"no path from {start} to {target}")
+                via[e.dst] = e
+                heapq.heappush(heap, (key[0], key[1], e.dst))
+    return PathTree(start, via)
+
+
+def shortest_path(g: NavGraph, start: str,
+                  target: str) -> tuple[tuple[str, ...], tuple[Edge, ...]]:
+    """The `shortest_path_tree` path from `start` to `target`.  Raises
+    Unreachable when no path exists."""
+    return shortest_path_tree(g, start).path(target)
 
 
 def conflict_targets(conflict: Conflict) -> tuple[str, str]:
@@ -126,12 +158,17 @@ def lowest_common_ancestor(nodes1: Sequence[str],
     return common - 1
 
 
-def minimal_path_pair(g: NavGraph, conflict: Conflict) -> PathPair:
+def minimal_path_pair(g: NavGraph, conflict: Conflict,
+                      tree: Optional[PathTree] = None) -> PathPair:
+    """The conflict's path pair, read from `tree`, the origin's
+    `shortest_path_tree` of `g` (built here when not given)."""
     if g.origin is None:
         raise Unreachable("graph has no origin")
+    if tree is None:
+        tree = shortest_path_tree(g, g.origin)
     t1, t2 = conflict_targets(conflict)
-    nodes1, edges1 = shortest_path(g, g.origin, t1)
-    nodes2, edges2 = shortest_path(g, g.origin, t2)
+    nodes1, edges1 = tree.path(t1)
+    nodes2, edges2 = tree.path(t2)
     if conflict.subkind == SUB_INCONSISTENCY:
         # close the witness cycle through the re-deriving edge
         nodes2 = nodes2 + (conflict.edges[0].dst,)
@@ -148,19 +185,12 @@ def _corroborated(g: NavGraph, e: Edge) -> bool:
 
 def candidate_edges(g: NavGraph, pp: PathPair,
                     include_silent: bool = False) -> list[Edge]:
-    cands: list[Edge] = []
-    on_suffix = set()
-    for e in pp.suffix_edges1 + pp.suffix_edges2:
-        on_suffix.add(e)
-        if e not in cands and not _corroborated(g, e):
-            cands.append(e)
+    edges = dict.fromkeys(pp.suffix_edges1 + pp.suffix_edges2)
     if include_silent:
         for node in pp.suffix_nodes:
-            for e in sorted(g.out_edges(node), key=lambda e: e.step_id):
-                if e not in on_suffix and e not in cands \
-                        and not _corroborated(g, e):
-                    cands.append(e)
-    return cands
+            edges.update(dict.fromkeys(
+                sorted(g.out_edges(node), key=lambda e: e.step_id)))
+    return [e for e in edges if not _corroborated(g, e)]
 
 
 def _minmax(values: list[int]) -> list[float]:
@@ -171,25 +201,33 @@ def _minmax(values: list[int]) -> list[float]:
 
 
 def score_candidates(g: NavGraph, conflicts: Iterable[Conflict],
-                     cands: Sequence[Edge]) -> list[CandidateEdge]:
+                     cands: Sequence[Edge],
+                     tree: Optional[PathTree] = None) -> list[CandidateEdge]:
+    """Rank `cands`.  Every conflict's path pair is read from `tree`, the
+    origin's `shortest_path_tree` of `g` (built here when not given)."""
     if not cands:
         raise EmptyCandidates("no candidate edges to score")
-    suffix_paths: list[tuple[Edge, ...]] = []
-    membership: list[set[Edge]] = []
+    if tree is None and g.origin is not None:
+        tree = shortest_path_tree(g, g.origin)
+    in_conflicts: Counter = Counter()  # edge -> conflicts it belongs to
+    on_paths: Counter = Counter()      # edge -> suffix paths it lies on
     for c in conflicts:
         edges = set(c.edges)
         try:
-            pp = minimal_path_pair(g, c)
+            pp = minimal_path_pair(g, c, tree)
         except Unreachable:
             pass
         else:
-            suffix_paths.extend((pp.suffix_edges1, pp.suffix_edges2))
-            edges |= set(pp.suffix_edges1) | set(pp.suffix_edges2)
-        membership.append(edges)
+            suffix1, suffix2 = set(pp.suffix_edges1), set(pp.suffix_edges2)
+            on_paths.update(suffix1)
+            on_paths.update(suffix2)
+            edges |= suffix1 | suffix2
+        in_conflicts.update(edges)
 
-    reach = [len(g.reachable_from(e.dst)) for e in cands]
-    conf = [sum(1 for m in membership if e in m) for e in cands]
-    usage = [sum(1 for p in suffix_paths if e in p) for e in cands]
+    reach_of = g.reach_sizes(e.dst for e in cands)
+    reach = [reach_of[e.dst] for e in cands]
+    conf = [in_conflicts[e] for e in cands]
+    usage = [on_paths[e] for e in cands]
     reach_n, conf_n, usage_n = _minmax(reach), _minmax(conf), _minmax(usage)
 
     scored = [

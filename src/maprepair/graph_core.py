@@ -226,6 +226,60 @@ class NavGraph:
                     stack.append(e.dst)
         return seen
 
+    def reach_sizes(self, starts: Iterable[str]) -> dict[str, int]:
+        """`len(self.reachable_from(s))` for every `s` in `starts`, from one
+        pass: Tarjan's strongly connected components over what the starts
+        reach.  Tarjan closes a component only after every component it
+        reaches, so a component's reach is an int bitset of its own nodes
+        OR-ed with its successor components' bitsets."""
+        number: dict[str, int] = {}  # node -> DFS number, its bit
+        low: dict[str, int] = {}
+        component: dict[str, int] = {}  # node -> index into `reach`
+        reach: list[int] = []
+        stack: list[str] = []  # visited nodes whose component is open
+
+        def visit(node: str) -> tuple:
+            """Number and push `node`; its DFS frame is the node, an
+            iterator over its successors and its place on the stack."""
+            number[node] = low[node] = len(number)
+            stack.append(node)
+            return node, (e.dst for e in self._out_iter(node)), len(stack) - 1
+
+        roots = list(starts)
+        for root in roots:
+            if root not in self.nodes:
+                raise UnknownNode(root)
+            if root in number:
+                continue
+            work = [visit(root)]
+            while work:
+                node, successors, depth = work[-1]
+                for m in successors:
+                    if m not in number:
+                        work.append(visit(m))
+                        break
+                    if m not in component:
+                        low[node] = min(low[node], number[m])
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[node])
+                    if low[node] != number[node]:
+                        continue
+                    members = stack[depth:]
+                    del stack[depth:]
+                    index, bits = len(reach), 0
+                    for m in members:
+                        component[m] = index
+                        bits |= 1 << number[m]
+                    for m in members:
+                        for e in self._out_iter(m):
+                            if component[e.dst] != index:
+                                bits |= reach[component[e.dst]]
+                    reach.append(bits)
+        return {s: reach[component[s]].bit_count() for s in roots}
+
     def neighborhood(self, seeds: Iterable[str], radius: int = 2) -> "NavGraph":
         """Induced subgraph within undirected `radius` hops of seeds."""
         keep = set(seeds)

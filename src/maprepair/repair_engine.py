@@ -28,7 +28,7 @@ from typing import Callable, Optional
 from .conflict_detector import Conflict, detect_all
 from .error_localizer import (
     CandidateEdge, PathPair, candidate_edges, minimal_path_pair,
-    score_candidates,
+    score_candidates, shortest_path_tree,
 )
 from .errors import (
     AdvisorFailure, DuplicateEdge, IllegalAction, InvalidDelta,
@@ -276,8 +276,11 @@ def build_context(chain: VersionChain, config: ToolConfig, conflict: Conflict,
         seeds.update((e.src, e.dst))
     ranked = pp = None
     if config.edge_impact:
+        # one origin tree holds every conflict's path pair at this head
+        tree = shortest_path_tree(g, g.origin) \
+            if g.origin is not None else None
         try:
-            pp = minimal_path_pair(g, conflict)
+            pp = minimal_path_pair(g, conflict, tree)
         except Unreachable:
             pp = None
         if pp is not None:
@@ -285,7 +288,7 @@ def build_context(chain: VersionChain, config: ToolConfig, conflict: Conflict,
             if not cands:
                 cands = candidate_edges(g, pp, include_silent=True)
             if cands:
-                ranked = score_candidates(g, conflicts, cands)
+                ranked = score_candidates(g, conflicts, cands, tree)
     return AdvisorContext(
         conflict=conflict,
         graph=g,

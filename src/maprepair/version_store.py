@@ -7,8 +7,9 @@ as a fresh commit of inverse deltas.
 
 A commit is applied to the live graph; a rejected step undoes the steps
 before it, so a rejected commit leaves no trace.  With a log path set, the
-commit's JSONL line is then written and flushed, and a failed write undoes
-the commit: a commit becomes visible only after its line is flushed.
+commit's JSONL line is then written and flushed (and, with `fsync=True`,
+synced to disk with `os.fsync`), and a failed write or sync undoes the
+commit: a commit becomes visible only after its line is flushed.
 
 Loading drops a torn final line (cut off before its newline, so it does not
 parse) with a warning.  Any other line that does not parse, or a commit whose
@@ -18,6 +19,7 @@ index is out of sequence, raises `CorruptLog`.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -153,12 +155,15 @@ class VersionChain:
 
     A `log_path` starts a new log: an existing file raises
     `FileExistsError` and is left as it was.  `load(append=True)` goes on
-    with an existing one."""
+    with an existing one.  With `fsync`, each commit's line is synced to
+    disk before the commit counts, so it survives a power loss."""
 
-    def __init__(self, log_path: Optional[str | Path] = None):
+    def __init__(self, log_path: Optional[str | Path] = None,
+                 fsync: bool = False):
         self.graph = NavGraph()
         self.commits: list[Commit] = []
         self._log: Optional[IO[str]] = None
+        self.fsync = fsync
         self.log_path = Path(log_path) if log_path else None
         if self.log_path:
             self._log = open(self.log_path, "x", encoding="utf-8")
@@ -194,6 +199,8 @@ class VersionChain:
             try:
                 self._log.write(json.dumps(commit.to_json()) + "\n")
                 self._log.flush()
+                if self.fsync:
+                    os.fsync(self._log.fileno())
             except BaseException:
                 _unapply_commit(self.graph, commit)
                 self.graph.origin = origin
@@ -233,11 +240,12 @@ class VersionChain:
             self._log = None
 
     @classmethod
-    def load(cls, log_path: str | Path,
-             append: bool = False) -> "VersionChain":
+    def load(cls, log_path: str | Path, append: bool = False,
+             fsync: bool = False) -> "VersionChain":
         """Replay the log at `log_path`.  With `append`, later commits go
-        to its end, after a torn final line is cut off."""
-        chain = cls()
+        to its end, after a torn final line is cut off, and are synced to
+        disk when `fsync` is set."""
+        chain = cls(fsync=fsync)
         good_end, kept = 0, b"\n"  # end of the last line kept, and that line
         with open(log_path, "rb") as fh:
             for lineno, raw in enumerate(fh, start=1):

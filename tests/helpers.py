@@ -7,15 +7,21 @@ heap) so agreement is meaningful.
 
 from __future__ import annotations
 
+import heapq
 import random
 
 from collections import deque
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from maprepair.conflict_detector import (
     KIND_DIRECTIONAL, KIND_NAMING, KIND_TOPOLOGICAL, SUB_ASYMMETRY,
     SUB_INCONSISTENCY, SUB_OVERLAP, Conflict,
 )
+from maprepair.error_localizer import (
+    CandidateEdge, PathPair, _corroborated, _minmax, conflict_targets,
+    lowest_common_ancestor,
+)
+from maprepair.errors import EmptyCandidates, Unreachable
 from maprepair.graph_core import (
     COMPASS, DIRECTIONS, Edge, NavGraph, displacement, normalize_name,
     reverse_direction,
@@ -358,3 +364,105 @@ def reference_detect_all(g: NavGraph,
         conflicts = [Conflict(c.kind, c.subkind, c.nodes, c.edges, c.witness,
                               first_visible_commit=commit) for c in conflicts]
     return conflicts
+
+
+# ---------------------------------------------------------------------------
+# localization as first written: one heap search per target, one
+# `reachable_from` per candidate, one membership scan per (candidate, path)
+
+
+def reference_shortest_path(g: NavGraph, start: str, target: str
+                            ) -> tuple[tuple[str, ...], tuple[Edge, ...]]:
+    """BFS shortest path, ties broken by the lexicographically smallest
+    step-id sequence.  Raises Unreachable when no path exists."""
+    best: dict[str, tuple] = {start: (0, ())}
+    heap = [(0, (), start, (start,), ())]
+    while heap:
+        length, steps, node, path, edges = heapq.heappop(heap)
+        if (length, steps) > best.get(node, (length, steps)):
+            continue
+        if node == target:
+            return path, edges
+        for e in sorted(g.out_edges(node), key=lambda e: e.step_id):
+            if e.dst in path:
+                continue
+            key = (length + 1, steps + (e.step_id,))
+            if e.dst not in best or key < best[e.dst]:
+                best[e.dst] = key
+                heapq.heappush(heap, (key[0], key[1], e.dst,
+                                      path + (e.dst,), edges + (e,)))
+    raise Unreachable(f"no path from {start} to {target}")
+
+
+def reference_minimal_path_pair(g: NavGraph, conflict: Conflict) -> PathPair:
+    if g.origin is None:
+        raise Unreachable("graph has no origin")
+    t1, t2 = conflict_targets(conflict)
+    nodes1, edges1 = reference_shortest_path(g, g.origin, t1)
+    nodes2, edges2 = reference_shortest_path(g, g.origin, t2)
+    if conflict.subkind == SUB_INCONSISTENCY:
+        # close the witness cycle through the re-deriving edge
+        nodes2 = nodes2 + (conflict.edges[0].dst,)
+        edges2 = edges2 + (conflict.edges[0],)
+    idx = lowest_common_ancestor(nodes1, nodes2)
+    return PathPair(nodes1, nodes2, edges1, edges2,
+                    lca=nodes1[idx], lca_index=idx)
+
+
+def reference_suffix_nodes(pp: PathPair) -> tuple[str, ...]:
+    """Nodes strictly after the LCA, path 1 first, deduplicated."""
+    seen = []
+    for n in pp.nodes1[pp.lca_index + 1:] + pp.nodes2[pp.lca_index + 1:]:
+        if n not in seen:
+            seen.append(n)
+    return tuple(seen)
+
+
+def reference_candidate_edges(g: NavGraph, pp: PathPair,
+                              include_silent: bool = False) -> list[Edge]:
+    cands: list[Edge] = []
+    on_suffix = set()
+    for e in pp.suffix_edges1 + pp.suffix_edges2:
+        on_suffix.add(e)
+        if e not in cands and not _corroborated(g, e):
+            cands.append(e)
+    if include_silent:
+        for node in reference_suffix_nodes(pp):
+            for e in sorted(g.out_edges(node), key=lambda e: e.step_id):
+                if e not in on_suffix and e not in cands \
+                        and not _corroborated(g, e):
+                    cands.append(e)
+    return cands
+
+
+def reference_score_candidates(g: NavGraph, conflicts: Iterable[Conflict],
+                               cands: Sequence[Edge]) -> list[CandidateEdge]:
+    if not cands:
+        raise EmptyCandidates("no candidate edges to score")
+    suffix_paths: list[tuple[Edge, ...]] = []
+    membership: list[set[Edge]] = []
+    for c in conflicts:
+        edges = set(c.edges)
+        try:
+            pp = reference_minimal_path_pair(g, c)
+        except Unreachable:
+            pass
+        else:
+            suffix_paths.extend((pp.suffix_edges1, pp.suffix_edges2))
+            edges |= set(pp.suffix_edges1) | set(pp.suffix_edges2)
+        membership.append(edges)
+
+    reach = [len(g.reachable_from(e.dst)) for e in cands]
+    conf = [sum(1 for m in membership if e in m) for e in cands]
+    usage = [sum(1 for p in suffix_paths if e in p) for e in cands]
+    reach_n, conf_n, usage_n = _minmax(reach), _minmax(conf), _minmax(usage)
+
+    scored = [
+        CandidateEdge(edge=e, reach=reach[i], conflict_count=conf[i],
+                      usage=usage[i], reach_n=reach_n[i],
+                      conflict_n=conf_n[i], usage_n=usage_n[i],
+                      score=reach_n[i] + conf_n[i] + usage_n[i])
+        for i, e in enumerate(cands)
+    ]
+    scored.sort(key=lambda c: (-c.score, -c.conflict_count, -c.edge.step_id))
+    return scored

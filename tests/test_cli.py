@@ -4,6 +4,8 @@ import pytest
 
 from maprepair import cli
 from maprepair import fault_injector as fi
+from maprepair.graph_core import Edge
+from maprepair.version_store import TRIGGER_OBSERVATION, VersionChain, add
 
 
 @pytest.fixture
@@ -108,6 +110,28 @@ def test_localize_with_no_candidate_prints_an_empty_ranking(tmp_path, capsys,
     payload = json.loads(capsys.readouterr().out)
     assert payload["conflict"]["kind"] == "naming"
     assert payload["candidates"] == []
+
+
+def test_localize_a_conflict_the_origin_cannot_reach(tmp_path, capsys):
+    """Room n1 is not reachable from the origin and has two north exits:
+    the conflict has no path pair, so its ranking is empty."""
+    log = tmp_path / "map.jsonl"
+    chain = VersionChain(log)
+    chain.commit([], TRIGGER_OBSERVATION, obs_id=0, analysis="rooms",
+                  new_nodes=[("n0", "Start"), ("n1", "Island"),
+                             ("n2", "Shore"), ("n3", "Reef")])
+    chain.commit([add(Edge("n1", "n2", "north", 1)),
+                  add(Edge("n1", "n3", "north", 2))],
+                 TRIGGER_OBSERVATION, obs_id=1, analysis="exits")
+    chain.close()
+    assert cli.main(["detect", "--log", str(log)]) == 3
+    capsys.readouterr()
+    assert cli.main(["localize", "--log", str(log)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["conflict"]["kind"] == "directional"
+    assert payload["conflict"]["participants"]["nodes"] == ["n1", "n2", "n3"]
+    assert (payload["lca"], payload["path1"], payload["path2"],
+            payload["candidates"]) == (None, [], [], [])
 
 
 def test_repair_with_oracle_then_clean(built_log, tmp_path, capsys):

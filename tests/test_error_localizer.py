@@ -1,14 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import brute_shortest, flip_edges, random_graph
-from maprepair.conflict_detector import detect_all
+from helpers import (
+    brute_shortest, flip_edges, random_graph, reference_candidate_edges,
+    reference_minimal_path_pair, reference_score_candidates,
+    reference_shortest_path, reference_suffix_nodes,
+)
+from maprepair.conflict_detector import (
+    KIND_DIRECTIONAL, KIND_NAMING, KIND_TOPOLOGICAL, SUB_ASYMMETRY,
+    SUB_INCONSISTENCY, SUB_OVERLAP, Conflict, detect_all,
+)
 from maprepair.error_localizer import (
     candidate_edges, lowest_common_ancestor, minimal_path_pair,
-    score_candidates, shortest_path,
+    score_candidates, shortest_path, shortest_path_tree,
 )
-from maprepair.errors import EmptyCandidates, Unreachable
+from maprepair.errors import DuplicateEdge, EmptyCandidates, Unreachable
 from maprepair.graph_core import NavGraph
 
 
@@ -37,6 +45,26 @@ def test_shortest_path_breaks_ties_by_step_ids():
     # both routes have length 2; (1, 9) beats (5, 6) lexicographically
     assert nodes == (a, c, d)
     assert [e.step_id for e in edges] == [1, 9]
+
+
+def test_shortest_path_breaks_equal_step_sequences_by_node_id():
+    """Three rooms tie on (length, step ids); the one with the smallest
+    node id (as a string, so "n10" < "n11" < "n9") settles first and so
+    becomes the parent of the room all three lead to.  Settling them in
+    the order they were found, or the reverse, picks another parent."""
+    g = NavGraph()
+    s = g.add_node("S", node_id="s")
+    p1, p2, p3 = (g.add_node(f"P{i}", node_id=f"p{i}") for i in (1, 2, 3))
+    y, x, w = (g.add_node(n, node_id=i)
+               for n, i in (("Y", "n9"), ("X", "n10"), ("W", "n11")))
+    z = g.add_node("Z", node_id="z")
+    for p, d in ((p1, "north"), (p2, "east"), (p3, "west")):
+        g.add_edge(s, p, d, 1)
+    for p, room in ((p1, y), (p2, x), (p3, w)):  # found in order y, x, w
+        g.add_edge(p, room, "north", 2)
+        g.add_edge(room, z, "north", 3)
+    assert shortest_path(g, s, z)[0] == (s, p2, x, z)
+    assert reference_shortest_path(g, s, z)[0] == (s, p2, x, z)
 
 
 def test_lca_plain_divergence():
@@ -127,3 +155,98 @@ def test_candidate_json_wire_format():
     payload = ranked[0].to_json()
     assert {"src", "dst", "dir", "step", "reach", "conflict", "usage",
             "score"} <= set(payload)
+
+
+_NAMES = ("Hall", "hall", "Cellar", "Attic", "Yard")
+_FEW_DIRECTIONS = ("north", "south", "east", "west", "up", "in")
+_SUBKINDS = (KIND_DIRECTIONAL, KIND_NAMING, SUB_ASYMMETRY, SUB_OVERLAP,
+             SUB_INCONSISTENCY)
+
+
+@st.composite
+def _multigraphs(draw):
+    """Small multigraphs: namesakes, equal step ids on one source in
+    different directions, self-loops, cycles, unreachable parts, node ids
+    whose string order differs from their numeric order, and an origin
+    that was removed (the next node takes over) or is unset.  Returns the
+    graph and its conflicts: the detected ones, then some made from any
+    nodes and edges, so that every subkind's targets, and an
+    inconsistency whose re-deriving edge is a shortest-path edge, occur."""
+    g = NavGraph()
+    ids = [g.add_node(draw(st.sampled_from(_NAMES)))
+           for _ in range(draw(st.integers(1, 12)))]
+    origin = draw(st.sampled_from(("first", "removed", "none")))
+    if origin == "removed" and len(ids) > 1:
+        g.remove_node(ids.pop(0))
+    moves = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                                    st.sampled_from(_FEW_DIRECTIONS),
+                                    st.integers(0, 4)), max_size=30))
+    for src, dst, d, step in moves:
+        try:
+            g.add_edge(src, dst, d, step)
+        except DuplicateEdge:
+            pass
+    if origin == "none":
+        g.origin = None
+    conflicts = detect_all(g)
+    edges = sorted(g.edges())
+    for subkind, i, j in draw(st.lists(st.tuples(
+            st.sampled_from(_SUBKINDS), st.integers(0, 99),
+            st.integers(0, 99)), max_size=4)):
+        if subkind in (SUB_OVERLAP, KIND_NAMING):
+            nodes, pair = (ids[i % len(ids)], ids[j % len(ids)]), ()
+        elif not edges:
+            continue
+        elif subkind == SUB_INCONSISTENCY:
+            via = edges[i % len(edges)]
+            nodes, pair = (via.dst,), (via,)
+        else:
+            pair = (edges[i % len(edges)], edges[j % len(edges)])
+            nodes = ()
+        kind = subkind if subkind in (KIND_NAMING, KIND_DIRECTIONAL) \
+            else KIND_TOPOLOGICAL
+        conflicts.append(Conflict(kind, subkind, nodes, pair, (i, j)))
+    return g, conflicts
+
+
+def _or_unreachable(fn, *args):
+    try:
+        return fn(*args)
+    except Unreachable as exc:
+        return f"Unreachable: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multigraphs())
+def test_localization_equals_the_reference(graph_and_conflicts):
+    """One origin tree and one reach pass give the same paths, path pairs
+    and rankings, every score component in the same order, as a search
+    per target and a `reachable_from` per candidate."""
+    g, conflicts = graph_and_conflicts
+    ids = sorted(g.nodes) + ["absent"]
+    for start in ids:
+        tree = shortest_path_tree(g, start)
+        for target in ids:
+            want = _or_unreachable(reference_shortest_path, g, start, target)
+            assert _or_unreachable(shortest_path, g, start, target) == want
+            assert _or_unreachable(tree.path, target) == want
+
+    tree = shortest_path_tree(g, g.origin) if g.origin is not None else None
+    for c in conflicts:
+        pp = _or_unreachable(minimal_path_pair, g, c)
+        assert pp == _or_unreachable(reference_minimal_path_pair, g, c)
+        assert _or_unreachable(minimal_path_pair, g, c, tree) == pp
+        if isinstance(pp, str):
+            continue
+        assert pp.suffix_nodes == reference_suffix_nodes(pp)
+        for silent in (False, True):
+            cands = candidate_edges(g, pp, include_silent=silent)
+            assert cands == reference_candidate_edges(g, pp, silent)
+            if cands:
+                want = reference_score_candidates(g, conflicts, cands)
+                assert score_candidates(g, conflicts, cands) == want
+                assert score_candidates(g, conflicts, cands, tree) == want
+    every = sorted(g.edges())
+    if every:
+        assert score_candidates(g, conflicts, every) == \
+            reference_score_candidates(g, conflicts, every)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import brute_reachable, random_graph
+from helpers import brute_closure, brute_reachable, random_graph
 from maprepair.errors import DuplicateEdge, UnknownNode
 from maprepair.graph_core import (
     COMPASS, DIRECTIONS, Edge, NavGraph, displacement, is_direction,
@@ -144,6 +144,30 @@ def test_reachable_matches_matrix_closure():
         g = random_graph(rng)
         for start in g.nodes:
             assert g.reachable_from(start) == brute_reachable(g, start)
+
+
+def test_reach_sizes_match_matrix_closure():
+    rng = random.Random(23)
+    for _ in range(60):
+        g = random_graph(rng)
+        closure = brute_closure(g)
+        # starts in a random order and with repeats: the DFS roots and the
+        # order components close in vary, the sizes must not
+        starts = rng.choices(sorted(g.nodes),
+                             k=rng.randint(1, 2 * len(g.nodes)))
+        assert g.reach_sizes(starts) == {s: len(closure[s]) for s in starts}
+
+
+def test_reach_sizes_on_a_long_chain_and_an_unknown_start():
+    g = NavGraph()
+    ids = [g.add_node(f"R{i}") for i in range(3000)]
+    for i in range(2999):
+        g.add_edge(ids[i], ids[i + 1], "north", i)
+    g.add_edge(ids[-1], ids[1500], "south", 3000)  # one cycle at the tail
+    sizes = g.reach_sizes([ids[0], ids[1499], ids[2000]])
+    assert sizes == {ids[0]: 3000, ids[1499]: 1501, ids[2000]: 1500}
+    with pytest.raises(UnknownNode):
+        g.reach_sizes(["absent"])
 
 
 def test_neighborhood_is_induced_and_bounded():

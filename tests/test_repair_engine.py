@@ -1,13 +1,15 @@
+from collections import Counter
+from contextlib import ExitStack
 from unittest import mock
 
 import pytest
 
 from helpers import reference_detect_all, unapplied
-from maprepair import advisors, repair_engine
+from maprepair import advisors, error_localizer, repair_engine
 from maprepair import fault_injector as fi
 from maprepair.conflict_detector import detect_all
 from maprepair.errors import AdvisorFailure, IllegalAction
-from maprepair.graph_core import Edge
+from maprepair.graph_core import Edge, NavGraph
 from maprepair.repair_engine import (
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_DIFF_VERSIONS, ACT_GIVE_UP,
     ACT_MERGE_NODES, ACT_RECALL_STEP, ACT_REDIRECT_EDGE, ACT_RENAME_NODE,
@@ -315,3 +317,45 @@ def test_repair_detects_once_per_chain_head(advisor):
         assert applied > 0, name
         # once at the start, then once after each applied commit
         assert heads == list(range(start, chain.head + 1)), name
+
+
+@pytest.mark.parametrize("advisor", ["oracle", "heuristic"])
+def test_each_context_localizes_from_one_tree_and_one_reach_pass(advisor):
+    """A context builds at most one origin tree, reads every path pair from
+    it and takes the candidates' reach from one pass: no per-target
+    `shortest_path` and no per-candidate `reachable_from`."""
+    for name, (chain, ledger) in _visible_fault_chains():
+        counts: Counter = Counter()
+        per_context = []
+
+        def counted(key, real):
+            def call(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+            return call
+
+        real_context = repair_engine.build_context
+
+        def context(*args, **kwargs):
+            before = Counter(counts)
+            ctx = real_context(*args, **kwargs)
+            per_context.append(counts - before)
+            return ctx
+
+        make = {"oracle": lambda: advisors.OracleAdvisor(ledger),
+                "heuristic": advisors.HeuristicAdvisor}[advisor]
+        with ExitStack() as stack:
+            for owner, attr, key in (
+                    (NavGraph, "reachable_from", "reach"),
+                    (error_localizer, "shortest_path", "path"),
+                    (error_localizer, "shortest_path_tree", "tree"),
+                    (repair_engine, "shortest_path_tree", "tree")):
+                stack.enter_context(mock.patch.object(
+                    owner, attr, counted(key, getattr(owner, attr))))
+            stack.enter_context(mock.patch.object(
+                repair_engine, "build_context", context))
+            run_repair(chain, ToolConfig(), make(), ledger=ledger)
+        assert per_context and counts["tree"] > 0, name
+        assert all(c["reach"] == 0 and c["tree"] <= 1
+                   for c in per_context), name
+        assert counts["path"] == 0, name

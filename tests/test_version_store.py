@@ -1,5 +1,6 @@
 import contextlib
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -369,3 +370,58 @@ def test_failed_log_write_undoes_the_commit(tmp_path):
     assert c.index == head + 1
     assert log.read_bytes().startswith(wal)
     assert VersionChain.load(log).graph.state_equal(chain.graph)
+
+
+def _counting_fsync(monkeypatch, fail=False):
+    """Replace `os.fsync` with a recorder of the descriptors it is given;
+    with `fail`, every call raises as a failing disk would."""
+    synced = []
+
+    def fsync(fd):
+        synced.append(fd)
+        if fail:
+            raise OSError("I/O error")
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return synced
+
+
+def test_fsync_runs_once_per_commit_only_when_asked(tmp_path, monkeypatch):
+    synced = _counting_fsync(monkeypatch)
+    plain = VersionChain(log_path=tmp_path / "plain.jsonl")
+    _grow(plain, n=3)
+    plain.close()
+    assert synced == []
+
+    log = tmp_path / "durable.jsonl"
+    chain = VersionChain(log_path=log, fsync=True)
+    ids = _grow(chain, n=3)
+    assert synced == [chain._log.fileno()] * 4
+    chain.close()
+
+    for fsync, more in ((False, 0), (True, 1)):
+        synced.clear()
+        reopened = VersionChain.load(log, append=True, fsync=fsync)
+        reopened.commit([], TRIGGER_REPAIR, obs_id=9, analysis="rename",
+                        renames=[(ids[1], reopened.graph.nodes[ids[1]],
+                                  f"Hall {fsync}")])
+        assert len(synced) == more
+        reopened.close()
+    assert VersionChain.load(log).head == 5
+
+
+def test_failed_fsync_undoes_the_commit(tmp_path, monkeypatch):
+    log = tmp_path / "chain.jsonl"
+    chain = VersionChain(log_path=log, fsync=True)
+    ids = _grow(chain)
+    before, head = chain.graph.copy(), chain.head
+    synced = _counting_fsync(monkeypatch, fail=True)
+    with pytest.raises(OSError):
+        chain.commit([remove(Edge(ids[0], ids[1], "north", 1))],
+                     TRIGGER_REPAIR, obs_id=9, analysis="doomed",
+                     renames=[(ids[1], "Room 1", "Hall")])
+    assert len(synced) == 1
+    assert chain.graph.state_equal(before)
+    assert chain.graph.indices_consistent()
+    assert chain.head == head
+    chain.close()

@@ -1,7 +1,8 @@
 """Print one SHA-256 over a checkout's repair outputs, to show that a change
 leaves them as they were.
 
-    python3 tools/output_digest.py <checkout>
+    python3 tools/output_digest.py <checkout> [--no-edge-impact]
+                                              [--no-version-control]
 
 The items are perfbench's repair-mixed items of seeds 0-4, made by the
 checkout's ``perfbench/workloads.py``: 600 faulted worlds, each under the
@@ -10,7 +11,8 @@ repaired with appends to it.  The digest takes in, per item, the WAL bytes,
 every session (primary, outcome, attempts, loops, secondaries and
 transcript) and the ``Metrics``.  Two checkouts that print the same digest
 write the same logs and sessions on these items.  Nothing is written to
-the checkout.
+the checkout.  ``--no-edge-impact`` and ``--no-version-control`` repair
+with that tool ablated, as ``maprepair repair`` does with the same flags.
 """
 
 from __future__ import annotations
@@ -45,10 +47,14 @@ def _session(s) -> dict:
             "transcript": s.transcript}
 
 
-def output_digest(checkout: str | Path) -> str:
+def output_digest(checkout: str | Path, edge_impact: bool = True,
+                  version_control: bool = True) -> str:
     workloads = _import_checkout(Path(checkout).resolve())
     from maprepair import advisors, repair_engine, transcript_parser
     from maprepair.version_store import VersionChain
+
+    config = repair_engine.ToolConfig(edge_impact=edge_impact,
+                                      version_control=version_control)
 
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
@@ -66,7 +72,7 @@ def output_digest(checkout: str | Path) -> str:
                 chain = VersionChain.load(wal, append=True)
                 try:
                     _, sessions, metrics = repair_engine.run_repair(
-                        chain, repair_engine.ToolConfig(), advisor,
+                        chain, config, advisor,
                         ledger=item.ledger)
                 finally:
                     chain.close()
@@ -82,8 +88,12 @@ def output_digest(checkout: str | Path) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", help="root of a maprepair checkout")
+    parser.add_argument("--no-edge-impact", action="store_true")
+    parser.add_argument("--no-version-control", action="store_true")
     args = parser.parse_args(argv)
-    print(output_digest(args.checkout))
+    print(output_digest(args.checkout,
+                        edge_impact=not args.no_edge_impact,
+                        version_control=not args.no_version_control))
     return 0
 
 
