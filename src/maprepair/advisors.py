@@ -14,10 +14,10 @@ from typing import Callable, Optional, Sequence
 
 from .conflict_detector import KIND_DIRECTIONAL, KIND_NAMING, SUB_OVERLAP, \
     detect_all
-from .errors import AdvisorFailure
+from .errors import AdvisorFailure, DuplicateEdge
 from .fault_injector import FAULT_MISDIRECTION, FAULT_MISNAME, \
     FAULT_PHANTOM, FAULT_SILENT, FaultLedger
-from .graph_core import DIRECTIONS, Edge, NavGraph, normalize_name
+from .graph_core import COMPASS, DIRECTIONS, Edge, NavGraph, normalize_name
 from .repair_engine import (
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_GIVE_UP, ACT_MERGE_NODES,
     ACT_RECALL_STEP, ACT_RENAME_NODE, AdvisorContext, RepairAction,
@@ -105,10 +105,13 @@ class HeuristicAdvisor:
     """Deterministic, ledger-free strategy.
 
     Directional conflicts drop the later of the clashing edges.  For the
-    rest, each candidate edge is simulated under every alternative label;
+    rest, each candidate edge is simulated under the alternative labels;
     if exactly one label resolves the conflict without introducing new
-    ones, relabel, otherwise delete.  Never repeats a proposal within a
-    session; proposes GiveUp once out of ideas."""
+    ones, relabel, otherwise delete.  The non-compass labels are tried
+    first and the search stops at a second fixing label: the answer does
+    not depend on the trial order, and a second fix settles it.  Never
+    repeats a proposal within a session; proposes GiveUp once out of
+    ideas."""
 
     def __call__(self, ctx: AdvisorContext) -> RepairAction:
         c = ctx.conflict
@@ -139,11 +142,24 @@ class HeuristicAdvisor:
         return RepairAction(ACT_GIVE_UP)
 
 
+# Non-compass labels first: they take the edge out of position
+# propagation, so they are the labels that most often fix a conflict, and
+# two fixes end the search.
+_TRIAL_ORDER = (tuple(d for d in DIRECTIONS if d not in COMPASS)
+                + tuple(d for d in DIRECTIONS if d in COMPASS))
+
+
 def _unique_resolving_direction(g: NavGraph, e: Edge, conflict_key,
                                 before: set) -> Optional[str]:
-    """Trial-relabel `e` in place; the graph is restored after each."""
-    fixes = []
-    for d in DIRECTIONS:
+    """The one label that fixes `conflict_key` when `e` is relabelled to
+    it, or None if no label or more than one does.  A fix clears the
+    conflict and adds none to `before`; a label whose (src, direction,
+    step) key another edge holds is no fix.  Each trial relabels `e` in
+    place and restores it.  Any trial order gives the same answer, so the
+    labels are tried in `_TRIAL_ORDER` and the search stops at the second
+    fix, which settles the answer as None."""
+    fix = None
+    for d in _TRIAL_ORDER:
         if d == e.direction:
             continue
         g.remove_edge(e)
@@ -153,11 +169,15 @@ def _unique_resolving_direction(g: NavGraph, e: Edge, conflict_key,
                 after = {x.key for x in detect_all(g)}
             finally:
                 g.remove_edge(trial)
+        except DuplicateEdge:
+            continue  # another edge holds this label's key: no fix
         finally:
             g.add_edge(e.src, e.dst, e.direction, e.step_id)
         if conflict_key not in after and after <= before:
-            fixes.append(d)
-    return fixes[0] if len(fixes) == 1 else None
+            if fix is not None:
+                return None
+            fix = d
+    return fix
 
 
 # ---------------------------------------------------------------------------

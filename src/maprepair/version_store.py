@@ -7,9 +7,11 @@ as a fresh commit of inverse deltas.
 
 A commit is applied to the live graph; a rejected step undoes the steps
 before it, so a rejected commit leaves no trace.  With a log path set, the
-commit's JSONL line is then written and flushed (and, with `fsync=True`,
-synced to disk with `os.fsync`), and a failed write or sync undoes the
-commit: a commit becomes visible only after its line is flushed.
+commit's JSONL line is then appended to the log, unbuffered (and, with
+`fsync=True`, synced to disk with `os.fsync`).  A failed write or sync
+undoes the commit and cuts the log back to where the line started, so no
+part of the line stays in the file or in a buffer: a commit becomes visible
+only after its whole line is written.
 
 Loading drops a torn final line (cut off before its newline, so it does not
 parse) with a warning.  Any other line that does not parse, or a commit whose
@@ -162,11 +164,12 @@ class VersionChain:
                  fsync: bool = False):
         self.graph = NavGraph()
         self.commits: list[Commit] = []
-        self._log: Optional[IO[str]] = None
+        self._log: Optional[IO[bytes]] = None
+        self._log_end = 0  # log size after the last line written
         self.fsync = fsync
         self.log_path = Path(log_path) if log_path else None
         if self.log_path:
-            self._log = open(self.log_path, "x", encoding="utf-8")
+            self._log = _open_log(self.log_path, exclusive=True)
 
     @property
     def head(self) -> int:
@@ -196,15 +199,19 @@ class VersionChain:
         origin = self.graph.origin
         _apply_commit(self.graph, commit)
         if self._log is not None:
+            line = (json.dumps(commit.to_json()) + "\n").encode()
             try:
-                self._log.write(json.dumps(commit.to_json()) + "\n")
-                self._log.flush()
+                written = 0
+                while written < len(line):
+                    written += self._log.write(line[written:])
                 if self.fsync:
                     os.fsync(self._log.fileno())
             except BaseException:
                 _unapply_commit(self.graph, commit)
                 self.graph.origin = origin
+                os.truncate(self.log_path, self._log_end)
                 raise
+            self._log_end += len(line)
         self.commits.append(commit)
         return commit
 
@@ -271,7 +278,17 @@ class VersionChain:
                 fh.truncate(good_end)
                 if not kept.endswith(b"\n"):
                     fh.seek(good_end)
-                    fh.write(b"\n")
+                    good_end += fh.write(b"\n")
             chain.log_path = Path(log_path)
-            chain._log = open(log_path, "a", encoding="utf-8")
+            chain._log = _open_log(chain.log_path)
+            chain._log_end = good_end
         return chain
+
+
+def _open_log(path: Path, exclusive: bool = False) -> IO[bytes]:
+    """Open `path` for unbuffered appends; with `exclusive`, create it and
+    raise `FileExistsError` if it exists.  Every write goes to the end of
+    the file, also after the file was cut back."""
+    flags = os.O_EXCL if exclusive else 0
+    return open(path, "ab", buffering=0,
+                opener=lambda p, f: os.open(p, f | flags))

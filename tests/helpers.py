@@ -13,15 +13,17 @@ import random
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
+from hypothesis import strategies as st
+
 from maprepair.conflict_detector import (
     KIND_DIRECTIONAL, KIND_NAMING, KIND_TOPOLOGICAL, SUB_ASYMMETRY,
-    SUB_INCONSISTENCY, SUB_OVERLAP, Conflict,
+    SUB_INCONSISTENCY, SUB_OVERLAP, Conflict, detect_all,
 )
 from maprepair.error_localizer import (
     CandidateEdge, PathPair, _corroborated, _minmax, conflict_targets,
     lowest_common_ancestor,
 )
-from maprepair.errors import EmptyCandidates, Unreachable
+from maprepair.errors import DuplicateEdge, EmptyCandidates, Unreachable
 from maprepair.graph_core import (
     COMPASS, DIRECTIONS, Edge, NavGraph, displacement, normalize_name,
     reverse_direction,
@@ -127,6 +129,58 @@ def random_graph(rng: random.Random, max_nodes: int = 12) -> NavGraph:
             pass
         step += 1
     return g
+
+
+_NAMES = ("Hall", "hall", "Cellar", "Attic", "Yard")
+_FEW_DIRECTIONS = ("north", "south", "east", "west", "up", "in")
+_SUBKINDS = (KIND_DIRECTIONAL, KIND_NAMING, SUB_ASYMMETRY, SUB_OVERLAP,
+             SUB_INCONSISTENCY)
+
+
+@st.composite
+def multigraphs(draw):
+    """Small multigraphs: namesakes, equal step ids on one source in
+    different directions, self-loops, cycles, unreachable parts, node ids
+    whose string order differs from their numeric order, and an origin
+    that was removed (the next node takes over) or is unset.  Returns the
+    graph and its conflicts: the detected ones, then some made from any
+    nodes and edges, so that every subkind's targets, and an
+    inconsistency whose re-deriving edge is a shortest-path edge, occur."""
+    g = NavGraph()
+    ids = [g.add_node(draw(st.sampled_from(_NAMES)))
+           for _ in range(draw(st.integers(1, 12)))]
+    origin = draw(st.sampled_from(("first", "removed", "none")))
+    if origin == "removed" and len(ids) > 1:
+        g.remove_node(ids.pop(0))
+    moves = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                                    st.sampled_from(_FEW_DIRECTIONS),
+                                    st.integers(0, 4)), max_size=30))
+    for src, dst, d, step in moves:
+        try:
+            g.add_edge(src, dst, d, step)
+        except DuplicateEdge:
+            pass
+    if origin == "none":
+        g.origin = None
+    conflicts = detect_all(g)
+    edges = sorted(g.edges())
+    for subkind, i, j in draw(st.lists(st.tuples(
+            st.sampled_from(_SUBKINDS), st.integers(0, 99),
+            st.integers(0, 99)), max_size=4)):
+        if subkind in (SUB_OVERLAP, KIND_NAMING):
+            nodes, pair = (ids[i % len(ids)], ids[j % len(ids)]), ()
+        elif not edges:
+            continue
+        elif subkind == SUB_INCONSISTENCY:
+            via = edges[i % len(edges)]
+            nodes, pair = (via.dst,), (via,)
+        else:
+            pair = (edges[i % len(edges)], edges[j % len(edges)])
+            nodes = ()
+        kind = subkind if subkind in (KIND_NAMING, KIND_DIRECTIONAL) \
+            else KIND_TOPOLOGICAL
+        conflicts.append(Conflict(kind, subkind, nodes, pair, (i, j)))
+    return g, conflicts
 
 
 def flip_edges(g: NavGraph, rng: random.Random, count: int) -> NavGraph:
@@ -466,3 +520,29 @@ def reference_score_candidates(g: NavGraph, conflicts: Iterable[Conflict],
     ]
     scored.sort(key=lambda c: (-c.score, -c.conflict_count, -c.edge.step_id))
     return scored
+
+
+# ---------------------------------------------------------------------------
+# the heuristic's trial relabel as first written: every other label in
+# DIRECTIONS order, each with a whole-graph detection, no early stop
+
+
+def reference_unique_resolving_direction(g: NavGraph, e: Edge, conflict_key,
+                                         before: set) -> Optional[str]:
+    """Trial-relabel `e` in place; the graph is restored after each."""
+    fixes = []
+    for d in DIRECTIONS:
+        if d == e.direction:
+            continue
+        g.remove_edge(e)
+        try:
+            trial = g.add_edge(e.src, e.dst, d, e.step_id)
+            try:
+                after = {x.key for x in detect_all(g)}
+            finally:
+                g.remove_edge(trial)
+        finally:
+            g.add_edge(e.src, e.dst, e.direction, e.step_id)
+        if conflict_key not in after and after <= before:
+            fixes.append(d)
+    return fixes[0] if len(fixes) == 1 else None

@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from helpers import multigraphs, reference_unique_resolving_direction
 from maprepair import advisors
 from maprepair import fault_injector as fi
 from maprepair.advisors import (
@@ -9,12 +11,13 @@ from maprepair.advisors import (
     PlaybackAdvisor, RecordingAdvisor, _extract_json_object,
 )
 from maprepair.conflict_detector import KIND_DIRECTIONAL, detect_all
-from maprepair.errors import AdvisorFailure
-from maprepair.graph_core import DIRECTIONS, NavGraph
+from maprepair.errors import AdvisorFailure, DuplicateEdge
+from maprepair.graph_core import Edge, NavGraph
 from maprepair.repair_engine import (
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_GIVE_UP, RepairAction,
     ToolConfig, build_context, run_repair, run_session,
 )
+from maprepair.version_store import TRIGGER_OBSERVATION, VersionChain, add
 
 
 def _demo_context(config=None):
@@ -226,28 +229,89 @@ def test_extract_json_object_skips_noise():
 
 
 def test_heuristic_detects_only_its_trial_relabels(monkeypatch):
+    """Each detection the heuristic makes sees the head graph with one
+    edge relabelled and nothing else changed, and none comes after the
+    second label that fixes the conflict: two fixes settle the answer."""
     calls = []
+    head = {}
 
-    def counting(g, commit=None):
-        calls.append(commit)
-        return detect_all(g, commit)
+    def checked(g, commit=None):
+        assert g.nodes == head["graph"].nodes
+        assert g.origin == head["graph"].origin
+        gone = head["graph"].edge_set() - g.edge_set()
+        new = g.edge_set() - head["graph"].edge_set()
+        assert len(gone) == len(new) == 1, (gone, new)
+        (e,), (trial,) = gone, new
+        assert (trial.src, trial.dst, trial.step_id) == \
+            (e.src, e.dst, e.step_id)
+        assert head["fixes"].get(e, 0) < 2, "detected after a second fix"
+        found = detect_all(g, commit)
+        after = {x.key for x in found}
+        if head["key"] not in after and after <= head["before"]:
+            head["fixes"][e] = head["fixes"].get(e, 0) + 1
+        calls.append(e)
+        return found
 
-    monkeypatch.setattr(advisors, "detect_all", counting)
+    monkeypatch.setattr(advisors, "detect_all", checked)
     world = fi.generate_grid(4, 4)
     corrupted, ledger = fi.inject(
         world, ["misdirection", "misname", "phantom_edge"], seed=0)
-    per_call = []
 
     def counted(ctx):
-        before = len(calls)
-        action = HeuristicAdvisor()(ctx)
-        per_call.append(len(calls) - before)
-        return action
+        head.update(graph=NavGraph.from_json(ctx.graph.to_json()),
+                    key=ctx.conflict.key, fixes={},
+                    before={x.key for x in ctx.conflicts})
+        return HeuristicAdvisor()(ctx)
 
     run_repair(corrupted.build(), ToolConfig(), counted, ledger=ledger)
-    assert any(per_call)
-    # each trial relabels one edge to every other direction
-    assert all(n % (len(DIRECTIONS) - 1) == 0 for n in per_call), per_call
+    assert calls
+
+
+def test_heuristic_survives_a_colliding_trial_label():
+    """Relabelling n0->n1 to south would collide with n0->n2 south at the
+    same step: that label is no fix, and the repair goes on."""
+    chain = VersionChain()
+    chain.commit([], TRIGGER_OBSERVATION, 0, "A",
+                 new_nodes=[("n0", "A"), ("n1", "B"), ("n2", "C")])
+    chain.commit([add(Edge("n0", "n1", "north", 1)),
+                  add(Edge("n1", "n0", "east", 2)),
+                  add(Edge("n0", "n2", "south", 1))],
+                 TRIGGER_OBSERVATION, 1, "B")
+    g, sessions, metrics = run_repair(chain, ToolConfig(), HeuristicAdvisor())
+    assert detect_all(g) == []
+    assert metrics.repair_rate_pct == 100.0
+    assert Edge("n0", "n1", "west", 1) in g.edge_set()
+    assert g.indices_consistent()
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(), st.data())
+def test_trial_relabel_equals_the_reference(graph_and_conflicts, data):
+    """Non-compass labels first and a stop at the second fix give the
+    answer of every label in DIRECTIONS order, and leave the graph as it
+    was.  Where a trial label's key is held by another edge, the
+    reference raises; the advisor counts that label as no fix."""
+    g, _ = graph_and_conflicts
+    detected = [c.key for c in detect_all(g)]
+    assume(detected)
+    e = data.draw(st.sampled_from(sorted(g.edges())))
+    key = data.draw(st.sampled_from(detected))
+    before = data.draw(st.one_of(st.just(set(detected)),
+                                 st.sets(st.sampled_from(detected))))
+    head = NavGraph.from_json(g.to_json())
+    try:
+        want = reference_unique_resolving_direction(g, e, key, before)
+    except DuplicateEdge:
+        want = DuplicateEdge
+    assert g.state_equal(head)
+    got = advisors._unique_resolving_direction(g, e, key, before)
+    assert g.state_equal(head)
+    assert g.indices_consistent()
+    if want is DuplicateEdge:
+        assert got is None or not any(
+            x.step_id == e.step_id for x in g.out_edges(e.src, got))
+    else:
+        assert got == want
 
 
 # -- record / replay -----------------------------------------------------------

@@ -1,22 +1,20 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from helpers import (
-    brute_shortest, flip_edges, random_graph, reference_candidate_edges,
+    brute_shortest, flip_edges, multigraphs, random_graph,
+    reference_candidate_edges,
     reference_minimal_path_pair, reference_score_candidates,
     reference_shortest_path, reference_suffix_nodes,
 )
-from maprepair.conflict_detector import (
-    KIND_DIRECTIONAL, KIND_NAMING, KIND_TOPOLOGICAL, SUB_ASYMMETRY,
-    SUB_INCONSISTENCY, SUB_OVERLAP, Conflict, detect_all,
-)
+from maprepair.conflict_detector import detect_all
 from maprepair.error_localizer import (
     candidate_edges, lowest_common_ancestor, minimal_path_pair,
     score_candidates, shortest_path, shortest_path_tree,
 )
-from maprepair.errors import DuplicateEdge, EmptyCandidates, Unreachable
+from maprepair.errors import EmptyCandidates, Unreachable
 from maprepair.graph_core import NavGraph
 
 
@@ -157,58 +155,6 @@ def test_candidate_json_wire_format():
             "score"} <= set(payload)
 
 
-_NAMES = ("Hall", "hall", "Cellar", "Attic", "Yard")
-_FEW_DIRECTIONS = ("north", "south", "east", "west", "up", "in")
-_SUBKINDS = (KIND_DIRECTIONAL, KIND_NAMING, SUB_ASYMMETRY, SUB_OVERLAP,
-             SUB_INCONSISTENCY)
-
-
-@st.composite
-def _multigraphs(draw):
-    """Small multigraphs: namesakes, equal step ids on one source in
-    different directions, self-loops, cycles, unreachable parts, node ids
-    whose string order differs from their numeric order, and an origin
-    that was removed (the next node takes over) or is unset.  Returns the
-    graph and its conflicts: the detected ones, then some made from any
-    nodes and edges, so that every subkind's targets, and an
-    inconsistency whose re-deriving edge is a shortest-path edge, occur."""
-    g = NavGraph()
-    ids = [g.add_node(draw(st.sampled_from(_NAMES)))
-           for _ in range(draw(st.integers(1, 12)))]
-    origin = draw(st.sampled_from(("first", "removed", "none")))
-    if origin == "removed" and len(ids) > 1:
-        g.remove_node(ids.pop(0))
-    moves = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
-                                    st.sampled_from(_FEW_DIRECTIONS),
-                                    st.integers(0, 4)), max_size=30))
-    for src, dst, d, step in moves:
-        try:
-            g.add_edge(src, dst, d, step)
-        except DuplicateEdge:
-            pass
-    if origin == "none":
-        g.origin = None
-    conflicts = detect_all(g)
-    edges = sorted(g.edges())
-    for subkind, i, j in draw(st.lists(st.tuples(
-            st.sampled_from(_SUBKINDS), st.integers(0, 99),
-            st.integers(0, 99)), max_size=4)):
-        if subkind in (SUB_OVERLAP, KIND_NAMING):
-            nodes, pair = (ids[i % len(ids)], ids[j % len(ids)]), ()
-        elif not edges:
-            continue
-        elif subkind == SUB_INCONSISTENCY:
-            via = edges[i % len(edges)]
-            nodes, pair = (via.dst,), (via,)
-        else:
-            pair = (edges[i % len(edges)], edges[j % len(edges)])
-            nodes = ()
-        kind = subkind if subkind in (KIND_NAMING, KIND_DIRECTIONAL) \
-            else KIND_TOPOLOGICAL
-        conflicts.append(Conflict(kind, subkind, nodes, pair, (i, j)))
-    return g, conflicts
-
-
 def _or_unreachable(fn, *args):
     try:
         return fn(*args)
@@ -217,7 +163,7 @@ def _or_unreachable(fn, *args):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_multigraphs())
+@given(multigraphs())
 def test_localization_equals_the_reference(graph_and_conflicts):
     """One origin tree and one reach pass give the same paths, path pairs
     and rankings, every score component in the same order, as a search

@@ -425,3 +425,49 @@ def test_failed_fsync_undoes_the_commit(tmp_path, monkeypatch):
     assert chain.graph.indices_consistent()
     assert chain.head == head
     chain.close()
+class _TornLog:
+    """A log whose write reaches the file only halfway, then fails."""
+
+    def __init__(self, real):
+        self.real = real
+
+    def write(self, line):
+        self.real.write(line[:len(line) // 2])
+        self.real.flush()
+        raise OSError("disk full")
+
+    def fileno(self):
+        return self.real.fileno()
+
+
+@pytest.mark.parametrize("fault", ["fsync", "torn write"])
+def test_failed_commit_leaves_no_line_in_the_log(tmp_path, monkeypatch,
+                                                  fault):
+    """A commit whose sync fails, or whose line is written only in part,
+    is cut from the log: the next commit takes its index, and the log
+    replays to the chain."""
+    log = tmp_path / "chain.jsonl"
+    chain = VersionChain(log_path=log, fsync=True)
+    ids = _grow(chain)
+    wal = log.read_bytes()
+    real_log = chain._log
+    if fault == "fsync":
+        _counting_fsync(monkeypatch, fail=True)
+    else:
+        chain._log = _TornLog(real_log)
+    with pytest.raises(OSError):
+        chain.commit([remove(Edge(ids[0], ids[1], "north", 1))],
+                     TRIGGER_REPAIR, obs_id=9, analysis="doomed",
+                     renames=[(ids[1], "Room 1", "Hall")])
+    assert log.read_bytes() == wal
+    monkeypatch.undo()
+    chain._log = real_log
+    c = chain.commit([], TRIGGER_REPAIR, obs_id=10, analysis="ok",
+                     renames=[(ids[1], "Room 1", "Hall")])
+    chain.close()
+    assert c.index == 4
+    loaded = VersionChain.load(log)
+    assert loaded.head == chain.head
+    assert loaded.graph.state_equal(chain.graph)
+
+
