@@ -2,13 +2,14 @@
 
 The graph is a directed multigraph.  Structurally conflicting edges (two
 north exits, self-loops, duplicate names) are admitted on insertion; finding
-them is the conflict detector's job, removing them the refiner's.
+them is the conflict detector's job, removing them the refiner's.  An
+`Edge` is a named tuple: it hashes, compares and orders by its fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DuplicateEdge, UnknownNode
 
@@ -60,8 +61,10 @@ def normalize_name(name: str) -> str:
     return " ".join(name.casefold().split())
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
+    """A tuple of its fields: it hashes, compares and orders as
+    `(src, dst, direction, step_id)`, and cannot be changed."""
+
     src: str
     dst: str
     direction: str
@@ -152,11 +155,15 @@ class NavGraph:
     # -- edges ------------------------------------------------------------
 
     def add_edge(self, src: str, dst: str, direction: str, step_id: int) -> Edge:
+        return self.insert_edge(Edge(src, dst, direction, step_id))
+
+    def insert_edge(self, edge: Edge) -> Edge:
+        """`add_edge` of an `Edge` already built; it is stored as it is."""
+        src, dst, direction, step_id = edge
         if src not in self.nodes:
             raise UnknownNode(src)
         if dst not in self.nodes:
             raise UnknownNode(dst)
-        edge = Edge(src, dst, direction, step_id)
         # a duplicate key finds its level already there, so nothing is left
         # behind when it is rejected
         by_step = self._out.setdefault(src, {}).setdefault(direction, {})
@@ -169,19 +176,20 @@ class NavGraph:
     def remove_edge(self, edge: Edge) -> None:
         if not self.has_edge(edge):
             raise UnknownNode(f"edge not present: {edge}")
-        by_dir = self._out[edge.src]
-        del by_dir[edge.direction][edge.step_id]
-        if not by_dir[edge.direction]:
-            del by_dir[edge.direction]
+        src, dst, direction, step_id = edge
+        by_dir = self._out[src]
+        del by_dir[direction][step_id]
+        if not by_dir[direction]:
+            del by_dir[direction]
         if not by_dir:
-            del self._out[edge.src]
-        self._in[edge.dst].discard(edge)
-        if not self._in[edge.dst]:
-            del self._in[edge.dst]
+            del self._out[src]
+        self._in[dst].discard(edge)
+        if not self._in[dst]:
+            del self._in[dst]
 
     def has_edge(self, edge: Edge) -> bool:
-        by_step = self._out.get(edge.src, {}).get(edge.direction, {})
-        return by_step.get(edge.step_id) == edge
+        src, _, direction, step_id = edge
+        return self._out.get(src, {}).get(direction, {}).get(step_id) == edge
 
     def _out_iter(self, src: str) -> Iterator[Edge]:
         return (e for by_step in self._out.get(src, {}).values()
@@ -297,7 +305,7 @@ class NavGraph:
         for nid in sub.nodes:
             for e in self._out_iter(nid):
                 if e.dst in keep:
-                    sub.add_edge(e.src, e.dst, e.direction, e.step_id)
+                    sub.insert_edge(e)
         return sub
 
     # -- maintenance ------------------------------------------------------
@@ -341,8 +349,7 @@ class NavGraph:
             g.add_node(n["name"], node_id=n["id"])
         g.origin = data.get("origin")
         for d in data["edges"]:
-            e = Edge.from_json(d)
-            g.add_edge(e.src, e.dst, e.direction, e.step_id)
+            g.insert_edge(Edge.from_json(d))
         return g
 
     def to_dot(self) -> str:

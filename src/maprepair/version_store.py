@@ -6,16 +6,27 @@ replaying the chain (`materialize`) and, when used for repair, is recorded
 as a fresh commit of inverse deltas.
 
 A commit is applied to the live graph; a rejected step undoes the steps
-before it, so a rejected commit leaves no trace.  With a log path set, the
+before it, so a rejected commit leaves no trace.  A delta op other than
+"+" or "-" is refused with `ValueError` before any step applies.  With a log path set, the
 commit's JSONL line is then appended to the log, unbuffered (and, with
 `fsync=True`, synced to disk with `os.fsync`).  A failed write or sync
 undoes the commit and cuts the log back to where the line started, so no
 part of the line stays in the file or in a buffer: a commit becomes visible
 only after its whole line is written.
 
+Loading reads the log line by line.  A line is decoded with the C scanner
+of one `json.JSONDecoder`, which skips the encoding detection and the
+whitespace passes of `json.loads`.  A line the scanner does not take whole
+(not UTF-8, led by whitespace, not JSON, or followed by anything but JSON
+whitespace) goes to `json.loads`, so the values accepted and the errors
+raised are those of `json.loads`.  `Commit`, `EdgeDelta` and `Edge` are
+named tuples, cheap to build and to hash.
+
 Loading drops a torn final line (cut off before its newline, so it does not
-parse) with a warning.  Any other line that does not parse, or a commit whose
-index is out of sequence, raises `CorruptLog`.
+parse) with a warning.  Any other line that does not parse (a delta op
+other than "+" or "-" included), a commit whose index is out of sequence,
+or a commit that does not apply to the graph the lines before it built,
+raises `CorruptLog` with the file and line.
 """
 
 from __future__ import annotations
@@ -23,19 +34,17 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Optional
+from typing import IO, Iterable, NamedTuple, Optional
 
-from .errors import CorruptLog, InvalidDelta, UnknownVersion
+from .errors import CorruptLog, InvalidDelta, MapRepairError, UnknownVersion
 from .graph_core import Edge, NavGraph
 
 TRIGGER_OBSERVATION = "observation_update"
 TRIGGER_REPAIR = "conflict_repair"
 
 
-@dataclass(frozen=True)
-class EdgeDelta:
+class EdgeDelta(NamedTuple):
     op: str  # "+" or "-"
     edge: Edge
 
@@ -46,7 +55,15 @@ class EdgeDelta:
 
     @classmethod
     def from_json(cls, d: dict) -> "EdgeDelta":
-        return cls(d["op"], Edge(d["src"], d["dst"], d["dir"], d["step"]))
+        delta = cls(d["op"], Edge(d["src"], d["dst"], d["dir"], d["step"]))
+        _check_ops((delta,))
+        return delta
+
+
+def _check_ops(deltas: Iterable[EdgeDelta]) -> None:
+    for x in deltas:
+        if x.op not in ("+", "-"):
+            raise ValueError(f"unknown delta op: {x.op!r}")
 
 
 def add(edge: Edge) -> EdgeDelta:
@@ -57,8 +74,7 @@ def remove(edge: Edge) -> EdgeDelta:
     return EdgeDelta("-", edge)
 
 
-@dataclass(frozen=True)
-class Commit:
+class Commit(NamedTuple):
     index: int
     step_id: int
     deltas: tuple[EdgeDelta, ...]
@@ -89,24 +105,31 @@ class Commit:
 
     @classmethod
     def from_json(cls, d: dict) -> "Commit":
-        return cls(
-            index=d["index"],
-            step_id=d["step_id"],
-            deltas=tuple(EdgeDelta.from_json(x) for x in d["deltas"]),
-            trigger=d["trigger"],
-            obs_id=d["obs_id"],
-            analysis=d["analysis"],
-            new_nodes=tuple((n["id"], n["name"]) for n in d.get("nodes", ())),
-            renames=tuple((r["id"], r["old"], r["new"])
-                          for r in d.get("renames", ())),
-            drops=tuple((n["id"], n["name"]) for n in d.get("drops", ())),
+        # keys are read in field order, and the ops are checked last, so a
+        # line with several faults reports the first key that fails
+        c = cls(
+            d["index"],
+            d["step_id"],
+            tuple([EdgeDelta(x["op"],
+                             Edge(x["src"], x["dst"], x["dir"], x["step"]))
+                   for x in d["deltas"]]),
+            d["trigger"],
+            d["obs_id"],
+            d["analysis"],
+            tuple([(n["id"], n["name"]) for n in d.get("nodes", ())]),
+            tuple([(r["id"], r["old"], r["new"])
+                   for r in d.get("renames", ())]),
+            tuple([(n["id"], n["name"]) for n in d.get("drops", ())]),
         )
+        _check_ops(c.deltas)
+        return c
 
 
 def _steps(c: Commit) -> list[tuple]:
-    """The commit as (sign, node id or edge, *names) steps, in apply order."""
+    """The commit as (sign, node id or edge, *names) steps, in apply order.
+    A delta is already such a step: (op, edge)."""
     return ([("+", nid, name) for nid, name in c.new_nodes]
-            + [(d.op, d.edge) for d in c.deltas]
+            + list(c.deltas)
             + [("~", nid, old, new) for nid, old, new in c.renames]
             + [("-", nid, name) for nid, name in c.drops])
 
@@ -114,15 +137,14 @@ def _steps(c: Commit) -> list[tuple]:
 def _run(g: NavGraph, step: tuple, forward: bool) -> None:
     """Apply one step, or its inverse: a rename swaps its names, and an
     addition and a removal trade places."""
-    sign, target, *names = step
+    sign, target = step[0], step[1]
     if sign == "~":
-        g.rename_node(target, names[1] if forward else names[0])
+        g.rename_node(target, step[3] if forward else step[2])
     elif (sign == "+") == forward:
         if isinstance(target, Edge):
-            g.add_edge(target.src, target.dst, target.direction,
-                       target.step_id)
+            g.insert_edge(target)
         else:
-            g.add_node(names[0], node_id=target)
+            g.add_node(step[2], node_id=target)
     elif not isinstance(target, Edge):
         g.remove_node(target)
     elif not g.has_edge(target):
@@ -196,6 +218,7 @@ class VersionChain:
             renames=tuple(renames),
             drops=tuple(drops),
         )
+        _check_ops(commit.deltas)  # its line would not load
         origin = self.graph.origin
         _apply_commit(self.graph, commit)
         if self._log is not None:
@@ -258,7 +281,7 @@ class VersionChain:
             for lineno, raw in enumerate(fh, start=1):
                 if raw.strip():
                     try:
-                        c = Commit.from_json(json.loads(raw))
+                        c = Commit.from_json(_decode(raw))
                     except (ValueError, KeyError, TypeError) as exc:
                         if raw.endswith(b"\n"):
                             raise CorruptLog(
@@ -270,7 +293,11 @@ class VersionChain:
                         raise CorruptLog(
                             f"{log_path}:{lineno}: commit {c.index} where "
                             f"{len(chain.commits)} was expected")
-                    _apply_commit(chain.graph, c)
+                    try:
+                        _apply_commit(chain.graph, c)
+                    except MapRepairError as exc:
+                        raise CorruptLog(
+                            f"{log_path}:{lineno}: {exc}") from exc
                     chain.commits.append(c)
                 good_end, kept = good_end + len(raw), raw
         if append:
@@ -283,6 +310,24 @@ class VersionChain:
             chain._log = _open_log(chain.log_path)
             chain._log_end = good_end
         return chain
+
+
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode(raw: bytes):
+    """`json.loads(raw)`, without its encoding detection and whitespace
+    passes on a line that is UTF-8, starts with its value and has only JSON
+    whitespace after it.  Any other line goes to `json.loads`, so the values
+    accepted and the exceptions raised are the same."""
+    try:
+        s = raw.decode()
+        value, end = _scan_once(s, 0)
+    except (StopIteration, ValueError):  # no value at 0, or not UTF-8/JSON
+        return json.loads(raw)
+    if s[end:].strip(" \t\n\r"):
+        return json.loads(raw)
+    return value
 
 
 def _open_log(path: Path, exclusive: bool = False) -> IO[bytes]:

@@ -8,9 +8,12 @@ heap) so agreement is meaningful.
 from __future__ import annotations
 
 import heapq
+import json
 import random
+import warnings
 
 from collections import deque
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from hypothesis import strategies as st
@@ -23,7 +26,9 @@ from maprepair.error_localizer import (
     CandidateEdge, PathPair, _corroborated, _minmax, conflict_targets,
     lowest_common_ancestor,
 )
-from maprepair.errors import DuplicateEdge, EmptyCandidates, Unreachable
+from maprepair.errors import (
+    CorruptLog, DuplicateEdge, EmptyCandidates, InvalidDelta, Unreachable,
+)
 from maprepair.graph_core import (
     COMPASS, DIRECTIONS, Edge, NavGraph, displacement, normalize_name,
     reverse_direction,
@@ -32,7 +37,8 @@ from maprepair.position_inference import (
     Inconsistency, PositionMap, infer_positions,
 )
 from maprepair.version_store import (
-    TRIGGER_OBSERVATION, VersionChain, _unapply_commit, add,
+    TRIGGER_OBSERVATION, Commit, EdgeDelta, VersionChain, _open_log,
+    _unapply_commit, add,
 )
 
 
@@ -546,3 +552,105 @@ def reference_unique_resolving_direction(g: NavGraph, e: Edge, conflict_key,
         if conflict_key not in after and after <= before:
             fixes.append(d)
     return fixes[0] if len(fixes) == 1 else None
+
+
+# ---------------------------------------------------------------------------
+# log replay as first written: `json.loads` on every line, any delta op
+# accepted (an op other than "+" removes), and a commit that does not apply
+# raised as it is.  The bodies are verbatim but for their names (the undo
+# of a rejected commit is inline in `reference_apply_commit`), and `load`
+# takes what it calls as parameters, so a test can model a fix in one of
+# them.
+
+
+def _reference_steps(c: Commit) -> list[tuple]:
+    return ([("+", nid, name) for nid, name in c.new_nodes]
+            + [(d.op, d.edge) for d in c.deltas]
+            + [("~", nid, old, new) for nid, old, new in c.renames]
+            + [("-", nid, name) for nid, name in c.drops])
+
+
+def _reference_run(g: NavGraph, step: tuple, forward: bool) -> None:
+    sign, target, *names = step
+    if sign == "~":
+        g.rename_node(target, names[1] if forward else names[0])
+    elif (sign == "+") == forward:
+        if isinstance(target, Edge):
+            g.add_edge(target.src, target.dst, target.direction,
+                       target.step_id)
+        else:
+            g.add_node(names[0], node_id=target)
+    elif not isinstance(target, Edge):
+        g.remove_node(target)
+    elif not g.has_edge(target):
+        raise InvalidDelta(f"remove of absent edge: {target}")
+    else:
+        g.remove_edge(target)
+
+
+def reference_apply_commit(g: NavGraph, c: Commit) -> None:
+    origin = g.origin
+    for done, step in enumerate(_reference_steps(c)):
+        try:
+            _reference_run(g, step, forward=True)
+        except BaseException:
+            for undo in reversed(_reference_steps(c)[:done]):
+                _reference_run(g, undo, forward=False)
+            g.origin = origin
+            raise
+
+
+def reference_delta_from_json(d: dict) -> EdgeDelta:
+    return EdgeDelta(d["op"], Edge(d["src"], d["dst"], d["dir"], d["step"]))
+
+
+def reference_commit_from_json(d: dict) -> Commit:
+    return Commit(
+        index=d["index"],
+        step_id=d["step_id"],
+        deltas=tuple(reference_delta_from_json(x) for x in d["deltas"]),
+        trigger=d["trigger"],
+        obs_id=d["obs_id"],
+        analysis=d["analysis"],
+        new_nodes=tuple((n["id"], n["name"]) for n in d.get("nodes", ())),
+        renames=tuple((r["id"], r["old"], r["new"])
+                      for r in d.get("renames", ())),
+        drops=tuple((n["id"], n["name"]) for n in d.get("drops", ())),
+    )
+
+
+def reference_load(log_path: str | Path, append: bool = False,
+                   fsync: bool = False, *,
+                   from_json=reference_commit_from_json,
+                   apply=reference_apply_commit) -> VersionChain:
+    chain = VersionChain(fsync=fsync)
+    good_end, kept = 0, b"\n"  # end of the last line kept, and that line
+    with open(log_path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if raw.strip():
+                try:
+                    c = from_json(json.loads(raw))
+                except (ValueError, KeyError, TypeError) as exc:
+                    if raw.endswith(b"\n"):
+                        raise CorruptLog(
+                            f"{log_path}:{lineno}: {exc}") from exc
+                    warnings.warn(f"{log_path}:{lineno}: dropped a torn "
+                                  f"final line ({len(raw)} bytes)")
+                    break
+                if c.index != len(chain.commits):
+                    raise CorruptLog(
+                        f"{log_path}:{lineno}: commit {c.index} where "
+                        f"{len(chain.commits)} was expected")
+                apply(chain.graph, c)
+                chain.commits.append(c)
+            good_end, kept = good_end + len(raw), raw
+    if append:
+        with open(log_path, "r+b") as fh:
+            fh.truncate(good_end)
+            if not kept.endswith(b"\n"):
+                fh.seek(good_end)
+                good_end += fh.write(b"\n")
+        chain.log_path = Path(log_path)
+        chain._log = _open_log(chain.log_path)
+        chain._log_end = good_end
+    return chain

@@ -1,16 +1,24 @@
 import contextlib
 import json
 import os
+import re
+import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import unapplied
+from helpers import (
+    reference_apply_commit, reference_commit_from_json, reference_load,
+    unapplied,
+)
+from maprepair import cli
 from maprepair.errors import (
-    CorruptLog, InvalidDelta, MapRepairError, UnknownVersion,
+    CorruptLog, DuplicateEdge, InvalidDelta, MapRepairError, UnknownNode,
+    UnknownVersion,
 )
 from maprepair.fault_injector import WorldSpec, generate_world
-from maprepair.graph_core import Edge
+from maprepair.graph_core import DIRECTIONS, Edge
 from maprepair.version_store import (
     Commit, EdgeDelta, TRIGGER_OBSERVATION, TRIGGER_REPAIR, VersionChain,
     add, remove,
@@ -471,3 +479,352 @@ def test_failed_commit_leaves_no_line_in_the_log(tmp_path, monkeypatch,
     assert loaded.graph.state_equal(chain.graph)
 
 
+
+
+def _log_with_line(tmp_path, delta: dict, newline: bool = True):
+    """A log of commits 0 and 1 (n0 -> n1 north 1), then a commit 2 line
+    holding `delta`, with or without its newline."""
+    log = tmp_path / "chain.jsonl"
+    chain = VersionChain(log_path=log)
+    _grow(chain, n=1)
+    chain.close()
+    line = {"index": 2, "step_id": 2, "deltas": [delta],
+            "trigger": TRIGGER_REPAIR, "obs_id": 2, "analysis": "bad"}
+    with open(log, "ab") as fh:
+        fh.write(json.dumps(line).encode() + (b"\n" if newline else b""))
+    return log, chain
+
+
+def test_load_rejects_an_unknown_delta_op(tmp_path, capsys):
+    """An op other than "+" or "-" does not parse: it used to remove the
+    edge it names."""
+    bad = {"op": "x", "src": "n0", "dst": "n1", "dir": "north", "step": 1}
+    with pytest.raises(ValueError, match="unknown delta op: 'x'"):
+        EdgeDelta.from_json(bad)
+    log, chain = _log_with_line(tmp_path, bad)
+    with pytest.raises(CorruptLog,
+                       match=re.escape(f"{log}:3: unknown delta op: 'x'")):
+        VersionChain.load(log)
+    assert cli.main(["export", "--log", str(log)]) == 2
+    assert f"{log}:3: unknown delta op" in capsys.readouterr().err
+
+    log.unlink()
+    log, chain = _log_with_line(tmp_path, bad, newline=False)
+    with pytest.warns(UserWarning, match="torn final line"):
+        loaded = VersionChain.load(log)
+    assert loaded.head == 1
+    assert loaded.graph.state_equal(chain.graph)
+
+
+def test_commit_refuses_an_unknown_delta_op(tmp_path):
+    """The op is checked before anything applies: it used to remove the
+    edge and write a line that does not load."""
+    log = tmp_path / "chain.jsonl"
+    chain = VersionChain(log_path=log)
+    ids = _grow(chain, n=1)
+    before, wal = chain.graph.copy(), log.read_bytes()
+    with pytest.raises(ValueError, match="unknown delta op: 'x'"):
+        chain.commit([EdgeDelta("x", Edge(ids[0], ids[1], "north", 1))],
+                     TRIGGER_REPAIR, obs_id=2, analysis="bad")
+    chain.close()
+    assert chain.head == 1
+    assert chain.graph.state_equal(before)
+    assert log.read_bytes() == wal
+
+
+@pytest.mark.parametrize("delta, cause", [
+    ({"op": "-", "src": "n0", "dst": "n1", "dir": "east", "step": 7},
+     InvalidDelta),
+    ({"op": "+", "src": "n0", "dst": "ghost", "dir": "east", "step": 7},
+     UnknownNode),
+    ({"op": "+", "src": "n0", "dst": "n0", "dir": "north", "step": 1},
+     DuplicateEdge),
+], ids=["absent edge", "unknown node", "duplicate key"])
+def test_load_reports_a_commit_that_does_not_apply(tmp_path, capsys, delta,
+                                                   cause):
+    """A line that parses but does not apply is `CorruptLog` at its line,
+    caused by the error the apply raised."""
+    log, _ = _log_with_line(tmp_path, delta)
+    with pytest.raises(CorruptLog) as caught:
+        VersionChain.load(log)
+    exc = caught.value
+    assert type(exc.__cause__) is cause
+    assert str(exc) == f"{log}:3: {exc.__cause__}"
+    assert cli.main(["export", "--log", str(log)]) == 2
+    assert f"{log}:3: " in capsys.readouterr().err
+
+
+# -- replay equals its first version on random logs, corrupted at random ------
+
+_NAMES = st.text(max_size=4)
+_JUNK = st.sampled_from([None, "1", 1, 1.5, True, "", "x", "~", "+", "-",
+                         [], ["+"], {}, {"id": "n0"}])
+# an op or an endpoint that parses but may not apply
+_SWAPS = {"op": st.sampled_from(["+", "-", "x", "~"]),
+          "src": st.sampled_from(["n0", "n1", "n2", "ghost"])}
+_KEYS = {"commit": ["index", "step_id", "deltas", "trigger", "obs_id",
+                    "analysis", "nodes", "renames", "drops"],
+         "deltas": ["op", "src", "dst", "dir", "step"],
+         "nodes": ["id", "name"],
+         "renames": ["id", "old", "new"],
+         "drops": ["id", "name"]}
+
+
+def _random_log(data, log) -> bytes:
+    """The log of a random valid chain: rooms, edge adds and removes,
+    renames and drops, under both triggers."""
+    draw = data.draw
+    chain = VersionChain(log_path=log)
+    try:
+        name = draw(_NAMES)
+        chain.commit([], TRIGGER_OBSERVATION, obs_id=0, analysis=name,
+                     new_nodes=[(chain.allocate_node_id(), name)])
+        for step in range(1, draw(st.integers(1, 7))):
+            sim = chain.graph.copy()
+            new_nodes, deltas, renames, drops = [], [], [], []
+            for _ in range(draw(st.integers(0, 2))):
+                new_nodes.append((sim.fresh_id(), draw(_NAMES)))
+                sim.add_node(new_nodes[-1][1], node_id=new_nodes[-1][0])
+            for k in range(draw(st.integers(0, 3))):
+                live = sorted(sim.edge_set())
+                if live and draw(st.booleans()):
+                    e = draw(st.sampled_from(live))
+                    sim.remove_edge(e)
+                    deltas.append(remove(e))
+                else:
+                    nodes = sorted(sim.nodes)
+                    deltas.append(add(sim.add_edge(
+                        draw(st.sampled_from(nodes)),
+                        draw(st.sampled_from(nodes)),
+                        draw(st.sampled_from(DIRECTIONS)), 10 * step + k)))
+            if sim.nodes and draw(st.booleans()):
+                nid = draw(st.sampled_from(sorted(sim.nodes)))
+                renames.append((nid, sim.nodes[nid], draw(_NAMES)))
+                sim.rename_node(nid, renames[-1][2])
+            bare = [n for n in sorted(sim.nodes)
+                    if not sim.out_edges(n) and not sim.in_edges(n)]
+            if bare and len(sim.nodes) > 1 and draw(st.booleans()):
+                nid = draw(st.sampled_from(bare))
+                drops.append((nid, sim.nodes[nid]))
+                sim.remove_node(nid)
+            chain.commit(deltas, draw(st.sampled_from(
+                [TRIGGER_OBSERVATION, TRIGGER_REPAIR])), obs_id=step,
+                analysis=draw(_NAMES), new_nodes=new_nodes, renames=renames,
+                drops=drops)
+    finally:
+        chain.close()
+    return log.read_bytes()
+
+
+def _lines(wal: bytes) -> list[bytes]:
+    """The lines iterating over the file yields: each ends after a b"\\n"."""
+    return re.findall(rb"[^\n]*\n|[^\n]+", wal)
+
+
+def _garble(data, line: bytes, swap: bool = False) -> bytes:
+    """`line` as JSON with one key set to a wrong value, or removed; with
+    `swap`, a delta's op or source is set to another string."""
+    try:
+        d = json.loads(line)
+    except ValueError:
+        return line
+    if not isinstance(d, dict):
+        return line
+    target, kind = d, "commit"
+    nested = [k for k in ("deltas", "nodes", "renames", "drops")
+              if isinstance(d.get(k), list) and d[k]
+              and isinstance(d[k][0], dict)]
+    if swap:
+        if "deltas" not in nested:
+            return line
+        key = data.draw(st.sampled_from(sorted(_SWAPS)))
+        data.draw(st.sampled_from(d["deltas"]))[key] = data.draw(_SWAPS[key])
+        return json.dumps(d).encode() + b"\n"
+    if nested and data.draw(st.booleans()):
+        kind = data.draw(st.sampled_from(nested))
+        target = data.draw(st.sampled_from(d[kind]))
+    key = data.draw(st.sampled_from(_KEYS[kind]))
+    if data.draw(st.booleans()):
+        target.pop(key, None)
+    else:
+        target[key] = data.draw(_JUNK)
+    separators = data.draw(st.sampled_from([None, (",", ":")]))
+    return json.dumps(d, separators=separators).encode() + b"\n"
+
+
+def _corrupt(data, wal: bytes) -> bytes:
+    draw = data.draw
+    for _ in range(draw(st.integers(0, 3))):
+        lines = _lines(wal) or [b""]
+        i = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(wal)))
+        kind = draw(st.sampled_from([
+            "cut", "flip", "insert", "blank", "lead", "bom", "encode",
+            "swap", "duplicate", "trail", "garble", "reapply", "reapply"]))
+        if kind == "cut":
+            wal = wal[:at]
+            continue
+        if kind == "flip" and at < len(wal):
+            wal = (wal[:at] + bytes([wal[at] ^ 1 << draw(st.integers(0, 7))])
+                   + wal[at + 1:])
+            continue
+        if kind == "insert":
+            byte = draw(st.sampled_from(b' \t\r\n{}":,0\x00\x0b\x0c\x80'
+                                        b'\xbf\xc3\xef\xfe\xff'))
+            wal = wal[:at] + bytes([byte]) + wal[at:]
+            continue
+        if kind == "blank":
+            lines.insert(i, draw(st.sampled_from(
+                [b"\n", b"   \n", b"\t\r\n", b"\x0c\n"])))
+        elif kind == "lead":
+            lines[i] = draw(st.sampled_from(
+                [b" ", b"\t", b"\r", b"\x0c", b"\xef\xbb\xbf"])) + lines[i]
+        elif kind == "bom":
+            lines.insert(i, b"\xef\xbb\xbf" + draw(st.sampled_from(
+                [b"\n", lines[i]])))
+        elif kind == "encode":
+            text = lines[i].rstrip(b"\n").decode("utf-8", "replace")
+            lines[i] = text.encode(draw(st.sampled_from(
+                ["utf-8-sig", "utf-16", "utf-16-le", "utf-16-be", "utf-32",
+                 "utf-32-le"]))) + b"\n"
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "trail" and lines[i].endswith(b"\n"):
+            lines[i] = lines[i][:-1] + draw(st.sampled_from(
+                [b" ", b"\t", b"\r", b" \t\r", b"x", b"}", b"\x0c",
+                 b"\x0b", b"\xc2\xa0", b" 1", b"{}", b"\x00"])) + b"\n"
+        elif kind in ("garble", "reapply"):
+            lines[i] = _garble(data, lines[i], swap=kind == "reapply")
+        wal = b"".join(lines)
+    return wal
+
+
+def _outcome(load, log, wal: bytes, append: bool):
+    """(chain or None, the error, the warnings, the file's bytes after)."""
+    log.write_bytes(wal)
+    chain = error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            chain = load(log, append=append)
+        except Exception as exc:
+            error = (type(exc), str(exc), type(exc.__cause__),
+                     str(exc.__cause__))
+        else:
+            chain.close()
+    return chain, error, [str(w.message) for w in caught], log.read_bytes()
+
+
+def _assert_same(a, b):
+    (chain_a, *rest_a), (chain_b, *rest_b) = a, b
+    assert rest_a == rest_b
+    assert (chain_a is None) == (chain_b is None)
+    if chain_a is not None:
+        assert json.dumps([c.to_json() for c in chain_a.commits]) == \
+            json.dumps([c.to_json() for c in chain_b.commits])
+        assert chain_a.graph.state_equal(chain_b.graph)
+        assert chain_a.graph.indices_consistent()
+        assert chain_a._log_end == chain_b._log_end
+
+
+def _fixed(log, wal: bytes):
+    """The reference's parse and apply with the two fixes: an unknown op
+    does not parse, and a commit that does not apply is `CorruptLog` at its
+    line.  `fired` records each time a fix changed what happens."""
+    fired = []
+    # the k-th commit applied is on the k-th line that is not blank
+    linenos = iter([n for n, raw in enumerate(_lines(wal), start=1)
+                    if raw.strip()])
+
+    def from_json(d):
+        c = reference_commit_from_json(d)
+        for x in c.deltas:
+            if x.op not in ("+", "-"):
+                fired.append("op")
+                raise ValueError(f"unknown delta op: {x.op!r}")
+        return c
+
+    def apply(g, c):
+        lineno = next(linenos)
+        try:
+            reference_apply_commit(g, c)
+        except MapRepairError as exc:
+            fired.append("apply")
+            raise CorruptLog(f"{log}:{lineno}: {exc}") from exc
+
+    return from_json, apply, fired
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_load_equals_the_reference_on_corrupted_logs(data, tmp_path_factory):
+    """`load` on a random log, corrupted at random, gives the commits,
+    graph, exception, warnings and file bytes of the first `load`, but for
+    the two fixes: an unknown op and a commit that does not apply are
+    `CorruptLog` at their line (or a torn final line)."""
+    log = tmp_path_factory.mktemp("replay") / "chain.jsonl"
+    wal = _corrupt(data, _random_log(data, log))
+    append = data.draw(st.booleans())
+    from_json, apply, fired = _fixed(log, wal)
+    fixed = _outcome(lambda p, append: reference_load(
+        p, append, from_json=from_json, apply=apply), log, wal, append)
+    _assert_same(_outcome(VersionChain.load, log, wal, append), fixed)
+    if not fired:
+        _assert_same(_outcome(reference_load, log, wal, append), fixed)
+
+
+def test_load_of_a_built_grid_calls_json_loads_never(tmp_path):
+    """Every line of a log the library wrote takes the decoder's fast
+    path; a whitespace-led line goes to `json.loads`, and the guard sees
+    it."""
+    log = tmp_path / "grid.jsonl"
+    chain = generate_world(WorldSpec("grid", (10, 10))).build(log_path=log)
+    chain.close()
+    calls = []
+    real = json.loads
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(json, "loads", counting):
+        loaded = VersionChain.load(log)
+        assert calls == []
+        lines = log.read_bytes().splitlines(keepends=True)
+        log.write_bytes(b"".join(lines[:-1]) + b" " + lines[-1])
+        assert VersionChain.load(log).commits == chain.commits
+    assert len(calls) == 1
+    assert loaded.commits == chain.commits
+    assert loaded.graph.state_equal(chain.graph)
+
+
+def test_log_value_types_are_immutable_tuples_of_their_fields():
+    """`Edge`, `EdgeDelta` and `Commit` hash as their field tuples (so sets
+    and dicts of them keep their order), refuse assignment, and print as
+    before: `InvalidDelta` messages print an `Edge`."""
+    e = Edge("n0", "n1", "north", 1)
+    d = add(e)
+    c = Commit(3, 3, (d,), TRIGGER_REPAIR, 3, "why", (("n1", "Hall"),))
+    fields = {e: ("src", "dst", "direction", "step_id"),
+              d: ("op", "edge"),
+              c: ("index", "step_id", "deltas", "trigger", "obs_id",
+                  "analysis", "new_nodes", "renames", "drops")}
+    for value, names in fields.items():
+        assert hash(value) == hash(tuple(getattr(value, f) for f in names))
+        for f in (*names, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, f, None)
+    assert c.renames == c.drops == ()
+    assert sorted([Edge("n0", "n1", "up", 0), e]) == [e, Edge("n0", "n1",
+                                                              "up", 0)]
+    assert repr(e) == "Edge(src='n0', dst='n1', direction='north', step_id=1)"
+    assert repr(d) == f"EdgeDelta(op='+', edge={e!r})"
+    chain = VersionChain()
+    _grow(chain, n=1)
+    with pytest.raises(InvalidDelta, match=re.escape(
+            f"remove of absent edge: {e._replace(direction='west')!r}")):
+        chain.commit([remove(Edge("n0", "n1", "west", 1))], TRIGGER_REPAIR,
+                     obs_id=9, analysis="")
