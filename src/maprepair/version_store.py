@@ -19,14 +19,17 @@ of one `json.JSONDecoder`, which skips the encoding detection and the
 whitespace passes of `json.loads`.  A line the scanner does not take whole
 (not UTF-8, led by whitespace, not JSON, or followed by anything but JSON
 whitespace) goes to `json.loads`, so the values accepted and the errors
-raised are those of `json.loads`.  `Commit`, `EdgeDelta` and `Edge` are
+raised are those of `json.loads` (but for a value nested near the
+recursion limit; see `_decode`).  `Commit`, `EdgeDelta` and `Edge` are
 named tuples, cheap to build and to hash.
 
 Loading drops a torn final line (cut off before its newline, so it does not
 parse) with a warning.  Any other line that does not parse (a delta op
 other than "+" or "-" included), a commit whose index is out of sequence,
-or a commit that does not apply to the graph the lines before it built,
-raises `CorruptLog` with the file and line.
+or a commit that does not apply to the graph the lines before it built (a
+map error, or a field of the wrong type: a name that is not a string, an
+unhashable id, direction or step), raises `CorruptLog` with the file and
+line.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class EdgeDelta(NamedTuple):
 
     @classmethod
     def from_json(cls, d: dict) -> "EdgeDelta":
-        delta = cls(d["op"], Edge(d["src"], d["dst"], d["dir"], d["step"]))
+        delta = cls(d["op"], Edge.from_json(d))
         _check_ops((delta,))
         return delta
 
@@ -105,14 +108,12 @@ class Commit(NamedTuple):
 
     @classmethod
     def from_json(cls, d: dict) -> "Commit":
-        # keys are read in field order, and the ops are checked last, so a
-        # line with several faults reports the first key that fails
-        c = cls(
+        # keys are read in field order, a delta's op right after its edge,
+        # so a line with several faults reports the first one read
+        return cls(
             d["index"],
             d["step_id"],
-            tuple([EdgeDelta(x["op"],
-                             Edge(x["src"], x["dst"], x["dir"], x["step"]))
-                   for x in d["deltas"]]),
+            tuple([EdgeDelta.from_json(x) for x in d["deltas"]]),
             d["trigger"],
             d["obs_id"],
             d["analysis"],
@@ -121,8 +122,6 @@ class Commit(NamedTuple):
                    for r in d.get("renames", ())]),
             tuple([(n["id"], n["name"]) for n in d.get("drops", ())]),
         )
-        _check_ops(c.deltas)
-        return c
 
 
 def _steps(c: Commit) -> list[tuple]:
@@ -295,7 +294,9 @@ class VersionChain:
                             f"{len(chain.commits)} was expected")
                     try:
                         _apply_commit(chain.graph, c)
-                    except MapRepairError as exc:
+                    except (MapRepairError, TypeError, AttributeError) as exc:
+                        # a map error, or a field of the wrong type: a
+                        # name that is not a string, an unhashable key
                         raise CorruptLog(
                             f"{log_path}:{lineno}: {exc}") from exc
                     chain.commits.append(c)
@@ -319,7 +320,9 @@ def _decode(raw: bytes):
     """`json.loads(raw)`, without its encoding detection and whitespace
     passes on a line that is UTF-8, starts with its value and has only JSON
     whitespace after it.  Any other line goes to `json.loads`, so the values
-    accepted and the exceptions raised are the same."""
+    accepted and the exceptions raised are the same, but for one: a value
+    nested within a few frames of the recursion limit can decode here where
+    `json.loads`, called a few frames deeper, raises `RecursionError`."""
     try:
         s = raw.decode()
         value, end = _scan_once(s, 0)

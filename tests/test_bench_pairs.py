@@ -77,11 +77,11 @@ def test_pairs_merge_into_the_file_and_touch_no_checkout(tmp_path, capsys):
     out = tmp_path / "BENCH_x.json"
     args = ["--parent", str(parent), "--change", str(change),
             "--workload", "repair-mixed", "--seed", "0", "--pairs", "2",
-            "--seconds", "1", "--out", str(out), "--parent-rev", "abc123"]
+            "--seconds", "1", "--out", str(out)]
     assert bench_pairs.main(args) == 0
     assert bench_pairs.main(args[:9] + ["1"] + args[10:]) == 0
     data = json.loads(out.read_text())
-    assert data["parent"] == "abc123"
+    assert data["parent"] == bench_pairs.revision(parent)
     assert set(data) == {"description", "parent", "hardware", "runs"}
     runs = data["runs"]["repair-mixed"]["0"]
     assert sorted(runs) == ["change", "parent"]

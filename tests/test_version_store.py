@@ -3,14 +3,15 @@ import json
 import os
 import re
 import warnings
+from typing import Optional
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    reference_apply_commit, reference_commit_from_json, reference_load,
-    unapplied,
+    reference_apply_commit, reference_commit_from_json,
+    reference_delta_from_json, reference_load, unapplied,
 )
 from maprepair import cli
 from maprepair.errors import (
@@ -481,15 +482,17 @@ def test_failed_commit_leaves_no_line_in_the_log(tmp_path, monkeypatch,
 
 
 
-def _log_with_line(tmp_path, delta: dict, newline: bool = True):
+def _log_with_line(tmp_path, delta: Optional[dict], newline: bool = True,
+                   **fields):
     """A log of commits 0 and 1 (n0 -> n1 north 1), then a commit 2 line
-    holding `delta`, with or without its newline."""
+    holding `delta` (if any) and `fields`, with or without its newline."""
     log = tmp_path / "chain.jsonl"
     chain = VersionChain(log_path=log)
     _grow(chain, n=1)
     chain.close()
-    line = {"index": 2, "step_id": 2, "deltas": [delta],
-            "trigger": TRIGGER_REPAIR, "obs_id": 2, "analysis": "bad"}
+    line = {"index": 2, "step_id": 2, "deltas": [delta] if delta else [],
+            "trigger": TRIGGER_REPAIR, "obs_id": 2, "analysis": "bad",
+            **fields}
     with open(log, "ab") as fh:
         fh.write(json.dumps(line).encode() + (b"\n" if newline else b""))
     return log, chain
@@ -532,19 +535,27 @@ def test_commit_refuses_an_unknown_delta_op(tmp_path):
     assert log.read_bytes() == wal
 
 
-@pytest.mark.parametrize("delta, cause", [
-    ({"op": "-", "src": "n0", "dst": "n1", "dir": "east", "step": 7},
+@pytest.mark.parametrize("delta, fields, cause", [
+    ({"op": "-", "src": "n0", "dst": "n1", "dir": "east", "step": 7}, {},
      InvalidDelta),
-    ({"op": "+", "src": "n0", "dst": "ghost", "dir": "east", "step": 7},
+    ({"op": "+", "src": "n0", "dst": "ghost", "dir": "east", "step": 7}, {},
      UnknownNode),
-    ({"op": "+", "src": "n0", "dst": "n0", "dir": "north", "step": 1},
+    ({"op": "+", "src": "n0", "dst": "n0", "dir": "north", "step": 1}, {},
      DuplicateEdge),
-], ids=["absent edge", "unknown node", "duplicate key"])
+    (None, {"nodes": [{"id": "n9", "name": 1}]}, AttributeError),
+    (None, {"nodes": [{"id": [], "name": "Hall"}]}, TypeError),
+    (None, {"renames": [{"id": "n1", "old": "Room 1", "new": None}]},
+     AttributeError),
+    ({"op": "+", "src": "n0", "dst": "n1", "dir": [], "step": 7}, {},
+     TypeError),
+], ids=["absent edge", "unknown node", "duplicate key", "name", "node id",
+        "new name", "direction"])
 def test_load_reports_a_commit_that_does_not_apply(tmp_path, capsys, delta,
-                                                   cause):
-    """A line that parses but does not apply is `CorruptLog` at its line,
-    caused by the error the apply raised."""
-    log, _ = _log_with_line(tmp_path, delta)
+                                                   fields, cause):
+    """A line that parses but does not apply (a map error, or a field of
+    the wrong type for the map) is `CorruptLog` at its line, caused by the
+    error the apply raised, not a traceback."""
+    log, _ = _log_with_line(tmp_path, delta, **fields)
     with pytest.raises(CorruptLog) as caught:
         VersionChain.load(log)
     exc = caught.value
@@ -732,26 +743,30 @@ def _assert_same(a, b):
 
 def _fixed(log, wal: bytes):
     """The reference's parse and apply with the two fixes: an unknown op
-    does not parse, and a commit that does not apply is `CorruptLog` at its
-    line.  `fired` records each time a fix changed what happens."""
+    does not parse, and a commit that does not apply (a map error, or a
+    field of the wrong type) is `CorruptLog` at its line.  `fired` records
+    each time a fix changed what happens."""
     fired = []
     # the k-th commit applied is on the k-th line that is not blank
     linenos = iter([n for n, raw in enumerate(_lines(wal), start=1)
                     if raw.strip()])
 
     def from_json(d):
-        c = reference_commit_from_json(d)
-        for x in c.deltas:
-            if x.op not in ("+", "-"):
+        # each delta's op is checked once its edge is read, before the
+        # keys after it
+        d["index"], d["step_id"]
+        for x in d["deltas"]:
+            op = reference_delta_from_json(x).op
+            if op not in ("+", "-"):
                 fired.append("op")
-                raise ValueError(f"unknown delta op: {x.op!r}")
-        return c
+                raise ValueError(f"unknown delta op: {op!r}")
+        return reference_commit_from_json(d)
 
     def apply(g, c):
         lineno = next(linenos)
         try:
             reference_apply_commit(g, c)
-        except MapRepairError as exc:
+        except (MapRepairError, TypeError, AttributeError) as exc:
             fired.append("apply")
             raise CorruptLog(f"{log}:{lineno}: {exc}") from exc
 
@@ -764,14 +779,17 @@ def test_load_equals_the_reference_on_corrupted_logs(data, tmp_path_factory):
     """`load` on a random log, corrupted at random, gives the commits,
     graph, exception, warnings and file bytes of the first `load`, but for
     the two fixes: an unknown op and a commit that does not apply are
-    `CorruptLog` at their line (or a torn final line)."""
+    `CorruptLog` at their line (or a torn final line).  Any log that does
+    not load is `CorruptLog`."""
     log = tmp_path_factory.mktemp("replay") / "chain.jsonl"
     wal = _corrupt(data, _random_log(data, log))
     append = data.draw(st.booleans())
     from_json, apply, fired = _fixed(log, wal)
     fixed = _outcome(lambda p, append: reference_load(
         p, append, from_json=from_json, apply=apply), log, wal, append)
-    _assert_same(_outcome(VersionChain.load, log, wal, append), fixed)
+    loaded = _outcome(VersionChain.load, log, wal, append)
+    _assert_same(loaded, fixed)
+    assert loaded[1] is None or loaded[1][0] is CorruptLog
     if not fired:
         _assert_same(_outcome(reference_load, log, wal, append), fixed)
 

@@ -152,9 +152,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--parent-rev",
-                        help="the parent's name in --out (default: its git "
-                             "revision, else its directory name)")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
@@ -166,7 +163,7 @@ def main(argv=None) -> int:
         "--seconds T --trace X`; `runs` holds --trace 0 runs and `traced` "
         "--trace 1 runs. Within pair k the parent ran first when k is even "
         "and the change ran first when k is odd.")
-    data.setdefault("parent", args.parent_rev or revision(checkouts["parent"]))
+    data.setdefault("parent", revision(checkouts["parent"]))
     data.setdefault("hardware", hardware())
     group = "traced" if args.trace else "runs"
     by_side = data.setdefault(group, {}).setdefault(
