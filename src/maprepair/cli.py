@@ -40,8 +40,10 @@ def cmd_build(args) -> int:
     text = Path(args.transcript).read_text(encoding="utf-8")
     steps = parse_transcript(text)
     chain = VersionChain(log_path=args.log)
-    g = construct_graph(steps, chain)
-    chain.close()
+    try:
+        g = construct_graph(steps, chain)
+    finally:
+        chain.close()
     print(f"built {len(g.nodes)} nodes, {len(g.edge_set())} edges "
           f"over {chain.head + 1} commits -> {args.log}")
     if args.graph:
@@ -108,15 +110,18 @@ def _make_advisor(args):
 
 
 def cmd_repair(args) -> int:
-    chain = VersionChain.load(args.log, append=args.append)
+    # the advisor first: a bad advisor setting leaves the log untouched
     advisor = _make_advisor(args)
     ledger = getattr(advisor, "ledger", None)
     config = ToolConfig(edge_impact=not args.no_edge_impact,
                         version_control=not args.no_version_control)
-    g, sessions, metrics = run_repair(chain, config, advisor,
-                                      max_attempts=args.max_attempts,
-                                      ledger=ledger)
-    chain.close()
+    chain = VersionChain.load(args.log, append=args.append)
+    try:
+        g, sessions, metrics = run_repair(chain, config, advisor,
+                                          max_attempts=args.max_attempts,
+                                          ledger=ledger)
+    finally:
+        chain.close()
     for s in sessions:
         print(f"session {s.primary.kind}/{s.primary.subkind}: {s.outcome} "
               f"({s.attempts} attempts, {s.loop_count} loops, "

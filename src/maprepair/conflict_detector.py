@@ -10,12 +10,16 @@ Unreachable nodes are reported as warnings, not conflicts: construction
 legitimately creates frontier nodes.  Over-connected components are out of
 scope (no threshold is defined for them).
 
-Detection makes one pass over the graph's adjacency and name indices and
-sorts only what it reports: the (src, direction) groups with two or more
-exits, the asymmetric pairs (each stored lesser edge first), the names
-held by nodes at two or more positions and the cells that hold more than
-one room.  Edges are ordered by plain tuples, never by `Edge` comparison.
-Each conflict is built once, stamped with the commit it was detected at.
+Detection walks the graph's adjacency index in place
+(`NavGraph.adjacency`) and its name index, and sorts only what it
+reports: the (src, direction) groups with two or more exits, the
+asymmetric pairs, the names held by nodes at two or more positions and
+the cells that hold more than one room.  An asymmetric pair is found from
+its edge out of the lesser room (a self-loop, from the lesser self-loop)
+by a look at the other room's exits, so no edge is grouped or copied.  An
+`Edge` is a plain tuple, so edges sort by tuple comparison and are
+unpacked by position in the loops.  Each conflict is built once, stamped
+with the commit it was detected at.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph_core import Edge, NavGraph, reverse_direction
+from .graph_core import REVERSE, Edge, NavGraph, reverse_direction
 from .position_inference import PositionMap, infer_positions, position_overlaps
 
 KIND_DIRECTIONAL = "directional"
@@ -78,23 +82,19 @@ def _jsonable(x):
     return x
 
 
-def _edge_order(e: Edge) -> tuple:
-    """`Edge` order as a plain tuple, so sorting calls no Python `__lt__`."""
-    return (e.src, e.dst, e.direction, e.step_id)
-
-
 def detect_directional(g: NavGraph,
                        commit: Optional[int] = None) -> list[Conflict]:
-    groups = [(src, direction, exits) for src in g.nodes
-              for direction, exits in g.exits(src) if len(exits) >= 2]
+    groups = [(src, direction, by_step)
+              for src, by_dir in g.adjacency().items()
+              for direction, by_step in by_dir.items() if len(by_step) >= 2]
     groups.sort(key=lambda group: group[:2])
     out = []
-    for src, direction, exits in groups:
-        edges = tuple(sorted(exits, key=_edge_order))
+    for src, direction, by_step in groups:
+        edges = tuple(sorted(by_step.values()))
         out.append(Conflict(
             kind=KIND_DIRECTIONAL,
             subkind=KIND_DIRECTIONAL,
-            nodes=tuple(sorted({src} | {e.dst for e in edges})),
+            nodes=tuple(sorted({src, *(e[1] for e in edges)})),
             edges=edges,
             witness=(src, direction),
             first_visible_commit=commit,
@@ -123,24 +123,27 @@ def detect_naming(g: NavGraph, pm: PositionMap,
 
 def _asymmetric_pairs(g: NavGraph) -> list[tuple[Edge, Edge]]:
     """Pairs of edges joining two rooms both ways whose directions are not
-    each other's reverse, the lesser edge first, in order."""
-    between: dict[tuple[str, str], list[Edge]] = {}
-    for e in g.edges():
-        between.setdefault((e.src, e.dst), []).append(e)
+    each other's reverse, the lesser edge first, in order.  Each pair is
+    found from its edge out of the lesser room, by a look at the other
+    room's exits; a self-loop pairs with the greater self-loops."""
+    adjacency = g.adjacency()
     pairs = []
-    for (src, dst), edges in between.items():
-        if src == dst:  # self-loops pair with each other
-            for i, e in enumerate(edges):
-                for f in edges[i + 1:]:
-                    if f.direction != reverse_direction(e.direction):
-                        pairs.append((e, f) if _edge_order(e) < _edge_order(f)
-                                     else (f, e))
-        elif src < dst:  # so the edge from `src` is the lesser
-            for e in edges:
-                for f in between.get((dst, src), ()):
-                    if f.direction != reverse_direction(e.direction):
-                        pairs.append((e, f))
-    pairs.sort(key=lambda pair: _edge_order(pair[0]) + _edge_order(pair[1]))
+    for src, by_dir in adjacency.items():
+        for direction, by_step in by_dir.items():
+            reverse = REVERSE[direction]
+            for e in by_step.values():
+                dst = e[1]
+                if dst < src:
+                    continue
+                back = adjacency.get(dst)
+                if back is None:
+                    continue
+                for d, fs in back.items():
+                    if d != reverse:
+                        for f in fs.values():
+                            if f[1] == src and (dst != src or e < f):
+                                pairs.append((e, f))
+    pairs.sort()
     return pairs
 
 

@@ -8,10 +8,14 @@ reachability, distinct-conflict membership and conflict-path usage
 
 Paths are ordered by (length, step-id sequence), an order that survives
 appending an edge, so one single-source search from the origin
-(`shortest_path_tree`) holds every node's path.  A repair context builds
-that tree once and reads both the target's path pair and every other open
-conflict's from it; the candidates' reach comes from one strongly
-connected component pass (`NavGraph.reach_sizes`), not one search each.
+(`shortest_path_tree`) holds every node's path.  The search is a
+level-synchronous BFS over the adjacency index: each level's nodes are
+ranked by their key, so a child's key is an int pair (parent rank, step
+id), not a step-id sequence that grows with the path.  A repair context
+builds that tree once and reads both the target's path pair and every
+other open conflict's from it; the candidates' reach comes from one
+strongly connected component pass (`NavGraph.reach_sizes`), not one
+search each.
 
 Edges corroborated by a consistent reverse observation (u->v:d matched by
 v->u:reverse(d)) are exempt from candidacy: both directions were observed
@@ -20,7 +24,6 @@ to agree, so the edge is very unlikely to be the root cause.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -87,11 +90,13 @@ class PathTree:
         when `target` is not reached."""
         if target != self.start and target not in self.via:
             raise Unreachable(f"no path from {self.start} to {target}")
-        nodes, edges = [target], []
-        while nodes[-1] != self.start:
-            e = self.via[nodes[-1]]
+        via, node = self.via, target
+        nodes, edges = [node], []
+        while node != self.start:
+            e = via[node]
+            node = e[0]
             edges.append(e)
-            nodes.append(e.src)
+            nodes.append(node)
         return tuple(reversed(nodes)), tuple(reversed(edges))
 
 
@@ -100,20 +105,43 @@ def shortest_path_tree(g: NavGraph, start: str) -> PathTree:
     smallest step-id sequence, then by node id.  A path's key only grows
     when an edge is appended, so each node keeps the entering edge of its
     best key and every path from the tree is the one a search for that
-    node alone would settle on."""
-    best: dict[str, tuple] = {start: (0, ())}
+    node alone would settle on.
+
+    The search runs level by level.  A level's nodes are ranked by (key,
+    node id), equal keys sharing a rank, so a child's key is the int pair
+    (parent rank, step id) and never grows with the path.  Parents are
+    visited in rank order, and the first edge to reach a child's least key
+    enters it, as off a heap of full keys: a later parent of the same rank
+    wins only with a lesser step id, and one parent's edges count in
+    (step id, `Edge`) order."""
+    adjacency = g.adjacency()
     via: dict[str, Edge] = {}
-    heap = [(0, (), start)]
-    while heap:
-        length, steps, node = heapq.heappop(heap)
-        if (length, steps) > best[node]:
-            continue
-        for e in sorted(g.out_edges(node), key=lambda e: e.step_id):
-            key = (length + 1, steps + (e.step_id,))
-            if e.dst not in best or key < best[e.dst]:
-                best[e.dst] = key
-                via[e.dst] = e
-                heapq.heappush(heap, (key[0], key[1], e.dst))
+    seen = {start}
+    level = [(0, start)]  # (rank, node), in rank order
+    while level:
+        best: dict[str, tuple] = {}  # next-level node -> (rank, step, node)
+        for rank, node in level:
+            by_dir = adjacency.get(node)
+            if by_dir is None:
+                continue
+            for by_step in by_dir.values():
+                for step, e in by_step.items():
+                    dst = e[1]
+                    if dst in seen:
+                        continue
+                    held = best.get(dst)
+                    if held is None or rank == held[0] and (
+                            step < held[1] or step == held[1]
+                            and via[dst][0] == node and e[2] < via[dst][2]):
+                        best[dst] = (rank, step, dst)
+                        via[dst] = e
+        level = []
+        rank = last_rank = last_step = -1  # no parent rank is -1
+        for parent_rank, step, node in sorted(best.values()):
+            if step != last_step or parent_rank != last_rank:
+                rank, last_rank, last_step = rank + 1, parent_rank, step
+            level.append((rank, node))
+        seen.update(best)
     return PathTree(start, via)
 
 

@@ -9,7 +9,7 @@ them is the conflict detector's job, removing them the refiner's.  An
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import DuplicateEdge, UnknownNode
 
@@ -19,7 +19,7 @@ DIRECTIONS = (
     "in", "out", "enter", "exit",
 )
 
-_REVERSE = {
+REVERSE = {
     "north": "south", "south": "north",
     "east": "west", "west": "east",
     "up": "down", "down": "up",
@@ -45,11 +45,11 @@ COMPASS = frozenset(d for d, v in DISPLACEMENT.items() if v != (0, 0, 0))
 
 
 def is_direction(s: str) -> bool:
-    return s in _REVERSE
+    return s in REVERSE
 
 
 def reverse_direction(d: str) -> str:
-    return _REVERSE[d]
+    return REVERSE[d]
 
 
 def displacement(d: str) -> tuple[int, int, int]:
@@ -213,11 +213,13 @@ class NavGraph:
     def edges_between(self, src: str, dst: str) -> list[Edge]:
         return sorted(e for e in self._out_iter(src) if e.dst == dst)
 
-    def exits(self, src: str) -> Iterator[tuple[str, Collection[Edge]]]:
-        """(direction, out-edges) for every direction `src` has an exit in.
-        Neither the directions nor the edges come in any particular order."""
-        return ((d, by_step.values())
-                for d, by_step in self._out.get(src, {}).items())
+    def adjacency(self) -> Mapping[str, Mapping[str, Mapping[int, Edge]]]:
+        """The graph's one edge index, src -> direction -> step id -> Edge,
+        for passes that walk it in place.  Only sources with an exit have an
+        entry, and no level is empty.  Neither the sources, the directions
+        nor the steps come in any particular order.  Read-only: it is the
+        live index, not a copy, and is valid until the graph next changes."""
+        return self._out
 
     # -- queries ----------------------------------------------------------
 
@@ -239,19 +241,25 @@ class NavGraph:
         pass: Tarjan's strongly connected components over what the starts
         reach.  Tarjan closes a component only after every component it
         reaches, so a component's reach is an int bitset of its own nodes
-        OR-ed with its successor components' bitsets."""
+        OR-ed with its successor components' bitsets.  Each node's
+        destinations are read from the index once, when it is numbered."""
+        out = self._out
         number: dict[str, int] = {}  # node -> DFS number, its bit
         low: dict[str, int] = {}
         component: dict[str, int] = {}  # node -> index into `reach`
+        successors: dict[str, list[str]] = {}
         reach: list[int] = []
         stack: list[str] = []  # visited nodes whose component is open
 
         def visit(node: str) -> tuple:
             """Number and push `node`; its DFS frame is the node, an
-            iterator over its successors and its place on the stack."""
+            iterator over its destinations and its place on the stack."""
             number[node] = low[node] = len(number)
             stack.append(node)
-            return node, (e.dst for e in self._out_iter(node)), len(stack) - 1
+            by_dir = out.get(node)
+            dsts = successors[node] = [] if by_dir is None else [
+                e[1] for by_step in by_dir.values() for e in by_step.values()]
+            return node, iter(dsts), len(stack) - 1
 
         roots = list(starts)
         for root in roots:
@@ -261,18 +269,19 @@ class NavGraph:
                 continue
             work = [visit(root)]
             while work:
-                node, successors, depth = work[-1]
-                for m in successors:
+                node, dsts, depth = work[-1]
+                for m in dsts:
                     if m not in number:
                         work.append(visit(m))
                         break
-                    if m not in component:
-                        low[node] = min(low[node], number[m])
+                    if m not in component and number[m] < low[node]:
+                        low[node] = number[m]
                 else:
                     work.pop()
                     if work:
                         parent = work[-1][0]
-                        low[parent] = min(low[parent], low[node])
+                        if low[node] < low[parent]:
+                            low[parent] = low[node]
                     if low[node] != number[node]:
                         continue
                     members = stack[depth:]
@@ -282,9 +291,10 @@ class NavGraph:
                         component[m] = index
                         bits |= 1 << number[m]
                     for m in members:
-                        for e in self._out_iter(m):
-                            if component[e.dst] != index:
-                                bits |= reach[component[e.dst]]
+                        for d in successors[m]:
+                            c = component[d]
+                            if c != index:
+                                bits |= reach[c]
                     reach.append(bits)
         return {s: reach[component[s]].bit_count() for s in roots}
 

@@ -7,20 +7,23 @@ geometry and do not propagate.  When a node has several same-direction
 out-edges (a directional conflict), only the minimum-step one defines
 geometry; the others do not fabricate positions.
 
-A node's propagating edges are read straight from the graph's adjacency
-index, one minimum-step edge per compass direction; only those few are
-sorted.  Two directions whose minimum steps are equal go in the order
-their exits come in `Edge` order: the direction with the lowest
-destination among its exits first, then by direction name.
+Both `infer_positions` and `extend_positions` walk the graph's one
+adjacency index in place (`NavGraph.adjacency`) and rank a node's
+propagating edges with one helper, `_propagating`: one minimum-step edge
+per compass direction, and only those few are sorted.  Two directions
+whose minimum steps are equal go in the order their exits come in `Edge`
+order: the direction with the lowest destination among its exits first,
+then by direction name.  Edges are unpacked by position, never read by
+field name, in these loops.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
+from typing import Mapping
 
-from .graph_core import COMPASS, Edge, NavGraph, displacement
+from .graph_core import COMPASS, DISPLACEMENT, Edge, NavGraph
 
 Position = tuple[int, int, int]
 
@@ -42,46 +45,54 @@ class PositionMap:
         return self.assignment.get(node)
 
 
-def _propagating_edges(g: NavGraph, node: str) -> list[Edge]:
-    """Compass out-edges of `node`, one per direction (minimum step), in
-    step order; equal steps in `Edge` order of their directions' exits."""
+def _propagating(by_dir: Mapping[str, Mapping[int, Edge]]) -> list[tuple]:
+    """A node's propagating edges from its `NavGraph.adjacency` entry:
+    `(step, lowest destination, direction, edge)` for each compass
+    direction's minimum-step edge, in step order; equal steps in `Edge`
+    order of their directions' exits.  Directions differ, so sorting never
+    compares two edges."""
     ranked = []
-    for direction, exits in g.exits(node):
+    for direction, by_step in by_dir.items():
         if direction not in COMPASS:
             continue
-        if len(exits) == 1:
-            first, = exits
-            ranked.append((first.step_id, first.dst, direction, first))
+        if len(by_step) == 1:
+            for step, e in by_step.items():
+                ranked.append((step, e[1], direction, e))
         else:
-            first = min(exits, key=attrgetter("step_id"))
-            ranked.append((first.step_id, min(e.dst for e in exits),
-                           direction, first))
-    ranked.sort()  # directions differ, so no two edges are compared
-    return [r[3] for r in ranked]
+            step = min(by_step)
+            ranked.append((step, min(e[1] for e in by_step.values()),
+                           direction, by_step[step]))
+    if len(ranked) > 1:
+        ranked.sort()
+    return ranked
 
 
 def infer_positions(g: NavGraph) -> PositionMap:
     pm = PositionMap()
     if g.origin is None:
         return pm
-    pm.assignment[g.origin] = (0, 0, 0)
+    adjacency = g.adjacency()
+    assignment = pm.assignment
+    assignment[g.origin] = (0, 0, 0)
     queue: deque[str] = deque([g.origin])
     seen_bad: set[tuple] = set()
     while queue:
         node = queue.popleft()
-        px, py, pz = pm.assignment[node]
-        for e in _propagating_edges(g, node):
-            dx, dy, dz = displacement(e.direction)
+        by_dir = adjacency.get(node)
+        if by_dir is None:
+            continue
+        px, py, pz = assignment[node]
+        for _, _, direction, e in _propagating(by_dir):
+            dst = e[1]
+            dx, dy, dz = DISPLACEMENT[direction]
             derived = (px + dx, py + dy, pz + dz)
-            known = pm.assignment.get(e.dst)
+            known = assignment.get(dst)
             if known is None:
-                pm.assignment[e.dst] = derived
-                queue.append(e.dst)
-            elif known != derived:
-                inc = Inconsistency(e.dst, known, derived, e)
-                if (inc.node, inc.assigned, inc.derived, inc.via) not in seen_bad:
-                    seen_bad.add((inc.node, inc.assigned, inc.derived, inc.via))
-                    pm.inconsistent.append(inc)
+                assignment[dst] = derived
+                queue.append(dst)
+            elif known != derived and (dst, known, derived, e) not in seen_bad:
+                seen_bad.add((dst, known, derived, e))
+                pm.inconsistent.append(Inconsistency(dst, known, derived, e))
     pm.inconsistent.sort()
     return pm
 
@@ -108,16 +119,19 @@ def extend_positions(g: NavGraph, pm: PositionMap, edge: Edge) -> bool:
         return True  # an older edge still defines this direction's geometry
     if others:
         return False
+    adjacency = g.adjacency()
     pending: deque[Edge] = deque([edge])
     while pending:
-        e = pending.popleft()
-        px, py, pz = pm.assignment[e.src]
-        dx, dy, dz = displacement(e.direction)
+        src, dst, direction, _ = pending.popleft()
+        px, py, pz = pm.assignment[src]
+        dx, dy, dz = DISPLACEMENT[direction]
         derived = (px + dx, py + dy, pz + dz)
-        known = pm.assignment.get(e.dst)
+        known = pm.assignment.get(dst)
         if known is None:
-            pm.assignment[e.dst] = derived
-            pending.extend(_propagating_edges(g, e.dst))
+            pm.assignment[dst] = derived
+            by_dir = adjacency.get(dst)
+            if by_dir is not None:
+                pending.extend(r[3] for r in _propagating(by_dir))
         elif known != derived:
             return False
     return True

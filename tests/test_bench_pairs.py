@@ -87,6 +87,9 @@ def test_pairs_merge_into_the_file_and_touch_no_checkout(tmp_path, capsys):
     assert sorted(runs) == ["change", "parent"]
     assert sorted(runs["change"], key=int) == ["0", "1", "2"]
     assert runs["parent"]["2"]["metrics"]["item_s_p50"]["value"] == 2.0
+    for side, checkout in (("parent", parent), ("change", change)):
+        assert {run["source"] for run in runs[side].values()} == {
+            bench_pairs.source_digest(checkout)}
     assert {p: sorted(p.rglob("*")) for p in (parent, change)} == before
     printed = capsys.readouterr().out
     assert "item_s_p50" in printed and "3/3" in printed
@@ -104,3 +107,30 @@ def test_a_failed_run_stops_the_series(tmp_path):
                           "--seconds", "1", "--out", str(out)])
     # the parent's run, which came first, is kept
     assert list(json.loads(out.read_text())["runs"]["w"]["0"]) == ["parent"]
+
+
+def test_a_merge_across_sources_is_refused(tmp_path, capsys):
+    """A side whose src/ or perfbench/ changed since its runs in --out were
+    made is refused before any run; a cache directory does not count."""
+    parent = _fake_checkout(tmp_path / "parent", 2.0)
+    change = _fake_checkout(tmp_path / "change", 1.0)
+    out = tmp_path / "BENCH_x.json"
+    args = ["--parent", str(parent), "--change", str(change),
+            "--workload", "w", "--seed", "0", "--pairs", "1",
+            "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(args) == 0
+    cache = change / "perfbench" / "__pycache__"
+    cache.mkdir()
+    (cache / "run.cpython-311.pyc").write_bytes(b"\0")
+    assert bench_pairs.main(args) == 0  # the same sources append
+    stored = out.read_bytes()
+    capsys.readouterr()
+
+    (change / "src").mkdir()
+    (change / "src" / "lib.py").write_text("faster = True\n")
+    assert bench_pairs.main(args) == 2
+    assert "2 change run(s) of other sources" in capsys.readouterr().err
+    assert out.read_bytes() == stored
+    # a new file takes the new sources
+    fresh = tmp_path / "BENCH_y.json"
+    assert bench_pairs.main(args[:-1] + [str(fresh)]) == 0

@@ -1,9 +1,12 @@
+import gc
 import json
+import warnings
 
 import pytest
 
 from maprepair import cli
 from maprepair import fault_injector as fi
+from maprepair.errors import MapRepairError
 from maprepair.graph_core import Edge
 from maprepair.version_store import TRIGGER_OBSERVATION, VersionChain, add
 
@@ -151,6 +154,41 @@ def test_repair_oracle_requires_ledger(built_log, capsys):
     log, _ = built_log
     assert cli.main(["repair", "--log", str(log),
                      "--advisor", "oracle"]) == 2
+
+
+def _exit_code_and_resource_warnings(argv) -> tuple[int, list]:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+        gc.collect()  # an unclosed log file warns when it is collected
+    return code, [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_repair_that_fails_leaves_the_log_as_it_was(built_log, monkeypatch,
+                                                     capsys):
+    """An advisor that cannot be set up fails before the log is opened:
+    its torn final line is neither cut off nor ended, and no file is left
+    open.  A repair that raises closes the log it appended to."""
+    log, _ = built_log
+    with log.open("ab") as fh:
+        fh.write(b'{"index": 99, "torn')
+    before = log.read_bytes()
+    monkeypatch.delenv("MAPREPAIR_API_BASE", raising=False)
+    for advisor in (["--advisor", "llm"], ["--advisor", "oracle"]):
+        code, leaked = _exit_code_and_resource_warnings(
+            ["repair", "--log", str(log), "--append", *advisor])
+        assert (code, leaked) == (2, [])
+        assert log.read_bytes() == before
+    assert "error:" in capsys.readouterr().err
+
+    def failing_repair(*args, **kwargs):
+        raise MapRepairError("advisor gave up")
+
+    monkeypatch.setattr(cli, "run_repair", failing_repair)
+    code, leaked = _exit_code_and_resource_warnings(
+        ["repair", "--log", str(log), "--append"])
+    assert (code, leaked) == (2, [])
+    assert log.read_bytes() == before[:before.rindex(b"\n") + 1]
 
 
 def test_refine_command(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     brute_shortest, flip_edges, multigraphs, random_graph,
@@ -14,7 +14,7 @@ from maprepair.error_localizer import (
     candidate_edges, lowest_common_ancestor, minimal_path_pair,
     score_candidates, shortest_path, shortest_path_tree,
 )
-from maprepair.errors import EmptyCandidates, Unreachable
+from maprepair.errors import DuplicateEdge, EmptyCandidates, Unreachable
 from maprepair.graph_core import NavGraph
 
 
@@ -160,6 +160,62 @@ def _or_unreachable(fn, *args):
         return fn(*args)
     except Unreachable as exc:
         return f"Unreachable: {exc}"
+
+
+_LADDER_DIRECTIONS = ("north", "south", "east", "west")
+
+
+@st.composite
+def ladders(draw):
+    """Layered graphs 8-24 levels deep, 1-4 rooms a level, every step id 0
+    or 1, so that equal step-id sequences tie at every level.  Each room
+    is entered from the level above; cross edges join rooms of one level
+    and back edges climb.  Node ids are a shuffle of n0, n1, ..., so their
+    string order is neither their level order nor their numeric order."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=8, max_size=24))
+    levels = [[0]]
+    for width in widths:
+        first = sum(map(len, levels))
+        levels.append(list(range(first, first + width)))
+    count = sum(map(len, levels))
+    ids = draw(st.permutations(range(count)))
+    g = NavGraph()
+    for k in range(count):
+        g.add_node(f"R{k}", node_id=f"n{ids[k]}")
+    nid = [f"n{ids[k]}" for k in range(count)]
+    level_of = {k: depth for depth, level in enumerate(levels) for k in level}
+    edge = st.tuples(st.sampled_from(_LADDER_DIRECTIONS), st.integers(0, 1))
+    moves = []
+    for depth in range(1, len(levels)):
+        for k in levels[depth]:
+            for i, (d, step) in draw(st.lists(
+                    st.tuples(st.integers(0, 3), edge), min_size=1,
+                    max_size=3)):
+                above = levels[depth - 1]
+                moves.append((above[i % len(above)], k, d, step))
+    for a, b, (d, step) in draw(st.lists(
+            st.tuples(st.integers(0, count - 1), st.integers(0, count - 1),
+                      edge), max_size=2 * count)):
+        if level_of[b] <= level_of[a]:  # cross or back: never a shortcut
+            moves.append((a, b, d, step))
+    for a, b, d, step in moves:
+        try:
+            g.add_edge(nid[a], nid[b], d, step)
+        except DuplicateEdge:
+            pass
+    g.origin = nid[0]
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(ladders())
+def test_deep_ties_resolve_as_in_the_reference(g):
+    """Below a few levels a rank carried from level to level decides the
+    ties, which the heap decided by whole step-id sequences."""
+    tree = shortest_path_tree(g, g.origin)
+    for target in g.nodes:
+        want = _or_unreachable(reference_shortest_path, g, g.origin, target)
+        assert _or_unreachable(tree.path, target) == want
 
 
 @settings(max_examples=300, deadline=None)

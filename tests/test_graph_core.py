@@ -133,9 +133,9 @@ def test_out_in_and_between_queries():
     assert g.out_edges(a) == [e1, e2]
     assert g.in_edges(a) == [e3]
     assert g.edges_between(a, b) == [e1]
-    assert {d: list(es) for d, es in g.exits(a)} == {"north": [e1],
-                                                       "east": [e2]}
-    assert list(g.exits(c)) == []
+    assert g.adjacency() == {a: {"north": {1: e1}, "east": {2: e2}},
+                             b: {"south": {3: e3}}}
+    assert c not in g.adjacency()
 
 
 def test_reachable_matches_matrix_closure():

@@ -11,7 +11,11 @@ merged into ``--out`` after every run, so an interrupted series keeps the
 runs it finished.  The file's layout: ``description``, ``parent``,
 ``hardware``, and ``runs`` (``--trace 0``) or ``traced`` (``--trace 1``),
 each keyed workload -> seed -> side -> pair.  New pairs are numbered after
-the ones already in the file.
+the ones already in the file.  Each run's leaf also holds ``source``, a
+SHA-256 of its checkout's ``src/`` and ``perfbench/`` files; the script
+refuses (exit 2, before any run) to merge into an ``--out`` that holds a
+run of either side made from other sources, so runs of two versions never
+share one side.
 
 At the end it prints, for every metric of the workload and seed, each
 side's median and quartiles over the pairs that have both sides, and in
@@ -25,6 +29,7 @@ side.  The script writes only ``--out``; runs get no bytecode files, and
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -35,6 +40,7 @@ from pathlib import Path
 from statistics import median, quantiles
 
 SIDES = ("parent", "change")
+SOURCE_DIRS = ("src", "perfbench")
 
 
 def run_order(pair: int) -> tuple[str, str]:
@@ -136,6 +142,29 @@ def hardware() -> str:
             f"{platform.python_version()}, runs one at a time")
 
 
+def source_digest(checkout: Path) -> str:
+    """SHA-256 over the path and bytes of every file under the checkout's
+    `SOURCE_DIRS`, bytecode caches left out."""
+    h = hashlib.sha256()
+    for top in SOURCE_DIRS:
+        for path in sorted((checkout / top).rglob("*")):
+            rel = path.relative_to(checkout)
+            if path.is_file() and "__pycache__" not in rel.parts:
+                data = path.read_bytes()
+                h.update(f"{rel.as_posix()}\0{len(data)}\0".encode() + data)
+    return h.hexdigest()
+
+
+def foreign_runs(data: dict, side: str, digest: str) -> int:
+    """How many of `side`'s runs in `data` were made from sources other
+    than `digest` (or record none)."""
+    return sum(run.get("source") != digest
+               for group in ("runs", "traced")
+               for seeds in data.get(group, {}).values()
+               for sides in seeds.values()
+               for run in sides.get(side, {}).values())
+
+
 def revision(checkout: Path) -> str:
     done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short",
                            "HEAD"], capture_output=True, text=True)
@@ -157,6 +186,14 @@ def main(argv=None) -> int:
                  "change": args.change.resolve()}
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    digests = {side: source_digest(path) for side, path in checkouts.items()}
+    for side in SIDES:
+        foreign = foreign_runs(data, side, digests[side])
+        if foreign:
+            print(f"error: {args.out} holds {foreign} {side} run(s) of other "
+                  f"sources than {checkouts[side]}; use another --out",
+                  file=sys.stderr)
+            return 2
     data.setdefault("description",
         "Alternating parent/change perfbench pairs. Each leaf is the JSON "
         "result line of `python3 perfbench/run.py --workload W --seed S "
@@ -173,6 +210,7 @@ def main(argv=None) -> int:
     for pair in range(start, start + args.pairs):
         for side in run_order(pair):
             result = run_once(checkouts[side], args)
+            result["source"] = digests[side]
             by_side.setdefault(side, {})[str(pair)] = result
             args.out.write_text(json.dumps(data, indent=1) + "\n")
             print(f"pair {pair} {side}: {result['attempted']} item runs, "
