@@ -17,7 +17,7 @@ from .position_inference import PositionMap, extend_positions, \
     infer_positions, position_overlaps
 from .repair_engine import (
     AdvisorContext, RepairAction, RepairSession, ToolConfig, apply_action,
-    run_repair, run_session,
+    localize, run_repair, run_session,
 )
 from .transcript_parser import construct_graph, parse_transcript
 from .version_store import Commit, EdgeDelta, VersionChain, add, remove
@@ -32,8 +32,8 @@ __all__ = [
     "candidate_edges", "construct_graph", "detect_all",
     "detect_directional", "detect_naming", "detect_topological",
     "displacement", "extend_positions", "infer_positions", "is_direction",
-    "lowest_common_ancestor", "minimal_path_pair", "normalize_name",
-    "parse_transcript", "position_overlaps", "remove", "reverse_direction",
-    "run_repair", "run_session", "score_candidates", "shortest_path",
-    "shortest_path_tree", "unreachable_nodes",
+    "localize", "lowest_common_ancestor", "minimal_path_pair",
+    "normalize_name", "parse_transcript", "position_overlaps", "remove",
+    "reverse_direction", "run_repair", "run_session", "score_candidates",
+    "shortest_path", "shortest_path_tree", "unreachable_nodes",
 ]

@@ -1,15 +1,15 @@
 """Repair advisors: oracle, heuristic, remote LLM, and playback.
 
 Every advisor is a callable AdvisorContext -> RepairAction, so the engine
-treats them interchangeably and a recorded action stream can be replayed
-against the same conflicts.
+treats them interchangeably and the actions of a session transcript can be
+replayed against the same conflicts.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .conflict_detector import KIND_DIRECTIONAL, KIND_NAMING, SUB_OVERLAP, \
@@ -313,22 +313,12 @@ class LlmAdvisor:
 
 
 # ---------------------------------------------------------------------------
-# record / replay
-
-
-@dataclass
-class RecordingAdvisor:
-    inner: Callable[[AdvisorContext], RepairAction]
-    recorded: list[RepairAction] = field(default_factory=list)
-
-    def __call__(self, ctx: AdvisorContext) -> RepairAction:
-        action = self.inner(ctx)
-        self.recorded.append(action)
-        return action
+# replay
 
 
 class PlaybackAdvisor:
-    """Replays a fixed action sequence; gives up when it runs dry."""
+    """Replays a fixed action sequence, such as the actions of a session
+    transcript; gives up when it runs dry."""
 
     def __init__(self, actions: Sequence[RepairAction]):
         self._actions = list(actions)

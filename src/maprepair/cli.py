@@ -14,12 +14,10 @@ from pathlib import Path
 from . import advisors, fault_injector
 from .conflict_detector import detect_all, unreachable_nodes
 from .dataset_refiner import RawEdge, refine
-from .error_localizer import candidate_edges, minimal_path_pair, \
-    score_candidates, shortest_path_tree
-from .errors import MapRepairError, Unreachable
+from .errors import MapRepairError
 from .metrics_bench import emit_csv, emit_table
 from .position_inference import positions_tsv
-from .repair_engine import ToolConfig, run_repair
+from .repair_engine import ToolConfig, localize, run_repair
 from .transcript_parser import construct_graph, parse_transcript
 from .version_store import VersionChain
 
@@ -79,42 +77,42 @@ def cmd_localize(args) -> int:
               f"0..{len(conflicts) - 1}", file=sys.stderr)
         return EXIT_DATA
     target = conflicts[args.conflict]
-    g = chain.graph
-    tree = shortest_path_tree(g, g.origin) if g.origin is not None else None
+    pp, ranked = localize(chain.graph, target, conflicts,
+                          include_silent=args.include_silent)
     payload = {"conflict": target.to_json(), "lca": None,
                "path1": [], "path2": [], "candidates": []}
-    try:
-        pp = minimal_path_pair(g, target, tree)
-    except Unreachable:
-        pass  # the origin cannot reach it: no path pair, no ranking
-    else:
-        cands = candidate_edges(g, pp, include_silent=args.include_silent)
-        # no candidate when every edge on the path pair has its reverse
-        ranked = score_candidates(g, conflicts, cands, tree) if cands else []
+    if pp is not None:
         payload.update(lca=pp.lca, path1=list(pp.nodes1),
                        path2=list(pp.nodes2),
-                       candidates=[c.to_json() for c in ranked])
+                       candidates=[c.to_json() for c in ranked or ()])
     _write_or_print(json.dumps(payload, indent=2), args.out)
     return EXIT_OK
 
 
-def _make_advisor(args):
-    if args.advisor == "heuristic":
+def _make_advisor(name: str, ledger):
+    """The named advisor; `ledger` is the oracle's fault ledger."""
+    if name == "heuristic":
         return advisors.HeuristicAdvisor()
-    if args.advisor == "oracle":
-        if not args.ledger:
-            raise MapRepairError("oracle advisor needs --ledger")
-        data = json.loads(Path(args.ledger).read_text(encoding="utf-8"))
-        return advisors.OracleAdvisor(fault_injector.FaultLedger.from_json(data))
+    if name == "oracle":
+        return advisors.OracleAdvisor(ledger)
     return advisors.LlmAdvisor()
+
+
+def _tool_config(args) -> ToolConfig:
+    return ToolConfig(edge_impact=not args.no_edge_impact,
+                      version_control=not args.no_version_control)
 
 
 def cmd_repair(args) -> int:
     # the advisor first: a bad advisor setting leaves the log untouched
-    advisor = _make_advisor(args)
-    ledger = getattr(advisor, "ledger", None)
-    config = ToolConfig(edge_impact=not args.no_edge_impact,
-                        version_control=not args.no_version_control)
+    ledger = None
+    if args.advisor == "oracle":  # the only advisor that reads a ledger
+        if not args.ledger:
+            raise MapRepairError("oracle advisor needs --ledger")
+        data = json.loads(Path(args.ledger).read_text(encoding="utf-8"))
+        ledger = fault_injector.FaultLedger.from_json(data)
+    advisor = _make_advisor(args.advisor, ledger)
+    config = _tool_config(args)
     chain = VersionChain.load(args.log, append=args.append)
     try:
         g, sessions, metrics = run_repair(chain, config, advisor,
@@ -181,18 +179,14 @@ _BENCH_SUITE = (
 
 
 def cmd_bench(args) -> int:
+    config = _tool_config(args)
     rows = []
     for name, spec, kinds in _BENCH_SUITE:
         world = fault_injector.generate_world(spec)
         corrupted, ledger = fault_injector.inject(world, kinds,
                                                   seed=args.seed)
         chain = corrupted.build()
-        if args.advisor == "oracle":
-            advisor = advisors.OracleAdvisor(ledger)
-        else:
-            advisor = advisors.HeuristicAdvisor()
-        config = ToolConfig(edge_impact=not args.no_edge_impact,
-                            version_control=not args.no_version_control)
+        advisor = _make_advisor(args.advisor, ledger)
         _, _, metrics = run_repair(chain, config, advisor, ledger=ledger)
         rows.append((name, metrics))
     text = emit_csv(rows) if args.csv else emit_table(rows)
@@ -217,6 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="maprepair",
         description="Build, audit and repair walkthrough navigation maps.")
     sub = parser.add_subparsers(dest="command", required=True)
+    ablations = argparse.ArgumentParser(add_help=False)
+    ablations.add_argument("--no-edge-impact", action="store_true")
+    ablations.add_argument("--no-version-control", action="store_true")
 
     p = sub.add_parser("build", help="construct a map from a transcript")
     p.add_argument("--transcript", required=True)
@@ -237,14 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_localize)
 
-    p = sub.add_parser("repair", help="run the advisor repair loop")
+    p = sub.add_parser("repair", help="run the advisor repair loop",
+                       parents=[ablations])
     p.add_argument("--log", required=True)
     p.add_argument("--advisor", choices=("oracle", "heuristic", "llm"),
                    default="heuristic")
     p.add_argument("--ledger", help="fault ledger JSON (oracle advisor)")
     p.add_argument("--max-attempts", type=int, default=10)
-    p.add_argument("--no-edge-impact", action="store_true")
-    p.add_argument("--no-version-control", action="store_true")
     p.add_argument("--append", action="store_true",
                    help="append repair commits to the input log")
     p.add_argument("--graph", help="write the repaired graph as JSON")
@@ -268,13 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ledger")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("bench", help="run the synthetic benchmark suite")
+    p = sub.add_parser("bench", help="run the synthetic benchmark suite",
+                       parents=[ablations])
     p.add_argument("--advisor", choices=("oracle", "heuristic"),
                    default="heuristic")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--no-edge-impact", action="store_true")
-    p.add_argument("--no-version-control", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 
@@ -297,7 +292,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (MapRepairError, Unreachable) as exc:
+    except MapRepairError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

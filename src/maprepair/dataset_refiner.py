@@ -137,17 +137,15 @@ def refine(raw_edges: list[RawEdge]) -> tuple[NavGraph, RefinementReport]:
     # 4. reverse-edge conflicts: adding v->u:reverse(d) must not give v a
     #    second exit in that direction
     survivors, dropped = [], []
-    out_dirs = {(normalize_name(e.src), e.action, normalize_name(e.dst))
-                for e in kept}
+    # step 2 left one kept exit per (src, direction): its destination
+    exit_to = {(normalize_name(e.src), e.action): normalize_name(e.dst)
+               for e in kept}
     for e in kept:
         u, v = normalize_name(e.src), normalize_name(e.dst)
-        rev = reverse_direction(e.action)
-        collides = any((src, d, w) in out_dirs and w != u
-                       for (src, d, w) in out_dirs
-                       if src == v and d == rev)
+        collides = exit_to.get((v, reverse_direction(e.action)), u) != u
         if collides and u != v:
             dropped.append(e)
-            out_dirs.discard((u, e.action, v))
+            del exit_to[(u, e.action)]
         else:
             survivors.append(e)
     kept = survivors

@@ -11,11 +11,11 @@ appending an edge, so one single-source search from the origin
 (`shortest_path_tree`) holds every node's path.  The search is a
 level-synchronous BFS over the adjacency index: each level's nodes are
 ranked by their key, so a child's key is an int pair (parent rank, step
-id), not a step-id sequence that grows with the path.  A repair context
-builds that tree once and reads both the target's path pair and every
-other open conflict's from it; the candidates' reach comes from one
-strongly connected component pass (`NavGraph.reach_sizes`), not one
-search each.
+id), not a step-id sequence that grows with the path.
+`repair_engine.localize` builds that tree once per ranking and reads both
+the target's path pair and every other open conflict's from it; the
+candidates' reach comes from one strongly connected component pass
+(`NavGraph.reach_sizes`), not one search each.
 
 Edges corroborated by a consistent reverse observation (u->v:d matched by
 v->u:reverse(d)) are exempt from candidacy: both directions were observed
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .conflict_detector import (
     KIND_NAMING, SUB_ASYMMETRY, SUB_INCONSISTENCY, SUB_OVERLAP, Conflict,
@@ -187,13 +187,11 @@ def lowest_common_ancestor(nodes1: Sequence[str],
 
 
 def minimal_path_pair(g: NavGraph, conflict: Conflict,
-                      tree: Optional[PathTree] = None) -> PathPair:
+                      tree: PathTree) -> PathPair:
     """The conflict's path pair, read from `tree`, the origin's
-    `shortest_path_tree` of `g` (built here when not given)."""
+    `shortest_path_tree` of `g`."""
     if g.origin is None:
         raise Unreachable("graph has no origin")
-    if tree is None:
-        tree = shortest_path_tree(g, g.origin)
     t1, t2 = conflict_targets(conflict)
     nodes1, edges1 = tree.path(t1)
     nodes2, edges2 = tree.path(t2)
@@ -230,13 +228,11 @@ def _minmax(values: list[int]) -> list[float]:
 
 def score_candidates(g: NavGraph, conflicts: Iterable[Conflict],
                      cands: Sequence[Edge],
-                     tree: Optional[PathTree] = None) -> list[CandidateEdge]:
+                     tree: PathTree) -> list[CandidateEdge]:
     """Rank `cands`.  Every conflict's path pair is read from `tree`, the
-    origin's `shortest_path_tree` of `g` (built here when not given)."""
+    origin's `shortest_path_tree` of `g`."""
     if not cands:
         raise EmptyCandidates("no candidate edges to score")
-    if tree is None and g.origin is not None:
-        tree = shortest_path_tree(g, g.origin)
     in_conflicts: Counter = Counter()  # edge -> conflicts it belongs to
     on_paths: Counter = Counter()      # edge -> suffix paths it lies on
     for c in conflicts:

@@ -228,15 +228,20 @@ def _merge_commit(chain: VersionChain, keep: str, drop: str, obs_id: int,
     if keep == drop:
         raise IllegalAction("cannot merge a node with itself")
     deltas = []
-    incoming = [e for e in g.edges() if drop in (e.src, e.dst)]
-    kept_keys = {e.key for e in g.edges() if drop not in (e.src, e.dst)}
+    adjacency = g.adjacency()
+    incident = set(g.in_edges(drop))
+    for by_step in adjacency.get(drop, {}).values():
+        incident.update(by_step.values())
     replacement_edges = set()
-    for e in sorted(incoming):
+    for e in sorted(incident):
         deltas.append(remove(e))
         src = keep if e.src == drop else e.src
         dst = keep if e.dst == drop else e.dst
         moved = Edge(src, dst, e.direction, e.step_id)
-        if moved.key in kept_keys or moved in replacement_edges:
+        # the edge that holds the moved key stays unless it enters `drop`
+        holder = adjacency.get(src, {}).get(e.direction, {}).get(e.step_id)
+        if holder is not None and holder.dst != drop \
+                or moved in replacement_edges:
             continue  # the duplicate observation dissolves into the survivor
         replacement_edges.add(moved)
         deltas.append(add(moved))
@@ -267,6 +272,27 @@ def _state_commit(chain: VersionChain, target: NavGraph, obs_id: int,
 # the repair loop
 
 
+def localize(g: NavGraph, conflict: Conflict, conflicts: list[Conflict],
+             include_silent: bool = False
+             ) -> tuple[Optional[PathPair], Optional[list[CandidateEdge]]]:
+    """The conflict's path pair and its candidate edges ranked against the
+    open `conflicts`.  The candidates are the path pair's suffix edges, and
+    the suffix rooms' exits as well when `include_silent` is set or no
+    suffix edge is a candidate.  Both are None when the origin cannot
+    reach the conflict; the ranking is None when no edge is a candidate."""
+    if g.origin is None:
+        return None, None
+    # one origin tree holds every conflict's path pair at this head
+    tree = shortest_path_tree(g, g.origin)
+    try:
+        pp = minimal_path_pair(g, conflict, tree)
+    except Unreachable:
+        return None, None
+    cands = candidate_edges(g, pp, include_silent=include_silent) \
+        or candidate_edges(g, pp, include_silent=True)
+    return pp, score_candidates(g, conflicts, cands, tree) if cands else None
+
+
 def build_context(chain: VersionChain, config: ToolConfig, conflict: Conflict,
                   transcript: list[dict],
                   conflicts: list[Conflict]) -> AdvisorContext:
@@ -274,21 +300,8 @@ def build_context(chain: VersionChain, config: ToolConfig, conflict: Conflict,
     seeds = set(conflict.nodes)
     for e in conflict.edges:
         seeds.update((e.src, e.dst))
-    ranked = pp = None
-    if config.edge_impact:
-        # one origin tree holds every conflict's path pair at this head
-        tree = shortest_path_tree(g, g.origin) \
-            if g.origin is not None else None
-        try:
-            pp = minimal_path_pair(g, conflict, tree)
-        except Unreachable:
-            pp = None
-        if pp is not None:
-            cands = candidate_edges(g, pp)
-            if not cands:
-                cands = candidate_edges(g, pp, include_silent=True)
-            if cands:
-                ranked = score_candidates(g, conflicts, cands, tree)
+    pp, ranked = localize(g, conflict, conflicts) \
+        if config.edge_impact else (None, None)
     return AdvisorContext(
         conflict=conflict,
         graph=g,

@@ -19,6 +19,7 @@ from maprepair.conflict_detector import (
 from maprepair.dataset_refiner import RawEdge, refine
 from maprepair.error_localizer import (
     candidate_edges, conflict_targets, minimal_path_pair, score_candidates,
+    shortest_path_tree,
 )
 from maprepair.graph_core import DIRECTIONS, NavGraph
 from maprepair.metrics_bench import Metrics
@@ -45,7 +46,7 @@ def test_criterion_1_branching_fixture_localization():
     assert c.subkind == SUB_OVERLAP
     assert sorted(g.nodes[n] for n in c.nodes) == ["Room D", "Room I"]
 
-    pp = minimal_path_pair(g, c)
+    pp = minimal_path_pair(g, c, shortest_path_tree(g, g.origin))
     assert [g.nodes[n] for n in pp.nodes1] == ["Room B", "Room C", "Room D"]
     assert [g.nodes[n] for n in pp.nodes2] == \
         ["Room B", "Room E", "Room G", "Room H", "Room I"]
@@ -264,12 +265,13 @@ def test_criterion_5_scoring_matches_brute_force():
                 suffix_paths.extend(pair)
                 edges |= set(pair[0]) | set(pair[1])
             membership.append(edges)
+        tree = shortest_path_tree(g, g.origin)
         for c in conflicts:
-            pp = minimal_path_pair(g, c)
+            pp = minimal_path_pair(g, c, tree)
             cands = candidate_edges(g, pp)
             if not cands:
                 continue
-            ranked = score_candidates(g, conflicts, cands)
+            ranked = score_candidates(g, conflicts, cands, tree)
             scored_any += 1
             for r in ranked:
                 assert r.reach == len(closure[r.edge.dst])

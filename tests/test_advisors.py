@@ -8,7 +8,7 @@ from maprepair import advisors
 from maprepair import fault_injector as fi
 from maprepair.advisors import (
     EndpointConfig, HeuristicAdvisor, LlmAdvisor, OracleAdvisor,
-    PlaybackAdvisor, RecordingAdvisor, _extract_json_object,
+    PlaybackAdvisor, _extract_json_object,
 )
 from maprepair.conflict_detector import KIND_DIRECTIONAL, detect_all
 from maprepair.errors import AdvisorFailure, DuplicateEdge
@@ -318,12 +318,16 @@ def test_trial_relabel_equals_the_reference(graph_and_conflicts, data):
 
 
 def test_recorded_session_replays_identically():
+    """The session transcripts record every action, so replaying them
+    repairs the same map the same way."""
     chain, ledger = fi.demo_chain(corrupted=True)
-    recorder = RecordingAdvisor(OracleAdvisor(ledger))
-    g1, _, m1 = run_repair(chain, ToolConfig(), recorder, ledger=ledger)
+    g1, sessions, m1 = run_repair(chain, ToolConfig(), OracleAdvisor(ledger),
+                                  ledger=ledger)
+    recorded = [RepairAction.from_json(entry["action"])
+                for s in sessions for entry in s.transcript]
 
     chain2, ledger2 = fi.demo_chain(corrupted=True)
-    playback = PlaybackAdvisor(recorder.recorded)
+    playback = PlaybackAdvisor(recorded)
     g2, _, m2 = run_repair(chain2, ToolConfig(), playback, ledger=ledger2)
     assert m2.to_json() == m1.to_json()
     assert g2.edge_set() == {e for e in g1.edge_set()}

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -134,3 +135,23 @@ def test_a_merge_across_sources_is_refused(tmp_path, capsys):
     # a new file takes the new sources
     fresh = tmp_path / "BENCH_y.json"
     assert bench_pairs.main(args[:-1] + [str(fresh)]) == 0
+
+
+def test_a_checkout_without_its_own_revision_is_named_by_its_sources(
+        tmp_path):
+    """An export with no `.git`, even one inside another work tree, is
+    labelled by its source digest, not by its directory or that tree's
+    revision."""
+    outer = _fake_checkout(tmp_path / "outer", 2.0)
+    export = _fake_checkout(outer / "export", 1.0)
+    assert bench_pairs.revision(export) == bench_pairs.source_digest(export)
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(outer), *args], check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q",
+        "--allow-empty", "-m", "start")
+    assert bench_pairs.revision(outer) == git("rev-parse", "--short", "HEAD")
+    assert bench_pairs.revision(export) == bench_pairs.source_digest(export)

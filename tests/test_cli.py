@@ -6,8 +6,10 @@ import pytest
 
 from maprepair import cli
 from maprepair import fault_injector as fi
+from maprepair.conflict_detector import detect_all
 from maprepair.errors import MapRepairError
 from maprepair.graph_core import Edge
+from maprepair.repair_engine import ToolConfig, build_context
 from maprepair.version_store import TRIGGER_OBSERVATION, VersionChain, add
 
 
@@ -135,6 +137,35 @@ def test_localize_a_conflict_the_origin_cannot_reach(tmp_path, capsys):
     assert payload["conflict"]["participants"]["nodes"] == ["n1", "n2", "n3"]
     assert (payload["lca"], payload["path1"], payload["path2"],
             payload["candidates"]) == (None, [], [], [])
+
+
+def test_localize_prints_the_ranking_the_advisor_gets(tmp_path, capsys):
+    """Both edges of the namesakes' path pair have their reverse
+    observation, but the suffix room n1 has an exit nobody walked back:
+    the ranking falls back to it, in the CLI as in the repair loop."""
+    log = tmp_path / "map.jsonl"
+    chain = VersionChain(log)
+    chain.commit([], TRIGGER_OBSERVATION, obs_id=0, analysis="rooms",
+                  new_nodes=[("n0", "Foyer"), ("n1", "Hall"),
+                             ("n2", "hall"), ("n3", "Attic")])
+    chain.commit([add(Edge("n0", "n1", "north", 1)),
+                  add(Edge("n1", "n0", "south", 2)),
+                  add(Edge("n0", "n2", "east", 3)),
+                  add(Edge("n2", "n0", "west", 4)),
+                  add(Edge("n1", "n3", "up", 5))],
+                 TRIGGER_OBSERVATION, obs_id=1, analysis="exits")
+    conflicts = detect_all(chain.graph, commit=chain.head)
+    ctx = build_context(chain, ToolConfig(), conflicts[0], [], conflicts)
+    chain.close()
+    assert cli.main(["localize", "--log", str(log)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["conflict"]["kind"] == "naming"
+    assert (payload["lca"], payload["path1"], payload["path2"]) == (
+        "n0", ["n0", "n1"], ["n0", "n2"])
+    assert [(c["src"], c["dst"], c["dir"]) for c in payload["candidates"]] \
+        == [("n1", "n3", "up")]
+    assert payload["candidates"] == [
+        c.to_json() for c in ctx.ranked_candidates]
 
 
 def test_repair_with_oracle_then_clean(built_log, tmp_path, capsys):

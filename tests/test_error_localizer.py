@@ -16,6 +16,7 @@ from maprepair.error_localizer import (
 )
 from maprepair.errors import DuplicateEdge, EmptyCandidates, Unreachable
 from maprepair.graph_core import NavGraph
+from maprepair.repair_engine import localize
 
 
 def test_shortest_path_matches_brute_force():
@@ -96,7 +97,7 @@ def test_minimal_path_pair_for_inconsistency_closes_cycle():
     g.add_edge(a, c, "east", 3)  # re-derives C inconsistently
     conflict, = detect_all(g)
     assert conflict.subkind == "inconsistency"
-    pp = minimal_path_pair(g, conflict)
+    pp = minimal_path_pair(g, conflict, shortest_path_tree(g, g.origin))
     assert pp.nodes2[-1] == c
     assert pp.edges2[-1] == conflict.edges[0]
 
@@ -111,7 +112,7 @@ def test_corroborated_edges_are_exempt():
     g.add_edge(d, c, "north", 5)       # c overlaps nothing; build conflict
     g.add_edge(c, b, "west", 6)        # asymmetry against b->c north
     conflicts = [x for x in detect_all(g) if x.subkind == "asymmetry"]
-    pp = minimal_path_pair(g, conflicts[0])
+    pp = minimal_path_pair(g, conflicts[0], shortest_path_tree(g, g.origin))
     cands = candidate_edges(g, pp)
     assert all(not (e.src == a and e.dst == b) for e in cands)
 
@@ -120,7 +121,7 @@ def test_scoring_empty_candidates_raises():
     g = NavGraph()
     g.add_node("A")
     with pytest.raises(EmptyCandidates):
-        score_candidates(g, [], [])
+        score_candidates(g, [], [], shortest_path_tree(g, g.origin))
 
 
 def test_score_ordering_and_bounds():
@@ -129,14 +130,9 @@ def test_score_ordering_and_bounds():
         g = flip_edges(random_graph(rng), rng, 1)
         conflicts = detect_all(g)
         for c in conflicts:
-            try:
-                pp = minimal_path_pair(g, c)
-            except Unreachable:
+            _, ranked = localize(g, c, conflicts)
+            if ranked is None:
                 continue
-            cands = candidate_edges(g, pp)
-            if not cands:
-                continue
-            ranked = score_candidates(g, conflicts, cands)
             scores = [r.score for r in ranked]
             assert scores == sorted(scores, reverse=True)
             assert all(0.0 <= s <= 3.0 for s in scores)
@@ -148,8 +144,7 @@ def test_candidate_json_wire_format():
     g.add_edge(a, b, "north", 1)
     g.add_edge(a, c, "north", 2)
     conflicts = detect_all(g)
-    pp = minimal_path_pair(g, conflicts[0])
-    ranked = score_candidates(g, conflicts, candidate_edges(g, pp))
+    _, ranked = localize(g, conflicts[0], conflicts)
     payload = ranked[0].to_json()
     assert {"src", "dst", "dir", "step", "reach", "conflict", "usage",
             "score"} <= set(payload)
@@ -233,22 +228,34 @@ def test_localization_equals_the_reference(graph_and_conflicts):
             assert _or_unreachable(shortest_path, g, start, target) == want
             assert _or_unreachable(tree.path, target) == want
 
-    tree = shortest_path_tree(g, g.origin) if g.origin is not None else None
+    if g.origin is None:
+        for c in conflicts:
+            assert _or_unreachable(reference_minimal_path_pair, g, c) == \
+                "Unreachable: graph has no origin"
+            assert localize(g, c, conflicts) == (None, None)
+        return
+    tree = shortest_path_tree(g, g.origin)
     for c in conflicts:
-        pp = _or_unreachable(minimal_path_pair, g, c)
+        pp = _or_unreachable(minimal_path_pair, g, c, tree)
         assert pp == _or_unreachable(reference_minimal_path_pair, g, c)
-        assert _or_unreachable(minimal_path_pair, g, c, tree) == pp
         if isinstance(pp, str):
+            assert localize(g, c, conflicts) == (None, None)
             continue
         assert pp.suffix_nodes == reference_suffix_nodes(pp)
+        ranked = {}
         for silent in (False, True):
             cands = candidate_edges(g, pp, include_silent=silent)
             assert cands == reference_candidate_edges(g, pp, silent)
             if cands:
-                want = reference_score_candidates(g, conflicts, cands)
-                assert score_candidates(g, conflicts, cands) == want
-                assert score_candidates(g, conflicts, cands, tree) == want
+                ranked[silent] = score_candidates(g, conflicts, cands, tree)
+                assert ranked[silent] == \
+                    reference_score_candidates(g, conflicts, cands)
+        # the suffix edges, else the suffix rooms' exits too
+        want = ranked.get(False, ranked.get(True))
+        assert localize(g, c, conflicts) == (pp, want)
+        assert localize(g, c, conflicts, include_silent=True) == \
+            (pp, ranked.get(True))
     every = sorted(g.edges())
     if every:
-        assert score_candidates(g, conflicts, every) == \
+        assert score_candidates(g, conflicts, every, tree) == \
             reference_score_candidates(g, conflicts, every)

@@ -16,7 +16,9 @@ from maprepair.repair_engine import (
     ACT_ROLLBACK_TO, RepairAction, ToolConfig, apply_action, run_repair,
     run_session,
 )
-from maprepair.version_store import TRIGGER_REPAIR
+from maprepair.version_store import (
+    TRIGGER_OBSERVATION, TRIGGER_REPAIR, VersionChain, add,
+)
 
 
 def _demo():
@@ -115,6 +117,32 @@ def test_merge_nodes_redirects_edges_and_drops():
     past = unapplied(chain, chain.head - 1)
     assert "n1" in past.nodes
     assert past.state_equal(chain.materialize(chain.head - 1))
+
+
+def test_merge_moves_each_edge_of_the_dropped_room_once():
+    """A moved edge dissolves only into an edge that keeps its key and does
+    not itself enter the dropped room; a self-loop moves once."""
+    chain = VersionChain()
+    chain.commit([], TRIGGER_OBSERVATION, obs_id=0, analysis="rooms",
+                 new_nodes=[("k", "Keep"), ("d", "Drop"), ("x", "X"),
+                            ("y", "Y"), ("z", "Z")])
+    chain.commit([add(Edge("d", "d", "up", 1)),
+                  add(Edge("k", "x", "north", 2)),
+                  add(Edge("d", "y", "north", 2)),
+                  add(Edge("k", "d", "east", 3)),
+                  add(Edge("z", "d", "west", 4))],
+                 TRIGGER_OBSERVATION, obs_id=1, analysis="exits")
+    commit = apply_action(chain, RepairAction(ACT_MERGE_NODES, node="d",
+                                              new_dst="k"), obs_id=2)
+    assert [(d.op, tuple(d.edge)) for d in commit.deltas] == [
+        ("-", ("d", "d", "up", 1)), ("+", ("k", "k", "up", 1)),
+        ("-", ("d", "y", "north", 2)),
+        ("-", ("k", "d", "east", 3)), ("+", ("k", "k", "east", 3)),
+        ("-", ("z", "d", "west", 4)), ("+", ("z", "k", "west", 4))]
+    assert chain.graph.edge_set() == {
+        Edge("k", "k", "up", 1), Edge("k", "x", "north", 2),
+        Edge("k", "k", "east", 3), Edge("z", "k", "west", 4)}
+    assert "d" not in chain.graph.nodes
 
 
 def test_rollback_to_is_a_new_commit():

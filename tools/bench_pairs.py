@@ -166,9 +166,16 @@ def foreign_runs(data: dict, side: str, digest: str) -> int:
 
 
 def revision(checkout: Path) -> str:
-    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short",
-                           "HEAD"], capture_output=True, text=True)
-    return done.stdout.strip() if done.returncode == 0 else checkout.name
+    """The checkout's short git revision, or its `source_digest` when it is
+    not the top of a git work tree (a `git archive` export, say)."""
+    done = subprocess.run(["git", "-C", str(checkout), "rev-parse",
+                           "--show-toplevel", "--short", "HEAD"],
+                          capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    if done.returncode == 0 and len(lines) == 2 \
+            and Path(lines[0]).resolve() == checkout.resolve():
+        return lines[1]
+    return source_digest(checkout)
 
 
 def main(argv=None) -> int:
