@@ -14,26 +14,22 @@ from typing import Callable, Optional, Sequence
 
 from .conflict_detector import KIND_DIRECTIONAL, KIND_NAMING, SUB_OVERLAP, \
     detect_all
-from .errors import AdvisorFailure, DuplicateEdge
+from .errors import AdvisorFailure
 from .fault_injector import FAULT_MISDIRECTION, FAULT_MISNAME, \
     FAULT_PHANTOM, FAULT_SILENT, FaultLedger
 from .graph_core import COMPASS, DIRECTIONS, Edge, NavGraph, normalize_name
 from .repair_engine import (
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_GIVE_UP, ACT_MERGE_NODES,
-    ACT_RECALL_STEP, ACT_RENAME_NODE, AdvisorContext, RepairAction,
+    ACT_RENAME_NODE, AdvisorContext, RepairAction,
 )
 
 
 def _visible_edges(ctx: AdvisorContext) -> list[Edge]:
     """Edges the advisor may act on: ranked candidates when available,
     always unioned with the conflict neighborhood."""
-    out: list[Edge] = []
-    if ctx.ranked_candidates:
-        out.extend(c.edge for c in ctx.ranked_candidates)
-    for e in sorted(ctx.neighborhood.edges()):
-        if e not in out:
-            out.append(e)
-    return out
+    out = dict.fromkeys(c.edge for c in ctx.ranked_candidates or ())
+    out.update(dict.fromkeys(sorted(ctx.neighborhood.edges())))
+    return list(out)
 
 
 def _proposed_before(ctx: AdvisorContext, action: RepairAction) -> bool:
@@ -70,9 +66,6 @@ class OracleAdvisor:
         merge = _same_name_merge(ctx)
         if merge is not None:
             return merge
-        recall = _recall_once(ctx)
-        if recall is not None:
-            return recall
         return RepairAction(ACT_GIVE_UP)
 
 
@@ -84,21 +77,8 @@ def _same_name_merge(ctx: AdvisorContext) -> Optional[RepairAction]:
              if n in ctx.graph.nodes}
     if len(c.nodes) < 2 or len(names) != 1:
         return None
-    keep, drop = sorted(c.nodes, key=lambda n: int(n.lstrip("n")))[:2]
+    keep, drop = sorted(c.nodes, key=lambda n: (len(n), n))[:2]
     return RepairAction(ACT_MERGE_NODES, new_dst=keep, node=drop)
-
-
-def _recall_once(ctx: AdvisorContext) -> Optional[RepairAction]:
-    if ctx.chain is None or not ctx.ranked_candidates:
-        return None
-    top = ctx.ranked_candidates[0].edge
-    for commit in ctx.chain.commits:
-        if commit.step_id == top.step_id and any(
-                d.edge == top for d in commit.deltas if d.op == "+"):
-            action = RepairAction(ACT_RECALL_STEP, version=commit.index)
-            if not _proposed_before(ctx, action):
-                return action
-    return None
 
 
 class HeuristicAdvisor:
@@ -122,10 +102,8 @@ class HeuristicAdvisor:
                     return action
             return RepairAction(ACT_GIVE_UP)
 
-        order = list(c.edges)
-        for e in _visible_edges(ctx):
-            if e not in order:
-                order.append(e)
+        order = dict.fromkeys(c.edges)
+        order.update(dict.fromkeys(_visible_edges(ctx)))
         before = {x.key for x in ctx.conflicts}
         for e in order:
             if not ctx.graph.has_edge(e):
@@ -160,19 +138,14 @@ def _unique_resolving_direction(g: NavGraph, e: Edge, conflict_key,
     fix, which settles the answer as None."""
     fix = None
     for d in _TRIAL_ORDER:
-        if d == e.direction:
+        # read afresh: the trial rebuilds the src level when e is its only exit
+        if d == e.direction or e.step_id in g.adjacency()[e.src].get(d, ()):
             continue
         g.remove_edge(e)
-        try:
-            trial = g.add_edge(e.src, e.dst, d, e.step_id)
-            try:
-                after = {x.key for x in detect_all(g)}
-            finally:
-                g.remove_edge(trial)
-        except DuplicateEdge:
-            continue  # another edge holds this label's key: no fix
-        finally:
-            g.add_edge(e.src, e.dst, e.direction, e.step_id)
+        trial = g.add_edge(e.src, e.dst, d, e.step_id)
+        after = {x.key for x in detect_all(g)}
+        g.remove_edge(trial)
+        g.insert_edge(e)
         if conflict_key not in after and after <= before:
             if fix is not None:
                 return None
@@ -192,7 +165,7 @@ Conflict:
 
 Nearby map (nodes and edges):
 {neighborhood}
-{candidates_block}{tools_block}
+{candidates_block}{session_block}{tools_block}
 Respond with a single JSON object and nothing else, shaped like one of:
   {{"action": "ChangeDirection", "edge": {{"src": ..., "dst": ..., \
 "dir": ..., "step": ...}}, "new_dir": "<direction>"}}
@@ -254,6 +227,16 @@ def _extract_json_object(text: str) -> dict:
     raise ValueError("no JSON object in reply")
 
 
+def _describe_entry(entry: dict) -> str:
+    """One transcript entry as a prompt line: the action, then its result
+    or its error."""
+    action = json.dumps(entry["action"]) if "action" in entry \
+        else "(no usable reply)"
+    if "result" in entry:
+        return f"{action} -> {json.dumps(entry['result'])}"
+    return f"{action} -> error: {entry['error']}"
+
+
 class LlmAdvisor:
     """Adapter for an OpenAI-style chat-completions endpoint.  Sends the
     conflict context at temperature 0, parses the single-action JSON reply,
@@ -271,6 +254,12 @@ class LlmAdvisor:
             candidates_block = f"\nRanked suspect edges:\n{rows}\n"
         else:
             candidates_block = ""
+        if ctx.transcript:
+            rows = "\n".join(f"  {_describe_entry(entry)}"
+                             for entry in ctx.transcript)
+            session_block = f"\nThis session so far:\n{rows}\n"
+        else:
+            session_block = ""
         tools = ["ChangeDirection", "DeleteEdge", "RedirectEdge",
                  "RenameNode", "MergeNodes", "GiveUp"]
         if ctx.chain is not None:
@@ -280,6 +269,7 @@ class LlmAdvisor:
             conflict=json.dumps(ctx.conflict.to_json(), indent=2),
             neighborhood=json.dumps(ctx.neighborhood.to_json(), indent=2),
             candidates_block=candidates_block,
+            session_block=session_block,
             tools_block=tools_block,
         )
 

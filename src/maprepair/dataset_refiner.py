@@ -87,11 +87,6 @@ def _build_graph(edges: list[RawEdge]) -> tuple[NavGraph, dict[Edge, RawEdge]]:
             ids[key] = g.add_node(name)
         return ids[key]
 
-    if edges:
-        origin_raw = min(edges, key=lambda e: e.step)
-        g.origin = None
-        node(origin_raw.src)
-        g.origin = ids[normalize_name(origin_raw.src)]
     for r in sorted(edges, key=lambda e: e.step):
         e = g.add_edge(node(r.src), node(r.dst), r.action, r.step)
         back[e] = r

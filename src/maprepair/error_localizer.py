@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .conflict_detector import (
-    KIND_NAMING, SUB_ASYMMETRY, SUB_INCONSISTENCY, SUB_OVERLAP, Conflict,
+    KIND_NAMING, SUB_INCONSISTENCY, SUB_OVERLAP, Conflict,
 )
 from .errors import EmptyCandidates, Unreachable
 from .graph_core import Edge, NavGraph, reverse_direction
@@ -155,8 +155,6 @@ def shortest_path(g: NavGraph, start: str,
 def conflict_targets(conflict: Conflict) -> tuple[str, str]:
     if conflict.subkind in (SUB_OVERLAP, KIND_NAMING):
         return conflict.nodes[0], conflict.nodes[1]
-    if conflict.subkind == SUB_ASYMMETRY:
-        return conflict.edges[0].dst, conflict.edges[1].dst
     if conflict.subkind == SUB_INCONSISTENCY:
         return conflict.nodes[0], conflict.edges[0].src
     # directional: the two destinations reached under one label
@@ -205,8 +203,8 @@ def minimal_path_pair(g: NavGraph, conflict: Conflict,
 
 
 def _corroborated(g: NavGraph, e: Edge) -> bool:
-    return any(f.direction == reverse_direction(e.direction)
-               for f in g.edges_between(e.dst, e.src))
+    back = g.adjacency().get(e.dst, {}).get(reverse_direction(e.direction), {})
+    return any(f.dst == e.src for f in back.values())
 
 
 def candidate_edges(g: NavGraph, pp: PathPair,

@@ -45,6 +45,11 @@ class Fault:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
+_FAULT_KINDS = frozenset({FAULT_MISDIRECTION, FAULT_MISNAME, FAULT_PHANTOM,
+                         FAULT_SILENT})
+_FAULT_FIELDS = frozenset(Fault.__dataclass_fields__)
+
+
 @dataclass
 class FaultLedger:
     faults: list[Fault] = field(default_factory=list)
@@ -83,6 +88,24 @@ class FaultLedger:
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "FaultLedger":
+        """Raises ValueError, naming the row, on anything but a list of
+        fault objects of a known kind with their kind and step."""
+        if not isinstance(data, list):
+            raise ValueError("fault ledger: not a list of faults")
+        for i, d in enumerate(data):
+            if not isinstance(d, dict):
+                raise ValueError(f"fault ledger row {i}: not an object")
+            unknown = sorted(set(d) - _FAULT_FIELDS)
+            if unknown:
+                raise ValueError(f"fault ledger row {i}: unknown key(s) "
+                                 f"{', '.join(unknown)}")
+            missing = [k for k in ("kind", "step") if k not in d]
+            if missing:
+                raise ValueError(f"fault ledger row {i}: missing "
+                                 f"{', '.join(missing)}")
+            if d["kind"] not in _FAULT_KINDS:
+                raise ValueError(f"fault ledger row {i}: unknown kind "
+                                 f"{d['kind']!r}")
         return cls(faults=[Fault(**d) for d in data])
 
 

@@ -230,7 +230,7 @@ class NavGraph:
         stack = [start]
         while stack:
             node = stack.pop()
-            for e in self.out_edges(node):
+            for e in self._out_iter(node):
                 if e.dst not in seen:
                     seen.add(e.dst)
                     stack.append(e.dst)

@@ -114,12 +114,13 @@ def extend_positions(g: NavGraph, pm: PositionMap, edge: Edge) -> bool:
         return False
     if edge.direction not in COMPASS or edge.src not in pm.assignment:
         return True
-    others = [e for e in g.out_edges(edge.src, edge.direction) if e != edge]
+    adjacency = g.adjacency()
+    others = [e for e in adjacency[edge.src][edge.direction].values()
+              if e != edge]
     if any(e.step_id < edge.step_id for e in others):
         return True  # an older edge still defines this direction's geometry
     if others:
         return False
-    adjacency = g.adjacency()
     pending: deque[Edge] = deque([edge])
     while pending:
         src, dst, direction, _ = pending.popleft()

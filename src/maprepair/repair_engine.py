@@ -156,11 +156,11 @@ class RepairSession:
 # action application
 
 
-def apply_action(chain: VersionChain, action: RepairAction, obs_id: int,
-                 analysis: str = ""):
+def apply_action(chain: VersionChain, action: RepairAction):
     """Apply a mutating action as one repair commit, or run a query.
 
-    Mutating actions return the Commit; queries return their payload.
+    Mutating actions return the Commit; queries return their payload.  A
+    repair commit observes nothing, so its `obs_id` is its own index.
     Raises IllegalAction when the action does not fit the current graph.
     """
     action.validate_shape()
@@ -190,8 +190,8 @@ def apply_action(chain: VersionChain, action: RepairAction, obs_id: int,
                 raise IllegalAction(f"unknown node: {action.new_dst}")
             deltas.append(add(Edge(e.src, action.new_dst, e.direction,
                                    e.step_id)))
-        return chain.commit(deltas, TRIGGER_REPAIR, obs_id=obs_id,
-                            analysis=analysis or f"{kind} on {e.key}")
+        return chain.commit(deltas, TRIGGER_REPAIR, obs_id=chain.head + 1,
+                            analysis=f"{kind} on {e.key}")
 
     if kind == ACT_RENAME_NODE:
         if action.node not in g.nodes:
@@ -199,18 +199,16 @@ def apply_action(chain: VersionChain, action: RepairAction, obs_id: int,
         old = g.nodes[action.node]
         if old == action.new_name:
             raise IllegalAction("name is unchanged")
-        return chain.commit([], TRIGGER_REPAIR, obs_id=obs_id,
-                            analysis=analysis or f"rename {action.node}",
+        return chain.commit([], TRIGGER_REPAIR, obs_id=chain.head + 1,
+                            analysis=f"rename {action.node}",
                             renames=[(action.node, old, action.new_name)])
 
     if kind == ACT_MERGE_NODES:
-        return _merge_commit(chain, action.new_dst, action.node, obs_id,
-                             analysis)
+        return _merge_commit(chain, action.new_dst, action.node)
 
     # RollbackTo: restore a past state as a new commit of inverse deltas
     target = _materialize_checked(chain, action.version)
-    return _state_commit(chain, target, obs_id,
-                         analysis or f"rollback to v{action.version}")
+    return _state_commit(chain, target, f"rollback to v{action.version}")
 
 
 def _materialize_checked(chain: VersionChain, version: int) -> NavGraph:
@@ -220,8 +218,7 @@ def _materialize_checked(chain: VersionChain, version: int) -> NavGraph:
         raise IllegalAction(str(exc)) from exc
 
 
-def _merge_commit(chain: VersionChain, keep: str, drop: str, obs_id: int,
-                  analysis: str):
+def _merge_commit(chain: VersionChain, keep: str, drop: str):
     g = chain.graph
     if keep not in g.nodes or drop not in g.nodes:
         raise IllegalAction(f"unknown node in merge: {keep}, {drop}")
@@ -245,13 +242,12 @@ def _merge_commit(chain: VersionChain, keep: str, drop: str, obs_id: int,
             continue  # the duplicate observation dissolves into the survivor
         replacement_edges.add(moved)
         deltas.append(add(moved))
-    return chain.commit(deltas, TRIGGER_REPAIR, obs_id=obs_id,
-                        analysis=analysis or f"merge {drop} into {keep}",
+    return chain.commit(deltas, TRIGGER_REPAIR, obs_id=chain.head + 1,
+                        analysis=f"merge {drop} into {keep}",
                         drops=[(drop, g.nodes[drop])])
 
 
-def _state_commit(chain: VersionChain, target: NavGraph, obs_id: int,
-                  analysis: str):
+def _state_commit(chain: VersionChain, target: NavGraph, analysis: str):
     g = chain.graph
     removed = sorted(g.edge_set() - target.edge_set())
     added = sorted(target.edge_set() - g.edge_set())
@@ -263,7 +259,7 @@ def _state_commit(chain: VersionChain, target: NavGraph, obs_id: int,
     renames = sorted((nid, g.nodes[nid], target.nodes[nid])
                      for nid in g.nodes
                      if nid in target.nodes and g.nodes[nid] != target.nodes[nid])
-    return chain.commit(deltas, TRIGGER_REPAIR, obs_id=obs_id,
+    return chain.commit(deltas, TRIGGER_REPAIR, obs_id=chain.head + 1,
                         analysis=analysis, new_nodes=new_nodes,
                         renames=renames, drops=drops)
 
@@ -382,8 +378,7 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
 
         if action.kind in QUERY_ACTIONS:
             try:
-                entry["result"] = apply_action(chain, action,
-                                               obs_id=chain.head + 1)
+                entry["result"] = apply_action(chain, action)
             except (IllegalAction, UnknownVersion) as exc:
                 entry["error"] = _describe(exc)
             transcript.append(entry)
@@ -392,7 +387,7 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
         # mutating proposal: spends an attempt whether or not it applies
         spent[target.key] += 1
         try:
-            apply_action(chain, action, obs_id=chain.head + 1)
+            apply_action(chain, action)
             entry["result"] = "applied"
         except (IllegalAction, InvalidDelta, UnknownNode,
                 DuplicateEdge) as exc:

@@ -23,7 +23,7 @@ from maprepair.conflict_detector import (
     SUB_INCONSISTENCY, SUB_OVERLAP, Conflict, detect_all,
 )
 from maprepair.error_localizer import (
-    CandidateEdge, PathPair, _corroborated, _minmax, conflict_targets,
+    CandidateEdge, PathPair, _minmax, conflict_targets,
     lowest_common_ancestor,
 )
 from maprepair.errors import (
@@ -476,6 +476,11 @@ def reference_suffix_nodes(pp: PathPair) -> tuple[str, ...]:
         if n not in seen:
             seen.append(n)
     return tuple(seen)
+
+
+def _corroborated(g: NavGraph, e: Edge) -> bool:
+    return any(f.direction == reverse_direction(e.direction)
+               for f in g.edges_between(e.dst, e.src))
 
 
 def reference_candidate_edges(g: NavGraph, pp: PathPair,

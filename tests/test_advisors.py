@@ -37,13 +37,8 @@ def test_oracle_proposes_exact_correction():
 
 
 def test_oracle_gives_up_on_empty_ledger():
-    chain, _, ctx = _demo_context()
-    action = OracleAdvisor(fi.FaultLedger())(ctx)
-    # nothing to answer from; at most one recall query before giving up
-    assert action.kind in (ACT_GIVE_UP, "RecallStep")
-    if action.kind == "RecallStep":
-        ctx.transcript.append({"action": action.to_json()})
-        assert OracleAdvisor(fi.FaultLedger())(ctx).kind == ACT_GIVE_UP
+    _, _, ctx = _demo_context()
+    assert OracleAdvisor(fi.FaultLedger())(ctx).kind == ACT_GIVE_UP
 
 
 def test_oracle_merges_same_name_duplicates():
@@ -58,6 +53,26 @@ def test_oracle_merges_same_name_duplicates():
     assert detect_all(g) == []
     assert ledger.all_fixed(g)
     assert len(g.nodes) == 8  # duplicates merged away
+
+
+def test_oracle_merges_namesakes_whatever_their_ids():
+    """Rooms need not be called n<int>: the survivor is the shorter id,
+    then the lesser."""
+    chain = VersionChain()
+    chain.commit([], TRIGGER_OBSERVATION, obs_id=0, analysis="rooms",
+                 new_nodes=[("o", "Hall"), ("a", "Cellar"), ("x", "Yard"),
+                            ("b", "Cellar")])
+    # a and b stand on one spot
+    chain.commit([add(Edge("o", "a", "north", 1)),
+                  add(Edge("o", "x", "east", 2)),
+                  add(Edge("x", "b", "northwest", 3))],
+                 TRIGGER_OBSERVATION, obs_id=1, analysis="exits")
+    g, sessions, _ = run_repair(chain, ToolConfig(),
+                                OracleAdvisor(fi.FaultLedger()))
+    assert [s.outcome for s in sessions] == ["repaired"]
+    assert sessions[0].transcript[0]["action"] == {
+        "action": "MergeNodes", "new_dst": "a", "node": "b"}
+    assert set(g.nodes) == {"o", "a", "x"}
 
 
 def test_heuristic_is_deterministic():
@@ -210,6 +225,30 @@ def test_llm_prompt_reflects_tool_config():
                         if line.startswith("Available actions:"))
     assert "RollbackTo" not in actions_line
     assert "DeleteEdge" in actions_line
+
+
+def test_llm_prompt_carries_the_session_so_far():
+    """The second prompt holds the answer to the first reply's query; the
+    first, with nothing in the session yet, has no session block."""
+    chain, _, ctx = _demo_context()
+    version = next(c.index for c in chain.commits
+                   if c.analysis == "Room G lies north of Room E")
+    transport = _fake_transport([
+        json.dumps({"action": "RecallStep", "version": version}),
+        '{"action": "GiveUp"}'])
+    advisor = LlmAdvisor(EndpointConfig("http://fake"), transport=transport)
+    first_prompt = advisor.build_prompt(ctx)
+    run_session(chain, ToolConfig(), advisor, ctx.conflict, ctx.conflicts,
+                max_attempts=1)
+    first, second = (call["messages"][0]["content"]
+                     for call in transport.calls)
+    assert first == first_prompt
+    assert "This session so far" not in first
+    assert "Room G lies north of Room E" not in first
+    session = second[second.index("This session so far:"):]
+    assert '{"action": "RecallStep", "version": %d} -> {' % version \
+        in session
+    assert "Room G lies north of Room E" in session
 
 
 def test_endpoint_config_from_env():

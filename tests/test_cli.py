@@ -187,6 +187,25 @@ def test_repair_oracle_requires_ledger(built_log, capsys):
                      "--advisor", "oracle"]) == 2
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([{"kind": "misdirection", "step": 3, "colour": "red"}],
+     "row 0: unknown key(s) colour"),
+    ([{"kind": "phantom_edge", "step": 2}, "misname"],
+     "row 1: not an object"),
+    ([{"kind": "teleport", "step": 3}], "row 0: unknown kind 'teleport'"),
+])
+def test_repair_with_a_malformed_ledger_exits_2(built_log, capsys, rows,
+                                                message):
+    """A bad ledger is refused with its row before the log is touched."""
+    log, ledger = built_log
+    ledger.write_text(json.dumps(rows), encoding="utf-8")
+    before = log.read_bytes()
+    assert cli.main(["repair", "--log", str(log), "--advisor", "oracle",
+                     "--ledger", str(ledger), "--append"]) == 2
+    assert message in capsys.readouterr().err
+    assert log.read_bytes() == before
+
+
 def _exit_code_and_resource_warnings(argv) -> tuple[int, list]:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -65,7 +65,7 @@ def test_change_direction_commits_swap():
     bad = _edge(chain, 5)
     head = chain.head
     commit = apply_action(chain, RepairAction(
-        ACT_CHANGE_DIRECTION, edge=bad, new_direction="east"), obs_id=99)
+        ACT_CHANGE_DIRECTION, edge=bad, new_direction="east"))
     assert commit.trigger == TRIGGER_REPAIR
     assert chain.head == head + 1
     assert [d.op for d in commit.deltas] == ["-", "+"]
@@ -79,8 +79,7 @@ def test_delete_absent_edge_is_illegal_and_commits_nothing():
     head = chain.head
     ghost = Edge("n0", "n1", "down", 77)
     with pytest.raises(IllegalAction):
-        apply_action(chain, RepairAction(ACT_DELETE_EDGE, edge=ghost),
-                     obs_id=99)
+        apply_action(chain, RepairAction(ACT_DELETE_EDGE, edge=ghost))
     assert chain.head == head
 
 
@@ -88,7 +87,7 @@ def test_redirect_edge():
     chain, _ = _demo()
     e = _edge(chain, 9)
     apply_action(chain, RepairAction(ACT_REDIRECT_EDGE, edge=e,
-                                     new_dst="n9"), obs_id=99)
+                                     new_dst="n9"))
     moved = _edge(chain, 9)
     assert moved.dst == "n9" and moved.direction == e.direction
 
@@ -96,11 +95,11 @@ def test_redirect_edge():
 def test_rename_node():
     chain, _ = _demo()
     apply_action(chain, RepairAction(ACT_RENAME_NODE, node="n1",
-                                     new_name="Hallway"), obs_id=99)
+                                     new_name="Hallway"))
     assert chain.graph.nodes["n1"] == "Hallway"
     with pytest.raises(IllegalAction):
         apply_action(chain, RepairAction(ACT_RENAME_NODE, node="n1",
-                                         new_name="Hallway"), obs_id=99)
+                                         new_name="Hallway"))
 
 
 def test_merge_nodes_redirects_edges_and_drops():
@@ -109,7 +108,7 @@ def test_merge_nodes_redirects_edges_and_drops():
     in_before = {(e.src, e.direction) for e in g.in_edges("n1")}
     out_before = {(e.dst, e.direction) for e in g.out_edges("n1")}
     apply_action(chain, RepairAction(ACT_MERGE_NODES, node="n1",
-                                     new_dst="n9"), obs_id=99)
+                                     new_dst="n9"))
     assert "n1" not in g.nodes
     assert {(e.src, e.direction) for e in g.in_edges("n9")} >= in_before
     assert out_before <= {(e.dst, e.direction) for e in g.out_edges("n9")}
@@ -133,7 +132,7 @@ def test_merge_moves_each_edge_of_the_dropped_room_once():
                   add(Edge("z", "d", "west", 4))],
                  TRIGGER_OBSERVATION, obs_id=1, analysis="exits")
     commit = apply_action(chain, RepairAction(ACT_MERGE_NODES, node="d",
-                                              new_dst="k"), obs_id=2)
+                                              new_dst="k"))
     assert [(d.op, tuple(d.edge)) for d in commit.deltas] == [
         ("-", ("d", "d", "up", 1)), ("+", ("k", "k", "up", 1)),
         ("-", ("d", "y", "north", 2)),
@@ -148,19 +147,42 @@ def test_merge_moves_each_edge_of_the_dropped_room_once():
 def test_rollback_to_is_a_new_commit():
     chain, _ = _demo()
     head = chain.head
-    apply_action(chain, RepairAction(ACT_ROLLBACK_TO, version=4), obs_id=99)
+    apply_action(chain, RepairAction(ACT_ROLLBACK_TO, version=4))
     assert chain.head == head + 1  # history preserved, not truncated
     assert chain.graph.state_equal(chain.materialize(4))
 
 
 def test_queries_return_payloads():
     chain, _ = _demo()
-    recalled = apply_action(chain, RepairAction(ACT_RECALL_STEP, version=2),
-                            obs_id=99)
+    recalled = apply_action(chain, RepairAction(ACT_RECALL_STEP, version=2))
     assert recalled["index"] == 2
-    diffed = apply_action(chain, RepairAction(ACT_DIFF_VERSIONS, i=0, j=3),
-                          obs_id=99)
+    diffed = apply_action(chain, RepairAction(ACT_DIFF_VERSIONS, i=0, j=3))
     assert len(diffed["added"]) == 3 and diffed["removed"] == []
+
+
+def test_a_repair_commit_is_stamped_with_its_own_index():
+    chain, ledger = _demo()
+    for make in (
+            lambda: RepairAction(ACT_CHANGE_DIRECTION, edge=_edge(chain, 5),
+                                 new_direction="east"),
+            lambda: RepairAction(ACT_REDIRECT_EDGE, edge=_edge(chain, 9),
+                                 new_dst="n9"),
+            lambda: RepairAction(ACT_DELETE_EDGE, edge=_edge(chain, 9)),
+            lambda: RepairAction(ACT_RENAME_NODE, node="n1",
+                                 new_name="Hallway"),
+            lambda: RepairAction(ACT_MERGE_NODES, node="n1", new_dst="n9"),
+            lambda: RepairAction(ACT_ROLLBACK_TO, version=4)):
+        head = chain.head
+        commit = apply_action(chain, make())
+        assert commit.obs_id == commit.index == head + 1 == chain.head
+
+    chain, ledger = _demo()
+    observed = chain.head
+    run_repair(chain, ToolConfig(), advisors.OracleAdvisor(ledger),
+               ledger=ledger)
+    repairs = chain.commits[observed + 1:]
+    assert repairs and all(c.trigger == TRIGGER_REPAIR for c in repairs)
+    assert [c.obs_id for c in repairs] == [c.index for c in repairs]
 
 
 def _conflicts(chain):
