@@ -16,11 +16,15 @@ on, and every context carries them as `ctx.conflicts`.
 Budget rules: mutating proposals and GiveUp consume an attempt; read-only
 version queries consume a loop but no attempt; conflicts first exposed
 mid-session get their own budget and cost the primary nothing; three
-consecutive advisor failures abort the session.
+consecutive advisor failures abort the session.  A query the session
+already ran at the same chain head is not run again: it counts as an
+advisor failure, so an advisor that repeats one query cannot spin until
+the loop cap.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -323,6 +327,7 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
     loops = consecutive_failures = 0
     secondary_seen: dict = {}
     abandoned: set = set()
+    asked: set = set()  # (query, chain head) of every query run so far
     outcome = OUTCOME_EXHAUSTED
 
     while True:
@@ -348,19 +353,29 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
         ctx = build_context(chain, config, target, transcript,
                             list(current.values()))
         loops += 1
+        entry: dict = {"target": list(target.key)}
         try:
             action = advisor(ctx)
         except AdvisorFailure as exc:
+            failure = str(exc)
+        else:
+            entry["action"] = action.to_json()
+            failure = None
+            if action.kind in QUERY_ACTIONS:
+                # the chain has not changed since, so neither has the answer
+                query = (json.dumps(entry["action"]), chain.head)
+                if query in asked:
+                    failure = "query already answered at this chain head"
+                asked.add(query)
+        if failure is not None:
             consecutive_failures += 1
-            transcript.append({"target": list(target.key),
-                               "error": f"advisor failure: {exc}"})
+            entry["error"] = f"advisor failure: {failure}"
+            transcript.append(entry)
             if consecutive_failures >= 3:
                 break
             continue
         consecutive_failures = 0
 
-        entry: dict = {"target": list(target.key),
-                       "action": action.to_json()}
         if action.kind == ACT_GIVE_UP:
             if is_primary:
                 spent[target.key] += 1

@@ -5,9 +5,14 @@ renames, drops).  The chain is never truncated: a past state is rebuilt by
 replaying the chain (`materialize`) and, when used for repair, is recorded
 as a fresh commit of inverse deltas.
 
-A commit is applied to the live graph; a rejected step undoes the steps
-before it, so a rejected commit leaves no trace.  A delta op other than
-"+" or "-" is refused with `ValueError` before any step applies.  With a log path set, the
+A commit is applied to the live graph in straight-line code
+(`_apply_commit`): new nodes, then deltas, renames and drops, each by a
+direct `NavGraph` call, counting the steps done.  A rejected step undoes
+those steps through `_unapply_commit`, the one inverse walk, and restores
+the origin, so a rejected commit leaves no trace.  A delta that no writer
+makes (an op other than "+" or "-", a direction not in `DIRECTIONS`, a
+step id that is not an int) is refused with `ValueError` before any step
+applies, since its line would not load.  With a log path set, the
 commit's JSONL line is then appended to the log, unbuffered (and, with
 `fsync=True`, synced to disk with `os.fsync`).  A failed write or sync
 undoes the commit and cuts the log back to where the line started, so no
@@ -21,15 +26,16 @@ whitespace passes of `json.loads`.  A line the scanner does not take whole
 whitespace) goes to `json.loads`, so the values accepted and the errors
 raised are those of `json.loads` (but for a value nested near the
 recursion limit; see `_decode`).  `Commit`, `EdgeDelta` and `Edge` are
-named tuples, cheap to build and to hash.
+named tuples, built from a decoded line (and by `commit`) with
+`tuple.__new__`, which skips their Python-level `__new__`.
 
 Loading drops a torn final line (cut off before its newline, so it does not
-parse) with a warning.  Any other line that does not parse (a delta op
-other than "+" or "-" included), a commit whose index is out of sequence,
-or a commit that does not apply to the graph the lines before it built (a
-map error, or a field of the wrong type: a name that is not a string, an
-unhashable id, direction or step), raises `CorruptLog` with the file and
-line.
+parse) with a warning.  Any other line that does not parse (a commit index
+that is not an int, or a delta that no writer makes, included), a commit
+whose index is out of sequence, or a commit that does not apply to the
+graph the lines before it built (a map error, or a field of the wrong
+type: a name that is not a string, an unhashable node id), raises
+`CorruptLog` with the file and line.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Optional
 
 from .errors import CorruptLog, InvalidDelta, MapRepairError, UnknownVersion
-from .graph_core import Edge, NavGraph
+from .graph_core import REVERSE, Edge, NavGraph
 
 TRIGGER_OBSERVATION = "observation_update"
 TRIGGER_REPAIR = "conflict_repair"
@@ -58,15 +64,30 @@ class EdgeDelta(NamedTuple):
 
     @classmethod
     def from_json(cls, d: dict) -> "EdgeDelta":
-        delta = cls(d["op"], Edge.from_json(d))
-        _check_ops((delta,))
-        return delta
+        return _delta_from_json(d)
 
 
-def _check_ops(deltas: Iterable[EdgeDelta]) -> None:
-    for x in deltas:
-        if x.op not in ("+", "-"):
-            raise ValueError(f"unknown delta op: {x.op!r}")
+_new = tuple.__new__  # builds a named tuple without its Python-level __new__
+
+
+def _delta_from_json(d: dict) -> EdgeDelta:
+    """The one delta decoder: the op, then the edge's fields, then their
+    checks."""
+    op = d["op"]
+    edge = _new(Edge, (d["src"], d["dst"], d["dir"], d["step"]))
+    _check_delta(op, edge)
+    return _new(EdgeDelta, (op, edge))
+
+
+def _check_delta(op: str, edge: Edge) -> None:
+    """Refuse a delta no writer makes: an op other than "+" or "-", a
+    direction not in `DIRECTIONS`, a step id that is not an int."""
+    if op not in ("+", "-"):
+        raise ValueError(f"unknown delta op: {op!r}")
+    if edge[2] not in REVERSE:  # an unhashable one raises TypeError
+        raise ValueError(f"unknown direction: {edge[2]!r}")
+    if type(edge[3]) is not int:
+        raise ValueError(f"step id is not an int: {edge[3]!r}")
 
 
 def add(edge: Edge) -> EdgeDelta:
@@ -92,7 +113,8 @@ class Commit(NamedTuple):
         d = {
             "index": self.index,
             "step_id": self.step_id,
-            "deltas": [x.to_json() for x in self.deltas],
+            "deltas": [{"op": op, "src": e[0], "dst": e[1], "dir": e[2],
+                        "step": e[3]} for op, e in self.deltas],
             "trigger": self.trigger,
             "obs_id": self.obs_id,
             "analysis": self.analysis,
@@ -108,12 +130,16 @@ class Commit(NamedTuple):
 
     @classmethod
     def from_json(cls, d: dict) -> "Commit":
-        # keys are read in field order, a delta's op right after its edge,
-        # so a line with several faults reports the first one read
-        return cls(
-            d["index"],
+        # keys are read in field order, and a delta's checks come right
+        # after its edge, so a line with several faults reports the first
+        # one read
+        index = d["index"]
+        if type(index) is not int:  # True == 1 would pass the sequence check
+            raise ValueError(f"commit index is not an int: {index!r}")
+        return _new(cls, (
+            index,
             d["step_id"],
-            tuple([EdgeDelta.from_json(x) for x in d["deltas"]]),
+            tuple([_delta_from_json(x) for x in d["deltas"]]),
             d["trigger"],
             d["obs_id"],
             d["analysis"],
@@ -121,7 +147,37 @@ class Commit(NamedTuple):
             tuple([(r["id"], r["old"], r["new"])
                    for r in d.get("renames", ())]),
             tuple([(n["id"], n["name"]) for n in d.get("drops", ())]),
-        )
+        ))
+
+
+def _apply_commit(g: NavGraph, c: Commit) -> None:
+    """Apply `c` whole or not at all, in step order: new nodes, deltas,
+    renames, drops.  A rejected step first undoes the `done` steps before
+    it, then re-raises."""
+    origin = g.origin
+    done = 0
+    try:
+        for nid, name in c.new_nodes:
+            g.add_node(name, node_id=nid)
+            done += 1
+        for op, edge in c.deltas:
+            if op == "+":
+                g.insert_edge(edge)
+            elif g.has_edge(edge):
+                g.remove_edge(edge)
+            else:
+                raise InvalidDelta(f"remove of absent edge: {edge}")
+            done += 1
+        for nid, _, new in c.renames:
+            g.rename_node(nid, new)
+            done += 1
+        for nid, _ in c.drops:
+            g.remove_node(nid)
+            done += 1
+    except BaseException:
+        _unapply_commit(g, c, done)
+        g.origin = origin
+        raise
 
 
 def _steps(c: Commit) -> list[tuple]:
@@ -133,36 +189,21 @@ def _steps(c: Commit) -> list[tuple]:
             + [("-", nid, name) for nid, name in c.drops])
 
 
-def _run(g: NavGraph, step: tuple, forward: bool) -> None:
-    """Apply one step, or its inverse: a rename swaps its names, and an
-    addition and a removal trade places."""
+def _unapply(g: NavGraph, step: tuple) -> None:
+    """Undo one step: a rename swaps its names back, and an addition and a
+    removal trade places."""
     sign, target = step[0], step[1]
     if sign == "~":
-        g.rename_node(target, step[3] if forward else step[2])
-    elif (sign == "+") == forward:
+        g.rename_node(target, step[2])
+    elif sign != "+":
         if isinstance(target, Edge):
             g.insert_edge(target)
         else:
             g.add_node(step[2], node_id=target)
-    elif not isinstance(target, Edge):
-        g.remove_node(target)
-    elif not g.has_edge(target):
-        raise InvalidDelta(f"remove of absent edge: {target}")
-    else:
+    elif isinstance(target, Edge):
         g.remove_edge(target)
-
-
-def _apply_commit(g: NavGraph, c: Commit) -> None:
-    """Apply `c` whole or not at all: a rejected step first undoes the
-    steps before it, then re-raises."""
-    origin = g.origin
-    for done, step in enumerate(_steps(c)):
-        try:
-            _run(g, step, forward=True)
-        except BaseException:
-            _unapply_commit(g, c, done)
-            g.origin = origin
-            raise
+    else:
+        g.remove_node(target)
 
 
 def _unapply_commit(g: NavGraph, c: Commit,
@@ -170,7 +211,7 @@ def _unapply_commit(g: NavGraph, c: Commit,
     """Inverse of _apply_commit (of its first `applied` steps), last step
     first.  A dropped origin comes back as a node, not as the origin."""
     for step in reversed(_steps(c)[:applied]):
-        _run(g, step, forward=False)
+        _unapply(g, step)
 
 
 class VersionChain:
@@ -206,18 +247,11 @@ class VersionChain:
                new_nodes: Iterable[tuple[str, str]] = (),
                renames: Iterable[tuple[str, str, str]] = (),
                drops: Iterable[tuple[str, str]] = ()) -> Commit:
-        commit = Commit(
-            index=self.head + 1,
-            step_id=obs_id,
-            deltas=tuple(deltas),
-            trigger=trigger,
-            obs_id=obs_id,
-            analysis=analysis,
-            new_nodes=tuple(new_nodes),
-            renames=tuple(renames),
-            drops=tuple(drops),
-        )
-        _check_ops(commit.deltas)  # its line would not load
+        commit = _new(Commit, (  # a commit's step_id is its obs_id
+            len(self.commits), obs_id, tuple(deltas), trigger, obs_id,
+            analysis, tuple(new_nodes), tuple(renames), tuple(drops)))
+        for op, edge in commit.deltas:
+            _check_delta(op, edge)  # its line would not load
         origin = self.graph.origin
         _apply_commit(self.graph, commit)
         if self._log is not None:

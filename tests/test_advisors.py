@@ -251,6 +251,26 @@ def test_llm_prompt_carries_the_session_so_far():
     assert "Room G lies north of Room E" in session
 
 
+def test_an_advisor_repeating_one_query_stops_after_three_repeats():
+    """An llm advisor that always asks the same version query used to make
+    200 remote calls, until the loop cap; a query already answered at the
+    same chain head is not run again and counts as an advisor failure, so
+    the third repeat in a row ends the session."""
+    chain, ledger = fi.demo_chain(corrupted=True)
+    reply = json.dumps({"action": "RecallStep", "version": 1})
+    transport = _fake_transport([reply] * 200)
+    advisor = LlmAdvisor(EndpointConfig("http://fake"), transport=transport)
+    _, sessions, _ = run_repair(chain, ToolConfig(), advisor, ledger=ledger)
+    assert len(transport.calls) <= 4
+    for session in sessions:
+        assert session.attempts == 0
+        first, *repeats = session.transcript
+        assert first["result"]["index"] == 1
+        assert repeats and all(
+            entry["error"] == "advisor failure: query already answered at "
+            "this chain head" for entry in repeats)
+
+
 def test_endpoint_config_from_env():
     env = {"MAPREPAIR_API_BASE": "http://host/v1",
            "MAPREPAIR_API_KEY": "sk-test", "MAPREPAIR_MODEL": "m1"}

@@ -269,6 +269,7 @@ def test_commit_json_round_trip():
                renames=(("n2", "Old", "New"),))
     assert Commit.from_json(c.to_json()) == c
     assert EdgeDelta.from_json(c.deltas[0].to_json()) == c.deltas[0]
+    assert c.to_json()["deltas"] == [x.to_json() for x in c.deltas]
 
 
 def _commit_with_one_bad_step(data, chain, ids):
@@ -306,8 +307,11 @@ def _commit_with_one_bad_step(data, chain, ids):
                                 if bare else st.just([]))]
 
     bad = data.draw(st.sampled_from(
-        ["absent_edge", "duplicate_key", "unknown_node", "drop_with_edges"]))
-    if bad == "absent_edge":
+        ["absent_edge", "duplicate_key", "unknown_node", "drop_with_edges",
+         "duplicate_node_id"]))
+    if bad == "duplicate_node_id":
+        target, bad_step = new_nodes, (ids[1], "Again")
+    elif bad == "absent_edge":
         target, bad_step = deltas, remove(Edge(ids[0], ids[1], "up", 999))
     elif bad == "duplicate_key":
         target, bad_step = deltas, add(Edge(ids[1], ids[3], "north", 2))
@@ -565,6 +569,58 @@ def test_load_reports_a_commit_that_does_not_apply(tmp_path, capsys, delta,
     assert f"{log}:3: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("dir", "sideways", "unknown direction: 'sideways'"),
+    ("step", "1", "step id is not an int: '1'"),
+    ("step", 1.5, "step id is not an int: 1.5"),
+    ("step", True, "step id is not an int: True"),
+    ("index", True, "commit index is not an int: True"),
+], ids=["direction", "step str", "step float", "step bool", "index"])
+def test_a_field_no_writer_makes_does_not_parse(tmp_path, capsys, key, value,
+                                                message):
+    """A commit index that is not an int (`True == 1` passed the sequence
+    check), a direction not in `DIRECTIONS` or a step id that is not an int
+    used to load, and `detect` then failed far from the line.  It is
+    `CorruptLog` at its line, or a dropped torn final line; `commit`
+    refuses such a delta before anything applies."""
+    log = tmp_path / "chain.jsonl"
+    chain = VersionChain(log_path=log)
+    _grow(chain, n=1)
+    chain.close()
+    first, second = log.read_bytes().splitlines(keepends=True)
+    line = json.loads(second)
+    if key == "index":
+        line["index"] = value
+    else:
+        line["deltas"][0][key] = value
+    bad = json.dumps(line).encode()
+    log.write_bytes(first + bad + b"\n")
+    with pytest.raises(CorruptLog, match=re.escape(f"{log}:2: {message}")):
+        VersionChain.load(log)
+    assert cli.main(["detect", "--log", str(log)]) == 2
+    assert f"{log}:2: {message}" in capsys.readouterr().err
+
+    log.write_bytes(first + bad)
+    with pytest.warns(UserWarning, match="torn final line"):
+        loaded = VersionChain.load(log, append=True)
+    try:
+        assert loaded.commits == chain.commits[:1]
+        if key == "index":  # `commit` numbers its commits itself
+            return
+        wal = log.read_bytes()
+        before = loaded.graph.copy()
+        field = {"dir": "direction", "step": "step_id"}[key]
+        edge = Edge("n0", "n0", "east", 2)._replace(**{field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            loaded.commit([add(edge)], TRIGGER_REPAIR, obs_id=1,
+                          analysis="bad")
+    finally:
+        loaded.close()
+    assert loaded.head == 0
+    assert loaded.graph.state_equal(before)
+    assert log.read_bytes() == wal
+
+
 # -- replay equals its first version on random logs, corrupted at random ------
 
 _NAMES = st.text(max_size=4)
@@ -741,25 +797,44 @@ def _assert_same(a, b):
         assert chain_a._log_end == chain_b._log_end
 
 
+_DIRECTION_SET = frozenset(DIRECTIONS)
+
+
 def _fixed(log, wal: bytes):
-    """The reference's parse and apply with the two fixes: an unknown op
-    does not parse, and a commit that does not apply (a map error, or a
-    field of the wrong type) is `CorruptLog` at its line.  `fired` records
-    each time a fix changed what happens."""
+    """The reference's parse and apply with the three fixes: an unknown op
+    does not parse; a commit that does not apply (a map error, or a field
+    of the wrong type) is `CorruptLog` at its line; and a commit index, a
+    delta's direction or a delta's step that no writer makes does not
+    parse.  `fired` records each time a fix changed what happens."""
     fired = []
     # the k-th commit applied is on the k-th line that is not blank
     linenos = iter([n for n, raw in enumerate(_lines(wal), start=1)
                     if raw.strip()])
 
+    def refuse(fix, message):
+        fired.append(fix)
+        raise ValueError(message)
+
     def from_json(d):
-        # each delta's op is checked once its edge is read, before the
-        # keys after it
-        d["index"], d["step_id"]
+        # the index is checked once read; each delta's op, direction and
+        # step once its edge is read, before the keys after it
+        index = d["index"]
+        if type(index) is not int:
+            refuse("index", f"commit index is not an int: {index!r}")
+        d["step_id"]
         for x in d["deltas"]:
-            op = reference_delta_from_json(x).op
+            op, (_, _, direction, step) = reference_delta_from_json(x)
             if op not in ("+", "-"):
-                fired.append("op")
-                raise ValueError(f"unknown delta op: {op!r}")
+                refuse("op", f"unknown delta op: {op!r}")
+            try:
+                known = direction in _DIRECTION_SET
+            except TypeError:  # unhashable
+                fired.append("dir")
+                raise
+            if not known:
+                refuse("dir", f"unknown direction: {direction!r}")
+            if type(step) is not int:
+                refuse("step", f"step id is not an int: {step!r}")
         return reference_commit_from_json(d)
 
     def apply(g, c):
@@ -778,9 +853,9 @@ def _fixed(log, wal: bytes):
 def test_load_equals_the_reference_on_corrupted_logs(data, tmp_path_factory):
     """`load` on a random log, corrupted at random, gives the commits,
     graph, exception, warnings and file bytes of the first `load`, but for
-    the two fixes: an unknown op and a commit that does not apply are
-    `CorruptLog` at their line (or a torn final line).  Any log that does
-    not load is `CorruptLog`."""
+    the three fixes: an unknown op, a commit that does not apply, and an
+    index, direction or step no writer makes are `CorruptLog` at their line
+    (or a torn final line).  Any log that does not load is `CorruptLog`."""
     log = tmp_path_factory.mktemp("replay") / "chain.jsonl"
     wal = _corrupt(data, _random_log(data, log))
     append = data.draw(st.booleans())
