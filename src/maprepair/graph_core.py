@@ -44,8 +44,8 @@ DISPLACEMENT = {
 COMPASS = frozenset(d for d, v in DISPLACEMENT.items() if v != (0, 0, 0))
 
 
-def is_direction(s: str) -> bool:
-    return s in REVERSE
+def is_direction(s) -> bool:
+    return type(s) is str and s in REVERSE
 
 
 def reverse_direction(d: str) -> str:
@@ -99,12 +99,13 @@ class NavGraph:
 
     def add_node(self, name: str, node_id: Optional[str] = None) -> str:
         """Add a fresh node.  Same-name nodes are admitted, never reused."""
+        key = normalize_name(name)  # a name that is not a str raises here
         if node_id is None:
             node_id = self.fresh_id()
         elif node_id in self.nodes:
             raise DuplicateEdge(f"node id already in use: {node_id}")
         self.nodes[node_id] = name
-        self._name_index.setdefault(normalize_name(name), set()).add(node_id)
+        self._name_index.setdefault(key, set()).add(node_id)
         if self.origin is None:
             self.origin = node_id
         return node_id
@@ -138,9 +139,10 @@ class NavGraph:
             del self._name_index[normalize_name(name)]
 
     def rename_node(self, node_id: str, new_name: str) -> None:
+        key = normalize_name(new_name)
         self._unindex_name(node_id, self.node_name(node_id))
         self.nodes[node_id] = new_name
-        self._name_index.setdefault(normalize_name(new_name), set()).add(node_id)
+        self._name_index.setdefault(key, set()).add(node_id)
 
     def remove_node(self, node_id: str) -> None:
         """Remove a node with no incident edges."""
@@ -158,18 +160,25 @@ class NavGraph:
         return self.insert_edge(Edge(src, dst, direction, step_id))
 
     def insert_edge(self, edge: Edge) -> Edge:
-        """`add_edge` of an `Edge` already built; it is stored as it is."""
+        """`add_edge` of an `Edge` already built; it is stored as it is.  A
+        rejected key (a duplicate, unhashable) leaves no empty level."""
         src, dst, direction, step_id = edge
         if src not in self.nodes:
             raise UnknownNode(src)
         if dst not in self.nodes:
             raise UnknownNode(dst)
-        # a duplicate key finds its level already there, so nothing is left
-        # behind when it is rejected
-        by_step = self._out.setdefault(src, {}).setdefault(direction, {})
-        if step_id in by_step:
-            raise DuplicateEdge(f"duplicate (src, direction, step): {edge.key}")
-        by_step[step_id] = edge
+        by_dir = self._out.get(src)
+        if by_dir is None:
+            self._out[src] = {direction: {step_id: edge}}
+        else:
+            by_step = by_dir.get(direction)
+            if by_step is None:
+                by_dir[direction] = {step_id: edge}
+            elif step_id in by_step:
+                raise DuplicateEdge(
+                    f"duplicate (src, direction, step): {edge.key}")
+            else:
+                by_step[step_id] = edge
         self._in.setdefault(dst, set()).add(edge)
         return edge
 

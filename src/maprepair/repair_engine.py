@@ -2,9 +2,9 @@
 
 The engine picks the first open conflict as the session's primary, hands
 the advisor a context (conflict, local neighborhood, the conflicts open
-at the chain head, and, when enabled, ranked candidates plus the witness
-path pair and a version-chain handle), and applies the proposed actions
-as repair commits.  A session ends when the primary conflict plus any
+at the chain head, and, when enabled, ranked candidates and a
+version-chain handle), and applies the proposed actions as repair
+commits.  A session ends when the primary conflict plus any
 conflicts newly exposed by its fixes are gone, or when the attempt budget
 runs out.
 
@@ -13,13 +13,13 @@ starts and once after each applied commit, the only event that changes
 the map.  Each session starts from the conflicts its predecessor ended
 on, and every context carries them as `ctx.conflicts`.
 
-Budget rules: mutating proposals and GiveUp consume an attempt; read-only
-version queries consume a loop but no attempt; conflicts first exposed
-mid-session get their own budget and cost the primary nothing; three
-consecutive advisor failures abort the session.  A query the session
-already ran at the same chain head is not run again: it counts as an
-advisor failure, so an advisor that repeats one query cannot spin until
-the loop cap.
+Budget rules: each loop adds one transcript entry.  A mutating proposal
+consumes an attempt whether or not it applies; a version query consumes
+no attempt.  Conflicts first exposed mid-session get their own budget.
+GiveUp costs the primary one attempt and a secondary its whole budget.
+An advisor failure, a version tool while version control is off and a
+query already run at the same chain head are unusable turns: they cost no
+attempt, and three in a row end the session.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .error_localizer import (
     score_candidates, shortest_path_tree,
 )
 from .errors import (
-    AdvisorFailure, DuplicateEdge, IllegalAction, InvalidDelta,
-    ToolUnavailable, UnknownNode, UnknownVersion, Unreachable,
+    AdvisorFailure, IllegalAction, MapRepairError, ToolUnavailable,
+    UnknownVersion, Unreachable,
 )
 from .graph_core import Edge, NavGraph, is_direction
 from .metrics_bench import (
@@ -96,11 +96,9 @@ class RepairAction:
 
     @classmethod
     def from_json(cls, d: dict) -> "RepairAction":
-        kind = d.get("action")
-        if kind not in ALL_ACTIONS:
-            raise IllegalAction(f"unknown action: {kind!r}")
         edge = Edge.from_json(d["edge"]) if "edge" in d else None
-        action = cls(kind=kind, edge=edge, new_direction=d.get("new_dir"),
+        action = cls(kind=d.get("action"), edge=edge,
+                     new_direction=d.get("new_dir"),
                      new_dst=d.get("new_dst"), node=d.get("node"),
                      new_name=d.get("new_name"), version=d.get("version"),
                      i=d.get("i"), j=d.get("j"))
@@ -108,6 +106,10 @@ class RepairAction:
         return action
 
     def validate_shape(self) -> None:
+        """Refuse, with IllegalAction, a field the kind needs but lacks and
+        a field of the wrong type (a bool is no int)."""
+        if self.kind not in ALL_ACTIONS:
+            raise IllegalAction(f"unknown action: {self.kind!r}")
         need = {
             ACT_CHANGE_DIRECTION: ("edge", "new_direction"),
             ACT_DELETE_EDGE: ("edge",),
@@ -122,9 +124,19 @@ class RepairAction:
         for name in need:
             if getattr(self, name) is None:
                 raise IllegalAction(f"{self.kind} requires {name}")
-        if self.kind == ACT_CHANGE_DIRECTION \
+        e = self.edge
+        if e is not None and not (type(e.src) is type(e.dst) is str
+                                  and is_direction(e.direction)
+                                  and type(e.step_id) is int):
+            raise IllegalAction(f"not an edge: {e!r}")
+        if self.new_direction is not None \
                 and not is_direction(self.new_direction):
             raise IllegalAction(f"not a direction: {self.new_direction!r}")
+        for name, kind in (("new_dst", str), ("node", str), ("new_name", str),
+                           ("version", int), ("i", int), ("j", int)):
+            value = getattr(self, name)
+            if value is not None and type(value) is not kind:
+                raise IllegalAction(f"{name} not a {kind.__name__}: {value!r}")
 
 
 @dataclass
@@ -133,7 +145,6 @@ class AdvisorContext:
     graph: NavGraph
     neighborhood: NavGraph
     ranked_candidates: Optional[list[CandidateEdge]]
-    path_pair: Optional[PathPair]
     chain: Optional[VersionChain]  # None when version control is disabled
     transcript: list[dict]
     conflicts: list[Conflict]  # detected at the chain head, one per key
@@ -151,9 +162,12 @@ class RepairSession:
     primary: Conflict
     outcome: str
     attempts: int
-    loop_count: int
     secondary: tuple[Conflict, ...]
-    transcript: list[dict] = field(default_factory=list)
+    transcript: list[dict] = field(default_factory=list)  # one dict per loop
+
+    @property
+    def loop_count(self) -> int:
+        return len(self.transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +179,7 @@ def apply_action(chain: VersionChain, action: RepairAction):
 
     Mutating actions return the Commit; queries return their payload.  A
     repair commit observes nothing, so its `obs_id` is its own index.
-    Raises IllegalAction when the action does not fit the current graph.
+    Every refusal, IllegalAction or one from `commit`, is a MapRepairError.
     """
     action.validate_shape()
     g = chain.graph
@@ -300,14 +314,13 @@ def build_context(chain: VersionChain, config: ToolConfig, conflict: Conflict,
     seeds = set(conflict.nodes)
     for e in conflict.edges:
         seeds.update((e.src, e.dst))
-    pp, ranked = localize(g, conflict, conflicts) \
-        if config.edge_impact else (None, None)
+    ranked = localize(g, conflict, conflicts)[1] \
+        if config.edge_impact else None
     return AdvisorContext(
         conflict=conflict,
         graph=g,
         neighborhood=g.neighborhood(seeds, radius=2),
         ranked_candidates=ranked,
-        path_pair=pp,
         chain=chain if config.version_control else None,
         transcript=transcript,
         conflicts=conflicts,
@@ -324,97 +337,75 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
     current = {c.key: c for c in conflicts}
     transcript: list[dict] = []
     spent: Counter = Counter()  # attempts per conflict key
-    loops = consecutive_failures = 0
+    failures = 0  # unusable turns in a row
     secondary_seen: dict = {}
-    abandoned: set = set()
     asked: set = set()  # (query, chain head) of every query run so far
     outcome = OUTCOME_EXHAUSTED
 
     while True:
         if primary.key in current:
-            target, is_primary = current[primary.key], True
+            target = current[primary.key]
         else:
-            fresh = [c for k, c in current.items()
-                     if k not in baseline_keys and k not in abandoned]
+            fresh = [c for k, c in current.items() if k not in baseline_keys]
             for c in fresh:
                 secondary_seen.setdefault(c.key, c)
-            if not fresh:
+            target = next((c for c in fresh if spent[c.key] < max_attempts),
+                          None)
+            if target is None:
                 outcome = OUTCOME_REPAIRED
                 break
-            target, is_primary = fresh[0], False
-        if spent[target.key] >= max_attempts:
-            if is_primary:
-                break
-            abandoned.add(target.key)
-            continue
-        if loops >= loop_cap:
+        if spent[target.key] >= max_attempts or len(transcript) >= loop_cap:
             break
 
         ctx = build_context(chain, config, target, transcript,
                             list(current.values()))
-        loops += 1
         entry: dict = {"target": list(target.key)}
         try:
             action = advisor(ctx)
-        except AdvisorFailure as exc:
-            failure = str(exc)
-        else:
             entry["action"] = action.to_json()
-            failure = None
+            if action.kind in VERSION_ACTIONS and not config.version_control:
+                raise AdvisorFailure(_describe(
+                    ToolUnavailable("version control is disabled")))
             if action.kind in QUERY_ACTIONS:
                 # the chain has not changed since, so neither has the answer
                 query = (json.dumps(entry["action"]), chain.head)
                 if query in asked:
-                    failure = "query already answered at this chain head"
+                    raise AdvisorFailure(
+                        "query already answered at this chain head")
                 asked.add(query)
-        if failure is not None:
-            consecutive_failures += 1
-            entry["error"] = f"advisor failure: {failure}"
-            transcript.append(entry)
-            if consecutive_failures >= 3:
+        except AdvisorFailure as exc:
+            entry["error"] = f"advisor failure: {exc}"
+            action = None
+        transcript.append(entry)
+        if action is None:
+            failures += 1
+            if failures >= 3:
                 break
             continue
-        consecutive_failures = 0
+        failures = 0
 
         if action.kind == ACT_GIVE_UP:
-            if is_primary:
-                spent[target.key] += 1
-            else:
-                abandoned.add(target.key)
+            # a secondary given up on is charged its whole budget
+            spent[target.key] += 1 if target.key == primary.key \
+                else max_attempts
             entry["result"] = "gave up"
-            transcript.append(entry)
             continue
-
-        if action.kind in VERSION_ACTIONS and not config.version_control:
-            entry["error"] = _describe(
-                ToolUnavailable("version control is disabled"))
-            transcript.append(entry)
-            continue
-
-        if action.kind in QUERY_ACTIONS:
-            try:
-                entry["result"] = apply_action(chain, action)
-            except (IllegalAction, UnknownVersion) as exc:
-                entry["error"] = _describe(exc)
-            transcript.append(entry)
-            continue
-
-        # mutating proposal: spends an attempt whether or not it applies
-        spent[target.key] += 1
+        if action.kind in MUTATING_ACTIONS:
+            spent[target.key] += 1  # whether or not it applies
         try:
-            apply_action(chain, action)
-            entry["result"] = "applied"
-        except (IllegalAction, InvalidDelta, UnknownNode,
-                DuplicateEdge) as exc:
+            result = apply_action(chain, action)
+        except MapRepairError as exc:
             entry["error"] = _describe(exc)
+            continue
+        if action.kind in QUERY_ACTIONS:
+            entry["result"] = result
         else:
+            entry["result"] = "applied"
             conflicts = detect_all(chain.graph, commit=chain.head)
             current = {c.key: c for c in conflicts}
-        transcript.append(entry)
 
     return RepairSession(primary=primary, outcome=outcome,
-                         attempts=spent[primary.key], loop_count=loops,
-                         transcript=transcript,
+                         attempts=spent[primary.key], transcript=transcript,
                          secondary=tuple(secondary_seen.values())), conflicts
 
 

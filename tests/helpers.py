@@ -12,8 +12,9 @@ import json
 import random
 import warnings
 
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
 from hypothesis import strategies as st
@@ -27,14 +28,20 @@ from maprepair.error_localizer import (
     lowest_common_ancestor,
 )
 from maprepair.errors import (
-    CorruptLog, DuplicateEdge, EmptyCandidates, InvalidDelta, Unreachable,
+    AdvisorFailure, CorruptLog, DuplicateEdge, EmptyCandidates, IllegalAction,
+    InvalidDelta, ToolUnavailable, UnknownNode, UnknownVersion, Unreachable,
 )
 from maprepair.graph_core import (
     COMPASS, DIRECTIONS, Edge, NavGraph, displacement, normalize_name,
     reverse_direction,
 )
+from maprepair.metrics_bench import OUTCOME_EXHAUSTED, OUTCOME_REPAIRED
 from maprepair.position_inference import (
     Inconsistency, PositionMap, infer_positions,
+)
+from maprepair.repair_engine import (
+    ACT_GIVE_UP, QUERY_ACTIONS, VERSION_ACTIONS, Advisor, ToolConfig,
+    _describe, apply_action, build_context,
 )
 from maprepair.version_store import (
     TRIGGER_OBSERVATION, Commit, EdgeDelta, VersionChain, _open_log,
@@ -659,3 +666,111 @@ def reference_load(log_path: str | Path, append: bool = False,
         chain._log = _open_log(chain.log_path)
         chain._log_end = good_end
     return chain
+
+
+def reference_run_session(chain: VersionChain, config: ToolConfig,
+                          advisor: Advisor, primary: Conflict,
+                          conflicts: list[Conflict], max_attempts: int = 10,
+                          loop_cap: int = 200
+                          ) -> tuple[SimpleNamespace, list[Conflict]]:
+    """`run_session` as it was before its turn rule: a loop counter, an
+    abandoned set, and separate branches for GiveUp, a disabled version
+    tool, queries and mutating proposals.  It calls the live
+    `build_context` and `apply_action`; only the record it returns, with
+    the counted loops, is a namespace instead of a `RepairSession`."""
+    baseline_keys = {c.key for c in conflicts}
+    current = {c.key: c for c in conflicts}
+    transcript: list[dict] = []
+    spent: Counter = Counter()  # attempts per conflict key
+    loops = consecutive_failures = 0
+    secondary_seen: dict = {}
+    abandoned: set = set()
+    asked: set = set()  # (query, chain head) of every query run so far
+    outcome = OUTCOME_EXHAUSTED
+
+    while True:
+        if primary.key in current:
+            target, is_primary = current[primary.key], True
+        else:
+            fresh = [c for k, c in current.items()
+                     if k not in baseline_keys and k not in abandoned]
+            for c in fresh:
+                secondary_seen.setdefault(c.key, c)
+            if not fresh:
+                outcome = OUTCOME_REPAIRED
+                break
+            target, is_primary = fresh[0], False
+        if spent[target.key] >= max_attempts:
+            if is_primary:
+                break
+            abandoned.add(target.key)
+            continue
+        if loops >= loop_cap:
+            break
+
+        ctx = build_context(chain, config, target, transcript,
+                            list(current.values()))
+        loops += 1
+        entry: dict = {"target": list(target.key)}
+        try:
+            action = advisor(ctx)
+        except AdvisorFailure as exc:
+            failure = str(exc)
+        else:
+            entry["action"] = action.to_json()
+            failure = None
+            if action.kind in QUERY_ACTIONS:
+                # the chain has not changed since, so neither has the answer
+                query = (json.dumps(entry["action"]), chain.head)
+                if query in asked:
+                    failure = "query already answered at this chain head"
+                asked.add(query)
+        if failure is not None:
+            consecutive_failures += 1
+            entry["error"] = f"advisor failure: {failure}"
+            transcript.append(entry)
+            if consecutive_failures >= 3:
+                break
+            continue
+        consecutive_failures = 0
+
+        if action.kind == ACT_GIVE_UP:
+            if is_primary:
+                spent[target.key] += 1
+            else:
+                abandoned.add(target.key)
+            entry["result"] = "gave up"
+            transcript.append(entry)
+            continue
+
+        if action.kind in VERSION_ACTIONS and not config.version_control:
+            entry["error"] = _describe(
+                ToolUnavailable("version control is disabled"))
+            transcript.append(entry)
+            continue
+
+        if action.kind in QUERY_ACTIONS:
+            try:
+                entry["result"] = apply_action(chain, action)
+            except (IllegalAction, UnknownVersion) as exc:
+                entry["error"] = _describe(exc)
+            transcript.append(entry)
+            continue
+
+        # mutating proposal: spends an attempt whether or not it applies
+        spent[target.key] += 1
+        try:
+            apply_action(chain, action)
+            entry["result"] = "applied"
+        except (IllegalAction, InvalidDelta, UnknownNode,
+                DuplicateEdge) as exc:
+            entry["error"] = _describe(exc)
+        else:
+            conflicts = detect_all(chain.graph, commit=chain.head)
+            current = {c.key: c for c in conflicts}
+        transcript.append(entry)
+
+    return SimpleNamespace(primary=primary, outcome=outcome,
+                           attempts=spent[primary.key], loop_count=loops,
+                           transcript=transcript,
+                           secondary=tuple(secondary_seen.values())), conflicts

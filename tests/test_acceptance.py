@@ -356,7 +356,6 @@ def test_criterion_8_edge_impact_off_hides_scores():
     assert probe.contexts
     for ctx in probe.contexts:
         assert ctx.ranked_candidates is None
-        assert ctx.path_pair is None
 
 
 def test_criterion_8_version_control_off_blocks_queries():
@@ -364,13 +363,13 @@ def test_criterion_8_version_control_off_blocks_queries():
     conflicts = detect_all(chain.graph, commit=chain.head)
     probe = _ProbeAdvisor(action=RepairAction(ACT_RECALL_STEP, version=0))
     session, _ = run_session(chain, ToolConfig(version_control=False), probe,
-                             conflicts[0], conflicts, max_attempts=2,
-                             loop_cap=5)
+                             conflicts[0], conflicts, max_attempts=2)
     assert probe.contexts
     assert all(ctx.chain is None for ctx in probe.contexts)
-    blocked = [t for t in session.transcript
-               if "ToolUnavailable" in t.get("error", "")]
-    assert blocked
+    # a blocked query is an unusable turn: three in a row end the session
+    assert len(session.transcript) == 3
+    assert all(t["error"].startswith("advisor failure: ToolUnavailable")
+               for t in session.transcript)
     assert session.attempts == 0  # blocked queries never spend attempts
 
 

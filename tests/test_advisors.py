@@ -271,6 +271,59 @@ def test_an_advisor_repeating_one_query_stops_after_three_repeats():
             "this chain head" for entry in repeats)
 
 
+def test_a_version_tool_with_version_control_off_stops_after_three_turns():
+    """An llm advisor that always proposes RollbackTo while version control
+    is off used to make 200 remote calls, until the loop cap: the blocked
+    tool cost neither an attempt nor a failure.  It is an unusable turn,
+    so the third one in a row ends the session."""
+    chain, _ = fi.demo_chain(corrupted=True)
+    conflicts = detect_all(chain.graph, commit=chain.head)
+    transport = _fake_transport(
+        [json.dumps({"action": "RollbackTo", "version": 0})] * 200)
+    advisor = LlmAdvisor(EndpointConfig("http://fake"), transport=transport)
+    session, _ = run_session(chain, ToolConfig(version_control=False),
+                             advisor, conflicts[0], conflicts)
+    assert len(transport.calls) == 3
+    assert session.attempts == 0
+    assert [t["error"] for t in session.transcript] == [
+        "advisor failure: ToolUnavailable: version control is disabled"] * 3
+
+
+def _wrong_typed_replies(chain):
+    e = next(e for e in chain.graph.edges() if e.step_id == 5).to_json()
+    return {
+        "int name": {"action": "RenameNode", "node": "n3", "new_name": 5},
+        "list src": {"action": "DeleteEdge", "edge": {**e, "src": [e["src"]]}},
+        "str step": {"action": "DeleteEdge", "edge": {**e, "step": "5"}},
+        "bool version": {"action": "RollbackTo", "version": True},
+    }
+
+
+@pytest.mark.parametrize("kind", ["int name", "list src", "str step",
+                                  "bool version"])
+def test_a_wrong_typed_reply_is_refused_and_changes_nothing(kind):
+    """A reply field of the wrong type used to reach the graph: an int name
+    was stored before the commit failed, a list node id raised TypeError
+    out of `run_repair`, and `true` passed as version 1.  Now the reply is
+    refused like any malformed one, reprompted once, and the turn is
+    unusable."""
+    chain, ledger = fi.demo_chain(corrupted=True)
+    before = chain.graph.copy()
+    reply = json.dumps(_wrong_typed_replies(chain)[kind])
+    transport = _fake_transport([reply] * 200)
+    advisor = LlmAdvisor(EndpointConfig("http://fake"), transport=transport)
+    _, sessions, _ = run_repair(chain, ToolConfig(), advisor, ledger=ledger)
+    assert chain.graph.state_equal(before)
+    assert chain.graph.indices_consistent()
+    assert sessions
+    for session in sessions:
+        assert session.attempts == 0
+        assert len(session.transcript) == 3
+        assert all(t["error"].startswith("advisor failure: unusable reply")
+                   for t in session.transcript)
+    assert len(transport.calls) == 6 * len(sessions)  # each one reprompted
+
+
 def test_endpoint_config_from_env():
     env = {"MAPREPAIR_API_BASE": "http://host/v1",
            "MAPREPAIR_API_KEY": "sk-test", "MAPREPAIR_MODEL": "m1"}

@@ -116,6 +116,26 @@ def test_duplicate_edge_key_rejected_but_multiedges_allowed():
     assert len(g.out_edges(a, "north")) == 2
 
 
+def test_a_rejected_mutation_leaves_no_trace():
+    """A name that is not a str, or an edge key that cannot be hashed, is
+    refused before the graph changes: no stored name, no empty level."""
+    g = NavGraph()
+    a, b = g.add_node("A"), g.add_node("B")
+    g.add_edge(a, b, "north", 1)
+    before = g.copy()
+    for bad in ((b, b, [], 1), (a, b, [], 2), (a, b, "north", [3]),
+                (a, b, "south", [3])):
+        with pytest.raises(TypeError):
+            g.add_edge(*bad)
+    with pytest.raises(AttributeError):
+        g.add_node(5, node_id="n9")
+    with pytest.raises(AttributeError):
+        g.rename_node(a, ["x"])
+    assert g.state_equal(before)
+    assert g.indices_consistent()
+    assert set(g.adjacency()) == {a}
+
+
 def test_remove_edge_must_match_exactly():
     g = NavGraph()
     a, b, c = g.add_node("A"), g.add_node("B"), g.add_node("C")

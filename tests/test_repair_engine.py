@@ -1,15 +1,17 @@
+import random
 from collections import Counter
 from contextlib import ExitStack
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import reference_detect_all, unapplied
+from helpers import reference_detect_all, reference_run_session, unapplied
 from maprepair import advisors, error_localizer, repair_engine
 from maprepair import fault_injector as fi
 from maprepair.conflict_detector import detect_all
 from maprepair.errors import AdvisorFailure, IllegalAction
-from maprepair.graph_core import Edge, NavGraph
+from maprepair.graph_core import DIRECTIONS, Edge, NavGraph
 from maprepair.repair_engine import (
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_DIFF_VERSIONS, ACT_GIVE_UP,
     ACT_MERGE_NODES, ACT_RECALL_STEP, ACT_REDIRECT_EDGE, ACT_RENAME_NODE,
@@ -58,6 +60,37 @@ def test_action_shape_validation():
             "action": ACT_CHANGE_DIRECTION,
             "edge": {"src": "n1", "dst": "n2", "dir": "up", "step": 3},
             "new_dir": "sideways"})
+    edge = {"src": "n1", "dst": "n2", "dir": "up", "step": 3}
+    wrong_types = [
+        {"action": ACT_RENAME_NODE, "node": "n3", "new_name": 5},
+        {"action": ACT_MERGE_NODES, "node": ["n3"], "new_dst": "n2"},
+        {"action": ACT_REDIRECT_EDGE, "edge": edge, "new_dst": 4},
+        {"action": ACT_DELETE_EDGE, "edge": {**edge, "src": ["n1"]}},
+        {"action": ACT_DELETE_EDGE, "edge": {**edge, "dir": ["up"]}},
+        {"action": ACT_DELETE_EDGE, "edge": {**edge, "step": "3"}},
+        {"action": ACT_DELETE_EDGE, "edge": {**edge, "step": True}},
+        {"action": ACT_CHANGE_DIRECTION, "edge": edge, "new_dir": ["down"]},
+        {"action": ACT_ROLLBACK_TO, "version": True},
+        {"action": ACT_RECALL_STEP, "version": "1"},
+        {"action": ACT_DIFF_VERSIONS, "i": 0, "j": 1.0},
+    ]
+    for d in wrong_types:
+        with pytest.raises(IllegalAction):
+            RepairAction.from_json(d)
+
+
+def test_apply_action_refuses_a_wrong_typed_field_before_any_change():
+    chain, _ = _demo()
+    before = chain.graph.copy()
+    for action in (RepairAction("Teleport"),
+                   RepairAction(ACT_RENAME_NODE, node="n3", new_name=5),
+                   RepairAction(ACT_ROLLBACK_TO, version=True),
+                   RepairAction(ACT_DELETE_EDGE,
+                                edge=_edge(chain, 5)._replace(step_id=True))):
+        with pytest.raises(IllegalAction):
+            apply_action(chain, action)
+    assert chain.graph.state_equal(before)
+    assert chain.graph.indices_consistent()
 
 
 def test_change_direction_commits_swap():
@@ -284,6 +317,137 @@ def test_illegal_proposal_spends_attempt_but_session_continues():
     assert "IllegalAction" in session.transcript[0]["error"]
 
 
+def _secondary_session(chain, then, max_attempts):
+    """Fix the demo's primary, which exposes one secondary, and answer
+    every later turn with `then`.  Returns the session, the conflicts at
+    its end and the target of every turn."""
+    conflicts = _conflicts(chain)
+    fix = RepairAction(ACT_CHANGE_DIRECTION, edge=_edge(chain, 5),
+                       new_direction="east")
+    targets = []
+
+    def advisor(ctx):
+        targets.append(ctx.conflict.key)
+        return fix if len(targets) == 1 else then
+
+    session, after = run_session(chain, ToolConfig(), advisor, conflicts[0],
+                                 conflicts, max_attempts=max_attempts)
+    return session, after, targets
+
+
+def test_a_secondary_given_up_on_is_not_targeted_again():
+    chain, _ = _demo()
+    primary = _conflicts(chain)[0]
+    session, after, targets = _secondary_session(
+        chain, RepairAction(ACT_GIVE_UP), max_attempts=10)
+    secondary = targets[1]
+    assert targets == [primary.key, secondary]
+    assert session.outcome == "repaired"
+    assert session.attempts == 1
+    assert session.loop_count == len(session.transcript) == 2
+    assert session.transcript[1]["result"] == "gave up"
+    assert [c.key for c in session.secondary] == [secondary]
+    assert secondary in {c.key for c in after}  # still open, not retried
+
+
+def test_an_exhausted_secondary_is_not_targeted_again():
+    chain, _ = _demo()
+    primary = _conflicts(chain)[0]
+    absent = RepairAction(ACT_DELETE_EDGE, edge=Edge("n0", "n9", "down", 55))
+    session, after, targets = _secondary_session(chain, absent,
+                                                 max_attempts=3)
+    assert targets[0] == primary.key
+    assert targets[1:] == [targets[1]] * 3  # its own budget of three
+    assert session.outcome == "repaired"
+    assert session.attempts == 1
+    assert session.loop_count == 4
+    assert all("IllegalAction" in t["error"] for t in session.transcript[1:])
+    assert targets[1] in {c.key for c in after}
+
+
+class _ScriptedAdvisor:
+    """Each turn draws, from a seeded generator, one of: the oracle's
+    action, GiveUp, a delete or relabel of a visible edge, a delete of an
+    absent edge, a version query (some out of range, some repeated), an
+    AdvisorFailure, `flakiness` times as likely as a GiveUp."""
+
+    def __init__(self, ledger, seed, flakiness=1):
+        self.oracle = advisors.OracleAdvisor(ledger)
+        self.rng = random.Random(seed)
+        self.weights = [4, 1, 2, 1, 2, flakiness]
+
+    def __call__(self, ctx):
+        rng = self.rng
+        choice = rng.choices(["oracle", "give up", "edit", "absent", "query",
+                              "fail"], weights=self.weights)[0]
+        if choice == "oracle":
+            return self.oracle(ctx)
+        if choice == "give up":
+            return RepairAction(ACT_GIVE_UP)
+        absent = Edge("n0", "n0", "up", 10 ** 6)
+        if choice == "edit":
+            e = rng.choice(advisors._visible_edges(ctx) or [absent])
+            if rng.random() < 0.5:
+                return RepairAction(ACT_DELETE_EDGE, edge=e)
+            return RepairAction(ACT_CHANGE_DIRECTION, edge=e,
+                                new_direction=rng.choice(DIRECTIONS))
+        if choice == "absent":
+            return RepairAction(ACT_DELETE_EDGE, edge=absent)
+        if choice == "query":
+            versions = [-1, 0, 1, ctx.chain.head, ctx.chain.head + 1]
+            if rng.random() < 0.5:
+                return RepairAction(ACT_RECALL_STEP,
+                                    version=rng.choice(versions))
+            return RepairAction(ACT_DIFF_VERSIONS, i=rng.choice(versions),
+                                j=rng.choice(versions))
+        raise AdvisorFailure("scripted failure")
+
+
+def _reference_worlds():
+    yield "demo", None
+    for spec in (fi.WorldSpec("grid", (3, 3)), fi.WorldSpec("tree", (2, 2)),
+                 fi.WorldSpec("loopchain", (8,))):
+        for kind in (fi.FAULT_MISDIRECTION, fi.FAULT_MISNAME,
+                     fi.FAULT_PHANTOM):
+            yield spec, kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(world=st.sampled_from(list(_reference_worlds())),
+       fault_seed=st.integers(0, 2), advisor_seed=st.integers(0, 2 ** 16),
+       flakiness=st.sampled_from([1, 8]), max_attempts=st.integers(1, 4))
+def test_run_session_matches_the_reference(world, fault_seed, advisor_seed,
+                                           flakiness, max_attempts):
+    """The turn rule keeps every session the branchy loop before it made:
+    the same transcript, outcome, attempts, loops and secondaries, and the
+    same map, whatever the advisor answers."""
+    spec, kind = world
+
+    def repaired(run):
+        if spec == "demo":
+            chain, ledger = fi.demo_chain(corrupted=True)
+        else:
+            corrupted, ledger = fi.inject(fi.generate_world(spec), [kind],
+                                          seed=fault_seed)
+            chain = corrupted.build()
+        with mock.patch.object(repair_engine, "run_session", run):
+            _, sessions, _ = run_repair(
+                chain, ToolConfig(),
+                _ScriptedAdvisor(ledger, advisor_seed, flakiness),
+                max_attempts=max_attempts)
+        return chain.graph, sessions
+
+    graph, sessions = repaired(run_session)
+    ref_graph, ref_sessions = repaired(reference_run_session)
+    assert graph.state_equal(ref_graph)
+    assert len(sessions) == len(ref_sessions)
+    for s, ref in zip(sessions, ref_sessions):
+        assert s.transcript == ref.transcript
+        assert (s.outcome, s.attempts, s.loop_count, s.secondary) == \
+            (ref.outcome, ref.attempts, ref.loop_count, ref.secondary)
+        assert s.loop_count == len(s.transcript)
+
+
 def test_context_neighborhood_is_local():
     chain, _ = _demo()
     conflicts = _conflicts(chain)
@@ -299,7 +463,7 @@ def test_context_neighborhood_is_local():
     ctx = seen["ctx"]
     assert set(primary.nodes) <= set(ctx.neighborhood.nodes)
     assert len(ctx.neighborhood.nodes) < len(chain.graph.nodes)
-    assert ctx.ranked_candidates and ctx.path_pair is not None
+    assert ctx.ranked_candidates
     assert ctx.chain is chain
 
 

@@ -274,8 +274,9 @@ def test_commit_json_round_trip():
 
 def _commit_with_one_bad_step(data, chain, ids):
     """A commit that is valid step by step except for one bad step at a
-    random position.  The edge out of ids[1] at step 2 is never removed,
-    so a duplicate of its key and a drop of its endpoint always fail."""
+    random position, and the error it raises.  The edge out of ids[1] at
+    step 2 is never removed, so a duplicate of its key and a drop of its
+    endpoint always fail."""
     sim = chain.graph.copy()
     pinned = Edge(ids[1], ids[2], "north", 2)
     new_nodes = [(f"x{i}", f"Extra {i}")
@@ -308,8 +309,18 @@ def _commit_with_one_bad_step(data, chain, ids):
 
     bad = data.draw(st.sampled_from(
         ["absent_edge", "duplicate_key", "unknown_node", "drop_with_edges",
-         "duplicate_node_id"]))
-    if bad == "duplicate_node_id":
+         "duplicate_node_id", "name_not_str"]))
+    error = MapRepairError
+    if bad == "name_not_str":
+        # normalizing the name fails before the step changes anything
+        error = AttributeError
+        name = data.draw(st.sampled_from([5, ["x"], None]))
+        if data.draw(st.booleans()):
+            target, bad_step = new_nodes, ("x9", name)
+        else:
+            nid = data.draw(st.sampled_from(sorted(chain.graph.nodes)))
+            target, bad_step = renames, (nid, chain.graph.nodes[nid], name)
+    elif bad == "duplicate_node_id":
         target, bad_step = new_nodes, (ids[1], "Again")
     elif bad == "absent_edge":
         target, bad_step = deltas, remove(Edge(ids[0], ids[1], "up", 999))
@@ -323,7 +334,7 @@ def _commit_with_one_bad_step(data, chain, ids):
         target, bad_step = drops, (ids[2], sim.nodes[ids[2]])
     target.insert(data.draw(st.integers(0, len(target))), bad_step)
     return dict(deltas=deltas, new_nodes=new_nodes, renames=renames,
-                drops=drops)
+                drops=drops), error
 
 
 @settings(max_examples=150, deadline=None)
@@ -337,9 +348,9 @@ def test_rejected_commit_leaves_graph_and_log_untouched(data, tmp_path_factory):
         chain.commit([remove(Edge(ids[0], ids[1], "north", 1)),
                       add(Edge(ids[3], ids[1], "south", 5))],
                      TRIGGER_OBSERVATION, obs_id=5, analysis="loop back")
-        parts = _commit_with_one_bad_step(data, chain, ids)
+        parts, error = _commit_with_one_bad_step(data, chain, ids)
         before, head, wal = chain.graph.copy(), chain.head, log.read_bytes()
-        with pytest.raises(MapRepairError):
+        with pytest.raises(error):
             chain.commit(trigger=TRIGGER_REPAIR, obs_id=9, analysis="bad",
                          **parts)
         assert chain.graph.state_equal(before)
