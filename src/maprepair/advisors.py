@@ -20,7 +20,8 @@ from .fault_injector import FAULT_MISDIRECTION, FAULT_MISNAME, \
 from .graph_core import COMPASS, DIRECTIONS, Edge, NavGraph, normalize_name
 from .repair_engine import (
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_GIVE_UP, ACT_MERGE_NODES,
-    ACT_RENAME_NODE, AdvisorContext, RepairAction,
+    ACT_RENAME_NODE, ACTION_FIELDS, VERSION_ACTIONS, AdvisorContext,
+    RepairAction,
 )
 
 
@@ -260,10 +261,8 @@ class LlmAdvisor:
             session_block = f"\nThis session so far:\n{rows}\n"
         else:
             session_block = ""
-        tools = ["ChangeDirection", "DeleteEdge", "RedirectEdge",
-                 "RenameNode", "MergeNodes", "GiveUp"]
-        if ctx.chain is not None:
-            tools += ["RollbackTo", "RecallStep", "DiffVersions"]
+        tools = [kind for kind in ACTION_FIELDS
+                 if ctx.chain is not None or kind not in VERSION_ACTIONS]
         tools_block = f"\nAvailable actions: {', '.join(tools)}\n"
         return PROMPT_TEMPLATE.format(
             conflict=json.dumps(ctx.conflict.to_json(), indent=2),

@@ -89,10 +89,9 @@ class NavGraph:
     nodes: dict[str, str] = field(default_factory=dict)  # id -> raw name
     origin: Optional[str] = None
     _name_index: dict[str, set[str]] = field(default_factory=dict)
-    # The one edge index, src -> direction -> step_id -> Edge, plus
-    # dst -> entering edges.  Empty levels are pruned.
+    # The one edge index, src -> direction -> step_id -> Edge; empty levels
+    # are pruned.  `in_edges`, `remove_node` and `neighborhood` scan it.
     _out: dict[str, dict[str, dict[int, Edge]]] = field(default_factory=dict)
-    _in: dict[str, set[Edge]] = field(default_factory=dict)
     _next_id: int = 0
 
     # -- nodes ------------------------------------------------------------
@@ -148,7 +147,7 @@ class NavGraph:
         """Remove a node with no incident edges."""
         if node_id not in self.nodes:
             raise UnknownNode(node_id)
-        if node_id in self._out or node_id in self._in:
+        if node_id in self._out or any(e.dst == node_id for e in self.edges()):
             raise DuplicateEdge(f"node still has edges: {node_id}")
         self._unindex_name(node_id, self.nodes.pop(node_id))
         if self.origin == node_id:
@@ -160,13 +159,15 @@ class NavGraph:
         return self.insert_edge(Edge(src, dst, direction, step_id))
 
     def insert_edge(self, edge: Edge) -> Edge:
-        """`add_edge` of an `Edge` already built; it is stored as it is.  A
-        rejected key (a duplicate, unhashable) leaves no empty level."""
+        """`add_edge` of an `Edge` already built; it is stored as it is.
+        An edge refused for its ends, direction or key leaves no trace."""
         src, dst, direction, step_id = edge
         if src not in self.nodes:
             raise UnknownNode(src)
         if dst not in self.nodes:
             raise UnknownNode(dst)
+        if direction not in REVERSE:  # an unhashable one raises TypeError
+            raise ValueError(f"unknown direction: {direction!r}")
         by_dir = self._out.get(src)
         if by_dir is None:
             self._out[src] = {direction: {step_id: edge}}
@@ -179,22 +180,18 @@ class NavGraph:
                     f"duplicate (src, direction, step): {edge.key}")
             else:
                 by_step[step_id] = edge
-        self._in.setdefault(dst, set()).add(edge)
         return edge
 
     def remove_edge(self, edge: Edge) -> None:
         if not self.has_edge(edge):
             raise UnknownNode(f"edge not present: {edge}")
-        src, dst, direction, step_id = edge
+        src, _, direction, step_id = edge
         by_dir = self._out[src]
         del by_dir[direction][step_id]
         if not by_dir[direction]:
             del by_dir[direction]
         if not by_dir:
             del self._out[src]
-        self._in[dst].discard(edge)
-        if not self._in[dst]:
-            del self._in[dst]
 
     def has_edge(self, edge: Edge) -> bool:
         src, _, direction, step_id = edge
@@ -217,7 +214,7 @@ class NavGraph:
         return sorted(self._out_iter(src))
 
     def in_edges(self, dst: str) -> list[Edge]:
-        return sorted(self._in.get(dst, ()))
+        return sorted(e for e in self.edges() if e.dst == dst)
 
     def edges_between(self, src: str, dst: str) -> list[Edge]:
         return sorted(e for e in self._out_iter(src) if e.dst == dst)
@@ -312,9 +309,9 @@ class NavGraph:
         keep = set(seeds)
         frontier = set(keep)
         for _ in range(radius):
-            frontier = {m for n in frontier
-                        for e in (*self._out_iter(n), *self._in.get(n, ()))
-                        for m in (e.src, e.dst)} - keep
+            frontier = {m for src, dst, _, _ in self.edges()
+                        if src in frontier or dst in frontier
+                        for m in (src, dst)} - keep
             keep |= frontier
         sub = NavGraph()
         for nid in self.nodes:
@@ -340,17 +337,17 @@ class NavGraph:
                 and self._out == other._out)
 
     def indices_consistent(self) -> bool:
-        """Do the indices equal ones rebuilt from the nodes and edges?"""
+        """Do the indices equal ones rebuilt from the nodes and edges, and
+        does every edge join two nodes?"""
         name_index: dict[str, set[str]] = {}
         for nid, name in self.nodes.items():
             name_index.setdefault(normalize_name(name), set()).add(nid)
         out: dict[str, dict[str, dict[int, Edge]]] = {}
-        inn: dict[str, set[Edge]] = {}
         for e in self.edges():
             out.setdefault(e.src, {}).setdefault(e.direction, {})[e.step_id] = e
-            inn.setdefault(e.dst, set()).add(e)
+        ends = {m for e in self.edges() for m in e[:2]}
         return (name_index == self._name_index and out == self._out
-                and inn == self._in and set(inn) | set(out) <= set(self.nodes))
+                and ends <= self.nodes.keys())
 
     # -- serialization ----------------------------------------------------
 

@@ -61,7 +61,20 @@ MUTATING_ACTIONS = frozenset({
 QUERY_ACTIONS = frozenset({ACT_RECALL_STEP, ACT_DIFF_VERSIONS})
 VERSION_ACTIONS = frozenset({ACT_ROLLBACK_TO, ACT_RECALL_STEP,
                              ACT_DIFF_VERSIONS})
-ALL_ACTIONS = MUTATING_ACTIONS | QUERY_ACTIONS | {ACT_GIVE_UP}
+#: Every action kind and the fields it requires, in the order the llm
+#: advisor's prompt lists them.
+ACTION_FIELDS = {
+    ACT_CHANGE_DIRECTION: ("edge", "new_direction"),
+    ACT_DELETE_EDGE: ("edge",),
+    ACT_REDIRECT_EDGE: ("edge", "new_dst"),
+    ACT_RENAME_NODE: ("node", "new_name"),
+    ACT_MERGE_NODES: ("node", "new_dst"),
+    ACT_GIVE_UP: (),
+    ACT_ROLLBACK_TO: ("version",),
+    ACT_RECALL_STEP: ("version",),
+    ACT_DIFF_VERSIONS: ("i", "j"),
+}
+ALL_ACTIONS = frozenset(ACTION_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -110,18 +123,7 @@ class RepairAction:
         a field of the wrong type (a bool is no int)."""
         if self.kind not in ALL_ACTIONS:
             raise IllegalAction(f"unknown action: {self.kind!r}")
-        need = {
-            ACT_CHANGE_DIRECTION: ("edge", "new_direction"),
-            ACT_DELETE_EDGE: ("edge",),
-            ACT_REDIRECT_EDGE: ("edge", "new_dst"),
-            ACT_RENAME_NODE: ("node", "new_name"),
-            ACT_MERGE_NODES: ("node", "new_dst"),
-            ACT_ROLLBACK_TO: ("version",),
-            ACT_RECALL_STEP: ("version",),
-            ACT_DIFF_VERSIONS: ("i", "j"),
-            ACT_GIVE_UP: (),
-        }[self.kind]
-        for name in need:
+        for name in ACTION_FIELDS[self.kind]:
             if getattr(self, name) is None:
                 raise IllegalAction(f"{self.kind} requires {name}")
         e = self.edge
@@ -244,11 +246,9 @@ def _merge_commit(chain: VersionChain, keep: str, drop: str):
         raise IllegalAction("cannot merge a node with itself")
     deltas = []
     adjacency = g.adjacency()
-    incident = set(g.in_edges(drop))
-    for by_step in adjacency.get(drop, {}).values():
-        incident.update(by_step.values())
+    incident = sorted(e for e in g.edges() if drop in (e.src, e.dst))
     replacement_edges = set()
-    for e in sorted(incident):
+    for e in incident:
         deltas.append(remove(e))
         src = keep if e.src == drop else e.src
         dst = keep if e.dst == drop else e.dst

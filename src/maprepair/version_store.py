@@ -9,11 +9,13 @@ A commit is applied to the live graph in straight-line code
 (`_apply_commit`): new nodes, then deltas, renames and drops, each by a
 direct `NavGraph` call, counting the steps done.  A rejected step undoes
 those steps through `_unapply_commit`, the one inverse walk, and restores
-the origin, so a rejected commit leaves no trace.  A delta that no writer
-makes (an op other than "+" or "-", a direction not in `DIRECTIONS`, a
-step id that is not an int) is refused with `ValueError` before any step
-applies, since its line would not load.  With a log path set, the
-commit's JSONL line is then appended to the log, unbuffered (and, with
+the origin, so a rejected commit leaves no trace.  A rename or drop whose
+recorded name is not the node's own is a rejected step (`InvalidDelta`),
+since undoing it would leave that name behind.  A delta that no writer
+makes (an op other than "+" or "-", a direction not in `DIRECTIONS`, a step
+id that is not an int) is refused with `ValueError` before any step
+applies, since its line would not load.  With a log path set, the commit's
+JSONL line is then appended to the log, unbuffered (and, with
 `fsync=True`, synced to disk with `os.fsync`).  A failed write or sync
 undoes the commit and cuts the log back to where the line started, so no
 part of the line stays in the file or in a buffer: a commit becomes visible
@@ -47,7 +49,7 @@ from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Optional
 
 from .errors import CorruptLog, InvalidDelta, MapRepairError, UnknownVersion
-from .graph_core import REVERSE, Edge, NavGraph
+from .graph_core import REVERSE, Edge, NavGraph, normalize_name
 
 TRIGGER_OBSERVATION = "observation_update"
 TRIGGER_REPAIR = "conflict_repair"
@@ -168,16 +170,26 @@ def _apply_commit(g: NavGraph, c: Commit) -> None:
             else:
                 raise InvalidDelta(f"remove of absent edge: {edge}")
             done += 1
-        for nid, _, new in c.renames:
+        for nid, old, new in c.renames:
+            normalize_name(new)  # a new name of the wrong type fails first
+            _check_name(g, nid, old)
             g.rename_node(nid, new)
             done += 1
-        for nid, _ in c.drops:
+        for nid, name in c.drops:
+            _check_name(g, nid, name)
             g.remove_node(nid)
             done += 1
     except BaseException:
         _unapply_commit(g, c, done)
         g.origin = origin
         raise
+
+
+def _check_name(g: NavGraph, nid: str, name: str) -> None:
+    """Refuse a rename or drop whose recorded name is not the node's own:
+    undoing it would give the node that name."""
+    if g.node_name(nid) != name:
+        raise InvalidDelta(f"{nid} is named {g.nodes[nid]!r}, not {name!r}")
 
 
 def _steps(c: Commit) -> list[tuple]:

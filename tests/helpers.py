@@ -571,8 +571,8 @@ def reference_unique_resolving_direction(g: NavGraph, e: Edge, conflict_key,
 # accepted (an op other than "+" removes), and a commit that does not apply
 # raised as it is.  The bodies are verbatim but for their names (the undo
 # of a rejected commit is inline in `reference_apply_commit`), and `load`
-# takes what it calls as parameters, so a test can model a fix in one of
-# them.
+# and `reference_apply_commit` take what they call as parameters, so a test
+# can model a fix in one of them.
 
 
 def _reference_steps(c: Commit) -> list[tuple]:
@@ -600,11 +600,12 @@ def _reference_run(g: NavGraph, step: tuple, forward: bool) -> None:
         g.remove_edge(target)
 
 
-def reference_apply_commit(g: NavGraph, c: Commit) -> None:
+def reference_apply_commit(g: NavGraph, c: Commit, *,
+                           run=_reference_run) -> None:
     origin = g.origin
     for done, step in enumerate(_reference_steps(c)):
         try:
-            _reference_run(g, step, forward=True)
+            run(g, step, forward=True)
         except BaseException:
             for undo in reversed(_reference_steps(c)[:done]):
                 _reference_run(g, undo, forward=False)

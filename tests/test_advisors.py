@@ -227,6 +227,23 @@ def test_llm_prompt_reflects_tool_config():
     assert "DeleteEdge" in actions_line
 
 
+def test_llm_prompt_lists_the_action_table():
+    """The prompt's action line comes from the action table, in the order
+    it always had; the version tools only when version control is on."""
+    advisor = LlmAdvisor(EndpointConfig("http://fake"),
+                         transport=_fake_transport([]))
+    lines = {}
+    for version_control in (True, False):
+        _, _, ctx = _demo_context(ToolConfig(version_control=version_control))
+        lines[version_control] = next(
+            line for line in advisor.build_prompt(ctx).splitlines()
+            if line.startswith("Available actions:"))
+    assert lines[False] == ("Available actions: ChangeDirection, DeleteEdge, "
+                            "RedirectEdge, RenameNode, MergeNodes, GiveUp")
+    assert lines[True] == lines[False] + ", RollbackTo, RecallStep, " \
+        "DiffVersions"
+
+
 def test_llm_prompt_carries_the_session_so_far():
     """The second prompt holds the answer to the first reply's query; the
     first, with nothing in the session yet, has no session block."""

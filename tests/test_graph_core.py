@@ -1,8 +1,11 @@
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import brute_closure, brute_reachable, random_graph
+from helpers import brute_closure, brute_reachable, multigraphs, random_graph
+from maprepair.conflict_detector import detect_all
 from maprepair.errors import DuplicateEdge, UnknownNode
 from maprepair.graph_core import (
     COMPASS, DIRECTIONS, Edge, NavGraph, displacement, is_direction,
@@ -86,14 +89,41 @@ def test_rename_updates_name_index():
 
 
 def test_remove_node_requires_no_edges():
+    """Also a room whose edges all enter it: it has no exit to index."""
+    g = NavGraph()
+    a, b, c = g.add_node("A"), g.add_node("B"), g.add_node("C")
+    g.add_edge(a, b, "north", 1)
+    g.add_edge(c, b, "east", 2)
+    before = g.copy()
+    with pytest.raises(DuplicateEdge):
+        g.remove_node(b)
+    assert g.state_equal(before)
+    assert g.indices_consistent()
+    g.remove_edge(Edge(a, b, "north", 1))
+    g.remove_edge(Edge(c, b, "east", 2))
+    g.remove_node(b)
+    assert b not in g.nodes
+
+
+def test_an_edge_in_no_known_direction_is_refused():
+    """An edge whose direction is not one of the 14 used to be stored, and
+    `detect_all` then raised `KeyError`; `add_edge` and `from_json` refuse
+    it before the graph changes."""
     g = NavGraph()
     a, b = g.add_node("A"), g.add_node("B")
     g.add_edge(a, b, "north", 1)
-    with pytest.raises(DuplicateEdge):
-        g.remove_node(b)
-    g.remove_edge(Edge(a, b, "north", 1))
-    g.remove_node(b)
-    assert b not in g.nodes
+    before = g.copy()
+    with pytest.raises(ValueError, match="unknown direction: 'sideways'"):
+        g.add_edge(a, b, "sideways", 2)
+    assert g.state_equal(before)
+    assert g.indices_consistent()
+    data = g.to_json()
+    data["edges"].append(Edge(b, a, "sideways", 3).to_json())
+    with pytest.raises(ValueError, match="unknown direction: 'sideways'"):
+        NavGraph.from_json(data)
+    assert g.state_equal(before)
+    assert g.indices_consistent()
+    assert detect_all(g) == []
 
 
 def test_add_edge_unknown_endpoint():
@@ -247,3 +277,55 @@ def test_indices_survive_random_mutation():
             except DuplicateEdge:
                 pass
         assert g.indices_consistent()
+
+
+def _brute_neighborhood(g: NavGraph, seeds: set, radius: int) -> set:
+    """Nodes within `radius` undirected hops of `seeds`: a BFS over
+    neighbour lists made from `g.edges()`."""
+    neighbours = {n: set() for n in g.nodes}
+    for e in g.edges():
+        neighbours[e.src].add(e.dst)
+        neighbours[e.dst].add(e.src)
+    hops = {n: 0 for n in seeds}
+    queue = deque(seeds)
+    while queue:
+        n = queue.popleft()
+        if hops[n] < radius:
+            for m in sorted(neighbours.get(n, ())):
+                if m not in hops:
+                    hops[m] = hops[n] + 1
+                    queue.append(m)
+    return set(hops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(), st.data())
+def test_entering_edge_reads_equal_brute_force(graph_and_conflicts, data):
+    """`neighborhood`, `in_edges` and `remove_node` find entering edges in
+    the one adjacency index; each equals a reference built from the edge
+    list.  `remove_node` raises exactly when an edge touches the node, and
+    then leaves the graph as it was."""
+    g, _ = graph_and_conflicts
+    edges = sorted(g.edges())
+    seeds = set(data.draw(st.lists(st.sampled_from(sorted(g.nodes)),
+                                   max_size=3)))
+    radius = data.draw(st.integers(0, 3))
+    sub = g.neighborhood(seeds, radius=radius)
+    keep = _brute_neighborhood(g, seeds, radius)
+    assert sub.nodes == {n: g.nodes[n] for n in g.nodes if n in keep}
+    assert sorted(sub.edges()) == [e for e in edges
+                                   if e.src in keep and e.dst in keep]
+    assert sub.origin == (g.origin if g.origin in keep else None)
+    assert sub.indices_consistent()
+    for n in sorted(g.nodes):
+        assert g.in_edges(n) == [e for e in edges if e.dst == n]
+        h = g.copy()
+        if any(n in (e.src, e.dst) for e in edges):
+            with pytest.raises(DuplicateEdge):
+                h.remove_node(n)
+            assert h.state_equal(g)
+        else:
+            h.remove_node(n)
+            assert set(h.nodes) == set(g.nodes) - {n}
+            assert h.edge_set() == set(edges)
+        assert h.indices_consistent()

@@ -15,8 +15,8 @@ from maprepair.graph_core import DIRECTIONS, Edge, NavGraph
 from maprepair.repair_engine import (
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_DIFF_VERSIONS, ACT_GIVE_UP,
     ACT_MERGE_NODES, ACT_RECALL_STEP, ACT_REDIRECT_EDGE, ACT_RENAME_NODE,
-    ACT_ROLLBACK_TO, RepairAction, ToolConfig, apply_action, run_repair,
-    run_session,
+    ACT_ROLLBACK_TO, ACTION_FIELDS, ALL_ACTIONS, RepairAction, ToolConfig,
+    apply_action, run_repair, run_session,
 )
 from maprepair.version_store import (
     TRIGGER_OBSERVATION, TRIGGER_REPAIR, VersionChain, add,
@@ -77,6 +77,19 @@ def test_action_shape_validation():
     for d in wrong_types:
         with pytest.raises(IllegalAction):
             RepairAction.from_json(d)
+
+
+def test_each_kind_requires_the_fields_of_the_action_table():
+    values = {"edge": Edge("n0", "n1", "north", 1), "new_direction": "east",
+              "new_dst": "n2", "node": "n1", "new_name": "Hall",
+              "version": 0, "i": 0, "j": 1}
+    assert ALL_ACTIONS == set(ACTION_FIELDS)
+    for kind, fields in ACTION_FIELDS.items():
+        RepairAction(kind, **{f: values[f] for f in fields}).validate_shape()
+        for missing in fields:
+            with pytest.raises(IllegalAction, match=f"requires {missing}"):
+                RepairAction(kind, **{f: values[f] for f in fields
+                                      if f != missing}).validate_shape()
 
 
 def test_apply_action_refuses_a_wrong_typed_field_before_any_change():

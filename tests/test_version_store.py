@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    reference_apply_commit, reference_commit_from_json,
+    _reference_run, reference_apply_commit, reference_commit_from_json,
     reference_delta_from_json, reference_load, unapplied,
 )
 from maprepair import cli
@@ -19,7 +19,7 @@ from maprepair.errors import (
     UnknownVersion,
 )
 from maprepair.fault_injector import WorldSpec, generate_world
-from maprepair.graph_core import DIRECTIONS, Edge
+from maprepair.graph_core import DIRECTIONS, Edge, normalize_name
 from maprepair.version_store import (
     Commit, EdgeDelta, TRIGGER_OBSERVATION, TRIGGER_REPAIR, VersionChain,
     add, remove,
@@ -135,6 +135,36 @@ def test_rename_and_drop_round_trip():
     assert past.state_equal(chain.materialize(2))
     assert past.nodes[ids[1]] == "Room 1"
     assert past.nodes[ids[2]] == "Room 2"
+
+
+def test_a_rename_or_drop_by_another_name_is_refused_whole(tmp_path):
+    """A rename or drop that records a name the node does not have used to
+    apply, so undoing the rejected commit gave the node the recorded name;
+    it is refused before it changes anything, and a log line holding one
+    does not load."""
+    chain = VersionChain()
+    hall = chain.allocate_node_id()
+    chain.commit([], TRIGGER_OBSERVATION, obs_id=0, analysis="",
+                 new_nodes=[(hall, "Hall")])
+    lobby = chain.allocate_node_id()
+    chain.commit([], TRIGGER_OBSERVATION, obs_id=1, analysis="",
+                 new_nodes=[(lobby, "Lobby")])
+    before = chain.graph.copy()
+    for parts in (dict(renames=[(hall, "Kitchen", "Attic")],
+                       drops=[("n9", "Ghost")]),
+                  dict(drops=[(lobby, "Ghost"), ("n9", "Nobody")])):
+        with pytest.raises(InvalidDelta, match="is named"):
+            chain.commit([], TRIGGER_REPAIR, obs_id=2, analysis="", **parts)
+        assert chain.graph.state_equal(before)
+        assert chain.graph.indices_consistent()
+        assert chain.head == 1
+    log = tmp_path / "chain.jsonl"
+    bad = Commit(2, 2, (), TRIGGER_REPAIR, 2, "", drops=((lobby, "Ghost"),))
+    log.write_text("".join(json.dumps(c.to_json()) + "\n"
+                           for c in (*chain.commits, bad)))
+    with pytest.raises(CorruptLog, match=re.escape(
+            f"{log}:3: {lobby} is named 'Lobby', not 'Ghost'")):
+        VersionChain.load(log)
 
 
 def test_wal_log_written_before_apply(tmp_path):
@@ -812,11 +842,13 @@ _DIRECTION_SET = frozenset(DIRECTIONS)
 
 
 def _fixed(log, wal: bytes):
-    """The reference's parse and apply with the three fixes: an unknown op
+    """The reference's parse and apply with the four fixes: an unknown op
     does not parse; a commit that does not apply (a map error, or a field
-    of the wrong type) is `CorruptLog` at its line; and a commit index, a
+    of the wrong type) is `CorruptLog` at its line; a commit index, a
     delta's direction or a delta's step that no writer makes does not
-    parse.  `fired` records each time a fix changed what happens."""
+    parse; and a rename or drop whose recorded name is not the node's own
+    is refused before it runs.  `fired` records each time a fix changed
+    what happens."""
     fired = []
     # the k-th commit applied is on the k-th line that is not blank
     linenos = iter([n for n, raw in enumerate(_lines(wal), start=1)
@@ -848,10 +880,23 @@ def _fixed(log, wal: bytes):
                 refuse("step", f"step id is not an int: {step!r}")
         return reference_commit_from_json(d)
 
+    def run(g, step, forward):
+        sign, target, *names = step
+        if forward and sign != "+" and not isinstance(target, Edge):
+            # a rename's new name and the node id fail as the step would
+            if sign == "~":
+                normalize_name(names[1])
+            name = g.node_name(target)
+            if name != names[0]:
+                fired.append("name")
+                raise InvalidDelta(
+                    f"{target} is named {name!r}, not {names[0]!r}")
+        _reference_run(g, step, forward)
+
     def apply(g, c):
         lineno = next(linenos)
         try:
-            reference_apply_commit(g, c)
+            reference_apply_commit(g, c, run=run)
         except (MapRepairError, TypeError, AttributeError) as exc:
             fired.append("apply")
             raise CorruptLog(f"{log}:{lineno}: {exc}") from exc
@@ -864,9 +909,10 @@ def _fixed(log, wal: bytes):
 def test_load_equals_the_reference_on_corrupted_logs(data, tmp_path_factory):
     """`load` on a random log, corrupted at random, gives the commits,
     graph, exception, warnings and file bytes of the first `load`, but for
-    the three fixes: an unknown op, a commit that does not apply, and an
-    index, direction or step no writer makes are `CorruptLog` at their line
-    (or a torn final line).  Any log that does not load is `CorruptLog`."""
+    the four fixes: an unknown op, a commit that does not apply, an index,
+    direction or step no writer makes, and a rename or drop of a node by
+    another name are `CorruptLog` at their line (or a torn final line).
+    Any log that does not load is `CorruptLog`."""
     log = tmp_path_factory.mktemp("replay") / "chain.jsonl"
     wal = _corrupt(data, _random_log(data, log))
     append = data.draw(st.booleans())
