@@ -16,7 +16,8 @@ from .conflict_detector import KIND_DIRECTIONAL, KIND_NAMING, SUB_OVERLAP, \
     detect_all
 from .errors import AdvisorFailure
 from .fault_injector import FAULT_MISDIRECTION, FAULT_MISNAME, \
-    FAULT_PHANTOM, FAULT_SILENT, FaultLedger
+    FAULT_PHANTOM, FAULT_SILENT, FaultLedger, corrupted_at, edges_by_step, \
+    fixed_at
 from .graph_core import COMPASS, DIRECTIONS, Edge, NavGraph, normalize_name
 from .repair_engine import (
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_GIVE_UP, ACT_MERGE_NODES,
@@ -50,10 +51,12 @@ class OracleAdvisor:
     def __call__(self, ctx: AdvisorContext) -> RepairAction:
         g = ctx.graph
         visible = set(_visible_edges(ctx))
+        sites = edges_by_step(g)
         for fault in self.ledger.faults:
-            if self.ledger.fixed(g, fault):
+            site = sites.get(fault.step, ())
+            if fixed_at(g, fault, site):
                 continue
-            bad = self.ledger.corrupted_edge(g, fault)
+            bad = corrupted_at(fault, site)
             if bad is None or bad not in visible:
                 continue
             if fault.kind in (FAULT_MISDIRECTION, FAULT_SILENT):

@@ -45,6 +45,46 @@ class Fault:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
+def edges_by_step(g: NavGraph) -> dict[int, list[Edge]]:
+    """Every edge of `g` under its step id, in `g.edges()` order: the sites
+    of all faults from one pass over the graph."""
+    sites: dict[int, list[Edge]] = {}
+    for e in g.edges():
+        if e[3] in sites:
+            sites[e[3]].append(e)
+        else:
+            sites[e[3]] = [e]
+    return sites
+
+
+def _site(g: NavGraph, fault: Fault) -> list[Edge]:
+    return [e for e in g.edges() if e.step_id == fault.step]
+
+
+def fixed_at(g: NavGraph, fault: Fault, site: Sequence[Edge]) -> bool:
+    """`FaultLedger.fixed`, given the edges of the fault's step."""
+    if fault.kind == FAULT_PHANTOM:
+        return not site
+    if fault.kind in (FAULT_MISDIRECTION, FAULT_SILENT):
+        return bool(site) and all(
+            e.direction == fault.true_direction for e in site)
+    if fault.kind == FAULT_MISNAME:
+        return bool(site) and all(
+            normalize_name(g.nodes[e.dst]) == normalize_name(fault.true_name)
+            for e in site)
+    raise ValueError(fault.kind)
+
+
+def corrupted_at(fault: Fault, site: Sequence[Edge]) -> Optional[Edge]:
+    """`FaultLedger.corrupted_edge`, given the edges of the fault's step in
+    `g.edges()` order."""
+    for e in site:
+        if fault.kind not in (FAULT_MISDIRECTION, FAULT_SILENT) or \
+                e.direction == fault.corrupted_direction:
+            return e
+    return None
+
+
 _FAULT_KINDS = frozenset({FAULT_MISDIRECTION, FAULT_MISNAME, FAULT_PHANTOM,
                          FAULT_SILENT})
 _FAULT_FIELDS = frozenset(Fault.__dataclass_fields__)
@@ -56,32 +96,15 @@ class FaultLedger:
 
     def fixed(self, g: NavGraph, fault: Fault) -> bool:
         """Does the graph match ground truth at this fault's site?"""
-        edges = [e for e in g.edges() if e.step_id == fault.step]
-        if fault.kind == FAULT_PHANTOM:
-            return not edges
-        if fault.kind in (FAULT_MISDIRECTION, FAULT_SILENT):
-            return bool(edges) and all(
-                e.direction == fault.true_direction for e in edges)
-        if fault.kind == FAULT_MISNAME:
-            return bool(edges) and all(
-                normalize_name(g.nodes[e.dst]) == normalize_name(fault.true_name)
-                for e in edges)
-        raise ValueError(fault.kind)
+        return fixed_at(g, fault, _site(g, fault))
 
     def all_fixed(self, g: NavGraph, ignore_silent: bool = False) -> bool:
-        return all(self.fixed(g, f) for f in self.faults
+        sites = edges_by_step(g)
+        return all(fixed_at(g, f, sites.get(f.step, ())) for f in self.faults
                    if not (ignore_silent and f.kind == FAULT_SILENT))
 
     def corrupted_edge(self, g: NavGraph, fault: Fault) -> Optional[Edge]:
-        for e in g.edges():
-            if e.step_id != fault.step:
-                continue
-            if fault.kind in (FAULT_MISDIRECTION, FAULT_SILENT):
-                if e.direction == fault.corrupted_direction:
-                    return e
-            else:
-                return e
-        return None
+        return corrupted_at(fault, _site(g, fault))
 
     def to_json(self) -> list[dict]:
         return [f.to_json() for f in self.faults]

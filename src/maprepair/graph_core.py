@@ -305,13 +305,28 @@ class NavGraph:
         return {s: reach[component[s]].bit_count() for s in roots}
 
     def neighborhood(self, seeds: Iterable[str], radius: int = 2) -> "NavGraph":
-        """Induced subgraph within undirected `radius` hops of seeds."""
+        """Induced subgraph within undirected `radius` hops of seeds.  One
+        pass over the index finds every room's sources; each hop then reads
+        the frontier's exits and sources only."""
+        out = self._out
+        sources: dict[str, set[str]] = {}  # dst -> sources of edges into it
+        for src, by_dir in out.items():
+            for by_step in by_dir.values():
+                for e in by_step.values():
+                    dst = e[1]
+                    if dst in sources:
+                        sources[dst].add(src)
+                    else:
+                        sources[dst] = {src}
         keep = set(seeds)
         frontier = set(keep)
         for _ in range(radius):
-            frontier = {m for src, dst, _, _ in self.edges()
-                        if src in frontier or dst in frontier
-                        for m in (src, dst)} - keep
+            reached: set[str] = set()
+            for n in frontier:
+                for by_step in out.get(n, {}).values():
+                    reached.update([e[1] for e in by_step.values()])
+                reached |= sources.get(n, set())
+            frontier = reached - keep
             keep |= frontier
         sub = NavGraph()
         for nid in self.nodes:

@@ -7,14 +7,24 @@ Transcripts are sequences of blocks separated by ``===========`` lines:
     ==>OBSERVATION: At End Of Road
     ...
 
+A separator is five or more ``=`` and trailing whitespace.  In a block,
+each line before the observation is matched once against one header pattern
+(``==>STEP NUM:`` and a number, ``==>ACT:`` or ``==>OBSERVATION:``); other
+lines are skipped, and a repeated header overrides the earlier one.  The
+observation is the rest of the block from its header on, sliced once, with
+the lines joined by ``\\n``.  A blank block is skipped; any other block
+without all three headers is `MalformedBlock`, and step numbers must rise
+from 0.
+
 A step is a movement iff its action normalizes to one of the 14 directions
 ("go north" counts).  The destination's name is the first non-empty
 observation line; for the initial block, which opens with game banner text,
 the line immediately preceding the first "You ..." description line is used
 instead (falling back to the first non-empty line).
 
-Construction keeps a current-location cursor.  A movement whose observation
-names a different location commits one edge.  The destination reuses an
+Construction keeps a current-location cursor and its normalized name.  Each
+movement's name is normalized once; a movement whose observation names a
+different location commits one edge.  The destination reuses an
 existing node only when both the normalized name and the inferred lattice
 position agree; otherwise a fresh node is created, which is what lets
 naming conflicts surface naturally downstream.
@@ -27,8 +37,7 @@ extension that could differ from a from-scratch inference.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import MalformedBlock, NonMonotonicStep
 from .graph_core import COMPASS, Edge, NavGraph, displacement, is_direction, \
@@ -37,14 +46,16 @@ from .position_inference import PositionMap, extend_positions, \
     infer_positions
 from .version_store import TRIGGER_OBSERVATION, VersionChain, add
 
-_SEPARATOR = re.compile(r"^={5,}\s*$")
-_STEP_RE = re.compile(r"^==>STEP NUM:\s*(\d+)\s*$")
-_ACT_RE = re.compile(r"^==>ACT:\s*(.*)$")
-_OBS_RE = re.compile(r"^==>OBSERVATION:\s*(.*)$")
+_SEPARATOR = re.compile(r"={5,}\s*$")
+# one match per header line: group 1 is a step number, group 2 an action;
+# an observation header has neither, and its text starts at the match end
+_HEADER = re.compile(r"==>(?:STEP NUM:\s*(\d+)\s*$|ACT:(.*)|OBSERVATION:\s*)")
 
 
-@dataclass(frozen=True)
-class WalkthroughStep:
+_new = tuple.__new__  # builds a named tuple without its Python-level __new__
+
+
+class WalkthroughStep(NamedTuple):
     step_num: int
     act: str
     observation: str
@@ -84,7 +95,7 @@ def parse_transcript(text: str) -> list[WalkthroughStep]:
     blocks: list[list[str]] = []
     current: list[str] = []
     for line in text.splitlines():
-        if _SEPARATOR.match(line):
+        if line.startswith("=====") and _SEPARATOR.match(line):
             if current:
                 blocks.append(current)
             current = []
@@ -94,47 +105,36 @@ def parse_transcript(text: str) -> list[WalkthroughStep]:
         blocks.append(current)
 
     steps: list[WalkthroughStep] = []
+    prev = -1  # the step number before this block's
     for block in blocks:
-        if not any(line.strip() for line in block):
-            continue
-        step_num = act = None
-        obs_lines: list[str] = []
-        in_obs = False
-        for line in block:
-            if in_obs:
-                obs_lines.append(line)
+        step_num = act = observation = None
+        for i, line in enumerate(block):
+            m = _HEADER.match(line)
+            if m is None:
                 continue
-            m = _STEP_RE.match(line)
-            if m:
-                step_num = int(m.group(1))
-                continue
-            m = _ACT_RE.match(line)
-            if m:
-                act = m.group(1).strip()
-                continue
-            m = _OBS_RE.match(line)
-            if m:
-                obs_lines.append(m.group(1))
-                in_obs = True
-        if step_num is None or act is None or not in_obs:
+            kind = m.lastindex
+            if kind == 1:
+                step_num = int(m[1])
+            elif kind == 2:
+                act = m[2].strip()
+            else:
+                observation = "\n".join(block[i:])[m.end():].rstrip("\n")
+                break
+        if step_num is None or act is None or observation is None:
+            if not any(line.strip() for line in block):
+                continue  # a blank block has no header line
             raise MalformedBlock(
                 f"block missing STEP NUM/ACT/OBSERVATION header: {block[:3]}")
-        observation = "\n".join(obs_lines).rstrip("\n")
-        direction = normalize_act(act)
-        expected = steps[-1].step_num if steps else -1
-        if step_num <= expected or (not steps and step_num != 0):
+        if step_num <= prev or (not steps and step_num != 0):
             raise NonMonotonicStep(
-                f"step {step_num} after {expected}; must increase from 0")
+                f"step {step_num} after {prev}; must increase from 0")
+        direction = normalize_act(act)
         location = (origin_location_line(observation) if not steps
                     else _first_nonempty(observation))
-        steps.append(WalkthroughStep(
-            step_num=step_num,
-            act=act,
-            observation=observation,
-            location_line=location,
-            is_movement=direction is not None,
-            direction=direction,
-        ))
+        steps.append(_new(WalkthroughStep, (
+            step_num, act, observation, location, direction is not None,
+            direction)))
+        prev = step_num
     return steps
 
 
@@ -150,15 +150,16 @@ def construct_graph(steps: Sequence[WalkthroughStep],
     origin_id = chain.allocate_node_id()
     chain.commit([], TRIGGER_OBSERVATION, obs_id=steps[0].step_num,
                  analysis=origin_name, new_nodes=[(origin_id, origin_name)])
-    cursor = origin_id
+    cursor, cursor_key = origin_id, normalize_name(origin_name)
     pm: Optional[PositionMap] = None  # built at the first namesake lookup
     for step in steps[1:]:
         if not step.is_movement:
             continue
         name = step.location_line
-        if normalize_name(name) == normalize_name(g.nodes[cursor]):
+        key = normalize_name(name)
+        if key == cursor_key:
             continue  # blocked move: observation repeats the current room
-        dst, pm = _reuse_or_none(g, pm, cursor, step.direction, name)
+        dst, pm = _reuse_or_none(g, pm, cursor, step.direction, key)
         new_nodes = []
         if dst is None:
             dst = chain.allocate_node_id()
@@ -169,16 +170,17 @@ def construct_graph(steps: Sequence[WalkthroughStep],
                      new_nodes=new_nodes)
         if pm is not None and not extend_positions(g, pm, edge):
             pm = None
-        cursor = dst
+        cursor, cursor_key = dst, key  # a reused room has the same key
     return g
 
 
 def _reuse_or_none(g: NavGraph, pm: Optional[PositionMap], cursor: str,
-                   direction: str, name: str
+                   direction: str, key: str
                    ) -> tuple[Optional[str], Optional[PositionMap]]:
-    """The namesake of `name` to reuse, if any, and the position map of `g`
-    (`pm`, or inferred when it is None and a namesake exists)."""
-    same_name = sorted(g.nodes_named(name))
+    """The room named `key` (a normalized name) to reuse, if any, and the
+    position map of `g` (`pm`, or inferred when it is None and such a room
+    exists)."""
+    same_name = sorted(g.nodes_named(key))
     if not same_name:
         return None, pm
     if pm is None:

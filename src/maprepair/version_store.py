@@ -13,13 +13,20 @@ the origin, so a rejected commit leaves no trace.  A rename or drop whose
 recorded name is not the node's own is a rejected step (`InvalidDelta`),
 since undoing it would leave that name behind.  A delta that no writer
 makes (an op other than "+" or "-", a direction not in `DIRECTIONS`, a step
-id that is not an int) is refused with `ValueError` before any step
-applies, since its line would not load.  With a log path set, the commit's
-JSONL line is then appended to the log, unbuffered (and, with
-`fsync=True`, synced to disk with `os.fsync`).  A failed write or sync
-undoes the commit and cuts the log back to where the line started, so no
-part of the line stays in the file or in a buffer: a commit becomes visible
-only after its whole line is written.
+id that is not an int) and an obs_id that is not an int (`True` included)
+are refused with `ValueError` before any step applies, since their line
+would not load or would not be written as an int.
+
+With a log path set, the commit's JSONL line is then written by the one
+line writer, `_line`, and appended to the log, unbuffered (and, with
+`fsync=True`, synced to disk with `os.fsync`).  `_line` formats the line
+in one pass, byte for byte what `json.dumps(commit.to_json())` and a
+newline would be: keys in `to_json` order, strings through the C escaper of
+`json.dumps` under `ensure_ascii`, ints as `int.__repr__` writes them.  A
+field it cannot write (a node id or name that is not a str), a failed write
+and a failed sync all undo the commit and cut the log back to where the
+line started, so no part of the line stays in the file or in a buffer: a
+commit becomes visible only after its whole line is written.
 
 Loading reads the log line by line.  A line is decoded with the C scanner
 of one `json.JSONDecoder`, which skips the encoding detection and the
@@ -262,13 +269,15 @@ class VersionChain:
         commit = _new(Commit, (  # a commit's step_id is its obs_id
             len(self.commits), obs_id, tuple(deltas), trigger, obs_id,
             analysis, tuple(new_nodes), tuple(renames), tuple(drops)))
+        if type(obs_id) is not int:  # True, 1.5, "3": not written as an int
+            raise ValueError(f"obs_id is not an int: {obs_id!r}")
         for op, edge in commit.deltas:
             _check_delta(op, edge)  # its line would not load
         origin = self.graph.origin
         _apply_commit(self.graph, commit)
         if self._log is not None:
-            line = (json.dumps(commit.to_json()) + "\n").encode()
             try:
+                line = _line(commit)
                 written = 0
                 while written < len(line):
                     written += self._log.write(line[written:])
@@ -357,6 +366,41 @@ class VersionChain:
             chain._log = _open_log(chain.log_path)
             chain._log_end = good_end
         return chain
+
+
+_str = json.encoder.encode_basestring_ascii  # json.dumps's, ensure_ascii
+
+
+def _line(c: Commit) -> bytes:
+    """The log line of `c`: `json.dumps(c.to_json()) + "\\n"`, byte for byte,
+    formatted in one pass.  Keys come in `to_json` order, and `nodes`,
+    `renames` and `drops` only when they are non-empty.  Strings go through
+    the C escaper `json.dumps` uses under `ensure_ascii`, which raises
+    `TypeError` on anything but a str.  Every int field is an exact int
+    (`commit` checks the obs_id and the delta steps), so `!r` writes it as
+    `int.__repr__` does, which is what `json.dumps` writes."""
+    index, step_id, deltas, trigger, obs_id, analysis, nodes, renames, \
+        drops = c
+    line = (f'{{"index": {index!r}, "step_id": {step_id!r}, "deltas": ['
+            + ", ".join([f'{{"op": {_str(op)}, "src": {_str(src)}, '
+                         f'"dst": {_str(dst)}, "dir": {_str(direction)}, '
+                         f'"step": {step!r}}}'
+                         for op, (src, dst, direction, step) in deltas])
+            + f'], "trigger": {_str(trigger)}, "obs_id": {obs_id!r}, '
+              f'"analysis": {_str(analysis)}')
+    if nodes:
+        line += ', "nodes": [' + ", ".join([
+            f'{{"id": {_str(nid)}, "name": {_str(name)}}}'
+            for nid, name in nodes]) + "]"
+    if renames:
+        line += ', "renames": [' + ", ".join([
+            f'{{"id": {_str(nid)}, "old": {_str(old)}, "new": {_str(new)}}}'
+            for nid, old, new in renames]) + "]"
+    if drops:
+        line += ', "drops": [' + ", ".join([
+            f'{{"id": {_str(nid)}, "name": {_str(name)}}}'
+            for nid, name in drops]) + "]"
+    return (line + "}\n").encode()
 
 
 _scan_once = json.JSONDecoder().scan_once

@@ -10,9 +10,11 @@ from __future__ import annotations
 import heapq
 import json
 import random
+import re
 import warnings
 
 from collections import Counter, deque
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
@@ -29,7 +31,8 @@ from maprepair.error_localizer import (
 )
 from maprepair.errors import (
     AdvisorFailure, CorruptLog, DuplicateEdge, EmptyCandidates, IllegalAction,
-    InvalidDelta, ToolUnavailable, UnknownNode, UnknownVersion, Unreachable,
+    InvalidDelta, MalformedBlock, NonMonotonicStep, ToolUnavailable,
+    UnknownNode, UnknownVersion, Unreachable,
 )
 from maprepair.graph_core import (
     COMPASS, DIRECTIONS, Edge, NavGraph, displacement, normalize_name,
@@ -42,6 +45,9 @@ from maprepair.position_inference import (
 from maprepair.repair_engine import (
     ACT_GIVE_UP, QUERY_ACTIONS, VERSION_ACTIONS, Advisor, ToolConfig,
     _describe, apply_action, build_context,
+)
+from maprepair.transcript_parser import (
+    _first_nonempty, normalize_act, origin_location_line,
 )
 from maprepair.version_store import (
     TRIGGER_OBSERVATION, Commit, EdgeDelta, VersionChain, _open_log,
@@ -263,6 +269,86 @@ def reference_construct(steps) -> VersionChain:
                      new_nodes=new_nodes)
         cursor = dst
     return chain
+
+
+# ---------------------------------------------------------------------------
+# transcript parsing as first written: three header patterns tried in turn
+# on every line, the separator pattern on every line, and the observation
+# gathered line by line.  The body is verbatim but for its name and the
+# step type's; `ReferenceStep` has `WalkthroughStep`'s fields.
+
+_REFERENCE_SEPARATOR = re.compile(r"^={5,}\s*$")
+_REFERENCE_STEP_RE = re.compile(r"^==>STEP NUM:\s*(\d+)\s*$")
+_REFERENCE_ACT_RE = re.compile(r"^==>ACT:\s*(.*)$")
+_REFERENCE_OBS_RE = re.compile(r"^==>OBSERVATION:\s*(.*)$")
+
+
+@dataclass(frozen=True)
+class ReferenceStep:
+    step_num: int
+    act: str
+    observation: str
+    location_line: str
+    is_movement: bool
+    direction: Optional[str]
+
+
+def reference_parse_transcript(text: str) -> list[ReferenceStep]:
+    blocks: list[list[str]] = []
+    current: list[str] = []
+    for line in text.splitlines():
+        if _REFERENCE_SEPARATOR.match(line):
+            if current:
+                blocks.append(current)
+            current = []
+        else:
+            current.append(line)
+    if current:
+        blocks.append(current)
+
+    steps: list[ReferenceStep] = []
+    for block in blocks:
+        if not any(line.strip() for line in block):
+            continue
+        step_num = act = None
+        obs_lines: list[str] = []
+        in_obs = False
+        for line in block:
+            if in_obs:
+                obs_lines.append(line)
+                continue
+            m = _REFERENCE_STEP_RE.match(line)
+            if m:
+                step_num = int(m.group(1))
+                continue
+            m = _REFERENCE_ACT_RE.match(line)
+            if m:
+                act = m.group(1).strip()
+                continue
+            m = _REFERENCE_OBS_RE.match(line)
+            if m:
+                obs_lines.append(m.group(1))
+                in_obs = True
+        if step_num is None or act is None or not in_obs:
+            raise MalformedBlock(
+                f"block missing STEP NUM/ACT/OBSERVATION header: {block[:3]}")
+        observation = "\n".join(obs_lines).rstrip("\n")
+        direction = normalize_act(act)
+        expected = steps[-1].step_num if steps else -1
+        if step_num <= expected or (not steps and step_num != 0):
+            raise NonMonotonicStep(
+                f"step {step_num} after {expected}; must increase from 0")
+        location = (origin_location_line(observation) if not steps
+                    else _first_nonempty(observation))
+        steps.append(ReferenceStep(
+            step_num=step_num,
+            act=act,
+            observation=observation,
+            location_line=location,
+            is_movement=direction is not None,
+            direction=direction,
+        ))
+    return steps
 
 
 def names(g: NavGraph, ids) -> list[str]:

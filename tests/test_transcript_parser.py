@@ -1,8 +1,10 @@
+import dataclasses
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import edge_by
+from helpers import edge_by, reference_parse_transcript
 from maprepair import transcript_parser
 from maprepair.conflict_detector import detect_all
 from maprepair.fault_injector import WorldSpec, generate_world
@@ -157,3 +159,81 @@ def test_construction_infers_positions_at_most_once(spec, most):
     assert len(calls) <= most
     assert g.nodes == world.truth.nodes
     assert g.edge_set() == world.truth.edge_set()
+
+
+# every break `str.splitlines` knows
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d",
+                           "\x1e", "\x85", "\u2028", "\u2029"])
+_PADS = st.sampled_from(["", " ", "  ", "\t", "\xa0"])
+_WORDS = st.sampled_from([
+    "north", "go South", " Go  east ", "up\t", "\xa0in\xa0", "look",
+    "take lamp", "West of House", "You are in a field.", "You", "", " ",
+    "\t", "==>", "=====", "==>ACT:", "STEP NUM: 3"])
+_SEPARATORS = st.builds(
+    str.__add__, st.sampled_from(["=====", "======", "===========", "===="]),
+    st.sampled_from(["", " ", " \t", "\xa0", "x", " ="]))
+_STEP_NUMS = st.one_of(st.integers(0, 12).map(str), st.sampled_from(
+    ["", "x", "-1", "1 2", "3a", "\u0663", "007"]))
+
+
+def _headers(kind: str, pad: str, value: str) -> str:
+    return f"==>{kind}:{pad}{value}"
+
+
+_LINES = st.one_of(
+    _SEPARATORS,
+    st.builds(_headers, st.just("STEP NUM"), _PADS,
+              st.builds(str.__add__, _STEP_NUMS, _PADS)),
+    st.builds(_headers, st.just("ACT"), _PADS, _WORDS),
+    st.builds(_headers, st.just("OBSERVATION"), _PADS, _WORDS),
+    _WORDS,
+    st.text(max_size=6),
+    st.sampled_from(["==>STEP NUM 3", "==>act: north", " ==>ACT: north",
+                     "==>OBSERVATION", "==> ACT: up", "==>STEP NUM:"]),
+)
+
+
+@st.composite
+def _transcripts(draw) -> str:
+    """Text of blocks that are mostly well formed (step numbers counting
+    from 0, headers in any order, observations of several lines), mixed with
+    junk, repeated, missing and out-of-order header lines, blank blocks and
+    every kind of line break."""
+    lines: list[str] = []
+    step = 0
+    for _ in range(draw(st.integers(0, 6))):
+        lines.append(draw(_SEPARATORS))
+        if draw(st.integers(0, 9)) == 0:
+            lines += draw(st.lists(_LINES, max_size=4))
+            continue
+        step += draw(st.sampled_from([1, 1, 1, 1, 1, 1, 0, 2, -1]))
+        num = str(max(step - 1, 0)) if draw(st.integers(0, 7)) else \
+            draw(_STEP_NUMS)
+        header = [_headers("STEP NUM", draw(_PADS), num + draw(_PADS)),
+                  _headers("ACT", draw(_PADS), draw(_WORDS))]
+        header = draw(st.permutations(header))
+        for i in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            header.insert(draw(st.integers(0, len(header))), draw(_LINES))
+        lines += header
+        if draw(st.integers(0, 19)):
+            lines.append(_headers("OBSERVATION", draw(_PADS), draw(_WORDS)))
+        lines += draw(st.lists(st.one_of(_WORDS, _WORDS, _WORDS, _LINES),
+                               max_size=4))
+    return "".join(line + draw(_BREAKS) for line in lines)
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        return [dataclasses.astuple(s) if dataclasses.is_dataclass(s)
+                else tuple(s) for s in parse(text)]
+    except (MalformedBlock, NonMonotonicStep) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_transcripts())
+def test_parse_transcript_equals_the_reference(text):
+    """One header match per line and one slice per observation give the
+    steps, or the error, that three patterns per line gave."""
+    assert _parse_outcome(parse_transcript, text) == \
+        _parse_outcome(reference_parse_transcript, text)

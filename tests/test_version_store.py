@@ -525,6 +525,103 @@ def test_failed_commit_leaves_no_line_in_the_log(tmp_path, monkeypatch,
     assert loaded.graph.state_equal(chain.graph)
 
 
+# quotes, backslashes, control, non-ASCII, astral and lone surrogate
+# characters all occur
+_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\xe9\U0001f600\ud800'),
+    st.characters()))
+
+
+def _random_commit(data, g, used_steps: set) -> dict:
+    """The parts of a commit that applies to `g`: new nodes, removals and
+    additions of edges, renames and drops, with names and ids drawn from
+    `_TEXT` and any int as a step id."""
+    sim = g.copy()
+    new_nodes = []
+    for nid in data.draw(st.lists(_TEXT, max_size=3, unique=True)):
+        if nid not in sim.nodes:
+            new_nodes.append((nid, data.draw(_TEXT)))
+            sim.add_node(new_nodes[-1][1], node_id=nid)
+    live = sorted(sim.edge_set())
+    deltas = [remove(e) for e in data.draw(
+        st.lists(st.sampled_from(live), max_size=2, unique=True)
+        if live else st.just([]))]
+    for delta in deltas:
+        sim.remove_edge(delta.edge)
+    nodes = sorted(sim.nodes)
+    for _ in range(data.draw(st.integers(0, 3)) if nodes else 0):
+        step = data.draw(st.integers().filter(lambda s: s not in used_steps))
+        used_steps.add(step)
+        deltas.append(add(sim.add_edge(
+            data.draw(st.sampled_from(nodes)),
+            data.draw(st.sampled_from(nodes)),
+            data.draw(st.sampled_from(DIRECTIONS)), step)))
+    renames = []
+    for nid in data.draw(st.lists(st.sampled_from(nodes), max_size=2,
+                                  unique=True) if nodes else st.just([])):
+        renames.append((nid, sim.nodes[nid], data.draw(_TEXT)))
+        sim.rename_node(nid, renames[-1][2])
+    ends = {m for e in sim.edges() for m in e[:2]}
+    bare = [n for n in sorted(sim.nodes) if n not in ends]
+    drops = [(n, sim.nodes[n]) for n in data.draw(
+        st.lists(st.sampled_from(bare), max_size=2, unique=True)
+        if bare else st.just([]))]
+    return dict(deltas=deltas, new_nodes=new_nodes, renames=renames,
+                drops=drops, trigger=data.draw(_TEXT),
+                obs_id=data.draw(st.integers()), analysis=data.draw(_TEXT))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_each_log_line_is_json_dumps_of_its_commit(data, tmp_path_factory):
+    """The line writer formats each commit as `json.dumps(c.to_json())`
+    plus a newline, byte for byte, whatever its steps and names."""
+    log = tmp_path_factory.mktemp("wal") / "chain.jsonl"
+    chain = VersionChain(log_path=log)
+    used_steps: set = set()
+    try:
+        for _ in range(data.draw(st.integers(1, 5))):
+            end = log.stat().st_size
+            c = chain.commit(**_random_commit(data, chain.graph, used_steps))
+            assert log.read_bytes()[end:] == (
+                json.dumps(c.to_json()) + "\n").encode()
+    finally:
+        chain.close()
+    loaded = VersionChain.load(log)
+    assert loaded.commits == chain.commits
+    assert loaded.graph.state_equal(chain.graph)
+
+
+@pytest.mark.parametrize("obs_id, node_id, error", [
+    (True, "x0", ValueError), (1.5, "x0", ValueError),
+    ("3", "x0", ValueError), (None, "x0", ValueError),
+    (9, 7, TypeError),
+])
+def test_a_commit_the_writer_cannot_write_is_refused_whole(
+        tmp_path, obs_id, node_id, error):
+    """A non-int obs_id is refused before any step applies; a field the
+    line writer cannot format (an int node id) undoes the applied commit.
+    Either way graph, commits and log stay as they were, and the chain
+    goes on."""
+    log = tmp_path / "chain.jsonl"
+    chain = VersionChain(log_path=log)
+    ids = _grow(chain)
+    before, commits, wal = chain.graph.copy(), list(chain.commits), \
+        log.read_bytes()
+    with pytest.raises(error):
+        chain.commit([add(Edge(ids[3], node_id, "east", 9))], TRIGGER_REPAIR,
+                     obs_id=obs_id, analysis="doomed",
+                     new_nodes=[(node_id, "Annex")])
+    assert chain.graph.state_equal(before)
+    assert chain.graph.indices_consistent()
+    assert chain.commits == commits
+    assert log.read_bytes() == wal
+    c = chain.commit([], TRIGGER_REPAIR, obs_id=4, analysis="ok")
+    chain.close()
+    assert c.index == 4
+    assert VersionChain.load(log).graph.state_equal(chain.graph)
+
+
 
 
 def _log_with_line(tmp_path, delta: Optional[dict], newline: bool = True,

@@ -3,6 +3,7 @@ leaves them as they were.
 
     python3 tools/output_digest.py <checkout> [--no-edge-impact]
                                               [--no-version-control]
+    python3 tools/output_digest.py <checkout> --build
 
 The items are perfbench's repair-mixed items of seeds 0-4, made by the
 checkout's ``perfbench/workloads.py``: 600 faulted worlds, each under the
@@ -13,6 +14,12 @@ transcript) and the ``Metrics``.  Two checkouts that print the same digest
 write the same logs and sessions on these items.  Nothing is written to
 the checkout.  ``--no-edge-impact`` and ``--no-version-control`` repair
 with that tool ablated, as ``maprepair repair`` does with the same flags.
+
+``--build`` prints instead one SHA-256 over the WAL bytes of a build alone:
+perfbench's build-grid and build-tree items of seeds 0-4 and the
+checkout's ``tests/fixtures/advent_walkthrough.txt``, each parsed and
+committed to a fresh WAL.  Two checkouts that print the same build digest
+parse the same steps and write the same log lines for them.
 """
 
 from __future__ import annotations
@@ -47,10 +54,44 @@ def _session(s) -> dict:
             "transcript": s.transcript}
 
 
+def _build(wal: Path, transcript: str) -> None:
+    """Parse `transcript` and commit its steps to a new WAL at `wal`."""
+    from maprepair import transcript_parser
+    from maprepair.version_store import VersionChain
+
+    chain = VersionChain(wal)
+    try:
+        transcript_parser.construct_graph(
+            transcript_parser.parse_transcript(transcript), chain)
+    finally:
+        chain.close()
+
+
+def build_digest(checkout: str | Path) -> str:
+    checkout = Path(checkout).resolve()
+    workloads = _import_checkout(checkout)
+    fixture = checkout / "tests" / "fixtures" / "advent_walkthrough.txt"
+    inputs = [(f"{workload}/s{seed}/{item.key}", item.transcript)
+              for workload in ("build-grid", "build-tree") for seed in SEEDS
+              for item in workloads.make_items(workload, seed)]
+    inputs.append((fixture.name, fixture.read_text()))
+
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        wal = Path(tmp) / "item.jsonl"
+        for key, transcript in inputs:
+            _build(wal, transcript)
+            record = {"item": key,
+                      "wal": hashlib.sha256(wal.read_bytes()).hexdigest()}
+            h.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+            wal.unlink()
+    return h.hexdigest()
+
+
 def output_digest(checkout: str | Path, edge_impact: bool = True,
                   version_control: bool = True) -> str:
     workloads = _import_checkout(Path(checkout).resolve())
-    from maprepair import advisors, repair_engine, transcript_parser
+    from maprepair import advisors, repair_engine
     from maprepair.version_store import VersionChain
 
     config = repair_engine.ToolConfig(edge_impact=edge_impact,
@@ -61,10 +102,7 @@ def output_digest(checkout: str | Path, edge_impact: bool = True,
         wal = Path(tmp) / "item.jsonl"
         for seed in SEEDS:
             for item in workloads.make_items("repair-mixed", seed):
-                chain = VersionChain(wal)
-                transcript_parser.construct_graph(
-                    transcript_parser.parse_transcript(item.transcript), chain)
-                chain.close()
+                _build(wal, item.transcript)
                 if item.advisor == "oracle":
                     advisor = advisors.OracleAdvisor(item.ledger)
                 else:
@@ -90,10 +128,17 @@ def main(argv=None) -> int:
     parser.add_argument("checkout", help="root of a maprepair checkout")
     parser.add_argument("--no-edge-impact", action="store_true")
     parser.add_argument("--no-version-control", action="store_true")
+    parser.add_argument("--build", action="store_true",
+                        help="digest the WALs of builds alone")
     args = parser.parse_args(argv)
-    print(output_digest(args.checkout,
-                        edge_impact=not args.no_edge_impact,
-                        version_control=not args.no_version_control))
+    if args.build and (args.no_edge_impact or args.no_version_control):
+        parser.error("--build takes no repair flag")
+    if args.build:
+        print(build_digest(args.checkout))
+    else:
+        print(output_digest(args.checkout,
+                            edge_impact=not args.no_edge_impact,
+                            version_control=not args.no_version_control))
     return 0
 
 
