@@ -5,20 +5,43 @@ Faults corrupt the transcript only; the ledger records (true, corrupted)
 specs so oracle advisors and correctness metrics can judge repairs.
 World generation is deterministic; fault injection is deterministic in
 its seed.
+
+`inject` draws each fault by trying the options of its kind in a seeded
+random order until one shows on the built map as it must.  The options
+are counted and made one by one, by index, so only the tried ones cost
+anything; `rng.shuffle` of their indices makes the swaps a shuffle of the
+options themselves would make, so a seed draws the same faults either way.
+A trial fault at step k leaves the commits before k as they were, so each
+`World` keeps a private build record: its parsed steps and the commits
+construction made of them, built lazily as far as a trial has needed.  A
+trial replays the record's commits before k, parses only its own block,
+constructs the steps from k on (`transcript_parser.extend_graph`) and
+runs `detect_all` on the whole map.  The record is used only while
+`World.steps` is what it was made from, and an accepted trial hands its
+own to the corrupted world, for the next draw of a mix.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Optional, Sequence
 
 from .conflict_detector import detect_all
+from .errors import MalformedBlock, NonMonotonicStep
 from .graph_core import (
     COMPASS, Edge, NavGraph, displacement, normalize_name, reverse_direction,
 )
-from .transcript_parser import construct_graph, parse_transcript
-from .version_store import TRIGGER_OBSERVATION, VersionChain, add
+from .transcript_parser import (
+    WalkthroughStep, construct_graph, extend_graph, parse_block,
+    parse_transcript,
+)
+from .version_store import (
+    TRIGGER_OBSERVATION, Commit, VersionChain, _apply_commit, add,
+)
 
 FAULT_MISDIRECTION = "misdirection"
 FAULT_MISNAME = "misname"
@@ -137,18 +160,23 @@ class World:
     # steps[i] = (act, observation); step 0 is the Init block
     steps: list[tuple[str, str]]
     truth: NavGraph
+    # what fault trials know of this world's build (`_build_record`)
+    _record: Optional["_BuildRecord"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def transcript(self) -> str:
-        blocks = []
-        for i, (act, obs) in enumerate(self.steps):
-            blocks.append(f"===========\n==>STEP NUM: {i}\n"
-                          f"==>ACT: {act}\n==>OBSERVATION: {obs}")
-        return "\n".join(blocks) + "\n"
+        return "\n".join([f"===========\n{_block(i, act, obs)}"
+                          for i, (act, obs) in enumerate(self.steps)]) + "\n"
 
     def build(self, log_path=None) -> VersionChain:
         chain = VersionChain(log_path=log_path)
         construct_graph(parse_transcript(self.transcript()), chain)
         return chain
+
+
+def _block(i: int, act: str, obs: str) -> str:
+    """Step `i`'s block in a transcript, without its separator line."""
+    return f"==>STEP NUM: {i}\n==>ACT: {act}\n==>OBSERVATION: {obs}"
 
 
 def _world_from_walk(names: Sequence[str],
@@ -282,6 +310,11 @@ def inject(world: World, kinds: Sequence[str], seed: int = 0,
     always changes the map: its step commits an edge in a direction the
     truth lacks there.  Explicit faults, when given, are applied verbatim
     before the drawn ones.
+
+    A trial fault at step k costs the construction of the steps from k on
+    and one `detect_all` of the whole map: the commits before k come from
+    the world's build record (`_build_record`), which is kept on `world`
+    for the next `inject` and handed on from draw to draw.
     """
     rng = random.Random(seed)
     ledger = FaultLedger()
@@ -308,56 +341,157 @@ def _apply_fault(world: World, fault: Fault) -> World:
     raise ValueError(fault.kind)
 
 
-def _fault_options(corrupted: World, kind: str) -> list[tuple]:
-    """Every fault of `kind` this transcript can take, in a fixed order, as
-    the `Fault` fields after `kind`: there are O(rooms^2) misname options,
-    and a `Fault` is made only of those tried."""
+def _fault_options(corrupted: World,
+                   kind: str) -> tuple[int, Callable[[int], Fault]]:
+    """How many faults of `kind` this transcript can take, and the i-th of
+    them in a fixed order.  There are O(rooms^2) misname options, so they
+    are kept as one block per first arrival, and a `Fault` is made only of
+    the options tried."""
+    steps = corrupted.steps
     sources = _walk_sources(corrupted)
-    move_steps = [i for i in range(1, len(corrupted.steps))
-                  if corrupted.steps[i][0] in COMPASS]
-    options = []
+    used: dict[str, set[str]] = {}  # actions taken from each source room
+    for i in range(1, len(steps)):
+        used.setdefault(sources[i], set()).add(steps[i][0])
+    move_steps = [i for i in range(1, len(steps)) if steps[i][0] in COMPASS]
     if kind in (FAULT_MISDIRECTION, FAULT_SILENT):
+        options = [(step, steps[step][0], d) for step in move_steps
+                   for d in sorted(COMPASS - used[sources[step]])]
+        return len(options), lambda i: Fault(kind, *options[i])
+    if kind == FAULT_MISNAME:
+        visited: list[str] = [steps[0][1].splitlines()[0]]
+        times = Counter(visited)
+        # one block per first arrival: its options are the rooms visited
+        # before it but the move's source, and `starts` holds the index of
+        # each block's first option
+        starts: list[int] = []
+        blocks: list[tuple[int, str, int, str]] = []
+        count = 0
         for step in move_steps:
-            true_dir = corrupted.steps[step][0]
-            used = {corrupted.steps[i][0] for i in range(1, len(corrupted.steps))
-                    if sources[i] == sources[step]}
-            options.extend((step, true_dir, d) for d in sorted(COMPASS - used))
-    elif kind == FAULT_MISNAME:
-        visited: list[str] = [corrupted.steps[0][1].splitlines()[0]]
-        for step in move_steps:
-            name = corrupted.steps[step][1].splitlines()[0]
-            if name not in visited:
+            name = steps[step][1].splitlines()[0]
+            if name not in times:
                 # corrupt only first arrivals, and never to the move's own
                 # source room: that would read as a blocked move, not an edge
-                options.extend((step, None, None, name, other)
-                               for other in visited if other != sources[step])
+                others = len(visited) - times[sources[step]]
+                if others:
+                    starts.append(count)
+                    blocks.append((step, name, len(visited), sources[step]))
+                    count += others
             visited.append(name)
-    elif kind == FAULT_PHANTOM:
-        final_src = corrupted.steps[-1][1].splitlines()[0]
-        used = {corrupted.steps[i][0] for i in range(1, len(corrupted.steps))
-                if sources[i] == final_src}
-        names = sorted({obs.splitlines()[0]
-                        for _, obs in corrupted.steps}) + [final_src]
-        options.extend((len(corrupted.steps), None, d, None, n)
-                       for d in sorted(COMPASS - used)
-                       for n in names if n != final_src)
-    else:
-        raise ValueError(kind)
-    return options
+            times[name] += 1
+
+        def misname(i: int) -> Fault:
+            b = bisect_right(starts, i) - 1
+            step, name, before, source = blocks[b]
+            others = (n for n in visited[:before] if n != source)
+            for _ in range(i - starts[b]):
+                next(others)
+            return Fault(kind, step, true_name=name,
+                         corrupted_name=next(others))
+        return count, misname
+    if kind == FAULT_PHANTOM:
+        final_src = steps[-1][1].splitlines()[0]
+        dirs = sorted(COMPASS - used.get(final_src, set()))
+        names = sorted({obs.splitlines()[0] for _, obs in steps} - {final_src})
+
+        def phantom(i: int) -> Fault:
+            d, n = divmod(i, len(names))
+            return Fault(kind, len(steps), corrupted_direction=dirs[d],
+                         corrupted_name=names[n])
+        return len(dirs) * len(names), phantom
+    raise ValueError(kind)
 
 
 def _draw_fault(corrupted: World, kind: str,
                 rng: random.Random) -> tuple[Fault, World]:
     """A seeded random fault of `kind` whose built map shows a conflict,
-    or, for a silent misdirection, shows none."""
-    options = _fault_options(corrupted, kind)
-    rng.shuffle(options)
-    for fields in options:
-        fault = Fault(kind, *fields)
+    or, for a silent misdirection, shows none.
+
+    The options are tried in the order `rng.shuffle` gives their indices.
+    Its swaps depend only on the list's length, so the faults come in the
+    order a shuffle of the options themselves would give, and each seed
+    draws the faults it always drew.  Each trial is built from the
+    world's build record (`_trial`); an accepted trial hands its record to
+    the corrupted world it returns."""
+    count, option = _fault_options(corrupted, kind)
+    order = list(range(count))
+    rng.shuffle(order)
+    record = _build_record(corrupted)
+    for i in order:
+        fault = option(i)
         trial = _apply_fault(corrupted, fault)
-        if bool(detect_all(trial.build().graph)) != (kind == FAULT_SILENT):
+        chain, parsed = _trial(record, trial, fault.step)
+        if bool(detect_all(chain.graph)) != (kind == FAULT_SILENT):
+            if parsed is not None:
+                trial._record = _BuildRecord(list(trial.steps), parsed,
+                                             chain.commits, len(parsed))
             return fault, trial
     raise ValueError(f"no viable {kind} fault for this world")
+
+
+@dataclass
+class _BuildRecord:
+    """What fault trials know of one world's build: the world's steps it
+    was made from, their parsed steps (None when the transcript does not
+    parse to one step per world step numbered as the world numbers them),
+    and the commits construction makes of the first `built` of them."""
+    steps: list[tuple[str, str]]
+    parsed: Optional[list[WalkthroughStep]]
+    commits: list[Commit]
+    built: int
+
+
+def _build_record(world: World) -> _BuildRecord:
+    """The build record of `world`, made anew (parsed, nothing built) when
+    there is none or `world.steps` changed since it was made."""
+    record = world._record
+    if record is not None and record.steps == world.steps:
+        return record
+    parsed = None
+    # a separator inside a step would split its block from the others
+    if not any("=====" in act or "=====" in obs for act, obs in world.steps):
+        try:
+            parsed = parse_transcript(world.transcript())
+        except (MalformedBlock, NonMonotonicStep):
+            pass  # every trial then fails or succeeds as a whole build
+        if parsed is not None and \
+                [s.step_num for s in parsed] != list(range(len(world.steps))):
+            parsed = None
+    world._record = _BuildRecord(list(world.steps), parsed, [], 0)
+    return world._record
+
+
+_obs_id = attrgetter("obs_id")
+
+
+def _trial(record: _BuildRecord, trial: World,
+           k: int) -> tuple[VersionChain, Optional[list[WalkthroughStep]]]:
+    """The log-less build of `trial`, which differs from the record's world
+    in step k alone (or appends it), and the trial's parsed steps.
+
+    The chain starts from the record's commits of the steps before k,
+    applied as `VersionChain.materialize` applies them, and construction
+    goes on from step k; only step k's block is parsed.  When the record
+    has not been built up to k, construction goes on from where it ends
+    instead, and the record then takes this chain's commits of the steps
+    before k, which are the world's own.  When the world's transcript does
+    not parse step for step, the trial is built whole (`World.build`)."""
+    if record.parsed is None:
+        return trial.build(), None
+    act, obs = trial.steps[k]
+    parsed = record.parsed[:k]
+    parsed.append(parse_block(_block(k, act, obs).splitlines(), k - 1))
+    parsed += record.parsed[k + 1:]
+    start = min(record.built, k)
+    chain = VersionChain()
+    for c in record.commits[:bisect_left(record.commits, start, key=_obs_id)]:
+        _apply_commit(chain.graph, c)
+        chain.commits.append(c)
+    extend_graph(parsed[start:], chain)
+    if record.built < k:
+        record.commits = chain.commits[:bisect_left(chain.commits, k,
+                                                    key=_obs_id)]
+        record.built = k
+    return chain, parsed
 
 
 def first_visible_commit(world: World) -> Optional[int]:

@@ -7,14 +7,15 @@ Transcripts are sequences of blocks separated by ``===========`` lines:
     ==>OBSERVATION: At End Of Road
     ...
 
-A separator is five or more ``=`` and trailing whitespace.  In a block,
-each line before the observation is matched once against one header pattern
-(``==>STEP NUM:`` and a number, ``==>ACT:`` or ``==>OBSERVATION:``); other
-lines are skipped, and a repeated header overrides the earlier one.  The
-observation is the rest of the block from its header on, sliced once, with
-the lines joined by ``\\n``.  A blank block is skipped; any other block
-without all three headers is `MalformedBlock`, and step numbers must rise
-from 0.
+A separator is five or more ``=`` and trailing whitespace.
+`parse_transcript` splits the text into blocks and hands each to the one
+block parser, `parse_block`.  In a block, each line before the observation
+is matched once against one header pattern (``==>STEP NUM:`` and a number,
+``==>ACT:`` or ``==>OBSERVATION:``); other lines are skipped, and a
+repeated header overrides the earlier one.  The observation is the rest of
+the block from its header on, sliced once, with the lines joined by
+``\\n``.  A blank block is skipped; any other block without all three
+headers is `MalformedBlock`, and step numbers must rise from 0.
 
 A step is a movement iff its action normalizes to one of the 14 directions
 ("go north" counts).  The destination's name is the first non-empty
@@ -22,22 +23,26 @@ observation line; for the initial block, which opens with game banner text,
 the line immediately preceding the first "You ..." description line is used
 instead (falling back to the first non-empty line).
 
-Construction keeps a current-location cursor and its normalized name.  Each
-movement's name is normalized once; a movement whose observation names a
-different location commits one edge.  The destination reuses an
-existing node only when both the normalized name and the inferred lattice
-position agree; otherwise a fresh node is created, which is what lets
-naming conflicts surface naturally downstream.
+Construction has one loop, `extend_graph`, which goes on from whatever
+construction prefix its chain holds; `construct_graph` is that loop on an
+empty chain.  The loop keeps a current-location cursor and its normalized
+name.  Each movement's name is normalized once; a movement whose
+observation names a different location commits one edge.  The destination
+reuses an existing node only when both the normalized name and the
+inferred lattice position agree; otherwise a fresh node is created, which
+is what lets naming conflicts surface naturally downstream.
 
 The position map is inferred at the first revisit of a name and then
 extended by each commit's edge; it is inferred again only after an
-extension that could differ from a from-scratch inference.
+extension that could differ from a from-scratch inference.  So the map
+the loop holds is always either unknown or `infer_positions` of the graph,
+and a loop that goes on from a prefix may start it unknown.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import MalformedBlock, NonMonotonicStep
 from .graph_core import COMPASS, Edge, NavGraph, displacement, is_direction, \
@@ -107,52 +112,88 @@ def parse_transcript(text: str) -> list[WalkthroughStep]:
     steps: list[WalkthroughStep] = []
     prev = -1  # the step number before this block's
     for block in blocks:
-        step_num = act = observation = None
-        for i, line in enumerate(block):
-            m = _HEADER.match(line)
-            if m is None:
-                continue
-            kind = m.lastindex
-            if kind == 1:
-                step_num = int(m[1])
-            elif kind == 2:
-                act = m[2].strip()
-            else:
-                observation = "\n".join(block[i:])[m.end():].rstrip("\n")
-                break
-        if step_num is None or act is None or observation is None:
-            if not any(line.strip() for line in block):
-                continue  # a blank block has no header line
-            raise MalformedBlock(
-                f"block missing STEP NUM/ACT/OBSERVATION header: {block[:3]}")
-        if step_num <= prev or (not steps and step_num != 0):
-            raise NonMonotonicStep(
-                f"step {step_num} after {prev}; must increase from 0")
-        direction = normalize_act(act)
-        location = (origin_location_line(observation) if not steps
-                    else _first_nonempty(observation))
-        steps.append(_new(WalkthroughStep, (
-            step_num, act, observation, location, direction is not None,
-            direction)))
-        prev = step_num
+        step = parse_block(block, prev)
+        if step is not None:
+            steps.append(step)
+            prev = step.step_num
     return steps
+
+
+def parse_block(block: Sequence[str], prev: int) -> Optional[WalkthroughStep]:
+    """The step of one block (its lines, separator excluded), or None for
+    a blank block.  `prev` is the step number of the step before it, -1
+    when there is none; the first step's location line is read from its
+    banner (`origin_location_line`)."""
+    step_num = act = observation = None
+    for i, line in enumerate(block):
+        m = _HEADER.match(line)
+        if m is None:
+            continue
+        kind = m.lastindex
+        if kind == 1:
+            step_num = int(m[1])
+        elif kind == 2:
+            act = m[2].strip()
+        else:
+            observation = "\n".join(block[i:])[m.end():].rstrip("\n")
+            break
+    if step_num is None or act is None or observation is None:
+        if not any(line.strip() for line in block):
+            return None  # a blank block has no header line
+        raise MalformedBlock(
+            f"block missing STEP NUM/ACT/OBSERVATION header: {block[:3]}")
+    if step_num <= prev or (prev < 0 and step_num != 0):
+        raise NonMonotonicStep(
+            f"step {step_num} after {prev}; must increase from 0")
+    direction = normalize_act(act)
+    location = (origin_location_line(observation) if prev < 0
+                else _first_nonempty(observation))
+    return _new(WalkthroughStep, (
+        step_num, act, observation, location, direction is not None,
+        direction))
 
 
 def construct_graph(steps: Sequence[WalkthroughStep],
                     chain: VersionChain) -> NavGraph:
-    """Drive incremental construction through the commit chain."""
+    """Drive incremental construction through the commit chain, which must
+    be empty."""
     if chain.head != -1:
         raise NonMonotonicStep("construction requires an empty chain")
-    if not steps:
-        return chain.graph
+    return extend_graph(steps, chain)
+
+
+def extend_graph(steps: Iterable[WalkthroughStep],
+                 chain: VersionChain) -> NavGraph:
+    """Construct `steps` on from the construction prefix `chain` holds: the
+    commits construction made of the steps before them, or none.
+
+    On an empty chain the first step commits the origin.  Otherwise the
+    cursor is the destination of the last observation commit's edge, or
+    the origin when that commit has none.  The result is exactly what
+    `construct_graph` makes of the prefix's steps and `steps` together:
+    the position map starts unknown, as construction's does after any
+    extension it cannot trust, and is inferred at the first namesake
+    lookup."""
     g = chain.graph
-    origin_name = steps[0].location_line
-    origin_id = chain.allocate_node_id()
-    chain.commit([], TRIGGER_OBSERVATION, obs_id=steps[0].step_num,
-                 analysis=origin_name, new_nodes=[(origin_id, origin_name)])
-    cursor, cursor_key = origin_id, normalize_name(origin_name)
+    steps = iter(steps)
+    if chain.head == -1:
+        first = next(steps, None)
+        if first is None:
+            return g
+        origin_name = first.location_line
+        cursor = chain.allocate_node_id()
+        chain.commit([], TRIGGER_OBSERVATION, obs_id=first.step_num,
+                     analysis=origin_name, new_nodes=[(cursor, origin_name)])
+    else:
+        cursor = g.origin
+        for c in reversed(chain.commits):
+            if c.trigger == TRIGGER_OBSERVATION:
+                if c.deltas:
+                    cursor = c.deltas[-1].edge.dst
+                break
+    cursor_key = normalize_name(g.nodes[cursor])
     pm: Optional[PositionMap] = None  # built at the first namesake lookup
-    for step in steps[1:]:
+    for step in steps:
         if not step.is_movement:
             continue
         name = step.location_line

@@ -34,6 +34,10 @@ from maprepair.errors import (
     InvalidDelta, MalformedBlock, NonMonotonicStep, ToolUnavailable,
     UnknownNode, UnknownVersion, Unreachable,
 )
+from maprepair.fault_injector import (
+    FAULT_MISDIRECTION, FAULT_MISNAME, FAULT_PHANTOM, FAULT_SILENT, Fault,
+    FaultLedger, World, _apply_fault, _walk_sources,
+)
 from maprepair.graph_core import (
     COMPASS, DIRECTIONS, Edge, NavGraph, displacement, normalize_name,
     reverse_direction,
@@ -861,3 +865,69 @@ def reference_run_session(chain: VersionChain, config: ToolConfig,
                            attempts=spent[primary.key], loop_count=loops,
                            transcript=transcript,
                            secondary=tuple(secondary_seen.values())), conflicts
+
+
+# ---------------------------------------------------------------------------
+# fault drawing as first written: every option listed, the whole list
+# shuffled, and every trial fault's world parsed and built whole.  The body
+# is verbatim but for the names.
+
+
+def _reference_fault_options(corrupted: World, kind: str) -> list[tuple]:
+    sources = _walk_sources(corrupted)
+    move_steps = [i for i in range(1, len(corrupted.steps))
+                  if corrupted.steps[i][0] in COMPASS]
+    options = []
+    if kind in (FAULT_MISDIRECTION, FAULT_SILENT):
+        for step in move_steps:
+            true_dir = corrupted.steps[step][0]
+            used = {corrupted.steps[i][0] for i in range(1, len(corrupted.steps))
+                    if sources[i] == sources[step]}
+            options.extend((step, true_dir, d) for d in sorted(COMPASS - used))
+    elif kind == FAULT_MISNAME:
+        visited: list[str] = [corrupted.steps[0][1].splitlines()[0]]
+        for step in move_steps:
+            name = corrupted.steps[step][1].splitlines()[0]
+            if name not in visited:
+                options.extend((step, None, None, name, other)
+                               for other in visited if other != sources[step])
+            visited.append(name)
+    elif kind == FAULT_PHANTOM:
+        final_src = corrupted.steps[-1][1].splitlines()[0]
+        used = {corrupted.steps[i][0] for i in range(1, len(corrupted.steps))
+                if sources[i] == final_src}
+        names = sorted({obs.splitlines()[0]
+                        for _, obs in corrupted.steps}) + [final_src]
+        options.extend((len(corrupted.steps), None, d, None, n)
+                       for d in sorted(COMPASS - used)
+                       for n in names if n != final_src)
+    else:
+        raise ValueError(kind)
+    return options
+
+
+def reference_draw_fault(corrupted: World, kind: str,
+                         rng: random.Random) -> tuple[Fault, World]:
+    options = _reference_fault_options(corrupted, kind)
+    rng.shuffle(options)
+    for fields in options:
+        fault = Fault(kind, *fields)
+        trial = _apply_fault(corrupted, fault)
+        if bool(detect_all(trial.build().graph)) != (kind == FAULT_SILENT):
+            return fault, trial
+    raise ValueError(f"no viable {kind} fault for this world")
+
+
+def reference_inject(world: World, kinds: Sequence[str], seed: int = 0,
+                     explicit: Sequence[Fault] = ()
+                     ) -> tuple[World, FaultLedger]:
+    rng = random.Random(seed)
+    ledger = FaultLedger()
+    corrupted = world
+    for fault in explicit:
+        corrupted = _apply_fault(corrupted, fault)
+        ledger.faults.append(fault)
+    for kind in kinds:
+        fault, corrupted = reference_draw_fault(corrupted, kind, rng)
+        ledger.faults.append(fault)
+    return corrupted, ledger

@@ -9,8 +9,10 @@ from maprepair import transcript_parser
 from maprepair.conflict_detector import detect_all
 from maprepair.fault_injector import WorldSpec, generate_world
 from maprepair.errors import MalformedBlock, NonMonotonicStep
+from maprepair.graph_core import DIRECTIONS, displacement
 from maprepair.transcript_parser import (
-    construct_graph, normalize_act, origin_location_line, parse_transcript,
+    WalkthroughStep, construct_graph, extend_graph, normalize_act,
+    origin_location_line, parse_transcript,
 )
 from maprepair.version_store import VersionChain
 
@@ -237,3 +239,44 @@ def test_parse_transcript_equals_the_reference(text):
     steps, or the error, that three patterns per line gave."""
     assert _parse_outcome(parse_transcript, text) == \
         _parse_outcome(reference_parse_transcript, text)
+
+
+@st.composite
+def _walks(draw):
+    """A walk over a hidden lattice with revisits (a move's room is usually
+    the one at its cell), misnames from a small pool, blocked moves (the
+    room repeats, up to case), non-movement steps and gaps in the step
+    numbers."""
+    pos, here = (0, 0, 0), "Room 0,0,0"
+    steps = [WalkthroughStep(0, "Init", here, here, False, None)]
+    num = 0
+    for _ in range(draw(st.integers(0, 30))):
+        num += draw(st.sampled_from([1, 1, 1, 2]))
+        kind = draw(st.integers(0, 7))
+        if kind == 0:
+            name = draw(st.sampled_from(("Hall", "Den", here)))
+            steps.append(WalkthroughStep(num, "look", name, name, False, None))
+            continue
+        d = draw(st.sampled_from(DIRECTIONS))
+        if kind == 1:
+            name = draw(st.sampled_from((here, here.upper())))
+            steps.append(WalkthroughStep(num, d, name, name, True, d))
+            continue
+        pos = tuple(a + b for a, b in zip(pos, displacement(d)))
+        here = "Room {},{},{}".format(*pos) if kind > 2 else \
+            draw(st.sampled_from(("Hall", "Den")))
+        steps.append(WalkthroughStep(num, d, here, here, True, d))
+    return steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_walks())
+def test_extend_graph_from_every_prefix_equals_construct_graph(steps):
+    whole = VersionChain()
+    construct_graph(steps, whole)
+    for k in range(len(steps) + 1):
+        chain = VersionChain()
+        construct_graph(steps[:k], chain)
+        extend_graph(steps[k:], chain)
+        assert chain.commits == whole.commits
+        assert chain.graph.state_equal(whole.graph)

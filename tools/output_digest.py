@@ -4,6 +4,7 @@ leaves them as they were.
     python3 tools/output_digest.py <checkout> [--no-edge-impact]
                                               [--no-version-control]
     python3 tools/output_digest.py <checkout> --build
+    python3 tools/output_digest.py <checkout> --inputs
 
 The items are perfbench's repair-mixed items of seeds 0-4, made by the
 checkout's ``perfbench/workloads.py``: 600 faulted worlds, each under the
@@ -20,6 +21,11 @@ perfbench's build-grid and build-tree items of seeds 0-4 and the
 checkout's ``tests/fixtures/advent_walkthrough.txt``, each parsed and
 committed to a fresh WAL.  Two checkouts that print the same build digest
 parse the same steps and write the same log lines for them.
+
+``--inputs`` prints one SHA-256 over the inputs alone, with no build or
+repair: perfbench's ``workloads.digest`` of the repair-mixed items of seeds
+0-9, each of which hashes every item's transcript and fault ledger.  Two
+checkouts that print the same inputs digest draw the same faults.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import tempfile
 from pathlib import Path
 
 SEEDS = range(5)
+INPUT_SEEDS = range(10)
 
 
 def _import_checkout(checkout: Path):
@@ -88,6 +95,15 @@ def build_digest(checkout: str | Path) -> str:
     return h.hexdigest()
 
 
+def inputs_digest(checkout: str | Path) -> str:
+    workloads = _import_checkout(Path(checkout).resolve())
+    h = hashlib.sha256()
+    for seed in INPUT_SEEDS:
+        items = workloads.make_items("repair-mixed", seed)
+        h.update(f"{seed} {workloads.digest(items)}\n".encode())
+    return h.hexdigest()
+
+
 def output_digest(checkout: str | Path, edge_impact: bool = True,
                   version_control: bool = True) -> str:
     workloads = _import_checkout(Path(checkout).resolve())
@@ -128,13 +144,20 @@ def main(argv=None) -> int:
     parser.add_argument("checkout", help="root of a maprepair checkout")
     parser.add_argument("--no-edge-impact", action="store_true")
     parser.add_argument("--no-version-control", action="store_true")
-    parser.add_argument("--build", action="store_true",
-                        help="digest the WALs of builds alone")
+    what = parser.add_mutually_exclusive_group()
+    what.add_argument("--build", action="store_true",
+                      help="digest the WALs of builds alone")
+    what.add_argument("--inputs", action="store_true",
+                      help="digest the repair-mixed inputs alone")
     args = parser.parse_args(argv)
-    if args.build and (args.no_edge_impact or args.no_version_control):
-        parser.error("--build takes no repair flag")
+    if (args.build or args.inputs) and \
+            (args.no_edge_impact or args.no_version_control):
+        parser.error(f"--{'build' if args.build else 'inputs'} takes no "
+                     "repair flag")
     if args.build:
         print(build_digest(args.checkout))
+    elif args.inputs:
+        print(inputs_digest(args.checkout))
     else:
         print(output_digest(args.checkout,
                             edge_impact=not args.no_edge_impact,
