@@ -206,16 +206,18 @@ class EndpointConfig:
 
 
 def _default_transport(endpoint: EndpointConfig, payload: dict) -> dict:
-    import requests
+    """POST `payload` as JSON to the endpoint's chat completions; an HTTP
+    error status raises `urllib.error.HTTPError`."""
+    import urllib.request  # here, not at the top: it loads ssl, ~7 MB
 
     headers = {"Content-Type": "application/json"}
     if endpoint.api_key:
         headers["Authorization"] = f"Bearer {endpoint.api_key}"
     url = endpoint.base_url.rstrip("/") + "/chat/completions"
-    resp = requests.post(url, json=payload, headers=headers,
-                         timeout=endpoint.timeout)
-    resp.raise_for_status()
-    return resp.json()
+    request = urllib.request.Request(url, data=json.dumps(payload).encode(),
+                                     headers=headers, method="POST")
+    with urllib.request.urlopen(request, timeout=endpoint.timeout) as resp:
+        return json.load(resp)
 
 
 def _extract_json_object(text: str) -> dict:

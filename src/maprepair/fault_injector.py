@@ -80,10 +80,6 @@ def edges_by_step(g: NavGraph) -> dict[int, list[Edge]]:
     return sites
 
 
-def _site(g: NavGraph, fault: Fault) -> list[Edge]:
-    return [e for e in g.edges() if e.step_id == fault.step]
-
-
 def fixed_at(g: NavGraph, fault: Fault, site: Sequence[Edge]) -> bool:
     """`FaultLedger.fixed`, given the edges of the fault's step."""
     if fault.kind == FAULT_PHANTOM:
@@ -119,7 +115,7 @@ class FaultLedger:
 
     def fixed(self, g: NavGraph, fault: Fault) -> bool:
         """Does the graph match ground truth at this fault's site?"""
-        return fixed_at(g, fault, _site(g, fault))
+        return fixed_at(g, fault, edges_by_step(g).get(fault.step, ()))
 
     def all_fixed(self, g: NavGraph, ignore_silent: bool = False) -> bool:
         sites = edges_by_step(g)
@@ -127,7 +123,7 @@ class FaultLedger:
                    if not (ignore_silent and f.kind == FAULT_SILENT))
 
     def corrupted_edge(self, g: NavGraph, fault: Fault) -> Optional[Edge]:
-        return corrupted_at(fault, _site(g, fault))
+        return corrupted_at(fault, edges_by_step(g).get(fault.step, ()))
 
     def to_json(self) -> list[dict]:
         return [f.to_json() for f in self.faults]

@@ -54,6 +54,8 @@ ACT_RECALL_STEP = "RecallStep"
 ACT_DIFF_VERSIONS = "DiffVersions"
 ACT_GIVE_UP = "GiveUp"
 
+LOOP_CAP = 200  # transcript entries a session may make, whatever its budgets
+
 MUTATING_ACTIONS = frozenset({
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_MERGE_NODES,
     ACT_RENAME_NODE, ACT_REDIRECT_EDGE, ACT_ROLLBACK_TO,
@@ -329,7 +331,7 @@ def build_context(chain: VersionChain, config: ToolConfig, conflict: Conflict,
 
 def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
                 primary: Conflict, conflicts: list[Conflict],
-                max_attempts: int = 10, loop_cap: int = 200
+                max_attempts: int = 10
                 ) -> tuple[RepairSession, list[Conflict]]:
     """Repair `primary`, given the `conflicts` detected at the chain head.
     Returns the session and the conflicts at the head it ends on."""
@@ -354,7 +356,7 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
             if target is None:
                 outcome = OUTCOME_REPAIRED
                 break
-        if spent[target.key] >= max_attempts or len(transcript) >= loop_cap:
+        if spent[target.key] >= max_attempts or len(transcript) >= LOOP_CAP:
             break
 
         ctx = build_context(chain, config, target, transcript,

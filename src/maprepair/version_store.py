@@ -5,17 +5,19 @@ renames, drops).  The chain is never truncated: a past state is rebuilt by
 replaying the chain (`materialize`) and, when used for repair, is recorded
 as a fresh commit of inverse deltas.
 
+One check, `_check_commit`, decides whether a commit is well-formed, that
+is, whether `_line` can write it as a line `load` reads back as the same
+commit.  `commit` runs it before any step applies, with or without a log,
+and `Commit.from_json` runs it on each line `load` reads, so both refuse
+the same commits.
+
 A commit is applied to the live graph in straight-line code
 (`_apply_commit`): new nodes, then deltas, renames and drops, each by a
-direct `NavGraph` call, counting the steps done.  A rejected step undoes
-those steps through `_unapply_commit`, the one inverse walk, and restores
-the origin, so a rejected commit leaves no trace.  A rename or drop whose
-recorded name is not the node's own is a rejected step (`InvalidDelta`),
-since undoing it would leave that name behind.  A delta that no writer
-makes (an op other than "+" or "-", a direction not in `DIRECTIONS`, a step
-id that is not an int) and an obs_id that is not an int (`True` included)
-are refused with `ValueError` before any step applies, since their line
-would not load or would not be written as an int.
+direct `NavGraph` call, counting the steps done.  A rejected step (a map
+error) undoes those steps through `_unapply_commit`, the one inverse walk,
+and restores the origin, so a rejected commit leaves no trace.  A rename or
+drop whose recorded name is not the node's own is a rejected step
+(`InvalidDelta`), since undoing it would leave that name behind.
 
 With a log path set, the commit's JSONL line is then written by the one
 line writer, `_line`, and appended to the log, unbuffered (and, with
@@ -23,10 +25,9 @@ line writer, `_line`, and appended to the log, unbuffered (and, with
 in one pass, byte for byte what `json.dumps(commit.to_json())` and a
 newline would be: keys in `to_json` order, strings through the C escaper of
 `json.dumps` under `ensure_ascii`, ints as `int.__repr__` writes them.  A
-field it cannot write (a node id or name that is not a str), a failed write
-and a failed sync all undo the commit and cut the log back to where the
-line started, so no part of the line stays in the file or in a buffer: a
-commit becomes visible only after its whole line is written.
+failed write and a failed sync undo the commit and cut the log back to
+where the line started, so no part of the line stays in the file or in a
+buffer: a commit becomes visible only after its whole line is written.
 
 Loading reads the log line by line.  A line is decoded with the C scanner
 of one `json.JSONDecoder`, which skips the encoding detection and the
@@ -38,13 +39,11 @@ recursion limit; see `_decode`).  `Commit`, `EdgeDelta` and `Edge` are
 named tuples, built from a decoded line (and by `commit`) with
 `tuple.__new__`, which skips their Python-level `__new__`.
 
-Loading drops a torn final line (cut off before its newline, so it does not
-parse) with a warning.  Any other line that does not parse (a commit index
-that is not an int, or a delta that no writer makes, included), a commit
-whose index is out of sequence, or a commit that does not apply to the
-graph the lines before it built (a map error, or a field of the wrong
-type: a name that is not a string, an unhashable node id), raises
-`CorruptLog` with the file and line.
+A line loads only if it decodes to a commit that passes the check, comes
+next in sequence and applies to the graph the lines before it built.  A
+torn final line (cut off before its newline) that does not decode to a
+commit passing the check is dropped with a warning; any other line that
+does not load raises `CorruptLog` with the file and line.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Optional
 
 from .errors import CorruptLog, InvalidDelta, MapRepairError, UnknownVersion
-from .graph_core import REVERSE, Edge, NavGraph, normalize_name
+from .graph_core import REVERSE, Edge, NavGraph
 
 TRIGGER_OBSERVATION = "observation_update"
 TRIGGER_REPAIR = "conflict_repair"
@@ -66,37 +65,8 @@ class EdgeDelta(NamedTuple):
     op: str  # "+" or "-"
     edge: Edge
 
-    def to_json(self) -> dict:
-        d = {"op": self.op}
-        d.update(self.edge.to_json())
-        return d
-
-    @classmethod
-    def from_json(cls, d: dict) -> "EdgeDelta":
-        return _delta_from_json(d)
-
 
 _new = tuple.__new__  # builds a named tuple without its Python-level __new__
-
-
-def _delta_from_json(d: dict) -> EdgeDelta:
-    """The one delta decoder: the op, then the edge's fields, then their
-    checks."""
-    op = d["op"]
-    edge = _new(Edge, (d["src"], d["dst"], d["dir"], d["step"]))
-    _check_delta(op, edge)
-    return _new(EdgeDelta, (op, edge))
-
-
-def _check_delta(op: str, edge: Edge) -> None:
-    """Refuse a delta no writer makes: an op other than "+" or "-", a
-    direction not in `DIRECTIONS`, a step id that is not an int."""
-    if op not in ("+", "-"):
-        raise ValueError(f"unknown delta op: {op!r}")
-    if edge[2] not in REVERSE:  # an unhashable one raises TypeError
-        raise ValueError(f"unknown direction: {edge[2]!r}")
-    if type(edge[3]) is not int:
-        raise ValueError(f"step id is not an int: {edge[3]!r}")
 
 
 def add(edge: Edge) -> EdgeDelta:
@@ -139,16 +109,11 @@ class Commit(NamedTuple):
 
     @classmethod
     def from_json(cls, d: dict) -> "Commit":
-        # keys are read in field order, and a delta's checks come right
-        # after its edge, so a line with several faults reports the first
-        # one read
-        index = d["index"]
-        if type(index) is not int:  # True == 1 would pass the sequence check
-            raise ValueError(f"commit index is not an int: {index!r}")
-        return _new(cls, (
-            index,
+        return _check_commit(_new(cls, (
+            d["index"],
             d["step_id"],
-            tuple([_delta_from_json(x) for x in d["deltas"]]),
+            tuple([_new(EdgeDelta, (x["op"], _new(Edge, (x["src"], x["dst"],
+                   x["dir"], x["step"])))) for x in d["deltas"]]),
             d["trigger"],
             d["obs_id"],
             d["analysis"],
@@ -156,7 +121,49 @@ class Commit(NamedTuple):
             tuple([(r["id"], r["old"], r["new"])
                    for r in d.get("renames", ())]),
             tuple([(n["id"], n["name"]) for n in d.get("drops", ())]),
-        ))
+        )))
+
+
+def _check_commit(c: Commit) -> Commit:
+    """`c`, if `_line` can write it as a line that loads back as `c`: an
+    index, obs_id, step id or delta step that is not an exact int (`True`
+    is not), an op other than "+" or "-" and a direction not among the 14
+    raise `ValueError`; a trigger, analysis, room id or name that is not a
+    str raises `TypeError`.  Scalars come first, then deltas, new nodes,
+    renames and drops, so the first fault met is reported; each group is
+    tested at once, and `_check_types` names the bad field."""
+    index, step_id, deltas, trigger, obs_id, analysis, nodes, renames, \
+        drops = c
+    if not (type(index) is type(obs_id) is type(step_id) is int):
+        _check_types(int, ("commit index", index), ("obs_id", obs_id),
+                     ("step_id", step_id))
+    if not (type(trigger) is type(analysis) is str):
+        _check_types(str, ("trigger", trigger), ("analysis", analysis))
+    for op, (src, dst, direction, step) in deltas:
+        if op != "+" and op != "-":
+            raise ValueError(f"unknown delta op: {op!r}")
+        if not (type(src) is type(dst) is str):
+            _check_types(str, ("room id", src), ("room id", dst))
+        if direction not in REVERSE:  # an unhashable one raises TypeError
+            raise ValueError(f"unknown direction: {direction!r}")
+        if type(step) is not int:
+            raise ValueError(f"step id is not an int: {step!r}")
+    for nid, name in nodes:
+        if not (type(nid) is type(name) is str):
+            _check_types(str, ("room id", nid), ("room name", name))
+    for nid, *names in (*renames, *drops):
+        _check_types(str, ("room id", nid), *[("room name", n) for n in names])
+    return c
+
+
+def _check_types(kind: type, *fields: tuple[str, object]) -> None:
+    """Refuse the first (name, value) field whose value is not of type
+    `kind`, an int with `ValueError` and a str with `TypeError`."""
+    for what, value in fields:
+        if type(value) is not kind:
+            if kind is int:
+                raise ValueError(f"{what} is not an int: {value!r}")
+            raise TypeError(f"{what} is not a str: {value!r}")
 
 
 def _apply_commit(g: NavGraph, c: Commit) -> None:
@@ -178,7 +185,6 @@ def _apply_commit(g: NavGraph, c: Commit) -> None:
                 raise InvalidDelta(f"remove of absent edge: {edge}")
             done += 1
         for nid, old, new in c.renames:
-            normalize_name(new)  # a new name of the wrong type fails first
             _check_name(g, nid, old)
             g.rename_node(nid, new)
             done += 1
@@ -266,13 +272,9 @@ class VersionChain:
                new_nodes: Iterable[tuple[str, str]] = (),
                renames: Iterable[tuple[str, str, str]] = (),
                drops: Iterable[tuple[str, str]] = ()) -> Commit:
-        commit = _new(Commit, (  # a commit's step_id is its obs_id
+        commit = _check_commit(_new(Commit, (  # its step_id is its obs_id
             len(self.commits), obs_id, tuple(deltas), trigger, obs_id,
-            analysis, tuple(new_nodes), tuple(renames), tuple(drops)))
-        if type(obs_id) is not int:  # True, 1.5, "3": not written as an int
-            raise ValueError(f"obs_id is not an int: {obs_id!r}")
-        for op, edge in commit.deltas:
-            _check_delta(op, edge)  # its line would not load
+            analysis, tuple(new_nodes), tuple(renames), tuple(drops))))
         origin = self.graph.origin
         _apply_commit(self.graph, commit)
         if self._log is not None:
@@ -349,9 +351,7 @@ class VersionChain:
                             f"{len(chain.commits)} was expected")
                     try:
                         _apply_commit(chain.graph, c)
-                    except (MapRepairError, TypeError, AttributeError) as exc:
-                        # a map error, or a field of the wrong type: a
-                        # name that is not a string, an unhashable key
+                    except MapRepairError as exc:
                         raise CorruptLog(
                             f"{log_path}:{lineno}: {exc}") from exc
                     chain.commits.append(c)
@@ -375,9 +375,8 @@ def _line(c: Commit) -> bytes:
     """The log line of `c`: `json.dumps(c.to_json()) + "\\n"`, byte for byte,
     formatted in one pass.  Keys come in `to_json` order, and `nodes`,
     `renames` and `drops` only when they are non-empty.  Strings go through
-    the C escaper `json.dumps` uses under `ensure_ascii`, which raises
-    `TypeError` on anything but a str.  Every int field is an exact int
-    (`commit` checks the obs_id and the delta steps), so `!r` writes it as
+    the C escaper `json.dumps` uses under `ensure_ascii`.  Every int field
+    is an exact int (`_check_commit` saw to it), so `!r` writes it as
     `int.__repr__` does, which is what `json.dumps` writes."""
     index, step_id, deltas, trigger, obs_id, analysis, nodes, renames, \
         drops = c

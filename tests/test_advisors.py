@@ -1,4 +1,7 @@
+import io
 import json
+import urllib.error
+import urllib.request
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -207,6 +210,48 @@ def test_llm_advisor_wraps_transport_errors():
     advisor = LlmAdvisor(EndpointConfig("http://fake"), transport=transport)
     with pytest.raises(AdvisorFailure):
         advisor(ctx)
+
+
+def test_default_transport_posts_json_with_urllib(monkeypatch):
+    """The default transport POSTs the payload as JSON to the endpoint's
+    chat completions with its timeout, sends a Bearer header only when a
+    key is set, and returns the decoded reply."""
+    sent = []
+
+    def urlopen(request, timeout):
+        sent.append((request, timeout))
+        return io.BytesIO(b'{"choices": []}')
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    payload = {"model": "m", "temperature": 0,
+               "messages": [{"role": "user", "content": "caf\xe9 \"north\""}]}
+    for key in ("", "sk-1"):
+        endpoint = EndpointConfig("http://host/v1/", api_key=key, timeout=7.5)
+        assert advisors._default_transport(endpoint, payload) == \
+            {"choices": []}
+    for (request, timeout), key in zip(sent, ("", "sk-1")):
+        assert request.full_url == "http://host/v1/chat/completions"
+        assert request.get_method() == "POST"
+        assert request.data == json.dumps(payload).encode()
+        assert request.get_header("Content-type") == "application/json"
+        assert request.get_header("Authorization") == (
+            f"Bearer {key}" if key else None)
+        assert timeout == 7.5
+
+
+def test_llm_advisor_turns_an_http_error_status_into_a_failure(
+        monkeypatch):
+    _, _, ctx = _demo_context()
+
+    def urlopen(request, timeout):
+        raise urllib.error.HTTPError(request.full_url, 503,
+                                     "Service Unavailable", {}, None)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    advisor = LlmAdvisor(EndpointConfig("http://fake"))
+    with pytest.raises(AdvisorFailure, match="HTTP Error 503") as caught:
+        advisor(ctx)
+    assert type(caught.value.__cause__) is urllib.error.HTTPError
 
 
 def test_llm_prompt_reflects_tool_config():

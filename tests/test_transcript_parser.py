@@ -280,3 +280,29 @@ def test_extend_graph_from_every_prefix_equals_construct_graph(steps):
         extend_graph(steps[k:], chain)
         assert chain.commits == whole.commits
         assert chain.graph.state_equal(whole.graph)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_walks())
+def test_extend_graph_from_every_loaded_prefix_equals_construct_graph(
+        tmp_path_factory, steps):
+    """Construction goes on from a log of a prefix, reopened with
+    `load(append=True)`, exactly as from the chain that wrote it: the
+    same graph, the same commits and, byte for byte, the same log."""
+    tmp = tmp_path_factory.mktemp("wal")
+    whole = VersionChain(log_path=tmp / "whole.jsonl")
+    construct_graph(steps, whole)
+    whole.close()
+    for k in range(len(steps) + 1):
+        log = tmp / f"prefix-{k}.jsonl"
+        prefix = VersionChain(log_path=log)
+        construct_graph(steps[:k], prefix)
+        prefix.close()
+        chain = VersionChain.load(log, append=True)
+        try:
+            extend_graph(steps[k:], chain)
+        finally:
+            chain.close()
+        assert chain.graph.state_equal(whole.graph)
+        assert chain.commits == whole.commits
+        assert log.read_bytes() == whole.log_path.read_bytes()

@@ -7,11 +7,11 @@ from typing import Optional
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     _reference_run, reference_apply_commit, reference_commit_from_json,
-    reference_delta_from_json, reference_load, unapplied,
+    reference_load, unapplied,
 )
 from maprepair import cli
 from maprepair.errors import (
@@ -19,7 +19,7 @@ from maprepair.errors import (
     UnknownVersion,
 )
 from maprepair.fault_injector import WorldSpec, generate_world
-from maprepair.graph_core import DIRECTIONS, Edge, normalize_name
+from maprepair.graph_core import DIRECTIONS, Edge
 from maprepair.version_store import (
     Commit, EdgeDelta, TRIGGER_OBSERVATION, TRIGGER_REPAIR, VersionChain,
     add, remove,
@@ -298,8 +298,9 @@ def test_commit_json_round_trip():
                        add(Edge("n1", "n2", "down", 3))),
                renames=(("n2", "Old", "New"),))
     assert Commit.from_json(c.to_json()) == c
-    assert EdgeDelta.from_json(c.deltas[0].to_json()) == c.deltas[0]
-    assert c.to_json()["deltas"] == [x.to_json() for x in c.deltas]
+    assert c.to_json()["deltas"] == [
+        {"op": "-", "src": "n1", "dst": "n2", "dir": "up", "step": 3},
+        {"op": "+", "src": "n1", "dst": "n2", "dir": "down", "step": 3}]
 
 
 def _commit_with_one_bad_step(data, chain, ids):
@@ -342,8 +343,8 @@ def _commit_with_one_bad_step(data, chain, ids):
          "duplicate_node_id", "name_not_str"]))
     error = MapRepairError
     if bad == "name_not_str":
-        # normalizing the name fails before the step changes anything
-        error = AttributeError
+        # the commit's check refuses it before any step applies
+        error = TypeError
         name = data.draw(st.sampled_from([5, ["x"], None]))
         if data.draw(st.booleans()):
             target, bad_step = new_nodes, ("x9", name)
@@ -599,10 +600,9 @@ def test_each_log_line_is_json_dumps_of_its_commit(data, tmp_path_factory):
 ])
 def test_a_commit_the_writer_cannot_write_is_refused_whole(
         tmp_path, obs_id, node_id, error):
-    """A non-int obs_id is refused before any step applies; a field the
-    line writer cannot format (an int node id) undoes the applied commit.
-    Either way graph, commits and log stay as they were, and the chain
-    goes on."""
+    """A non-int obs_id and a room id the line writer cannot format (an
+    int) are refused before any step applies: graph, commits and log stay
+    as they were, and the chain goes on."""
     log = tmp_path / "chain.jsonl"
     chain = VersionChain(log_path=log)
     ids = _grow(chain)
@@ -622,6 +622,107 @@ def test_a_commit_the_writer_cannot_write_is_refused_whole(
     assert VersionChain.load(log).graph.state_equal(chain.graph)
 
 
+# JSON values of the wrong type for an int field and for a str field
+_NOT_INT = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
+                     st.floats(allow_nan=False, allow_infinity=False),
+                     st.lists(st.integers(), max_size=2))
+_NOT_STR = st.one_of(st.integers(), st.none(),
+                     st.lists(st.text(max_size=2), max_size=2))
+
+
+def _set_wrong_type(data, parts: dict, kind: str) -> None:
+    """Set one field of `kind` that the caller supplies in `parts` (a
+    scalar, a delta's op, src, dst, direction or step_id, a room id or a
+    room name) to a JSON value of the wrong type."""
+    if kind in ("obs_id", "trigger", "analysis"):
+        slots = [(kind, None, None)]
+    elif kind in ("room id", "room name"):
+        slots = [(key, i, j) for key in ("new_nodes", "renames", "drops")
+                 for i, step in enumerate(parts[key])
+                 for j in range(len(step)) if (j == 0) == (kind == "room id")]
+    else:
+        slots = [("deltas", i, kind) for i in range(len(parts["deltas"]))]
+    assume(slots)
+    key, i, field = data.draw(st.sampled_from(slots))
+    is_int = key == "obs_id" or field == "step_id"
+    value = data.draw(_NOT_INT if is_int else _NOT_STR)
+    if i is None:
+        parts[key] = value
+    elif key != "deltas":
+        step = list(parts[key][i])
+        step[field] = value
+        parts[key][i] = tuple(step)
+    elif field == "op":
+        parts[key][i] = parts[key][i]._replace(op=value)
+    else:
+        delta = parts[key][i]
+        parts[key][i] = delta._replace(
+            edge=delta.edge._replace(**{field: value}))
+
+
+@pytest.mark.parametrize("kind", [
+    None, "obs_id", "trigger", "analysis", "op", "src", "dst", "direction",
+    "step_id", "room id", "room name"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_commit_and_load_refuse_the_same_commits(kind, data,
+                                                 tmp_path_factory):
+    """A commit with no fault, or with one field of the wrong type, is
+    taken alike by a logged `commit`, a log-less `commit` and `load` of
+    its `json.dumps` line: all three accept it, as equal commits with
+    equal graphs, or all three refuse it with the same error and change
+    nothing.  `load` refuses it as `CorruptLog` at its line, and drops it
+    as a torn line when its newline is missing."""
+    tmp = tmp_path_factory.mktemp("wal")
+    logged = VersionChain(log_path=tmp / "chain.jsonl")
+    free = VersionChain()
+    try:
+        _grow(logged)
+        _grow(free)
+        parts = _random_commit(data, free.graph, {1, 2, 3})
+        if kind is not None:
+            _set_wrong_type(data, parts, kind)
+        before, commits = free.graph.copy(), list(free.commits)
+        wal = logged.log_path.read_bytes()
+        line = json.dumps(Commit(
+            len(commits), parts["obs_id"], tuple(parts["deltas"]),
+            parts["trigger"], parts["obs_id"], parts["analysis"],
+            tuple(parts["new_nodes"]), tuple(parts["renames"]),
+            tuple(parts["drops"])).to_json()).encode()
+        outcomes = []
+        for chain in (logged, free):
+            try:
+                outcomes.append(chain.commit(**parts))
+            except (ValueError, TypeError) as exc:
+                outcomes.append((type(exc), str(exc)))
+    finally:
+        logged.close()
+    assert outcomes[0] == outcomes[1]
+    log = tmp / "loaded.jsonl"
+    log.write_bytes(wal + line + b"\n")
+    if kind is None:
+        assert logged.log_path.read_bytes() == wal + line + b"\n"
+        loaded = VersionChain.load(log)
+        assert loaded.commits == logged.commits == free.commits
+        assert loaded.commits[-1] == outcomes[0]
+        assert loaded.graph.state_equal(logged.graph)
+        assert free.graph.state_equal(logged.graph)
+        return
+    error, message = outcomes[0]
+    for chain in (logged, free):
+        assert chain.graph.state_equal(before)
+        assert chain.graph.indices_consistent()
+        assert chain.commits == commits
+    assert logged.log_path.read_bytes() == wal
+    with pytest.raises(CorruptLog) as caught:
+        VersionChain.load(log)
+    assert str(caught.value) == f"{log}:5: {message}"
+    assert type(caught.value.__cause__) is error
+    log.write_bytes(wal + line)
+    with pytest.warns(UserWarning, match=re.escape(f"{log}:5: dropped")):
+        loaded = VersionChain.load(log)
+    assert loaded.commits == commits
+    assert loaded.graph.state_equal(before)
 
 
 def _log_with_line(tmp_path, delta: Optional[dict], newline: bool = True,
@@ -644,8 +745,6 @@ def test_load_rejects_an_unknown_delta_op(tmp_path, capsys):
     """An op other than "+" or "-" does not parse: it used to remove the
     edge it names."""
     bad = {"op": "x", "src": "n0", "dst": "n1", "dir": "north", "step": 1}
-    with pytest.raises(ValueError, match="unknown delta op: 'x'"):
-        EdgeDelta.from_json(bad)
     log, chain = _log_with_line(tmp_path, bad)
     with pytest.raises(CorruptLog,
                        match=re.escape(f"{log}:3: unknown delta op: 'x'")):
@@ -684,19 +783,20 @@ def test_commit_refuses_an_unknown_delta_op(tmp_path):
      UnknownNode),
     ({"op": "+", "src": "n0", "dst": "n0", "dir": "north", "step": 1}, {},
      DuplicateEdge),
-    (None, {"nodes": [{"id": "n9", "name": 1}]}, AttributeError),
+    (None, {"nodes": [{"id": "n9", "name": 1}]}, TypeError),
     (None, {"nodes": [{"id": [], "name": "Hall"}]}, TypeError),
     (None, {"renames": [{"id": "n1", "old": "Room 1", "new": None}]},
-     AttributeError),
+     TypeError),
     ({"op": "+", "src": "n0", "dst": "n1", "dir": [], "step": 7}, {},
      TypeError),
 ], ids=["absent edge", "unknown node", "duplicate key", "name", "node id",
         "new name", "direction"])
 def test_load_reports_a_commit_that_does_not_apply(tmp_path, capsys, delta,
                                                    fields, cause):
-    """A line that parses but does not apply (a map error, or a field of
-    the wrong type for the map) is `CorruptLog` at its line, caused by the
-    error the apply raised, not a traceback."""
+    """A line that parses but does not apply (a map error), or whose
+    commit fails the check (a name, a room id or a direction of the wrong
+    type), is `CorruptLog` at its line, caused by the error raised, not a
+    traceback."""
     log, _ = _log_with_line(tmp_path, delta, **fields)
     with pytest.raises(CorruptLog) as caught:
         VersionChain.load(log)
@@ -713,24 +813,36 @@ def test_load_reports_a_commit_that_does_not_apply(tmp_path, capsys, delta,
     ("step", 1.5, "step id is not an int: 1.5"),
     ("step", True, "step id is not an int: True"),
     ("index", True, "commit index is not an int: True"),
-], ids=["direction", "step str", "step float", "step bool", "index"])
+    ("obs_id", "0", "obs_id is not an int: '0'"),
+    ("obs_id", True, "obs_id is not an int: True"),
+    ("obs_id", 1.5, "obs_id is not an int: 1.5"),
+    ("obs_id", None, "obs_id is not an int: None"),
+    ("step_id", "x", "step_id is not an int: 'x'"),
+    ("step_id", [1], "step_id is not an int: [1]"),
+    ("trigger", 7, "trigger is not a str: 7"),
+    ("analysis", 5, "analysis is not a str: 5"),
+], ids=["direction", "step str", "step float", "step bool", "index",
+        "obs_id str", "obs_id bool", "obs_id float", "obs_id null",
+        "step_id str", "step_id list", "trigger", "analysis"])
 def test_a_field_no_writer_makes_does_not_parse(tmp_path, capsys, key, value,
                                                 message):
     """A commit index that is not an int (`True == 1` passed the sequence
     check), a direction not in `DIRECTIONS` or a step id that is not an int
-    used to load, and `detect` then failed far from the line.  It is
-    `CorruptLog` at its line, or a dropped torn final line; `commit`
-    refuses such a delta before anything applies."""
+    used to load, and `detect` then failed far from the line; so did an
+    obs_id or step_id that is not an int and a trigger or analysis that is
+    not a str, and `load(append=True)` wrote further commits after them.
+    Each is `CorruptLog` at its line, or a dropped torn final line; `commit`
+    refuses such a field before anything applies."""
     log = tmp_path / "chain.jsonl"
     chain = VersionChain(log_path=log)
     _grow(chain, n=1)
     chain.close()
     first, second = log.read_bytes().splitlines(keepends=True)
     line = json.loads(second)
-    if key == "index":
-        line["index"] = value
-    else:
+    if key in ("dir", "step"):
         line["deltas"][0][key] = value
+    else:
+        line[key] = value
     bad = json.dumps(line).encode()
     log.write_bytes(first + bad + b"\n")
     with pytest.raises(CorruptLog, match=re.escape(f"{log}:2: {message}")):
@@ -743,15 +855,21 @@ def test_a_field_no_writer_makes_does_not_parse(tmp_path, capsys, key, value,
         loaded = VersionChain.load(log, append=True)
     try:
         assert loaded.commits == chain.commits[:1]
-        if key == "index":  # `commit` numbers its commits itself
+        if key in ("index", "step_id"):  # `commit` sets these itself
             return
         wal = log.read_bytes()
         before = loaded.graph.copy()
-        field = {"dir": "direction", "step": "step_id"}[key]
-        edge = Edge("n0", "n0", "east", 2)._replace(**{field: value})
-        with pytest.raises(ValueError, match=re.escape(message)):
-            loaded.commit([add(edge)], TRIGGER_REPAIR, obs_id=1,
-                          analysis="bad")
+        parts = dict(deltas=[], trigger=TRIGGER_REPAIR, obs_id=1,
+                     analysis="bad")
+        if key in ("dir", "step"):
+            field = {"dir": "direction", "step": "step_id"}[key]
+            parts["deltas"] = [add(Edge("n0", "n0", "east", 2)._replace(
+                **{field: value}))]
+        else:
+            parts[key] = value
+        error = TypeError if "not a str" in message else ValueError
+        with pytest.raises(error, match=re.escape(message)):
+            loaded.commit(**parts)
     finally:
         loaded.close()
     assert loaded.head == 0
@@ -939,50 +1057,60 @@ _DIRECTION_SET = frozenset(DIRECTIONS)
 
 
 def _fixed(log, wal: bytes):
-    """The reference's parse and apply with the four fixes: an unknown op
-    does not parse; a commit that does not apply (a map error, or a field
-    of the wrong type) is `CorruptLog` at its line; a commit index, a
-    delta's direction or a delta's step that no writer makes does not
-    parse; and a rename or drop whose recorded name is not the node's own
-    is refused before it runs.  `fired` records each time a fix changed
-    what happens."""
+    """The reference's parse and apply with the five fixes: an unknown op
+    does not parse; a commit that does not apply (a map error) is
+    `CorruptLog` at its line; a commit index, a delta's direction or a
+    delta's step that no writer makes does not parse; a rename or drop
+    whose recorded name is not the node's own is refused before it runs;
+    and an obs_id or step_id that is not an int, or a trigger, analysis,
+    room id or name that is not a str, does not parse.  The parse checks
+    the commit once it is read whole: the scalars, then each delta, then
+    the new nodes, renames and drops.  `fired` records each time a fix
+    changed what happens."""
     fired = []
     # the k-th commit applied is on the k-th line that is not blank
     linenos = iter([n for n, raw in enumerate(_lines(wal), start=1)
                     if raw.strip()])
 
-    def refuse(fix, message):
+    def refuse(fix, error, message):
         fired.append(fix)
-        raise ValueError(message)
+        raise error(message)
+
+    def need(kind, what, value):
+        if type(value) is not kind:
+            error, article = ((ValueError, "an int") if kind is int
+                              else (TypeError, "a str"))
+            refuse(what, error, f"{what} is not {article}: {value!r}")
 
     def from_json(d):
-        # the index is checked once read; each delta's op, direction and
-        # step once its edge is read, before the keys after it
-        index = d["index"]
-        if type(index) is not int:
-            refuse("index", f"commit index is not an int: {index!r}")
-        d["step_id"]
-        for x in d["deltas"]:
-            op, (_, _, direction, step) = reference_delta_from_json(x)
+        c = reference_commit_from_json(d)
+        need(int, "commit index", c.index)
+        need(int, "obs_id", c.obs_id)
+        need(int, "step_id", c.step_id)
+        need(str, "trigger", c.trigger)
+        need(str, "analysis", c.analysis)
+        for op, (src, dst, direction, step) in c.deltas:
             if op not in ("+", "-"):
-                refuse("op", f"unknown delta op: {op!r}")
+                refuse("op", ValueError, f"unknown delta op: {op!r}")
+            need(str, "room id", src)
+            need(str, "room id", dst)
             try:
                 known = direction in _DIRECTION_SET
             except TypeError:  # unhashable
                 fired.append("dir")
                 raise
             if not known:
-                refuse("dir", f"unknown direction: {direction!r}")
-            if type(step) is not int:
-                refuse("step", f"step id is not an int: {step!r}")
-        return reference_commit_from_json(d)
+                refuse("dir", ValueError, f"unknown direction: {direction!r}")
+            need(int, "step id", step)
+        for nid, *names in c.new_nodes + c.renames + c.drops:
+            need(str, "room id", nid)
+            for name in names:
+                need(str, "room name", name)
+        return c
 
     def run(g, step, forward):
         sign, target, *names = step
         if forward and sign != "+" and not isinstance(target, Edge):
-            # a rename's new name and the node id fail as the step would
-            if sign == "~":
-                normalize_name(names[1])
             name = g.node_name(target)
             if name != names[0]:
                 fired.append("name")
@@ -994,7 +1122,7 @@ def _fixed(log, wal: bytes):
         lineno = next(linenos)
         try:
             reference_apply_commit(g, c, run=run)
-        except (MapRepairError, TypeError, AttributeError) as exc:
+        except MapRepairError as exc:
             fired.append("apply")
             raise CorruptLog(f"{log}:{lineno}: {exc}") from exc
 
@@ -1006,10 +1134,11 @@ def _fixed(log, wal: bytes):
 def test_load_equals_the_reference_on_corrupted_logs(data, tmp_path_factory):
     """`load` on a random log, corrupted at random, gives the commits,
     graph, exception, warnings and file bytes of the first `load`, but for
-    the four fixes: an unknown op, a commit that does not apply, an index,
-    direction or step no writer makes, and a rename or drop of a node by
-    another name are `CorruptLog` at their line (or a torn final line).
-    Any log that does not load is `CorruptLog`."""
+    the five fixes: an unknown op, a commit that does not apply, an index,
+    direction or step no writer makes, a rename or drop of a node by
+    another name, and any other field of the wrong type are `CorruptLog`
+    at their line (or a torn final line).  Any log that does not load is
+    `CorruptLog`."""
     log = tmp_path_factory.mktemp("replay") / "chain.jsonl"
     wal = _corrupt(data, _random_log(data, log))
     append = data.draw(st.booleans())
