@@ -36,7 +36,7 @@ from .error_localizer import (
 )
 from .errors import (
     AdvisorFailure, IllegalAction, MapRepairError, ToolUnavailable,
-    UnknownVersion, Unreachable,
+    Unreachable,
 )
 from .graph_core import Edge, NavGraph, is_direction
 from .metrics_bench import (
@@ -183,7 +183,8 @@ def apply_action(chain: VersionChain, action: RepairAction):
 
     Mutating actions return the Commit; queries return their payload.  A
     repair commit observes nothing, so its `obs_id` is its own index.
-    Every refusal, IllegalAction or one from `commit`, is a MapRepairError.
+    Every refusal is a MapRepairError: IllegalAction, UnknownVersion from
+    a version tool, or one from `commit`.
     """
     action.validate_shape()
     g = chain.graph
@@ -229,15 +230,8 @@ def apply_action(chain: VersionChain, action: RepairAction):
         return _merge_commit(chain, action.new_dst, action.node)
 
     # RollbackTo: restore a past state as a new commit of inverse deltas
-    target = _materialize_checked(chain, action.version)
-    return _state_commit(chain, target, f"rollback to v{action.version}")
-
-
-def _materialize_checked(chain: VersionChain, version: int) -> NavGraph:
-    try:
-        return chain.materialize(version)
-    except UnknownVersion as exc:
-        raise IllegalAction(str(exc)) from exc
+    return _state_commit(chain, chain.materialize(action.version),
+                         f"rollback to v{action.version}")
 
 
 def _merge_commit(chain: VersionChain, keep: str, drop: str):

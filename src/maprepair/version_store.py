@@ -39,11 +39,12 @@ recursion limit; see `_decode`).  `Commit`, `EdgeDelta` and `Edge` are
 named tuples, built from a decoded line (and by `commit`) with
 `tuple.__new__`, which skips their Python-level `__new__`.
 
-A line loads only if it decodes to a commit that passes the check, comes
-next in sequence and applies to the graph the lines before it built.  A
-torn final line (cut off before its newline) that does not decode to a
-commit passing the check is dropped with a warning; any other line that
-does not load raises `CorruptLog` with the file and line.
+A line loads only if its step lists are JSON arrays, its commit passes
+the check, comes next in sequence and applies to the graph the lines
+before it built; a key it does not read (an older line's `step_id`) is
+ignored.  A torn final line (cut off before its newline) that does not
+decode to a commit passing the check is dropped with a warning; any other
+line that does not load raises `CorruptLog` with the file and line.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ def remove(edge: Edge) -> EdgeDelta:
 
 class Commit(NamedTuple):
     index: int
-    step_id: int
     deltas: tuple[EdgeDelta, ...]
     trigger: str
     obs_id: int
@@ -91,7 +91,6 @@ class Commit(NamedTuple):
     def to_json(self) -> dict:
         d = {
             "index": self.index,
-            "step_id": self.step_id,
             "deltas": [{"op": op, "src": e[0], "dst": e[1], "dir": e[2],
                         "step": e[3]} for op, e in self.deltas],
             "trigger": self.trigger,
@@ -111,32 +110,39 @@ class Commit(NamedTuple):
     def from_json(cls, d: dict) -> "Commit":
         return _check_commit(_new(cls, (
             d["index"],
-            d["step_id"],
             tuple([_new(EdgeDelta, (x["op"], _new(Edge, (x["src"], x["dst"],
-                   x["dir"], x["step"])))) for x in d["deltas"]]),
+                   x["dir"], x["step"]))))
+                   for x in _array(d, "deltas", required=True)]),
             d["trigger"],
             d["obs_id"],
             d["analysis"],
-            tuple([(n["id"], n["name"]) for n in d.get("nodes", ())]),
+            tuple([(n["id"], n["name"]) for n in _array(d, "nodes")]),
             tuple([(r["id"], r["old"], r["new"])
-                   for r in d.get("renames", ())]),
-            tuple([(n["id"], n["name"]) for n in d.get("drops", ())]),
+                   for r in _array(d, "renames")]),
+            tuple([(n["id"], n["name"]) for n in _array(d, "drops")]),
         )))
+
+
+def _array(d: dict, key: str, required: bool = False) -> list:
+    """`d[key]` (`[]` if absent and not `required`) if it is a JSON array;
+    any other value, `""` and `{}` included, raises `TypeError`."""
+    value = d[key] if required else d.get(key, [])
+    if type(value) is not list:
+        raise TypeError(f"{key} is not an array: {value!r}")
+    return value
 
 
 def _check_commit(c: Commit) -> Commit:
     """`c`, if `_line` can write it as a line that loads back as `c`: an
-    index, obs_id, step id or delta step that is not an exact int (`True`
-    is not), an op other than "+" or "-" and a direction not among the 14
+    index, obs_id or delta step that is not an exact int (`True` is not),
+    an op other than "+" or "-" and a direction not among the 14
     raise `ValueError`; a trigger, analysis, room id or name that is not a
     str raises `TypeError`.  Scalars come first, then deltas, new nodes,
     renames and drops, so the first fault met is reported; each group is
     tested at once, and `_check_types` names the bad field."""
-    index, step_id, deltas, trigger, obs_id, analysis, nodes, renames, \
-        drops = c
-    if not (type(index) is type(obs_id) is type(step_id) is int):
-        _check_types(int, ("commit index", index), ("obs_id", obs_id),
-                     ("step_id", step_id))
+    index, deltas, trigger, obs_id, analysis, nodes, renames, drops = c
+    if not (type(index) is type(obs_id) is int):
+        _check_types(int, ("commit index", index), ("obs_id", obs_id))
     if not (type(trigger) is type(analysis) is str):
         _check_types(str, ("trigger", trigger), ("analysis", analysis))
     for op, (src, dst, direction, step) in deltas:
@@ -272,9 +278,9 @@ class VersionChain:
                new_nodes: Iterable[tuple[str, str]] = (),
                renames: Iterable[tuple[str, str, str]] = (),
                drops: Iterable[tuple[str, str]] = ()) -> Commit:
-        commit = _check_commit(_new(Commit, (  # its step_id is its obs_id
-            len(self.commits), obs_id, tuple(deltas), trigger, obs_id,
-            analysis, tuple(new_nodes), tuple(renames), tuple(drops))))
+        commit = _check_commit(_new(Commit, (
+            len(self.commits), tuple(deltas), trigger, obs_id, analysis,
+            tuple(new_nodes), tuple(renames), tuple(drops))))
         origin = self.graph.origin
         _apply_commit(self.graph, commit)
         if self._log is not None:
@@ -378,9 +384,8 @@ def _line(c: Commit) -> bytes:
     the C escaper `json.dumps` uses under `ensure_ascii`.  Every int field
     is an exact int (`_check_commit` saw to it), so `!r` writes it as
     `int.__repr__` does, which is what `json.dumps` writes."""
-    index, step_id, deltas, trigger, obs_id, analysis, nodes, renames, \
-        drops = c
-    line = (f'{{"index": {index!r}, "step_id": {step_id!r}, "deltas": ['
+    index, deltas, trigger, obs_id, analysis, nodes, renames, drops = c
+    line = (f'{{"index": {index!r}, "deltas": ['
             + ", ".join([f'{{"op": {_str(op)}, "src": {_str(src)}, '
                          f'"dst": {_str(dst)}, "dir": {_str(direction)}, '
                          f'"step": {step!r}}}'

@@ -710,7 +710,6 @@ def reference_delta_from_json(d: dict) -> EdgeDelta:
 def reference_commit_from_json(d: dict) -> Commit:
     return Commit(
         index=d["index"],
-        step_id=d["step_id"],
         deltas=tuple(reference_delta_from_json(x) for x in d["deltas"]),
         trigger=d["trigger"],
         obs_id=d["obs_id"],
@@ -853,7 +852,7 @@ def reference_run_session(chain: VersionChain, config: ToolConfig,
         try:
             apply_action(chain, action)
             entry["result"] = "applied"
-        except (IllegalAction, InvalidDelta, UnknownNode,
+        except (IllegalAction, InvalidDelta, UnknownNode, UnknownVersion,
                 DuplicateEdge) as exc:
             entry["error"] = _describe(exc)
         else:

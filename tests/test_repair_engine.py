@@ -10,7 +10,7 @@ from helpers import reference_detect_all, reference_run_session, unapplied
 from maprepair import advisors, error_localizer, repair_engine
 from maprepair import fault_injector as fi
 from maprepair.conflict_detector import detect_all
-from maprepair.errors import AdvisorFailure, IllegalAction
+from maprepair.errors import AdvisorFailure, IllegalAction, UnknownVersion
 from maprepair.graph_core import DIRECTIONS, Edge, NavGraph
 from maprepair.repair_engine import (
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_DIFF_VERSIONS, ACT_GIVE_UP,
@@ -196,6 +196,32 @@ def test_rollback_to_is_a_new_commit():
     apply_action(chain, RepairAction(ACT_ROLLBACK_TO, version=4))
     assert chain.head == head + 1  # history preserved, not truncated
     assert chain.graph.state_equal(chain.materialize(4))
+
+
+@pytest.mark.parametrize("kind", [ACT_ROLLBACK_TO, ACT_RECALL_STEP,
+                                  ACT_DIFF_VERSIONS])
+@pytest.mark.parametrize("past_head", [False, True], ids=["-1", "head+1"])
+def test_version_tools_refuse_an_unknown_version_alike(kind, past_head):
+    """RollbackTo, RecallStep and DiffVersions all refuse a version before
+    0 or after the head with `UnknownVersion`, which the transcript
+    records, and make no commit."""
+    chain, _ = _demo()
+    conflicts = _conflicts(chain)
+    head, commits, before = chain.head, list(chain.commits), \
+        chain.graph.copy()
+    version = head + 1 if past_head else -1
+    fields = {"i": 0, "j": version} if kind == ACT_DIFF_VERSIONS \
+        else {"version": version}
+    with pytest.raises(UnknownVersion):
+        apply_action(chain, RepairAction(kind, **fields))
+    script = iter([RepairAction(kind, **fields), RepairAction(ACT_GIVE_UP)])
+    session, _ = run_session(chain, ToolConfig(), lambda ctx: next(script),
+                             conflicts[0], conflicts, max_attempts=1)
+    assert session.transcript[0]["error"] == \
+        f"UnknownVersion: version {version} not in 0..{head}"
+    assert "result" not in session.transcript[0]
+    assert chain.head == head and chain.commits == commits
+    assert chain.graph.state_equal(before)
 
 
 def test_queries_return_payloads():

@@ -159,7 +159,7 @@ def test_a_rename_or_drop_by_another_name_is_refused_whole(tmp_path):
         assert chain.graph.indices_consistent()
         assert chain.head == 1
     log = tmp_path / "chain.jsonl"
-    bad = Commit(2, 2, (), TRIGGER_REPAIR, 2, "", drops=((lobby, "Ghost"),))
+    bad = Commit(2, (), TRIGGER_REPAIR, 2, "", drops=((lobby, "Ghost"),))
     log.write_text("".join(json.dumps(c.to_json()) + "\n"
                            for c in (*chain.commits, bad)))
     with pytest.raises(CorruptLog, match=re.escape(
@@ -187,12 +187,70 @@ def test_log_wire_format_fields(tmp_path):
     _grow(chain, n=1)
     chain.close()
     first, second = [json.loads(x) for x in log.read_text().splitlines()]
-    assert set(first) == {"index", "step_id", "deltas", "trigger", "obs_id",
-                          "analysis", "nodes"}
+    assert set(first) == {"index", "deltas", "trigger", "obs_id", "analysis",
+                          "nodes"}
     assert first["trigger"] == "observation_update"
     delta = second["deltas"][0]
     assert set(delta) == {"op", "src", "dst", "dir", "step"}
     assert delta["op"] == "+"
+
+
+# a log as written before each line recorded its step once, as obs_id
+_OLD_FORMAT_LOG = (
+    b'{"index": 0, "step_id": 0, "deltas": [], "trigger": '
+    b'"observation_update", "obs_id": 0, "analysis": "Room 0", "nodes": '
+    b'[{"id": "n0", "name": "Room 0"}]}\n'
+    b'{"index": 1, "step_id": 1, "deltas": [{"op": "+", "src": "n0", '
+    b'"dst": "n1", "dir": "north", "step": 1}], "trigger": '
+    b'"observation_update", "obs_id": 1, "analysis": "Room 1", "nodes": '
+    b'[{"id": "n1", "name": "Room 1"}]}\n'
+    b'{"index": 2, "step_id": 2, "deltas": [{"op": "-", "src": "n0", '
+    b'"dst": "n1", "dir": "north", "step": 1}, {"op": "+", "src": "n0", '
+    b'"dst": "n1", "dir": "east", "step": 1}], "trigger": '
+    b'"conflict_repair", "obs_id": 2, "analysis": "turn", "renames": '
+    b'[{"id": "n1", "old": "Room 1", "new": "Hall"}]}\n'
+    b'{"index": 3, "step_id": 3, "deltas": [{"op": "-", "src": "n0", '
+    b'"dst": "n1", "dir": "east", "step": 1}], "trigger": '
+    b'"conflict_repair", "obs_id": 3, "analysis": "prune", "drops": '
+    b'[{"id": "n1", "name": "Hall"}]}\n')
+
+
+def test_a_log_with_step_ids_loads_and_appends(tmp_path):
+    """Lines that still carry a `step_id` load to the commits and graph of
+    the same commits as written now, which is each old line without its
+    `"step_id": N, `; `load(append=True)` goes on with lines without it,
+    and the mixed file loads back."""
+    old = tmp_path / "old.jsonl"
+    old.write_bytes(_OLD_FORMAT_LOG)
+    new = tmp_path / "new.jsonl"
+    chain = VersionChain(log_path=new)
+    chain.commit([], TRIGGER_OBSERVATION, obs_id=0, analysis="Room 0",
+                 new_nodes=[("n0", "Room 0")])
+    chain.commit([add(Edge("n0", "n1", "north", 1))], TRIGGER_OBSERVATION,
+                 obs_id=1, analysis="Room 1", new_nodes=[("n1", "Room 1")])
+    chain.commit([remove(Edge("n0", "n1", "north", 1)),
+                  add(Edge("n0", "n1", "east", 1))], TRIGGER_REPAIR,
+                 obs_id=2, analysis="turn", renames=[("n1", "Room 1", "Hall")])
+    chain.commit([remove(Edge("n0", "n1", "east", 1))], TRIGGER_REPAIR,
+                 obs_id=3, analysis="prune", drops=[("n1", "Hall")])
+    chain.close()
+    assert new.read_bytes() == re.sub(rb'"step_id": \d+, ', b"",
+                                      _OLD_FORMAT_LOG)
+    loaded = VersionChain.load(old)
+    assert loaded.commits == chain.commits
+    assert loaded.graph.state_equal(chain.graph)
+
+    reopened = VersionChain.load(old, append=True)
+    c = reopened.commit([], TRIGGER_OBSERVATION, obs_id=4, analysis="Loft",
+                        new_nodes=[("n2", "Loft")])
+    reopened.close()
+    assert old.read_bytes() == _OLD_FORMAT_LOG + (
+        b'{"index": 4, "deltas": [], "trigger": "observation_update", '
+        b'"obs_id": 4, "analysis": "Loft", "nodes": [{"id": "n2", '
+        b'"name": "Loft"}]}\n')
+    mixed = VersionChain.load(old)
+    assert mixed.commits == reopened.commits == [*chain.commits, c]
+    assert mixed.graph.state_equal(reopened.graph)
 
 
 def test_load_reproduces_chain(tmp_path):
@@ -292,7 +350,7 @@ def test_load_rejects_gaps_reordering_and_garbled_lines(tmp_path):
 
 
 def test_commit_json_round_trip():
-    c = Commit(index=4, step_id=9, trigger=TRIGGER_REPAIR, obs_id=9,
+    c = Commit(index=4, trigger=TRIGGER_REPAIR, obs_id=9,
                analysis="swap",
                deltas=(remove(Edge("n1", "n2", "up", 3)),
                        add(Edge("n1", "n2", "down", 3))),
@@ -685,10 +743,9 @@ def test_commit_and_load_refuse_the_same_commits(kind, data,
         before, commits = free.graph.copy(), list(free.commits)
         wal = logged.log_path.read_bytes()
         line = json.dumps(Commit(
-            len(commits), parts["obs_id"], tuple(parts["deltas"]),
-            parts["trigger"], parts["obs_id"], parts["analysis"],
-            tuple(parts["new_nodes"]), tuple(parts["renames"]),
-            tuple(parts["drops"])).to_json()).encode()
+            len(commits), tuple(parts["deltas"]), parts["trigger"],
+            parts["obs_id"], parts["analysis"], tuple(parts["new_nodes"]),
+            tuple(parts["renames"]), tuple(parts["drops"])).to_json()).encode()
         outcomes = []
         for chain in (logged, free):
             try:
@@ -733,7 +790,7 @@ def _log_with_line(tmp_path, delta: Optional[dict], newline: bool = True,
     chain = VersionChain(log_path=log)
     _grow(chain, n=1)
     chain.close()
-    line = {"index": 2, "step_id": 2, "deltas": [delta] if delta else [],
+    line = {"index": 2, "deltas": [delta] if delta else [],
             "trigger": TRIGGER_REPAIR, "obs_id": 2, "analysis": "bad",
             **fields}
     with open(log, "ab") as fh:
@@ -817,22 +874,29 @@ def test_load_reports_a_commit_that_does_not_apply(tmp_path, capsys, delta,
     ("obs_id", True, "obs_id is not an int: True"),
     ("obs_id", 1.5, "obs_id is not an int: 1.5"),
     ("obs_id", None, "obs_id is not an int: None"),
-    ("step_id", "x", "step_id is not an int: 'x'"),
-    ("step_id", [1], "step_id is not an int: [1]"),
     ("trigger", 7, "trigger is not a str: 7"),
     ("analysis", 5, "analysis is not a str: 5"),
+    ("deltas", "", "deltas is not an array: ''"),
+    ("deltas", {}, "deltas is not an array: {}"),
+    ("nodes", "", "nodes is not an array: ''"),
+    ("nodes", {}, "nodes is not an array: {}"),
+    ("renames", "", "renames is not an array: ''"),
+    ("drops", {}, "drops is not an array: {}"),
 ], ids=["direction", "step str", "step float", "step bool", "index",
         "obs_id str", "obs_id bool", "obs_id float", "obs_id null",
-        "step_id str", "step_id list", "trigger", "analysis"])
+        "trigger", "analysis", "deltas str", "deltas object", "nodes str",
+        "nodes object", "renames str", "drops object"])
 def test_a_field_no_writer_makes_does_not_parse(tmp_path, capsys, key, value,
                                                 message):
     """A commit index that is not an int (`True == 1` passed the sequence
     check), a direction not in `DIRECTIONS` or a step id that is not an int
     used to load, and `detect` then failed far from the line; so did an
-    obs_id or step_id that is not an int and a trigger or analysis that is
-    not a str, and `load(append=True)` wrote further commits after them.
-    Each is `CorruptLog` at its line, or a dropped torn final line; `commit`
-    refuses such a field before anything applies."""
+    obs_id that is not an int and a trigger or analysis that is not a str,
+    and `load(append=True)` wrote further commits after them.  A `deltas`,
+    `nodes`, `renames` or `drops` that is not an array (`""` or `{}`) loaded
+    as no steps, and the commit lost the steps of its line.  Each is
+    `CorruptLog` at its line, or a dropped torn final line; `commit`
+    refuses such a scalar field before anything applies."""
     log = tmp_path / "chain.jsonl"
     chain = VersionChain(log_path=log)
     _grow(chain, n=1)
@@ -855,8 +919,8 @@ def test_a_field_no_writer_makes_does_not_parse(tmp_path, capsys, key, value,
         loaded = VersionChain.load(log, append=True)
     try:
         assert loaded.commits == chain.commits[:1]
-        if key in ("index", "step_id"):  # `commit` sets these itself
-            return
+        if key not in ("dir", "step", "obs_id", "trigger", "analysis"):
+            return  # `commit` sets the index and takes any step iterables
         wal = log.read_bytes()
         before = loaded.graph.copy()
         parts = dict(deltas=[], trigger=TRIGGER_REPAIR, obs_id=1,
@@ -885,8 +949,8 @@ _JUNK = st.sampled_from([None, "1", 1, 1.5, True, "", "x", "~", "+", "-",
 # an op or an endpoint that parses but may not apply
 _SWAPS = {"op": st.sampled_from(["+", "-", "x", "~"]),
           "src": st.sampled_from(["n0", "n1", "n2", "ghost"])}
-_KEYS = {"commit": ["index", "step_id", "deltas", "trigger", "obs_id",
-                    "analysis", "nodes", "renames", "drops"],
+_KEYS = {"commit": ["index", "deltas", "trigger", "obs_id", "analysis",
+                    "nodes", "renames", "drops"],
          "deltas": ["op", "src", "dst", "dir", "step"],
          "nodes": ["id", "name"],
          "renames": ["id", "old", "new"],
@@ -1054,19 +1118,22 @@ def _assert_same(a, b):
 
 
 _DIRECTION_SET = frozenset(DIRECTIONS)
+_STEP_LISTS = frozenset({"deltas", "nodes", "renames", "drops"})
 
 
 def _fixed(log, wal: bytes):
-    """The reference's parse and apply with the five fixes: an unknown op
+    """The reference's parse and apply with the six fixes: an unknown op
     does not parse; a commit that does not apply (a map error) is
     `CorruptLog` at its line; a commit index, a delta's direction or a
     delta's step that no writer makes does not parse; a rename or drop
     whose recorded name is not the node's own is refused before it runs;
-    and an obs_id or step_id that is not an int, or a trigger, analysis,
-    room id or name that is not a str, does not parse.  The parse checks
-    the commit once it is read whole: the scalars, then each delta, then
-    the new nodes, renames and drops.  `fired` records each time a fix
-    changed what happens."""
+    an obs_id that is not an int, or a trigger, analysis, room id or name
+    that is not a str, does not parse; and a `deltas`, `nodes`, `renames`
+    or `drops` that is not a JSON array does not parse.  The step lists are
+    checked as the parse reads them; the rest is checked once the commit
+    is read whole: the scalars, then each delta, then the new nodes,
+    renames and drops.  `fired` records each time a fix changed what
+    happens."""
     fired = []
     # the k-th commit applied is on the k-th line that is not blank
     linenos = iter([n for n, raw in enumerate(_lines(wal), start=1)
@@ -1082,11 +1149,24 @@ def _fixed(log, wal: bytes):
                               else (TypeError, "a str"))
             refuse(what, error, f"{what} is not {article}: {value!r}")
 
+    class ArraysOnly(dict):
+        """A line's object whose step lists must be arrays when read."""
+
+        def __getitem__(self, key):
+            value = dict.__getitem__(self, key)
+            if key in _STEP_LISTS and type(value) is not list:
+                refuse("array", TypeError,
+                       f"{key} is not an array: {value!r}")
+            return value
+
+        def get(self, key, default=None):
+            return self[key] if key in self else default
+
     def from_json(d):
-        c = reference_commit_from_json(d)
+        c = reference_commit_from_json(ArraysOnly(d) if type(d) is dict
+                                       else d)
         need(int, "commit index", c.index)
         need(int, "obs_id", c.obs_id)
-        need(int, "step_id", c.step_id)
         need(str, "trigger", c.trigger)
         need(str, "analysis", c.analysis)
         for op, (src, dst, direction, step) in c.deltas:
@@ -1134,11 +1214,11 @@ def _fixed(log, wal: bytes):
 def test_load_equals_the_reference_on_corrupted_logs(data, tmp_path_factory):
     """`load` on a random log, corrupted at random, gives the commits,
     graph, exception, warnings and file bytes of the first `load`, but for
-    the five fixes: an unknown op, a commit that does not apply, an index,
+    the six fixes: an unknown op, a commit that does not apply, an index,
     direction or step no writer makes, a rename or drop of a node by
-    another name, and any other field of the wrong type are `CorruptLog`
-    at their line (or a torn final line).  Any log that does not load is
-    `CorruptLog`."""
+    another name, any other field of the wrong type and a step list that
+    is not an array are `CorruptLog` at their line (or a torn final line).
+    Any log that does not load is `CorruptLog`."""
     log = tmp_path_factory.mktemp("replay") / "chain.jsonl"
     wal = _corrupt(data, _random_log(data, log))
     append = data.draw(st.booleans())
@@ -1183,11 +1263,11 @@ def test_log_value_types_are_immutable_tuples_of_their_fields():
     before: `InvalidDelta` messages print an `Edge`."""
     e = Edge("n0", "n1", "north", 1)
     d = add(e)
-    c = Commit(3, 3, (d,), TRIGGER_REPAIR, 3, "why", (("n1", "Hall"),))
+    c = Commit(3, (d,), TRIGGER_REPAIR, 3, "why", (("n1", "Hall"),))
     fields = {e: ("src", "dst", "direction", "step_id"),
               d: ("op", "edge"),
-              c: ("index", "step_id", "deltas", "trigger", "obs_id",
-                  "analysis", "new_nodes", "renames", "drops")}
+              c: ("index", "deltas", "trigger", "obs_id", "analysis",
+                  "new_nodes", "renames", "drops")}
     for value, names in fields.items():
         assert hash(value) == hash(tuple(getattr(value, f) for f in names))
         for f in (*names, "extra"):
