@@ -279,7 +279,7 @@ def generate_world(spec: WorldSpec) -> World:
 # fault injection
 
 
-def _corrupt_steps(world: World, step: int, act=None, obs=None) -> World:
+def _corrupt_step(world: World, step: int, act=None, obs=None) -> World:
     steps = list(world.steps)
     old_act, old_obs = steps[step]
     steps[step] = (act or old_act, obs or old_obs)
@@ -326,10 +326,10 @@ def inject(world: World, kinds: Sequence[str], seed: int = 0,
 
 def _apply_fault(world: World, fault: Fault) -> World:
     if fault.kind in (FAULT_MISDIRECTION, FAULT_SILENT):
-        return _corrupt_steps(world, fault.step,
-                              act=fault.corrupted_direction)
+        return _corrupt_step(world, fault.step,
+                             act=fault.corrupted_direction)
     if fault.kind == FAULT_MISNAME:
-        return _corrupt_steps(world, fault.step, obs=fault.corrupted_name)
+        return _corrupt_step(world, fault.step, obs=fault.corrupted_name)
     if fault.kind == FAULT_PHANTOM:
         steps = list(world.steps)
         steps.append((fault.corrupted_direction, fault.corrupted_name))

@@ -211,6 +211,8 @@ def apply_action(chain: VersionChain, action: RepairAction):
         elif kind == ACT_REDIRECT_EDGE:
             if action.new_dst not in g.nodes:
                 raise IllegalAction(f"unknown node: {action.new_dst}")
+            if action.new_dst == e.dst:
+                raise IllegalAction("destination is unchanged")
             deltas.append(add(Edge(e.src, action.new_dst, e.direction,
                                    e.step_id)))
         return chain.commit(deltas, TRIGGER_REPAIR, obs_id=chain.head + 1,
@@ -273,6 +275,8 @@ def _state_commit(chain: VersionChain, target: NavGraph, analysis: str):
     renames = sorted((nid, g.nodes[nid], target.nodes[nid])
                      for nid in g.nodes
                      if nid in target.nodes and g.nodes[nid] != target.nodes[nid])
+    if not (deltas or new_nodes or renames or drops):
+        raise IllegalAction("state is unchanged")
     return chain.commit(deltas, TRIGGER_REPAIR, obs_id=chain.head + 1,
                         analysis=analysis, new_nodes=new_nodes,
                         renames=renames, drops=drops)

@@ -12,12 +12,15 @@ and `Commit.from_json` runs it on each line `load` reads, so both refuse
 the same commits.
 
 A commit is applied to the live graph in straight-line code
-(`_apply_commit`): new nodes, then deltas, renames and drops, each by a
-direct `NavGraph` call, counting the steps done.  A rejected step (a map
-error) undoes those steps through `_unapply_commit`, the one inverse walk,
-and restores the origin, so a rejected commit leaves no trace.  A rename or
-drop whose recorded name is not the node's own is a rejected step
-(`InvalidDelta`), since undoing it would leave that name behind.
+(`_apply_commit`), the only code that turns a commit into graph edits: new
+nodes, then deltas, renames and drops, each by a direct `NavGraph` call,
+counting the steps done.  Undo is data, not a second walk: `_inverse`
+returns the commit that undoes a commit (or its first steps), and
+`_apply_commit` applies it.  A rejected step (a map error) applies the
+inverse of the steps done before it and restores the origin, so a rejected
+commit leaves no trace.  A rename or drop whose recorded name is not the
+node's own is a rejected step (`InvalidDelta`), since undoing it would
+leave that name behind.
 
 With a log path set, the commit's JSONL line is then written by the one
 line writer, `_line`, and appended to the log, unbuffered (and, with
@@ -174,8 +177,8 @@ def _check_types(kind: type, *fields: tuple[str, object]) -> None:
 
 def _apply_commit(g: NavGraph, c: Commit) -> None:
     """Apply `c` whole or not at all, in step order: new nodes, deltas,
-    renames, drops.  A rejected step first undoes the `done` steps before
-    it, then re-raises."""
+    renames, drops.  A rejected step first applies the inverse of the
+    `done` steps before it, then re-raises."""
     origin = g.origin
     done = 0
     try:
@@ -199,7 +202,7 @@ def _apply_commit(g: NavGraph, c: Commit) -> None:
             g.remove_node(nid)
             done += 1
     except BaseException:
-        _unapply_commit(g, c, done)
+        _apply_commit(g, _inverse(c, done))
         g.origin = origin
         raise
 
@@ -211,38 +214,28 @@ def _check_name(g: NavGraph, nid: str, name: str) -> None:
         raise InvalidDelta(f"{nid} is named {g.nodes[nid]!r}, not {name!r}")
 
 
-def _steps(c: Commit) -> list[tuple]:
-    """The commit as (sign, node id or edge, *names) steps, in apply order.
-    A delta is already such a step: (op, edge)."""
-    return ([("+", nid, name) for nid, name in c.new_nodes]
-            + list(c.deltas)
-            + [("~", nid, old, new) for nid, old, new in c.renames]
-            + [("-", nid, name) for nid, name in c.drops])
-
-
-def _unapply(g: NavGraph, step: tuple) -> None:
-    """Undo one step: a rename swaps its names back, and an addition and a
-    removal trade places."""
-    sign, target = step[0], step[1]
-    if sign == "~":
-        g.rename_node(target, step[2])
-    elif sign != "+":
-        if isinstance(target, Edge):
-            g.insert_edge(target)
-        else:
-            g.add_node(step[2], node_id=target)
-    elif isinstance(target, Edge):
-        g.remove_edge(target)
-    else:
-        g.remove_node(target)
-
-
-def _unapply_commit(g: NavGraph, c: Commit,
-                    applied: Optional[int] = None) -> None:
-    """Inverse of _apply_commit (of its first `applied` steps), last step
-    first.  A dropped origin comes back as a node, not as the origin."""
-    for step in reversed(_steps(c)[:applied]):
-        _unapply(g, step)
+def _inverse(c: Commit, applied: Optional[int] = None) -> Commit:
+    """The commit undoing `c`, or only its first `applied` steps in apply
+    order (new nodes, deltas, renames, drops): it re-adds `c`'s drops,
+    reverts its deltas with flipped ops and its renames with the names
+    swapped, and drops its new nodes, each group last step first.  It keeps
+    `c`'s index, trigger, obs_id and analysis, and is applied by
+    `_apply_commit` but never committed.  A dropped origin comes back as a
+    node, not as the origin."""
+    kept = []
+    for steps in (c.new_nodes, c.deltas, c.renames, c.drops):
+        kept.append(steps[:applied])
+        if applied is not None:
+            applied = max(applied - len(steps), 0)
+    nodes, deltas, renames, drops = kept
+    return _new(Commit, (
+        c.index,
+        tuple([_new(EdgeDelta, ("-" if op == "+" else "+", edge))
+               for op, edge in reversed(deltas)]),
+        c.trigger, c.obs_id, c.analysis,
+        drops[::-1],
+        tuple([(nid, new, old) for nid, old, new in reversed(renames)]),
+        nodes[::-1]))
 
 
 class VersionChain:
@@ -292,7 +285,7 @@ class VersionChain:
                 if self.fsync:
                     os.fsync(self._log.fileno())
             except BaseException:
-                _unapply_commit(self.graph, commit)
+                _apply_commit(self.graph, _inverse(commit))
                 self.graph.origin = origin
                 os.truncate(self.log_path, self._log_end)
                 raise
@@ -301,7 +294,9 @@ class VersionChain:
         return commit
 
     def _check_version(self, version: int) -> None:
-        if not isinstance(version, int) or not 0 <= version <= self.head:
+        """Refuse a version that is not an exact int (`True` is not) in
+        0..head with `UnknownVersion`."""
+        if type(version) is not int or not 0 <= version <= self.head:
             raise UnknownVersion(f"version {version} not in 0..{self.head}")
 
     def materialize(self, version: int) -> NavGraph:

@@ -54,8 +54,8 @@ from maprepair.transcript_parser import (
     _first_nonempty, normalize_act, origin_location_line,
 )
 from maprepair.version_store import (
-    TRIGGER_OBSERVATION, Commit, EdgeDelta, VersionChain, _open_log,
-    _unapply_commit, add,
+    TRIGGER_OBSERVATION, Commit, EdgeDelta, VersionChain, _apply_commit,
+    _inverse, _open_log, add,
 )
 
 
@@ -230,11 +230,12 @@ def flip_edges(g: NavGraph, rng: random.Random, count: int) -> NavGraph:
 
 
 def unapplied(chain, version: int) -> NavGraph:
-    """State as of `version` by inverse-applying head..version+1 to a copy
-    of the live graph: the inverse path, checked against replay."""
+    """State as of `version` by applying the inverse commits of
+    head..version+1, newest first, to a copy of the live graph: the undo
+    path, checked against replay."""
     g = chain.graph.copy()
     for c in reversed(chain.commits[version + 1:]):
-        _unapply_commit(g, c)
+        _apply_commit(g, _inverse(c))
     return g
 
 

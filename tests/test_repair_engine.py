@@ -10,13 +10,16 @@ from helpers import reference_detect_all, reference_run_session, unapplied
 from maprepair import advisors, error_localizer, repair_engine
 from maprepair import fault_injector as fi
 from maprepair.conflict_detector import detect_all
-from maprepair.errors import AdvisorFailure, IllegalAction, UnknownVersion
+from maprepair.errors import (
+    AdvisorFailure, IllegalAction, MapRepairError, UnknownVersion,
+)
 from maprepair.graph_core import DIRECTIONS, Edge, NavGraph
+from maprepair.metrics_bench import OUTCOME_EXHAUSTED
 from maprepair.repair_engine import (
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_DIFF_VERSIONS, ACT_GIVE_UP,
     ACT_MERGE_NODES, ACT_RECALL_STEP, ACT_REDIRECT_EDGE, ACT_RENAME_NODE,
-    ACT_ROLLBACK_TO, ACTION_FIELDS, ALL_ACTIONS, RepairAction, ToolConfig,
-    apply_action, run_repair, run_session,
+    ACT_ROLLBACK_TO, ACTION_FIELDS, ALL_ACTIONS, MUTATING_ACTIONS,
+    RepairAction, ToolConfig, apply_action, run_repair, run_session,
 )
 from maprepair.version_store import (
     TRIGGER_OBSERVATION, TRIGGER_REPAIR, VersionChain, add,
@@ -196,6 +199,86 @@ def test_rollback_to_is_a_new_commit():
     apply_action(chain, RepairAction(ACT_ROLLBACK_TO, version=4))
     assert chain.head == head + 1  # history preserved, not truncated
     assert chain.graph.state_equal(chain.materialize(4))
+
+
+def test_a_repair_that_changes_nothing_is_refused_and_commits_nothing():
+    """A redirect to the edge's own destination and a rollback to a version
+    whose state is the head's are refused, as a change to the edge's own
+    direction or the room's own name is, and make no commit."""
+    chain, _ = _demo()
+    apply_action(chain, RepairAction(ACT_ROLLBACK_TO, version=4))
+    head, commits, before = chain.head, list(chain.commits), \
+        chain.graph.copy()
+    e = min(chain.graph.edges())
+    for action, message in [
+            (RepairAction(ACT_REDIRECT_EDGE, edge=e, new_dst=e.dst),
+             "destination is unchanged"),
+            (RepairAction(ACT_CHANGE_DIRECTION, edge=e,
+                          new_direction=e.direction),
+             "direction is unchanged"),
+            (RepairAction(ACT_RENAME_NODE, node=e.src,
+                          new_name=chain.graph.nodes[e.src]),
+             "name is unchanged"),
+            (RepairAction(ACT_ROLLBACK_TO, version=head),
+             "state is unchanged"),
+            (RepairAction(ACT_ROLLBACK_TO, version=4), "state is unchanged")]:
+        with pytest.raises(IllegalAction, match=f"^{message}$"):
+            apply_action(chain, action)
+    assert chain.head == head and chain.commits == commits
+    assert chain.graph.state_equal(before)
+
+
+def test_a_rollback_to_the_head_spends_an_attempt_and_writes_no_commit():
+    """An advisor that always answers `RollbackTo(head)` exhausts the
+    session's budget, one refusal per attempt, and leaves the chain as it
+    was."""
+    chain, _ = _demo()
+    conflicts = _conflicts(chain)
+    head, commits = chain.head, list(chain.commits)
+    session, after = run_session(
+        chain, ToolConfig(),
+        lambda ctx: RepairAction(ACT_ROLLBACK_TO, version=ctx.chain.head),
+        conflicts[0], conflicts, max_attempts=3)
+    assert session.outcome == OUTCOME_EXHAUSTED
+    assert session.attempts == 3
+    assert [t["error"] for t in session.transcript] == \
+        ["IllegalAction: state is unchanged"] * 3
+    assert chain.head == head and chain.commits == commits
+    assert after == conflicts
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_repair_commit_changes_the_map(data):
+    """Whatever mutating action is proposed, no-op fields included, a
+    commit `apply_action` makes leaves a map that is not `state_equal` to
+    the one before it, and a refusal leaves the map and the chain as they
+    were."""
+    chain, _ = _demo()
+    for _ in range(data.draw(st.integers(1, 6))):
+        g = chain.graph
+        nodes = sorted(g.nodes)
+        e = data.draw(st.sampled_from(sorted(g.edges()))) \
+            if g.edge_set() else Edge(nodes[0], nodes[0], "north", 1)
+        node = data.draw(st.sampled_from(nodes))
+        action = RepairAction(
+            data.draw(st.sampled_from(sorted(MUTATING_ACTIONS))), edge=e,
+            new_direction=data.draw(st.sampled_from([e.direction,
+                                                     *DIRECTIONS])),
+            new_dst=data.draw(st.sampled_from([e.dst, *nodes])), node=node,
+            new_name=data.draw(st.sampled_from(
+                [g.nodes[node], "Hallway", *sorted(g.nodes.values())])),
+            version=data.draw(st.sampled_from([chain.head,
+                                               *range(chain.head + 1)])))
+        before, head = g.copy(), chain.head
+        try:
+            commit = apply_action(chain, action)
+        except MapRepairError:
+            assert chain.head == head
+            assert chain.graph.state_equal(before)
+        else:
+            assert chain.head == head + 1 and chain.commits[-1] == commit
+            assert not chain.graph.state_equal(before)
 
 
 @pytest.mark.parametrize("kind", [ACT_ROLLBACK_TO, ACT_RECALL_STEP,

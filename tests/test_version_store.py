@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
-    _reference_run, reference_apply_commit, reference_commit_from_json,
-    reference_load, unapplied,
+    _reference_run, _reference_steps, reference_apply_commit,
+    reference_commit_from_json, reference_load, unapplied,
 )
 from maprepair import cli
 from maprepair.errors import (
@@ -22,7 +22,7 @@ from maprepair.fault_injector import WorldSpec, generate_world
 from maprepair.graph_core import DIRECTIONS, Edge
 from maprepair.version_store import (
     Commit, EdgeDelta, TRIGGER_OBSERVATION, TRIGGER_REPAIR, VersionChain,
-    add, remove,
+    _apply_commit, _inverse, add, remove,
 )
 
 
@@ -111,7 +111,8 @@ def test_recall_and_diff():
 def test_unknown_versions_rejected():
     chain = VersionChain()
     _grow(chain)
-    for bad in (-1, chain.head + 1, 100):
+    # a bool is no version, though `True == 1` and `False == 0`
+    for bad in (-1, chain.head + 1, 100, True, False, 1.0):
         with pytest.raises(UnknownVersion):
             chain.materialize(bad)
         with pytest.raises(UnknownVersion):
@@ -594,7 +595,9 @@ _TEXT = st.text(alphabet=st.one_of(
 def _random_commit(data, g, used_steps: set) -> dict:
     """The parts of a commit that applies to `g`: new nodes, removals and
     additions of edges, renames and drops, with names and ids drawn from
-    `_TEXT` and any int as a step id."""
+    `_TEXT` and any int as a step id.  An added edge may take the step id
+    of an edge the commit removes (and so its key, as a redirect does),
+    and a room may be renamed twice."""
     sim = g.copy()
     new_nodes = []
     for nid in data.draw(st.lists(_TEXT, max_size=3, unique=True)):
@@ -608,16 +611,22 @@ def _random_commit(data, g, used_steps: set) -> dict:
     for delta in deltas:
         sim.remove_edge(delta.edge)
     nodes = sorted(sim.nodes)
+    # the step id of a removed edge may come back, once
+    freed = [delta.edge.step_id for delta in deltas]
     for _ in range(data.draw(st.integers(0, 3)) if nodes else 0):
-        step = data.draw(st.integers().filter(lambda s: s not in used_steps))
-        used_steps.add(step)
+        if freed and data.draw(st.booleans()):
+            step = freed.pop()
+        else:
+            step = data.draw(
+                st.integers().filter(lambda s: s not in used_steps))
+            used_steps.add(step)
         deltas.append(add(sim.add_edge(
             data.draw(st.sampled_from(nodes)),
             data.draw(st.sampled_from(nodes)),
             data.draw(st.sampled_from(DIRECTIONS)), step)))
     renames = []
-    for nid in data.draw(st.lists(st.sampled_from(nodes), max_size=2,
-                                  unique=True) if nodes else st.just([])):
+    for nid in data.draw(st.lists(st.sampled_from(nodes), max_size=2)
+                         if nodes else st.just([])):
         renames.append((nid, sim.nodes[nid], data.draw(_TEXT)))
         sim.rename_node(nid, renames[-1][2])
     ends = {m for e in sim.edges() for m in e[:2]}
@@ -649,6 +658,45 @@ def test_each_log_line_is_json_dumps_of_its_commit(data, tmp_path_factory):
     loaded = VersionChain.load(log)
     assert loaded.commits == chain.commits
     assert loaded.graph.state_equal(chain.graph)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_the_inverse_commit_undoes_a_commit_and_each_of_its_prefixes(data):
+    """Applying a commit and then its inverse restores the graph; so does
+    applying the first k steps (run one by one by the reference) and then
+    `_inverse(c, k)`, for every k, and it leaves the rooms and edges in the
+    order the reference's step-by-step undo does; and the inverse of the
+    inverse is the commit.  As `_apply_commit` and `commit` do, the origin
+    is restored by hand: a dropped origin comes back as a node, not as the
+    origin."""
+    chain = VersionChain()
+    used_steps: set = set()
+    for _ in range(data.draw(st.integers(1, 4))):
+        before = chain.graph.copy()
+        c = chain.commit(**_random_commit(data, chain.graph, used_steps))
+        after = chain.graph.copy()
+        assert _inverse(_inverse(c)) == c
+        steps = _reference_steps(c)
+        for k in range(len(steps) + 1):
+            g = before.copy()
+            for step in steps[:k]:
+                _reference_run(g, step, forward=True)
+            reference = g.copy()
+            for step in reversed(steps[:k]):
+                _reference_run(reference, step, forward=False)
+            _apply_commit(g, _inverse(c, k))
+            g.origin = before.origin
+            assert g.state_equal(before)
+            assert g.indices_consistent()
+            # in the order of the reference's undo, last step first
+            assert list(g.nodes.items()) == list(reference.nodes.items())
+            assert list(g.edges()) == list(reference.edges())
+        assert _inverse(c, len(steps)) == _inverse(c)
+        _apply_commit(chain.graph, _inverse(c))
+        chain.graph.origin = before.origin
+        assert chain.graph.state_equal(before)
+        chain.graph = after
 
 
 @pytest.mark.parametrize("obs_id, node_id, error", [
@@ -1209,6 +1257,21 @@ def _fixed(log, wal: bytes):
     return from_json, apply, fired
 
 
+def _assert_load_equals_the_fixed_reference(data, log, wal: bytes):
+    """`load` of `wal`, with or without append, gives what the reference
+    with the fixes gives, and any log that does not load is `CorruptLog`.
+    Returns the append flag, the reference's outcome and the fixes it
+    fired."""
+    append = data.draw(st.booleans())
+    from_json, apply, fired = _fixed(log, wal)
+    fixed = _outcome(lambda p, append: reference_load(
+        p, append, from_json=from_json, apply=apply), log, wal, append)
+    loaded = _outcome(VersionChain.load, log, wal, append)
+    _assert_same(loaded, fixed)
+    assert loaded[1] is None or loaded[1][0] is CorruptLog
+    return append, fixed, fired
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_load_equals_the_reference_on_corrupted_logs(data, tmp_path_factory):
@@ -1221,15 +1284,26 @@ def test_load_equals_the_reference_on_corrupted_logs(data, tmp_path_factory):
     Any log that does not load is `CorruptLog`."""
     log = tmp_path_factory.mktemp("replay") / "chain.jsonl"
     wal = _corrupt(data, _random_log(data, log))
-    append = data.draw(st.booleans())
-    from_json, apply, fired = _fixed(log, wal)
-    fixed = _outcome(lambda p, append: reference_load(
-        p, append, from_json=from_json, apply=apply), log, wal, append)
-    loaded = _outcome(VersionChain.load, log, wal, append)
-    _assert_same(loaded, fixed)
-    assert loaded[1] is None or loaded[1][0] is CorruptLog
+    append, fixed, fired = _assert_load_equals_the_fixed_reference(
+        data, log, wal)
     if not fired:
         _assert_same(_outcome(reference_load, log, wal, append), fixed)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_load_equals_the_reference_on_logs_with_garbled_fields(
+        data, tmp_path_factory):
+    """As above, but every corruption sets a field of a line to a wrong
+    value, removes it, or swaps a delta's op or source, so far more
+    examples reach a line that parses as JSON but is not a commit the
+    writer makes, where the six fixes act."""
+    log = tmp_path_factory.mktemp("replay") / "chain.jsonl"
+    lines = _lines(_random_log(data, log))
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = _garble(data, lines[i], swap=data.draw(st.booleans()))
+    _assert_load_equals_the_fixed_reference(data, log, b"".join(lines))
 
 
 def test_load_of_a_built_grid_calls_json_loads_never(tmp_path):
