@@ -172,16 +172,10 @@ def _divergence(nodes1: Sequence[str], nodes2: Sequence[str]) -> int:
 
 def lowest_common_ancestor(nodes1: Sequence[str],
                            nodes2: Sequence[str]) -> int:
-    """Index of the LCA: the deepest shared prefix node whose suffixes are
-    node-disjoint, backing off while they re-intersect.  Falls back to the
-    plain divergence point when no cut yields disjoint suffixes (cycles)."""
-    common = _divergence(nodes1, nodes2)
-    for cut in range(common, 0, -1):
-        s1 = set(nodes1[cut:])
-        s2 = set(nodes2[cut:])
-        if not s1 & s2:
-            return cut - 1
-    return common - 1
+    """Index of the LCA, the last node of the shared prefix (-1 if none):
+    a cut inside the prefix leaves the node at the cut in both suffixes,
+    so no deeper cut has node-disjoint suffixes."""
+    return _divergence(nodes1, nodes2) - 1
 
 
 def minimal_path_pair(g: NavGraph, conflict: Conflict,

@@ -22,7 +22,7 @@ class CorruptLog(MapRepairError):
 
 
 class InvalidDelta(MapRepairError):
-    """A commit tried to remove an edge that is not in the current state."""
+    """A commit step does not apply to the current graph state."""
 
 
 class MalformedBlock(MapRepairError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .errors import DuplicateEdge, UnknownNode
+from .errors import DuplicateEdge, InvalidDelta, UnknownNode
 
 DIRECTIONS = (
     "north", "south", "east", "west", "up", "down",
@@ -97,16 +97,17 @@ class NavGraph:
     # -- nodes ------------------------------------------------------------
 
     def add_node(self, name: str, node_id: Optional[str] = None) -> str:
-        """Add a fresh node.  Same-name nodes are admitted, never reused."""
+        """Add a fresh node, the origin if the graph is empty.  Same-name
+        nodes are admitted, never reused."""
         key = normalize_name(name)  # a name that is not a str raises here
         if node_id is None:
             node_id = self.fresh_id()
         elif node_id in self.nodes:
             raise DuplicateEdge(f"node id already in use: {node_id}")
+        if not self.nodes:
+            self.origin = node_id
         self.nodes[node_id] = name
         self._name_index.setdefault(key, set()).add(node_id)
-        if self.origin is None:
-            self.origin = node_id
         return node_id
 
     def fresh_id(self) -> str:
@@ -144,14 +145,17 @@ class NavGraph:
         self._name_index.setdefault(key, set()).add(node_id)
 
     def remove_node(self, node_id: str) -> None:
-        """Remove a node with no incident edges."""
+        """Remove a node with no incident edges; the origin only as the
+        last node, so the origin never moves to another node."""
         if node_id not in self.nodes:
             raise UnknownNode(node_id)
         if node_id in self._out or any(e.dst == node_id for e in self.edges()):
             raise DuplicateEdge(f"node still has edges: {node_id}")
+        if node_id == self.origin:
+            if len(self.nodes) > 1:
+                raise InvalidDelta(f"origin {node_id} is not the last node")
+            self.origin = None
         self._unindex_name(node_id, self.nodes.pop(node_id))
-        if self.origin == node_id:
-            self.origin = next(iter(self.nodes), None)
 
     # -- edges ------------------------------------------------------------
 

@@ -242,6 +242,8 @@ def _merge_commit(chain: VersionChain, keep: str, drop: str):
         raise IllegalAction(f"unknown node in merge: {keep}, {drop}")
     if keep == drop:
         raise IllegalAction("cannot merge a node with itself")
+    if drop == g.origin:
+        raise IllegalAction(f"{drop} is the origin: merge {keep} into it")
     deltas = []
     adjacency = g.adjacency()
     incident = sorted(e for e in g.edges() if drop in (e.src, e.dst))

@@ -17,10 +17,10 @@ nodes, then deltas, renames and drops, each by a direct `NavGraph` call,
 counting the steps done.  Undo is data, not a second walk: `_inverse`
 returns the commit that undoes a commit (or its first steps), and
 `_apply_commit` applies it.  A rejected step (a map error) applies the
-inverse of the steps done before it and restores the origin, so a rejected
-commit leaves no trace.  A rename or drop whose recorded name is not the
-node's own is a rejected step (`InvalidDelta`), since undoing it would
-leave that name behind.
+inverse of the steps done before it, an exact undo since the origin never
+moves (`NavGraph.remove_node`), so a rejected commit leaves no trace.  A
+rename or drop whose recorded name is not the node's own is a rejected
+step (`InvalidDelta`), since undoing it would leave that name behind.
 
 With a log path set, the commit's JSONL line is then written by the one
 line writer, `_line`, and appended to the log, unbuffered (and, with
@@ -179,7 +179,6 @@ def _apply_commit(g: NavGraph, c: Commit) -> None:
     """Apply `c` whole or not at all, in step order: new nodes, deltas,
     renames, drops.  A rejected step first applies the inverse of the
     `done` steps before it, then re-raises."""
-    origin = g.origin
     done = 0
     try:
         for nid, name in c.new_nodes:
@@ -203,7 +202,6 @@ def _apply_commit(g: NavGraph, c: Commit) -> None:
             done += 1
     except BaseException:
         _apply_commit(g, _inverse(c, done))
-        g.origin = origin
         raise
 
 
@@ -220,8 +218,8 @@ def _inverse(c: Commit, applied: Optional[int] = None) -> Commit:
     reverts its deltas with flipped ops and its renames with the names
     swapped, and drops its new nodes, each group last step first.  It keeps
     `c`'s index, trigger, obs_id and analysis, and is applied by
-    `_apply_commit` but never committed.  A dropped origin comes back as a
-    node, not as the origin."""
+    `_apply_commit` but never committed.  Applying it after `c` restores
+    the whole state, origin included, since the origin never moves."""
     kept = []
     for steps in (c.new_nodes, c.deltas, c.renames, c.drops):
         kept.append(steps[:applied])
@@ -274,7 +272,6 @@ class VersionChain:
         commit = _check_commit(_new(Commit, (
             len(self.commits), tuple(deltas), trigger, obs_id, analysis,
             tuple(new_nodes), tuple(renames), tuple(drops))))
-        origin = self.graph.origin
         _apply_commit(self.graph, commit)
         if self._log is not None:
             try:
@@ -286,7 +283,6 @@ class VersionChain:
                     os.fsync(self._log.fileno())
             except BaseException:
                 _apply_commit(self.graph, _inverse(commit))
-                self.graph.origin = origin
                 os.truncate(self.log_path, self._log_end)
                 raise
             self._log_end += len(line)

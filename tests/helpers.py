@@ -27,7 +27,6 @@ from maprepair.conflict_detector import (
 )
 from maprepair.error_localizer import (
     CandidateEdge, PathPair, _minmax, conflict_targets,
-    lowest_common_ancestor,
 )
 from maprepair.errors import (
     AdvisorFailure, CorruptLog, DuplicateEdge, EmptyCandidates, IllegalAction,
@@ -165,16 +164,16 @@ def multigraphs(draw):
     """Small multigraphs: namesakes, equal step ids on one source in
     different directions, self-loops, cycles, unreachable parts, node ids
     whose string order differs from their numeric order, and an origin
-    that was removed (the next node takes over) or is unset.  Returns the
+    that is the first node, a later one or unset.  Returns the
     graph and its conflicts: the detected ones, then some made from any
     nodes and edges, so that every subkind's targets, and an
     inconsistency whose re-deriving edge is a shortest-path edge, occur."""
     g = NavGraph()
     ids = [g.add_node(draw(st.sampled_from(_NAMES)))
            for _ in range(draw(st.integers(1, 12)))]
-    origin = draw(st.sampled_from(("first", "removed", "none")))
-    if origin == "removed" and len(ids) > 1:
-        g.remove_node(ids.pop(0))
+    origin = draw(st.sampled_from(("first", "later", "none")))
+    if origin == "later" and len(ids) > 1:
+        g.origin = draw(st.sampled_from(ids[1:]))
     moves = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
                                     st.sampled_from(_FEW_DIRECTIONS),
                                     st.integers(0, 4)), max_size=30))
@@ -562,9 +561,25 @@ def reference_minimal_path_pair(g: NavGraph, conflict: Conflict) -> PathPair:
         # close the witness cycle through the re-deriving edge
         nodes2 = nodes2 + (conflict.edges[0].dst,)
         edges2 = edges2 + (conflict.edges[0],)
-    idx = lowest_common_ancestor(nodes1, nodes2)
+    idx = reference_lowest_common_ancestor(nodes1, nodes2)
     return PathPair(nodes1, nodes2, edges1, edges2,
                     lca=nodes1[idx], lca_index=idx)
+
+
+def reference_lowest_common_ancestor(nodes1: Sequence[str],
+                                     nodes2: Sequence[str]) -> int:
+    """Index of the LCA as first written: the deepest shared prefix node
+    whose suffixes are node-disjoint, backing off while they re-intersect,
+    and the plain divergence point when no cut yields disjoint suffixes."""
+    common = 0
+    for a, b in zip(nodes1, nodes2):
+        if a != b:
+            break
+        common += 1
+    for cut in range(common, 0, -1):
+        if not set(nodes1[cut:]) & set(nodes2[cut:]):
+            return cut - 1
+    return common - 1
 
 
 def reference_suffix_nodes(pp: PathPair) -> tuple[str, ...]:
@@ -661,9 +676,11 @@ def reference_unique_resolving_direction(g: NavGraph, e: Edge, conflict_key,
 # log replay as first written: `json.loads` on every line, any delta op
 # accepted (an op other than "+" removes), and a commit that does not apply
 # raised as it is.  The bodies are verbatim but for their names (the undo
-# of a rejected commit is inline in `reference_apply_commit`), and `load`
-# and `reference_apply_commit` take what they call as parameters, so a test
-# can model a fix in one of them.
+# of a rejected commit is inline in `reference_apply_commit`) and for the
+# origin: they edit a `NavGraph`, which refuses a drop of the origin while
+# other rooms remain, so the undo needs no origin restore.
+# `load` and `reference_apply_commit` take what they call as parameters,
+# so a test can model a fix in one of them.
 
 
 def _reference_steps(c: Commit) -> list[tuple]:
@@ -693,14 +710,12 @@ def _reference_run(g: NavGraph, step: tuple, forward: bool) -> None:
 
 def reference_apply_commit(g: NavGraph, c: Commit, *,
                            run=_reference_run) -> None:
-    origin = g.origin
     for done, step in enumerate(_reference_steps(c)):
         try:
             run(g, step, forward=True)
         except BaseException:
             for undo in reversed(_reference_steps(c)[:done]):
                 _reference_run(g, undo, forward=False)
-            g.origin = origin
             raise
 
 

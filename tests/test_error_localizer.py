@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     brute_shortest, flip_edges, multigraphs, random_graph,
-    reference_candidate_edges,
+    reference_candidate_edges, reference_lowest_common_ancestor,
     reference_minimal_path_pair, reference_score_candidates,
     reference_shortest_path, reference_suffix_nodes,
 )
@@ -87,6 +87,16 @@ def test_lca_falls_back_on_full_reintersection():
 
     # identical prefix paths (self-conflict): lca is the last shared node
     assert lowest_common_ancestor(("a", "b"), ("a", "b", "c")) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from("abcde"), max_size=8),
+       st.lists(st.sampled_from("abcde"), max_size=8))
+def test_lca_is_the_divergence_point(nodes1, nodes2):
+    """The LCA is the last node of the shared prefix, as the first-written
+    search that backs off to a cut with node-disjoint suffixes finds."""
+    assert lowest_common_ancestor(nodes1, nodes2) == \
+        reference_lowest_common_ancestor(nodes1, nodes2)
 
 
 def test_minimal_path_pair_for_inconsistency_closes_cycle():

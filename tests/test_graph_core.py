@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import brute_closure, brute_reachable, multigraphs, random_graph
 from maprepair.conflict_detector import detect_all
-from maprepair.errors import DuplicateEdge, UnknownNode
+from maprepair.errors import DuplicateEdge, InvalidDelta, UnknownNode
 from maprepair.graph_core import (
     COMPASS, DIRECTIONS, Edge, NavGraph, displacement, is_direction,
     normalize_name, reverse_direction,
@@ -53,6 +53,26 @@ def test_first_node_becomes_origin():
     a = g.add_node("Room A")
     g.add_node("Room B")
     assert g.origin == a
+
+
+def test_the_origin_never_moves():
+    """Only the first node of an empty graph becomes the origin, and the
+    origin is removed only as the last node."""
+    g = NavGraph()
+    a, b = g.add_node("Room A"), g.add_node("Room B")
+    before = g.copy()
+    with pytest.raises(InvalidDelta):
+        g.remove_node(a)
+    assert g.state_equal(before) and g.indices_consistent()
+    g.remove_node(b)
+    g.remove_node(a)
+    assert g.nodes == {} and g.origin is None
+    c = g.add_node("Room C")
+    g.add_node("Room D")
+    assert g.origin == c
+    g.origin = None  # a graph may have rooms and no origin
+    g.add_node("Room E")
+    assert g.origin is None
 
 
 def test_same_name_nodes_are_distinct():
@@ -303,8 +323,9 @@ def _brute_neighborhood(g: NavGraph, seeds: set, radius: int) -> set:
 def test_entering_edge_reads_equal_brute_force(graph_and_conflicts, data):
     """`neighborhood`, `in_edges` and `remove_node` find entering edges in
     the one adjacency index; each equals a reference built from the edge
-    list.  `remove_node` raises exactly when an edge touches the node, and
-    then leaves the graph as it was."""
+    list.  `remove_node` raises exactly when an edge touches the node or
+    the node is the origin and not the last node, and then leaves the
+    graph as it was."""
     g, _ = graph_and_conflicts
     edges = sorted(g.edges())
     seeds = set(data.draw(st.lists(st.sampled_from(sorted(g.nodes)),
@@ -322,6 +343,10 @@ def test_entering_edge_reads_equal_brute_force(graph_and_conflicts, data):
         h = g.copy()
         if any(n in (e.src, e.dst) for e in edges):
             with pytest.raises(DuplicateEdge):
+                h.remove_node(n)
+            assert h.state_equal(g)
+        elif n == g.origin and len(g.nodes) > 1:
+            with pytest.raises(InvalidDelta):
                 h.remove_node(n)
             assert h.state_equal(g)
         else:

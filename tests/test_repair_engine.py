@@ -193,6 +193,85 @@ def test_merge_moves_each_edge_of_the_dropped_room_once():
     assert "d" not in chain.graph.nodes
 
 
+def test_a_merge_that_would_drop_the_origin_is_refused(tmp_path):
+    """Merging the origin into another room is refused before any commit,
+    and the refusal says to merge the other way round; map, chain and log
+    stay as they were.  That merge is taken, and a rollback past it
+    restores the whole state, origin included."""
+    log = tmp_path / "chain.jsonl"
+    chain, _ = fi.demo_chain(corrupted=True, log_path=log)
+    try:
+        before, commits, wal = chain.graph.copy(), list(chain.commits), \
+            log.read_bytes()
+        with pytest.raises(IllegalAction,
+                           match="^n0 is the origin: merge n5 into it$"):
+            apply_action(chain, RepairAction(ACT_MERGE_NODES, node="n0",
+                                             new_dst="n5"))
+        assert chain.graph.state_equal(before)
+        assert chain.commits == commits and log.read_bytes() == wal
+        apply_action(chain, RepairAction(ACT_MERGE_NODES, node="n5",
+                                         new_dst="n0"))
+        assert "n5" not in chain.graph.nodes and chain.graph.origin == "n0"
+        apply_action(chain, RepairAction(ACT_ROLLBACK_TO,
+                                         version=commits[-1].index))
+    finally:
+        chain.close()
+    assert chain.graph.state_equal(before)
+    assert VersionChain.load(log).graph.state_equal(before)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_rollback_restores_the_whole_state(data, tmp_path_factory):
+    """After random mutating actions, merges of any two rooms among them,
+    a `RollbackTo` an earlier version leaves a head `state_equal`, origin
+    included, to `materialize` of that version, to the undo from the head
+    and to the reloaded log.  A merge that would drop the origin is
+    refused and leaves the map, the chain and the log as they were."""
+    log = tmp_path_factory.mktemp("wal") / "chain.jsonl"
+    chain, _ = fi.demo_chain(corrupted=True, log_path=log)
+    try:
+        for _ in range(data.draw(st.integers(1, 5))):
+            g = chain.graph
+            nodes = sorted(g.nodes)
+            edges = sorted(g.edges()) or [Edge(nodes[0], nodes[0], "up", 1)]
+            action = RepairAction(
+                data.draw(st.sampled_from(sorted(MUTATING_ACTIONS))),
+                edge=data.draw(st.sampled_from(edges)),
+                new_direction=data.draw(st.sampled_from(DIRECTIONS)),
+                new_dst=data.draw(st.sampled_from(nodes)),
+                node=data.draw(st.sampled_from(nodes)), new_name="Hallway",
+                version=data.draw(st.integers(0, chain.head)))
+            before, commits, wal = g.copy(), list(chain.commits), \
+                log.read_bytes()
+            if action.kind == ACT_MERGE_NODES \
+                    and action.node == g.origin != action.new_dst:
+                with pytest.raises(IllegalAction, match="is the origin"):
+                    apply_action(chain, action)
+            else:
+                try:
+                    apply_action(chain, action)
+                    continue
+                except MapRepairError:
+                    pass
+            assert chain.graph.state_equal(before)
+            assert chain.commits == commits and log.read_bytes() == wal
+        version = data.draw(st.integers(0, chain.head - 1))
+        past = chain.materialize(version)
+        if past.state_equal(chain.graph):
+            with pytest.raises(IllegalAction, match="state is unchanged"):
+                apply_action(chain, RepairAction(ACT_ROLLBACK_TO,
+                                                 version=version))
+        else:
+            apply_action(chain, RepairAction(ACT_ROLLBACK_TO,
+                                             version=version))
+        assert chain.graph.state_equal(past)
+        assert unapplied(chain, version).state_equal(past)
+    finally:
+        chain.close()
+    assert VersionChain.load(log).graph.state_equal(chain.graph)
+
+
 def test_rollback_to_is_a_new_commit():
     chain, _ = _demo()
     head = chain.head

@@ -366,7 +366,7 @@ def _commit_with_one_bad_step(data, chain, ids):
     """A commit that is valid step by step except for one bad step at a
     random position, and the error it raises.  The edge out of ids[1] at
     step 2 is never removed, so a duplicate of its key and a drop of its
-    endpoint always fail."""
+    endpoint always fail; the origin, ids[0], is never a valid drop."""
     sim = chain.graph.copy()
     pinned = Edge(ids[1], ids[2], "north", 2)
     new_nodes = [(f"x{i}", f"Extra {i}")
@@ -392,14 +392,14 @@ def _commit_with_one_bad_step(data, chain, ids):
         renames.append((nid, sim.nodes[nid], f"Renamed {i}"))
         sim.rename_node(nid, f"Renamed {i}")
     bare = [n for n in sorted(sim.nodes)
-            if not sim.out_edges(n) and not sim.in_edges(n)]
+            if not sim.out_edges(n) and not sim.in_edges(n) and n != ids[0]]
     drops = [(n, sim.nodes[n])
              for n in data.draw(st.lists(st.sampled_from(bare), unique=True)
                                 if bare else st.just([]))]
 
     bad = data.draw(st.sampled_from(
         ["absent_edge", "duplicate_key", "unknown_node", "drop_with_edges",
-         "duplicate_node_id", "name_not_str"]))
+         "drop_origin", "duplicate_node_id", "name_not_str"]))
     error = MapRepairError
     if bad == "name_not_str":
         # the commit's check refuses it before any step applies
@@ -420,6 +420,8 @@ def _commit_with_one_bad_step(data, chain, ids):
         target, bad_step = deltas, add(Edge(ids[0], "ghost", "east", 998))
     elif bad == "unknown_node":
         target, bad_step = renames, ("ghost", "Ghost", "Still A Ghost")
+    elif bad == "drop_origin":
+        target, bad_step = drops, (ids[0], sim.nodes[ids[0]])
     else:
         target, bad_step = drops, (ids[2], sim.nodes[ids[2]])
     target.insert(data.draw(st.integers(0, len(target))), bad_step)
@@ -434,7 +436,8 @@ def test_rejected_commit_leaves_graph_and_log_untouched(data, tmp_path_factory):
     chain = VersionChain(log_path=log)
     try:
         ids = _grow(chain, n=4)
-        # cut the origin loose, so a valid step may drop it (which moves it)
+        # cut the origin loose, so a drop of it fails for being the origin
+        # (unless the bad commit gives it an edge)
         chain.commit([remove(Edge(ids[0], ids[1], "north", 1)),
                       add(Edge(ids[3], ids[1], "south", 5))],
                      TRIGGER_OBSERVATION, obs_id=5, analysis="loop back")
@@ -466,13 +469,13 @@ def test_failed_log_write_undoes_the_commit(tmp_path):
     before, head, wal = chain.graph.copy(), chain.head, log.read_bytes()
     real_log, chain._log = chain._log, _FailingLog()
     with pytest.raises(OSError):
-        # every kind of step, and a drop of the origin, which moves it
-        chain.commit([remove(Edge(ids[0], ids[1], "north", 1)),
-                      add(Edge(ids[3], "x0", "east", 9))],
+        # every kind of step, a drop of the corridor's end among them
+        chain.commit([remove(Edge(ids[2], ids[3], "north", 3)),
+                      add(Edge(ids[2], "x0", "east", 9))],
                      TRIGGER_REPAIR, obs_id=9, analysis="doomed",
                      new_nodes=[("x0", "Annex")],
                      renames=[(ids[1], "Room 1", "Hall")],
-                     drops=[(ids[0], "Room 0")])
+                     drops=[(ids[3], "Room 3")])
     assert chain.graph.state_equal(before)
     assert chain.graph.indices_consistent()
     assert chain.head == head
@@ -597,7 +600,8 @@ def _random_commit(data, g, used_steps: set) -> dict:
     additions of edges, renames and drops, with names and ids drawn from
     `_TEXT` and any int as a step id.  An added edge may take the step id
     of an edge the commit removes (and so its key, as a redirect does),
-    and a room may be renamed twice."""
+    and a room may be renamed twice.  The origin is dropped only as the
+    last room, as `remove_node` allows."""
     sim = g.copy()
     new_nodes = []
     for nid in data.draw(st.lists(_TEXT, max_size=3, unique=True)):
@@ -630,10 +634,13 @@ def _random_commit(data, g, used_steps: set) -> dict:
         renames.append((nid, sim.nodes[nid], data.draw(_TEXT)))
         sim.rename_node(nid, renames[-1][2])
     ends = {m for e in sim.edges() for m in e[:2]}
-    bare = [n for n in sorted(sim.nodes) if n not in ends]
+    bare = [n for n in sorted(sim.nodes) if n not in ends and n != sim.origin]
     drops = [(n, sim.nodes[n]) for n in data.draw(
         st.lists(st.sampled_from(bare), max_size=2, unique=True)
         if bare else st.just([]))]
+    if len(sim.nodes) == len(drops) + 1 and sim.origin not in ends \
+            and data.draw(st.booleans()):
+        drops.append((sim.origin, sim.nodes[sim.origin]))
     return dict(deltas=deltas, new_nodes=new_nodes, renames=renames,
                 drops=drops, trigger=data.draw(_TEXT),
                 obs_id=data.draw(st.integers()), analysis=data.draw(_TEXT))
@@ -667,9 +674,8 @@ def test_the_inverse_commit_undoes_a_commit_and_each_of_its_prefixes(data):
     applying the first k steps (run one by one by the reference) and then
     `_inverse(c, k)`, for every k, and it leaves the rooms and edges in the
     order the reference's step-by-step undo does; and the inverse of the
-    inverse is the commit.  As `_apply_commit` and `commit` do, the origin
-    is restored by hand: a dropped origin comes back as a node, not as the
-    origin."""
+    inverse is the commit.  The origin is restored with the rest: a commit
+    drops it only as the last room, and its inverse re-adds it first."""
     chain = VersionChain()
     used_steps: set = set()
     for _ in range(data.draw(st.integers(1, 4))):
@@ -679,14 +685,14 @@ def test_the_inverse_commit_undoes_a_commit_and_each_of_its_prefixes(data):
         assert _inverse(_inverse(c)) == c
         steps = _reference_steps(c)
         for k in range(len(steps) + 1):
-            g = before.copy()
+            # `copy` re-sorts the edges, so each side copies `before`
+            g, reference = before.copy(), before.copy()
             for step in steps[:k]:
                 _reference_run(g, step, forward=True)
-            reference = g.copy()
+                _reference_run(reference, step, forward=True)
             for step in reversed(steps[:k]):
                 _reference_run(reference, step, forward=False)
             _apply_commit(g, _inverse(c, k))
-            g.origin = before.origin
             assert g.state_equal(before)
             assert g.indices_consistent()
             # in the order of the reference's undo, last step first
@@ -694,7 +700,6 @@ def test_the_inverse_commit_undoes_a_commit_and_each_of_its_prefixes(data):
             assert list(g.edges()) == list(reference.edges())
         assert _inverse(c, len(steps)) == _inverse(c)
         _apply_commit(chain.graph, _inverse(c))
-        chain.graph.origin = before.origin
         assert chain.graph.state_equal(before)
         chain.graph = after
 
@@ -1036,9 +1041,9 @@ def _random_log(data, log) -> bytes:
                 nid = draw(st.sampled_from(sorted(sim.nodes)))
                 renames.append((nid, sim.nodes[nid], draw(_NAMES)))
                 sim.rename_node(nid, renames[-1][2])
-            bare = [n for n in sorted(sim.nodes)
-                    if not sim.out_edges(n) and not sim.in_edges(n)]
-            if bare and len(sim.nodes) > 1 and draw(st.booleans()):
+            bare = [n for n in sorted(sim.nodes) if n != sim.origin
+                    and not sim.out_edges(n) and not sim.in_edges(n)]
+            if bare and draw(st.booleans()):
                 nid = draw(st.sampled_from(bare))
                 drops.append((nid, sim.nodes[nid]))
                 sim.remove_node(nid)
@@ -1174,7 +1179,8 @@ def _fixed(log, wal: bytes):
     does not parse; a commit that does not apply (a map error) is
     `CorruptLog` at its line; a commit index, a delta's direction or a
     delta's step that no writer makes does not parse; a rename or drop
-    whose recorded name is not the node's own is refused before it runs;
+    whose recorded name is not the node's own, and a drop of the origin
+    while other rooms remain, are refused before they run;
     an obs_id that is not an int, or a trigger, analysis, room id or name
     that is not a str, does not parse; and a `deltas`, `nodes`, `renames`
     or `drops` that is not a JSON array does not parse.  The step lists are
@@ -1244,6 +1250,10 @@ def _fixed(log, wal: bytes):
                 fired.append("name")
                 raise InvalidDelta(
                     f"{target} is named {name!r}, not {names[0]!r}")
+            if sign == "-" and target == g.origin and len(g.nodes) > 1 \
+                    and not g.out_edges(target) and not g.in_edges(target):
+                fired.append("origin")
+                raise InvalidDelta(f"origin {target} is not the last node")
         _reference_run(g, step, forward)
 
     def apply(g, c):
@@ -1257,19 +1267,17 @@ def _fixed(log, wal: bytes):
     return from_json, apply, fired
 
 
-def _assert_load_equals_the_fixed_reference(data, log, wal: bytes):
+def _assert_load_equals_the_fixed_reference(log, wal: bytes, append: bool):
     """`load` of `wal`, with or without append, gives what the reference
     with the fixes gives, and any log that does not load is `CorruptLog`.
-    Returns the append flag, the reference's outcome and the fixes it
-    fired."""
-    append = data.draw(st.booleans())
+    Returns the reference's outcome and the fixes it fired."""
     from_json, apply, fired = _fixed(log, wal)
     fixed = _outcome(lambda p, append: reference_load(
         p, append, from_json=from_json, apply=apply), log, wal, append)
     loaded = _outcome(VersionChain.load, log, wal, append)
     _assert_same(loaded, fixed)
     assert loaded[1] is None or loaded[1][0] is CorruptLog
-    return append, fixed, fired
+    return fixed, fired
 
 
 @settings(max_examples=400, deadline=None)
@@ -1284,8 +1292,8 @@ def test_load_equals_the_reference_on_corrupted_logs(data, tmp_path_factory):
     Any log that does not load is `CorruptLog`."""
     log = tmp_path_factory.mktemp("replay") / "chain.jsonl"
     wal = _corrupt(data, _random_log(data, log))
-    append, fixed, fired = _assert_load_equals_the_fixed_reference(
-        data, log, wal)
+    append = data.draw(st.booleans())
+    fixed, fired = _assert_load_equals_the_fixed_reference(log, wal, append)
     if not fired:
         _assert_same(_outcome(reference_load, log, wal, append), fixed)
 
@@ -1303,7 +1311,32 @@ def test_load_equals_the_reference_on_logs_with_garbled_fields(
     for _ in range(data.draw(st.integers(1, 3))):
         i = data.draw(st.integers(0, len(lines) - 1))
         lines[i] = _garble(data, lines[i], swap=data.draw(st.booleans()))
-    _assert_load_equals_the_fixed_reference(data, log, b"".join(lines))
+    _assert_load_equals_the_fixed_reference(log, b"".join(lines),
+                                            data.draw(st.booleans()))
+
+
+@pytest.mark.parametrize("delta, fields, fix", [
+    ({"op": "+", "src": "n0", "dst": "n1", "dir": "east", "step": "7"}, {},
+     "step id"),
+    (None, {"renames": [{"id": "n1", "old": "Hall", "new": "Cellar"}]},
+     "name"),
+    (None, {"analysis": 5}, "analysis"),
+    ({"op": "-", "src": "n0", "dst": "n1", "dir": "north", "step": 1},
+     {"drops": [{"id": "n0", "name": "Room 0"}]}, "origin"),
+], ids=["step id", "name", "analysis", "origin"])
+@pytest.mark.parametrize("append", [False, True])
+def test_load_equals_the_fixed_reference_on_a_line_one_fix_refuses(
+        tmp_path, delta, fields, fix, append):
+    """A fix that random garbling seldom reaches (a delta's step that is
+    not an int, a rename by another name, an analysis that is not a str,
+    a drop of the origin while another room remains) refuses a line of its
+    own: `load` gives what the reference with the fixes gives, and that
+    fix fired."""
+    log, _ = _log_with_line(tmp_path, delta, **fields)
+    fixed, fired = _assert_load_equals_the_fixed_reference(
+        log, log.read_bytes(), append)
+    assert fix in fired
+    assert fixed[1][0] is CorruptLog
 
 
 def test_load_of_a_built_grid_calls_json_loads_never(tmp_path):
