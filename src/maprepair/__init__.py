@@ -1,13 +1,9 @@
 """Incremental map construction and repair for text-game walkthroughs."""
 
-from .conflict_detector import (
-    Conflict, detect_all, detect_directional, detect_naming,
-    detect_topological, unreachable_nodes,
-)
+from .conflict_detector import Conflict, detect_all, unreachable_nodes
 from .error_localizer import (
-    CandidateEdge, PathPair, PathTree, candidate_edges,
-    lowest_common_ancestor, minimal_path_pair, score_candidates,
-    shortest_path, shortest_path_tree,
+    CandidateEdge, PathPair, PathTree, candidate_edges, minimal_path_pair,
+    score_candidates, shortest_path_tree,
 )
 from .graph_core import (
     DIRECTIONS, Edge, NavGraph, displacement, is_direction, normalize_name,
@@ -29,11 +25,10 @@ __all__ = [
     "AdvisorContext", "NavGraph", "PathPair", "PathTree", "PositionMap",
     "RepairAction",
     "RepairSession", "ToolConfig", "VersionChain", "add", "apply_action",
-    "candidate_edges", "construct_graph", "detect_all",
-    "detect_directional", "detect_naming", "detect_topological",
-    "displacement", "extend_positions", "infer_positions", "is_direction",
-    "localize", "lowest_common_ancestor", "minimal_path_pair",
-    "normalize_name", "parse_transcript", "position_overlaps", "remove",
-    "reverse_direction", "run_repair", "run_session", "score_candidates",
-    "shortest_path", "shortest_path_tree", "unreachable_nodes",
+    "candidate_edges", "construct_graph", "detect_all", "displacement",
+    "extend_positions", "infer_positions", "is_direction", "localize",
+    "minimal_path_pair", "normalize_name", "parse_transcript",
+    "position_overlaps", "remove", "reverse_direction", "run_repair",
+    "run_session", "score_candidates", "shortest_path_tree",
+    "unreachable_nodes",
 ]

@@ -303,7 +303,6 @@ class LlmAdvisor:
                     {"role": "user",
                      "content": _REPROMPT.format(error=exc)},
                 ]
-        raise AdvisorFailure("unreachable")
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,9 @@ def shortest_path_tree(g: NavGraph, start: str) -> PathTree:
 def shortest_path(g: NavGraph, start: str,
                   target: str) -> tuple[tuple[str, ...], tuple[Edge, ...]]:
     """The `shortest_path_tree` path from `start` to `target`.  Raises
-    Unreachable when no path exists."""
+    Unreachable when no path exists.  Nothing in the package calls it; it
+    stays because perfbench's layer targets (`perfbench/layers.py`) trace
+    it by name."""
     return shortest_path_tree(g, start).path(target)
 
 
@@ -170,14 +172,6 @@ def _divergence(nodes1: Sequence[str], nodes2: Sequence[str]) -> int:
     return common
 
 
-def lowest_common_ancestor(nodes1: Sequence[str],
-                           nodes2: Sequence[str]) -> int:
-    """Index of the LCA, the last node of the shared prefix (-1 if none):
-    a cut inside the prefix leaves the node at the cut in both suffixes,
-    so no deeper cut has node-disjoint suffixes."""
-    return _divergence(nodes1, nodes2) - 1
-
-
 def minimal_path_pair(g: NavGraph, conflict: Conflict,
                       tree: PathTree) -> PathPair:
     """The conflict's path pair, read from `tree`, the origin's
@@ -191,7 +185,10 @@ def minimal_path_pair(g: NavGraph, conflict: Conflict,
         # close the witness cycle through the re-deriving edge
         nodes2 = nodes2 + (conflict.edges[0].dst,)
         edges2 = edges2 + (conflict.edges[0],)
-    idx = lowest_common_ancestor(nodes1, nodes2)
+    # the LCA is the last node of the shared prefix: a cut inside the
+    # prefix leaves the node at the cut in both suffixes, so no deeper cut
+    # has node-disjoint suffixes
+    idx = _divergence(nodes1, nodes2) - 1
     return PathPair(nodes1, nodes2, edges1, edges2,
                     lca=nodes1[idx], lca_index=idx)
 

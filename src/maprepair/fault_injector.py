@@ -39,9 +39,7 @@ from .transcript_parser import (
     WalkthroughStep, construct_graph, extend_graph, parse_block,
     parse_transcript,
 )
-from .version_store import (
-    TRIGGER_OBSERVATION, Commit, VersionChain, _apply_commit, add,
-)
+from .version_store import TRIGGER_OBSERVATION, Commit, VersionChain, add
 
 FAULT_MISDIRECTION = "misdirection"
 FAULT_MISNAME = "misname"
@@ -464,12 +462,12 @@ def _trial(record: _BuildRecord, trial: World,
     """The log-less build of `trial`, which differs from the record's world
     in step k alone (or appends it), and the trial's parsed steps.
 
-    The chain starts from the record's commits of the steps before k,
-    applied as `VersionChain.materialize` applies them, and construction
-    goes on from step k; only step k's block is parsed.  When the record
-    has not been built up to k, construction goes on from where it ends
-    instead, and the record then takes this chain's commits of the steps
-    before k, which are the world's own.  When the world's transcript does
+    The chain starts from the record's commits of the steps before k
+    (`VersionChain.from_commits`), and construction goes on from step k;
+    only step k's block is parsed.  When the record has not been built up
+    to k, construction goes on from where it ends instead, and the record
+    then takes this chain's commits of the steps before k, which are the
+    world's own.  When the world's transcript does
     not parse step for step, the trial is built whole (`World.build`)."""
     if record.parsed is None:
         return trial.build(), None
@@ -478,10 +476,8 @@ def _trial(record: _BuildRecord, trial: World,
     parsed.append(parse_block(_block(k, act, obs).splitlines(), k - 1))
     parsed += record.parsed[k + 1:]
     start = min(record.built, k)
-    chain = VersionChain()
-    for c in record.commits[:bisect_left(record.commits, start, key=_obs_id)]:
-        _apply_commit(chain.graph, c)
-        chain.commits.append(c)
+    chain = VersionChain.from_commits(
+        record.commits[:bisect_left(record.commits, start, key=_obs_id)])
     extend_graph(parsed[start:], chain)
     if record.built < k:
         record.commits = chain.commits[:bisect_left(chain.commits, k,
@@ -491,15 +487,10 @@ def _trial(record: _BuildRecord, trial: World,
 
 
 def first_visible_commit(world: World) -> Optional[int]:
-    """Replay construction commit by commit; first head with a conflict."""
+    """The first version of the world's build whose state has a conflict."""
     chain = world.build()
-    probe = VersionChain()
-    for c in chain.commits:
-        probe.commit(c.deltas, c.trigger, c.obs_id, c.analysis,
-                     new_nodes=c.new_nodes, renames=c.renames, drops=c.drops)
-        if detect_all(probe.graph):
-            return probe.head
-    return None
+    return next((v for v in range(len(chain.commits))
+                 if detect_all(chain.materialize(v))), None)
 
 
 # ---------------------------------------------------------------------------

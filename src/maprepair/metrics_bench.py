@@ -10,6 +10,10 @@ from typing import Optional, Sequence
 OUTCOME_REPAIRED = "repaired"
 OUTCOME_EXHAUSTED = "exhausted"
 
+# the metrics in the order `Metrics.to_json`, the table and the CSV give them
+METRICS = ("avg_loops", "total_conflicts", "repaired", "correct",
+           "repair_rate_pct", "accuracy_pct")
+
 
 @dataclass(frozen=True)
 class Metrics:
@@ -32,14 +36,7 @@ class Metrics:
         return 100.0 * self.correct / self.repaired
 
     def to_json(self) -> dict:
-        return {
-            "avg_loops": self.avg_loops,
-            "total_conflicts": self.total_conflicts,
-            "repaired": self.repaired,
-            "correct": self.correct,
-            "repair_rate_pct": self.repair_rate_pct,
-            "accuracy_pct": self.accuracy_pct,
-        }
+        return {name: getattr(self, name) for name in METRICS}
 
 
 def compute_metrics(sessions: Sequence, ledger=None, graph=None) -> Metrics:
@@ -62,8 +59,7 @@ def compute_metrics(sessions: Sequence, ledger=None, graph=None) -> Metrics:
                    repaired=repaired, correct=correct)
 
 
-_COLUMNS = ("config", "avg_loops", "total_conflicts", "repaired", "correct",
-            "repair_rate_pct", "accuracy_pct")
+_COLUMNS = ("config",) + METRICS
 
 
 def _cell(value) -> str:
@@ -75,12 +71,8 @@ def _cell(value) -> str:
 
 
 def _rows(entries: Sequence[tuple[str, Metrics]]) -> list[list[str]]:
-    out = []
-    for name, m in entries:
-        out.append([name, _cell(m.avg_loops), _cell(m.total_conflicts),
-                    _cell(m.repaired), _cell(m.correct),
-                    _cell(m.repair_rate_pct), _cell(m.accuracy_pct)])
-    return out
+    return [[name] + [_cell(getattr(m, metric)) for metric in METRICS]
+            for name, m in entries]
 
 
 def emit_table(entries: Sequence[tuple[str, Metrics]]) -> str:

@@ -3,7 +3,9 @@
 Each commit logs edge deltas plus any node bookkeeping (introductions,
 renames, drops).  The chain is never truncated: a past state is rebuilt by
 replaying the chain (`materialize`) and, when used for repair, is recorded
-as a fresh commit of inverse deltas.
+as a fresh commit of inverse deltas.  `VersionChain.from_commits` is the
+one replay of recorded commits; `materialize` and the fault trials of
+`fault_injector` both start from it.
 
 One check, `_check_commit`, decides whether a commit is well-formed, that
 is, whether `_line` can write it as a line `load` reads back as the same
@@ -255,6 +257,17 @@ class VersionChain:
         if self.log_path:
             self._log = _open_log(self.log_path, exclusive=True)
 
+    @classmethod
+    def from_commits(cls, commits: Iterable[Commit]) -> "VersionChain":
+        """A log-less chain holding `commits`, which some chain already
+        holds, each applied in order by `_apply_commit`: the one replay of
+        a recorded history."""
+        chain = cls()
+        for c in commits:
+            _apply_commit(chain.graph, c)
+            chain.commits.append(c)
+        return chain
+
     @property
     def head(self) -> int:
         return len(self.commits) - 1
@@ -298,10 +311,7 @@ class VersionChain:
     def materialize(self, version: int) -> NavGraph:
         """Rebuild the state as of `version` by replaying from empty."""
         self._check_version(version)
-        g = NavGraph()
-        for c in self.commits[: version + 1]:
-            _apply_commit(g, c)
-        return g
+        return VersionChain.from_commits(self.commits[:version + 1]).graph
 
     def recall_step(self, version: int) -> Commit:
         self._check_version(version)

@@ -11,8 +11,8 @@ from helpers import (
 )
 from maprepair.conflict_detector import detect_all
 from maprepair.error_localizer import (
-    candidate_edges, lowest_common_ancestor, minimal_path_pair,
-    score_candidates, shortest_path, shortest_path_tree,
+    _divergence, candidate_edges, minimal_path_pair, score_candidates,
+    shortest_path_tree,
 )
 from maprepair.errors import DuplicateEdge, EmptyCandidates, Unreachable
 from maprepair.graph_core import NavGraph
@@ -28,9 +28,10 @@ def test_shortest_path_matches_brute_force():
             expected = brute_shortest(g, g.origin, target)
             if expected is None:
                 with pytest.raises(Unreachable):
-                    shortest_path(g, g.origin, target)
+                    shortest_path_tree(g, g.origin).path(target)
             else:
-                assert shortest_path(g, g.origin, target) == expected
+                assert shortest_path_tree(g, g.origin).path(target) == \
+                    expected
 
 
 def test_shortest_path_breaks_ties_by_step_ids():
@@ -40,7 +41,7 @@ def test_shortest_path_breaks_ties_by_step_ids():
     g.add_edge(b, d, "north", 6)
     g.add_edge(a, c, "east", 1)
     g.add_edge(c, d, "north", 9)
-    nodes, edges = shortest_path(g, a, d)
+    nodes, edges = shortest_path_tree(g, a).path(d)
     # both routes have length 2; (1, 9) beats (5, 6) lexicographically
     assert nodes == (a, c, d)
     assert [e.step_id for e in edges] == [1, 9]
@@ -62,13 +63,13 @@ def test_shortest_path_breaks_equal_step_sequences_by_node_id():
     for p, room in ((p1, y), (p2, x), (p3, w)):  # found in order y, x, w
         g.add_edge(p, room, "north", 2)
         g.add_edge(room, z, "north", 3)
-    assert shortest_path(g, s, z)[0] == (s, p2, x, z)
+    assert shortest_path_tree(g, s).path(z)[0] == (s, p2, x, z)
     assert reference_shortest_path(g, s, z)[0] == (s, p2, x, z)
 
 
 def test_lca_plain_divergence():
-    assert lowest_common_ancestor(("a", "b", "c"), ("a", "d", "e")) == 0
-    assert lowest_common_ancestor(("a", "b", "c"), ("a", "b", "e")) == 1
+    assert _divergence(("a", "b", "c"), ("a", "d", "e")) - 1 == 0
+    assert _divergence(("a", "b", "c"), ("a", "b", "e")) - 1 == 1
 
 
 def test_lca_settles_on_divergence_when_suffixes_reintersect():
@@ -76,17 +77,17 @@ def test_lca_settles_on_divergence_when_suffixes_reintersect():
     # would re-add the shared prefix node), so the divergence point stands
     nodes1 = ("a", "b", "c", "x")
     nodes2 = ("a", "b", "d", "x", "e")
-    assert lowest_common_ancestor(nodes1, nodes2) == 1
+    assert _divergence(nodes1, nodes2) - 1 == 1
 
 
 def test_lca_falls_back_on_full_reintersection():
     # every cut reintersects (a cycle); fall back to the divergence point
     nodes1 = ("a", "b", "c")
     nodes2 = ("a", "c", "b")
-    assert lowest_common_ancestor(nodes1, nodes2) == 0
+    assert _divergence(nodes1, nodes2) - 1 == 0
 
     # identical prefix paths (self-conflict): lca is the last shared node
-    assert lowest_common_ancestor(("a", "b"), ("a", "b", "c")) == 1
+    assert _divergence(("a", "b"), ("a", "b", "c")) - 1 == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -95,7 +96,7 @@ def test_lca_falls_back_on_full_reintersection():
 def test_lca_is_the_divergence_point(nodes1, nodes2):
     """The LCA is the last node of the shared prefix, as the first-written
     search that backs off to a cut with node-disjoint suffixes finds."""
-    assert lowest_common_ancestor(nodes1, nodes2) == \
+    assert _divergence(nodes1, nodes2) - 1 == \
         reference_lowest_common_ancestor(nodes1, nodes2)
 
 
@@ -235,7 +236,6 @@ def test_localization_equals_the_reference(graph_and_conflicts):
         tree = shortest_path_tree(g, start)
         for target in ids:
             want = _or_unreachable(reference_shortest_path, g, start, target)
-            assert _or_unreachable(shortest_path, g, start, target) == want
             assert _or_unreachable(tree.path, target) == want
 
     if g.origin is None:

@@ -69,6 +69,18 @@ def test_materialize_replays_prefix():
     assert chain.materialize(chain.head).state_equal(chain.graph)
 
 
+def test_from_commits_replays_a_chain_it_does_not_share():
+    chain = VersionChain()
+    ids = _grow(chain)
+    replay = VersionChain.from_commits(chain.commits)
+    assert replay.commits == chain.commits and replay.log_path is None
+    assert replay.graph.state_equal(chain.graph)
+    assert replay.graph.fresh_id() == chain.graph.fresh_id()
+    replay.commit([add(Edge(ids[-1], ids[0], "north", 9))], TRIGGER_REPAIR,
+                  obs_id=9, analysis="")
+    assert chain.head == 3 and replay.head == 4
+
+
 def test_rollback_is_non_destructive():
     chain = VersionChain()
     _grow(chain)
