@@ -88,7 +88,8 @@ def _same_name_merge(ctx: AdvisorContext) -> Optional[RepairAction]:
 class HeuristicAdvisor:
     """Deterministic, ledger-free strategy.
 
-    Directional conflicts drop the later of the clashing edges.  For the
+    Directional conflicts drop the later of the clashing edges, never an
+    edge that repeats an earlier-step exit to the same room.  For the
     rest, each candidate edge is simulated under the alternative labels;
     if exactly one label resolves the conflict without introducing new
     ones, relabel, otherwise delete.  The non-compass labels are tried
@@ -101,6 +102,9 @@ class HeuristicAdvisor:
         c = ctx.conflict
         if c.kind == KIND_DIRECTIONAL:
             for e in sorted(c.edges, key=lambda e: -e.step_id):
+                if any(f.dst == e.dst and f.step_id < e.step_id
+                       for f in c.edges):
+                    continue  # a repeat of an earlier exit to that room
                 action = RepairAction(ACT_DELETE_EDGE, edge=e)
                 if not _proposed_before(ctx, action):
                     return action

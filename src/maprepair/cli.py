@@ -253,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("synth", help="generate a synthetic walkthrough")
-    p.add_argument("--shape", choices=("grid", "tree", "loopchain"),
-                   required=True)
+    p.add_argument("--shape", required=True,
+                   choices=("grid", "tree", "loopchain", "walk"))
     p.add_argument("--params", type=int, nargs="+", required=True)
     p.add_argument("--fault", action="append",
                    choices=("misdirection", "misname", "phantom_edge",

@@ -12,14 +12,14 @@ scope (no threshold is defined for them).
 
 Detection walks the graph's adjacency index in place
 (`NavGraph.adjacency`) and its name index, and sorts only what it
-reports: the (src, direction) groups with two or more exits, the
-asymmetric pairs, the names held by nodes at two or more positions and
-the cells that hold more than one room.  An asymmetric pair is found from
-its edge out of the lesser room (a self-loop, from the lesser self-loop)
-by a look at the other room's exits, so no edge is grouped or copied.  An
-`Edge` is a plain tuple, so edges sort by tuple comparison and are
-unpacked by position in the loops.  Each conflict is built once, stamped
-with the commit it was detected at.
+reports: the (src, direction) groups whose exits reach two or more
+rooms, the asymmetric pairs, the names held by nodes at two or more
+positions and the cells that hold more than one room.  An asymmetric pair
+is found from its edge out of the lesser room (a self-loop, from the
+lesser self-loop) by a look at the other room's exits, so no edge is
+grouped or copied.  An `Edge` is a plain tuple, so edges sort by tuple
+comparison and are unpacked by position in the loops.  Each conflict is
+built once, stamped with the commit it was detected at.
 """
 
 from __future__ import annotations
@@ -84,17 +84,25 @@ def _jsonable(x):
 
 def detect_directional(g: NavGraph,
                        commit: Optional[int] = None) -> list[Conflict]:
-    groups = [(src, direction, by_step)
-              for src, by_dir in g.adjacency().items()
-              for direction, by_step in by_dir.items() if len(by_step) >= 2]
+    """One conflict per (src, direction) group whose edges reach two or
+    more distinct rooms.  A repeat of an exit to the same room is the log's
+    record of its step and corroborates the exit, so it is no conflict on
+    its own, but every edge of a reported group is in its `edges`."""
+    groups = []
+    for src, by_dir in g.adjacency().items():
+        for direction, by_step in by_dir.items():
+            if len(by_step) >= 2:
+                dsts = {e[1] for e in by_step.values()}
+                if len(dsts) >= 2:
+                    groups.append((src, direction, by_step, dsts))
     groups.sort(key=lambda group: group[:2])
     out = []
-    for src, direction, by_step in groups:
+    for src, direction, by_step, dsts in groups:
         edges = tuple(sorted(by_step.values()))
         out.append(Conflict(
             kind=KIND_DIRECTIONAL,
             subkind=KIND_DIRECTIONAL,
-            nodes=tuple(sorted({src, *(e[1] for e in edges)})),
+            nodes=tuple(sorted({src, *dsts})),
             edges=edges,
             witness=(src, direction),
             first_visible_commit=commit,

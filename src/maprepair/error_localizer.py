@@ -159,8 +159,11 @@ def conflict_targets(conflict: Conflict) -> tuple[str, str]:
         return conflict.nodes[0], conflict.nodes[1]
     if conflict.subkind == SUB_INCONSISTENCY:
         return conflict.nodes[0], conflict.edges[0].src
-    # directional: the two destinations reached under one label
-    return conflict.edges[0].dst, conflict.edges[1].dst
+    # directional and asymmetry: the first two distinct destinations in
+    # edge order, since a repeated exit reaches its room again; one
+    # destination twice when there is no second (an asymmetric self-loop)
+    first, *others = dict.fromkeys(e.dst for e in conflict.edges)
+    return first, others[0] if others else first
 
 
 def _divergence(nodes1: Sequence[str], nodes2: Sequence[str]) -> int:

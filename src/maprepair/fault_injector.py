@@ -49,7 +49,7 @@ FAULT_SILENT = "silent_misdirection"
 
 @dataclass(frozen=True)
 class WorldSpec:
-    shape: str  # "grid" | "tree" | "loopchain"
+    shape: str  # "grid" | "tree" | "loopchain" | "walk"
     params: tuple[int, ...]
 
 
@@ -265,9 +265,34 @@ def generate_tree(depth: int, branching: int) -> World:
     return _world_from_walk([root], [(d, dst) for d, dst, _ in moves])
 
 
+def generate_walk(width: int, height: int, moves: int,
+                  walk_seed: int) -> World:
+    """Seeded random walk of `moves` moves over a width x height lattice
+    from its corner, each move to a north, south, east or west neighbour
+    drawn uniformly.  Unlike the other shapes it revisits rooms and takes
+    exits more than once.  `walk_seed` fixes the walk, so the parameters
+    fix the world."""
+    if width < 1 or height < 1 or width * height < 2:
+        raise ValueError("walk needs at least 2 rooms")
+    if moves < 1:
+        raise ValueError("walk needs at least 1 move")
+    rng = random.Random(walk_seed)
+    x = y = 0
+    walk = []
+    for _ in range(moves):
+        options = []
+        for d in ("north", "south", "east", "west"):
+            dx, dy, _ = displacement(d)
+            if 0 <= x + dx < width and 0 <= y + dy < height:
+                options.append((d, x + dx, y + dy))
+        d, x, y = rng.choice(options)
+        walk.append((d, f"Room {x}-{y}"))
+    return _world_from_walk(["Room 0-0"], walk)
+
+
 def generate_world(spec: WorldSpec) -> World:
     shapes = {"grid": generate_grid, "tree": generate_tree,
-              "loopchain": generate_loopchain}
+              "loopchain": generate_loopchain, "walk": generate_walk}
     if spec.shape not in shapes:
         raise ValueError(f"unknown world shape: {spec.shape}")
     return shapes[spec.shape](*spec.params)

@@ -434,7 +434,7 @@ def _reference_position_overlaps(pm: PositionMap) -> list[tuple]:
 def _reference_detect_directional(g: NavGraph) -> list[Conflict]:
     out = []
     for (src, direction), edges in sorted(_reference_out_groups(g).items()):
-        if len(edges) >= 2:
+        if len({e.dst for e in edges}) >= 2:
             out.append(Conflict(
                 kind=KIND_DIRECTIONAL,
                 subkind=KIND_DIRECTIONAL,

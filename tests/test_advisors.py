@@ -122,6 +122,22 @@ def test_heuristic_drops_later_directional_edge():
     assert action.edge.step_id == 6
 
 
+def test_heuristic_never_deletes_a_repeated_exit():
+    """A -north-> B at steps 1 and 6 and A -north-> C at step 4: step 6
+    repeats step 1's exit, so the latest edge deleted is step 4's."""
+    chain = VersionChain()
+    a, b, c = "n0", "n1", "n2"
+    chain.commit([], TRIGGER_OBSERVATION, 0, "A",
+                 new_nodes=[(a, "A"), (b, "B"), (c, "C")])
+    for dst, step in ((b, 1), (c, 4), (b, 6)):
+        chain.commit([add(Edge(a, dst, "north", step))], TRIGGER_OBSERVATION,
+                     step, "")
+    conflicts = detect_all(chain.graph, commit=chain.head)
+    ctx = build_context(chain, ToolConfig(), conflicts[0], [], conflicts)
+    assert HeuristicAdvisor()(ctx) == \
+        RepairAction(ACT_DELETE_EDGE, edge=Edge(a, c, "north", 4))
+
+
 def test_heuristic_resolves_demo_world():
     chain, _ = fi.demo_chain(corrupted=True)
     g, sessions, metrics = run_repair(chain, ToolConfig(),

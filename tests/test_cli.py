@@ -266,6 +266,16 @@ def test_synth_round_trips_through_build(tmp_path, capsys):
     assert json.loads(ledger.read_text())[0]["kind"] == "misdirection"
 
 
+def test_synth_walk_builds_without_conflict(tmp_path, capsys):
+    out = tmp_path / "walk.txt"
+    assert cli.main(["synth", "--shape", "walk", "--params", "6", "6", "60",
+                     "7", "--out", str(out)]) == 0
+    assert "60 moves, 0 fault(s)" in capsys.readouterr().out
+    assert cli.main(["build", "--transcript", str(out),
+                     "--log", str(tmp_path / "m.jsonl")]) == 0
+    assert cli.main(["detect", "--log", str(tmp_path / "m.jsonl")]) == 0
+
+
 def test_export_formats(built_log, tmp_path, capsys):
     log, _ = built_log
     assert cli.main(["export", "--log", str(log), "--format", "dot"]) == 0

@@ -11,8 +11,10 @@ from maprepair.conflict_detector import (
     KIND_DIRECTIONAL, KIND_NAMING, KIND_TOPOLOGICAL, SUB_ASYMMETRY,
     SUB_INCONSISTENCY, SUB_OVERLAP, detect_all, unreachable_nodes,
 )
+from maprepair.error_localizer import conflict_targets
 from maprepair.errors import DuplicateEdge
-from maprepair.fault_injector import WorldSpec, generate_world
+from maprepair.fault_injector import WorldSpec, _world_from_walk, \
+    generate_world
 from maprepair.graph_core import (
     DIRECTIONS, Edge, NavGraph, normalize_name, reverse_direction,
 )
@@ -44,6 +46,30 @@ def test_directional_conflict_groups_by_src_and_label():
     assert [c.kind for c in conflicts] == [KIND_DIRECTIONAL]
     assert conflicts[0].witness == (a, "north")
     assert len(conflicts[0].edges) == 2
+
+
+def test_a_repeated_exit_is_no_conflict():
+    """Hall -east-> Den -west-> Hall -east-> Den takes one exit twice: the
+    map keeps both east edges, the second corroborating the first, and
+    reports no conflict."""
+    world = _world_from_walk(["Hall"], [("east", "Den"), ("west", "Hall"),
+                                        ("east", "Den")])
+    g = world.build().graph
+    assert detect_all(g) == []
+    assert g.edge_set() == world.truth.edge_set()
+    assert [e.step_id for e in g.out_edges(g.origin, "east")] == [1, 3]
+
+
+def test_a_directional_conflict_keeps_its_repeats_and_targets_two_rooms():
+    g = NavGraph()
+    a, b, c = g.add_node("A"), g.add_node("B"), g.add_node("C")
+    for dst, step in ((b, 1), (b, 3), (c, 5)):
+        g.add_edge(a, dst, "north", step)
+    [conflict] = detect_all(g)
+    assert conflict.kind == KIND_DIRECTIONAL
+    assert [e.step_id for e in conflict.edges] == [1, 3, 5]
+    assert conflict.nodes == (a, b, c)
+    assert conflict_targets(conflict) == (b, c)
 
 
 def test_asymmetry_reported_once_per_pair():

@@ -62,6 +62,45 @@ def test_loopchain_closes_on_origin():
         fi.generate_loopchain(5)
 
 
+def test_walk_revisits_and_is_fixed_by_its_parameters():
+    world = fi.generate_walk(6, 6, 60, 0)
+    assert len(world.steps) == 61
+    assert len(world.truth.nodes) < 60  # it revisits rooms
+    assert world.transcript() == fi.generate_world(
+        fi.WorldSpec("walk", (6, 6, 60, 0))).transcript()
+    assert world.transcript() != fi.generate_walk(6, 6, 60, 1).transcript()
+    for bad in ((1, 1, 5, 0), (2, 2, 0, 0)):
+        with pytest.raises(ValueError):
+            fi.generate_walk(*bad)
+
+
+_CLEAN_SPECS = st.one_of(
+    st.builds(lambda w, h: fi.WorldSpec("grid", (w, h)),
+              st.integers(2, 7), st.integers(1, 7)),
+    st.builds(lambda d, b: fi.WorldSpec("tree", (d, b)),
+              st.integers(1, 4), st.integers(1, 3)),
+    st.builds(lambda n: fi.WorldSpec("loopchain", (2 * n,)),
+              st.integers(2, 20)),
+    st.builds(lambda w, h, m, seed: fi.WorldSpec("walk", (w, h, m, seed)),
+              st.integers(2, 7), st.integers(1, 7), st.integers(1, 120),
+              st.integers(0, 10**6)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CLEAN_SPECS)
+def test_every_fault_free_world_builds_to_its_truth(spec):
+    """Grid, tree, loop chain and walk: with no fault the build has no
+    conflict and the truth's rooms and edges, room ids given in the order
+    the walk first visits them."""
+    world = fi.generate_world(spec)
+    built = world.build().graph
+    assert detect_all(built) == []
+    assert built.nodes == world.truth.nodes
+    assert list(built.nodes) == list(world.truth.nodes)
+    assert built.edge_set() == world.truth.edge_set()
+
+
 def test_generate_world_dispatch():
     spec = fi.WorldSpec("loopchain", (6,))
     assert len(fi.generate_world(spec).truth.nodes) == 6
