@@ -346,9 +346,14 @@ class NavGraph:
     # -- maintenance ------------------------------------------------------
 
     def copy(self) -> "NavGraph":
-        g = NavGraph.from_json(self.to_json())
-        g._next_id = self._next_id
-        return g
+        """An independent graph of the same state and next fresh id, whose
+        nodes and edges iterate in this graph's order."""
+        return NavGraph(
+            nodes=dict(self.nodes), origin=self.origin,
+            _name_index={k: set(ids) for k, ids in self._name_index.items()},
+            _out={src: {d: dict(by_step) for d, by_step in by_dir.items()}
+                  for src, by_dir in self._out.items()},
+            _next_id=self._next_id)
 
     def state_equal(self, other: "NavGraph") -> bool:
         return (self.nodes == other.nodes

@@ -264,6 +264,39 @@ def test_copy_is_independent():
     assert len(g.edge_set()) == 1
 
 
+def test_copy_keeps_its_source_order():
+    """A copy iterates its edges in its source's order, which is not the
+    sorted order: the edge to room "a" sorts first."""
+    g = NavGraph()
+    x = g.add_node("X", node_id="x")
+    g.add_edge(x, x, "east", 1)
+    g.add_edge(x, x, "north", 0)
+    g.add_edge(x, g.add_node("A", node_id="a"), "north", -1)
+    assert list(g.edges()) != sorted(g.edges())
+    h = g.copy()
+    assert list(h.edges()) == list(g.edges())
+    assert h.state_equal(g) and h.indices_consistent()
+    assert h.fresh_id() == g.fresh_id()
+
+
+def test_copy_shares_no_index_with_its_source():
+    """Emptying a copy's edge levels and renaming its rooms leaves its
+    source as it was."""
+    rng = random.Random(5)
+    for _ in range(20):
+        g = random_graph(rng)
+        before = g.to_json()
+        h = g.copy()
+        assert list(h.nodes) == list(g.nodes)
+        assert list(h.edges()) == list(g.edges())
+        for e in list(h.edges()):
+            h.remove_edge(e)
+        for nid in h.nodes:
+            h.rename_node(nid, "Elsewhere")
+        assert h.indices_consistent()
+        assert g.to_json() == before and g.indices_consistent()
+
+
 def test_json_round_trip():
     rng = random.Random(3)
     for _ in range(20):

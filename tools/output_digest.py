@@ -7,8 +7,8 @@ leaves them as they were.
     python3 tools/output_digest.py <checkout> --inputs
 
 The items are perfbench's repair-mixed items of seeds 0-4, made by the
-checkout's ``perfbench/workloads.py``: 600 faulted worlds, each under the
-oracle or the heuristic advisor.  Each item is built to a fresh WAL and
+checkout's ``perfbench/workloads.py``: 600 items, 300 faulted worlds each
+under both the oracle and the heuristic advisor.  Each item is built to a fresh WAL and
 repaired with appends to it.  The digest takes in, per item, the WAL bytes,
 every session (primary, outcome, attempts, loops, secondaries and
 transcript) and the ``Metrics``.  Two checkouts that print the same digest
