@@ -262,6 +262,19 @@ def test_copy_is_independent():
     h.add_edge(b, a, "south", 2)
     assert not h.state_equal(g)
     assert len(g.edge_set()) == 1
+    # emptying a copy's edge levels and renaming its rooms leaves its
+    # source as it was
+    rng = random.Random(5)
+    for _ in range(20):
+        g = random_graph(rng)
+        before = g.to_json()
+        h = g.copy()
+        for e in list(h.edges()):
+            h.remove_edge(e)
+        for nid in h.nodes:
+            h.rename_node(nid, "Elsewhere")
+        assert h.indices_consistent()
+        assert g.to_json() == before and g.indices_consistent()
 
 
 def test_copy_keeps_its_source_order():
@@ -277,24 +290,6 @@ def test_copy_keeps_its_source_order():
     assert list(h.edges()) == list(g.edges())
     assert h.state_equal(g) and h.indices_consistent()
     assert h.fresh_id() == g.fresh_id()
-
-
-def test_copy_shares_no_index_with_its_source():
-    """Emptying a copy's edge levels and renaming its rooms leaves its
-    source as it was."""
-    rng = random.Random(5)
-    for _ in range(20):
-        g = random_graph(rng)
-        before = g.to_json()
-        h = g.copy()
-        assert list(h.nodes) == list(g.nodes)
-        assert list(h.edges()) == list(g.edges())
-        for e in list(h.edges()):
-            h.remove_edge(e)
-        for nid in h.nodes:
-            h.rename_node(nid, "Elsewhere")
-        assert h.indices_consistent()
-        assert g.to_json() == before and g.indices_consistent()
 
 
 def test_json_round_trip():
