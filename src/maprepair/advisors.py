@@ -34,6 +34,12 @@ def _visible_edges(ctx: AdvisorContext) -> list[Edge]:
     return list(out)
 
 
+def _visible(ctx: AdvisorContext, e: Edge) -> bool:
+    """Is `e` among `_visible_edges(ctx)`?  It asks the neighborhood
+    first and the unranked candidates only then, so it never ranks."""
+    return ctx.neighborhood.has_edge(e) or e in (ctx.candidates or ())
+
+
 def _proposed_before(ctx: AdvisorContext, action: RepairAction) -> bool:
     return any(entry.get("action") == action.to_json()
                for entry in ctx.transcript)
@@ -50,14 +56,13 @@ class OracleAdvisor:
 
     def __call__(self, ctx: AdvisorContext) -> RepairAction:
         g = ctx.graph
-        visible = set(_visible_edges(ctx))
         sites = edges_by_step(g)
         for fault in self.ledger.faults:
             site = sites.get(fault.step, ())
             if fixed_at(g, fault, site):
                 continue
             bad = corrupted_at(fault, site)
-            if bad is None or bad not in visible:
+            if bad is None or not _visible(ctx, bad):
                 continue
             if fault.kind in (FAULT_MISDIRECTION, FAULT_SILENT):
                 return RepairAction(ACT_CHANGE_DIRECTION, edge=bad,

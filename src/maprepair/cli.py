@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 unreadable or malformed input,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -152,6 +153,12 @@ def cmd_refine(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    names = list(inspect.signature(fault_injector.SHAPES[args.shape])
+                 .parameters)
+    if len(args.params) != len(names):
+        print(f"usage: --shape {args.shape} takes {len(names)} --params: "
+              f"{' '.join(names)}", file=sys.stderr)
+        return EXIT_USAGE
     spec = fault_injector.WorldSpec(args.shape, tuple(args.params))
     world = fault_injector.generate_world(spec)
     corrupted, ledger = fault_injector.inject(world, args.fault or [],
@@ -254,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic walkthrough")
     p.add_argument("--shape", required=True,
-                   choices=("grid", "tree", "loopchain", "walk"))
+                   choices=tuple(fault_injector.SHAPES))
     p.add_argument("--params", type=int, nargs="+", required=True)
     p.add_argument("--fault", action="append",
                    choices=("misdirection", "misname", "phantom_edge",

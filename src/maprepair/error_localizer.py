@@ -12,9 +12,10 @@ appending an edge, so one single-source search from the origin
 level-synchronous BFS over the adjacency index: each level's nodes are
 ranked by their key, so a child's key is an int pair (parent rank, step
 id), not a step-id sequence that grows with the path.
-`repair_engine.localize` builds that tree once per ranking and reads both
-the target's path pair and every other open conflict's from it; the
-candidates' reach comes from one strongly connected component pass
+`repair_engine` builds that tree once per repair context, when the
+advisor first reads the candidates, and reads the target's path pair from
+it, and every other open conflict's when the advisor reads the ranking;
+the candidates' reach comes from one strongly connected component pass
 (`NavGraph.reach_sizes`), not one search each.
 
 Edges corroborated by a consistent reverse observation (u->v:d matched by

@@ -49,5 +49,9 @@ class ToolUnavailable(MapRepairError):
     """A version-store action was requested with version control disabled."""
 
 
+class StaleContext(MapRepairError):
+    """A repair context part was read after the chain head moved."""
+
+
 class AdvisorFailure(MapRepairError):
     """The advisor could not produce a usable action (transport or parse)."""

@@ -290,12 +290,15 @@ def generate_walk(width: int, height: int, moves: int,
     return _world_from_walk(["Room 0-0"], walk)
 
 
+#: Each world shape's generator, whose parameters are the shape's params.
+SHAPES = {"grid": generate_grid, "tree": generate_tree,
+          "loopchain": generate_loopchain, "walk": generate_walk}
+
+
 def generate_world(spec: WorldSpec) -> World:
-    shapes = {"grid": generate_grid, "tree": generate_tree,
-              "loopchain": generate_loopchain, "walk": generate_walk}
-    if spec.shape not in shapes:
+    if spec.shape not in SHAPES:
         raise ValueError(f"unknown world shape: {spec.shape}")
-    return shapes[spec.shape](*spec.params)
+    return SHAPES[spec.shape](*spec.params)
 
 
 # ---------------------------------------------------------------------------

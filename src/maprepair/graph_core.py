@@ -8,6 +8,7 @@ them is the conflict detector's job, removing them the refiner's.  An
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -90,8 +91,10 @@ class NavGraph:
     origin: Optional[str] = None
     _name_index: dict[str, set[str]] = field(default_factory=dict)
     # The one edge index, src -> direction -> step_id -> Edge; empty levels
-    # are pruned.  `in_edges`, `remove_node` and `neighborhood` scan it.
+    # are pruned.  `in_edges` and `neighborhood` scan it.
     _out: dict[str, dict[str, dict[int, Edge]]] = field(default_factory=dict)
+    # dst -> number of edges entering it, for `remove_node`; no zero counts
+    _in_degree: dict[str, int] = field(default_factory=dict)
     _next_id: int = 0
 
     # -- nodes ------------------------------------------------------------
@@ -149,7 +152,7 @@ class NavGraph:
         last node, so the origin never moves to another node."""
         if node_id not in self.nodes:
             raise UnknownNode(node_id)
-        if node_id in self._out or any(e.dst == node_id for e in self.edges()):
+        if node_id in self._out or node_id in self._in_degree:
             raise DuplicateEdge(f"node still has edges: {node_id}")
         if node_id == self.origin:
             if len(self.nodes) > 1:
@@ -184,18 +187,23 @@ class NavGraph:
                     f"duplicate (src, direction, step): {edge.key}")
             else:
                 by_step[step_id] = edge
+        self._in_degree[dst] = self._in_degree.get(dst, 0) + 1
         return edge
 
     def remove_edge(self, edge: Edge) -> None:
         if not self.has_edge(edge):
             raise UnknownNode(f"edge not present: {edge}")
-        src, _, direction, step_id = edge
+        src, dst, direction, step_id = edge
         by_dir = self._out[src]
         del by_dir[direction][step_id]
         if not by_dir[direction]:
             del by_dir[direction]
         if not by_dir:
             del self._out[src]
+        if self._in_degree[dst] == 1:
+            del self._in_degree[dst]
+        else:
+            self._in_degree[dst] -= 1
 
     def has_edge(self, edge: Edge) -> bool:
         src, _, direction, step_id = edge
@@ -353,7 +361,7 @@ class NavGraph:
             _name_index={k: set(ids) for k, ids in self._name_index.items()},
             _out={src: {d: dict(by_step) for d, by_step in by_dir.items()}
                   for src, by_dir in self._out.items()},
-            _next_id=self._next_id)
+            _in_degree=dict(self._in_degree), _next_id=self._next_id)
 
     def state_equal(self, other: "NavGraph") -> bool:
         return (self.nodes == other.nodes
@@ -369,8 +377,10 @@ class NavGraph:
         out: dict[str, dict[str, dict[int, Edge]]] = {}
         for e in self.edges():
             out.setdefault(e.src, {}).setdefault(e.direction, {})[e.step_id] = e
+        in_degree = Counter(e.dst for e in self.edges())
         ends = {m for e in self.edges() for m in e[:2]}
         return (name_index == self._name_index and out == self._out
+                and in_degree == self._in_degree
                 and ends <= self.nodes.keys())
 
     # -- serialization ----------------------------------------------------

@@ -8,6 +8,10 @@ commits.  A session ends when the primary conflict plus any
 conflicts newly exposed by its fixes are gone, or when the attempt budget
 runs out.
 
+A context's neighborhood and candidates are computed when the advisor
+first reads them, so a loop iteration pays only for what its advisor
+reads; they stay valid until the chain head moves.
+
 Detection runs here and nowhere else in the loop: once when `run_repair`
 starts and once after each applied commit, the only event that changes
 the map.  Each session starts from the conflicts its predecessor ended
@@ -31,12 +35,12 @@ from typing import Callable, Optional
 
 from .conflict_detector import Conflict, detect_all
 from .error_localizer import (
-    CandidateEdge, PathPair, candidate_edges, minimal_path_pair,
+    CandidateEdge, PathPair, PathTree, candidate_edges, minimal_path_pair,
     score_candidates, shortest_path_tree,
 )
 from .errors import (
-    AdvisorFailure, IllegalAction, MapRepairError, ToolUnavailable,
-    Unreachable,
+    AdvisorFailure, IllegalAction, MapRepairError, StaleContext,
+    ToolUnavailable, Unreachable,
 )
 from .graph_core import Edge, NavGraph, is_direction
 from .metrics_bench import (
@@ -143,15 +147,73 @@ class RepairAction:
                 raise IllegalAction(f"{name} not a {kind.__name__}: {value!r}")
 
 
-@dataclass
+_UNREAD = object()  # a context part not computed yet
+
+
 class AdvisorContext:
-    conflict: Conflict
-    graph: NavGraph
-    neighborhood: NavGraph
-    ranked_candidates: Optional[list[CandidateEdge]]
-    chain: Optional[VersionChain]  # None when version control is disabled
-    transcript: list[dict]
-    conflicts: list[Conflict]  # detected at the chain head, one per key
+    """What an advisor sees of one conflict at one chain head.
+
+    `conflict`, `graph`, `chain` (None when version control is disabled),
+    `transcript` and `conflicts` (detected at the chain head, one per key)
+    are plain attributes.  `neighborhood`, `candidates` and
+    `ranked_candidates` are computed on first read and cached.  They
+    describe the map at the head the context was built at, and reading one
+    after the head has moved raises StaleContext."""
+
+    def __init__(self, chain: VersionChain, config: ToolConfig,
+                 conflict: Conflict, transcript: list[dict],
+                 conflicts: list[Conflict]):
+        self.conflict = conflict
+        self.graph = chain.graph
+        self.chain = chain if config.version_control else None
+        self.transcript = transcript
+        self.conflicts = conflicts
+        self._source, self._head = chain, chain.head
+        self._edge_impact = config.edge_impact
+        self._neighborhood: Optional[NavGraph] = None
+        self._found = _UNREAD  # `_suspects` of the conflict
+        self._ranked = _UNREAD
+
+    def _check_head(self) -> None:
+        if self._source.head != self._head:
+            raise StaleContext(f"context built at v{self._head}, "
+                               f"chain head is v{self._source.head}")
+
+    @property
+    def neighborhood(self) -> NavGraph:
+        """The rooms within two undirected hops of the conflict's rooms
+        and edge ends, with the edges among them."""
+        self._check_head()
+        if self._neighborhood is None:
+            c = self.conflict
+            seeds = set(c.nodes)
+            for e in c.edges:
+                seeds.update((e.src, e.dst))
+            self._neighborhood = self.graph.neighborhood(seeds, radius=2)
+        return self._neighborhood
+
+    @property
+    def candidates(self) -> Optional[list[Edge]]:
+        """The edges `ranked_candidates` ranks, in localization order and
+        unscored; None when edge impact is off, empty when there are
+        none."""
+        self._check_head()
+        if not self._edge_impact:
+            return None
+        if self._found is _UNREAD:
+            self._found = _suspects(self.graph, self.conflict)
+        return [] if self._found is None else self._found[2]
+
+    @property
+    def ranked_candidates(self) -> Optional[list[CandidateEdge]]:
+        """`localize(...)[1]` at the context's head: the candidates ranked
+        against `conflicts`; None when edge impact is off or there are no
+        candidates."""
+        cands = self.candidates
+        if self._ranked is _UNREAD:
+            self._ranked = _rank(self.graph, self.conflicts, self._found[0],
+                                 cands) if cands else None
+        return self._ranked
 
 
 Advisor = Callable[[AdvisorContext], RepairAction]
@@ -288,45 +350,54 @@ def _state_commit(chain: VersionChain, target: NavGraph, analysis: str):
 # the repair loop
 
 
-def localize(g: NavGraph, conflict: Conflict, conflicts: list[Conflict],
-             include_silent: bool = False
-             ) -> tuple[Optional[PathPair], Optional[list[CandidateEdge]]]:
-    """The conflict's path pair and its candidate edges ranked against the
-    open `conflicts`.  The candidates are the path pair's suffix edges, and
-    the suffix rooms' exits as well when `include_silent` is set or no
-    suffix edge is a candidate.  Both are None when the origin cannot
-    reach the conflict; the ranking is None when no edge is a candidate."""
+def _suspects(g: NavGraph, conflict: Conflict, include_silent: bool = False
+              ) -> Optional[tuple[PathTree, PathPair, list[Edge]]]:
+    """Localization's first step: the origin tree, the conflict's path
+    pair and its candidate edges, unranked.  The candidates are the path
+    pair's suffix edges, and the suffix rooms' exits as well when
+    `include_silent` is set or no suffix edge is a candidate.  None when
+    the origin cannot reach the conflict."""
     if g.origin is None:
-        return None, None
+        return None
     # one origin tree holds every conflict's path pair at this head
     tree = shortest_path_tree(g, g.origin)
     try:
         pp = minimal_path_pair(g, conflict, tree)
     except Unreachable:
-        return None, None
+        return None
     cands = candidate_edges(g, pp, include_silent=include_silent) \
         or candidate_edges(g, pp, include_silent=True)
-    return pp, score_candidates(g, conflicts, cands, tree) if cands else None
+    return tree, pp, cands
+
+
+def _rank(g: NavGraph, conflicts: list[Conflict], tree: PathTree,
+          cands: list[Edge]) -> Optional[list[CandidateEdge]]:
+    """Localization's second step: `cands` ranked against the open
+    `conflicts`, whose path pairs `tree` holds; None when there is no
+    candidate."""
+    return score_candidates(g, conflicts, cands, tree) if cands else None
+
+
+def localize(g: NavGraph, conflict: Conflict, conflicts: list[Conflict],
+             include_silent: bool = False
+             ) -> tuple[Optional[PathPair], Optional[list[CandidateEdge]]]:
+    """The conflict's path pair and its candidate edges ranked against the
+    open `conflicts` (see `_suspects`).  Both are None when the origin
+    cannot reach the conflict; the ranking is None when no edge is a
+    candidate."""
+    found = _suspects(g, conflict, include_silent)
+    if found is None:
+        return None, None
+    tree, pp, cands = found
+    return pp, _rank(g, conflicts, tree, cands)
 
 
 def build_context(chain: VersionChain, config: ToolConfig, conflict: Conflict,
                   transcript: list[dict],
                   conflicts: list[Conflict]) -> AdvisorContext:
-    g = chain.graph
-    seeds = set(conflict.nodes)
-    for e in conflict.edges:
-        seeds.update((e.src, e.dst))
-    ranked = localize(g, conflict, conflicts)[1] \
-        if config.edge_impact else None
-    return AdvisorContext(
-        conflict=conflict,
-        graph=g,
-        neighborhood=g.neighborhood(seeds, radius=2),
-        ranked_candidates=ranked,
-        chain=chain if config.version_control else None,
-        transcript=transcript,
-        conflicts=conflicts,
-    )
+    """The context of `conflict` at the chain head; it computes nothing
+    until the advisor reads a part."""
+    return AdvisorContext(chain, config, conflict, transcript, conflicts)
 
 
 def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,

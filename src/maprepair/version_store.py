@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import warnings
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Optional
@@ -140,21 +141,27 @@ def _array(d: dict, key: str, required: bool = False) -> list:
 def _check_commit(c: Commit) -> Commit:
     """`c`, if `_line` can write it as a line that loads back as `c`: an
     index, obs_id or delta step that is not an exact int (`True` is not),
-    an op other than "+" or "-" and a direction not among the 14
-    raise `ValueError`; a trigger, analysis, room id or name that is not a
-    str raises `TypeError`.  Scalars come first, then deltas, new nodes,
-    renames and drops, so the first fault met is reported; each group is
-    tested at once, and `_check_types` names the bad field."""
+    an op other than "+" or "-", a direction not among the 14 and a str
+    holding a surrogate pair (`_check_text`) raise `ValueError`; a
+    trigger, analysis, room id or name that is not a str raises
+    `TypeError`.  Scalars come first, then deltas, new nodes, renames and
+    drops, so the first fault met is reported; each group is tested at
+    once, and `_check_types` names the bad field.  Only a str that is not
+    ASCII is searched for a surrogate pair."""
     index, deltas, trigger, obs_id, analysis, nodes, renames, drops = c
     if not (type(index) is type(obs_id) is int):
         _check_types(int, ("commit index", index), ("obs_id", obs_id))
     if not (type(trigger) is type(analysis) is str):
         _check_types(str, ("trigger", trigger), ("analysis", analysis))
+    if not (trigger.isascii() and analysis.isascii()):
+        _check_text(trigger, analysis)
     for op, (src, dst, direction, step) in deltas:
         if op != "+" and op != "-":
             raise ValueError(f"unknown delta op: {op!r}")
         if not (type(src) is type(dst) is str):
             _check_types(str, ("room id", src), ("room id", dst))
+        if not (src.isascii() and dst.isascii()):
+            _check_text(src, dst)
         if direction not in REVERSE:  # an unhashable one raises TypeError
             raise ValueError(f"unknown direction: {direction!r}")
         if type(step) is not int:
@@ -162,9 +169,25 @@ def _check_commit(c: Commit) -> Commit:
     for nid, name in nodes:
         if not (type(nid) is type(name) is str):
             _check_types(str, ("room id", nid), ("room name", name))
+        if not (nid.isascii() and name.isascii()):
+            _check_text(nid, name)
     for nid, *names in (*renames, *drops):
         _check_types(str, ("room id", nid), *[("room name", n) for n in names])
+        _check_text(nid, *names)
     return c
+
+
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
+def _check_text(*texts: str) -> None:
+    """Refuse, with `ValueError`, a str holding a high surrogate right
+    before a low one: `json.dumps` escapes the pair exactly as it escapes
+    the one character the pair encodes, so the line would load back with
+    that character in its place."""
+    for text in texts:
+        if _SURROGATE_PAIR.search(text):
+            raise ValueError(f"a str holds a surrogate pair: {text!r}")
 
 
 def _check_types(kind: type, *fields: tuple[str, object]) -> None:

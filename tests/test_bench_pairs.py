@@ -42,6 +42,16 @@ def test_summary_medians_quartiles_and_wins():
     assert "2/4" in text and "-27.3%" in text
 
 
+def test_item_runs_are_the_median_over_paired_runs():
+    by_side = {
+        "parent": {"0": _line(900), "1": _line(1000), "2": _line(5000)},
+        "change": {"0": _line(1100), "1": _line(1300)},
+    }
+    # pair 2 has no change run, so its 5000 item runs are left out
+    assert bench_pairs.item_runs(by_side) == {"parent": 950, "change": 1200}
+    assert bench_pairs.item_runs({"parent": {"0": _line()}}) == {}
+
+
 def test_summary_of_one_pair_and_of_none():
     by_side = {"parent": {"0": _line(x=2.0)}, "change": {"0": _line(x=1.0)}}
     (row,) = bench_pairs.summarize(by_side, {"x": "lower"})
@@ -94,6 +104,7 @@ def test_pairs_merge_into_the_file_and_touch_no_checkout(tmp_path, capsys):
     assert {p: sorted(p.rglob("*")) for p in (parent, change)} == before
     printed = capsys.readouterr().out
     assert "item_s_p50" in printed and "3/3" in printed
+    assert "median item runs: parent 100, change 100" in printed
 
 
 def test_a_failed_run_stops_the_series(tmp_path):

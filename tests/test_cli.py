@@ -276,6 +276,24 @@ def test_synth_walk_builds_without_conflict(tmp_path, capsys):
     assert cli.main(["detect", "--log", str(tmp_path / "m.jsonl")]) == 0
 
 
+@pytest.mark.parametrize("shape, params, usage", [
+    ("grid", ["4"], "--shape grid takes 2 --params: width height"),
+    ("tree", ["3", "2", "1"],
+     "--shape tree takes 2 --params: depth branching"),
+    ("loopchain", ["8", "2"], "--shape loopchain takes 1 --params: n"),
+    ("walk", ["6", "6"],
+     "--shape walk takes 4 --params: width height moves walk_seed"),
+])
+def test_synth_with_the_wrong_params_count_is_a_usage_error(
+        tmp_path, capsys, shape, params, usage):
+    out = tmp_path / "walk.txt"
+    assert cli.main(["synth", "--shape", shape, "--params", *params,
+                     "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage: {usage}\n" and captured.out == ""
+    assert not out.exists()
+
+
 def test_export_formats(built_log, tmp_path, capsys):
     log, _ = built_log
     assert cli.main(["export", "--log", str(log), "--format", "dot"]) == 0

@@ -120,9 +120,11 @@ def test_remove_node_requires_no_edges():
     assert g.state_equal(before)
     assert g.indices_consistent()
     g.remove_edge(Edge(a, b, "north", 1))
+    with pytest.raises(DuplicateEdge):  # one edge still enters b
+        g.remove_node(b)
     g.remove_edge(Edge(c, b, "east", 2))
     g.remove_node(b)
-    assert b not in g.nodes
+    assert b not in g.nodes and g.indices_consistent()
 
 
 def test_an_edge_in_no_known_direction_is_refused():

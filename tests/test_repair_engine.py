@@ -1,6 +1,8 @@
+import json
 import random
 from collections import Counter
 from contextlib import ExitStack
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -9,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from helpers import reference_detect_all, reference_run_session, unapplied
 from maprepair import advisors, error_localizer, repair_engine
 from maprepair import fault_injector as fi
-from maprepair.conflict_detector import detect_all
+from maprepair.conflict_detector import KIND_DIRECTIONAL, detect_all
 from maprepair.errors import (
-    AdvisorFailure, IllegalAction, MapRepairError, UnknownVersion,
+    AdvisorFailure, IllegalAction, MapRepairError, StaleContext,
+    UnknownVersion,
 )
 from maprepair.graph_core import DIRECTIONS, Edge, NavGraph
 from maprepair.metrics_bench import OUTCOME_EXHAUSTED
@@ -19,7 +22,8 @@ from maprepair.repair_engine import (
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_DIFF_VERSIONS, ACT_GIVE_UP,
     ACT_MERGE_NODES, ACT_RECALL_STEP, ACT_REDIRECT_EDGE, ACT_RENAME_NODE,
     ACT_ROLLBACK_TO, ACTION_FIELDS, ALL_ACTIONS, MUTATING_ACTIONS,
-    RepairAction, ToolConfig, apply_action, run_repair, run_session,
+    AdvisorContext, RepairAction, ToolConfig, apply_action, build_context,
+    localize, run_repair, run_session,
 )
 from maprepair.version_store import (
     TRIGGER_OBSERVATION, TRIGGER_REPAIR, VersionChain, add,
@@ -734,43 +738,259 @@ def test_repair_detects_once_per_chain_head(advisor):
         assert heads == list(range(start, chain.head + 1)), name
 
 
+_PARTS = ("neighborhood", "candidates", "ranked_candidates")
+
+
+def _iterations(chain, config, advisor, ledger=None):
+    """Run `run_repair` and return one record per loop iteration, from the
+    start of its `build_context` to the return of its advisor call: the
+    context, the action, a copy of the graph the advisor saw, and a
+    Counter of the calls made (origin `tree`s, `reach` passes, `score`s,
+    `neighborhood`s, per-target `path`s and `reachable` searches) and of
+    the context parts read (`read:<part>`)."""
+    counts: Counter = Counter()
+    starts: list = []
+    records: list = []
+
+    def counted(key, real):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return call
+
+    def read(part, real):
+        def get(ctx):
+            counts["read:" + part] += 1
+            return real.fget(ctx)
+        return property(get)
+
+    real_context = repair_engine.build_context
+
+    def context(*args, **kwargs):
+        starts.append(Counter(counts))
+        return real_context(*args, **kwargs)
+
+    def advise(ctx):
+        action = advisor(ctx)
+        records.append(SimpleNamespace(ctx=ctx, action=action,
+                                       counts=counts - starts[-1],
+                                       graph=ctx.graph.copy()))
+        return action
+
+    with ExitStack() as stack:
+        for owner, attr, key in (
+                (NavGraph, "reachable_from", "reachable"),
+                (NavGraph, "reach_sizes", "reach"),
+                (NavGraph, "neighborhood", "neighborhood"),
+                (error_localizer, "shortest_path", "path"),
+                (error_localizer, "shortest_path_tree", "tree"),
+                (repair_engine, "shortest_path_tree", "tree"),
+                (repair_engine, "score_candidates", "score")):
+            stack.enter_context(mock.patch.object(
+                owner, attr, counted(key, getattr(owner, attr))))
+        for part in _PARTS:
+            real = getattr(AdvisorContext, part)
+            stack.enter_context(mock.patch.object(
+                AdvisorContext, part, read(part, real)))
+        stack.enter_context(mock.patch.object(
+            repair_engine, "build_context", context))
+        run_repair(chain, config, advise, ledger=ledger)
+    assert len(records) == len(starts)
+    return records
+
+
+def _advisor(name, ledger):
+    return {"oracle": lambda: advisors.OracleAdvisor(ledger),
+            "heuristic": advisors.HeuristicAdvisor}[name]()
+
+
+def _does_only_what_it_reads(c: Counter) -> bool:
+    """At most one tree, and only for a read of the candidates; a score and
+    its one reach pass only for a read of the ranking; a neighborhood only
+    for a read of it; never a per-target path or `reachable_from`."""
+    return (c["tree"] <= min(c["read:candidates"], 1)
+            and c["score"] <= min(c["read:ranked_candidates"], 1)
+            and c["reach"] <= c["score"]
+            and c["neighborhood"] <= min(c["read:neighborhood"], 1)
+            and c["path"] == c["reachable"] == 0)
+
+
 @pytest.mark.parametrize("advisor", ["oracle", "heuristic"])
 def test_each_context_localizes_from_one_tree_and_one_reach_pass(advisor):
-    """A context builds at most one origin tree, reads every path pair from
-    it and takes the candidates' reach from one pass: no per-target
-    `shortest_path` and no per-candidate `reachable_from`."""
+    """A loop iteration, its context build and its advisor call together,
+    builds at most one origin tree, reads every path pair from it and takes
+    the candidates' reach from one pass: no per-target `shortest_path` and
+    no per-candidate `reachable_from`."""
     for name, (chain, ledger) in _visible_fault_chains():
-        counts: Counter = Counter()
-        per_context = []
+        records = _iterations(chain, ToolConfig(), _advisor(advisor, ledger),
+                              ledger)
+        assert records and sum(r.counts["tree"] for r in records), name
+        assert all(r.counts["reachable"] == 0 and r.counts["tree"] <= 1
+                   for r in records), name
+        assert sum(r.counts["path"] for r in records) == 0, name
 
-        def counted(key, real):
-            def call(*args, **kwargs):
-                counts[key] += 1
-                return real(*args, **kwargs)
-            return call
 
-        real_context = repair_engine.build_context
+def _directional_chain():
+    """A north corridor A-B-D whose A also has a second north exit, to C."""
+    chain = VersionChain()
+    a, b, c, d = "n0", "n1", "n2", "n3"
+    chain.commit([], TRIGGER_OBSERVATION, 0, "A",
+                 new_nodes=[(a, "A"), (b, "B"), (c, "C"), (d, "D")])
+    for e in (Edge(a, b, "north", 1), Edge(b, d, "north", 2),
+              Edge(d, b, "south", 3), Edge(b, a, "south", 4),
+              Edge(a, c, "north", 5)):
+        chain.commit([add(e)], TRIGGER_OBSERVATION, e.step_id, "")
+    return chain
 
-        def context(*args, **kwargs):
-            before = Counter(counts)
-            ctx = real_context(*args, **kwargs)
-            per_context.append(counts - before)
-            return ctx
 
-        make = {"oracle": lambda: advisors.OracleAdvisor(ledger),
-                "heuristic": advisors.HeuristicAdvisor}[advisor]
-        with ExitStack() as stack:
-            for owner, attr, key in (
-                    (NavGraph, "reachable_from", "reach"),
-                    (error_localizer, "shortest_path", "path"),
-                    (error_localizer, "shortest_path_tree", "tree"),
-                    (repair_engine, "shortest_path_tree", "tree")):
-                stack.enter_context(mock.patch.object(
-                    owner, attr, counted(key, getattr(owner, attr))))
-            stack.enter_context(mock.patch.object(
-                repair_engine, "build_context", context))
-            run_repair(chain, ToolConfig(), make(), ledger=ledger)
-        assert per_context and counts["tree"] > 0, name
-        assert all(c["reach"] == 0 and c["tree"] <= 1
-                   for c in per_context), name
-        assert counts["path"] == 0, name
+def test_each_advisor_pays_only_for_the_parts_it_reads():
+    """Per loop iteration, no tree, reach pass, scoring or neighborhood
+    beyond the parts the advisor read: a playback run and a heuristic
+    directional conflict read nothing and compute nothing; an oracle whose
+    faulty edge lies in the neighborhood builds the neighborhood and
+    nothing else, and the oracle never scores; with edge impact off no
+    advisor localizes at all."""
+    def fresh(name):
+        return dict(_visible_fault_chains())[name]
+
+    for name in dict(_visible_fault_chains()):
+        for advisor in ("oracle", "heuristic"):
+            for config in (ToolConfig(), ToolConfig(edge_impact=False)):
+                chain, ledger = fresh(name)
+                records = _iterations(chain, config,
+                                      _advisor(advisor, ledger), ledger)
+                assert records, (name, advisor, config)
+                for r in records:
+                    assert _does_only_what_it_reads(r.counts), (name, r)
+                    if not config.edge_impact:
+                        assert r.counts["tree"] == r.counts["score"] == 0
+                    if advisor == "oracle":  # it never ranks
+                        assert r.counts["score"] == r.counts["reach"] == 0
+
+        chain, ledger = fresh(name)
+        records = _iterations(chain, ToolConfig(),
+                              advisors.OracleAdvisor(ledger), ledger)
+        in_hood = [r for r in records
+                   if _fixes_from_the_neighborhood(ledger, r)]
+        assert in_hood, name
+        for r in in_hood:
+            assert +r.counts == Counter(
+                {"neighborhood": 1, "read:neighborhood": 1}), (name, r)
+
+        actions = [r.action for r in records]
+        chain, _ = fresh(name)
+        records = _iterations(chain, ToolConfig(),
+                              advisors.PlaybackAdvisor(actions))
+        assert records and not any(+r.counts for r in records), name
+
+    records = _iterations(_directional_chain(), ToolConfig(),
+                          advisors.HeuristicAdvisor())
+    directional = [r for r in records
+                   if r.ctx.conflict.kind == KIND_DIRECTIONAL]
+    assert directional and records[0].action.kind == ACT_DELETE_EDGE
+    assert not any(+r.counts for r in directional)
+
+
+def _fixes_from_the_neighborhood(ledger, record) -> bool:
+    """Did the oracle answer with a fix of the ledger's first unfixed
+    fault that has a corrupted edge, and does that edge lie in the
+    neighborhood?  Read from the record's graph, with no part of its
+    context."""
+    g = record.graph
+    if record.action.kind not in (ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE,
+                                  ACT_RENAME_NODE):
+        return False
+    bad = next(filter(None, (ledger.corrupted_edge(g, f)
+                             for f in ledger.faults
+                             if not ledger.fixed(g, f))), None)
+    return bad is not None \
+        and _eager_neighborhood(g, record.ctx.conflict).has_edge(bad)
+
+
+def _eager_neighborhood(g, conflict):
+    """The radius-2 neighborhood of the conflict's rooms and edge ends."""
+    seeds = set(conflict.nodes)
+    for e in conflict.edges:
+        seeds.update((e.src, e.dst))
+    return g.neighborhood(seeds, radius=2)
+
+
+@pytest.mark.parametrize("advisor, config", [
+    ("oracle", ToolConfig()), ("heuristic", ToolConfig()),
+    ("oracle", ToolConfig(edge_impact=False)),
+    ("heuristic", ToolConfig(edge_impact=False)),
+])
+def test_context_parts_equal_eager_localization_at_their_head(advisor,
+                                                              config):
+    """Every part read on demand equals `localize(...)[1]` and the
+    radius-2 neighborhood computed eagerly at the context's head: the parts
+    the advisor read, and those of a second context first read after the
+    advisor returned (after the heuristic's relabel trials).  Read after a
+    commit, every part raises StaleContext, cached or not."""
+    for name, (chain, ledger) in _visible_fault_chains():
+        inner = _advisor(advisor, ledger)
+        contexts = []
+
+        def check(ctx):
+            g, c = ctx.graph, ctx.conflict
+            hood = _eager_neighborhood(g, c).to_json()
+            ranked = localize(g, c, ctx.conflicts)[1] \
+                if config.edge_impact else None
+            late = build_context(chain, config, c, ctx.transcript,
+                                 ctx.conflicts)
+            action = inner(ctx)
+            for part in (ctx, late):
+                assert part.neighborhood.to_json() == hood, name
+                assert part.ranked_candidates == ranked, name
+                if ranked is None:
+                    assert part.candidates == ([] if config.edge_impact
+                                               else None), name
+                else:
+                    assert sorted(part.candidates) == sorted(
+                        r.edge for r in ranked), name
+            contexts.extend((late, build_context(
+                chain, config, c, ctx.transcript, ctx.conflicts)))
+            return action
+
+        run_repair(chain, config, check, ledger=ledger)
+        assert contexts, name
+        apply_action(chain, RepairAction(ACT_RENAME_NODE,
+                                         node=chain.graph.origin,
+                                         new_name="Moved"))
+        for ctx in contexts:
+            for part in _PARTS:
+                with pytest.raises(StaleContext):
+                    getattr(ctx, part)
+
+
+def test_llm_prompt_is_built_from_the_parts_at_the_head():
+    """The `llm` advisor's prompt from an on-demand context equals the one
+    built from eagerly computed parts, on every loop of a repair whose
+    injected transport answers as the oracle would."""
+    for name, (chain, ledger) in _visible_fault_chains():
+        oracle = advisors.OracleAdvisor(ledger)
+        current, prompts = {}, []
+
+        def transport(endpoint, payload):
+            prompts.append(payload["messages"][0]["content"])
+            reply = json.dumps(oracle(current["ctx"]).to_json())
+            return {"choices": [{"message": {"content": reply}}]}
+
+        llm = advisors.LlmAdvisor(advisors.EndpointConfig("http://fake"),
+                                  transport=transport)
+        expected = []
+
+        def advise(ctx):
+            g, c = ctx.graph, ctx.conflict
+            eager = SimpleNamespace(
+                conflict=c, neighborhood=_eager_neighborhood(g, c),
+                ranked_candidates=localize(g, c, ctx.conflicts)[1],
+                transcript=ctx.transcript, chain=ctx.chain)
+            expected.append(llm.build_prompt(eager))
+            current["ctx"] = ctx
+            return llm(ctx)
+
+        start = chain.head
+        run_repair(chain, ToolConfig(), advise, ledger=ledger)
+        assert chain.head > start and prompts, name
+        assert prompts == expected, name

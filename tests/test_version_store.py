@@ -669,7 +669,16 @@ def test_each_log_line_is_json_dumps_of_its_commit(data, tmp_path_factory):
     try:
         for _ in range(data.draw(st.integers(1, 5))):
             end = log.stat().st_size
-            c = chain.commit(**_random_commit(data, chain.graph, used_steps))
+            parts = _random_commit(data, chain.graph, used_steps)
+            if _holds_surrogate_pair(parts):
+                # its line would load as another commit: refused unwritten
+                before = chain.graph.copy()
+                with pytest.raises(ValueError, match="surrogate pair"):
+                    chain.commit(**parts)
+                assert log.stat().st_size == end
+                assert chain.graph.state_equal(before)
+                continue
+            c = chain.commit(**parts)
             assert log.read_bytes()[end:] == (
                 json.dumps(c.to_json()) + "\n").encode()
     finally:
@@ -677,6 +686,44 @@ def test_each_log_line_is_json_dumps_of_its_commit(data, tmp_path_factory):
     loaded = VersionChain.load(log)
     assert loaded.commits == chain.commits
     assert loaded.graph.state_equal(chain.graph)
+
+
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
+def _holds_surrogate_pair(parts: dict) -> bool:
+    """Does a str of `_random_commit`'s parts hold a high surrogate right
+    before a low one?"""
+    texts = [parts["trigger"], parts["analysis"]]
+    for _, e in parts["deltas"]:
+        texts += e[:2]
+    for step in (*parts["new_nodes"], *parts["renames"], *parts["drops"]):
+        texts += step
+    return any(_SURROGATE_PAIR.search(t) for t in texts)
+
+
+def test_a_surrogate_pair_is_refused_before_it_reaches_the_log(tmp_path):
+    """`json.dumps` writes a high surrogate then a low one as the escapes
+    of the character they encode, so a commit holding such a pair would
+    load as another commit: `commit` refuses it, writes nothing and leaves
+    the graph as it was.  That character itself, and a lone surrogate,
+    load back as they were."""
+    log = tmp_path / "chain.jsonl"
+    chain = VersionChain(log_path=log)
+    chain.commit([], TRIGGER_OBSERVATION, 0, "\U00010000",
+                 new_nodes=[("n0", "\ud800")])
+    end, before = log.stat().st_size, chain.graph.copy()
+    for pair in ({"analysis": "a\ud800\udc00"},
+                 {"analysis": "",
+                  "renames": [("n0", "\ud800", "\udbff\udfff")]}):
+        with pytest.raises(ValueError, match="surrogate pair"):
+            chain.commit([], TRIGGER_OBSERVATION, 1, **pair)
+        assert log.stat().st_size == end and chain.head == 0
+        assert chain.graph.state_equal(before)
+    chain.commit([], TRIGGER_OBSERVATION, 1, "\udc00\ud800")  # no pair
+    chain.close()
+    loaded = VersionChain.load(log)
+    assert loaded.commits == chain.commits
 
 
 @settings(max_examples=150, deadline=None)
@@ -714,6 +761,21 @@ def test_the_inverse_commit_undoes_a_commit_and_each_of_its_prefixes(data):
         _apply_commit(chain.graph, _inverse(c))
         assert chain.graph.state_equal(before)
         chain.graph = after
+
+
+def test_undo_from_the_head_reads_no_edge_list():
+    """Undoing every commit of a built 30x30 grid, last first, empties the
+    graph without listing its edges: `remove_node` reads the room's
+    in-degree count, so the undo of a commit costs the commit's size, not
+    the graph's."""
+    chain = generate_world(WorldSpec("grid", (30, 30))).build()
+    g = chain.graph
+    with mock.patch.object(type(g), "edges",
+                           side_effect=AssertionError("edges() read")):
+        for c in reversed(chain.commits):
+            _apply_commit(g, _inverse(c))
+    assert g.nodes == {} and g.origin is None
+    assert g.indices_consistent() and not g._in_degree
 
 
 @pytest.mark.parametrize("obs_id, node_id, error", [

@@ -17,13 +17,14 @@ refuses (exit 2, before any run) to merge into an ``--out`` that holds a
 run of either side made from other sources, so runs of two versions never
 share one side.
 
-At the end it prints, for every metric of the workload and seed, each
-side's median and quartiles over the pairs that have both sides, and in
-how many pairs the change was better.  A metric's better direction comes
-from the change checkout's ``BENCHMARK.json``; a tie counts for neither
-side.  The script writes only ``--out``; runs get no bytecode files, and
-``perfbench/run.py`` keeps its own scratch under each checkout's
-``.perfbench/``.
+At the end it prints each side's median number of item runs, which
+repair-mixed ``peak_rss_mb`` grows with, and then, for every metric of
+the workload and seed, each side's median and quartiles over the pairs
+that have both sides, and in how many pairs the change was better.  A
+metric's better direction comes from the change checkout's
+``BENCHMARK.json``; a tie counts for neither side.  The script writes
+only ``--out``; runs get no bytecode files, and ``perfbench/run.py`` keeps
+its own scratch under each checkout's ``.perfbench/``.
 """
 
 from __future__ import annotations
@@ -81,12 +82,28 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median(values), q3
 
 
+def paired(by_side: dict) -> list[str]:
+    """The pairs of `by_side` (side -> pair -> result line) that have both
+    sides, in order."""
+    return sorted(set(by_side.get("parent", {}))
+                  & set(by_side.get("change", {})), key=int)
+
+
+def item_runs(by_side: dict) -> dict[str, float]:
+    """Each side's median item-run count (`attempted`) over the pairs that
+    have both sides; empty when there is no such pair."""
+    pairs = paired(by_side)
+    if not pairs:
+        return {}
+    return {side: median(by_side[side][p]["attempted"] for p in pairs)
+            for side in SIDES}
+
+
 def summarize(by_side: dict, better: dict[str, str]) -> list[dict]:
     """One row per metric over the pairs that have both sides.  `by_side`
     maps side -> pair -> result line; `better` maps a metric name to
     "lower" or "higher".  `wins` is None where the direction is unknown."""
-    pairs = sorted(set(by_side.get("parent", {}))
-                   & set(by_side.get("change", {})), key=int)
+    pairs = paired(by_side)
     if not pairs:
         return []
     first = by_side["change"][pairs[0]]["metrics"]
@@ -223,6 +240,10 @@ def main(argv=None) -> int:
             print(f"pair {pair} {side}: {result['attempted']} item runs, "
                   f"{result['failed']} failed", flush=True)
     print(f"{args.workload} seed {args.seed} trace {args.trace}:")
+    runs = item_runs(by_side)
+    if runs:
+        print("median item runs: " + ", ".join(
+            f"{side} {runs[side]:g}" for side in SIDES))
     print(format_rows(summarize(by_side, directions(checkouts["change"]))))
     return 0
 
