@@ -82,9 +82,8 @@ def _same_name_merge(ctx: AdvisorContext) -> Optional[RepairAction]:
     c = ctx.conflict
     if c.kind != KIND_NAMING and c.subkind != SUB_OVERLAP:
         return None
-    names = {normalize_name(ctx.graph.nodes[n]) for n in c.nodes
-             if n in ctx.graph.nodes}
-    if len(c.nodes) < 2 or len(names) != 1:
+    names = {normalize_name(ctx.graph.nodes[n]) for n in c.nodes}
+    if len(names) != 1:
         return None
     keep, drop = sorted(c.nodes, key=lambda n: (len(n), n))[:2]
     return RepairAction(ACT_MERGE_NODES, new_dst=keep, node=drop)
@@ -119,8 +118,6 @@ class HeuristicAdvisor:
         order.update(dict.fromkeys(_visible_edges(ctx)))
         before = {x.key for x in ctx.conflicts}
         for e in order:
-            if not ctx.graph.has_edge(e):
-                continue
             fix = _unique_resolving_direction(ctx.graph, e, c.key, before)
             plans = []
             if fix is not None:

@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     except MapRepairError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -69,17 +69,9 @@ class Conflict:
                 "nodes": list(self.nodes),
                 "edges": [e.to_json() for e in self.edges],
             },
-            "witness": _jsonable(self.witness),
+            "witness": self.witness,
             "commit": self.first_visible_commit,
         }
-
-
-def _jsonable(x):
-    if isinstance(x, Edge):
-        return x.to_json()
-    if isinstance(x, tuple):
-        return [_jsonable(v) for v in x]
-    return x
 
 
 def detect_directional(g: NavGraph,

@@ -168,7 +168,6 @@ def refine(raw_edges: list[RawEdge]) -> tuple[NavGraph, RefinementReport]:
     report.removed["self_loop_removal"] = dropped
 
     graph, _ = _build_graph(kept)
-    _drop_orphans(graph)
     return graph, report
 
 
@@ -182,21 +181,12 @@ def _split(edges, keep_pred):
 def _position_culprit(g: NavGraph, back: dict[Edge, RawEdge]):
     """Latest-step raw edge behind the first remaining position defect."""
     pm = infer_positions(g)
-    bad_edges: list[Edge] = []
-    for inc in pm.inconsistent:
-        if inc.via.src != inc.via.dst:
-            bad_edges.append(inc.via)
+    bad_edges = [inc.via for inc in pm.inconsistent]
     for a, b, _ in position_overlaps(pm):
         for nid in (a, b):
-            bad_edges.extend(e for e in g.in_edges(nid) if e.src != e.dst)
+            bad_edges.extend(g.in_edges(nid))
     if not bad_edges:
         return None
     latest = max(bad_edges, key=lambda e: e.step_id)
     return back[latest]
 
-
-def _drop_orphans(g: NavGraph) -> None:
-    incident = {e.src for e in g.edges()} | {e.dst for e in g.edges()}
-    for nid in list(g.nodes):
-        if nid not in incident and nid != g.origin:
-            g.remove_node(nid)

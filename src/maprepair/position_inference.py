@@ -75,7 +75,6 @@ def infer_positions(g: NavGraph) -> PositionMap:
     assignment = pm.assignment
     assignment[g.origin] = (0, 0, 0)
     queue: deque[str] = deque([g.origin])
-    seen_bad: set[tuple] = set()
     while queue:
         node = queue.popleft()
         by_dir = adjacency.get(node)
@@ -90,8 +89,7 @@ def infer_positions(g: NavGraph) -> PositionMap:
             if known is None:
                 assignment[dst] = derived
                 queue.append(dst)
-            elif known != derived and (dst, known, derived, e) not in seen_bad:
-                seen_bad.add((dst, known, derived, e))
+            elif known != derived:
                 pm.inconsistent.append(Inconsistency(dst, known, derived, e))
     pm.inconsistent.sort()
     return pm

@@ -342,8 +342,6 @@ class VersionChain:
 
     def diff(self, i: int, j: int) -> dict[str, set[Edge]]:
         """Edges of version j relative to version i."""
-        self._check_version(i)
-        self._check_version(j)
         a = self.materialize(i).edge_set()
         b = self.materialize(j).edge_set()
         return {"added": b - a, "removed": a - b}
