@@ -143,9 +143,9 @@ def _unique_resolving_direction(g: NavGraph, e: Edge, conflict_key,
     it, or None if no label or more than one does.  A fix clears the
     conflict and adds none to `before`; a label whose (src, direction,
     step) key another edge holds is no fix.  Each trial relabels `e` in
-    place and restores it.  Any trial order gives the same answer, so the
-    labels are tried in `_TRIAL_ORDER` and the search stops at the second
-    fix, which settles the answer as None."""
+    place and restores it, also when detection raises.  Any trial order
+    gives the same answer, so the labels are tried in `_TRIAL_ORDER` and
+    the search stops at the second fix, which settles the answer as None."""
     fix = None
     for d in _TRIAL_ORDER:
         # read afresh: the trial rebuilds the src level when e is its only exit
@@ -153,9 +153,11 @@ def _unique_resolving_direction(g: NavGraph, e: Edge, conflict_key,
             continue
         g.remove_edge(e)
         trial = g.add_edge(e.src, e.dst, d, e.step_id)
-        after = {x.key for x in detect_all(g)}
-        g.remove_edge(trial)
-        g.insert_edge(e)
+        try:
+            after = {x.key for x in detect_all(g)}
+        finally:
+            g.remove_edge(trial)
+            g.insert_edge(e)
         if conflict_key not in after and after <= before:
             if fix is not None:
                 return None

@@ -135,9 +135,12 @@ def cmd_repair(args) -> int:
 def cmd_refine(args) -> int:
     raw = []
     with open(args.edges, encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             if line.strip():
-                raw.append(RawEdge.from_json(json.loads(line)))
+                try:
+                    raw.append(RawEdge.from_json(json.loads(line)))
+                except ValueError as exc:
+                    raise ValueError(f"{args.edges}:{n}: {exc}") from exc
     graph, report = refine(raw)
     print(f"{report.initial_edges} raw edges, "
           f"{report.total_removed} removed, {report.final_edges} kept")

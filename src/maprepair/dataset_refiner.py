@@ -49,6 +49,20 @@ class RawEdge:
 
     @classmethod
     def from_json(cls, d: dict) -> "RawEdge":
+        """Raises ValueError on a row that is not an object, lacks a key,
+        or has a `src`, `dst` or `action` that is not a str or a `step`
+        that is not an exact int (`true` is not).  Extra keys are
+        ignored."""
+        if not isinstance(d, dict):
+            raise ValueError("not an object")
+        missing = [k for k in ("src", "dst", "action", "step") if k not in d]
+        if missing:
+            raise ValueError(f"missing {', '.join(missing)}")
+        for name in ("src", "dst", "action"):
+            if type(d[name]) is not str:
+                raise ValueError(f"{name} not a str: {d[name]!r}")
+        if type(d["step"]) is not int:
+            raise ValueError(f"step not an int: {d['step']!r}")
         return cls(d["src"], d["dst"], d["action"], d["step"])
 
 

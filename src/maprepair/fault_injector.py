@@ -33,7 +33,8 @@ from typing import Callable, Optional, Sequence
 from .conflict_detector import detect_all
 from .errors import MalformedBlock, NonMonotonicStep
 from .graph_core import (
-    COMPASS, Edge, NavGraph, displacement, normalize_name, reverse_direction,
+    COMPASS, Edge, NavGraph, displacement, is_direction, normalize_name,
+    reverse_direction,
 )
 from .transcript_parser import (
     WalkthroughStep, construct_graph, extend_graph, parse_block,
@@ -129,7 +130,9 @@ class FaultLedger:
     @classmethod
     def from_json(cls, data: list[dict]) -> "FaultLedger":
         """Raises ValueError, naming the row, on anything but a list of
-        fault objects of a known kind with their kind and step."""
+        fault objects of a known kind with their kind and step, whose step
+        is an exact int (`true` is not), direction fields directions and
+        name fields strs."""
         if not isinstance(data, list):
             raise ValueError("fault ledger: not a list of faults")
         for i, d in enumerate(data):
@@ -146,6 +149,17 @@ class FaultLedger:
             if d["kind"] not in _FAULT_KINDS:
                 raise ValueError(f"fault ledger row {i}: unknown kind "
                                  f"{d['kind']!r}")
+            if type(d["step"]) is not int:
+                raise ValueError(f"fault ledger row {i}: step not an int: "
+                                 f"{d['step']!r}")
+            for name in ("true_direction", "corrupted_direction"):
+                if name in d and not is_direction(d[name]):
+                    raise ValueError(f"fault ledger row {i}: {name} not a "
+                                     f"direction: {d[name]!r}")
+            for name in ("true_name", "corrupted_name"):
+                if name in d and type(d[name]) is not str:
+                    raise ValueError(f"fault ledger row {i}: {name} not a "
+                                     f"str: {d[name]!r}")
         return cls(faults=[Fault(**d) for d in data])
 
 

@@ -474,6 +474,32 @@ def test_heuristic_survives_a_colliding_trial_label():
     assert g.indices_consistent()
 
 
+def test_an_interrupted_trial_puts_its_edge_back(monkeypatch):
+    """A trial relabel that raises, however it raises, leaves the chain
+    graph equal to its head state, and the exception propagates."""
+    class Interrupt(BaseException):
+        pass
+
+    chain = VersionChain()
+    chain.commit([], TRIGGER_OBSERVATION, 0, "A",
+                 new_nodes=[("n0", "A"), ("n1", "B")])
+    chain.commit([add(Edge("n0", "n1", "north", 1)),
+                  add(Edge("n1", "n0", "east", 2))],
+                 TRIGGER_OBSERVATION, 1, "B")
+    conflicts = detect_all(chain.graph, commit=chain.head)
+    assert conflicts[0].kind != KIND_DIRECTIONAL  # so the advisor trials
+    ctx = build_context(chain, ToolConfig(), conflicts[0], [], conflicts)
+
+    def interrupted(g, commit=None):
+        raise Interrupt
+
+    monkeypatch.setattr(advisors, "detect_all", interrupted)
+    with pytest.raises(Interrupt):
+        HeuristicAdvisor()(ctx)
+    assert chain.graph.state_equal(chain.materialize(chain.head))
+    assert chain.graph.indices_consistent()
+
+
 @settings(max_examples=300, deadline=None)
 @given(multigraphs(), st.data())
 def test_trial_relabel_equals_the_reference(graph_and_conflicts, data):

@@ -8,7 +8,7 @@ from maprepair import cli
 from maprepair import fault_injector as fi
 from maprepair.conflict_detector import detect_all
 from maprepair.errors import MapRepairError
-from maprepair.graph_core import Edge
+from maprepair.graph_core import Edge, NavGraph
 from maprepair.repair_engine import ToolConfig, build_context
 from maprepair.version_store import TRIGGER_OBSERVATION, VersionChain, add
 
@@ -193,6 +193,15 @@ def test_repair_oracle_requires_ledger(built_log, capsys):
     ([{"kind": "phantom_edge", "step": 2}, "misname"],
      "row 1: not an object"),
     ([{"kind": "teleport", "step": 3}], "row 0: unknown kind 'teleport'"),
+    ([{"kind": "misname", "step": "4", "true_name": "Room 1-1"}],
+     "row 0: step not an int: '4'"),
+    ([{"kind": "phantom_edge", "step": 2}, {"kind": "phantom_edge",
+                                             "step": True}],
+     "row 1: step not an int: True"),
+    ([{"kind": "misname", "step": 4, "true_name": 5}],
+     "row 0: true_name not a str: 5"),
+    ([{"kind": "misdirection", "step": 3, "true_direction": "sideways"}],
+     "row 0: true_direction not a direction: 'sideways'"),
 ])
 def test_repair_with_a_malformed_ledger_exits_2(built_log, capsys, rows,
                                                 message):
@@ -248,11 +257,36 @@ def test_refine_command(tmp_path, capsys):
             {"src": "B", "dst": "B", "action": "look", "step": 3}]
     edges.write_text("\n".join(json.dumps(r) for r in rows))
     report = tmp_path / "report.json"
+    graph = tmp_path / "graph.json"
     assert cli.main(["refine", "--edges", str(edges),
-                     "--report", str(report)]) == 0
+                     "--report", str(report), "--graph", str(graph)]) == 0
     payload = json.loads(report.read_text())
     assert payload["initial_edges"] == 3
     assert payload["final_edges"] == 1
+    refined = NavGraph.from_json(json.loads(graph.read_text()))
+    assert [(refined.nodes[e.src], refined.nodes[e.dst], e.direction,
+             e.step_id) for e in refined.edges()] == [("A", "B", "north", 1)]
+    assert sorted(refined.nodes.values()) == ["A", "B"]
+
+
+@pytest.mark.parametrize("row, message", [
+    ([1, 2], "not an object"),
+    ({"src": 5, "dst": "B", "action": "north", "step": 2},
+     "src not a str: 5"),
+    ({"src": "B", "dst": "A", "action": "south", "step": "x"},
+     "step not an int: 'x'"),
+    ({"src": "B", "dst": "A", "action": "south", "step": True},
+     "step not an int: True"),
+    ({"src": "B", "action": "south", "step": 2}, "missing dst"),
+])
+def test_refine_with_a_malformed_row_exits_2(tmp_path, capsys, row,
+                                             message):
+    """A bad row is refused with its line, between good rows."""
+    edges = tmp_path / "edges.jsonl"
+    good = {"src": "A", "dst": "B", "action": "north", "step": 1}
+    edges.write_text("\n".join(json.dumps(r) for r in (good, row, good)))
+    assert cli.main(["refine", "--edges", str(edges)]) == 2
+    assert f"edges.jsonl:2: {message}" in capsys.readouterr().err
 
 
 def test_synth_round_trips_through_build(tmp_path, capsys):
@@ -274,6 +308,21 @@ def test_synth_walk_builds_without_conflict(tmp_path, capsys):
     assert cli.main(["build", "--transcript", str(out),
                      "--log", str(tmp_path / "m.jsonl")]) == 0
     assert cli.main(["detect", "--log", str(tmp_path / "m.jsonl")]) == 0
+
+
+def test_build_writes_the_graph_and_a_clean_map_has_nothing_to_localize(
+        tmp_path, capsys):
+    world = fi.generate_grid(3, 3)
+    walk = tmp_path / "walk.txt"
+    walk.write_text(world.transcript(), encoding="utf-8")
+    log, graph = tmp_path / "m.jsonl", tmp_path / "graph.json"
+    assert cli.main(["build", "--transcript", str(walk), "--log", str(log),
+                     "--graph", str(graph)]) == 0
+    built = NavGraph.from_json(json.loads(graph.read_text()))
+    assert built.state_equal(world.truth)
+    capsys.readouterr()
+    assert cli.main(["localize", "--log", str(log)]) == 0
+    assert capsys.readouterr().out == "no conflicts to localize\n"
 
 
 @pytest.mark.parametrize("shape, params, usage", [

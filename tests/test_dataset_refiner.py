@@ -87,6 +87,7 @@ def test_orphans_dropped_from_final_graph():
     raw = [
         RawEdge("A", "B", "north", 1),
         RawEdge("C", "D", "fly", 2),  # filtered, leaving C/D edge-free
+        RawEdge("E", "e", "east", 3),  # a self-loop, removed last
     ]
     graph, _ = _refine_names(raw)
     assert sorted(graph.nodes.values()) == ["A", "B"]

@@ -127,12 +127,24 @@ def test_change_direction_commits_swap():
     assert (fixed.src, fixed.dst) == (bad.src, bad.dst)
 
 
-def test_delete_absent_edge_is_illegal_and_commits_nothing():
+@pytest.mark.parametrize("make_action", [
+    lambda chain: RepairAction(ACT_DELETE_EDGE,
+                               edge=Edge("n0", "n1", "down", 77)),
+    lambda chain: RepairAction(ACT_REDIRECT_EDGE, edge=_edge(chain, 9),
+                               new_dst="n99"),
+    lambda chain: RepairAction(ACT_RENAME_NODE, node="n99",
+                               new_name="Cellar"),
+    lambda chain: RepairAction(ACT_MERGE_NODES, node="n99", new_dst="n1"),
+    lambda chain: RepairAction(ACT_MERGE_NODES, node="n1", new_dst="n99"),
+], ids=["delete-absent-edge", "redirect-to-unknown", "rename-unknown",
+        "merge-unknown-casualty", "merge-into-unknown"])
+def test_delete_absent_edge_is_illegal_and_commits_nothing(make_action):
+    """An action on an edge or room the map lacks is refused and leaves
+    the head where it was."""
     chain, _ = _demo()
     head = chain.head
-    ghost = Edge("n0", "n1", "down", 77)
     with pytest.raises(IllegalAction):
-        apply_action(chain, RepairAction(ACT_DELETE_EDGE, edge=ghost))
+        apply_action(chain, make_action(chain))
     assert chain.head == head
 
 
