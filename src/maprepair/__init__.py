@@ -1,6 +1,8 @@
 """Incremental map construction and repair for text-game walkthroughs."""
 
-from .conflict_detector import Conflict, detect_all, unreachable_nodes
+from .conflict_detector import (
+    Conflict, Detection, detect, detect_all, unreachable_nodes,
+)
 from .error_localizer import (
     CandidateEdge, PathPair, PathTree, candidate_edges, minimal_path_pair,
     score_candidates, shortest_path_tree,
@@ -21,11 +23,11 @@ from .version_store import Commit, EdgeDelta, VersionChain, add, remove
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateEdge", "Commit", "Conflict", "DIRECTIONS", "Edge", "EdgeDelta",
-    "AdvisorContext", "NavGraph", "PathPair", "PathTree", "PositionMap",
-    "RepairAction",
-    "RepairSession", "ToolConfig", "VersionChain", "add", "apply_action",
-    "candidate_edges", "construct_graph", "detect_all", "displacement",
+    "CandidateEdge", "Commit", "Conflict", "DIRECTIONS", "Detection", "Edge",
+    "EdgeDelta", "AdvisorContext", "NavGraph", "PathPair", "PathTree",
+    "PositionMap", "RepairAction", "RepairSession", "ToolConfig",
+    "VersionChain", "add", "apply_action", "candidate_edges",
+    "construct_graph", "detect", "detect_all", "displacement",
     "extend_positions", "infer_positions", "is_direction", "localize",
     "minimal_path_pair", "normalize_name", "parse_transcript",
     "position_overlaps", "remove", "reverse_direction", "run_repair",

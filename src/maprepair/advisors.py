@@ -12,8 +12,9 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+# perfbench wraps `detect_all` by the name this module binds
 from .conflict_detector import KIND_DIRECTIONAL, KIND_NAMING, SUB_OVERLAP, \
-    detect_all
+    Detection, detect_all
 from .errors import AdvisorFailure
 from .fault_injector import FAULT_MISDIRECTION, FAULT_MISNAME, \
     FAULT_PHANTOM, FAULT_SILENT, FaultLedger, corrupted_at, edges_by_step, \
@@ -24,6 +25,7 @@ from .repair_engine import (
     ACT_RENAME_NODE, ACTION_FIELDS, VERSION_ACTIONS, AdvisorContext,
     RepairAction,
 )
+from .version_store import add, remove
 
 
 def _visible_edges(ctx: AdvisorContext) -> list[Edge]:
@@ -118,7 +120,8 @@ class HeuristicAdvisor:
         order.update(dict.fromkeys(_visible_edges(ctx)))
         before = {x.key for x in ctx.conflicts}
         for e in order:
-            fix = _unique_resolving_direction(ctx.graph, e, c.key, before)
+            fix = _unique_resolving_direction(ctx.detection, ctx.graph, e,
+                                              c.key, before)
             plans = []
             if fix is not None:
                 plans.append(RepairAction(ACT_CHANGE_DIRECTION, edge=e,
@@ -137,15 +140,17 @@ _TRIAL_ORDER = (tuple(d for d in DIRECTIONS if d not in COMPASS)
                 + tuple(d for d in DIRECTIONS if d in COMPASS))
 
 
-def _unique_resolving_direction(g: NavGraph, e: Edge, conflict_key,
-                                before: set) -> Optional[str]:
+def _unique_resolving_direction(detection: Detection, g: NavGraph, e: Edge,
+                                conflict_key, before: set) -> Optional[str]:
     """The one label that fixes `conflict_key` when `e` is relabelled to
     it, or None if no label or more than one does.  A fix clears the
     conflict and adds none to `before`; a label whose (src, direction,
     step) key another edge holds is no fix.  Each trial relabels `e` in
-    place and restores it, also when detection raises.  Any trial order
-    gives the same answer, so the labels are tried in `_TRIAL_ORDER` and
-    the search stops at the second fix, which settles the answer as None."""
+    place, advances `detection`, the detection of `g`, by the relabel's
+    two deltas, and restores `e`, also when detection raises.  Any trial
+    order gives the same answer, so the labels are tried in `_TRIAL_ORDER`
+    and the search stops at the second fix, which settles the answer as
+    None."""
     fix = None
     for d in _TRIAL_ORDER:
         # read afresh: the trial rebuilds the src level when e is its only exit
@@ -154,7 +159,8 @@ def _unique_resolving_direction(g: NavGraph, e: Edge, conflict_key,
         g.remove_edge(e)
         trial = g.add_edge(e.src, e.dst, d, e.step_id)
         try:
-            after = {x.key for x in detect_all(g)}
+            after = {x.key for x in detection.advance(
+                g, (remove(e), add(trial))).conflicts}
         finally:
             g.remove_edge(trial)
             g.insert_edge(e)

@@ -20,15 +20,32 @@ lesser self-loop) by a look at the other room's exits, so no edge is
 grouped or copied.  An `Edge` is a plain tuple, so edges sort by tuple
 comparison and are unpacked by position in the loops.  Each conflict is
 built once, stamped with the commit it was detected at.
+
+`detect_all` detects a map from scratch.  `detect` does the same and keeps
+what it found as a `Detection`: the conflicts, the positions with the
+record of their inference, the conflicting directional groups by (src,
+direction) and the asymmetric pairs by room pair.  `Detection.advance`
+turns it into the detection of the map after a change, from the change's
+edge deltas: it finds again only the groups of the changed (src,
+direction) keys and the pairs of the changed room pairs, restarts
+position inference at the first changed room (`advance_positions`), and
+reads overlaps, inconsistencies and naming from the new positions.  Both
+paths share the helpers below, and their results are equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Mapping, Optional
 
 from .graph_core import REVERSE, Edge, NavGraph, reverse_direction
-from .position_inference import PositionMap, infer_positions, position_overlaps
+from .position_inference import (
+    PositionMap, PositionRecord, advance_positions, infer_positions,
+    position_overlaps, record_positions,
+)
+from .version_store import EdgeDelta
+
+_Adjacency = Mapping[str, Mapping[str, Mapping[int, Edge]]]
 
 KIND_DIRECTIONAL = "directional"
 KIND_TOPOLOGICAL = "topological"
@@ -74,61 +91,46 @@ class Conflict:
         }
 
 
-def detect_directional(g: NavGraph,
-                       commit: Optional[int] = None) -> list[Conflict]:
-    """One conflict per (src, direction) group whose edges reach two or
-    more distinct rooms.  A repeat of an exit to the same room is the log's
-    record of its step and corroborates the exit, so it is no conflict on
-    its own, but every edge of a reported group is in its `edges`."""
-    groups = []
-    for src, by_dir in g.adjacency().items():
+_Groups = dict[tuple[str, str], tuple[tuple[str, ...], tuple[Edge, ...]]]
+_Pairs = dict[tuple[str, str], list[tuple[Edge, Edge]]]
+
+
+def _group(src: str, by_step: Mapping[int, Edge]
+           ) -> Optional[tuple[tuple[str, ...], tuple[Edge, ...]]]:
+    """The rooms and edges of the directional conflict of one (src,
+    direction) group of two or more edges, or None when they reach one
+    room only.  A repeat of an exit to the same room is the log's record
+    of its step and corroborates the exit, so it is no conflict on its
+    own, but every edge of a reported group is in its `edges`."""
+    dsts = {e[1] for e in by_step.values()}
+    if len(dsts) < 2:
+        return None
+    return tuple(sorted({src, *dsts})), tuple(sorted(by_step.values()))
+
+
+def _directional_groups(adjacency: _Adjacency) -> _Groups:
+    """`_group` of every (src, direction) key whose group conflicts."""
+    groups = {}
+    for src, by_dir in adjacency.items():
         for direction, by_step in by_dir.items():
             if len(by_step) >= 2:
-                dsts = {e[1] for e in by_step.values()}
-                if len(dsts) >= 2:
-                    groups.append((src, direction, by_step, dsts))
-    groups.sort(key=lambda group: group[:2])
-    out = []
-    for src, direction, by_step, dsts in groups:
-        edges = tuple(sorted(by_step.values()))
-        out.append(Conflict(
-            kind=KIND_DIRECTIONAL,
-            subkind=KIND_DIRECTIONAL,
-            nodes=tuple(sorted({src, *dsts})),
-            edges=edges,
-            witness=(src, direction),
-            first_visible_commit=commit,
-        ))
-    return out
+                group = _group(src, by_step)
+                if group is not None:
+                    groups[(src, direction)] = group
+    return groups
 
 
-def detect_naming(g: NavGraph, pm: PositionMap,
-                  commit: Optional[int] = None) -> list[Conflict]:
-    out = []
-    for name, ids in g.namesakes():
-        nodes = sorted(n for n in ids if n in pm.assignment)
-        positions = sorted(pm.assignment[n] for n in nodes)
-        if len(nodes) >= 2 and positions[0] != positions[-1]:
-            out.append(Conflict(
-                kind=KIND_NAMING,
-                subkind=KIND_NAMING,
-                nodes=tuple(nodes),
-                edges=(),
-                witness=(name, tuple(positions)),
-                first_visible_commit=commit,
-            ))
-    out.sort(key=lambda c: c.witness[0])
-    return out
-
-
-def _asymmetric_pairs(g: NavGraph) -> list[tuple[Edge, Edge]]:
+def _asymmetric_pairs(adjacency: _Adjacency,
+                      sources: Optional[_Adjacency] = None) -> _Pairs:
     """Pairs of edges joining two rooms both ways whose directions are not
-    each other's reverse, the lesser edge first, in order.  Each pair is
-    found from its edge out of the lesser room, by a look at the other
-    room's exits; a self-loop pairs with the greater self-loops."""
-    adjacency = g.adjacency()
-    pairs = []
-    for src, by_dir in adjacency.items():
+    each other's reverse, the lesser edge first, in order, keyed by the
+    rooms (lesser, greater): those of every room, or with `sources` (rooms
+    and their exits from `adjacency`), those whose lesser room is one of
+    them.  Each pair is found from its edge out of the lesser room, by a
+    look at the other room's exits; a self-loop pairs with the greater
+    self-loops."""
+    pairs: _Pairs = {}
+    for src, by_dir in (adjacency if sources is None else sources).items():
         for direction, by_step in by_dir.items():
             reverse = REVERSE[direction]
             for e in by_step.values():
@@ -142,15 +144,23 @@ def _asymmetric_pairs(g: NavGraph) -> list[tuple[Edge, Edge]]:
                     if d != reverse:
                         for f in fs.values():
                             if f[1] == src and (dst != src or e < f):
-                                pairs.append((e, f))
-    pairs.sort()
+                                pairs.setdefault((src, dst), []).append(
+                                    (e, f))
+    for found in pairs.values():
+        found.sort()
     return pairs
 
 
-def detect_topological(g: NavGraph, pm: PositionMap,
-                       commit: Optional[int] = None) -> list[Conflict]:
-    out: list[Conflict] = []
-    asym_pairs = _asymmetric_pairs(g)
+def _conflicts(g: NavGraph, groups: _Groups, pairs: _Pairs, pm: PositionMap,
+               commit: Optional[int]) -> list[Conflict]:
+    """The conflicts the directional groups, the asymmetric pairs and the
+    positions of `g` show, stamped with `commit`: directional, then
+    topological, then naming."""
+    out = [Conflict(kind=KIND_DIRECTIONAL, subkind=KIND_DIRECTIONAL,
+                    nodes=nodes, edges=edges, witness=key,
+                    first_visible_commit=commit)
+           for key, (nodes, edges) in sorted(groups.items())]
+    asym_pairs = sorted(pair for found in pairs.values() for pair in found)
     asym_edges = {e.key for pair in asym_pairs for e in pair}
     for e, f in asym_pairs:
         out.append(Conflict(
@@ -182,15 +192,87 @@ def detect_topological(g: NavGraph, pm: PositionMap,
             witness=(inc.assigned, inc.derived),
             first_visible_commit=commit,
         ))
-    return out
+    naming = []
+    for name, ids in g.namesakes():
+        nodes = sorted(n for n in ids if n in pm.assignment)
+        positions = sorted(pm.assignment[n] for n in nodes)
+        if len(nodes) >= 2 and positions[0] != positions[-1]:
+            naming.append(Conflict(
+                kind=KIND_NAMING,
+                subkind=KIND_NAMING,
+                nodes=tuple(nodes),
+                edges=(),
+                witness=(name, tuple(positions)),
+                first_visible_commit=commit,
+            ))
+    naming.sort(key=lambda c: c.witness[0])
+    return out + naming
 
 
 def detect_all(g: NavGraph, commit: Optional[int] = None) -> list[Conflict]:
     """All conflicts: directional, then topological, then naming."""
-    pm = infer_positions(g)
-    return (detect_directional(g, commit)
-            + detect_topological(g, pm, commit)
-            + detect_naming(g, pm, commit))
+    adjacency = g.adjacency()
+    return _conflicts(g, _directional_groups(adjacency),
+                      _asymmetric_pairs(adjacency), infer_positions(g), commit)
+
+
+@dataclass(frozen=True)
+class Detection:
+    """`detect_all` of a map at one head, kept so that it can be advanced
+    by the edge deltas of a change instead of detected again: its
+    `conflicts`, the `record` of its positions, the directional groups by
+    (src, direction) and the asymmetric pairs by room pair.  Read-only; it
+    refers to nothing of the graph."""
+
+    commit: Optional[int]
+    conflicts: list[Conflict]
+    record: PositionRecord
+    groups: _Groups
+    pairs: _Pairs
+
+    @property
+    def positions(self) -> PositionMap:
+        return self.record.positions
+
+    def advance(self, g: NavGraph, deltas: Iterable[EdgeDelta],
+                commit: Optional[int] = None) -> "Detection":
+        """`detect(g, commit)`, given that `g` is this detection's map
+        changed by the edge `deltas` and by any node introductions,
+        renames and drops.  Only the groups of the deltas' (src,
+        direction) keys and the pairs of their room pairs are found again;
+        positions restart at the first changed room (`advance_positions`);
+        overlaps, inconsistencies and naming are read from the new
+        positions."""
+        edges = [edge for _, edge in deltas]
+        adjacency = g.adjacency()
+        groups = dict(self.groups)
+        for src, _, direction, _ in edges:
+            by_step = adjacency.get(src, {}).get(direction, {})
+            group = _group(src, by_step) if len(by_step) >= 2 else None
+            if group is None:
+                groups.pop((src, direction), None)
+            else:
+                groups[(src, direction)] = group
+        # the pairs of a changed room pair's lesser room are found again;
+        # those of its unchanged room pairs come out as they were
+        rooms = {(a, b) if a <= b else (b, a) for a, b, _, _ in edges}
+        pairs = {k: v for k, v in self.pairs.items() if k not in rooms}
+        pairs.update(_asymmetric_pairs(adjacency, {
+            a: adjacency[a] for a, _ in rooms if a in adjacency}))
+        record = advance_positions(self.record, g, [e[0] for e in edges])
+        return Detection(commit, _conflicts(g, groups, pairs,
+                                            record.positions, commit),
+                         record, groups, pairs)
+
+
+def detect(g: NavGraph, commit: Optional[int] = None) -> Detection:
+    """`detect_all(g, commit)` as a `Detection`, to be advanced."""
+    adjacency = g.adjacency()
+    record = record_positions(g)
+    groups = _directional_groups(adjacency)
+    pairs = _asymmetric_pairs(adjacency)
+    return Detection(commit, _conflicts(g, groups, pairs, record.positions,
+                                        commit), record, groups, pairs)
 
 
 def unreachable_nodes(g: NavGraph) -> list[str]:

@@ -103,8 +103,13 @@ def corrupted_at(fault: Fault, site: Sequence[Edge]) -> Optional[Edge]:
     return None
 
 
-_FAULT_KINDS = frozenset({FAULT_MISDIRECTION, FAULT_MISNAME, FAULT_PHANTOM,
-                         FAULT_SILENT})
+#: The fields each fault kind needs besides its kind and step.
+_KIND_FIELDS = {
+    FAULT_MISDIRECTION: ("true_direction", "corrupted_direction"),
+    FAULT_SILENT: ("true_direction", "corrupted_direction"),
+    FAULT_MISNAME: ("true_name",),
+    FAULT_PHANTOM: (),
+}
 _FAULT_FIELDS = frozenset(Fault.__dataclass_fields__)
 
 
@@ -132,7 +137,8 @@ class FaultLedger:
         """Raises ValueError, naming the row, on anything but a list of
         fault objects of a known kind with their kind and step, whose step
         is an exact int (`true` is not), direction fields directions and
-        name fields strs."""
+        name fields strs, and which hold the fields their kind needs
+        (`_KIND_FIELDS`)."""
         if not isinstance(data, list):
             raise ValueError("fault ledger: not a list of faults")
         for i, d in enumerate(data):
@@ -146,7 +152,7 @@ class FaultLedger:
             if missing:
                 raise ValueError(f"fault ledger row {i}: missing "
                                  f"{', '.join(missing)}")
-            if d["kind"] not in _FAULT_KINDS:
+            if d["kind"] not in _KIND_FIELDS:
                 raise ValueError(f"fault ledger row {i}: unknown kind "
                                  f"{d['kind']!r}")
             if type(d["step"]) is not int:
@@ -160,6 +166,10 @@ class FaultLedger:
                 if name in d and type(d[name]) is not str:
                     raise ValueError(f"fault ledger row {i}: {name} not a "
                                      f"str: {d[name]!r}")
+            missing = [k for k in _KIND_FIELDS[d["kind"]] if k not in d]
+            if missing:
+                raise ValueError(f"fault ledger row {i}: {d['kind']} missing "
+                                 f"{', '.join(missing)}")
         return cls(faults=[Fault(**d) for d in data])
 
 

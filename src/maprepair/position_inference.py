@@ -15,13 +15,24 @@ whose minimum steps are equal go in the order their exits come in `Edge`
 order: the direction with the lowest destination among its exits first,
 then by direction name.  Edges are unpacked by position, never read by
 field name, in these loops.
+
+`infer_positions` and `record_positions` run one breadth-first loop,
+`_propagate`.  The second also keeps its record: the rooms in processing
+order and, for each step, how many rooms were positioned before it.
+`advance_positions` uses the record to bring the positions of one graph
+to those of the same graph after some rooms' exits changed, without
+running the steps before the first changed room: those read only exits
+that did not change, so they go as they went, and the loop restarts there
+from the state the record gives.  An inconsistency is found at the step
+of its edge's source, so the record names that step too.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping
+from itertools import islice
+from typing import Iterable, Mapping, Optional
 
 from .graph_core import COMPASS, DISPLACEMENT, Edge, NavGraph
 
@@ -67,15 +78,17 @@ def _propagating(by_dir: Mapping[str, Mapping[int, Edge]]) -> list[tuple]:
     return ranked
 
 
-def infer_positions(g: NavGraph) -> PositionMap:
-    pm = PositionMap()
-    if g.origin is None:
-        return pm
-    adjacency = g.adjacency()
+def _propagate(adjacency: Mapping[str, Mapping[str, Mapping[int, Edge]]],
+               pm: PositionMap, queue: deque,
+               found: Optional[list[int]] = None) -> None:
+    """The breadth-first loop: take the next positioned room off `queue`
+    and derive the destinations of its propagating edges, until no room
+    is left.  With `found`, append to it the number of rooms positioned
+    before each step."""
     assignment = pm.assignment
-    assignment[g.origin] = (0, 0, 0)
-    queue: deque[str] = deque([g.origin])
     while queue:
+        if found is not None:
+            found.append(len(assignment))
         node = queue.popleft()
         by_dir = adjacency.get(node)
         if by_dir is None:
@@ -91,8 +104,66 @@ def infer_positions(g: NavGraph) -> PositionMap:
                 queue.append(dst)
             elif known != derived:
                 pm.inconsistent.append(Inconsistency(dst, known, derived, e))
-    pm.inconsistent.sort()
+
+
+def infer_positions(g: NavGraph) -> PositionMap:
+    pm = PositionMap()
+    if g.origin is not None:
+        pm.assignment[g.origin] = (0, 0, 0)
+        _propagate(g.adjacency(), pm, deque([g.origin]))
+        pm.inconsistent.sort()
     return pm
+
+
+@dataclass(frozen=True)
+class PositionRecord:
+    """`infer_positions` of a graph and the record of its loop.  Rooms are
+    processed in the order they were positioned, the assignment's order:
+    `order[i]` is step i's room, and `found[i]` rooms were positioned
+    before step i.  Read-only; it refers to nothing of the graph."""
+
+    origin: Optional[str]
+    positions: PositionMap
+    order: list[str]
+    found: list[int]
+
+
+def record_positions(g: NavGraph) -> PositionRecord:
+    """`infer_positions(g)` with the record `advance_positions` needs."""
+    pm, found = PositionMap(), []
+    if g.origin is not None:
+        pm.assignment[g.origin] = (0, 0, 0)
+        _propagate(g.adjacency(), pm, deque([g.origin]), found)
+        pm.inconsistent.sort()
+    return PositionRecord(g.origin, pm, list(pm.assignment), found)
+
+
+def advance_positions(record: PositionRecord, g: NavGraph,
+                      changed: Iterable[str]) -> PositionRecord:
+    """`record_positions(g)`, given the `record` of a graph that `g` equals
+    but for the exits of the rooms `changed`.
+
+    The loop restarts at the step of the earliest-processed changed room:
+    the rooms positioned before that step keep their positions, those not
+    yet processed are the queue, and the inconsistencies found at earlier
+    steps stay.  When no changed room was processed, `record` is the
+    answer; a changed origin starts over."""
+    if g.origin != record.origin:
+        return record_positions(g)
+    assignment = record.positions.assignment
+    steps = [record.order.index(n) for n in set(changed) if n in assignment]
+    if not steps:
+        return record
+    step = min(steps)
+    known = record.found[step]
+    inconsistent = record.positions.inconsistent
+    earlier = set(record.order[:step]) if inconsistent else ()
+    pm = PositionMap(dict(islice(assignment.items(), known)),
+                     [inc for inc in inconsistent if inc.via[0] in earlier])
+    found = record.found[:step]
+    _propagate(g.adjacency(), pm, deque(record.order[step:known]), found)
+    pm.inconsistent.sort()
+    return PositionRecord(g.origin, pm, list(pm.assignment), found)
 
 
 def extend_positions(g: NavGraph, pm: PositionMap, edge: Edge) -> bool:

@@ -12,10 +12,13 @@ A context's neighborhood and candidates are computed when the advisor
 first reads them, so a loop iteration pays only for what its advisor
 reads; they stay valid until the chain head moves.
 
-Detection runs here and nowhere else in the loop: once when `run_repair`
-starts and once after each applied commit, the only event that changes
-the map.  Each session starts from the conflicts its predecessor ended
-on, and every context carries them as `ctx.conflicts`.
+Detection runs here and nowhere else in the loop.  `run_repair` detects
+the whole map once, when it starts, as a `Detection`; after each applied
+commit, the only event that changes the map, the session advances that
+detection by the commit's edge deltas (`Detection.advance`) instead of
+detecting the map again.  Each session starts from the detection its
+predecessor ended on, and every context carries it as `ctx.detection`
+and its conflicts as `ctx.conflicts`.
 
 Budget rules: each loop adds one transcript entry.  A mutating proposal
 consumes an attempt whether or not it applies; a version query consumes
@@ -33,7 +36,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .conflict_detector import Conflict, detect_all
+# perfbench wraps `detect_all` by the name this module binds
+from .conflict_detector import Conflict, Detection, detect, detect_all
 from .error_localizer import (
     CandidateEdge, PathPair, PathTree, candidate_edges, minimal_path_pair,
     score_candidates, shortest_path_tree,
@@ -140,11 +144,13 @@ class RepairAction:
         if self.new_direction is not None \
                 and not is_direction(self.new_direction):
             raise IllegalAction(f"not a direction: {self.new_direction!r}")
-        for name, kind in (("new_dst", str), ("node", str), ("new_name", str),
-                           ("version", int), ("i", int), ("j", int)):
+        for name, cls, noun in (
+                ("new_dst", str, "a str"), ("node", str, "a str"),
+                ("new_name", str, "a str"), ("version", int, "an int"),
+                ("i", int, "an int"), ("j", int, "an int")):
             value = getattr(self, name)
-            if value is not None and type(value) is not kind:
-                raise IllegalAction(f"{name} not a {kind.__name__}: {value!r}")
+            if value is not None and type(value) is not cls:
+                raise IllegalAction(f"{name} not {noun}: {value!r}")
 
 
 _UNREAD = object()  # a context part not computed yet
@@ -155,14 +161,15 @@ class AdvisorContext:
 
     `conflict`, `graph`, `chain` (None when version control is disabled),
     `transcript` and `conflicts` (detected at the chain head, one per key)
-    are plain attributes.  `neighborhood`, `candidates` and
-    `ranked_candidates` are computed on first read and cached.  They
-    describe the map at the head the context was built at, and reading one
-    after the head has moved raises StaleContext."""
+    are plain attributes.  `detection`, `neighborhood`, `candidates` and
+    `ranked_candidates` are computed on first read, unless given, and
+    cached.  They describe the map at the head the context was built at,
+    and reading one after the head has moved raises StaleContext."""
 
     def __init__(self, chain: VersionChain, config: ToolConfig,
                  conflict: Conflict, transcript: list[dict],
-                 conflicts: list[Conflict]):
+                 conflicts: list[Conflict],
+                 detection: Optional[Detection] = None):
         self.conflict = conflict
         self.graph = chain.graph
         self.chain = chain if config.version_control else None
@@ -170,6 +177,7 @@ class AdvisorContext:
         self.conflicts = conflicts
         self._source, self._head = chain, chain.head
         self._edge_impact = config.edge_impact
+        self._detection = detection
         self._neighborhood: Optional[NavGraph] = None
         self._found = _UNREAD  # `_suspects` of the conflict
         self._ranked = _UNREAD
@@ -178,6 +186,14 @@ class AdvisorContext:
         if self._source.head != self._head:
             raise StaleContext(f"context built at v{self._head}, "
                                f"chain head is v{self._source.head}")
+
+    @property
+    def detection(self) -> Detection:
+        """The `Detection` of the map at the context's head."""
+        self._check_head()
+        if self._detection is None:
+            self._detection = detect(self.graph, self._head)
+        return self._detection
 
     @property
     def neighborhood(self) -> NavGraph:
@@ -393,21 +409,22 @@ def localize(g: NavGraph, conflict: Conflict, conflicts: list[Conflict],
 
 
 def build_context(chain: VersionChain, config: ToolConfig, conflict: Conflict,
-                  transcript: list[dict],
-                  conflicts: list[Conflict]) -> AdvisorContext:
+                  transcript: list[dict], conflicts: list[Conflict],
+                  detection: Optional[Detection] = None) -> AdvisorContext:
     """The context of `conflict` at the chain head; it computes nothing
     until the advisor reads a part."""
-    return AdvisorContext(chain, config, conflict, transcript, conflicts)
+    return AdvisorContext(chain, config, conflict, transcript, conflicts,
+                          detection)
 
 
 def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
-                primary: Conflict, conflicts: list[Conflict],
+                primary: Conflict, detection: Detection,
                 max_attempts: int = 10
-                ) -> tuple[RepairSession, list[Conflict]]:
-    """Repair `primary`, given the `conflicts` detected at the chain head.
-    Returns the session and the conflicts at the head it ends on."""
-    baseline_keys = {c.key for c in conflicts}
-    current = {c.key: c for c in conflicts}
+                ) -> tuple[RepairSession, Detection]:
+    """Repair `primary`, given the `detection` of the map at the chain
+    head.  Returns the session and the detection at the head it ends on."""
+    baseline_keys = {c.key for c in detection.conflicts}
+    current = {c.key: c for c in detection.conflicts}
     transcript: list[dict] = []
     spent: Counter = Counter()  # attempts per conflict key
     failures = 0  # unusable turns in a row
@@ -431,7 +448,7 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
             break
 
         ctx = build_context(chain, config, target, transcript,
-                            list(current.values()))
+                            list(current.values()), detection)
         entry: dict = {"target": list(target.key)}
         try:
             action = advisor(ctx)
@@ -474,12 +491,13 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
             entry["result"] = result
         else:
             entry["result"] = "applied"
-            conflicts = detect_all(chain.graph, commit=chain.head)
-            current = {c.key: c for c in conflicts}
+            detection = detection.advance(chain.graph, result.deltas,
+                                          commit=chain.head)
+            current = {c.key: c for c in detection.conflicts}
 
     return RepairSession(primary=primary, outcome=outcome,
                          attempts=spent[primary.key], transcript=transcript,
-                         secondary=tuple(secondary_seen.values())), conflicts
+                         secondary=tuple(secondary_seen.values())), detection
 
 
 def run_repair(chain: VersionChain, config: ToolConfig, advisor: Advisor,
@@ -487,14 +505,15 @@ def run_repair(chain: VersionChain, config: ToolConfig, advisor: Advisor,
                ) -> tuple[NavGraph, list[RepairSession], Metrics]:
     sessions: list[RepairSession] = []
     unresolved: set = set()
-    conflicts = detect_all(chain.graph, commit=chain.head)
+    detection = detect(chain.graph, commit=chain.head)
     while True:
-        open_conflicts = [c for c in conflicts if c.key not in unresolved]
+        open_conflicts = [c for c in detection.conflicts
+                          if c.key not in unresolved]
         if not open_conflicts:
             break
         primary = open_conflicts[0]
-        session, conflicts = run_session(chain, config, advisor, primary,
-                                         conflicts, max_attempts=max_attempts)
+        session, detection = run_session(chain, config, advisor, primary,
+                                         detection, max_attempts=max_attempts)
         sessions.append(session)
         if session.outcome != OUTCOME_REPAIRED:
             unresolved.add(primary.key)

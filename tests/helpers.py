@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from maprepair.conflict_detector import (
     KIND_DIRECTIONAL, KIND_NAMING, KIND_TOPOLOGICAL, SUB_ASYMMETRY,
-    SUB_INCONSISTENCY, SUB_OVERLAP, Conflict, detect_all,
+    SUB_INCONSISTENCY, SUB_OVERLAP, Conflict, Detection, detect, detect_all,
 )
 from maprepair.error_localizer import (
     CandidateEdge, PathPair, _minmax, conflict_targets,
@@ -776,14 +776,16 @@ def reference_load(log_path: str | Path, append: bool = False,
 
 def reference_run_session(chain: VersionChain, config: ToolConfig,
                           advisor: Advisor, primary: Conflict,
-                          conflicts: list[Conflict], max_attempts: int = 10,
+                          detection: Detection, max_attempts: int = 10,
                           loop_cap: int = 200
-                          ) -> tuple[SimpleNamespace, list[Conflict]]:
+                          ) -> tuple[SimpleNamespace, Detection]:
     """`run_session` as it was before its turn rule: a loop counter, an
     abandoned set, and separate branches for GiveUp, a disabled version
     tool, queries and mutating proposals.  It calls the live
-    `build_context` and `apply_action`; only the record it returns, with
-    the counted loops, is a namespace instead of a `RepairSession`."""
+    `build_context` and `apply_action`, and detects the whole map again
+    after each applied commit; only the record it returns, with the
+    counted loops, is a namespace instead of a `RepairSession`."""
+    conflicts = detection.conflicts
     baseline_keys = {c.key for c in conflicts}
     current = {c.key: c for c in conflicts}
     transcript: list[dict] = []
@@ -872,14 +874,14 @@ def reference_run_session(chain: VersionChain, config: ToolConfig,
                 DuplicateEdge) as exc:
             entry["error"] = _describe(exc)
         else:
-            conflicts = detect_all(chain.graph, commit=chain.head)
-            current = {c.key: c for c in conflicts}
+            detection = detect(chain.graph, commit=chain.head)
+            current = {c.key: c for c in detection.conflicts}
         transcript.append(entry)
 
     return SimpleNamespace(primary=primary, outcome=outcome,
                            attempts=spent[primary.key], loop_count=loops,
                            transcript=transcript,
-                           secondary=tuple(secondary_seen.values())), conflicts
+                           secondary=tuple(secondary_seen.values())), detection
 
 
 # ---------------------------------------------------------------------------

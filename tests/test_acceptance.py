@@ -14,7 +14,7 @@ from helpers import brute_closure, brute_shortest, edge_by, unapplied
 from maprepair import fault_injector as fi
 from maprepair.advisors import OracleAdvisor
 from maprepair.conflict_detector import (
-    KIND_DIRECTIONAL, SUB_ASYMMETRY, SUB_OVERLAP, detect_all,
+    KIND_DIRECTIONAL, SUB_ASYMMETRY, SUB_OVERLAP, detect, detect_all,
 )
 from maprepair.dataset_refiner import RawEdge, refine
 from maprepair.error_localizer import (
@@ -360,10 +360,11 @@ def test_criterion_8_edge_impact_off_hides_scores():
 
 def test_criterion_8_version_control_off_blocks_queries():
     chain, _ = fi.demo_chain(corrupted=True)
-    conflicts = detect_all(chain.graph, commit=chain.head)
+    detection = detect(chain.graph, commit=chain.head)
+    conflicts = detection.conflicts
     probe = _ProbeAdvisor(action=RepairAction(ACT_RECALL_STEP, version=0))
     session, _ = run_session(chain, ToolConfig(version_control=False), probe,
-                             conflicts[0], conflicts, max_attempts=2)
+                             conflicts[0], detection, max_attempts=2)
     assert probe.contexts
     assert all(ctx.chain is None for ctx in probe.contexts)
     # a blocked query is an unusable turn: three in a row end the session

@@ -13,14 +13,18 @@ from maprepair.advisors import (
     EndpointConfig, HeuristicAdvisor, LlmAdvisor, OracleAdvisor,
     PlaybackAdvisor, _extract_json_object,
 )
-from maprepair.conflict_detector import KIND_DIRECTIONAL, detect_all
+from maprepair.conflict_detector import (
+    KIND_DIRECTIONAL, Detection, detect, detect_all,
+)
 from maprepair.errors import AdvisorFailure, DuplicateEdge
 from maprepair.graph_core import Edge, NavGraph
 from maprepair.repair_engine import (
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_GIVE_UP, RepairAction,
     ToolConfig, build_context, run_repair, run_session,
 )
-from maprepair.version_store import TRIGGER_OBSERVATION, VersionChain, add
+from maprepair.version_store import (
+    TRIGGER_OBSERVATION, VersionChain, add, remove,
+)
 
 
 def _demo_context(config=None):
@@ -316,7 +320,7 @@ def test_llm_prompt_carries_the_session_so_far():
         '{"action": "GiveUp"}'])
     advisor = LlmAdvisor(EndpointConfig("http://fake"), transport=transport)
     first_prompt = advisor.build_prompt(ctx)
-    run_session(chain, ToolConfig(), advisor, ctx.conflict, ctx.conflicts,
+    run_session(chain, ToolConfig(), advisor, ctx.conflict, ctx.detection,
                 max_attempts=1)
     first, second = (call["messages"][0]["content"]
                      for call in transport.calls)
@@ -355,12 +359,13 @@ def test_a_version_tool_with_version_control_off_stops_after_three_turns():
     tool cost neither an attempt nor a failure.  It is an unusable turn,
     so the third one in a row ends the session."""
     chain, _ = fi.demo_chain(corrupted=True)
-    conflicts = detect_all(chain.graph, commit=chain.head)
+    detection = detect(chain.graph, commit=chain.head)
+    conflicts = detection.conflicts
     transport = _fake_transport(
         [json.dumps({"action": "RollbackTo", "version": 0})] * 200)
     advisor = LlmAdvisor(EndpointConfig("http://fake"), transport=transport)
     session, _ = run_session(chain, ToolConfig(version_control=False),
-                             advisor, conflicts[0], conflicts)
+                             advisor, conflicts[0], detection)
     assert len(transport.calls) == 3
     assert session.attempts == 0
     assert [t["error"] for t in session.transcript] == [
@@ -419,13 +424,20 @@ def test_extract_json_object_skips_noise():
 
 
 def test_heuristic_detects_only_its_trial_relabels(monkeypatch):
-    """Each detection the heuristic makes sees the head graph with one
-    edge relabelled and nothing else changed, and none comes after the
-    second label that fixes the conflict: two fixes settle the answer."""
+    """Each detection the heuristic makes advances the head's detection
+    to the head graph with one edge relabelled and nothing else changed,
+    by that relabel's two deltas, equals `detect_all` of that graph, and
+    none comes after the second label that fixes the conflict: two fixes
+    settle the answer."""
     calls = []
     head = {}
+    advance = Detection.advance
 
-    def checked(g, commit=None):
+    def checked(detection, g, deltas, commit=None):
+        found = advance(detection, g, deltas, commit)
+        if "graph" not in head:
+            return found  # the engine's advance by an applied commit
+        assert detection is head["detection"]
         assert g.nodes == head["graph"].nodes
         assert g.origin == head["graph"].origin
         gone = head["graph"].edge_set() - g.edge_set()
@@ -434,24 +446,28 @@ def test_heuristic_detects_only_its_trial_relabels(monkeypatch):
         (e,), (trial,) = gone, new
         assert (trial.src, trial.dst, trial.step_id) == \
             (e.src, e.dst, e.step_id)
+        assert tuple(deltas) == (remove(e), add(trial))
         assert head["fixes"].get(e, 0) < 2, "detected after a second fix"
-        found = detect_all(g, commit)
-        after = {x.key for x in found}
+        assert found.conflicts == detect_all(g, commit)
+        after = {x.key for x in found.conflicts}
         if head["key"] not in after and after <= head["before"]:
             head["fixes"][e] = head["fixes"].get(e, 0) + 1
         calls.append(e)
         return found
 
-    monkeypatch.setattr(advisors, "detect_all", checked)
+    monkeypatch.setattr(Detection, "advance", checked)
     world = fi.generate_grid(4, 4)
     corrupted, ledger = fi.inject(
         world, ["misdirection", "misname", "phantom_edge"], seed=0)
 
     def counted(ctx):
         head.update(graph=NavGraph.from_json(ctx.graph.to_json()),
-                    key=ctx.conflict.key, fixes={},
-                    before={x.key for x in ctx.conflicts})
-        return HeuristicAdvisor()(ctx)
+                    detection=ctx.detection, key=ctx.conflict.key,
+                    fixes={}, before={x.key for x in ctx.conflicts})
+        try:
+            return HeuristicAdvisor()(ctx)
+        finally:
+            head.clear()
 
     run_repair(corrupted.build(), ToolConfig(), counted, ledger=ledger)
     assert calls
@@ -490,10 +506,10 @@ def test_an_interrupted_trial_puts_its_edge_back(monkeypatch):
     assert conflicts[0].kind != KIND_DIRECTIONAL  # so the advisor trials
     ctx = build_context(chain, ToolConfig(), conflicts[0], [], conflicts)
 
-    def interrupted(g, commit=None):
+    def interrupted(detection, g, deltas, commit=None):
         raise Interrupt
 
-    monkeypatch.setattr(advisors, "detect_all", interrupted)
+    monkeypatch.setattr(Detection, "advance", interrupted)
     with pytest.raises(Interrupt):
         HeuristicAdvisor()(ctx)
     assert chain.graph.state_equal(chain.materialize(chain.head))
@@ -520,7 +536,7 @@ def test_trial_relabel_equals_the_reference(graph_and_conflicts, data):
     except DuplicateEdge:
         want = DuplicateEdge
     assert g.state_equal(head)
-    got = advisors._unique_resolving_direction(g, e, key, before)
+    got = advisors._unique_resolving_direction(detect(g), g, e, key, before)
     assert g.state_equal(head)
     assert g.indices_consistent()
     if want is DuplicateEdge:
@@ -552,8 +568,9 @@ def test_recorded_session_replays_identically():
 
 def test_playback_gives_up_when_dry():
     chain, _ = fi.demo_chain(corrupted=True)
-    conflicts = detect_all(chain.graph, commit=chain.head)
+    detection = detect(chain.graph, commit=chain.head)
+    conflicts = detection.conflicts
     session, _ = run_session(chain, ToolConfig(), PlaybackAdvisor([]),
-                             conflicts[0], conflicts, max_attempts=3)
+                             conflicts[0], detection, max_attempts=3)
     assert session.outcome == "exhausted"
     assert session.attempts == 3

@@ -202,6 +202,14 @@ def test_repair_oracle_requires_ledger(built_log, capsys):
      "row 0: true_name not a str: 5"),
     ([{"kind": "misdirection", "step": 3, "true_direction": "sideways"}],
      "row 0: true_direction not a direction: 'sideways'"),
+    ([{"kind": "misdirection", "step": 3, "corrupted_direction": "west"}],
+     "row 0: misdirection missing true_direction"),
+    ([{"kind": "silent_misdirection", "step": 3}],
+     "row 0: silent_misdirection missing true_direction, "
+     "corrupted_direction"),
+    ([{"kind": "phantom_edge", "step": 2},
+      {"kind": "misname", "step": 4, "corrupted_name": "Room 1-1"}],
+     "row 1: misname missing true_name"),
 ])
 def test_repair_with_a_malformed_ledger_exits_2(built_log, capsys, rows,
                                                 message):

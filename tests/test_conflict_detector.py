@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import reference_detect_all, reference_infer_positions
 from maprepair.conflict_detector import (
     KIND_DIRECTIONAL, KIND_NAMING, KIND_TOPOLOGICAL, SUB_ASYMMETRY,
-    SUB_INCONSISTENCY, SUB_OVERLAP, detect_all, unreachable_nodes,
+    SUB_INCONSISTENCY, SUB_OVERLAP, detect, detect_all, unreachable_nodes,
 )
 from maprepair.error_localizer import conflict_targets
 from maprepair.errors import DuplicateEdge
@@ -18,7 +18,8 @@ from maprepair.fault_injector import WorldSpec, _world_from_walk, \
 from maprepair.graph_core import (
     DIRECTIONS, Edge, NavGraph, normalize_name, reverse_direction,
 )
-from maprepair.position_inference import infer_positions
+from maprepair.position_inference import infer_positions, record_positions
+from maprepair.version_store import add, remove
 
 
 def _clean_square():
@@ -262,6 +263,63 @@ def test_detection_and_positions_equal_the_reference(g, commit):
     assert pm == ref
     assert list(pm.assignment.items()) == list(ref.assignment.items())
     assert detect_all(g, commit) == reference_detect_all(g, commit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs(), st.randoms(use_true_random=False), st.integers(0, 99))
+def test_detection_does_not_depend_on_insertion_order(g, rnd, i):
+    """The same map with its edges inserted in another order, or with one
+    edge removed and put back at the end of its index level, as a
+    heuristic trial leaves it, has the same detection and the same
+    positions, positioned in the same order.  So the head's detection
+    still holds after a trial that was put back."""
+    want, pm = detect(g, 7), infer_positions(g)
+    assert want.conflicts == detect_all(g, 7)
+    edges = sorted(g.edges())
+    rnd.shuffle(edges)
+    shuffled = NavGraph()
+    for nid, name in g.nodes.items():
+        shuffled.add_node(name, node_id=nid)
+    shuffled.origin = g.origin
+    for e in edges:
+        shuffled.insert_edge(e)
+    if edges:
+        e = edges[i % len(edges)]
+        g.remove_edge(e)
+        g.insert_edge(e)
+    for h in (shuffled, g):
+        assert h.indices_consistent()
+        assert detect_all(h, 7) == want.conflicts
+        assert detect(h, 7) == want
+        assert list(infer_positions(h).assignment.items()) == \
+            list(pm.assignment.items())
+        assert infer_positions(h) == pm
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs(), st.lists(st.tuples(st.integers(0, 99),
+                                     st.sampled_from(DIRECTIONS)),
+                           min_size=1, max_size=4))
+def test_a_relabel_advances_to_the_detection_of_the_map(g, relabels):
+    """Relabelling any edge to any free label and advancing the detection
+    by the relabel's two deltas gives the detection of the relabelled map:
+    the same conflicts in the same order and stamps, and the positions of
+    `infer_positions` with the record of a fresh inference."""
+    detection = detect(g, 0)
+    for n, (i, d) in enumerate(relabels, start=1):
+        edges = sorted(g.edges())
+        if not edges:
+            return
+        e = edges[i % len(edges)]
+        if d == e.direction or e.step_id in g.adjacency()[e.src].get(d, ()):
+            continue
+        g.remove_edge(e)
+        trial = g.add_edge(e.src, e.dst, d, e.step_id)
+        detection = detection.advance(g, [remove(e), add(trial)], n)
+        assert detection.conflicts == detect_all(g, n)
+        assert detection.positions == infer_positions(g)
+        assert detection.record == record_positions(g)
+        assert detection == detect(g, n)
 
 
 def _counting(counts, key, real):

@@ -6,18 +6,21 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import reference_detect_all, reference_run_session, unapplied
 from maprepair import advisors, error_localizer, repair_engine
 from maprepair import fault_injector as fi
-from maprepair.conflict_detector import KIND_DIRECTIONAL, detect_all
+from maprepair.conflict_detector import (
+    KIND_DIRECTIONAL, Detection, detect, detect_all,
+)
 from maprepair.errors import (
     AdvisorFailure, IllegalAction, MapRepairError, StaleContext,
     UnknownVersion,
 )
 from maprepair.graph_core import DIRECTIONS, Edge, NavGraph
 from maprepair.metrics_bench import OUTCOME_EXHAUSTED
+from maprepair.position_inference import infer_positions, record_positions
 from maprepair.repair_engine import (
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_DIFF_VERSIONS, ACT_GIVE_UP,
     ACT_MERGE_NODES, ACT_RECALL_STEP, ACT_REDIRECT_EDGE, ACT_RENAME_NODE,
@@ -84,6 +87,20 @@ def test_action_shape_validation():
     for d in wrong_types:
         with pytest.raises(IllegalAction):
             RepairAction.from_json(d)
+
+
+@pytest.mark.parametrize("action, message", [
+    (RepairAction(ACT_ROLLBACK_TO, version="3"), "version not an int: '3'"),
+    (RepairAction(ACT_DIFF_VERSIONS, i=0, j=1.0), "j not an int: 1.0"),
+    (RepairAction(ACT_RENAME_NODE, node="n3", new_name=5),
+     "new_name not a str: 5"),
+])
+def test_a_wrong_typed_field_is_named_with_its_article(action, message):
+    """The refusal reaches the llm advisor's transcript and prompt, so it
+    reads "not an int", not "not a int"."""
+    with pytest.raises(IllegalAction) as refused:
+        action.validate_shape()
+    assert str(refused.value) == message
 
 
 def test_each_kind_requires_the_fields_of_the_action_table():
@@ -328,18 +345,19 @@ def test_a_rollback_to_the_head_spends_an_attempt_and_writes_no_commit():
     session's budget, one refusal per attempt, and leaves the chain as it
     was."""
     chain, _ = _demo()
-    conflicts = _conflicts(chain)
+    detection = _detection(chain)
+    conflicts = detection.conflicts
     head, commits = chain.head, list(chain.commits)
     session, after = run_session(
         chain, ToolConfig(),
         lambda ctx: RepairAction(ACT_ROLLBACK_TO, version=ctx.chain.head),
-        conflicts[0], conflicts, max_attempts=3)
+        conflicts[0], detection, max_attempts=3)
     assert session.outcome == OUTCOME_EXHAUSTED
     assert session.attempts == 3
     assert [t["error"] for t in session.transcript] == \
         ["IllegalAction: state is unchanged"] * 3
     assert chain.head == head and chain.commits == commits
-    assert after == conflicts
+    assert after.conflicts == conflicts
 
 
 @settings(max_examples=100, deadline=None)
@@ -384,7 +402,8 @@ def test_version_tools_refuse_an_unknown_version_alike(kind, past_head):
     0 or after the head with `UnknownVersion`, which the transcript
     records, and make no commit."""
     chain, _ = _demo()
-    conflicts = _conflicts(chain)
+    detection = _detection(chain)
+    conflicts = detection.conflicts
     head, commits, before = chain.head, list(chain.commits), \
         chain.graph.copy()
     version = head + 1 if past_head else -1
@@ -394,7 +413,7 @@ def test_version_tools_refuse_an_unknown_version_alike(kind, past_head):
         apply_action(chain, RepairAction(kind, **fields))
     script = iter([RepairAction(kind, **fields), RepairAction(ACT_GIVE_UP)])
     session, _ = run_session(chain, ToolConfig(), lambda ctx: next(script),
-                             conflicts[0], conflicts, max_attempts=1)
+                             conflicts[0], detection, max_attempts=1)
     assert session.transcript[0]["error"] == \
         f"UnknownVersion: version {version} not in 0..{head}"
     assert "result" not in session.transcript[0]
@@ -435,13 +454,18 @@ def test_a_repair_commit_is_stamped_with_its_own_index():
     assert [c.obs_id for c in repairs] == [c.index for c in repairs]
 
 
+def _detection(chain):
+    return detect(chain.graph, commit=chain.head)
+
+
 def _conflicts(chain):
-    return detect_all(chain.graph, commit=chain.head)
+    return _detection(chain).conflicts
 
 
 def test_give_up_consumes_attempts_until_exhausted():
     chain, _ = _demo()
-    conflicts = _conflicts(chain)
+    detection = _detection(chain)
+    conflicts = detection.conflicts
     primary = conflicts[0]
     calls = []
 
@@ -450,7 +474,7 @@ def test_give_up_consumes_attempts_until_exhausted():
         return RepairAction(ACT_GIVE_UP)
 
     session, _ = run_session(chain, ToolConfig(), advisor, primary,
-                             conflicts, max_attempts=4)
+                             detection, max_attempts=4)
     assert session.outcome == "exhausted"
     assert session.attempts == 4
     assert len(calls) == 4
@@ -458,14 +482,15 @@ def test_give_up_consumes_attempts_until_exhausted():
 
 def test_three_consecutive_advisor_failures_abort():
     chain, _ = _demo()
-    conflicts = _conflicts(chain)
+    detection = _detection(chain)
+    conflicts = detection.conflicts
     primary = conflicts[0]
 
     def advisor(ctx):
         raise AdvisorFailure("no endpoint")
 
     session, _ = run_session(chain, ToolConfig(), advisor, primary,
-                             conflicts, max_attempts=10)
+                             detection, max_attempts=10)
     assert session.outcome == "exhausted"
     assert session.loop_count == 3
     assert session.attempts == 0
@@ -473,7 +498,8 @@ def test_three_consecutive_advisor_failures_abort():
 
 def test_failures_counter_resets_on_success():
     chain, _ = _demo()
-    conflicts = _conflicts(chain)
+    detection = _detection(chain)
+    conflicts = detection.conflicts
     primary = conflicts[0]
     state = {"n": 0}
 
@@ -484,14 +510,15 @@ def test_failures_counter_resets_on_success():
         raise AdvisorFailure("flaky")
 
     session, _ = run_session(chain, ToolConfig(), advisor, primary,
-                             conflicts, max_attempts=2)
+                             detection, max_attempts=2)
     assert session.outcome == "exhausted"
     assert session.attempts == 2  # two GiveUps got through
 
 
 def test_queries_cost_loops_not_attempts():
     chain, _ = _demo()
-    conflicts = _conflicts(chain)
+    detection = _detection(chain)
+    conflicts = detection.conflicts
     primary = conflicts[0]
     bad = _edge(chain, 5)
     script = [RepairAction(ACT_RECALL_STEP, version=5),
@@ -507,7 +534,7 @@ def test_queries_cost_loops_not_attempts():
         return next(it)
 
     session, _ = run_session(chain, ToolConfig(), advisor, primary,
-                             conflicts, max_attempts=10)
+                             detection, max_attempts=10)
     assert session.outcome == "repaired"
     assert session.attempts == 1       # only the primary's mutating action
     assert session.loop_count == 4
@@ -516,7 +543,8 @@ def test_queries_cost_loops_not_attempts():
 
 def test_illegal_proposal_spends_attempt_but_session_continues():
     chain, _ = _demo()
-    conflicts = _conflicts(chain)
+    detection = _detection(chain)
+    conflicts = detection.conflicts
     primary = conflicts[0]
     bad = _edge(chain, 5)
     script = [RepairAction(ACT_DELETE_EDGE,
@@ -528,7 +556,7 @@ def test_illegal_proposal_spends_attempt_but_session_continues():
                            new_direction="southeast")]
     it = iter(script)
     session, _ = run_session(chain, ToolConfig(), lambda ctx: next(it),
-                             primary, conflicts, max_attempts=10)
+                             primary, detection, max_attempts=10)
     assert session.outcome == "repaired"
     assert session.attempts == 2
     assert "IllegalAction" in session.transcript[0]["error"]
@@ -536,9 +564,10 @@ def test_illegal_proposal_spends_attempt_but_session_continues():
 
 def _secondary_session(chain, then, max_attempts):
     """Fix the demo's primary, which exposes one secondary, and answer
-    every later turn with `then`.  Returns the session, the conflicts at
+    every later turn with `then`.  Returns the session, the detection at
     its end and the target of every turn."""
-    conflicts = _conflicts(chain)
+    detection = _detection(chain)
+    conflicts = detection.conflicts
     fix = RepairAction(ACT_CHANGE_DIRECTION, edge=_edge(chain, 5),
                        new_direction="east")
     targets = []
@@ -548,7 +577,7 @@ def _secondary_session(chain, then, max_attempts):
         return fix if len(targets) == 1 else then
 
     session, after = run_session(chain, ToolConfig(), advisor, conflicts[0],
-                                 conflicts, max_attempts=max_attempts)
+                                 detection, max_attempts=max_attempts)
     return session, after, targets
 
 
@@ -564,7 +593,8 @@ def test_a_secondary_given_up_on_is_not_targeted_again():
     assert session.loop_count == len(session.transcript) == 2
     assert session.transcript[1]["result"] == "gave up"
     assert [c.key for c in session.secondary] == [secondary]
-    assert secondary in {c.key for c in after}  # still open, not retried
+    # still open, not retried
+    assert secondary in {c.key for c in after.conflicts}
 
 
 def test_an_exhausted_secondary_is_not_targeted_again():
@@ -579,7 +609,7 @@ def test_an_exhausted_secondary_is_not_targeted_again():
     assert session.attempts == 1
     assert session.loop_count == 4
     assert all("IllegalAction" in t["error"] for t in session.transcript[1:])
-    assert targets[1] in {c.key for c in after}
+    assert targets[1] in {c.key for c in after.conflicts}
 
 
 class _ScriptedAdvisor:
@@ -667,7 +697,8 @@ def test_run_session_matches_the_reference(world, fault_seed, advisor_seed,
 
 def test_context_neighborhood_is_local():
     chain, _ = _demo()
-    conflicts = _conflicts(chain)
+    detection = _detection(chain)
+    conflicts = detection.conflicts
     primary = conflicts[0]
     seen = {}
 
@@ -675,7 +706,7 @@ def test_context_neighborhood_is_local():
         seen["ctx"] = ctx
         return RepairAction(ACT_GIVE_UP)
 
-    run_session(chain, ToolConfig(), advisor, primary, conflicts,
+    run_session(chain, ToolConfig(), advisor, primary, detection,
                 max_attempts=1)
     ctx = seen["ctx"]
     assert set(primary.nodes) <= set(ctx.neighborhood.nodes)
@@ -705,15 +736,21 @@ def _repaired(world, ledger, advisor, log):
 def test_repair_runs_as_with_the_reference_detector(tmp_path):
     calls = []
 
-    def reference(g, commit=None):
-        calls.append(commit)
-        return reference_detect_all(g, commit)
+    class Reference:
+        """A `Detection` that detects the whole map with the reference
+        detector at every head and in every heuristic trial."""
+
+        def __init__(self, g, commit=None):
+            calls.append(commit)
+            self.conflicts = reference_detect_all(g, commit)
+
+        def advance(self, g, deltas, commit=None):
+            return Reference(g, commit)
 
     for n, (world, ledger) in enumerate(_repair_cases()):
         for name, make in (("oracle", lambda: advisors.OracleAdvisor(ledger)),
                            ("heuristic", advisors.HeuristicAdvisor)):
-            with mock.patch.object(repair_engine, "detect_all", reference), \
-                    mock.patch.object(advisors, "detect_all", reference):
+            with mock.patch.object(repair_engine, "detect", Reference):
                 want = _repaired(world, ledger, make(),
                                  tmp_path / f"{n}-{name}-ref.jsonl")
             got = _repaired(world, ledger, make(),
@@ -732,22 +769,133 @@ def _visible_fault_chains():
 
 @pytest.mark.parametrize("advisor", ["oracle", "heuristic"])
 def test_repair_detects_once_per_chain_head(advisor):
+    """The whole map is detected once, at the start; after each applied
+    commit that detection is advanced by the commit's deltas, to a
+    detection equal to one of the whole map.  A heuristic trial's advance
+    is stamped with no head and is not counted."""
     for name, (chain, ledger) in _visible_fault_chains():
         heads = []
+        advance = Detection.advance
 
-        def counting(g, commit=None):
-            heads.append(commit)
-            return detect_all(g, commit)
+        def detecting(g, commit=None):
+            heads.append(("detect", commit))
+            return detect(g, commit)
+
+        def advancing(detection, g, deltas, commit=None):
+            found = advance(detection, g, deltas, commit)
+            if commit is not None:
+                assert list(deltas) == list(chain.commits[commit].deltas)
+                assert found == detect(g, commit)
+                heads.append(("advance", commit))
+            return found
 
         start = chain.head
         make = {"oracle": lambda: advisors.OracleAdvisor(ledger),
                 "heuristic": advisors.HeuristicAdvisor}[advisor]
-        with mock.patch.object(repair_engine, "detect_all", counting):
+        with mock.patch.object(repair_engine, "detect", detecting), \
+                mock.patch.object(Detection, "advance", advancing):
             run_repair(chain, ToolConfig(), make(), ledger=ledger)
         applied = chain.head - start
         assert applied > 0, name
-        # once at the start, then once after each applied commit
-        assert heads == list(range(start, chain.head + 1)), name
+        assert heads == [("detect", start)] + [
+            ("advance", head) for head in range(start + 1, chain.head + 1)
+        ], name
+
+
+_SPECS = st.one_of(
+    st.builds(lambda w, h: fi.WorldSpec("grid", (w, h)),
+              st.integers(2, 4), st.integers(2, 4)),
+    st.builds(lambda d, b: fi.WorldSpec("tree", (d, b)),
+              st.integers(2, 3), st.integers(2, 3)),
+    st.builds(lambda n: fi.WorldSpec("loopchain", (n,)), st.integers(4, 16)),
+    st.builds(lambda w, h, m, s: fi.WorldSpec("walk", (w, h, m, s)),
+              st.integers(2, 4), st.integers(2, 4), st.integers(4, 30),
+              st.integers(0, 99)))
+_KINDS = st.lists(st.sampled_from((fi.FAULT_MISDIRECTION, fi.FAULT_MISNAME,
+                                   fi.FAULT_PHANTOM, fi.FAULT_SILENT)),
+                  min_size=1, max_size=3, unique=True)
+
+
+def _faulted_chain(spec, kinds, seed):
+    try:
+        world, ledger = fi.inject(fi.generate_world(spec), kinds, seed=seed)
+    except ValueError:  # no fault of some kind fits this world
+        assume(False)
+    return world.build(), ledger
+
+
+def _assert_whole(detection, g, commit):
+    """`detection` is the detection of all of `g` at `commit`."""
+    assert detection.conflicts == detect_all(g, commit)
+    assert detection.positions == infer_positions(g)
+    assert detection == detect(g, commit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_SPECS, kinds=_KINDS, seed=st.integers(0, 9),
+       advisor=st.sampled_from(["oracle", "heuristic"]))
+def test_every_advance_of_a_repair_equals_detection_of_the_whole_map(
+        spec, kinds, seed, advisor):
+    """After every commit of `run_repair`, and in every heuristic trial,
+    the advanced detection equals `detect_all` of the whole map: the same
+    conflicts in the same order with the same stamps, and the positions
+    `infer_positions` gives."""
+    chain, ledger = _faulted_chain(spec, kinds, seed)
+    advance, heads = Detection.advance, []
+
+    def checked(detection, g, deltas, commit=None):
+        found = advance(detection, g, deltas, commit)
+        _assert_whole(found, g, commit)
+        heads.append(commit)
+        return found
+
+    start = chain.head
+    make = {"oracle": lambda: advisors.OracleAdvisor(ledger),
+            "heuristic": advisors.HeuristicAdvisor}[advisor]
+    with mock.patch.object(Detection, "advance", checked):
+        run_repair(chain, ToolConfig(), make(), ledger=ledger)
+    assert [h for h in heads if h is not None] == \
+        list(range(start + 1, chain.head + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_SPECS, kinds=_KINDS, seed=st.integers(0, 9), data=st.data())
+def test_each_action_kind_advances_to_detection_of_the_whole_map(
+        spec, kinds, seed, data):
+    """Any mutating action applied by hand, `RollbackTo` and `MergeNodes`
+    included, advances the detection to that of the whole map."""
+    chain, _ = _faulted_chain(spec, kinds, seed)
+    detection = detect(chain.graph, chain.head)
+    for _ in range(data.draw(st.integers(1, 6))):
+        g = chain.graph
+        kind = data.draw(st.sampled_from(sorted(MUTATING_ACTIONS)))
+        nodes = st.sampled_from(sorted(g.nodes))
+        if kind == ACT_ROLLBACK_TO:
+            version = data.draw(st.integers(0, chain.head))
+            action = RepairAction(kind, version=version)
+        elif kind == ACT_RENAME_NODE:
+            action = RepairAction(kind, node=data.draw(nodes),
+                                  new_name=data.draw(st.sampled_from(
+                                      sorted(set(g.nodes.values())))))
+        elif kind == ACT_MERGE_NODES:
+            action = RepairAction(kind, node=data.draw(nodes),
+                                  new_dst=data.draw(nodes))
+        elif not g.edge_set():
+            continue
+        else:
+            e = data.draw(st.sampled_from(sorted(g.edges())))
+            action = RepairAction(
+                kind, edge=e,
+                new_direction=data.draw(st.sampled_from(DIRECTIONS))
+                if kind == ACT_CHANGE_DIRECTION else None,
+                new_dst=data.draw(nodes) if kind == ACT_REDIRECT_EDGE
+                else None)
+        try:
+            commit = apply_action(chain, action)
+        except MapRepairError:
+            continue
+        detection = detection.advance(g, commit.deltas, chain.head)
+        _assert_whole(detection, g, chain.head)
 
 
 _PARTS = ("neighborhood", "candidates", "ranked_candidates")
