@@ -10,8 +10,8 @@ one replay of recorded commits; `materialize` and the fault trials of
 One check, `_check_commit`, decides whether a commit is well-formed, that
 is, whether `_line` can write it as a line `load` reads back as the same
 commit.  `commit` runs it before any step applies, with or without a log,
-and `Commit.from_json` runs it on each line `load` reads, so both refuse
-the same commits.
+and `Commit.from_row` (or, on an object line, `Commit.from_json`) runs it
+on each line `load` reads, so both refuse the same commits.
 
 A commit is applied to the live graph in straight-line code
 (`_apply_commit`), the only code that turns a commit into graph edits: new
@@ -26,9 +26,12 @@ step (`InvalidDelta`), since undoing it would leave that name behind.
 
 With a log path set, the commit's JSONL line is then written by the one
 line writer, `_line`, and appended to the log, unbuffered (and, with
-`fsync=True`, synced to disk with `os.fsync`).  `_line` formats the line
-in one pass, byte for byte what `json.dumps(commit.to_json())` and a
-newline would be: keys in `to_json` order, strings through the C escaper of
+`fsync=True`, synced to disk with `os.fsync`).  The line is a row, one
+JSON array of 8 columns read by position: `[index, [[op, src, dst, dir,
+step], ...], trigger, obs_id, analysis, [[id, name], ...], [[id, old,
+new], ...], [[id, name], ...]]`, the last three the new nodes, renames and
+drops.  `_line` formats it in one pass, byte for byte what `json.dumps` of
+that list and a newline would be: strings through the C escaper of
 `json.dumps` under `ensure_ascii`, ints as `int.__repr__` writes them.  A
 failed write and a failed sync undo the commit and cut the log back to
 where the line started, so no part of the line stays in the file or in a
@@ -44,12 +47,22 @@ recursion limit; see `_decode`).  `Commit`, `EdgeDelta` and `Edge` are
 named tuples, built from a decoded line (and by `commit`) with
 `tuple.__new__`, which skips their Python-level `__new__`.
 
-A line loads only if its step lists are JSON arrays, its commit passes
-the check, comes next in sequence and applies to the graph the lines
-before it built; a key it does not read (an older line's `step_id`) is
-ignored.  A torn final line (cut off before its newline) that does not
-decode to a commit passing the check is dropped with a warning; any other
-line that does not load raises `CorruptLog` with the file and line.
+A row is built into its commit by `Commit.from_row`; a line that decodes
+to anything else goes to `Commit.from_json`, which reads the object lines
+earlier versions wrote (keys `index`, `deltas` of `op`, `src`, `dst`,
+`dir` and `step`, `trigger`, `obs_id`, `analysis`, and `nodes`, `renames`
+and `drops` when non-empty).  A log may mix the two, as `load(append=True)`
+continues an object-line log with rows.  A line loads only if it has the
+shape its writer gave it (a row of 8 columns whose step lists hold arrays
+of 5, 2, 3 and 2 items; an object whose step lists are JSON arrays), its
+commit passes the check, comes next in sequence and applies to the graph
+the lines before it built; a key an object line does not need (an older
+line's `step_id`) is ignored.  A torn final line (cut off before its
+newline) that does not decode to a commit passing the check is dropped
+with a warning, and `load(append=True)` cuts it off the file, ends a kept
+final line that lacks its newline, and otherwise leaves the file as it
+was, its modification time included; any other line that does not load
+raises `CorruptLog` with the file and line.
 """
 
 from __future__ import annotations
@@ -128,6 +141,28 @@ class Commit(NamedTuple):
             tuple([(n["id"], n["name"]) for n in _array(d, "drops")]),
         )))
 
+    @classmethod
+    def from_row(cls, row: list) -> "Commit":
+        """The commit of a row, the JSON array `_line` writes.  A row
+        `_line` could not have written raises before `_check_commit` runs:
+        one of other than 8 columns `ValueError`, and a step list that is
+        not an array of arrays of 5 (a delta), 2 (a node or drop) or 3 (a
+        rename) items `TypeError` (`_items`)."""
+        if len(row) != 8:
+            raise ValueError(f"a row has {len(row)} columns, not 8")
+        index, deltas, trigger, obs_id, analysis, nodes, renames, drops = row
+        return _check_commit(_new(cls, (
+            index,
+            tuple([_new(EdgeDelta, (op, _new(Edge, (src, dst, direction,
+                                                     step))))
+                   for op, src, dst, direction, step
+                   in _items(deltas, 5, "deltas")]),
+            trigger, obs_id, analysis,
+            tuple(map(tuple, _items(nodes, 2, "nodes"))),
+            tuple(map(tuple, _items(renames, 3, "renames"))),
+            tuple(map(tuple, _items(drops, 2, "drops"))),
+        )))
+
 
 def _array(d: dict, key: str, required: bool = False) -> list:
     """`d[key]` (`[]` if absent and not `required`) if it is a JSON array;
@@ -135,6 +170,19 @@ def _array(d: dict, key: str, required: bool = False) -> list:
     value = d[key] if required else d.get(key, [])
     if type(value) is not list:
         raise TypeError(f"{key} is not an array: {value!r}")
+    return value
+
+
+def _items(value: list, size: int, key: str) -> list:
+    """`value`, the `key` column of a row, if it is a JSON array of JSON
+    arrays of `size` items each; anything else raises `TypeError`, an item
+    that is a str or an object of `size` items included."""
+    if type(value) is not list:
+        raise TypeError(f"{key} is not an array: {value!r}")
+    for item in value:
+        if type(item) is not list or len(item) != size:
+            raise TypeError(f"{key} holds {item!r}, not an array of {size} "
+                            f"items")
     return value
 
 
@@ -278,7 +326,7 @@ class VersionChain:
         self.fsync = fsync
         self.log_path = Path(log_path) if log_path else None
         if self.log_path:
-            self._log = _open_log(self.log_path, exclusive=True)
+            self._log = _open_log(self.log_path)
 
     @classmethod
     def from_commits(cls, commits: Iterable[Commit]) -> "VersionChain":
@@ -356,43 +404,54 @@ class VersionChain:
     @classmethod
     def load(cls, log_path: str | Path, append: bool = False,
              fsync: bool = False) -> "VersionChain":
-        """Replay the log at `log_path`.  With `append`, later commits go
-        to its end, after a torn final line is cut off, and are synced to
-        disk when `fsync` is set."""
+        """Replay the log at `log_path`.  With `append`, the log is opened
+        once, for reading and appending, and later commits go to its end,
+        after a torn final line is cut off, and are synced to disk when
+        `fsync` is set."""
         chain = cls(fsync=fsync)
         good_end, kept = 0, b"\n"  # end of the last line kept, and that line
-        with open(log_path, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                if raw.strip():
-                    try:
-                        c = Commit.from_json(_decode(raw))
-                    except (ValueError, KeyError, TypeError) as exc:
-                        if raw.endswith(b"\n"):
+        torn = False
+        fd = os.open(log_path,
+                     os.O_RDWR | os.O_APPEND if append else os.O_RDONLY)
+        try:
+            with open(fd, "rb", closefd=False) as fh:
+                for lineno, raw in enumerate(fh, start=1):
+                    if raw.strip():
+                        try:
+                            value = _decode(raw)
+                            c = (Commit.from_row(value)
+                                 if type(value) is list
+                                 else Commit.from_json(value))
+                        except (ValueError, KeyError, TypeError) as exc:
+                            if raw.endswith(b"\n"):
+                                raise CorruptLog(
+                                    f"{log_path}:{lineno}: {exc}") from exc
+                            warnings.warn(f"{log_path}:{lineno}: dropped a "
+                                          f"torn final line ({len(raw)} "
+                                          f"bytes)")
+                            torn = True
+                            break
+                        if c.index != len(chain.commits):
+                            raise CorruptLog(
+                                f"{log_path}:{lineno}: commit {c.index} "
+                                f"where {len(chain.commits)} was expected")
+                        try:
+                            _apply_commit(chain.graph, c)
+                        except MapRepairError as exc:
                             raise CorruptLog(
                                 f"{log_path}:{lineno}: {exc}") from exc
-                        warnings.warn(f"{log_path}:{lineno}: dropped a torn "
-                                      f"final line ({len(raw)} bytes)")
-                        break
-                    if c.index != len(chain.commits):
-                        raise CorruptLog(
-                            f"{log_path}:{lineno}: commit {c.index} where "
-                            f"{len(chain.commits)} was expected")
-                    try:
-                        _apply_commit(chain.graph, c)
-                    except MapRepairError as exc:
-                        raise CorruptLog(
-                            f"{log_path}:{lineno}: {exc}") from exc
-                    chain.commits.append(c)
-                good_end, kept = good_end + len(raw), raw
-        if append:
-            with open(log_path, "r+b") as fh:
-                fh.truncate(good_end)
+                        chain.commits.append(c)
+                    good_end, kept = good_end + len(raw), raw
+            if append:
+                if torn:  # a same-size truncate would still touch the file
+                    os.ftruncate(fd, good_end)
                 if not kept.endswith(b"\n"):
-                    fh.seek(good_end)
-                    good_end += fh.write(b"\n")
-            chain.log_path = Path(log_path)
-            chain._log = _open_log(chain.log_path)
-            chain._log_end = good_end
+                    good_end += os.write(fd, b"\n")
+                chain._log = open(fd, "ab", buffering=0)
+                chain.log_path, chain._log_end = Path(log_path), good_end
+        finally:
+            if chain._log is None:  # the chain did not take the descriptor
+                os.close(fd)
         return chain
 
 
@@ -400,33 +459,28 @@ _str = json.encoder.encode_basestring_ascii  # json.dumps's, ensure_ascii
 
 
 def _line(c: Commit) -> bytes:
-    """The log line of `c`: `json.dumps(c.to_json()) + "\\n"`, byte for byte,
-    formatted in one pass.  Keys come in `to_json` order, and `nodes`,
-    `renames` and `drops` only when they are non-empty.  Strings go through
-    the C escaper `json.dumps` uses under `ensure_ascii`.  Every int field
-    is an exact int (`_check_commit` saw to it), so `!r` writes it as
-    `int.__repr__` does, which is what `json.dumps` writes."""
+    """The log line of `c`, its row: `json.dumps([index, [[op, src, dst,
+    dir, step], ...], trigger, obs_id, analysis, [[id, name], ...], [[id,
+    old, new], ...], [[id, name], ...]]) + "\\n"`, byte for byte, formatted
+    in one pass.  All 8 columns are written, empty step lists included.
+    Strings go through the C escaper `json.dumps` uses under
+    `ensure_ascii`.  Every int field is an exact int (`_check_commit` saw
+    to it), so `!r` writes it as `int.__repr__` does, which is what
+    `json.dumps` writes."""
     index, deltas, trigger, obs_id, analysis, nodes, renames, drops = c
-    line = (f'{{"index": {index!r}, "deltas": ['
-            + ", ".join([f'{{"op": {_str(op)}, "src": {_str(src)}, '
-                         f'"dst": {_str(dst)}, "dir": {_str(direction)}, '
-                         f'"step": {step!r}}}'
-                         for op, (src, dst, direction, step) in deltas])
-            + f'], "trigger": {_str(trigger)}, "obs_id": {obs_id!r}, '
-              f'"analysis": {_str(analysis)}')
-    if nodes:
-        line += ', "nodes": [' + ", ".join([
-            f'{{"id": {_str(nid)}, "name": {_str(name)}}}'
-            for nid, name in nodes]) + "]"
-    if renames:
-        line += ', "renames": [' + ", ".join([
-            f'{{"id": {_str(nid)}, "old": {_str(old)}, "new": {_str(new)}}}'
-            for nid, old, new in renames]) + "]"
-    if drops:
-        line += ', "drops": [' + ", ".join([
-            f'{{"id": {_str(nid)}, "name": {_str(name)}}}'
-            for nid, name in drops]) + "]"
-    return (line + "}\n").encode()
+    delta_items = ", ".join([
+        f"[{_str(op)}, {_str(src)}, {_str(dst)}, {_str(direction)}, "
+        f"{step!r}]" for op, (src, dst, direction, step) in deltas])
+    # an empty step list skips its comprehension, a call of its own
+    node_items = ", ".join([f"[{_str(nid)}, {_str(name)}]"
+                            for nid, name in nodes]) if nodes else ""
+    rename_items = ", ".join([f"[{_str(nid)}, {_str(old)}, {_str(new)}]"
+                              for nid, old, new in renames]) if renames else ""
+    drop_items = ", ".join([f"[{_str(nid)}, {_str(name)}]"
+                            for nid, name in drops]) if drops else ""
+    return (f"[{index!r}, [{delta_items}], {_str(trigger)}, {obs_id!r}, "
+            f"{_str(analysis)}, [{node_items}], [{rename_items}], "
+            f"[{drop_items}]]\n").encode()
 
 
 _scan_once = json.JSONDecoder().scan_once
@@ -449,10 +503,9 @@ def _decode(raw: bytes):
     return value
 
 
-def _open_log(path: Path, exclusive: bool = False) -> IO[bytes]:
-    """Open `path` for unbuffered appends; with `exclusive`, create it and
-    raise `FileExistsError` if it exists.  Every write goes to the end of
-    the file, also after the file was cut back."""
-    flags = os.O_EXCL if exclusive else 0
+def _open_log(path: Path) -> IO[bytes]:
+    """Create `path` for unbuffered appends, raising `FileExistsError` if
+    it exists.  Every write goes to the end of the file, also after the
+    file was cut back."""
     return open(path, "ab", buffering=0,
-                opener=lambda p, f: os.open(p, f | flags))
+                opener=lambda p, f: os.open(p, f | os.O_EXCL))

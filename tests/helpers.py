@@ -54,7 +54,7 @@ from maprepair.transcript_parser import (
 )
 from maprepair.version_store import (
     TRIGGER_OBSERVATION, Commit, EdgeDelta, VersionChain, _apply_commit,
-    _inverse, _open_log, add,
+    _inverse, add,
 )
 
 
@@ -676,9 +676,11 @@ def reference_unique_resolving_direction(g: NavGraph, e: Edge, conflict_key,
 # log replay as first written: `json.loads` on every line, any delta op
 # accepted (an op other than "+" removes), and a commit that does not apply
 # raised as it is.  The bodies are verbatim but for their names (the undo
-# of a rejected commit is inline in `reference_apply_commit`) and for the
-# origin: they edit a `NavGraph`, which refuses a drop of the origin while
-# other rooms remain, so the undo needs no origin restore.
+# of a rejected commit is inline in `reference_apply_commit`), for the
+# origin (they edit a `NavGraph`, which refuses a drop of the origin while
+# other rooms remain, so the undo needs no origin restore) and for rows: a
+# line that decodes to an array is read by position, unchecked
+# (`reference_commit_from_row`).
 # `load` and `reference_apply_commit` take what they call as parameters,
 # so a test can model a fix in one of them.
 
@@ -737,9 +739,32 @@ def reference_commit_from_json(d: dict) -> Commit:
     )
 
 
+def reference_commit_from_row(row: list) -> Commit:
+    index, deltas, trigger, obs_id, analysis, nodes, renames, drops = row
+    return Commit(
+        index=index,
+        deltas=tuple(EdgeDelta(op, Edge(src, dst, direction, step))
+                     for op, src, dst, direction, step in deltas),
+        trigger=trigger,
+        obs_id=obs_id,
+        analysis=analysis,
+        new_nodes=tuple((nid, name) for nid, name in nodes),
+        renames=tuple((nid, old, new) for nid, old, new in renames),
+        drops=tuple((nid, name) for nid, name in drops),
+    )
+
+
+def reference_commit_from_line(value) -> Commit:
+    """The commit of a decoded line: a row by position, any other value as
+    an object."""
+    if type(value) is list:
+        return reference_commit_from_row(value)
+    return reference_commit_from_json(value)
+
+
 def reference_load(log_path: str | Path, append: bool = False,
                    fsync: bool = False, *,
-                   from_json=reference_commit_from_json,
+                   from_json=reference_commit_from_line,
                    apply=reference_apply_commit) -> VersionChain:
     chain = VersionChain(fsync=fsync)
     good_end, kept = 0, b"\n"  # end of the last line kept, and that line
@@ -769,7 +794,7 @@ def reference_load(log_path: str | Path, append: bool = False,
                 fh.seek(good_end)
                 good_end += fh.write(b"\n")
         chain.log_path = Path(log_path)
-        chain._log = _open_log(chain.log_path)
+        chain._log = open(chain.log_path, "ab", buffering=0)
         chain._log_end = good_end
     return chain
 

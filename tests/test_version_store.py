@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     _reference_run, _reference_steps, reference_apply_commit,
-    reference_commit_from_json, reference_load, unapplied,
+    reference_commit_from_json, reference_commit_from_row, reference_load,
+    unapplied,
 )
 from maprepair import cli
 from maprepair.errors import (
@@ -22,8 +23,20 @@ from maprepair.fault_injector import WorldSpec, generate_world
 from maprepair.graph_core import DIRECTIONS, Edge
 from maprepair.version_store import (
     Commit, EdgeDelta, TRIGGER_OBSERVATION, TRIGGER_REPAIR, VersionChain,
-    _apply_commit, _inverse, add, remove,
+    _apply_commit, _check_commit, _inverse, _line, add, remove,
 )
+
+
+def _row(c: Commit) -> list:
+    """The row of `c`, the JSON array its log line holds."""
+    return [c.index, [[op, *e] for op, e in c.deltas], c.trigger, c.obs_id,
+            c.analysis, [[*s] for s in c.new_nodes],
+            [[*s] for s in c.renames], [[*s] for s in c.drops]]
+
+
+def _object_line(c: Commit) -> bytes:
+    """The line of `c` as versions before rows wrote it."""
+    return json.dumps(c.to_json()).encode() + b"\n"
 
 
 def _grow(chain, n=3):
@@ -195,17 +208,18 @@ def test_wal_log_written_before_apply(tmp_path):
 
 
 def test_log_wire_format_fields(tmp_path):
+    """Each line is a row of 8 columns, its empty step lists included,
+    and each delta an array of op, src, dst, dir and step."""
     log = tmp_path / "chain.jsonl"
     chain = VersionChain(log_path=log)
     _grow(chain, n=1)
     chain.close()
     first, second = [json.loads(x) for x in log.read_text().splitlines()]
-    assert set(first) == {"index", "deltas", "trigger", "obs_id", "analysis",
-                          "nodes"}
-    assert first["trigger"] == "observation_update"
-    delta = second["deltas"][0]
-    assert set(delta) == {"op", "src", "dst", "dir", "step"}
-    assert delta["op"] == "+"
+    assert first == [0, [], "observation_update", 0, "Room 0",
+                     [["n0", "Room 0"]], [], []]
+    assert second == [1, [["+", "n0", "n1", "north", 1]],
+                      "observation_update", 1, "Room 1", [["n1", "Room 1"]],
+                      [], []]
 
 
 # a log as written before each line recorded its step once, as obs_id
@@ -228,13 +242,22 @@ _OLD_FORMAT_LOG = (
     b'[{"id": "n1", "name": "Hall"}]}\n')
 
 
+# the same commits as rows, as `_line` writes them
+_ROW_LOG = (
+    b'[0, [], "observation_update", 0, "Room 0", [["n0", "Room 0"]], [], []]\n'
+    b'[1, [["+", "n0", "n1", "north", 1]], "observation_update", 1, '
+    b'"Room 1", [["n1", "Room 1"]], [], []]\n'
+    b'[2, [["-", "n0", "n1", "north", 1], ["+", "n0", "n1", "east", 1]], '
+    b'"conflict_repair", 2, "turn", [], [["n1", "Room 1", "Hall"]], []]\n'
+    b'[3, [["-", "n0", "n1", "east", 1]], "conflict_repair", 3, "prune", '
+    b'[], [], [["n1", "Hall"]]]\n')
+
+
 def test_a_log_with_step_ids_loads_and_appends(tmp_path):
-    """Lines that still carry a `step_id` load to the commits and graph of
-    the same commits as written now, which is each old line without its
-    `"step_id": N, `; `load(append=True)` goes on with lines without it,
-    and the mixed file loads back."""
-    old = tmp_path / "old.jsonl"
-    old.write_bytes(_OLD_FORMAT_LOG)
+    """Object lines, with the `step_id` key of the oldest versions or
+    without it, load to the commits and graph of the rows the writer makes
+    of the same commits; `load(append=True)` goes on with rows, and the
+    mixed file loads back."""
     new = tmp_path / "new.jsonl"
     chain = VersionChain(log_path=new)
     chain.commit([], TRIGGER_OBSERVATION, obs_id=0, analysis="Room 0",
@@ -247,23 +270,45 @@ def test_a_log_with_step_ids_loads_and_appends(tmp_path):
     chain.commit([remove(Edge("n0", "n1", "east", 1))], TRIGGER_REPAIR,
                  obs_id=3, analysis="prune", drops=[("n1", "Hall")])
     chain.close()
-    assert new.read_bytes() == re.sub(rb'"step_id": \d+, ', b"",
-                                      _OLD_FORMAT_LOG)
-    loaded = VersionChain.load(old)
-    assert loaded.commits == chain.commits
-    assert loaded.graph.state_equal(chain.graph)
+    assert new.read_bytes() == _ROW_LOG
+    without_step_ids = re.sub(rb'"step_id": \d+, ', b"", _OLD_FORMAT_LOG)
+    assert without_step_ids == b"".join(map(_object_line, chain.commits))
+    old = tmp_path / "old.jsonl"
+    for wal in (_OLD_FORMAT_LOG, without_step_ids):
+        old.write_bytes(wal)
+        loaded = VersionChain.load(old)
+        assert loaded.commits == chain.commits
+        assert loaded.graph.state_equal(chain.graph)
 
+    old.write_bytes(_OLD_FORMAT_LOG)
     reopened = VersionChain.load(old, append=True)
     c = reopened.commit([], TRIGGER_OBSERVATION, obs_id=4, analysis="Loft",
                         new_nodes=[("n2", "Loft")])
     reopened.close()
     assert old.read_bytes() == _OLD_FORMAT_LOG + (
-        b'{"index": 4, "deltas": [], "trigger": "observation_update", '
-        b'"obs_id": 4, "analysis": "Loft", "nodes": [{"id": "n2", '
-        b'"name": "Loft"}]}\n')
+        b'[4, [], "observation_update", 4, "Loft", [["n2", "Loft"]], [], '
+        b'[]]\n')
     mixed = VersionChain.load(old)
     assert mixed.commits == reopened.commits == [*chain.commits, c]
     assert mixed.graph.state_equal(reopened.graph)
+
+
+def test_an_object_line_log_and_its_row_rewrite_load_alike(tmp_path):
+    """A built world's log rewritten line by line as object lines (byte for
+    byte what versions before rows wrote), and any mix of the two, load to
+    the commits and graph of the row log."""
+    log, chain = _tree_log(tmp_path)
+    rows = log.read_bytes()
+    assert rows == b"".join(map(_line, chain.commits))
+    objects = b"".join(map(_object_line, chain.commits))
+    mixed = b"".join(_object_line(c) if c.index % 2 else _line(c)
+                     for c in chain.commits)
+    for wal in (rows, objects, mixed):
+        log.write_bytes(wal)
+        loaded = VersionChain.load(log)
+        assert loaded.commits == chain.commits
+        assert loaded.graph.state_equal(chain.graph)
+    assert len(rows) < 0.6 * len(objects)
 
 
 def test_load_reproduces_chain(tmp_path):
@@ -305,6 +350,23 @@ def test_load_append_continues_log(tmp_path):
     assert final.graph.state_equal(reopened.graph)
 
 
+@pytest.mark.parametrize("line", [_line, _object_line],
+                         ids=["rows", "object lines"])
+def test_load_append_leaves_an_intact_log_untouched(tmp_path, line):
+    """Reopening a log that ends with a whole line, and closing it with no
+    commit, changes neither its bytes nor its modification time: only a
+    torn final line is cut off."""
+    log, chain = _tree_log(tmp_path)
+    wal = b"".join(map(line, chain.commits))
+    log.write_bytes(wal)
+    os.utime(log, ns=(10**18, 10**18))
+    before = log.stat().st_mtime_ns
+    reopened = VersionChain.load(log, append=True)
+    reopened.close()
+    assert log.read_bytes() == wal
+    assert log.stat().st_mtime_ns == before == 10**18
+
+
 def _tree_log(tmp_path):
     log = tmp_path / "tree.jsonl"
     chain = generate_world(WorldSpec("tree", (3, 2))).build(log_path=log)
@@ -343,7 +405,7 @@ def test_load_append_cuts_the_torn_tail_before_appending(tmp_path, cut):
                         new_nodes=[(nid, "Loft")])
     reopened.close()
     kept = wal[:wal.rindex(b"\n", 0, -1) + 1] if torn else wal
-    assert log.read_bytes() == kept + json.dumps(c.to_json()).encode() + b"\n"
+    assert log.read_bytes() == kept + json.dumps(_row(c)).encode() + b"\n"
     final = VersionChain.load(log)
     assert final.commits == reopened.commits
     assert final.graph.state_equal(reopened.graph)
@@ -661,7 +723,7 @@ def _random_commit(data, g, used_steps: set) -> dict:
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_each_log_line_is_json_dumps_of_its_commit(data, tmp_path_factory):
-    """The line writer formats each commit as `json.dumps(c.to_json())`
+    """The line writer formats each commit as `json.dumps` of its row
     plus a newline, byte for byte, whatever its steps and names."""
     log = tmp_path_factory.mktemp("wal") / "chain.jsonl"
     chain = VersionChain(log_path=log)
@@ -679,8 +741,8 @@ def test_each_log_line_is_json_dumps_of_its_commit(data, tmp_path_factory):
                 assert chain.graph.state_equal(before)
                 continue
             c = chain.commit(**parts)
-            assert log.read_bytes()[end:] == (
-                json.dumps(c.to_json()) + "\n").encode()
+            assert log.read_bytes()[end:] == _line(c) == (
+                json.dumps(_row(c)) + "\n").encode()
     finally:
         chain.close()
     loaded = VersionChain.load(log)
@@ -854,10 +916,11 @@ def test_commit_and_load_refuse_the_same_commits(kind, data,
                                                  tmp_path_factory):
     """A commit with no fault, or with one field of the wrong type, is
     taken alike by a logged `commit`, a log-less `commit` and `load` of
-    its `json.dumps` line: all three accept it, as equal commits with
-    equal graphs, or all three refuse it with the same error and change
-    nothing.  `load` refuses it as `CorruptLog` at its line, and drops it
-    as a torn line when its newline is missing."""
+    its line, as a row or as an object line (`json.dumps` of either): all
+    three accept it, as equal commits with equal graphs, or all three
+    refuse it with the same error and change nothing.  `load` refuses it
+    as `CorruptLog` at its line, and drops it as a torn line when its
+    newline is missing."""
     tmp = tmp_path_factory.mktemp("wal")
     logged = VersionChain(log_path=tmp / "chain.jsonl")
     free = VersionChain()
@@ -869,10 +932,13 @@ def test_commit_and_load_refuse_the_same_commits(kind, data,
             _set_wrong_type(data, parts, kind)
         before, commits = free.graph.copy(), list(free.commits)
         wal = logged.log_path.read_bytes()
-        line = json.dumps(Commit(
+        c = Commit(
             len(commits), tuple(parts["deltas"]), parts["trigger"],
             parts["obs_id"], parts["analysis"], tuple(parts["new_nodes"]),
-            tuple(parts["renames"]), tuple(parts["drops"])).to_json()).encode()
+            tuple(parts["renames"]), tuple(parts["drops"]))
+        row = json.dumps(_row(c)).encode()
+        line = row if data.draw(st.booleans(), label="row") else \
+            json.dumps(c.to_json()).encode()
         outcomes = []
         for chain in (logged, free):
             try:
@@ -885,7 +951,7 @@ def test_commit_and_load_refuse_the_same_commits(kind, data,
     log = tmp / "loaded.jsonl"
     log.write_bytes(wal + line + b"\n")
     if kind is None:
-        assert logged.log_path.read_bytes() == wal + line + b"\n"
+        assert logged.log_path.read_bytes() == wal + row + b"\n"
         loaded = VersionChain.load(log)
         assert loaded.commits == logged.commits == free.commits
         assert loaded.commits[-1] == outcomes[0]
@@ -910,9 +976,10 @@ def test_commit_and_load_refuse_the_same_commits(kind, data,
 
 
 def _log_with_line(tmp_path, delta: Optional[dict], newline: bool = True,
-                   **fields):
-    """A log of commits 0 and 1 (n0 -> n1 north 1), then a commit 2 line
-    holding `delta` (if any) and `fields`, with or without its newline."""
+                   row: bool = False, **fields):
+    """A log of commits 0 and 1 (n0 -> n1 north 1), then a commit 2 object
+    line, or with `row` its row, holding `delta` (if any) and `fields`,
+    with or without its newline."""
     log = tmp_path / "chain.jsonl"
     chain = VersionChain(log_path=log)
     _grow(chain, n=1)
@@ -920,6 +987,8 @@ def _log_with_line(tmp_path, delta: Optional[dict], newline: bool = True,
     line = {"index": 2, "deltas": [delta] if delta else [],
             "trigger": TRIGGER_REPAIR, "obs_id": 2, "analysis": "bad",
             **fields}
+    if row:
+        line = _row(reference_commit_from_json(line))
     with open(log, "ab") as fh:
         fh.write(json.dumps(line).encode() + (b"\n" if newline else b""))
     return log, chain
@@ -1023,25 +1092,31 @@ def test_a_field_no_writer_makes_does_not_parse(tmp_path, capsys, key, value,
     `nodes`, `renames` or `drops` that is not an array (`""` or `{}`) loaded
     as no steps, and the commit lost the steps of its line.  Each is
     `CorruptLog` at its line, or a dropped torn final line; `commit`
-    refuses such a scalar field before anything applies."""
+    refuses such a scalar field before anything applies.  A row and an
+    object line are refused alike."""
     log = tmp_path / "chain.jsonl"
     chain = VersionChain(log_path=log)
     _grow(chain, n=1)
     chain.close()
     first, second = log.read_bytes().splitlines(keepends=True)
-    line = json.loads(second)
+    row, line = json.loads(second), chain.commits[1].to_json()
     if key in ("dir", "step"):
+        row[1][0][3 if key == "dir" else 4] = value
         line["deltas"][0][key] = value
     else:
+        row[_KEYS["commit"].index(key)] = value
         line[key] = value
-    bad = json.dumps(line).encode()
-    log.write_bytes(first + bad + b"\n")
-    with pytest.raises(CorruptLog, match=re.escape(f"{log}:2: {message}")):
-        VersionChain.load(log)
-    assert cli.main(["detect", "--log", str(log)]) == 2
-    assert f"{log}:2: {message}" in capsys.readouterr().err
+    for bad in (json.dumps(row).encode(), json.dumps(line).encode()):
+        log.write_bytes(first + bad + b"\n")
+        with pytest.raises(CorruptLog,
+                           match=re.escape(f"{log}:2: {message}")):
+            VersionChain.load(log)
+        assert cli.main(["detect", "--log", str(log)]) == 2
+        assert f"{log}:2: {message}" in capsys.readouterr().err
+        log.write_bytes(first + bad)
+        with pytest.warns(UserWarning, match="torn final line"):
+            assert VersionChain.load(log).commits == chain.commits[:1]
 
-    log.write_bytes(first + bad)
     with pytest.warns(UserWarning, match="torn final line"):
         loaded = VersionChain.load(log, append=True)
     try:
@@ -1068,11 +1143,78 @@ def test_a_field_no_writer_makes_does_not_parse(tmp_path, capsys, key, value,
     assert log.read_bytes() == wal
 
 
+def _bad_row(column: Optional[int] = None, value=None, length: int = 8):
+    """The row of a commit 2 with `value` in `column`, cut or padded to
+    `length` columns."""
+    row = [2, [], TRIGGER_REPAIR, 2, "bad", [], [], []]
+    if column is not None:
+        row[column] = value
+    return (row + ["extra"] * length)[:length]
+
+
+@pytest.mark.parametrize("row, message, unpacks", [
+    (_bad_row(length=7), "a row has 7 columns, not 8", False),
+    (_bad_row(length=9), "a row has 9 columns, not 8", False),
+    (_bad_row(1, {"op": "+"}), "deltas is not an array: {'op': '+'}", False),
+    (_bad_row(1, [["-", "n0", "n1", "north"]]),
+     "deltas holds ['-', 'n0', 'n1', 'north'], not an array of 5 items",
+     False),
+    (_bad_row(1, [["-", "n0", "n1", "north", 1, 1]]),
+     "deltas holds ['-', 'n0', 'n1', 'north', 1, 1], not an array of 5 "
+     "items", False),
+    (_bad_row(6, [["n1", "Hall"]]),
+     "renames holds ['n1', 'Hall'], not an array of 3 items", False),
+    (_bad_row(5, ["ab"]), "nodes holds 'ab', not an array of 2 items",
+     True),
+    (_bad_row(5, [{"id": "n2", "name": "Hall"}]),
+     "nodes holds {'id': 'n2', 'name': 'Hall'}, not an array of 2 items",
+     True),
+    (_bad_row(7, ["ab"]), "drops holds 'ab', not an array of 2 items",
+     True),
+    (_bad_row(7, [{"id": "n1", "name": "Room 1"}]),
+     "drops holds {'id': 'n1', 'name': 'Room 1'}, not an array of 2 items",
+     True),
+], ids=["7 columns", "9 columns", "deltas object", "delta of 4",
+        "delta of 6", "rename of 2", "node str", "node object", "drop str",
+        "drop object"])
+def test_a_row_the_writer_cannot_write_does_not_parse(tmp_path, capsys, row,
+                                                      message, unpacks):
+    """A row of other than 8 columns, or whose step list is not an array
+    of arrays of 5 (a delta), 2 (a node or drop) or 3 (a rename) items, is
+    `CorruptLog` at its line, or a dropped torn final line, before its
+    commit is checked.  A node or drop given as a 2-character str or a
+    2-key object unpacks to two strs that the commit check passes, so only
+    the shape check refuses it."""
+    log = tmp_path / "chain.jsonl"
+    chain = VersionChain(log_path=log)
+    _grow(chain, n=1)
+    chain.close()
+    wal = log.read_bytes()
+    if unpacks:
+        _check_commit(reference_commit_from_row(row))
+    bad = json.dumps(row).encode()
+    log.write_bytes(wal + bad + b"\n")
+    with pytest.raises(CorruptLog) as caught:
+        VersionChain.load(log)
+    assert str(caught.value) == f"{log}:3: {message}"
+    assert type(caught.value.__cause__) is (
+        ValueError if "columns" in message else TypeError)
+    assert cli.main(["detect", "--log", str(log)]) == 2
+    assert f"{log}:3: {message}" in capsys.readouterr().err
+    log.write_bytes(wal + bad)
+    with pytest.warns(UserWarning, match="torn final line"):
+        loaded = VersionChain.load(log)
+    assert loaded.commits == chain.commits
+    assert loaded.graph.state_equal(chain.graph)
+
+
 # -- replay equals its first version on random logs, corrupted at random ------
 
 _NAMES = st.text(max_size=4)
+# "ab" and the two-key object unpack, as a node or drop, to two strs
 _JUNK = st.sampled_from([None, "1", 1, 1.5, True, "", "x", "~", "+", "-",
-                         [], ["+"], {}, {"id": "n0"}])
+                         "ab", [], ["+"], {}, {"id": "n0"},
+                         {"id": "n0", "name": "x"}])
 # an op or an endpoint that parses but may not apply
 _SWAPS = {"op": st.sampled_from(["+", "-", "x", "~"]),
           "src": st.sampled_from(["n0", "n1", "n2", "ghost"])}
@@ -1086,7 +1228,8 @@ _KEYS = {"commit": ["index", "deltas", "trigger", "obs_id", "analysis",
 
 def _random_log(data, log) -> bytes:
     """The log of a random valid chain: rooms, edge adds and removes,
-    renames and drops, under both triggers."""
+    renames and drops, under both triggers.  Each line is the writer's row
+    or, as versions before rows wrote it, the commit's object line."""
     draw = data.draw
     chain = VersionChain(log_path=log)
     try:
@@ -1127,7 +1270,9 @@ def _random_log(data, log) -> bytes:
                 drops=drops)
     finally:
         chain.close()
-    return log.read_bytes()
+    return b"".join(_object_line(c) if data.draw(st.booleans(), label="object")
+                    else line for c, line
+                    in zip(chain.commits, _lines(log.read_bytes())))
 
 
 def _lines(wal: bytes) -> list[bytes]:
@@ -1135,13 +1280,21 @@ def _lines(wal: bytes) -> list[bytes]:
     return re.findall(rb"[^\n]*\n|[^\n]+", wal)
 
 
+_STEP_COLUMNS = (1, 5, 6, 7)  # a row's deltas, nodes, renames and drops
+_ROW_SWAPS = {"op": 0, "src": 1}  # their positions in a row's delta
+
+
 def _garble(data, line: bytes, swap: bool = False) -> bytes:
-    """`line` as JSON with one key set to a wrong value, or removed; with
-    `swap`, a delta's op or source is set to another string."""
+    """`line` as JSON with one key of an object set to a wrong value or
+    removed, or one position of a row (the row, a step list or a step)
+    set, removed or given a value before it; with `swap`, a delta's op or
+    source is set to another string."""
     try:
         d = json.loads(line)
     except ValueError:
         return line
+    if type(d) is list:
+        return _garble_row(data, line, d, swap)
     if not isinstance(d, dict):
         return line
     target, kind = d, "commit"
@@ -1164,6 +1317,41 @@ def _garble(data, line: bytes, swap: bool = False) -> bytes:
         target[key] = data.draw(_JUNK)
     separators = data.draw(st.sampled_from([None, (",", ":")]))
     return json.dumps(d, separators=separators).encode() + b"\n"
+
+
+def _garble_row(data, line: bytes, row: list, swap: bool) -> bytes:
+    """`_garble` of `line`, which decodes to the array `row`."""
+    steps = [row[i] for i in _STEP_COLUMNS
+             if len(row) == 8 and type(row[i]) is list and row[i]]
+    if swap:
+        deltas = row[1] if len(row) == 8 and type(row[1]) is list else []
+        deltas = [x for x in deltas if type(x) is list and len(x) == 5]
+        if not deltas:
+            return line
+        key = data.draw(st.sampled_from(sorted(_SWAPS)))
+        data.draw(st.sampled_from(deltas))[_ROW_SWAPS[key]] = \
+            data.draw(_SWAPS[key])
+        return json.dumps(row).encode() + b"\n"
+    target = row
+    if steps and data.draw(st.booleans()):
+        target = data.draw(st.sampled_from(steps))
+        step = data.draw(st.sampled_from(target))
+        if type(step) is list and step and data.draw(st.booleans()):
+            target = step
+    # a row of the wrong shape is refused before any field is read, so a
+    # position is set more often than it is removed or added
+    action = data.draw(st.sampled_from(["set", "set", "set", "remove",
+                                        "insert"]) if target
+                       else st.just("insert"))
+    at = data.draw(st.integers(0, len(target) - (action != "insert")))
+    if action == "insert":
+        target.insert(at, data.draw(_JUNK))
+    elif action == "remove":
+        del target[at]
+    else:
+        target[at] = data.draw(_JUNK)
+    separators = data.draw(st.sampled_from([None, (",", ":")]))
+    return json.dumps(row, separators=separators).encode() + b"\n"
 
 
 def _corrupt(data, wal: bytes) -> bytes:
@@ -1249,7 +1437,7 @@ _STEP_LISTS = frozenset({"deltas", "nodes", "renames", "drops"})
 
 
 def _fixed(log, wal: bytes):
-    """The reference's parse and apply with the six fixes: an unknown op
+    """The reference's parse and apply with the seven fixes: an unknown op
     does not parse; a commit that does not apply (a map error) is
     `CorruptLog` at its line; a commit index, a delta's direction or a
     delta's step that no writer makes does not parse; a rename or drop
@@ -1257,11 +1445,13 @@ def _fixed(log, wal: bytes):
     while other rooms remain, are refused before they run;
     an obs_id that is not an int, or a trigger, analysis, room id or name
     that is not a str, does not parse; and a `deltas`, `nodes`, `renames`
-    or `drops` that is not a JSON array does not parse.  The step lists are
-    checked as the parse reads them; the rest is checked once the commit
-    is read whole: the scalars, then each delta, then the new nodes,
-    renames and drops.  `fired` records each time a fix changed what
-    happens."""
+    or `drops` that is not a JSON array does not parse; and a row of other
+    than 8 columns, or whose step list holds a step that is not an array
+    of its step's size, does not parse.  An object's step lists are
+    checked as the parse reads them, a row's shape before it is read; the
+    rest is checked once the commit is read whole: the scalars, then each
+    delta, then the new nodes, renames and drops.  `fired` records each
+    time a fix changed what happens."""
     fired = []
     # the k-th commit applied is on the k-th line that is not blank
     linenos = iter([n for n, raw in enumerate(_lines(wal), start=1)
@@ -1290,9 +1480,27 @@ def _fixed(log, wal: bytes):
         def get(self, key, default=None):
             return self[key] if key in self else default
 
+    def shaped(row):
+        """`row`, if the writer could have written its shape."""
+        if len(row) != 8:
+            refuse("row", ValueError, f"a row has {len(row)} columns, not 8")
+        for column in _STEP_COLUMNS:
+            key, steps = _KEYS["commit"][column], row[column]
+            if type(steps) is not list:
+                refuse("array", TypeError, f"{key} is not an array: {steps!r}")
+            size = len(_KEYS[key])
+            for step in steps:
+                if type(step) is not list or len(step) != size:
+                    refuse("row", TypeError, f"{key} holds {step!r}, not an "
+                           f"array of {size} items")
+        return row
+
     def from_json(d):
-        c = reference_commit_from_json(ArraysOnly(d) if type(d) is dict
-                                       else d)
+        if type(d) is list:
+            c = reference_commit_from_row(shaped(d))
+        else:
+            c = reference_commit_from_json(ArraysOnly(d) if type(d) is dict
+                                           else d)
         need(int, "commit index", c.index)
         need(int, "obs_id", c.obs_id)
         need(str, "trigger", c.trigger)
@@ -1359,11 +1567,13 @@ def _assert_load_equals_the_fixed_reference(log, wal: bytes, append: bool):
 def test_load_equals_the_reference_on_corrupted_logs(data, tmp_path_factory):
     """`load` on a random log, corrupted at random, gives the commits,
     graph, exception, warnings and file bytes of the first `load`, but for
-    the six fixes: an unknown op, a commit that does not apply, an index,
-    direction or step no writer makes, a rename or drop of a node by
-    another name, any other field of the wrong type and a step list that
-    is not an array are `CorruptLog` at their line (or a torn final line).
-    Any log that does not load is `CorruptLog`."""
+    the seven fixes: an unknown op, a commit that does not apply, an
+    index, direction or step no writer makes, a rename or drop of a node
+    by another name, any other field of the wrong type, a step list that
+    is not an array and a row of a shape the writer does not make are
+    `CorruptLog` at their line (or a torn final line).  Rows and object
+    lines are mixed at random.  Any log that does not load is
+    `CorruptLog`."""
     log = tmp_path_factory.mktemp("replay") / "chain.jsonl"
     wal = _corrupt(data, _random_log(data, log))
     append = data.draw(st.booleans())
@@ -1376,10 +1586,11 @@ def test_load_equals_the_reference_on_corrupted_logs(data, tmp_path_factory):
 @given(data=st.data())
 def test_load_equals_the_reference_on_logs_with_garbled_fields(
         data, tmp_path_factory):
-    """As above, but every corruption sets a field of a line to a wrong
-    value, removes it, or swaps a delta's op or source, so far more
-    examples reach a line that parses as JSON but is not a commit the
-    writer makes, where the six fixes act."""
+    """As above, but every corruption sets a field of a line (a key of an
+    object, a position of a row) to a wrong value, removes it, or swaps a
+    delta's op or source, so far more examples reach a line that parses
+    as JSON but is not a commit the writer makes, where the seven fixes
+    act."""
     log = tmp_path_factory.mktemp("replay") / "chain.jsonl"
     lines = _lines(_random_log(data, log))
     for _ in range(data.draw(st.integers(1, 3))):
@@ -1404,13 +1615,15 @@ def test_load_equals_the_fixed_reference_on_a_line_one_fix_refuses(
     """A fix that random garbling seldom reaches (a delta's step that is
     not an int, a rename by another name, an analysis that is not a str,
     a drop of the origin while another room remains) refuses a line of its
-    own: `load` gives what the reference with the fixes gives, and that
-    fix fired."""
-    log, _ = _log_with_line(tmp_path, delta, **fields)
-    fixed, fired = _assert_load_equals_the_fixed_reference(
-        log, log.read_bytes(), append)
-    assert fix in fired
-    assert fixed[1][0] is CorruptLog
+    own, an object line or a row: `load` gives what the reference with the
+    fixes gives, and that fix fired."""
+    for row in (False, True):
+        log, _ = _log_with_line(tmp_path, delta, row=row, **fields)
+        fixed, fired = _assert_load_equals_the_fixed_reference(
+            log, log.read_bytes(), append)
+        assert fix in fired
+        assert fixed[1][0] is CorruptLog
+        log.unlink()
 
 
 def test_load_of_a_built_grid_calls_json_loads_never(tmp_path):
