@@ -56,7 +56,7 @@ SUB_OVERLAP = "overlap"
 SUB_INCONSISTENCY = "inconsistency"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conflict:
     kind: str
     subkind: str

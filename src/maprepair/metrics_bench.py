@@ -15,7 +15,7 @@ METRICS = ("avg_loops", "total_conflicts", "repaired", "correct",
            "repair_rate_pct", "accuracy_pct")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Metrics:
     avg_loops: Optional[float]
     total_conflicts: int

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 # perfbench wraps `detect_all` by the name this module binds
 from .conflict_detector import Conflict, Detection, detect, detect_all
@@ -93,7 +93,7 @@ class ToolConfig:
     version_control: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepairAction:
     kind: str
     edge: Optional[Edge] = None
@@ -239,17 +239,45 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-@dataclass
+class Loop(NamedTuple):
+    """One loop of a session: the key of the conflict it targeted, the
+    action the advisor proposed (None when it proposed none) and how the
+    loop ended, `ending` "error" or "result" with its `value`."""
+    target: tuple
+    action: Optional[RepairAction]
+    ending: str
+    value: object
+
+    def entry(self) -> dict:
+        """The loop's transcript entry, as the advisors saw it: `target`
+        (the key as a list), `action` (its JSON) when one was proposed,
+        then `error` or `result`."""
+        d: dict = {"target": list(self.target)}
+        if self.action is not None:
+            d["action"] = self.action.to_json()
+        d[self.ending] = self.value
+        return d
+
+
+@dataclass(slots=True)
 class RepairSession:
+    """A finished session.  It keeps each loop as a `Loop`, less than half
+    the memory of the loop's transcript entry, and builds the entries
+    when `transcript` is read."""
     primary: Conflict
     outcome: str
     attempts: int
     secondary: tuple[Conflict, ...]
-    transcript: list[dict] = field(default_factory=list)  # one dict per loop
+    loops: tuple[Loop, ...] = ()
+
+    @property
+    def transcript(self) -> list[dict]:
+        """One dict per loop (`Loop.entry`), new on every read."""
+        return [loop.entry() for loop in self.loops]
 
     @property
     def loop_count(self) -> int:
-        return len(self.transcript)
+        return len(self.loops)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +454,7 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
     baseline_keys = {c.key for c in detection.conflicts}
     current = {c.key: c for c in detection.conflicts}
     transcript: list[dict] = []
+    proposed: list = []  # per loop: the target's key and the action, if any
     spent: Counter = Counter()  # attempts per conflict key
     failures = 0  # unusable turns in a row
     secondary_seen: dict = {}
@@ -449,10 +478,13 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
 
         ctx = build_context(chain, config, target, transcript,
                             list(current.values()), detection)
-        entry: dict = {"target": list(target.key)}
+        key = target.key
+        entry: dict = {"target": list(key)}
+        proposed.append((key, None))
         try:
             action = advisor(ctx)
             entry["action"] = action.to_json()
+            proposed[-1] = (key, action)
             if action.kind in VERSION_ACTIONS and not config.version_control:
                 raise AdvisorFailure(_describe(
                     ToolUnavailable("version control is disabled")))
@@ -495,8 +527,12 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
                                           commit=chain.head)
             current = {c.key: c for c in detection.conflicts}
 
+    loops = []
+    for (key, action), entry in zip(proposed, transcript):
+        ending = "error" if "error" in entry else "result"
+        loops.append(Loop(key, action, ending, entry[ending]))
     return RepairSession(primary=primary, outcome=outcome,
-                         attempts=spent[primary.key], transcript=transcript,
+                         attempts=spent[primary.key], loops=tuple(loops),
                          secondary=tuple(secondary_seen.values())), detection
 
 

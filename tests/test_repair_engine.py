@@ -695,6 +695,57 @@ def test_run_session_matches_the_reference(world, fault_seed, advisor_seed,
         assert s.loop_count == len(s.transcript)
 
 
+def test_a_session_reports_the_transcript_its_advisor_saw():
+    """A finished session builds its transcript from its `Loop`s: the
+    entries equal, keys in the same order, the ones the advisor was handed
+    while the session ran, and each loop keeps the action the advisor
+    proposed (None when it failed), also when the engine then found the
+    turn unusable (a repeated query) or refused the action."""
+    shapes = set()
+    for advisor_seed in range(12):
+        chain, ledger = _demo()
+        detection = _detection(chain)
+        scripted = _ScriptedAdvisor(ledger, advisor_seed, flakiness=8)
+        handed, proposed = [], []
+
+        def advisor(ctx):
+            handed.append(ctx.transcript)
+            proposed.append(None)
+            proposed[-1] = scripted(ctx)
+            return proposed[-1]
+
+        session, _ = run_session(chain, ToolConfig(), advisor,
+                                 detection.conflicts[0], detection,
+                                 max_attempts=4)
+        live = handed[0]
+        assert all(t is live for t in handed)
+        assert session.transcript == live
+        assert [list(entry) for entry in session.transcript] == \
+            [list(entry) for entry in live]
+        assert session.loop_count == len(session.loops) == len(proposed)
+        assert all(loop.action is action
+                   for loop, action in zip(session.loops, proposed))
+        assert session.transcript is not session.transcript
+        shapes.update(tuple(entry) for entry in live)
+    assert shapes == {("target", "error"), ("target", "action", "error"),
+                      ("target", "action", "result")}
+
+
+def test_repair_results_carry_no_instance_dict():
+    """Callers keep sessions and metrics by the thousand, so a session, its
+    loops, conflicts and actions and the metrics carry no per-instance
+    dict."""
+    chain, ledger = _demo()
+    _, sessions, metrics = run_repair(chain, ToolConfig(),
+                                      advisors.OracleAdvisor(ledger),
+                                      ledger=ledger)
+    loops = [loop for s in sessions for loop in s.loops]
+    assert sessions and loops
+    for obj in (metrics, *sessions, *loops, *(s.primary for s in sessions),
+                *(loop.action for loop in loops)):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
 def test_context_neighborhood_is_local():
     chain, _ = _demo()
     detection = _detection(chain)
