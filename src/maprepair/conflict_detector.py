@@ -28,8 +28,9 @@ direction) and the asymmetric pairs by room pair.  `Detection.advance`
 turns it into the detection of the map after a change, from the change's
 edge deltas: it finds again only the groups of the changed (src,
 direction) keys and the pairs of the changed room pairs, restarts
-position inference at the first changed room (`advance_positions`), and
-reads overlaps, inconsistencies and naming from the new positions.  Both
+position inference's one loop at the first changed room
+(`advance_positions`), and reads overlaps, inconsistencies and naming
+from the new positions.  Both
 paths share the helpers below, and their results are equal.
 """
 

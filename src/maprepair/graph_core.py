@@ -397,19 +397,29 @@ class NavGraph:
         g = cls()
         for n in data["nodes"]:
             g.add_node(n["name"], node_id=n["id"])
-        g.origin = data.get("origin")
+        origin = data.get("origin")
+        if origin is not None and origin not in g.nodes:
+            raise UnknownNode(f"origin is not a node: {origin!r}")
+        g.origin = origin
         for d in data["edges"]:
             g.insert_edge(Edge.from_json(d))
         return g
 
     def to_dot(self) -> str:
+        """The graph in Graphviz DOT, each id and name a quoted string with
+        its `\\` and `"` escaped."""
         lines = ["digraph navmap {"]
         for nid, name in self.nodes.items():
             shape = ' shape=doubleoctagon' if nid == self.origin else ""
-            lines.append(f'  "{nid}" [label="{name}"{shape}];')
+            lines.append(f'  {_dot_quoted(nid)} '
+                         f'[label={_dot_quoted(name)}{shape}];')
         for e in sorted(self.edges()):
             lines.append(
-                f'  "{e.src}" -> "{e.dst}" '
+                f'  {_dot_quoted(e.src)} -> {_dot_quoted(e.dst)} '
                 f'[label="{e.direction} (step {e.step_id})"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _dot_quoted(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

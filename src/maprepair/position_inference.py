@@ -7,24 +7,26 @@ geometry and do not propagate.  When a node has several same-direction
 out-edges (a directional conflict), only the minimum-step one defines
 geometry; the others do not fabricate positions.
 
-Both `infer_positions` and `extend_positions` walk the graph's one
-adjacency index in place (`NavGraph.adjacency`) and rank a node's
-propagating edges with one helper, `_propagating`: one minimum-step edge
-per compass direction, and only those few are sorted.  Two directions
-whose minimum steps are equal go in the order their exits come in `Edge`
-order: the direction with the lowest destination among its exits first,
-then by direction name.  Edges are unpacked by position, never read by
-field name, in these loops.
+One breadth-first loop, `_propagate`, derives every position.  It walks
+the graph's one adjacency index in place (`NavGraph.adjacency`) and ranks
+a node's propagating edges with one helper, `_propagating`: one
+minimum-step edge per compass direction, and only those few are sorted.
+Two directions whose minimum steps are equal go in the order their exits
+come in `Edge` order: the direction with the lowest destination among its
+exits first, then by direction name.  Edges are unpacked by position,
+never read by field name, in the loop.
 
-`infer_positions` and `record_positions` run one breadth-first loop,
-`_propagate`.  The second also keeps its record: the rooms in processing
-order and, for each step, how many rooms were positioned before it.
-`advance_positions` uses the record to bring the positions of one graph
-to those of the same graph after some rooms' exits changed, without
-running the steps before the first changed room: those read only exits
-that did not change, so they go as they went, and the loop restarts there
-from the state the record gives.  An inconsistency is found at the step
-of its edge's source, so the record names that step too.
+`record_positions` runs the loop from the origin and keeps its record:
+for each step, how many rooms were positioned before it (rooms are
+processed in the order they were positioned, the assignment's order).
+`infer_positions` is its positions.  `advance_positions` uses the record
+to bring the positions of one graph to those of the same graph after
+some rooms' exits changed, without running the steps before the first
+changed room: those read only exits that did not change, so they go as
+they went, and the loop restarts there from the state the record gives.
+An inconsistency is found at the step of its edge's source, so the record
+names that step too.  `extend_positions` derives a new edge's destination
+and runs the loop from there, growing a consistent map by that edge.
 """
 
 from __future__ import annotations
@@ -79,16 +81,14 @@ def _propagating(by_dir: Mapping[str, Mapping[int, Edge]]) -> list[tuple]:
 
 
 def _propagate(adjacency: Mapping[str, Mapping[str, Mapping[int, Edge]]],
-               pm: PositionMap, queue: deque,
-               found: Optional[list[int]] = None) -> None:
+               pm: PositionMap, queue: deque, found: list[int]) -> None:
     """The breadth-first loop: take the next positioned room off `queue`
     and derive the destinations of its propagating edges, until no room
-    is left.  With `found`, append to it the number of rooms positioned
-    before each step."""
+    is left.  Append to `found` the number of rooms positioned before each
+    step."""
     assignment = pm.assignment
     while queue:
-        if found is not None:
-            found.append(len(assignment))
+        found.append(len(assignment))
         node = queue.popleft()
         by_dir = adjacency.get(node)
         if by_dir is None:
@@ -107,24 +107,19 @@ def _propagate(adjacency: Mapping[str, Mapping[str, Mapping[int, Edge]]],
 
 
 def infer_positions(g: NavGraph) -> PositionMap:
-    pm = PositionMap()
-    if g.origin is not None:
-        pm.assignment[g.origin] = (0, 0, 0)
-        _propagate(g.adjacency(), pm, deque([g.origin]))
-        pm.inconsistent.sort()
-    return pm
+    return record_positions(g).positions
 
 
 @dataclass(frozen=True)
 class PositionRecord:
     """`infer_positions` of a graph and the record of its loop.  Rooms are
-    processed in the order they were positioned, the assignment's order:
-    `order[i]` is step i's room, and `found[i]` rooms were positioned
-    before step i.  Read-only; it refers to nothing of the graph."""
+    processed in the order they were positioned, the assignment's order,
+    so step i's room is the assignment's i-th key, and `found[i]` rooms
+    were positioned before step i.  Read-only; it refers to nothing of the
+    graph."""
 
     origin: Optional[str]
     positions: PositionMap
-    order: list[str]
     found: list[int]
 
 
@@ -135,7 +130,7 @@ def record_positions(g: NavGraph) -> PositionRecord:
         pm.assignment[g.origin] = (0, 0, 0)
         _propagate(g.adjacency(), pm, deque([g.origin]), found)
         pm.inconsistent.sort()
-    return PositionRecord(g.origin, pm, list(pm.assignment), found)
+    return PositionRecord(g.origin, pm, found)
 
 
 def advance_positions(record: PositionRecord, g: NavGraph,
@@ -151,19 +146,20 @@ def advance_positions(record: PositionRecord, g: NavGraph,
     if g.origin != record.origin:
         return record_positions(g)
     assignment = record.positions.assignment
-    steps = [record.order.index(n) for n in set(changed) if n in assignment]
+    order = list(assignment)
+    steps = [order.index(n) for n in set(changed) if n in assignment]
     if not steps:
         return record
     step = min(steps)
     known = record.found[step]
     inconsistent = record.positions.inconsistent
-    earlier = set(record.order[:step]) if inconsistent else ()
+    earlier = set(order[:step]) if inconsistent else ()
     pm = PositionMap(dict(islice(assignment.items(), known)),
                      [inc for inc in inconsistent if inc.via[0] in earlier])
     found = record.found[:step]
-    _propagate(g.adjacency(), pm, deque(record.order[step:known]), found)
+    _propagate(g.adjacency(), pm, deque(order[step:known]), found)
     pm.inconsistent.sort()
-    return PositionRecord(g.origin, pm, list(pm.assignment), found)
+    return PositionRecord(g.origin, pm, found)
 
 
 def extend_positions(g: NavGraph, pm: PositionMap, edge: Edge) -> bool:
@@ -190,21 +186,15 @@ def extend_positions(g: NavGraph, pm: PositionMap, edge: Edge) -> bool:
         return True  # an older edge still defines this direction's geometry
     if others:
         return False
-    pending: deque[Edge] = deque([edge])
-    while pending:
-        src, dst, direction, _ = pending.popleft()
-        px, py, pz = pm.assignment[src]
-        dx, dy, dz = DISPLACEMENT[direction]
-        derived = (px + dx, py + dy, pz + dz)
-        known = pm.assignment.get(dst)
-        if known is None:
-            pm.assignment[dst] = derived
-            by_dir = adjacency.get(dst)
-            if by_dir is not None:
-                pending.extend(r[3] for r in _propagating(by_dir))
-        elif known != derived:
-            return False
-    return True
+    px, py, pz = pm.assignment[edge.src]
+    dx, dy, dz = DISPLACEMENT[edge.direction]
+    derived = (px + dx, py + dy, pz + dz)
+    known = pm.assignment.get(edge.dst)
+    if known is None:
+        pm.assignment[edge.dst] = derived
+        _propagate(adjacency, pm, deque([edge.dst]), [])
+        return not pm.inconsistent
+    return known == derived
 
 
 def position_overlaps(pm: PositionMap) -> list[tuple[str, str, Position]]:
@@ -224,12 +214,21 @@ def position_overlaps(pm: PositionMap) -> list[tuple[str, str, Position]]:
     return out
 
 
+# `\`, tab, newline and CR in an id or name, written as two characters
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n",
+                              "\r": "\\r"})
+
+
 def positions_tsv(g: NavGraph) -> str:
+    """One `node name x y z` row per positioned node, ids and names
+    escaped (`_TSV_ESCAPES`) so that every row has five fields."""
     pm = infer_positions(g)
     lines = ["node\tname\tx\ty\tz"]
-    for nid in g.nodes:
+    for nid, name in g.nodes.items():
         pos = pm.get(nid)
         if pos is None:
             continue
-        lines.append(f"{nid}\t{g.nodes[nid]}\t{pos[0]}\t{pos[1]}\t{pos[2]}")
+        lines.append(f"{nid.translate(_TSV_ESCAPES)}\t"
+                     f"{name.translate(_TSV_ESCAPES)}\t"
+                     f"{pos[0]}\t{pos[1]}\t{pos[2]}")
     return "\n".join(lines) + "\n"

@@ -33,8 +33,9 @@ inferred lattice position agree; otherwise a fresh node is created, which
 is what lets naming conflicts surface naturally downstream.
 
 The position map is inferred at the first revisit of a name and then
-extended by each commit's edge; it is inferred again only after an
-extension that could differ from a from-scratch inference.  So the map
+extended by each commit's edge (`extend_positions`, which derives the
+rooms the edge reaches in the loop inference runs); it is inferred again
+only after an extension that could differ from a from-scratch inference.  So the map
 the loop holds is always either unknown or `infer_positions` of the graph,
 and a loop that goes on from a prefix may start it unknown.
 """

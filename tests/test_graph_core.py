@@ -1,4 +1,5 @@
 import random
+import re
 from collections import deque
 
 import pytest
@@ -310,6 +311,34 @@ def test_to_dot_mentions_nodes_and_labels():
     assert "Start" in dot and "End" in dot
     assert "northwest (step 7)" in dot
     assert dot.startswith("digraph")
+
+
+def test_to_dot_escapes_quotes_and_backslashes_in_ids_and_names():
+    g = NavGraph()
+    a = g.add_node('The "Dark" Room \\', node_id='a"1\\')
+    b = g.add_node("Plain", node_id="b")
+    g.add_edge(a, b, "north", 1)
+    dot = g.to_dot()
+    assert '  "a\\"1\\\\" [label="The \\"Dark\\" Room \\\\" ' \
+        'shape=doubleoctagon];' in dot
+    assert '  "a\\"1\\\\" -> "b" [label="north (step 1)"];' in dot
+    # every quoted string closes: outside them, each line holds no quote
+    for line in dot.splitlines():
+        assert '"' not in re.sub(r'"(?:[^"\\]|\\.)*"', "", line)
+
+
+def test_from_json_refuses_an_origin_that_names_no_room():
+    g = NavGraph()
+    a, b = g.add_node("A"), g.add_node("B")
+    g.add_edge(a, b, "north", 1)
+    data = g.to_json()
+    data["origin"] = "zz"
+    with pytest.raises(UnknownNode, match="origin is not a node: 'zz'"):
+        NavGraph.from_json(data)
+    # a subgraph that leaves the origin out still round-trips
+    sub = g.neighborhood([b], radius=0)
+    assert sub.origin is None and sub.nodes == {b: "B"}
+    assert NavGraph.from_json(sub.to_json()).state_equal(sub)
 
 
 def test_indices_survive_random_mutation():

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -126,6 +127,29 @@ def test_positions_tsv_lists_positioned_nodes_only():
     assert lines[1].startswith(f"{ids[0]}\tRoom 0\t0\t0\t0")
 
 
+def _tsv_unescaped(field):
+    return re.sub(r"\\(.)", lambda m: {"t": "\t", "n": "\n", "r": "\r"}.get(
+        m[1], m[1]), field)
+
+
+def test_positions_tsv_escapes_ids_and_names_to_five_fields_a_row():
+    g = NavGraph()
+    names = ["West\tof House", "Line\nBreak", "Carriage\rReturn",
+             "Back\\slash \\t", "Plain"]
+    ids = [g.add_node(names[0], node_id="o\trigin")]
+    for i, name in enumerate(names[1:], start=1):
+        ids.append(g.add_node(name, node_id=f"n{i}\\"))
+        g.add_edge(ids[i - 1], ids[i], "east", i)
+    rows = positions_tsv(g).split("\n")
+    assert rows[-1] == "" and rows[0] == "node\tname\tx\ty\tz"
+    fields = [row.split("\t") for row in rows[1:-1]]
+    assert all(len(f) == 5 for f in fields)
+    assert [(_tsv_unescaped(f[0]), _tsv_unescaped(f[1])) for f in fields] \
+        == list(g.nodes.items())
+    assert [tuple(map(int, f[2:])) for f in fields] == \
+        [(i, 0, 0) for i in range(len(names))]
+
+
 def _extended(g, edge):
     """Map of `g`, then `edge` added and the map extended by it."""
     pm = infer_positions(g)
@@ -252,11 +276,15 @@ def test_extension_is_exact_and_refuses_only_when_it_must(edges):
 
 def _faulted_worlds():
     visible = (FAULT_MISDIRECTION, FAULT_MISNAME, FAULT_PHANTOM)
+    # a closed loop has no misdirection that stays silent, nor has a walk
+    # dense enough to close a loop through every exit
+    closed = (WorldSpec("loopchain", (12,)), WorldSpec("walk", (5, 5, 80, 2)))
+    # walks revisit rooms and take exits more than once
     for spec in (WorldSpec("grid", (4, 4)), WorldSpec("tree", (3, 2)),
-                 WorldSpec("tree", (4, 3)), WorldSpec("loopchain", (12,))):
+                 WorldSpec("tree", (4, 3)), WorldSpec("walk", (6, 6, 60, 0)),
+                 WorldSpec("walk", (6, 6, 60, 1))) + closed:
         world = generate_world(spec)
-        # a closed loop has no misdirection that stays silent
-        silent = () if spec.shape == "loopchain" else (FAULT_SILENT,)
+        silent = () if spec in closed else (FAULT_SILENT,)
         for seed in range(3):
             for kind in visible + silent:
                 yield inject(world, [kind], seed=seed)[0]

@@ -149,7 +149,9 @@ def test_construct_requires_fresh_chain():
 @pytest.mark.parametrize("spec, most", [
     (WorldSpec("tree", (6, 3)), 1),   # every return move is a revisit
     (WorldSpec("grid", (20, 20)), 0),  # no revisit: no position map at all
-], ids=["tree-6x3", "grid-20x20"])
+    # exits taken again: each repeat meets an older edge of its direction
+    (WorldSpec("walk", (6, 6, 120, 3)), 1),
+], ids=["tree-6x3", "grid-20x20", "walk-6x6"])
 def test_construction_infers_positions_at_most_once(spec, most):
     """The map is extended per commit, not inferred again per revisit."""
     world = generate_world(spec)
