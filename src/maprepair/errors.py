@@ -13,6 +13,10 @@ class DuplicateEdge(MapRepairError):
     """An edge with the same (src, direction, step_id) already exists."""
 
 
+class DuplicateNode(MapRepairError):
+    """A node with the same id already exists."""
+
+
 class UnknownVersion(MapRepairError):
     """A version index is outside the commit chain."""
 

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .errors import DuplicateEdge, InvalidDelta, UnknownNode
+from .errors import DuplicateEdge, DuplicateNode, InvalidDelta, UnknownNode
 
 DIRECTIONS = (
     "north", "south", "east", "west", "up", "down",
@@ -106,7 +106,7 @@ class NavGraph:
         if node_id is None:
             node_id = self.fresh_id()
         elif node_id in self.nodes:
-            raise DuplicateEdge(f"node id already in use: {node_id}")
+            raise DuplicateNode(f"node id already in use: {node_id}")
         if not self.nodes:
             self.origin = node_id
         self.nodes[node_id] = name
@@ -153,7 +153,7 @@ class NavGraph:
         if node_id not in self.nodes:
             raise UnknownNode(node_id)
         if node_id in self._out or node_id in self._in_degree:
-            raise DuplicateEdge(f"node still has edges: {node_id}")
+            raise InvalidDelta(f"node still has edges: {node_id}")
         if node_id == self.origin:
             if len(self.nodes) > 1:
                 raise InvalidDelta(f"origin {node_id} is not the last node")

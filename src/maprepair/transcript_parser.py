@@ -25,7 +25,8 @@ instead (falling back to the first non-empty line).
 
 Construction has one loop, `extend_graph`, which goes on from whatever
 construction prefix its chain holds; `construct_graph` is that loop on an
-empty chain.  The loop keeps a current-location cursor and its normalized
+empty chain, which then ends the chain's log, if it has one, with a
+checkpoint row of the map built.  The loop keeps a current-location cursor and its normalized
 name.  Each movement's name is normalized once; a movement whose
 observation names a different location commits one edge.  The destination
 reuses an existing node only when both the normalized name and the
@@ -157,10 +158,13 @@ def parse_block(block: Sequence[str], prev: int) -> Optional[WalkthroughStep]:
 def construct_graph(steps: Sequence[WalkthroughStep],
                     chain: VersionChain) -> NavGraph:
     """Drive incremental construction through the commit chain, which must
-    be empty."""
+    be empty.  A chain with a log then ends it with a checkpoint row of
+    the map built (`VersionChain.checkpoint`), from which `load` starts."""
     if chain.head != -1:
         raise NonMonotonicStep("construction requires an empty chain")
-    return extend_graph(steps, chain)
+    g = extend_graph(steps, chain)
+    chain.checkpoint()
+    return g
 
 
 def extend_graph(steps: Iterable[WalkthroughStep],

@@ -63,14 +63,44 @@ with a warning, and `load(append=True)` cuts it off the file, ends a kept
 final line that lacks its newline, and otherwise leaves the file as it
 was, its modification time included; any other line that does not load
 raises `CorruptLog` with the file and line.
+
+A log may also hold checkpoint rows, which are not commits: construction
+(`transcript_parser.construct_graph`) ends a new log with one
+(`VersionChain.checkpoint`), `["checkpoint", version, lines, crc32, [[id,
+name], ...], [["+", src, dst, dir, step], ...]]`, the state at `version`
+(every room in `graph.nodes` order, then every edge in commit order)
+after the first `lines` lines, whose bytes have that `zlib.crc32`.  A
+reader of 8-column rows refuses it (`a row has 6 columns, not 8`), and
+one of object lines too.  The row's node and delta items are the ones
+`_line` formatted for each commit, kept by a chain whose log it started
+while every commit only adds rooms and edges; a log-less chain keeps
+nothing.  `load` starts from the last checkpoint (`_resume`) when it
+decodes, its version is its line count less one, the count and the crc32
+match the lines before it and its state, one commit from the empty graph
+under `TRIGGER_CHECKPOINT`, passes `Commit.from_row`, the check and
+`_apply_commit`; it then replays the lines after it.  Otherwise it
+replays every line, which checks each checkpoint where it stands: a
+version, line count, crc32 or state (rooms and edges in the same order)
+other than the lines before it build is `CorruptLog` at its line.  A
+torn checkpoint line is dropped as a torn commit line is.  The lines
+before the checkpoint `load` started from are kept as bytes in a
+`CommitList`, and the first read of any commit (an item, `materialize`,
+`recall_step`, `diff`, construction's cursor) replays them with the same
+checks; `len` and `head` read nothing.  So a line `load` would refuse by
+replay is refused, at its line and with the same message, either by
+`load` (the crc32 no longer matches, so every line is replayed) or by
+that first read.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
 import warnings
+import zlib
+from collections.abc import Sequence
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Optional
 
@@ -79,6 +109,8 @@ from .graph_core import REVERSE, Edge, NavGraph
 
 TRIGGER_OBSERVATION = "observation_update"
 TRIGGER_REPAIR = "conflict_repair"
+# the trigger of a checkpoint's state commit, which is applied, never committed
+TRIGGER_CHECKPOINT = "checkpoint"
 
 
 class EdgeDelta(NamedTuple):
@@ -309,6 +341,85 @@ def _inverse(c: Commit, applied: Optional[int] = None) -> Commit:
         nodes[::-1]))
 
 
+class Checkpoint(NamedTuple):
+    """A checkpoint row: the state at `version`, written after `lines` log
+    lines whose bytes have the `zlib.crc32` `crc`.  `state` is the one
+    commit from the empty graph that builds it: every room, then every
+    edge as an add, under `TRIGGER_CHECKPOINT`."""
+    version: int
+    lines: int
+    crc: int
+    state: Commit
+
+    @classmethod
+    def from_row(cls, row: list) -> "Checkpoint":
+        """The checkpoint of a row `["checkpoint", version, lines, crc32,
+        [[id, name], ...], [["+", src, dst, dir, step], ...]]`.  A row of
+        other than 6 columns, or a version, line count or crc32 that is not
+        an exact int, raises `ValueError`; the state goes through
+        `Commit.from_row`, so its rooms and edges are checked as a
+        commit's."""
+        if len(row) != 6:
+            raise ValueError(f"a checkpoint row has {len(row)} columns, "
+                             f"not 6")
+        _, version, lines, crc, nodes, edges = row
+        _check_types(int, ("checkpoint version", version),
+                     ("checkpoint line count", lines),
+                     ("checkpoint crc32", crc))
+        return _new(cls, (version, lines, crc, Commit.from_row(
+            [version, edges, TRIGGER_CHECKPOINT, version, "", nodes, [],
+             []])))
+
+
+class CommitList(Sequence):
+    """The commits of a chain `load` started from a checkpoint, in index
+    order; `commit` appends to it as to the list other chains hold.
+
+    The `pending` commits before the checkpoint are still the log's bytes
+    until the first read of any commit decodes them (`_decode_prefix`
+    with the arguments `prefix`).  `len`, and so `VersionChain.head`,
+    never decodes.  It compares equal to the list of the commits it
+    holds."""
+
+    __slots__ = ("_commits", "_pending", "_prefix")
+
+    def __init__(self, pending: int, prefix: tuple) -> None:
+        self._commits: list[Commit] = []  # those after the checkpoint
+        self._pending, self._prefix = pending, prefix
+
+    def __len__(self) -> int:
+        return self._pending + len(self._commits)
+
+    def _all(self) -> list[Commit]:
+        if self._pending:
+            self._commits[:0] = _decode_prefix(*self._prefix)
+            self._pending, self._prefix = 0, None
+        return self._commits
+
+    def __getitem__(self, i):
+        return self._all()[i]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __reversed__(self):
+        return reversed(self._all())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CommitList):
+            other = other._all()
+        return self._all() == other if type(other) is list \
+            else NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"CommitList({self._all()!r})"
+
+    def append(self, c: Commit) -> None:
+        self._commits.append(c)
+
+
 class VersionChain:
     """Owns a NavGraph; all mutation goes through commit().
 
@@ -320,13 +431,18 @@ class VersionChain:
     def __init__(self, log_path: Optional[str | Path] = None,
                  fsync: bool = False):
         self.graph = NavGraph()
-        self.commits: list[Commit] = []
+        self.commits: list[Commit] | CommitList = []
         self._log: Optional[IO[bytes]] = None
         self._log_end = 0  # log size after the last line written
+        # While every commit of a new log only adds rooms and edges, each
+        # one's line and step lists: a checkpoint row of the head joins
+        # their node and delta items (`checkpoint`)
+        self._kept: Optional[list[tuple[bytes, tuple[str, ...]]]] = None
         self.fsync = fsync
         self.log_path = Path(log_path) if log_path else None
         if self.log_path:
             self._log = _open_log(self.log_path)
+            self._kept = []
 
     @classmethod
     def from_commits(cls, commits: Iterable[Commit]) -> "VersionChain":
@@ -359,7 +475,8 @@ class VersionChain:
         _apply_commit(self.graph, commit)
         if self._log is not None:
             try:
-                line = _line(commit)
+                items = _step_lists(commit)
+                line = _line(commit, items)
                 written = 0
                 while written < len(line):
                     written += self._log.write(line[written:])
@@ -370,8 +487,46 @@ class VersionChain:
                 os.truncate(self.log_path, self._log_end)
                 raise
             self._log_end += len(line)
+            if self._kept is not None:
+                # a "-" op is written `["-", `; a str holding it is escaped
+                if items[2] or items[3] or '["-", ' in items[0]:
+                    self._kept = None
+                else:
+                    self._kept.append((line, items))
         self.commits.append(commit)
         return commit
+
+    def checkpoint(self) -> bool:
+        """Append a checkpoint row of the head state to the log, unless the
+        chain has no commit or does not keep the row's parts: only a chain
+        that started its log, and whose every commit so far only added
+        rooms and edges, does, until its first checkpoint.  Returns whether
+        a row was written.  The row is `json.dumps` of `["checkpoint",
+        head, lines, crc32, [[id, name], ...], [["+", src, dst, dir, step],
+        ...]]` and a newline, the node and delta items joined from the
+        commits' rows, so rooms come in `graph.nodes` order and edges in
+        commit order.  A failed write or sync cuts the log back, as in
+        `commit`."""
+        if self._log is None or not self._kept:
+            return False
+        kept = self._kept
+        crc = zlib.crc32(b"".join([line for line, _ in kept]))
+        nodes = ", ".join([items[1] for _, items in kept if items[1]])
+        edges = ", ".join([items[0] for _, items in kept if items[0]])
+        row = (f'["{TRIGGER_CHECKPOINT}", {self.head!r}, {len(kept)!r}, '
+               f'{crc!r}, [{nodes}], [{edges}]]\n').encode()
+        try:
+            written = 0
+            while written < len(row):
+                written += self._log.write(row[written:])
+            if self.fsync:
+                os.fsync(self._log.fileno())
+        except BaseException:
+            os.truncate(self.log_path, self._log_end)
+            raise
+        self._log_end += len(row)
+        self._kept = None
+        return True
 
     def _check_version(self, version: int) -> None:
         """Refuse a version that is not an exact int (`True` is not) in
@@ -400,48 +555,25 @@ class VersionChain:
         if self._log is not None:
             self._log.close()
             self._log = None
+        self._kept = None
 
     @classmethod
     def load(cls, log_path: str | Path, append: bool = False,
              fsync: bool = False) -> "VersionChain":
-        """Replay the log at `log_path`.  With `append`, the log is opened
-        once, for reading and appending, and later commits go to its end,
-        after a torn final line is cut off, and are synced to disk when
-        `fsync` is set."""
+        """Replay the log at `log_path`, from its last checkpoint when the
+        lines before it are the ones it was written after (`_resume`).
+        With `append`, the log is opened once, for reading and appending,
+        and later commits go to its end, after a torn final line is cut
+        off, and are synced to disk when `fsync` is set."""
         chain = cls(fsync=fsync)
-        good_end, kept = 0, b"\n"  # end of the last line kept, and that line
-        torn = False
         fd = os.open(log_path,
                      os.O_RDWR | os.O_APPEND if append else os.O_RDONLY)
         try:
             with open(fd, "rb", closefd=False) as fh:
-                for lineno, raw in enumerate(fh, start=1):
-                    if raw.strip():
-                        try:
-                            value = _decode(raw)
-                            c = (Commit.from_row(value)
-                                 if type(value) is list
-                                 else Commit.from_json(value))
-                        except (ValueError, KeyError, TypeError) as exc:
-                            if raw.endswith(b"\n"):
-                                raise CorruptLog(
-                                    f"{log_path}:{lineno}: {exc}") from exc
-                            warnings.warn(f"{log_path}:{lineno}: dropped a "
-                                          f"torn final line ({len(raw)} "
-                                          f"bytes)")
-                            torn = True
-                            break
-                        if c.index != len(chain.commits):
-                            raise CorruptLog(
-                                f"{log_path}:{lineno}: commit {c.index} "
-                                f"where {len(chain.commits)} was expected")
-                        try:
-                            _apply_commit(chain.graph, c)
-                        except MapRepairError as exc:
-                            raise CorruptLog(
-                                f"{log_path}:{lineno}: {exc}") from exc
-                        chain.commits.append(c)
-                    good_end, kept = good_end + len(raw), raw
+                data = fh.read()
+            start, lineno = _resume(chain, log_path, data)
+            good_end, kept, torn = _replay(chain, log_path, data, start,
+                                           len(data), lineno)
             if append:
                 if torn:  # a same-size truncate would still touch the file
                     os.ftruncate(fd, good_end)
@@ -455,32 +587,161 @@ class VersionChain:
         return chain
 
 
+_CHECKPOINT_LINE = f'["{TRIGGER_CHECKPOINT}", '.encode()  # how one starts
+
+
+def _resume(chain: VersionChain, log_path, data: bytes) -> tuple[int, int]:
+    """Start the empty `chain` from the last checkpoint of the log `data`:
+    the last line that starts as `checkpoint` writes one and decodes to a
+    checkpoint row written, as `checkpoint` writes one, after one commit
+    a line (its version is its line count less one) and after the lines
+    before it (the count and the crc32 of their bytes fit), whose state
+    applies to the empty graph.  The chain's commits before it stay bytes
+    until first read.  Returns the byte offset and the line number after
+    the checkpoint, or (0, 1), the start of the log, when no line
+    qualifies."""
+    start = data.rfind(b"\n" + _CHECKPOINT_LINE) + 1
+    if not data.startswith(_CHECKPOINT_LINE, start):
+        return 0, 1
+    end = data.find(b"\n", start) + 1 or len(data)
+    lines = data.count(b"\n", 0, start)
+    try:
+        cp = Checkpoint.from_row(_decode(data[start:end]))
+    except (ValueError, TypeError):
+        return 0, 1
+    if not cp.version + 1 == cp.lines == lines > 0 \
+            or cp.crc != zlib.crc32(memoryview(data)[:start]):
+        return 0, 1
+    try:
+        _apply_commit(chain.graph, cp.state)
+    except MapRepairError:
+        return 0, 1
+    chain.commits = CommitList(cp.version + 1, (log_path, data, end))
+    return end, lines + 2
+
+
+def _decode_prefix(log_path, data: bytes, end: int) -> list[Commit]:
+    """The commits of the log `data` up to byte `end`, where the line of
+    the checkpoint `_resume` started from ends: the lines are replayed as
+    `load` replays a log, so a line that does not load is `CorruptLog` at
+    its line, and so is the checkpoint, if the state it holds is not the
+    one they build."""
+    chain = VersionChain()
+    _replay(chain, log_path, data, 0, end, 1)
+    return chain.commits
+
+
+def _replay(chain: VersionChain, log_path, data: bytes, start: int,
+            end: int, lineno: int) -> tuple[int, bytes, bool]:
+    """Apply the lines of the log `data` from byte `start`, line number
+    `lineno`, up to byte `end` to `chain`.  Returns the end of the last
+    line kept, that line's last byte (a newline before the first line),
+    and whether a torn final line was dropped."""
+    good_end, kept = start, data[start - 1:start] if start else b"\n"
+    fh = io.BytesIO(data)
+    fh.seek(start)
+    for lineno, raw in enumerate(fh, start=lineno):
+        if good_end >= end:
+            break
+        if raw.strip():
+            try:
+                value = _decode(raw)
+                if type(value) is not list:
+                    c = Commit.from_json(value)
+                elif value and value[0] == TRIGGER_CHECKPOINT:
+                    c = Checkpoint.from_row(value)
+                else:
+                    c = Commit.from_row(value)
+            except (ValueError, KeyError, TypeError) as exc:
+                if raw.endswith(b"\n"):
+                    raise CorruptLog(f"{log_path}:{lineno}: {exc}") from exc
+                warnings.warn(f"{log_path}:{lineno}: dropped a torn final "
+                              f"line ({len(raw)} bytes)")
+                return good_end, kept, True
+            if type(c) is Checkpoint:
+                _check_checkpoint(chain, log_path, c, data, good_end, lineno)
+            else:
+                if c.index != len(chain.commits):
+                    raise CorruptLog(
+                        f"{log_path}:{lineno}: commit {c.index} where "
+                        f"{len(chain.commits)} was expected")
+                try:
+                    _apply_commit(chain.graph, c)
+                except MapRepairError as exc:
+                    raise CorruptLog(f"{log_path}:{lineno}: {exc}") from exc
+                chain.commits.append(c)
+        good_end, kept = good_end + len(raw), raw
+    return good_end, kept, False
+
+
+def _check_checkpoint(chain: VersionChain, log_path, cp: Checkpoint,
+                      data: bytes, offset: int, lineno: int) -> None:
+    """Refuse, with `CorruptLog` at its line, a checkpoint at byte
+    `offset`, line `lineno`, of the log `data` whose version, line count,
+    crc32 or state is not that of `chain`, the replay of the lines before
+    it.  Its state must hold the same rooms and edges in the same order."""
+    head = len(chain.commits) - 1
+    if cp.version != head:
+        problem = f"is of version {cp.version}, not {head}"
+    elif cp.lines != lineno - 1:
+        problem = f"follows {cp.lines} lines, not {lineno - 1}"
+    elif cp.crc != zlib.crc32(memoryview(data)[:offset]):
+        problem = f"has crc32 {cp.crc}, not that of the lines before it"
+    elif not _holds(chain.graph, cp.state):
+        problem = f"does not hold the state of version {head}"
+    else:
+        return
+    raise CorruptLog(f"{log_path}:{lineno}: checkpoint {problem}")
+
+
+def _holds(g: NavGraph, state: Commit) -> bool:
+    """Is `g` the graph `state` builds from empty, rooms and edges
+    iterating in the same order?"""
+    built = NavGraph()
+    try:
+        _apply_commit(built, state)
+    except MapRepairError:
+        return False
+    return (g.origin == built.origin
+            and list(g.nodes.items()) == list(built.nodes.items())
+            and list(g.edges()) == list(built.edges()))
+
+
 _str = json.encoder.encode_basestring_ascii  # json.dumps's, ensure_ascii
 
 
-def _line(c: Commit) -> bytes:
-    """The log line of `c`, its row: `json.dumps([index, [[op, src, dst,
-    dir, step], ...], trigger, obs_id, analysis, [[id, name], ...], [[id,
-    old, new], ...], [[id, name], ...]]) + "\\n"`, byte for byte, formatted
-    in one pass.  All 8 columns are written, empty step lists included.
-    Strings go through the C escaper `json.dumps` uses under
-    `ensure_ascii`.  Every int field is an exact int (`_check_commit` saw
-    to it), so `!r` writes it as `int.__repr__` does, which is what
-    `json.dumps` writes."""
-    index, deltas, trigger, obs_id, analysis, nodes, renames, drops = c
+def _step_lists(c: Commit) -> tuple[str, str, str, str]:
+    """The deltas, new nodes, renames and drops of `c`'s row, each its
+    items as `json.dumps` writes them inside the list's brackets:
+    `[op, src, dst, dir, step], ...`, `[id, name], ...`, `[id, old, new],
+    ...` and `[id, name], ...`.  Strings go through the C escaper
+    `json.dumps` uses under `ensure_ascii`.  Every int field is an exact
+    int (`_check_commit` saw to it), so `!r` writes it as `int.__repr__`
+    does, which is what `json.dumps` writes."""
     delta_items = ", ".join([
         f"[{_str(op)}, {_str(src)}, {_str(dst)}, {_str(direction)}, "
-        f"{step!r}]" for op, (src, dst, direction, step) in deltas])
+        f"{step!r}]" for op, (src, dst, direction, step) in c.deltas])
     # an empty step list skips its comprehension, a call of its own
+    nodes, renames, drops = c.new_nodes, c.renames, c.drops
     node_items = ", ".join([f"[{_str(nid)}, {_str(name)}]"
                             for nid, name in nodes]) if nodes else ""
     rename_items = ", ".join([f"[{_str(nid)}, {_str(old)}, {_str(new)}]"
                               for nid, old, new in renames]) if renames else ""
     drop_items = ", ".join([f"[{_str(nid)}, {_str(name)}]"
                             for nid, name in drops]) if drops else ""
-    return (f"[{index!r}, [{delta_items}], {_str(trigger)}, {obs_id!r}, "
-            f"{_str(analysis)}, [{node_items}], [{rename_items}], "
-            f"[{drop_items}]]\n").encode()
+    return delta_items, node_items, rename_items, drop_items
+
+
+def _line(c: Commit, step_lists: Optional[tuple[str, ...]] = None) -> bytes:
+    """The log line of `c`, its row: `json.dumps([index, [[op, src, dst,
+    dir, step], ...], trigger, obs_id, analysis, [[id, name], ...], [[id,
+    old, new], ...], [[id, name], ...]]) + "\\n"`, byte for byte, formatted
+    in one pass from `_step_lists(c)` (or the `step_lists` given).  All 8
+    columns are written, empty step lists included."""
+    deltas, nodes, renames, drops = step_lists or _step_lists(c)
+    return (f"[{c.index!r}, [{deltas}], {_str(c.trigger)}, {c.obs_id!r}, "
+            f"{_str(c.analysis)}, [{nodes}], [{renames}], [{drops}]]\n"
+            ).encode()
 
 
 _scan_once = json.JSONDecoder().scan_once

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import brute_closure, brute_reachable, multigraphs, random_graph
 from maprepair.conflict_detector import detect_all
-from maprepair.errors import DuplicateEdge, InvalidDelta, UnknownNode
+from maprepair.errors import (
+    DuplicateEdge, DuplicateNode, InvalidDelta, UnknownNode,
+)
 from maprepair.graph_core import (
     COMPASS, DIRECTIONS, Edge, NavGraph, displacement, is_direction,
     normalize_name, reverse_direction,
@@ -96,7 +98,7 @@ def test_namesakes_lists_shared_names_only():
 def test_explicit_node_id_collision_rejected():
     g = NavGraph()
     a = g.add_node("Room A")
-    with pytest.raises(DuplicateEdge):
+    with pytest.raises(DuplicateNode):
         g.add_node("Room B", node_id=a)
 
 
@@ -116,12 +118,12 @@ def test_remove_node_requires_no_edges():
     g.add_edge(a, b, "north", 1)
     g.add_edge(c, b, "east", 2)
     before = g.copy()
-    with pytest.raises(DuplicateEdge):
+    with pytest.raises(InvalidDelta):
         g.remove_node(b)
     assert g.state_equal(before)
     assert g.indices_consistent()
     g.remove_edge(Edge(a, b, "north", 1))
-    with pytest.raises(DuplicateEdge):  # one edge still enters b
+    with pytest.raises(InvalidDelta):  # one edge still enters b
         g.remove_node(b)
     g.remove_edge(Edge(c, b, "east", 2))
     g.remove_node(b)
@@ -401,7 +403,7 @@ def test_entering_edge_reads_equal_brute_force(graph_and_conflicts, data):
         assert g.in_edges(n) == [e for e in edges if e.dst == n]
         h = g.copy()
         if any(n in (e.src, e.dst) for e in edges):
-            with pytest.raises(DuplicateEdge):
+            with pytest.raises(InvalidDelta):
                 h.remove_node(n)
             assert h.state_equal(g)
         elif n == g.origin and len(g.nodes) > 1:

@@ -290,16 +290,21 @@ def test_extend_graph_from_every_loaded_prefix_equals_construct_graph(
         tmp_path_factory, steps):
     """Construction goes on from a log of a prefix, reopened with
     `load(append=True)`, exactly as from the chain that wrote it: the
-    same graph, the same commits and, byte for byte, the same log."""
+    same graph, the same commits and, byte for byte, the same log lines
+    after the prefix's, which end with the prefix's checkpoint row."""
     tmp = tmp_path_factory.mktemp("wal")
     whole = VersionChain(log_path=tmp / "whole.jsonl")
     construct_graph(steps, whole)
     whole.close()
+    # the whole log's commit lines; its checkpoint row is the last line
+    whole_lines = whole.log_path.read_bytes().splitlines(keepends=True)
+    assert len(whole_lines) == len(whole.commits) + bool(whole.commits)
     for k in range(len(steps) + 1):
         log = tmp / f"prefix-{k}.jsonl"
         prefix = VersionChain(log_path=log)
         construct_graph(steps[:k], prefix)
         prefix.close()
+        prefix_wal = log.read_bytes()
         chain = VersionChain.load(log, append=True)
         try:
             extend_graph(steps[k:], chain)
@@ -307,4 +312,5 @@ def test_extend_graph_from_every_loaded_prefix_equals_construct_graph(
             chain.close()
         assert chain.graph.state_equal(whole.graph)
         assert chain.commits == whole.commits
-        assert log.read_bytes() == whole.log_path.read_bytes()
+        assert log.read_bytes() == prefix_wal + b"".join(
+            whole_lines[len(prefix.commits):len(whole.commits)])

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import warnings
+import zlib
 from typing import Optional
 from unittest import mock
 
@@ -11,16 +12,24 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     _reference_run, _reference_steps, reference_apply_commit,
-    reference_commit_from_json, reference_commit_from_row, reference_load,
-    unapplied,
+    reference_commit_from_json, reference_commit_from_line,
+    reference_commit_from_row, reference_load, unapplied,
 )
-from maprepair import cli
+from maprepair import cli, version_store
+from maprepair import fault_injector as fi
 from maprepair.errors import (
-    CorruptLog, DuplicateEdge, InvalidDelta, MapRepairError, UnknownNode,
-    UnknownVersion,
+    CorruptLog, DuplicateEdge, DuplicateNode, InvalidDelta, MapRepairError,
+    UnknownNode, UnknownVersion,
 )
-from maprepair.fault_injector import WorldSpec, generate_world
-from maprepair.graph_core import DIRECTIONS, Edge
+from maprepair.fault_injector import (
+    FAULT_MISDIRECTION, FAULT_MISNAME, FAULT_PHANTOM, WorldSpec,
+    generate_world, inject,
+)
+from maprepair.graph_core import DIRECTIONS, Edge, NavGraph
+from maprepair.repair_engine import (
+    ACT_ROLLBACK_TO, MUTATING_ACTIONS, RepairAction, apply_action,
+)
+from maprepair.transcript_parser import extend_graph
 from maprepair.version_store import (
     Commit, EdgeDelta, TRIGGER_OBSERVATION, TRIGGER_REPAIR, VersionChain,
     _apply_commit, _check_commit, _inverse, _line, add, remove,
@@ -368,9 +377,11 @@ def test_load_append_leaves_an_intact_log_untouched(tmp_path, line):
 
 
 def _tree_log(tmp_path):
+    """A log of the commit rows of a built tree, without the checkpoint row
+    a build writes after them, and the chain built."""
     log = tmp_path / "tree.jsonl"
-    chain = generate_world(WorldSpec("tree", (3, 2))).build(log_path=log)
-    chain.close()
+    chain = generate_world(WorldSpec("tree", (3, 2))).build()
+    log.write_bytes(b"".join(map(_line, chain.commits)))
     return log, chain
 
 
@@ -1036,14 +1047,17 @@ def test_commit_refuses_an_unknown_delta_op(tmp_path):
      UnknownNode),
     ({"op": "+", "src": "n0", "dst": "n0", "dir": "north", "step": 1}, {},
      DuplicateEdge),
+    (None, {"nodes": [{"id": "n1", "name": "Again"}]}, DuplicateNode),
+    (None, {"drops": [{"id": "n1", "name": "Room 1"}]}, InvalidDelta),
     (None, {"nodes": [{"id": "n9", "name": 1}]}, TypeError),
     (None, {"nodes": [{"id": [], "name": "Hall"}]}, TypeError),
     (None, {"renames": [{"id": "n1", "old": "Room 1", "new": None}]},
      TypeError),
     ({"op": "+", "src": "n0", "dst": "n1", "dir": [], "step": 7}, {},
      TypeError),
-], ids=["absent edge", "unknown node", "duplicate key", "name", "node id",
-        "new name", "direction"])
+], ids=["absent edge", "unknown node", "duplicate key", "node id in use",
+        "drop of a room with edges", "name", "node id", "new name",
+        "direction"])
 def test_load_reports_a_commit_that_does_not_apply(tmp_path, capsys, delta,
                                                    fields, cause):
     """A line that parses but does not apply (a map error), or whose
@@ -1573,13 +1587,18 @@ def test_load_equals_the_reference_on_corrupted_logs(data, tmp_path_factory):
     is not an array and a row of a shape the writer does not make are
     `CorruptLog` at their line (or a torn final line).  Rows and object
     lines are mixed at random.  Any log that does not load is
-    `CorruptLog`."""
+    `CorruptLog`.  The same corrupted lines followed by the checkpoint row
+    of the log before corruption load as every line's replay does, and
+    are refused as the lines alone are (`_assert_a_checkpoint_after_loads_
+    alike`)."""
     log = tmp_path_factory.mktemp("replay") / "chain.jsonl"
-    wal = _corrupt(data, _random_log(data, log))
+    clean = _random_log(data, log)
+    wal = _corrupt(data, clean)
     append = data.draw(st.booleans())
     fixed, fired = _assert_load_equals_the_fixed_reference(log, wal, append)
     if not fired:
         _assert_same(_outcome(reference_load, log, wal, append), fixed)
+    _assert_a_checkpoint_after_loads_alike(log, clean, wal, append)
 
 
 @settings(max_examples=400, deadline=None)
@@ -1590,14 +1609,17 @@ def test_load_equals_the_reference_on_logs_with_garbled_fields(
     object, a position of a row) to a wrong value, removes it, or swaps a
     delta's op or source, so far more examples reach a line that parses
     as JSON but is not a commit the writer makes, where the seven fixes
-    act."""
+    act; and the same lines before a checkpoint row load as above."""
     log = tmp_path_factory.mktemp("replay") / "chain.jsonl"
-    lines = _lines(_random_log(data, log))
+    clean = _random_log(data, log)
+    lines = _lines(clean)
     for _ in range(data.draw(st.integers(1, 3))):
         i = data.draw(st.integers(0, len(lines) - 1))
         lines[i] = _garble(data, lines[i], swap=data.draw(st.booleans()))
-    _assert_load_equals_the_fixed_reference(log, b"".join(lines),
-                                            data.draw(st.booleans()))
+    append = data.draw(st.booleans())
+    _assert_load_equals_the_fixed_reference(log, b"".join(lines), append)
+    _assert_a_checkpoint_after_loads_alike(log, clean, b"".join(lines),
+                                           append)
 
 
 @pytest.mark.parametrize("delta, fields, fix", [
@@ -1678,3 +1700,367 @@ def test_log_value_types_are_immutable_tuples_of_their_fields():
             f"remove of absent edge: {e._replace(direction='west')!r}")):
         chain.commit([remove(Edge("n0", "n1", "west", 1))], TRIGGER_REPAIR,
                      obs_id=9, analysis="")
+
+
+# -- checkpoint rows ----------------------------------------------------------
+
+_CHECKPOINT = b'["checkpoint", '
+
+
+def _checkpoint_row(wal: bytes) -> bytes:
+    """The checkpoint row of the uncorrupted log `wal`, as `json.dumps`
+    writes it, made from the map the reference replay of `wal` builds: its
+    rooms in order, then its edges as adds in the order they iterate."""
+    g, commits = NavGraph(), 0
+    for raw in _lines(wal):
+        if raw.strip():
+            reference_apply_commit(g, reference_commit_from_line(
+                json.loads(raw)))
+            commits += 1
+    return json.dumps(["checkpoint", commits - 1, len(_lines(wal)),
+                       zlib.crc32(wal), [[*n] for n in g.nodes.items()],
+                       [["+", *e] for e in g.edges()]]).encode() + b"\n"
+
+
+def _full_replay(log, append: bool = False):
+    """`load` without starting from a checkpoint: every line is replayed,
+    a checkpoint row checked where it stands."""
+    with mock.patch.object(version_store, "_resume", return_value=(0, 1)):
+        return VersionChain.load(log, append=append)
+
+
+def _assert_same_order(a, b):
+    """`a` and `b` hold the same map, rooms and edges in the same order."""
+    assert a.graph.state_equal(b.graph)
+    assert list(a.graph.nodes.items()) == list(b.graph.nodes.items())
+    assert list(a.graph.edges()) == list(b.graph.edges())
+
+
+def _lineno(error) -> int:
+    """The line a `CorruptLog` outcome names."""
+    return int(error[1].rsplit(".jsonl:", 1)[1].split(":", 1)[0])
+
+
+def _assert_a_checkpoint_after_loads_alike(log, wal: bytes, prefix: bytes,
+                                           append: bool):
+    """`prefix` (the log `wal`, perhaps corrupted) then the checkpoint row of
+    `wal` loads as the full replay of the same bytes does: the same
+    commits, map and order, exception, warnings and file bytes.  A line
+    before the row that the log without it refuses is refused with the
+    same `CorruptLog`; the uncorrupted log loads as it does without the
+    row.  A prefix cut short within a line has the row glued onto that
+    line, which is then no longer the final one."""
+    row = _checkpoint_row(wal)
+    rowless = _outcome(VersionChain.load, log, prefix, append)
+    loaded = _outcome(VersionChain.load, log, prefix + row, append)
+    _assert_same(loaded, _outcome(_full_replay, log, prefix + row, append))
+    if loaded[0] is not None:
+        _assert_same_order(loaded[0], _full_replay(log))
+    row_line = len(_lines(prefix)) + (not prefix or prefix.endswith(b"\n"))
+    if rowless[1] is not None and _lineno(rowless[1]) < row_line:
+        assert loaded[1] == rowless[1]
+    if prefix == wal:
+        assert loaded[1] is None and loaded[2] == rowless[2] == []
+        assert loaded[0].commits == rowless[0].commits
+        _assert_same_order(loaded[0], rowless[0])
+    assert loaded[1] is None or loaded[1][0] is CorruptLog
+
+
+def _checkpointed_walk(data, log):
+    """A faulted walk world built to `log`, which ends with its checkpoint
+    row; then, reopened, random repair actions and a `RollbackTo`."""
+    draw = data.draw
+    spec = WorldSpec("walk", (4, 4, draw(st.integers(8, 30)),
+                              draw(st.integers(0, 3))))
+    kind = draw(st.sampled_from([FAULT_MISDIRECTION, FAULT_MISNAME,
+                                 FAULT_PHANTOM]))
+    corrupted, _ = inject(generate_world(spec), [kind], seed=draw(
+        st.integers(0, 2)))
+    corrupted.build(log_path=log).close()
+    *lines, row = _lines(log.read_bytes())
+    rows = [json.loads(raw) for raw in lines]
+    assert row == json.dumps([
+        "checkpoint", len(rows) - 1, len(rows), zlib.crc32(b"".join(lines)),
+        [n for r in rows for n in r[5]], [d for r in rows for d in r[1]],
+    ]).encode() + b"\n"
+    chain = VersionChain.load(log, append=True)
+    try:
+        for _ in range(draw(st.integers(0, 3))):
+            g = chain.graph
+            nodes = sorted(g.nodes)
+            action = RepairAction(
+                draw(st.sampled_from(sorted(MUTATING_ACTIONS))),
+                edge=draw(st.sampled_from(sorted(g.edges()))),
+                new_direction=draw(st.sampled_from(DIRECTIONS)),
+                new_dst=draw(st.sampled_from(nodes)),
+                node=draw(st.sampled_from(nodes)), new_name="Hallway",
+                version=draw(st.integers(0, chain.head)))
+            with contextlib.suppress(MapRepairError):
+                apply_action(chain, action)
+        with contextlib.suppress(MapRepairError):  # refused if unchanged
+            apply_action(chain, RepairAction(
+                ACT_ROLLBACK_TO, version=draw(st.integers(0, chain.head))))
+    finally:
+        chain.close()
+    return chain
+
+
+def _counting_decodes(monkeypatch) -> list:
+    decodes = []
+    real = version_store._decode_prefix
+
+    def counting(*args):
+        decodes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(version_store, "_decode_prefix", counting)
+    return decodes
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_checkpointed_walk_log_loads_as_it_does_without_the_row(
+        data, tmp_path_factory):
+    """A faulted walk world's log, its checkpoint row, repair commits and a
+    `RollbackTo` load, with or without append, to the map, room and edge
+    order and commits of the same log without the row.  `head` and
+    `len(commits)` decode nothing; the first read of a commit decodes the
+    lines before the row once."""
+    tmp = tmp_path_factory.mktemp("walk")
+    log, rowless = tmp / "walk.jsonl", tmp / "rowless.jsonl"
+    chain = _checkpointed_walk(data, log)
+    lines = _lines(log.read_bytes())
+    rows = [i for i, raw in enumerate(lines) if raw.startswith(_CHECKPOINT)]
+    assert len(rows) == 1
+    rowless.write_bytes(b"".join(lines[:rows[0]] + lines[rows[0] + 1:]))
+    reference = VersionChain.load(rowless)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        decodes = _counting_decodes(monkeypatch)
+        loaded = VersionChain.load(log, append=data.draw(st.booleans()))
+        loaded.close()
+        assert loaded.head == reference.head == chain.head
+        assert len(loaded.commits) == len(reference.commits)
+        assert decodes == []
+        _assert_same_order(loaded, reference)
+        _assert_same_order(loaded, chain)
+        assert loaded.commits == reference.commits == chain.commits
+        assert len(decodes) == 1
+        assert loaded.commits[0] == reference.commits[0]
+        assert len(decodes) == 1
+
+
+@pytest.mark.parametrize("reader", ["rows", "objects"])
+def test_a_reader_before_checkpoints_refuses_the_row(tmp_path, reader):
+    """The row is not a commit: a reader of rows refuses it for its columns,
+    and a reader of object lines for its type."""
+    log = tmp_path / "tree.jsonl"
+    generate_world(WorldSpec("tree", (3, 2))).build(log_path=log).close()
+    row = json.loads(_lines(log.read_bytes())[-1])
+    if reader == "rows":
+        with pytest.raises(ValueError, match="a row has 6 columns, not 8"):
+            Commit.from_row(row)
+    else:
+        with pytest.raises(TypeError):
+            reference_commit_from_json(row)
+
+
+def test_the_checkpoint_row_is_json_dumps_of_the_built_state(tmp_path):
+    """The build writes one row, `json.dumps` of the version, the line
+    count, the crc32 of the lines before it, every room in order and
+    every edge in commit order, escapes included; a log-less chain keeps
+    nothing to write one."""
+    log = tmp_path / "chain.jsonl"
+    chain = VersionChain(log_path=log)
+    ids = _grow(chain, n=3)
+    chain.commit([], TRIGGER_OBSERVATION, obs_id=4, analysis="x",
+                 new_nodes=[("né", "Café \"\\\n😀")])
+    chain.commit([add(Edge(ids[0], "né", "in", 5)),
+                  add(Edge("né", ids[0], "out", 6))],
+                 TRIGGER_OBSERVATION, obs_id=5, analysis="y")
+    wal = log.read_bytes()
+    assert chain.checkpoint()
+    assert not chain.checkpoint()  # one row, after construction
+    chain.close()
+    edges = [["+", *d.edge] for c in chain.commits for d in c.deltas]
+    assert log.read_bytes() == wal + json.dumps(
+        ["checkpoint", 5, 6, zlib.crc32(wal),
+         [[*n] for n in chain.graph.nodes.items()], edges]).encode() + b"\n"
+    free = VersionChain()
+    _grow(free)
+    assert not free.checkpoint() and free._kept is None
+
+
+@pytest.mark.parametrize("step", ["remove", "rename", "drop"])
+def test_a_log_that_does_more_than_add_gets_no_checkpoint(tmp_path, step):
+    """A row joined from the commits' items holds the head only while they
+    only add rooms and edges, so after a remove, rename or drop the chain
+    writes none."""
+    log = tmp_path / "chain.jsonl"
+    chain = VersionChain(log_path=log)
+    ids = _grow(chain, n=2)
+    e = Edge(ids[1], ids[2], "north", 2)
+    if step == "remove":
+        chain.commit([remove(e)], TRIGGER_REPAIR, obs_id=3, analysis="r")
+    elif step == "rename":
+        chain.commit([], TRIGGER_REPAIR, obs_id=3, analysis="r",
+                     renames=[(ids[2], "Room 2", "Attic")])
+    else:
+        chain.commit([remove(e)], TRIGGER_REPAIR, obs_id=3, analysis="r",
+                     drops=[(ids[2], "Room 2")])
+    wal = log.read_bytes()
+    assert not chain.checkpoint()
+    chain.close()
+    assert log.read_bytes() == wal
+
+
+def test_a_failed_checkpoint_write_cuts_the_log_back(tmp_path):
+    log = tmp_path / "chain.jsonl"
+    chain = VersionChain(log_path=log)
+    _grow(chain)
+    wal = log.read_bytes()
+    real = chain._log
+    chain._log = _FailingLog()
+    with pytest.raises(OSError):
+        chain.checkpoint()
+    chain._log = real
+    assert log.read_bytes() == wal
+    assert chain.checkpoint()  # the parts are kept for another try
+    chain.close()
+    assert _full_replay(log).commits == chain.commits
+
+
+def _built_log(tmp_path):
+    log = tmp_path / "tree.jsonl"
+    chain = generate_world(WorldSpec("tree", (3, 2))).build(log_path=log)
+    return log, chain, log.read_bytes()
+
+
+@pytest.mark.parametrize("change", [
+    "rename", "no edge", "extra edge", "edge order", "room order",
+    "earlier version"])
+def test_a_checkpoint_unlike_the_lines_before_it_is_refused(tmp_path, change,
+                                                            capsys):
+    """A row whose version, line count and crc32 fit the lines before it
+    but whose state is not theirs loads, since load checks no more, but
+    the first read of a past version refuses it at its line, as does a
+    load that replays every line; the CLI exits 2."""
+    log, chain, wal = _built_log(tmp_path)
+    prefix, row = wal[:wal.rindex(b"\n", 0, -1) + 1], json.loads(
+        _lines(wal)[-1])
+    nodes, edges = row[4], row[5]
+    if change == "rename":
+        nodes[-1][1] = "Elsewhere"
+    elif change == "no edge":
+        del edges[-1]
+    elif change == "extra edge":
+        edges.append(["+", nodes[0][0], nodes[-1][0], "up", 999])
+    elif change == "edge order":
+        edges[0], edges[-1] = edges[-1], edges[0]
+    elif change == "room order":
+        nodes[1], nodes[-1] = nodes[-1], nodes[1]
+    else:
+        row[1] -= 1
+    log.write_bytes(prefix + json.dumps(row).encode() + b"\n")
+    row_line = len(_lines(wal))
+    if change == "earlier version":  # one commit a line: load refuses it
+        with pytest.raises(CorruptLog, match=rf":{row_line}: checkpoint is "
+                           rf"of version {chain.head - 1}, not {chain.head}"):
+            VersionChain.load(log)
+        return
+    loaded = VersionChain.load(log)
+    for read in (lambda: loaded.commits[0], lambda: loaded.materialize(0),
+                 lambda: loaded.recall_step(0), lambda: loaded.diff(0, 1),
+                 lambda: list(loaded.commits)):
+        with pytest.raises(CorruptLog, match=rf"^{re.escape(str(log))}:"
+                           rf"{row_line}: checkpoint "):
+            read()
+    with pytest.raises(CorruptLog) as caught:
+        _full_replay(log)
+    assert str(caught.value).startswith(f"{log}:{row_line}: checkpoint ")
+    log.write_bytes(prefix + b" " + json.dumps(row).encode() + b"\n")
+    with pytest.raises(CorruptLog, match=rf":{row_line}: checkpoint "):
+        VersionChain.load(log)  # led by a space: found by replay alone
+    assert cli.main(["export", "--log", str(log)]) == 2
+    assert f"{log}:{row_line}: checkpoint " in capsys.readouterr().err
+
+
+def test_extend_graph_decodes_the_lines_before_the_checkpoint(tmp_path):
+    """Going on with construction reads the last observation commit, a past
+    version, so a checkpoint unlike its lines is refused there too."""
+    log, chain, wal = _built_log(tmp_path)
+    prefix, row = wal[:wal.rindex(b"\n", 0, -1) + 1], json.loads(
+        _lines(wal)[-1])
+    row[4][-1][1] = "Elsewhere"
+    log.write_bytes(prefix + json.dumps(row).encode() + b"\n")
+    with pytest.raises(CorruptLog, match="checkpoint does not hold"):
+        extend_graph([], VersionChain.load(log))
+
+
+def test_a_torn_checkpoint_line_is_dropped(tmp_path):
+    """A checkpoint row cut short is a torn final line: dropped with the
+    warning, the lines before it replayed, and cut off by an append; a row
+    that lost only its newline is kept, and an append ends it."""
+    log, chain, wal = _built_log(tmp_path)
+    prefix = wal[:wal.rindex(b"\n", 0, -1) + 1]
+    last = len(wal) - len(prefix)
+    for cut in (2, 10, last // 2, last - 1):
+        for append in (False, True):
+            log.write_bytes(wal[:-cut])
+            with pytest.warns(UserWarning, match=f":{len(_lines(wal))}: "
+                              f"dropped a torn final line"):
+                loaded = VersionChain.load(log, append=append)
+            loaded.close()
+            assert loaded.commits == chain.commits
+            _assert_same_order(loaded, chain)
+            assert log.read_bytes() == (prefix if append else wal[:-cut])
+    log.write_bytes(wal[:-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = VersionChain.load(log, append=True)
+    loaded.close()
+    assert log.read_bytes() == wal
+    assert loaded.commits == chain.commits
+
+
+def test_a_torn_line_after_the_checkpoint_is_dropped(tmp_path):
+    """A repair commit after the row, cut short, is dropped as before; the
+    map is the checkpoint's, and the decoded commits those before it."""
+    log, chain, wal = _built_log(tmp_path)
+    chain.close()
+    reopened = VersionChain.load(log, append=True)
+    reopened.commit([remove(min(reopened.graph.edges()))], TRIGGER_REPAIR,
+                    obs_id=reopened.head + 1, analysis="cut")
+    reopened.close()
+    log.write_bytes(log.read_bytes()[:-5])
+    with pytest.warns(UserWarning, match="torn final line"):
+        loaded = VersionChain.load(log)
+    assert loaded.head == chain.head
+    _assert_same_order(loaded, chain)
+    assert loaded.commits == chain.commits
+
+
+def test_build_repair_append_and_export_a_checkpointed_log(tmp_path, capsys):
+    """`maprepair build` ends its log with a checkpoint row; `repair
+    --append` goes on after it, and `export` and `detect` read the map
+    the whole log replays to."""
+    world = fi.generate_grid(3, 3)
+    corrupted, ledger = fi.inject(world, ["misdirection"], seed=1)
+    walk, ledger_path = tmp_path / "walk.txt", tmp_path / "ledger.json"
+    walk.write_text(corrupted.transcript(), encoding="utf-8")
+    ledger_path.write_text(json.dumps(ledger.to_json()), encoding="utf-8")
+    log = tmp_path / "map.jsonl"
+    assert cli.main(["build", "--transcript", str(walk),
+                     "--log", str(log)]) == 0
+    built = _lines(log.read_bytes())
+    assert built[-1].startswith(_CHECKPOINT)
+    assert cli.main(["repair", "--log", str(log), "--advisor", "oracle",
+                     "--ledger", str(ledger_path), "--append"]) == 0
+    lines = _lines(log.read_bytes())
+    assert lines[:len(built)] == built and len(lines) > len(built)
+    capsys.readouterr()
+    assert cli.main(["export", "--log", str(log), "--format", "json"]) == 0
+    exported = json.loads(capsys.readouterr().out)
+    replayed = _full_replay(log)
+    assert exported == replayed.graph.to_json()
+    assert ledger.all_fixed(replayed.graph, ignore_silent=True)
+    assert cli.main(["detect", "--log", str(log)]) == 0

@@ -1,7 +1,8 @@
 """Print one SHA-256 over a checkout's repair outputs, to show that a change
 leaves them as they were.
 
-    python3 tools/output_digest.py <checkout> [--no-edge-impact]
+    python3 tools/output_digest.py <checkout> [--commits]
+                                              [--no-edge-impact]
                                               [--no-version-control]
     python3 tools/output_digest.py <checkout> --build
     python3 tools/output_digest.py <checkout> --inputs
@@ -15,6 +16,13 @@ transcript) and the ``Metrics``.  Two checkouts that print the same digest
 write the same logs and sessions on these items.  Nothing is written to
 the checkout.  ``--no-edge-impact`` and ``--no-version-control`` repair
 with that tool ablated, as ``maprepair repair`` does with the same flags.
+
+``--commits`` takes in, per item, the commits of the WAL reloaded after
+the repair (``Commit.to_json`` of each) instead of the WAL bytes, beside
+the sessions and the ``Metrics``.  Two checkouts that print the same
+commits digest make the same commits, sessions and metrics on these items
+whatever bytes their logs hold them in, so a change of the log format
+alone leaves it as it was.
 
 ``--build`` prints instead one SHA-256 over the WAL bytes of a build alone:
 perfbench's build-grid and build-tree items of seeds 0-4 and the
@@ -105,7 +113,7 @@ def inputs_digest(checkout: str | Path) -> str:
 
 
 def output_digest(checkout: str | Path, edge_impact: bool = True,
-                  version_control: bool = True) -> str:
+                  version_control: bool = True, commits: bool = False) -> str:
     workloads = _import_checkout(Path(checkout).resolve())
     from maprepair import advisors, repair_engine
     from maprepair.version_store import VersionChain
@@ -131,9 +139,14 @@ def output_digest(checkout: str | Path, edge_impact: bool = True,
                 finally:
                     chain.close()
                 record = {"item": item.key,
-                          "wal": hashlib.sha256(wal.read_bytes()).hexdigest(),
                           "sessions": [_session(s) for s in sessions],
                           "metrics": metrics.to_json()}
+                if commits:
+                    record["commits"] = [
+                        c.to_json() for c in VersionChain.load(wal).commits]
+                else:
+                    record["wal"] = hashlib.sha256(
+                        wal.read_bytes()).hexdigest()
                 h.update(json.dumps(record, sort_keys=True).encode() + b"\n")
                 wal.unlink()
     return h.hexdigest()
@@ -149,6 +162,8 @@ def main(argv=None) -> int:
                       help="digest the WALs of builds alone")
     what.add_argument("--inputs", action="store_true",
                       help="digest the repair-mixed inputs alone")
+    what.add_argument("--commits", action="store_true",
+                      help="digest the reloaded commits, not the WAL bytes")
     args = parser.parse_args(argv)
     if (args.build or args.inputs) and \
             (args.no_edge_impact or args.no_version_control):
@@ -161,7 +176,8 @@ def main(argv=None) -> int:
     else:
         print(output_digest(args.checkout,
                             edge_impact=not args.no_edge_impact,
-                            version_control=not args.no_version_control))
+                            version_control=not args.no_version_control,
+                            commits=args.commits))
     return 0
 
 
