@@ -98,6 +98,7 @@ import io
 import json
 import os
 import re
+import sys
 import warnings
 import zlib
 from collections.abc import Sequence
@@ -606,8 +607,10 @@ def _resume(chain: VersionChain, log_path, data: bytes) -> tuple[int, int]:
     end = data.find(b"\n", start) + 1 or len(data)
     lines = data.count(b"\n", 0, start)
     try:
-        cp = Checkpoint.from_row(_decode(data[start:end]))
-    except (ValueError, TypeError):
+        row = _decode(data[start:end])
+        _share_strings(row)
+        cp = Checkpoint.from_row(row)
+    except (ValueError, TypeError, IndexError, KeyError):
         return 0, 1
     if not cp.version + 1 == cp.lines == lines > 0 \
             or cp.crc != zlib.crc32(memoryview(data)[:start]):
@@ -618,6 +621,26 @@ def _resume(chain: VersionChain, log_path, data: bytes) -> tuple[int, int]:
         return 0, 1
     chain.commits = CommitList(cp.version + 1, (log_path, data, end))
     return end, lines + 2
+
+
+_DIRECTION = {d: d for d in REVERSE}  # each direction's one str object
+
+
+def _share_strings(row: list) -> None:
+    """Put in the decoded checkpoint `row` the room id and direction str
+    objects every load shares: a room id's interned copy (`sys.intern`)
+    and a direction's key of `REVERSE`.  A result kept from many loads (a
+    session's conflicts and actions) then holds one copy of each.  A row
+    of another shape, or an edge with an end that is not among its rooms
+    or a direction not among the 14, raises `TypeError`, `IndexError` or
+    `KeyError` (`Checkpoint.from_row` and `_apply_commit` refuse such a
+    row)."""
+    ids = {}
+    for node in row[4]:
+        node[0] = ids[node[0]] = sys.intern(node[0])
+    for edge in row[5]:
+        edge[1], edge[2], edge[3] = ids[edge[1]], ids[edge[2]], \
+            _DIRECTION[edge[3]]
 
 
 def _decode_prefix(log_path, data: bytes, end: int) -> list[Commit]:

@@ -1748,8 +1748,9 @@ def _assert_a_checkpoint_after_loads_alike(log, wal: bytes, prefix: bytes,
     commits, map and order, exception, warnings and file bytes.  A line
     before the row that the log without it refuses is refused with the
     same `CorruptLog`; the uncorrupted log loads as it does without the
-    row.  A prefix cut short within a line has the row glued onto that
-    line, which is then no longer the final one."""
+    row, and any other whole lines are refused, the row at the latest.  A
+    prefix cut short within a line has the row glued onto that line,
+    which is then no longer the final one."""
     row = _checkpoint_row(wal)
     rowless = _outcome(VersionChain.load, log, prefix, append)
     loaded = _outcome(VersionChain.load, log, prefix + row, append)
@@ -1763,6 +1764,8 @@ def _assert_a_checkpoint_after_loads_alike(log, wal: bytes, prefix: bytes,
         assert loaded[1] is None and loaded[2] == rowless[2] == []
         assert loaded[0].commits == rowless[0].commits
         _assert_same_order(loaded[0], rowless[0])
+    elif not prefix or prefix.endswith(b"\n"):
+        assert loaded[1] is not None and _lineno(loaded[1]) <= row_line
     assert loaded[1] is None or loaded[1][0] is CorruptLog
 
 
@@ -1937,7 +1940,7 @@ def _built_log(tmp_path):
 
 @pytest.mark.parametrize("change", [
     "rename", "no edge", "extra edge", "edge order", "room order",
-    "earlier version"])
+    "earlier version", "blank line"])
 def test_a_checkpoint_unlike_the_lines_before_it_is_refused(tmp_path, change,
                                                             capsys):
     """A row whose version, line count and crc32 fit the lines before it
@@ -1958,13 +1961,20 @@ def test_a_checkpoint_unlike_the_lines_before_it_is_refused(tmp_path, change,
         edges[0], edges[-1] = edges[-1], edges[0]
     elif change == "room order":
         nodes[1], nodes[-1] = nodes[-1], nodes[1]
-    else:
+    elif change == "earlier version":
         row[1] -= 1
+    else:  # a line the row does not count, its crc32 made to match
+        prefix += b"\n"
+        row[3] = zlib.crc32(prefix)
     log.write_bytes(prefix + json.dumps(row).encode() + b"\n")
-    row_line = len(_lines(wal))
-    if change == "earlier version":  # one commit a line: load refuses it
-        with pytest.raises(CorruptLog, match=rf":{row_line}: checkpoint is "
-                           rf"of version {chain.head - 1}, not {chain.head}"):
+    row_line = len(_lines(prefix)) + 1
+    problems = {"earlier version": f"is of version {chain.head - 1}, not "
+                                   f"{chain.head}",
+                "blank line": f"follows {row_line - 2} lines, not "
+                              f"{row_line - 1}"}
+    if change in problems:  # one commit a line, each counted: load refuses
+        with pytest.raises(CorruptLog, match=rf":{row_line}: checkpoint "
+                           rf"{problems[change]}$"):
             VersionChain.load(log)
         return
     loaded = VersionChain.load(log)
@@ -1982,6 +1992,19 @@ def test_a_checkpoint_unlike_the_lines_before_it_is_refused(tmp_path, change,
         VersionChain.load(log)  # led by a space: found by replay alone
     assert cli.main(["export", "--log", str(log)]) == 2
     assert f"{log}:{row_line}: checkpoint " in capsys.readouterr().err
+
+
+def test_loads_from_a_checkpoint_share_room_ids_and_directions(tmp_path):
+    """Two loads of one log hold the same str objects for each room id and
+    direction, so results kept from many loads keep one copy of each."""
+    log, chain, wal = _built_log(tmp_path)
+    a, b = VersionChain.load(log), VersionChain.load(log)
+    assert all(x is y for x, y in zip(a.graph.nodes, b.graph.nodes))
+    for x, y in zip(a.graph.edges(), b.graph.edges()):
+        assert x.src is y.src and x.dst is y.dst
+        assert x.direction is y.direction is DIRECTIONS[
+            DIRECTIONS.index(x.direction)]
+    _assert_same_order(a, chain)
 
 
 def test_extend_graph_decodes_the_lines_before_the_checkpoint(tmp_path):
