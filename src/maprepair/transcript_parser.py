@@ -26,12 +26,13 @@ instead (falling back to the first non-empty line).
 Construction has one loop, `extend_graph`, which goes on from whatever
 construction prefix its chain holds; `construct_graph` is that loop on an
 empty chain, which then ends the chain's log, if it has one, with a
-checkpoint row of the map built.  The loop keeps a current-location cursor and its normalized
-name.  Each movement's name is normalized once; a movement whose
-observation names a different location commits one edge.  The destination
-reuses an existing node only when both the normalized name and the
-inferred lattice position agree; otherwise a fresh node is created, which
-is what lets naming conflicts surface naturally downstream.
+checkpoint row of the map built.  The loop keeps a current-location cursor
+and its normalized name.  Each movement's name is normalized once; a
+movement whose observation names a different location commits one edge.
+The destination reuses an existing node only when both the normalized
+name and the inferred lattice position agree; otherwise a fresh node is
+created, which is what lets naming conflicts surface naturally
+downstream.
 
 The position map is inferred at the first revisit of a name and then
 extended by each commit's edge (`extend_positions`, which derives the

@@ -25,14 +25,15 @@ rename or drop whose recorded name is not the node's own is a rejected
 step (`InvalidDelta`), since undoing it would leave that name behind.
 
 With a log path set, the commit's JSONL line is then written by the one
-line writer, `_line`, and appended to the log, unbuffered (and, with
+line writer, `_formatted`, and appended to the log, unbuffered (and, with
 `fsync=True`, synced to disk with `os.fsync`).  The line is a row, one
 JSON array of 8 columns read by position: `[index, [[op, src, dst, dir,
 step], ...], trigger, obs_id, analysis, [[id, name], ...], [[id, old,
 new], ...], [[id, name], ...]]`, the last three the new nodes, renames and
-drops.  `_line` formats it in one pass, byte for byte what `json.dumps` of
-that list and a newline would be: strings through the C escaper of
-`json.dumps` under `ensure_ascii`, ints as `int.__repr__` writes them.  A
+drops.  `_formatted` formats it in one pass (`_line` is that line), byte
+for byte what `json.dumps` of that list and a newline would be: strings
+through the C escaper of `json.dumps` under `ensure_ascii`, ints as
+`int.__repr__` writes them.  A
 failed write and a failed sync undo the commit and cut the log back to
 where the line started, so no part of the line stays in the file or in a
 buffer: a commit becomes visible only after its whole line is written.
@@ -72,7 +73,7 @@ name], ...], [["+", src, dst, dir, step], ...]]`, the state at `version`
 after the first `lines` lines, whose bytes have that `zlib.crc32`.  A
 reader of 8-column rows refuses it (`a row has 6 columns, not 8`), and
 one of object lines too.  The row's node and delta items are the ones
-`_line` formatted for each commit, kept by a chain whose log it started
+`_formatted` made for each commit, kept by a chain whose log it started
 while every commit only adds rooms and edges; a log-less chain keeps
 nothing.  `load` starts from the last checkpoint (`_resume`) when it
 decodes, its version is its line count less one, the count and the crc32
@@ -435,15 +436,16 @@ class VersionChain:
         self.commits: list[Commit] | CommitList = []
         self._log: Optional[IO[bytes]] = None
         self._log_end = 0  # log size after the last line written
-        # While every commit of a new log only adds rooms and edges, each
-        # one's line and step lists: a checkpoint row of the head joins
-        # their node and delta items (`checkpoint`)
-        self._kept: Optional[list[tuple[bytes, tuple[str, ...]]]] = None
+        # While every commit of a new log only adds rooms and edges, their
+        # lines, node items and delta items (`_formatted`): a checkpoint
+        # row of the head joins the items (`checkpoint`)
+        self._kept: Optional[tuple[list[bytes], list[str], list[str]]] = \
+            None
         self.fsync = fsync
         self.log_path = Path(log_path) if log_path else None
         if self.log_path:
             self._log = _open_log(self.log_path)
-            self._kept = []
+            self._kept = ([], [], [])
 
     @classmethod
     def from_commits(cls, commits: Iterable[Commit]) -> "VersionChain":
@@ -476,8 +478,8 @@ class VersionChain:
         _apply_commit(self.graph, commit)
         if self._log is not None:
             try:
-                items = _step_lists(commit)
-                line = _line(commit, items)
+                formatted = _formatted(commit)
+                line = formatted[0]
                 written = 0
                 while written < len(line):
                     written += self._log.write(line[written:])
@@ -489,11 +491,17 @@ class VersionChain:
                 raise
             self._log_end += len(line)
             if self._kept is not None:
+                deltas, nodes, renamed, dropped = formatted[1]
                 # a "-" op is written `["-", `; a str holding it is escaped
-                if items[2] or items[3] or '["-", ' in items[0]:
+                if renamed or dropped or '["-", ' in deltas:
                     self._kept = None
                 else:
-                    self._kept.append((line, items))
+                    lines, node_items, delta_items = self._kept
+                    lines.append(line)
+                    if nodes:
+                        node_items.append(nodes)
+                    if deltas:
+                        delta_items.append(deltas)
         self.commits.append(commit)
         return commit
 
@@ -508,14 +516,12 @@ class VersionChain:
         commits' rows, so rooms come in `graph.nodes` order and edges in
         commit order.  A failed write or sync cuts the log back, as in
         `commit`."""
-        if self._log is None or not self._kept:
+        if self._log is None or not self._kept or not self._kept[0]:
             return False
-        kept = self._kept
-        crc = zlib.crc32(b"".join([line for line, _ in kept]))
-        nodes = ", ".join([items[1] for _, items in kept if items[1]])
-        edges = ", ".join([items[0] for _, items in kept if items[0]])
-        row = (f'["{TRIGGER_CHECKPOINT}", {self.head!r}, {len(kept)!r}, '
-               f'{crc!r}, [{nodes}], [{edges}]]\n').encode()
+        lines, nodes, edges = self._kept
+        row = (f'["{TRIGGER_CHECKPOINT}", {self.head!r}, {len(lines)!r}, '
+               f'{zlib.crc32(b"".join(lines))!r}, [{", ".join(nodes)}], '
+               f'[{", ".join(edges)}]]\n').encode()
         try:
             written = 0
             while written < len(row):
@@ -733,38 +739,38 @@ def _holds(g: NavGraph, state: Commit) -> bool:
 _str = json.encoder.encode_basestring_ascii  # json.dumps's, ensure_ascii
 
 
-def _step_lists(c: Commit) -> tuple[str, str, str, str]:
-    """The deltas, new nodes, renames and drops of `c`'s row, each its
-    items as `json.dumps` writes them inside the list's brackets:
-    `[op, src, dst, dir, step], ...`, `[id, name], ...`, `[id, old, new],
-    ...` and `[id, name], ...`.  Strings go through the C escaper
-    `json.dumps` uses under `ensure_ascii`.  Every int field is an exact
-    int (`_check_commit` saw to it), so `!r` writes it as `int.__repr__`
-    does, which is what `json.dumps` writes."""
+def _line(c: Commit) -> bytes:
+    """The log line of `c`, its row: `json.dumps([index, [[op, src, dst,
+    dir, step], ...], trigger, obs_id, analysis, [[id, name], ...], [[id,
+    old, new], ...], [[id, name], ...]]) + "\\n"`, byte for byte
+    (`_formatted`)."""
+    return _formatted(c)[0]
+
+
+def _formatted(c: Commit) -> tuple[bytes, tuple[str, str, str, str]]:
+    """The log line of `c`, formatted in one pass, and its four step lists,
+    each the items `json.dumps` writes between the list's brackets: the
+    deltas `[op, src, dst, dir, step], ...`, new nodes `[id, name], ...`,
+    renames `[id, old, new], ...` and drops `[id, name], ...`.  All 8
+    columns are written, empty step lists included.  Strings go through
+    the C escaper `json.dumps` uses under `ensure_ascii`.  Every int field
+    is an exact int (`_check_commit` saw to it), so `!r` writes it as
+    `int.__repr__` does, which is what `json.dumps` writes."""
+    index, deltas, trigger, obs_id, analysis, nodes, renames, drops = c
     delta_items = ", ".join([
         f"[{_str(op)}, {_str(src)}, {_str(dst)}, {_str(direction)}, "
-        f"{step!r}]" for op, (src, dst, direction, step) in c.deltas])
+        f"{step!r}]" for op, (src, dst, direction, step) in deltas])
     # an empty step list skips its comprehension, a call of its own
-    nodes, renames, drops = c.new_nodes, c.renames, c.drops
     node_items = ", ".join([f"[{_str(nid)}, {_str(name)}]"
                             for nid, name in nodes]) if nodes else ""
     rename_items = ", ".join([f"[{_str(nid)}, {_str(old)}, {_str(new)}]"
                               for nid, old, new in renames]) if renames else ""
     drop_items = ", ".join([f"[{_str(nid)}, {_str(name)}]"
                             for nid, name in drops]) if drops else ""
-    return delta_items, node_items, rename_items, drop_items
-
-
-def _line(c: Commit, step_lists: Optional[tuple[str, ...]] = None) -> bytes:
-    """The log line of `c`, its row: `json.dumps([index, [[op, src, dst,
-    dir, step], ...], trigger, obs_id, analysis, [[id, name], ...], [[id,
-    old, new], ...], [[id, name], ...]]) + "\\n"`, byte for byte, formatted
-    in one pass from `_step_lists(c)` (or the `step_lists` given).  All 8
-    columns are written, empty step lists included."""
-    deltas, nodes, renames, drops = step_lists or _step_lists(c)
-    return (f"[{c.index!r}, [{deltas}], {_str(c.trigger)}, {c.obs_id!r}, "
-            f"{_str(c.analysis)}, [{nodes}], [{renames}], [{drops}]]\n"
-            ).encode()
+    return (f"[{index!r}, [{delta_items}], {_str(trigger)}, {obs_id!r}, "
+            f"{_str(analysis)}, [{node_items}], [{rename_items}], "
+            f"[{drop_items}]]\n").encode(), \
+        (delta_items, node_items, rename_items, drop_items)
 
 
 _scan_once = json.JSONDecoder().scan_once
