@@ -1791,9 +1791,10 @@ def _checkpointed_walk(data, log):
         for _ in range(draw(st.integers(0, 3))):
             g = chain.graph
             nodes = sorted(g.nodes)
+            edges = sorted(g.edges()) or [Edge(nodes[0], nodes[0], "up", 1)]
             action = RepairAction(
                 draw(st.sampled_from(sorted(MUTATING_ACTIONS))),
-                edge=draw(st.sampled_from(sorted(g.edges()))),
+                edge=draw(st.sampled_from(edges)),
                 new_direction=draw(st.sampled_from(DIRECTIONS)),
                 new_dst=draw(st.sampled_from(nodes)),
                 node=draw(st.sampled_from(nodes)), new_name="Hallway",
@@ -1935,6 +1936,7 @@ def test_a_failed_checkpoint_write_cuts_the_log_back(tmp_path):
 def _built_log(tmp_path):
     log = tmp_path / "tree.jsonl"
     chain = generate_world(WorldSpec("tree", (3, 2))).build(log_path=log)
+    chain.close()
     return log, chain, log.read_bytes()
 
 
@@ -2049,7 +2051,6 @@ def test_a_torn_line_after_the_checkpoint_is_dropped(tmp_path):
     """A repair commit after the row, cut short, is dropped as before; the
     map is the checkpoint's, and the decoded commits those before it."""
     log, chain, wal = _built_log(tmp_path)
-    chain.close()
     reopened = VersionChain.load(log, append=True)
     reopened.commit([remove(min(reopened.graph.edges()))], TRIGGER_REPAIR,
                     obs_id=reopened.head + 1, analysis="cut")
