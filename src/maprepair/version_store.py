@@ -516,7 +516,7 @@ class VersionChain:
         commits' rows, so rooms come in `graph.nodes` order and edges in
         commit order.  A failed write or sync cuts the log back, as in
         `commit`."""
-        if self._log is None or not self._kept or not self._kept[0]:
+        if self._log is None or self._kept is None or not self._kept[0]:
             return False
         lines, nodes, edges = self._kept
         row = (f'["{TRIGGER_CHECKPOINT}", {self.head!r}, {len(lines)!r}, '
@@ -664,8 +664,9 @@ def _replay(chain: VersionChain, log_path, data: bytes, start: int,
             end: int, lineno: int) -> tuple[int, bytes, bool]:
     """Apply the lines of the log `data` from byte `start`, line number
     `lineno`, up to byte `end` to `chain`.  Returns the end of the last
-    line kept, that line's last byte (a newline before the first line),
-    and whether a torn final line was dropped."""
+    line kept, that line (the byte before `start`, or a newline at the
+    start of the log, if none is) and whether a torn final line was
+    dropped."""
     good_end, kept = start, data[start - 1:start] if start else b"\n"
     fh = io.BytesIO(data)
     fh.seek(start)
