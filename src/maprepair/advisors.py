@@ -3,6 +3,13 @@
 Every advisor is a callable AdvisorContext -> RepairAction, so the engine
 treats them interchangeably and the actions of a session transcript can be
 replayed against the same conflicts.
+
+The heuristic tries the edges of `_visible_edges` in order: the conflict's
+edges, then the ranked candidates, and only then the neighborhood's edges.
+It returns at its first new proposal, so a session that settles on a
+conflict edge or a candidate never builds the neighborhood.  The oracle
+asks the neighborhood whether a fault's edge is visible, and the llm
+advisor puts it in its prompt.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 # perfbench wraps `detect_all` by the name this module binds
 from .conflict_detector import KIND_DIRECTIONAL, KIND_NAMING, SUB_OVERLAP, \
@@ -28,12 +35,24 @@ from .repair_engine import (
 from .version_store import add, remove
 
 
-def _visible_edges(ctx: AdvisorContext) -> list[Edge]:
-    """Edges the advisor may act on: ranked candidates when available,
-    always unioned with the conflict neighborhood."""
-    out = dict.fromkeys(c.edge for c in ctx.ranked_candidates or ())
-    out.update(dict.fromkeys(sorted(ctx.neighborhood.edges())))
-    return list(out)
+def _visible_edges(ctx: AdvisorContext) -> Iterator[Edge]:
+    """Edges the advisor may act on, each once: the conflict's edges, the
+    ranked candidates when available, then the conflict neighborhood's
+    edges in sorted order.  Each part is read only when the iteration
+    reaches it, so a caller that stops early never builds the
+    neighborhood."""
+    seen: set[Edge] = set()
+    yield from _unseen(ctx.conflict.edges, seen)
+    yield from _unseen([c.edge for c in ctx.ranked_candidates or ()], seen)
+    yield from _unseen(sorted(ctx.neighborhood.edges()), seen)
+
+
+def _unseen(edges: Iterable[Edge], seen: set[Edge]) -> Iterator[Edge]:
+    """The `edges` not in `seen`, each added to it as it is yielded."""
+    for e in edges:
+        if e not in seen:
+            seen.add(e)
+            yield e
 
 
 def _visible(ctx: AdvisorContext, e: Edge) -> bool:
@@ -116,10 +135,8 @@ class HeuristicAdvisor:
                     return action
             return RepairAction(ACT_GIVE_UP)
 
-        order = dict.fromkeys(c.edges)
-        order.update(dict.fromkeys(_visible_edges(ctx)))
         before = {x.key for x in ctx.conflicts}
-        for e in order:
+        for e in _visible_edges(ctx):
             fix = _unique_resolving_direction(ctx.detection, ctx.graph, e,
                                               c.key, before)
             plans = []

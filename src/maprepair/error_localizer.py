@@ -27,13 +27,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .conflict_detector import (
     KIND_NAMING, SUB_INCONSISTENCY, SUB_OVERLAP, Conflict,
 )
 from .errors import EmptyCandidates, Unreachable
 from .graph_core import Edge, NavGraph, reverse_direction
+
+_new = tuple.__new__  # builds a named tuple without its Python-level __new__
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,10 @@ class PathPair:
                                    + self.nodes2[self.lca_index + 1:]))
 
 
-@dataclass(frozen=True)
-class CandidateEdge:
+class CandidateEdge(NamedTuple):
+    """A candidate edge, its impact components raw and min-max normalized,
+    and its score, their sum.  A named tuple, built by `score_candidates`
+    with `tuple.__new__` as `Edge` and `Commit` are."""
     edge: Edge
     reach: int
     conflict_count: int
@@ -248,10 +252,9 @@ def score_candidates(g: NavGraph, conflicts: Iterable[Conflict],
     reach_n, conf_n, usage_n = _minmax(reach), _minmax(conf), _minmax(usage)
 
     scored = [
-        CandidateEdge(edge=e, reach=reach[i], conflict_count=conf[i],
-                      usage=usage[i], reach_n=reach_n[i],
-                      conflict_n=conf_n[i], usage_n=usage_n[i],
-                      score=reach_n[i] + conf_n[i] + usage_n[i])
+        _new(CandidateEdge, (e, reach[i], conf[i], usage[i], reach_n[i],
+                             conf_n[i], usage_n[i],
+                             reach_n[i] + conf_n[i] + usage_n[i]))
         for i, e in enumerate(cands)
     ]
     scored.sort(key=lambda c: (-c.score, -c.conflict_count, -c.edge.step_id))

@@ -97,6 +97,55 @@ class NavGraph:
     _in_degree: dict[str, int] = field(default_factory=dict)
     _next_id: int = 0
 
+    @classmethod
+    def build(cls, rooms: Iterable[tuple[str, str]],
+              edges: Iterable[Edge]) -> "NavGraph":
+        """The graph `add_node` of each `(id, name)` room, the first one
+        the origin, then `insert_edge` of each `Edge` would make, in one
+        loop over the rooms (nodes and name index) and one over the edges
+        (adjacency and in-degree counts).  It refuses, with the same error
+        and message, what those calls refuse: a duplicate room id
+        (`DuplicateNode`), an edge end that is no room (`UnknownNode`), an
+        unknown direction (`ValueError`) and a second edge of one (src,
+        direction, step) key (`DuplicateEdge`).  A refused input leaves no
+        graph behind."""
+        nodes: dict[str, str] = {}
+        name_index: dict[str, set[str]] = {}
+        for nid, name in rooms:
+            key = " ".join(name.casefold().split())  # normalize_name
+            if nid in nodes:
+                raise DuplicateNode(f"node id already in use: {nid}")
+            nodes[nid] = name
+            ids = name_index.get(key)
+            if ids is None:
+                name_index[key] = {nid}
+            else:
+                ids.add(nid)
+        out: dict[str, dict[str, dict[int, Edge]]] = {}
+        in_degree: dict[str, int] = {}
+        for edge in edges:
+            src, dst, direction, step_id = edge
+            if src not in nodes:
+                raise UnknownNode(src)
+            if dst not in nodes:
+                raise UnknownNode(dst)
+            if direction not in REVERSE:  # an unhashable one raises TypeError
+                raise ValueError(f"unknown direction: {direction!r}")
+            by_dir = out.get(src)
+            if by_dir is None:
+                out[src] = {direction: {step_id: edge}}
+            else:
+                by_step = by_dir.get(direction)
+                if by_step is None:
+                    by_dir[direction] = {step_id: edge}
+                elif step_id in by_step:
+                    raise DuplicateEdge(
+                        f"duplicate (src, direction, step): {edge.key}")
+                else:
+                    by_step[step_id] = edge
+            in_degree[dst] = in_degree.get(dst, 0) + 1
+        return cls(nodes, next(iter(nodes), None), name_index, out, in_degree)
+
     # -- nodes ------------------------------------------------------------
 
     def add_node(self, name: str, node_id: Optional[str] = None) -> str:
@@ -319,7 +368,9 @@ class NavGraph:
     def neighborhood(self, seeds: Iterable[str], radius: int = 2) -> "NavGraph":
         """Induced subgraph within undirected `radius` hops of seeds.  One
         pass over the index finds every room's sources; each hop then reads
-        the frontier's exits and sources only."""
+        the frontier's exits and sources only.  `build` makes the subgraph
+        from the kept rooms and the edges among them, in this graph's
+        order."""
         out = self._out
         sources: dict[str, set[str]] = {}  # dst -> sources of edges into it
         for src, by_dir in out.items():
@@ -340,15 +391,12 @@ class NavGraph:
                 reached |= sources.get(n, set())
             frontier = reached - keep
             keep |= frontier
-        sub = NavGraph()
-        for nid in self.nodes:
-            if nid in keep:
-                sub.add_node(self.nodes[nid], node_id=nid)
+        rooms = [(nid, name) for nid, name in self.nodes.items()
+                 if nid in keep]
+        sub = NavGraph.build(rooms, [e for nid, _ in rooms
+                                     for e in self._out_iter(nid)
+                                     if e[1] in keep])
         sub.origin = self.origin if self.origin in keep else None
-        for nid in sub.nodes:
-            for e in self._out_iter(nid):
-                if e.dst in keep:
-                    sub.insert_edge(e)
         return sub
 
     # -- maintenance ------------------------------------------------------
@@ -394,15 +442,12 @@ class NavGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "NavGraph":
-        g = cls()
-        for n in data["nodes"]:
-            g.add_node(n["name"], node_id=n["id"])
+        g = cls.build([(n["id"], n["name"]) for n in data["nodes"]],
+                      [Edge.from_json(d) for d in data["edges"]])
         origin = data.get("origin")
         if origin is not None and origin not in g.nodes:
             raise UnknownNode(f"origin is not a node: {origin!r}")
         g.origin = origin
-        for d in data["edges"]:
-            g.insert_edge(Edge.from_json(d))
         return g
 
     def to_dot(self) -> str:

@@ -453,6 +453,9 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
     head.  Returns the session and the detection at the head it ends on."""
     baseline_keys = {c.key for c in detection.conflicts}
     current = {c.key: c for c in detection.conflicts}
+    # one tuple per target, kept by each of its loops: the primary's key,
+    # and a secondary's key as `current` holds it
+    primary_key = primary.key
     transcript: list[dict] = []
     proposed: list = []  # per loop: the target's key and the action, if any
     spent: Counter = Counter()  # attempts per conflict key
@@ -462,23 +465,23 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
     outcome = OUTCOME_EXHAUSTED
 
     while True:
-        if primary.key in current:
-            target = current[primary.key]
+        if primary_key in current:
+            key, target = primary_key, current[primary_key]
         else:
-            fresh = [c for k, c in current.items() if k not in baseline_keys]
-            for c in fresh:
-                secondary_seen.setdefault(c.key, c)
-            target = next((c for c in fresh if spent[c.key] < max_attempts),
-                          None)
+            fresh = [(k, c) for k, c in current.items()
+                     if k not in baseline_keys]
+            for k, c in fresh:
+                secondary_seen.setdefault(k, c)
+            key, target = next(((k, c) for k, c in fresh
+                                if spent[k] < max_attempts), (None, None))
             if target is None:
                 outcome = OUTCOME_REPAIRED
                 break
-        if spent[target.key] >= max_attempts or len(transcript) >= LOOP_CAP:
+        if spent[key] >= max_attempts or len(transcript) >= LOOP_CAP:
             break
 
         ctx = build_context(chain, config, target, transcript,
                             list(current.values()), detection)
-        key = target.key
         entry: dict = {"target": list(key)}
         proposed.append((key, None))
         try:
@@ -508,12 +511,11 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
 
         if action.kind == ACT_GIVE_UP:
             # a secondary given up on is charged its whole budget
-            spent[target.key] += 1 if target.key == primary.key \
-                else max_attempts
+            spent[key] += 1 if key == primary_key else max_attempts
             entry["result"] = "gave up"
             continue
         if action.kind in MUTATING_ACTIONS:
-            spent[target.key] += 1  # whether or not it applies
+            spent[key] += 1  # whether or not it applies
         try:
             result = apply_action(chain, action)
         except MapRepairError as exc:
@@ -532,7 +534,7 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
         ending = "error" if "error" in entry else "result"
         loops.append(Loop(key, action, ending, entry[ending]))
     return RepairSession(primary=primary, outcome=outcome,
-                         attempts=spent[primary.key], loops=tuple(loops),
+                         attempts=spent[primary_key], loops=tuple(loops),
                          secondary=tuple(secondary_seen.values())), detection
 
 

@@ -11,7 +11,11 @@ One check, `_check_commit`, decides whether a commit is well-formed, that
 is, whether `_line` can write it as a line `load` reads back as the same
 commit.  `commit` runs it before any step applies, with or without a log,
 and `Commit.from_row` (or, on an object line, `Commit.from_json`) runs it
-on each line `load` reads, so both refuse the same commits.
+on each line `load` reads, so both refuse the same commits.  It checks
+every field before it searches any str for a surrogate pair, so a commit
+holding both a pair and a wrongly typed field is refused for the field by
+`commit` and by `load` of its line, where the pair decodes to one
+character.
 
 A commit is applied to the live graph in straight-line code
 (`_apply_commit`), the only code that turns a commit into graph edits: new
@@ -77,9 +81,14 @@ one of object lines too.  The row's node and delta items are the ones
 while every commit only adds rooms and edges; a log-less chain keeps
 nothing.  `load` starts from the last checkpoint (`_resume`) when it
 decodes, its version is its line count less one, the count and the crc32
-match the lines before it and its state, one commit from the empty graph
-under `TRIGGER_CHECKPOINT`, passes `Commit.from_row`, the check and
-`_apply_commit`; it then replays the lines after it.  Otherwise it
+match the lines before it, and its state builds; it then replays the lines
+after it.  The state is built in one pass per column: `Checkpoint.from_row`
+checks each room and edge item by `_check_commit`'s rules and makes the
+`Edge` tuples in the same loop, and `NavGraph.build` makes the map from
+the rooms and edges, refusing what `add_node` and `insert_edge` would.
+Room ids and directions are the str objects every load shares (a room
+id's interned copy and a direction's key of `REVERSE`), so results kept
+from many loads hold one copy of each.  Otherwise it
 replays every line, which checks each checkpoint where it stands: a
 version, line count, crc32 or state (rooms and edges in the same order)
 other than the lines before it build is `CorruptLog` at its line.  A
@@ -111,7 +120,7 @@ from .graph_core import REVERSE, Edge, NavGraph
 
 TRIGGER_OBSERVATION = "observation_update"
 TRIGGER_REPAIR = "conflict_repair"
-# the trigger of a checkpoint's state commit, which is applied, never committed
+# the first column of a checkpoint row, which is not a commit
 TRIGGER_CHECKPOINT = "checkpoint"
 
 
@@ -228,22 +237,25 @@ def _check_commit(c: Commit) -> Commit:
     trigger, analysis, room id or name that is not a str raises
     `TypeError`.  Scalars come first, then deltas, new nodes, renames and
     drops, so the first fault met is reported; each group is tested at
-    once, and `_check_types` names the bad field.  Only a str that is not
-    ASCII is searched for a surrogate pair."""
+    once, and `_check_types` names the bad field.  Every field is checked
+    before any str is searched for a surrogate pair, so a line that loads
+    back with the pair's one character in its place is refused for the
+    same fault; only strs that are not ASCII are searched."""
     index, deltas, trigger, obs_id, analysis, nodes, renames, drops = c
     if not (type(index) is type(obs_id) is int):
         _check_types(int, ("commit index", index), ("obs_id", obs_id))
     if not (type(trigger) is type(analysis) is str):
         _check_types(str, ("trigger", trigger), ("analysis", analysis))
+    texts = []  # the strs that are not ASCII, in field order
     if not (trigger.isascii() and analysis.isascii()):
-        _check_text(trigger, analysis)
+        texts += _wide(trigger, analysis)
     for op, (src, dst, direction, step) in deltas:
         if op != "+" and op != "-":
             raise ValueError(f"unknown delta op: {op!r}")
         if not (type(src) is type(dst) is str):
             _check_types(str, ("room id", src), ("room id", dst))
         if not (src.isascii() and dst.isascii()):
-            _check_text(src, dst)
+            texts += _wide(src, dst)
         if direction not in REVERSE:  # an unhashable one raises TypeError
             raise ValueError(f"unknown direction: {direction!r}")
         if type(step) is not int:
@@ -252,11 +264,19 @@ def _check_commit(c: Commit) -> Commit:
         if not (type(nid) is type(name) is str):
             _check_types(str, ("room id", nid), ("room name", name))
         if not (nid.isascii() and name.isascii()):
-            _check_text(nid, name)
+            texts += _wide(nid, name)
     for nid, *names in (*renames, *drops):
         _check_types(str, ("room id", nid), *[("room name", n) for n in names])
-        _check_text(nid, *names)
+        texts += _wide(nid, *names)
+    if texts:
+        _check_text(*texts)
     return c
+
+
+def _wide(*texts: str) -> list[str]:
+    """The strs among `texts` that are not ASCII, the only ones that can
+    hold a surrogate pair."""
+    return [text for text in texts if not text.isascii()]
 
 
 _SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
@@ -345,32 +365,85 @@ def _inverse(c: Commit, applied: Optional[int] = None) -> Commit:
 
 class Checkpoint(NamedTuple):
     """A checkpoint row: the state at `version`, written after `lines` log
-    lines whose bytes have the `zlib.crc32` `crc`.  `state` is the one
-    commit from the empty graph that builds it: every room, then every
-    edge as an add, under `TRIGGER_CHECKPOINT`."""
+    lines whose bytes have the `zlib.crc32` `crc`.  The state is `rooms`,
+    `(id, name)` pairs in `graph.nodes` order, and `edges`, the edges in
+    the order they were added; `NavGraph.build` makes it (`_state`).
+    `edges` is None for a row holding an edge item that removes ("-"),
+    which `checkpoint` never writes and which holds no state."""
     version: int
     lines: int
     crc: int
-    state: Commit
+    rooms: tuple[tuple[str, str], ...]
+    edges: Optional[tuple[Edge, ...]]
 
     @classmethod
     def from_row(cls, row: list) -> "Checkpoint":
         """The checkpoint of a row `["checkpoint", version, lines, crc32,
         [[id, name], ...], [["+", src, dst, dir, step], ...]]`.  A row of
         other than 6 columns, or a version, line count or crc32 that is not
-        an exact int, raises `ValueError`; the state goes through
-        `Commit.from_row`, so its rooms and edges are checked as a
-        commit's."""
+        an exact int, raises `ValueError`.  Its rooms and edges are checked
+        by `_check_commit`'s rules, and refused with the error of the first
+        fault it would meet in a commit of them: a step list of another
+        shape (edges first, `_items`), then each edge's fields in order,
+        then each room's, then a surrogate pair.  Each room id is its
+        interned copy (`sys.intern`), each edge end the room's id and each
+        direction the key of `REVERSE`, so results kept from many loads (a
+        session's conflicts and actions) hold one copy of each."""
         if len(row) != 6:
             raise ValueError(f"a checkpoint row has {len(row)} columns, "
                              f"not 6")
-        _, version, lines, crc, nodes, edges = row
+        _, version, lines, crc, nodes, items = row
         _check_types(int, ("checkpoint version", version),
                      ("checkpoint line count", lines),
                      ("checkpoint crc32", crc))
-        return _new(cls, (version, lines, crc, Commit.from_row(
-            [version, edges, TRIGGER_CHECKPOINT, version, "", nodes, [],
-             []])))
+        _items(items, 5, "deltas")
+        _items(nodes, 2, "nodes")
+        rooms, ids, room_texts, bad = [], {}, [], None
+        for nid, name in nodes:
+            if not (type(nid) is type(name) is str):
+                bad = nid, name  # refused after the edges' faults
+                break
+            if not (nid.isascii() and name.isascii()):
+                room_texts += _wide(nid, name)
+            nid = ids[nid] = sys.intern(nid)
+            rooms.append((nid, name))
+        edges, texts, adds = [], [], True
+        for op, src, dst, direction, step in items:
+            if op != "+":
+                if op != "-":
+                    raise ValueError(f"unknown delta op: {op!r}")
+                adds = False
+            if not (type(src) is type(dst) is str):
+                _check_types(str, ("room id", src), ("room id", dst))
+            if not (src.isascii() and dst.isascii()):
+                texts += _wide(src, dst)
+            shared = _DIRECTION.get(direction)  # unhashable: TypeError
+            if shared is None:
+                raise ValueError(f"unknown direction: {direction!r}")
+            if type(step) is not int:
+                raise ValueError(f"step id is not an int: {step!r}")
+            edges.append(_new(Edge, (ids.get(src, src), ids.get(dst, dst),
+                                     shared, step)))
+        if bad is not None:
+            _check_types(str, ("room id", bad[0]), ("room name", bad[1]))
+        if texts or room_texts:
+            _check_text(*texts, *room_texts)
+        return _new(cls, (version, lines, crc, tuple(rooms),
+                          tuple(edges) if adds else None))
+
+
+_DIRECTION = {d: d for d in REVERSE}  # each direction's one str object
+
+
+def _state(cp: Checkpoint) -> Optional[NavGraph]:
+    """The map the checkpoint `cp` holds, or None if it holds none: it
+    removes an edge, or `NavGraph.build` refuses its rooms and edges."""
+    if cp.edges is None:
+        return None
+    try:
+        return NavGraph.build(cp.rooms, cp.edges)
+    except MapRepairError:
+        return None
 
 
 class CommitList(Sequence):
@@ -613,40 +686,18 @@ def _resume(chain: VersionChain, log_path, data: bytes) -> tuple[int, int]:
     end = data.find(b"\n", start) + 1 or len(data)
     lines = data.count(b"\n", 0, start)
     try:
-        row = _decode(data[start:end])
-        _share_strings(row)
-        cp = Checkpoint.from_row(row)
-    except (ValueError, TypeError, IndexError, KeyError):
+        cp = Checkpoint.from_row(_decode(data[start:end]))
+    except (ValueError, TypeError):
         return 0, 1
     if not cp.version + 1 == cp.lines == lines > 0 \
             or cp.crc != zlib.crc32(memoryview(data)[:start]):
         return 0, 1
-    try:
-        _apply_commit(chain.graph, cp.state)
-    except MapRepairError:
+    graph = _state(cp)
+    if graph is None:
         return 0, 1
+    chain.graph = graph
     chain.commits = CommitList(cp.version + 1, (log_path, data, end))
     return end, lines + 2
-
-
-_DIRECTION = {d: d for d in REVERSE}  # each direction's one str object
-
-
-def _share_strings(row: list) -> None:
-    """Put in the decoded checkpoint `row` the room id and direction str
-    objects every load shares: a room id's interned copy (`sys.intern`)
-    and a direction's key of `REVERSE`.  A result kept from many loads (a
-    session's conflicts and actions) then holds one copy of each.  A row
-    of another shape, or an edge with an end that is not among its rooms
-    or a direction not among the 14, raises `TypeError`, `IndexError` or
-    `KeyError` (`Checkpoint.from_row` and `_apply_commit` refuse such a
-    row)."""
-    ids = {}
-    for node in row[4]:
-        node[0] = ids[node[0]] = sys.intern(node[0])
-    for edge in row[5]:
-        edge[1], edge[2], edge[3] = ids[edge[1]], ids[edge[2]], \
-            _DIRECTION[edge[3]]
 
 
 def _decode_prefix(log_path, data: bytes, end: int) -> list[Commit]:
@@ -717,22 +768,18 @@ def _check_checkpoint(chain: VersionChain, log_path, cp: Checkpoint,
         problem = f"follows {cp.lines} lines, not {lineno - 1}"
     elif cp.crc != zlib.crc32(memoryview(data)[:offset]):
         problem = f"has crc32 {cp.crc}, not that of the lines before it"
-    elif not _holds(chain.graph, cp.state):
+    elif not _holds(chain.graph, cp):
         problem = f"does not hold the state of version {head}"
     else:
         return
     raise CorruptLog(f"{log_path}:{lineno}: checkpoint {problem}")
 
 
-def _holds(g: NavGraph, state: Commit) -> bool:
-    """Is `g` the graph `state` builds from empty, rooms and edges
-    iterating in the same order?"""
-    built = NavGraph()
-    try:
-        _apply_commit(built, state)
-    except MapRepairError:
-        return False
-    return (g.origin == built.origin
+def _holds(g: NavGraph, cp: Checkpoint) -> bool:
+    """Is `g` the map the checkpoint `cp` holds, rooms and edges iterating
+    in the same order?"""
+    built = _state(cp)
+    return (built is not None and g.origin == built.origin
             and list(g.nodes.items()) == list(built.nodes.items())
             and list(g.edges()) == list(built.edges()))
 

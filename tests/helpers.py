@@ -11,6 +11,7 @@ import heapq
 import json
 import random
 import re
+import sys
 import warnings
 
 from collections import Counter, deque
@@ -53,8 +54,8 @@ from maprepair.transcript_parser import (
     _first_nonempty, normalize_act, origin_location_line,
 )
 from maprepair.version_store import (
-    TRIGGER_OBSERVATION, Commit, EdgeDelta, VersionChain, _apply_commit,
-    _inverse, add,
+    TRIGGER_CHECKPOINT, TRIGGER_OBSERVATION, Commit, EdgeDelta, VersionChain,
+    _apply_commit, _inverse, add,
 )
 
 
@@ -670,6 +671,65 @@ def reference_unique_resolving_direction(g: NavGraph, e: Edge, conflict_key,
         if conflict_key not in after and after <= before:
             fixes.append(d)
     return fixes[0] if len(fixes) == 1 else None
+
+
+# ---------------------------------------------------------------------------
+# the heuristic's edge order as first written: every visible edge listed
+# before the first trial, the neighborhood built whatever the answer
+
+
+def reference_visible_edges(ctx) -> list[Edge]:
+    """Ranked candidates when available, always unioned with the conflict
+    neighborhood."""
+    out = dict.fromkeys(c.edge for c in ctx.ranked_candidates or ())
+    out.update(dict.fromkeys(sorted(ctx.neighborhood.edges())))
+    return list(out)
+
+
+def reference_heuristic_order(ctx) -> list[Edge]:
+    """The edges the heuristic tries on a conflict that is not
+    directional: the conflict's edges, then `reference_visible_edges`."""
+    order = dict.fromkeys(ctx.conflict.edges)
+    order.update(dict.fromkeys(reference_visible_edges(ctx)))
+    return list(order)
+
+
+# ---------------------------------------------------------------------------
+# a checkpoint row read as first written: its ids and directions shared in
+# place, then its state read as one commit of adds and applied to the empty
+# graph by `_apply_commit`
+
+
+_REFERENCE_DIRECTION = {d: d for d in DIRECTIONS}
+
+
+def reference_share_strings(row: list) -> None:
+    ids = {}
+    for node in row[4]:
+        node[0] = ids[node[0]] = sys.intern(node[0])
+    for edge in row[5]:
+        edge[1], edge[2], edge[3] = ids[edge[1]], ids[edge[2]], \
+            _REFERENCE_DIRECTION[edge[3]]
+
+
+def reference_checkpoint_state(row: list) -> Commit:
+    """The state commit of a checkpoint row, checked as a commit's."""
+    if len(row) != 6:
+        raise ValueError(f"a checkpoint row has {len(row)} columns, not 6")
+    _, version, lines, crc, nodes, edges = row
+    for what, value in (("checkpoint version", version),
+                        ("checkpoint line count", lines),
+                        ("checkpoint crc32", crc)):
+        if type(value) is not int:
+            raise ValueError(f"{what} is not an int: {value!r}")
+    return Commit.from_row([version, edges, TRIGGER_CHECKPOINT, version, "",
+                            nodes, [], []])
+
+
+def reference_checkpoint_graph(state: Commit) -> NavGraph:
+    g = NavGraph()
+    _apply_commit(g, state)
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@ import io
 import json
 import urllib.error
 import urllib.request
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import multigraphs, reference_unique_resolving_direction
+from helpers import (
+    multigraphs, reference_heuristic_order, reference_unique_resolving_direction,
+)
 from maprepair import advisors
 from maprepair import fault_injector as fi
 from maprepair.advisors import (
@@ -544,6 +547,82 @@ def test_trial_relabel_equals_the_reference(graph_and_conflicts, data):
             x.step_id == e.step_id for x in g.out_edges(e.src, got))
     else:
         assert got == want
+
+
+def test_a_one_loop_heuristic_session_builds_no_neighborhood(monkeypatch):
+    """The heuristic reads the neighborhood only after the conflict's edges
+    and the ranked candidates, and returns at its first new proposal, so
+    the first loop of a session, where every proposal is new, builds none
+    when the conflict has an edge or a candidate: a session of one loop
+    builds none on these faulted grids."""
+    builds = []
+    real = NavGraph.neighborhood
+
+    def counting(self, *args, **kwargs):
+        builds.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(NavGraph, "neighborhood", counting)
+    firsts = []  # per session: builds in its first loop, and the conflict
+
+    def counted(ctx):
+        built = len(builds)
+        try:
+            return HeuristicAdvisor()(ctx)
+        finally:
+            if not ctx.transcript:  # a session's first loop
+                firsts.append((len(builds) - built, ctx.conflict))
+
+    one_loop = []
+    for seed in range(3):
+        corrupted, _ = fi.inject(fi.generate_grid(4, 4), [
+            fi.FAULT_MISNAME, fi.FAULT_PHANTOM], seed=seed)
+        firsts.clear()
+        _, sessions, _ = run_repair(corrupted.build(), ToolConfig(), counted)
+        assert len(sessions) == len(firsts)
+        one_loop += [built for s, (built, conflict) in zip(sessions, firsts)
+                     if s.loop_count == 1
+                     and conflict.kind != KIND_DIRECTIONAL]
+    assert one_loop and not any(one_loop)
+
+
+_WORLDS = st.one_of(
+    st.sampled_from([fi.WorldSpec("grid", (3, 3)), fi.WorldSpec("tree", (2, 2)),
+                     fi.WorldSpec("loopchain", (8,))]),
+    st.builds(lambda n, k: fi.WorldSpec("walk", (4, 4, n, k)),
+              st.integers(8, 24), st.integers(0, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_WORLDS, kinds=st.lists(st.sampled_from([
+    fi.FAULT_MISDIRECTION, fi.FAULT_MISNAME, fi.FAULT_PHANTOM]),
+    min_size=1, max_size=3, unique=True), seed=st.integers(0, 3),
+    edge_impact=st.booleans())
+def test_the_heuristic_proposes_what_the_eager_order_proposes(
+        spec, kinds, seed, edge_impact):
+    """On faulted worlds, walks included, every proposal of the heuristic,
+    which reads its edges lazily, equals the proposal it makes on a fresh
+    context of the same conflict with every edge listed first, the order
+    as first written (`reference_heuristic_order`); the trials leave the
+    map as it was."""
+    corrupted, _ = fi.inject(fi.generate_world(spec), kinds, seed=seed)
+    chain = corrupted.build()
+    config = ToolConfig(edge_impact=edge_impact)
+
+    def eager(ctx):
+        return iter(reference_heuristic_order(ctx))
+
+    def twin(ctx):
+        head = ctx.graph.copy()
+        got = HeuristicAdvisor()(ctx)
+        assert ctx.graph.state_equal(head)
+        fresh = build_context(chain, config, ctx.conflict, ctx.transcript,
+                              ctx.conflicts, ctx.detection)
+        with mock.patch.object(advisors, "_visible_edges", eager):
+            assert HeuristicAdvisor()(fresh) == got
+        return got
+
+    run_repair(chain, config, twin)
 
 
 # -- record / replay -----------------------------------------------------------

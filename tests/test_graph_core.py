@@ -343,6 +343,46 @@ def test_from_json_refuses_an_origin_that_names_no_room():
     assert NavGraph.from_json(sub.to_json()).state_equal(sub)
 
 
+_IDS = st.sampled_from(["a", "b", "c", "d"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rooms=st.lists(st.tuples(_IDS, st.sampled_from(
+           ["Hall", "hall ", "Attic", " Cellar  Door", "Café"])), max_size=4),
+       edges=st.lists(st.builds(
+           Edge, st.one_of(_IDS, st.just("zz")), st.one_of(_IDS, st.just("zz")),
+           st.sampled_from(["north", "south", "in", "sideways"]),
+           st.integers(0, 2)), max_size=6))
+def test_build_equals_add_node_then_insert_edge(rooms, edges):
+    """`NavGraph.build` makes the graph that `add_node` of each room, the
+    first the origin, then `insert_edge` of each edge make, nodes and edges
+    in the same order and every index consistent, or refuses the first
+    input they refuse with the same error and message, duplicate ids,
+    unknown ends, unknown directions and duplicate keys alike.  The inputs
+    are left as they were, and a refused build returns no graph."""
+    want = NavGraph()
+    try:
+        for nid, name in rooms:
+            want.add_node(name, node_id=nid)
+        for e in edges:
+            want.insert_edge(e)
+    except (DuplicateNode, UnknownNode, DuplicateEdge, ValueError) as exc:
+        want = (type(exc), str(exc))
+    given_rooms, given_edges = list(rooms), list(edges)
+    try:
+        got = NavGraph.build(rooms, edges)
+    except (DuplicateNode, UnknownNode, DuplicateEdge, ValueError) as exc:
+        got = (type(exc), str(exc))
+    assert (rooms, edges) == (given_rooms, given_edges)
+    if type(want) is tuple:
+        assert got == want
+        return
+    assert got.state_equal(want) and got.indices_consistent()
+    assert list(got.nodes.items()) == list(want.nodes.items())
+    assert list(got.edges()) == list(want.edges())
+    assert got.fresh_id() == want.fresh_id()
+
+
 def test_indices_survive_random_mutation():
     rng = random.Random(23)
     g = random_graph(rng)

@@ -633,7 +633,7 @@ class _ScriptedAdvisor:
             return RepairAction(ACT_GIVE_UP)
         absent = Edge("n0", "n0", "up", 10 ** 6)
         if choice == "edit":
-            e = rng.choice(advisors._visible_edges(ctx) or [absent])
+            e = rng.choice(list(advisors._visible_edges(ctx)) or [absent])
             if rng.random() < 0.5:
                 return RepairAction(ACT_DELETE_EDGE, edge=e)
             return RepairAction(ACT_CHANGE_DIRECTION, edge=e,

@@ -1,7 +1,9 @@
 import contextlib
+import copy
 import json
 import os
 import re
+import sys
 import warnings
 import zlib
 from typing import Optional
@@ -12,8 +14,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     _reference_run, _reference_steps, reference_apply_commit,
+    reference_checkpoint_graph, reference_checkpoint_state,
     reference_commit_from_json, reference_commit_from_line,
-    reference_commit_from_row, reference_load, unapplied,
+    reference_commit_from_row, reference_load, reference_share_strings,
+    unapplied,
 )
 from maprepair import cli, version_store
 from maprepair import fault_injector as fi
@@ -25,14 +29,14 @@ from maprepair.fault_injector import (
     FAULT_MISDIRECTION, FAULT_MISNAME, FAULT_PHANTOM, WorldSpec,
     generate_world, inject,
 )
-from maprepair.graph_core import DIRECTIONS, Edge, NavGraph
+from maprepair.graph_core import DIRECTIONS, REVERSE, Edge, NavGraph
 from maprepair.repair_engine import (
     ACT_ROLLBACK_TO, MUTATING_ACTIONS, RepairAction, apply_action,
 )
 from maprepair.transcript_parser import extend_graph
 from maprepair.version_store import (
-    Commit, EdgeDelta, TRIGGER_OBSERVATION, TRIGGER_REPAIR, VersionChain,
-    _apply_commit, _check_commit, _inverse, _line, add, remove,
+    Checkpoint, Commit, EdgeDelta, TRIGGER_OBSERVATION, TRIGGER_REPAIR,
+    VersionChain, _apply_commit, _check_commit, _inverse, _line, add, remove,
 )
 
 
@@ -984,6 +988,43 @@ def test_commit_and_load_refuse_the_same_commits(kind, data,
         loaded = VersionChain.load(log)
     assert loaded.commits == commits
     assert loaded.graph.state_equal(before)
+
+
+@pytest.mark.parametrize("where", ["rename", "delta src"])
+def test_commit_and_load_name_the_same_fault(tmp_path, where):
+    """A surrogate pair in one field and a wrongly typed field after it:
+    `commit` and `load` of the `json.dumps` line, which decodes the pair
+    to one character, both refuse the commit for the type.  The two
+    examples `test_commit_and_load_refuse_the_same_commits` once failed
+    on, whose draws an explicit example cannot script across that test's
+    kinds."""
+    pair = "\ud800\udc00"
+    log = tmp_path / "chain.jsonl"
+    chain = VersionChain(log_path=log)
+    try:
+        ids = _grow(chain, n=2)
+        wal = log.read_bytes()
+        if where == "rename":
+            parts = dict(deltas=[remove(Edge(ids[1], ids[2], "north", 2))],
+                         renames=[(ids[1], "Room 1", pair)],
+                         drops=[(ids[2], 0)])
+        else:
+            parts = dict(deltas=[add(Edge(ids[0] + pair, ids[1], "up", 9))],
+                         new_nodes=[(ids[0] + pair, 0)])
+        message = "room name is not a str: 0"
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            chain.commit(trigger=TRIGGER_REPAIR, obs_id=3, analysis="x",
+                         **parts)
+    finally:
+        chain.close()
+    assert log.read_bytes() == wal
+    c = Commit(chain.head + 1, tuple(parts["deltas"]), TRIGGER_REPAIR, 3, "x",
+               tuple(parts.get("new_nodes", ())),
+               tuple(parts.get("renames", ())), tuple(parts.get("drops", ())))
+    log.write_bytes(wal + json.dumps(_row(c)).encode() + b"\n")
+    with pytest.raises(CorruptLog) as caught:
+        VersionChain.load(log)
+    assert str(caught.value) == f"{log}:{chain.head + 2}: {message}"
 
 
 def _log_with_line(tmp_path, delta: Optional[dict], newline: bool = True,
@@ -1994,6 +2035,179 @@ def test_a_checkpoint_unlike_the_lines_before_it_is_refused(tmp_path, change,
         VersionChain.load(log)  # led by a space: found by replay alone
     assert cli.main(["export", "--log", str(log)]) == 2
     assert f"{log}:{row_line}: checkpoint " in capsys.readouterr().err
+
+
+_PAIR = "\ud800\udc00"
+
+
+def _garble_checkpoint(data, row: list) -> None:
+    """Give the checkpoint `row` one fault: a wrongly typed room or edge
+    field, a bool or other non-int step, an edge end or room id that is
+    unknown or taken twice, a second edge of one key, a bad op or
+    direction, a surrogate pair, a non-ASCII name, or an item, column or
+    count of another shape or type."""
+    draw = data.draw
+    nodes, edges = row[4], row[5]
+    rooms = [n for n in nodes if type(n) is list and len(n) == 2] \
+        if type(nodes) is list else []
+    items = [e for e in edges if type(e) is list and len(e) == 5] \
+        if type(edges) is list else []
+    kind = draw(st.sampled_from([
+        "room type", "edge type", "step", "unknown end", "duplicate id",
+        "duplicate key", "op", "direction", "pair", "non-ascii",
+        "room shape", "edge shape", "column", "count"]))
+    room = draw(st.sampled_from(rooms)) if rooms else None
+    edge = draw(st.sampled_from(items)) if items else None
+    if kind == "room type" and room:
+        room[draw(st.integers(0, 1))] = draw(_NOT_STR)
+    elif kind == "edge type" and edge:
+        edge[draw(st.integers(1, 2))] = draw(_NOT_STR)
+    elif kind == "step" and edge:
+        edge[4] = draw(_NOT_INT)
+    elif kind == "unknown end" and edge:
+        edge[draw(st.integers(1, 2))] = "zz"
+    elif kind == "duplicate id" and room:
+        room[0] = draw(st.sampled_from(rooms))[0]
+    elif kind == "duplicate key" and edge:
+        twin = list(edge)
+        if rooms:
+            twin[2] = draw(st.sampled_from(rooms))[0]
+        edges.insert(draw(st.integers(0, len(edges))), twin)
+    elif kind == "op" and edge:
+        edge[0] = draw(st.sampled_from(["-", "*", "", 1, None]))
+    elif kind == "direction" and edge:
+        edge[3] = draw(st.sampled_from(["sideways", "North", 1, None, []]))
+    elif kind == "pair":
+        field = draw(st.sampled_from(["room id", "room name", "src"]))
+        if field == "src" and edge:
+            edge[1] += _PAIR
+        elif room:
+            room[field == "room name"] += _PAIR
+    elif kind == "non-ascii" and room:
+        room[1] = "Caf\xe9 \U0001f600"
+    elif kind == "room shape" and rooms:
+        nodes[nodes.index(room)] = draw(st.sampled_from(
+            [room[:1], room + ["x"], "ab", {"id": room[0]}]))
+    elif kind == "edge shape" and items:
+        edges[edges.index(edge)] = draw(st.sampled_from(
+            [edge[:4], edge + [1], "abcde"]))
+    elif kind == "column":
+        row[draw(st.sampled_from([4, 5]))] = draw(st.sampled_from(
+            [{}, "", None, 3]))
+    elif kind == "count":
+        row[draw(st.integers(1, 3))] = draw(_NOT_INT)
+
+
+def _reference_checkpoint(row: list):
+    """How the checkpoint of `row` was first read: ("read", error,
+    message), ("state",) when its state does not apply to the empty graph,
+    or ("graph", the graph it builds); and whether a load could start
+    from it (its ids and directions shared, then read and applied)."""
+    try:
+        state = reference_checkpoint_state(copy.deepcopy(row))
+    except (ValueError, TypeError) as exc:
+        outcome = ("read", type(exc), str(exc))
+    else:
+        try:
+            outcome = ("graph", reference_checkpoint_graph(state))
+        except MapRepairError:
+            outcome = ("state",)
+    shared = copy.deepcopy(row)
+    try:
+        reference_share_strings(shared)
+        reference_checkpoint_graph(reference_checkpoint_state(shared))
+    except (ValueError, TypeError, IndexError, KeyError, MapRepairError):
+        return outcome, False
+    return outcome, True
+
+
+def _new_checkpoint(row: list):
+    """The same for `Checkpoint.from_row` and `NavGraph.build`
+    (`version_store._state`), and the checkpoint read."""
+    try:
+        cp = Checkpoint.from_row(copy.deepcopy(row))
+    except (ValueError, TypeError) as exc:
+        return ("read", type(exc), str(exc)), None
+    g = version_store._state(cp)
+    return (("state",) if g is None else ("graph", g)), cp
+
+
+def _assert_same_graph(a: NavGraph, b: NavGraph) -> None:
+    assert a.state_equal(b) and a.indices_consistent()
+    assert list(a.nodes.items()) == list(b.nodes.items())
+    assert list(a.edges()) == list(b.edges())
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_a_garbled_checkpoint_row_reads_and_builds_as_the_reference(
+        data, tmp_path_factory):
+    """A checkpoint row with one to three faults is read and built
+    (`Checkpoint.from_row`, `NavGraph.build`) as it was first read:
+    shared in place, read as one commit of adds by `Commit.from_row` and
+    applied by `_apply_commit` (`reference_checkpoint_state`).  Both
+    refuse it when reading with the same error and message, or both
+    refuse its state, or both build the same map, rooms and edges in the
+    same order, room ids interned and directions `REVERSE`'s keys; and a
+    load starts from it exactly when it started from it before.  The one
+    difference: a row whose "-" item removes an edge an earlier item of it
+    added, which `checkpoint` never writes, no longer builds.  In a log,
+    after the lines it was written after, the row is refused at its line
+    with the reference's message, by load or by the first read of a past
+    version."""
+    tmp = tmp_path_factory.mktemp("checkpoint")
+    log, chain, wal = _built_log(tmp)
+    prefix = wal[:wal.rindex(b"\n", 0, -1) + 1]
+    row = json.loads(_lines(wal)[-1])
+    for _ in range(data.draw(st.integers(1, 3))):
+        _garble_checkpoint(data, row)
+    (ref, ref_starts), (new, cp) = _reference_checkpoint(row), \
+        _new_checkpoint(row)
+    if ref[0] == "graph" and new == ("state",) and cp.edges is None:
+        return  # the one difference: a row whose removals undo its adds
+    assert new[:1] == ref[:1]
+    assert (new[0] == "graph") == ref_starts
+    if new[0] == "read":
+        assert new == ref
+    elif new[0] == "graph":
+        g = new[1]
+        _assert_same_graph(g, ref[1])
+        assert all(sys.intern(n) is n for n in g.nodes)
+        for e in g.edges():
+            assert e.src in g.nodes and e.dst in g.nodes
+            assert next(n for n in g.nodes if n == e.src) is e.src
+            assert next(d for d in REVERSE if d == e.direction) is \
+                e.direction
+    line = json.dumps(row).encode()
+    decoded, _ = _reference_checkpoint(json.loads(line))
+    log.write_bytes(prefix + line + b"\n")
+    at = f"{log}:{len(_lines(prefix)) + 1}: "
+    if decoded[0] == "read":
+        message = at + decoded[2]
+    else:
+        message = at + f"checkpoint does not hold the state of version " \
+            f"{chain.head}"
+        if decoded[0] == "graph":
+            try:
+                _assert_same_graph(decoded[1], chain.graph)
+            except AssertionError:
+                pass
+            else:
+                _assert_same_order(VersionChain.load(log), chain)
+                assert VersionChain.load(log).commits == chain.commits
+                return
+    with pytest.raises(CorruptLog) as caught:
+        _full_replay(log)
+    assert str(caught.value) == message
+    try:
+        loaded = VersionChain.load(log)
+    except CorruptLog as exc:
+        assert str(exc) == message
+    else:
+        assert decoded[0] == "graph"
+        with pytest.raises(CorruptLog) as caught:
+            loaded.materialize(0)
+        assert str(caught.value) == message
 
 
 def test_loads_from_a_checkpoint_share_room_ids_and_directions(tmp_path):
