@@ -2079,10 +2079,10 @@ def _garble_checkpoint(data, row: list) -> None:
         edge[3] = draw(st.sampled_from(["sideways", "North", 1, None, []]))
     elif kind == "pair":
         field = draw(st.sampled_from(["room id", "room name", "src"]))
-        if field == "src" and edge:
-            edge[1] += _PAIR
-        elif room:
-            room[field == "room name"] += _PAIR
+        item, at = (edge, 1) if field == "src" and edge else \
+            (room, field == "room name")
+        if item and type(item[at]) is str:  # an earlier fault may retype it
+            item[at] += _PAIR
     elif kind == "non-ascii" and room:
         room[1] = "Caf\xe9 \U0001f600"
     elif kind == "room shape" and rooms:
