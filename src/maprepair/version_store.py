@@ -10,12 +10,11 @@ one replay of recorded commits; `materialize` and the fault trials of
 One check, `_check_commit`, decides whether a commit is well-formed, that
 is, whether `_line` can write it as a line `load` reads back as the same
 commit.  `commit` runs it before any step applies, with or without a log,
-and `Commit.from_row` (or, on an object line, `Commit.from_json`) runs it
-on each line `load` reads, so both refuse the same commits.  It checks
-every field before it searches any str for a surrogate pair, so a commit
-holding both a pair and a wrongly typed field is refused for the field by
-`commit` and by `load` of its line, where the pair decodes to one
-character.
+and `Commit.from_row` runs it on each line `load` reads, so both refuse the
+same commits.  It checks every field before it searches any str for a
+surrogate pair, so a commit holding both a pair and a wrongly typed field
+is refused for the field by `commit` and by `load` of its line, where the
+pair decodes to one character.
 
 A commit is applied to the live graph in straight-line code
 (`_apply_commit`), the only code that turns a commit into graph edits: new
@@ -52,22 +51,18 @@ recursion limit; see `_decode`).  `Commit`, `EdgeDelta` and `Edge` are
 named tuples, built from a decoded line (and by `commit`) with
 `tuple.__new__`, which skips their Python-level `__new__`.
 
-A row is built into its commit by `Commit.from_row`; a line that decodes
-to anything else goes to `Commit.from_json`, which reads the object lines
-earlier versions wrote (keys `index`, `deltas` of `op`, `src`, `dst`,
-`dir` and `step`, `trigger`, `obs_id`, `analysis`, and `nodes`, `renames`
-and `drops` when non-empty).  A log may mix the two, as `load(append=True)`
-continues an object-line log with rows.  A line loads only if it has the
-shape its writer gave it (a row of 8 columns whose step lists hold arrays
-of 5, 2, 3 and 2 items; an object whose step lists are JSON arrays), its
-commit passes the check, comes next in sequence and applies to the graph
-the lines before it built; a key an object line does not need (an older
-line's `step_id`) is ignored.  A torn final line (cut off before its
-newline) that does not decode to a commit passing the check is dropped
-with a warning, and `load(append=True)` cuts it off the file, ends a kept
-final line that lacks its newline, and otherwise leaves the file as it
-was, its modification time included; any other line that does not load
-raises `CorruptLog` with the file and line.
+The row is the one line format `load` reads: `Commit.from_row` builds it
+into its commit, and a line that decodes to any other JSON value (an
+object, as versions before rows wrote, a number, a string or null) is
+refused as not a row, naming the value's type.  A line loads only if it
+is a row of the shape its writer gave it (8 columns whose step lists hold
+arrays of 5, 2, 3 and 2 items), its commit passes the check, comes next
+in sequence and applies to the graph the lines before it built.  A torn
+final line (cut off before its newline) that does not decode to a commit
+passing the check is dropped with a warning, and `load(append=True)` cuts
+it off the file, ends a kept final line that lacks its newline, and
+otherwise leaves the file as it was, its modification time included; any
+other line that does not load raises `CorruptLog` with the file and line.
 
 A log may also hold checkpoint rows, which are not commits: construction
 (`transcript_parser.construct_graph`) ends a new log with one
@@ -75,17 +70,18 @@ A log may also hold checkpoint rows, which are not commits: construction
 name], ...], [["+", src, dst, dir, step], ...]]`, the state at `version`
 (every room in `graph.nodes` order, then every edge in commit order)
 after the first `lines` lines, whose bytes have that `zlib.crc32`.  A
-reader of 8-column rows refuses it (`a row has 6 columns, not 8`), and
-one of object lines too.  The row's node and delta items are the ones
-`_formatted` made for each commit, kept by a chain whose log it started
-while every commit only adds rooms and edges; a log-less chain keeps
-nothing.  `load` starts from the last checkpoint (`_resume`) when it
-decodes, its version is its line count less one, the count and the crc32
-match the lines before it, and its state builds; it then replays the lines
-after it.  The state is built in one pass per column: `Checkpoint.from_row`
-checks each room and edge item by `_check_commit`'s rules and makes the
-`Edge` tuples in the same loop, and `NavGraph.build` makes the map from
-the rooms and edges, refusing what `add_node` and `insert_edge` would.
+reader of 8-column rows refuses it (`a row has 6 columns, not 8`).  The
+row's node and delta items are the ones `_formatted` made for each commit,
+kept by a chain whose log it started while every commit only adds rooms
+and edges; a log-less chain keeps nothing.  A row holding an edge item of
+any op but "+" is refused when read.  `load` starts from the last
+checkpoint (`_resume`) when it decodes, its version is its line count
+less one, the count and the crc32 match the lines before it, and its
+state builds; it then replays the lines after it.  The state is built in
+one pass per column: `Checkpoint.from_row` checks each room and edge item
+by `_check_commit`'s rules and makes the `Edge` tuples in the same loop,
+and `NavGraph.build` makes the map from the rooms and edges, refusing
+what `add_node` and `insert_edge` would.
 Room ids and directions are the str objects every load shares (a room
 id's interned copy and a direction's key of `REVERSE`), so results kept
 from many loads hold one copy of each.  Otherwise it
@@ -169,22 +165,6 @@ class Commit(NamedTuple):
         return d
 
     @classmethod
-    def from_json(cls, d: dict) -> "Commit":
-        return _check_commit(_new(cls, (
-            d["index"],
-            tuple([_new(EdgeDelta, (x["op"], _new(Edge, (x["src"], x["dst"],
-                   x["dir"], x["step"]))))
-                   for x in _array(d, "deltas", required=True)]),
-            d["trigger"],
-            d["obs_id"],
-            d["analysis"],
-            tuple([(n["id"], n["name"]) for n in _array(d, "nodes")]),
-            tuple([(r["id"], r["old"], r["new"])
-                   for r in _array(d, "renames")]),
-            tuple([(n["id"], n["name"]) for n in _array(d, "drops")]),
-        )))
-
-    @classmethod
     def from_row(cls, row: list) -> "Commit":
         """The commit of a row, the JSON array `_line` writes.  A row
         `_line` could not have written raises before `_check_commit` runs:
@@ -207,15 +187,6 @@ class Commit(NamedTuple):
         )))
 
 
-def _array(d: dict, key: str, required: bool = False) -> list:
-    """`d[key]` (`[]` if absent and not `required`) if it is a JSON array;
-    any other value, `""` and `{}` included, raises `TypeError`."""
-    value = d[key] if required else d.get(key, [])
-    if type(value) is not list:
-        raise TypeError(f"{key} is not an array: {value!r}")
-    return value
-
-
 def _items(value: list, size: int, key: str) -> list:
     """`value`, the `key` column of a row, if it is a JSON array of JSON
     arrays of `size` items each; anything else raises `TypeError`, an item
@@ -235,12 +206,14 @@ def _check_commit(c: Commit) -> Commit:
     an op other than "+" or "-", a direction not among the 14 and a str
     holding a surrogate pair (`_check_text`) raise `ValueError`; a
     trigger, analysis, room id or name that is not a str raises
-    `TypeError`.  Scalars come first, then deltas, new nodes, renames and
-    drops, so the first fault met is reported; each group is tested at
-    once, and `_check_types` names the bad field.  Every field is checked
-    before any str is searched for a surrogate pair, so a line that loads
-    back with the pair's one character in its place is refused for the
-    same fault; only strs that are not ASCII are searched."""
+    `TypeError`.  `commit` runs it, and so does `Commit.from_row`, the one
+    reader of a log's commit lines.  Scalars come first, then deltas, new
+    nodes, renames and drops, so the first fault met is reported; each
+    group is tested at once, and `_check_types` names the bad field.  Every
+    field is checked before any str is searched for a surrogate pair, so a
+    line that loads back with the pair's one character in its place is
+    refused for the same fault; only strs that are not ASCII are
+    searched."""
     index, deltas, trigger, obs_id, analysis, nodes, renames, drops = c
     if not (type(index) is type(obs_id) is int):
         _check_types(int, ("commit index", index), ("obs_id", obs_id))
@@ -367,14 +340,12 @@ class Checkpoint(NamedTuple):
     """A checkpoint row: the state at `version`, written after `lines` log
     lines whose bytes have the `zlib.crc32` `crc`.  The state is `rooms`,
     `(id, name)` pairs in `graph.nodes` order, and `edges`, the edges in
-    the order they were added; `NavGraph.build` makes it (`_state`).
-    `edges` is None for a row holding an edge item that removes ("-"),
-    which `checkpoint` never writes and which holds no state."""
+    the order they were added; `NavGraph.build` makes it (`_state`)."""
     version: int
     lines: int
     crc: int
     rooms: tuple[tuple[str, str], ...]
-    edges: Optional[tuple[Edge, ...]]
+    edges: tuple[Edge, ...]
 
     @classmethod
     def from_row(cls, row: list) -> "Checkpoint":
@@ -382,13 +353,14 @@ class Checkpoint(NamedTuple):
         [[id, name], ...], [["+", src, dst, dir, step], ...]]`.  A row of
         other than 6 columns, or a version, line count or crc32 that is not
         an exact int, raises `ValueError`.  Its rooms and edges are checked
-        by `_check_commit`'s rules, and refused with the error of the first
-        fault it would meet in a commit of them: a step list of another
-        shape (edges first, `_items`), then each edge's fields in order,
-        then each room's, then a surrogate pair.  Each room id is its
-        interned copy (`sys.intern`), each edge end the room's id and each
-        direction the key of `REVERSE`, so results kept from many loads (a
-        session's conflicts and actions) hold one copy of each."""
+        by `_check_commit`'s rules, but that an edge's op must be "+", the
+        only one `checkpoint` writes ("-" raises `ValueError`), and refused
+        with the error of the first fault met: a step list of another shape
+        (edges first, `_items`), then each edge's fields in order, then each
+        room's, then a surrogate pair.  Each room id is its interned copy
+        (`sys.intern`), each edge end the room's id and each direction the
+        key of `REVERSE`, so results kept from many loads (a session's
+        conflicts and actions) hold one copy of each."""
         if len(row) != 6:
             raise ValueError(f"a checkpoint row has {len(row)} columns, "
                              f"not 6")
@@ -407,12 +379,12 @@ class Checkpoint(NamedTuple):
                 room_texts += _wide(nid, name)
             nid = ids[nid] = sys.intern(nid)
             rooms.append((nid, name))
-        edges, texts, adds = [], [], True
+        edges, texts = [], []
         for op, src, dst, direction, step in items:
             if op != "+":
-                if op != "-":
-                    raise ValueError(f"unknown delta op: {op!r}")
-                adds = False
+                if op == "-":
+                    raise ValueError("a checkpoint edge op is '-', not '+'")
+                raise ValueError(f"unknown delta op: {op!r}")
             if not (type(src) is type(dst) is str):
                 _check_types(str, ("room id", src), ("room id", dst))
             if not (src.isascii() and dst.isascii()):
@@ -428,18 +400,15 @@ class Checkpoint(NamedTuple):
             _check_types(str, ("room id", bad[0]), ("room name", bad[1]))
         if texts or room_texts:
             _check_text(*texts, *room_texts)
-        return _new(cls, (version, lines, crc, tuple(rooms),
-                          tuple(edges) if adds else None))
+        return _new(cls, (version, lines, crc, tuple(rooms), tuple(edges)))
 
 
 _DIRECTION = {d: d for d in REVERSE}  # each direction's one str object
 
 
 def _state(cp: Checkpoint) -> Optional[NavGraph]:
-    """The map the checkpoint `cp` holds, or None if it holds none: it
-    removes an edge, or `NavGraph.build` refuses its rooms and edges."""
-    if cp.edges is None:
-        return None
+    """The map the checkpoint `cp` holds, or None if `NavGraph.build`
+    refuses its rooms and edges."""
     try:
         return NavGraph.build(cp.rooms, cp.edges)
     except MapRepairError:
@@ -728,12 +697,13 @@ def _replay(chain: VersionChain, log_path, data: bytes, start: int,
             try:
                 value = _decode(raw)
                 if type(value) is not list:
-                    c = Commit.from_json(value)
-                elif value and value[0] == TRIGGER_CHECKPOINT:
+                    raise ValueError(f"a JSON {_JSON_TYPE[type(value)]} is "
+                                     f"not a row")
+                if value and value[0] == TRIGGER_CHECKPOINT:
                     c = Checkpoint.from_row(value)
                 else:
                     c = Commit.from_row(value)
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, TypeError) as exc:
                 if raw.endswith(b"\n"):
                     raise CorruptLog(f"{log_path}:{lineno}: {exc}") from exc
                 warnings.warn(f"{log_path}:{lineno}: dropped a torn final "
@@ -753,6 +723,11 @@ def _replay(chain: VersionChain, log_path, data: bytes, start: int,
                 chain.commits.append(c)
         good_end, kept = good_end + len(raw), raw
     return good_end, kept, False
+
+
+# the JSON name of each type a decoded line may have but a row's
+_JSON_TYPE = {dict: "object", str: "string", int: "number", float: "number",
+              bool: "boolean", type(None): "null"}
 
 
 def _check_checkpoint(chain: VersionChain, log_path, cp: Checkpoint,

@@ -738,8 +738,8 @@ def reference_checkpoint_graph(state: Commit) -> NavGraph:
 # raised as it is.  The bodies are verbatim but for their names (the undo
 # of a rejected commit is inline in `reference_apply_commit`), for the
 # origin (they edit a `NavGraph`, which refuses a drop of the origin while
-# other rooms remain, so the undo needs no origin restore) and for rows: a
-# line that decodes to an array is read by position, unchecked
+# other rooms remain, so the undo needs no origin restore) and for the
+# line format: a line is read as a row, by position, unchecked
 # (`reference_commit_from_row`).
 # `load` and `reference_apply_commit` take what they call as parameters,
 # so a test can model a fix in one of them.
@@ -781,24 +781,6 @@ def reference_apply_commit(g: NavGraph, c: Commit, *,
             raise
 
 
-def reference_delta_from_json(d: dict) -> EdgeDelta:
-    return EdgeDelta(d["op"], Edge(d["src"], d["dst"], d["dir"], d["step"]))
-
-
-def reference_commit_from_json(d: dict) -> Commit:
-    return Commit(
-        index=d["index"],
-        deltas=tuple(reference_delta_from_json(x) for x in d["deltas"]),
-        trigger=d["trigger"],
-        obs_id=d["obs_id"],
-        analysis=d["analysis"],
-        new_nodes=tuple((n["id"], n["name"]) for n in d.get("nodes", ())),
-        renames=tuple((r["id"], r["old"], r["new"])
-                      for r in d.get("renames", ())),
-        drops=tuple((n["id"], n["name"]) for n in d.get("drops", ())),
-    )
-
-
 def reference_commit_from_row(row: list) -> Commit:
     index, deltas, trigger, obs_id, analysis, nodes, renames, drops = row
     return Commit(
@@ -814,17 +796,9 @@ def reference_commit_from_row(row: list) -> Commit:
     )
 
 
-def reference_commit_from_line(value) -> Commit:
-    """The commit of a decoded line: a row by position, any other value as
-    an object."""
-    if type(value) is list:
-        return reference_commit_from_row(value)
-    return reference_commit_from_json(value)
-
-
 def reference_load(log_path: str | Path, append: bool = False,
                    fsync: bool = False, *,
-                   from_json=reference_commit_from_line,
+                   from_row=reference_commit_from_row,
                    apply=reference_apply_commit) -> VersionChain:
     chain = VersionChain(fsync=fsync)
     good_end, kept = 0, b"\n"  # end of the last line kept, and that line
@@ -832,7 +806,7 @@ def reference_load(log_path: str | Path, append: bool = False,
         for lineno, raw in enumerate(fh, start=1):
             if raw.strip():
                 try:
-                    c = from_json(json.loads(raw))
+                    c = from_row(json.loads(raw))
                 except (ValueError, KeyError, TypeError) as exc:
                     if raw.endswith(b"\n"):
                         raise CorruptLog(

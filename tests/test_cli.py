@@ -181,29 +181,25 @@ def test_repair_with_oracle_then_clean(built_log, tmp_path, capsys):
     assert cli.main(["detect", "--log", str(log)]) == 0
 
 
-def test_repair_appends_rows_to_a_log_of_object_lines(built_log, tmp_path,
-                                                      capsys):
+def test_repair_append_refuses_a_log_of_object_lines(built_log, tmp_path,
+                                                     capsys):
     """`repair --append` on a log written as object lines, as versions
-    before rows wrote it, keeps those lines and appends rows; the mixed
-    log loads to the commits the same repair appends to the row log."""
+    before rows wrote it, or on a built log with one such line, exits 2,
+    naming the first object line, and leaves the file as it was."""
     rows, ledger = built_log
     built = rows.read_bytes()
-    objects = tmp_path / "objects.jsonl"
-    old = b"".join(json.dumps(c.to_json()).encode() + b"\n"
-                   for c in VersionChain.load(rows).commits)
-    objects.write_bytes(old)
-    for log in (rows, objects):
-        assert cli.main(["repair", "--log", str(log), "--advisor", "oracle",
-                         "--ledger", str(ledger), "--append"]) == 0
-    capsys.readouterr()
-    appended = rows.read_bytes()[len(built):]
-    assert appended and all(type(json.loads(line)) is list
-                            for line in appended.splitlines())
-    assert objects.read_bytes() == old + appended
-    repaired = VersionChain.load(rows)
-    reloaded = VersionChain.load(objects)
-    assert reloaded.commits == repaired.commits
-    assert reloaded.graph.state_equal(repaired.graph)
+    objects = [json.dumps(c.to_json()).encode() + b"\n"
+               for c in VersionChain.load(rows).commits]
+    lines = built.splitlines(keepends=True)
+    mixed = b"".join(lines[:2] + objects[2:3] + lines[3:])
+    for wal, lineno in ((b"".join(objects), 1), (mixed, 3)):
+        rows.write_bytes(wal)
+        capsys.readouterr()
+        assert cli.main(["repair", "--log", str(rows), "--advisor", "oracle",
+                         "--ledger", str(ledger), "--append"]) == 2
+        assert f"{rows}:{lineno}: a JSON object is not a row" in \
+            capsys.readouterr().err
+        assert rows.read_bytes() == wal
 
 
 def test_repair_oracle_requires_ledger(built_log, capsys):

@@ -6,6 +6,7 @@ import re
 import sys
 import warnings
 import zlib
+from pathlib import Path
 from typing import Optional
 from unittest import mock
 
@@ -15,7 +16,6 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import (
     _reference_run, _reference_steps, reference_apply_commit,
     reference_checkpoint_graph, reference_checkpoint_state,
-    reference_commit_from_json, reference_commit_from_line,
     reference_commit_from_row, reference_load, reference_share_strings,
     unapplied,
 )
@@ -47,9 +47,27 @@ def _row(c: Commit) -> list:
             [[*s] for s in c.renames], [[*s] for s in c.drops]]
 
 
-def _object_line(c: Commit) -> bytes:
-    """The line of `c` as versions before rows wrote it."""
-    return json.dumps(c.to_json()).encode() + b"\n"
+def _object_line(c: Commit, step_id: bool = False) -> bytes:
+    """The line of `c` as versions before rows wrote it, an object, and
+    with `step_id` as the oldest of them wrote it, with that key after
+    `index`."""
+    d = c.to_json()
+    if step_id:
+        d = {"index": c.index, "step_id": c.obs_id, **d}
+    return json.dumps(d).encode() + b"\n"
+
+
+def _from_json(d: dict) -> Commit:
+    """The commit of an object line, read as versions before rows read it,
+    unchecked."""
+    return Commit(
+        d["index"],
+        tuple(EdgeDelta(x["op"], Edge(x["src"], x["dst"], x["dir"], x["step"]))
+              for x in d["deltas"]),
+        d["trigger"], d["obs_id"], d["analysis"],
+        tuple((n["id"], n["name"]) for n in d.get("nodes", ())),
+        tuple((r["id"], r["old"], r["new"]) for r in d.get("renames", ())),
+        tuple((n["id"], n["name"]) for n in d.get("drops", ())))
 
 
 def _grow(chain, n=3):
@@ -199,8 +217,7 @@ def test_a_rename_or_drop_by_another_name_is_refused_whole(tmp_path):
         assert chain.head == 1
     log = tmp_path / "chain.jsonl"
     bad = Commit(2, (), TRIGGER_REPAIR, 2, "", drops=((lobby, "Ghost"),))
-    log.write_text("".join(json.dumps(c.to_json()) + "\n"
-                           for c in (*chain.commits, bad)))
+    log.write_bytes(b"".join(map(_line, (*chain.commits, bad))))
     with pytest.raises(CorruptLog, match=re.escape(
             f"{log}:3: {lobby} is named 'Lobby', not 'Ghost'")):
         VersionChain.load(log)
@@ -266,11 +283,14 @@ _ROW_LOG = (
     b'[], [], [["n1", "Hall"]]]\n')
 
 
-def test_a_log_with_step_ids_loads_and_appends(tmp_path):
-    """Object lines, with the `step_id` key of the oldest versions or
-    without it, load to the commits and graph of the rows the writer makes
-    of the same commits; `load(append=True)` goes on with rows, and the
-    mixed file loads back."""
+@pytest.mark.parametrize("step_id", [False, True],
+                         ids=["object lines", "step_id object lines"])
+def test_a_log_of_object_lines_is_refused_at_its_line(tmp_path, step_id):
+    """The writer makes rows, and they load.  Object lines, as versions
+    before rows wrote them (with the `step_id` key of the oldest or
+    without it), are not rows: `load` refuses such a line as `CorruptLog`
+    at its line, also after rows, and `load(append=True)` leaves the file's
+    bytes and modification time as they were."""
     new = tmp_path / "new.jsonl"
     chain = VersionChain(log_path=new)
     chain.commit([], TRIGGER_OBSERVATION, obs_id=0, analysis="Room 0",
@@ -284,44 +304,47 @@ def test_a_log_with_step_ids_loads_and_appends(tmp_path):
                  obs_id=3, analysis="prune", drops=[("n1", "Hall")])
     chain.close()
     assert new.read_bytes() == _ROW_LOG
-    without_step_ids = re.sub(rb'"step_id": \d+, ', b"", _OLD_FORMAT_LOG)
-    assert without_step_ids == b"".join(map(_object_line, chain.commits))
+    assert VersionChain.load(new).commits == chain.commits
+    objects = b"".join(_object_line(c, step_id) for c in chain.commits)
+    if step_id:
+        assert objects == _OLD_FORMAT_LOG
+    rows = _lines(_ROW_LOG)
     old = tmp_path / "old.jsonl"
-    for wal in (_OLD_FORMAT_LOG, without_step_ids):
+    for wal, lineno in ((objects, 1), (b"".join(rows[:2]) + objects, 3)):
         old.write_bytes(wal)
-        loaded = VersionChain.load(old)
-        assert loaded.commits == chain.commits
-        assert loaded.graph.state_equal(chain.graph)
-
-    old.write_bytes(_OLD_FORMAT_LOG)
-    reopened = VersionChain.load(old, append=True)
-    c = reopened.commit([], TRIGGER_OBSERVATION, obs_id=4, analysis="Loft",
-                        new_nodes=[("n2", "Loft")])
-    reopened.close()
-    assert old.read_bytes() == _OLD_FORMAT_LOG + (
-        b'[4, [], "observation_update", 4, "Loft", [["n2", "Loft"]], [], '
-        b'[]]\n')
-    mixed = VersionChain.load(old)
-    assert mixed.commits == reopened.commits == [*chain.commits, c]
-    assert mixed.graph.state_equal(reopened.graph)
+        os.utime(old, ns=(10**18, 10**18))
+        for append in (False, True):
+            with pytest.raises(CorruptLog, match=re.escape(
+                    f"{old}:{lineno}: a JSON object is not a row")) as caught:
+                VersionChain.load(old, append=append)
+            assert type(caught.value.__cause__) is ValueError
+        assert old.read_bytes() == wal
+        assert old.stat().st_mtime_ns == 10**18
 
 
-def test_an_object_line_log_and_its_row_rewrite_load_alike(tmp_path):
-    """A built world's log rewritten line by line as object lines (byte for
-    byte what versions before rows wrote), and any mix of the two, load to
-    the commits and graph of the row log."""
-    log, chain = _tree_log(tmp_path)
-    rows = log.read_bytes()
-    assert rows == b"".join(map(_line, chain.commits))
-    objects = b"".join(map(_object_line, chain.commits))
-    mixed = b"".join(_object_line(c) if c.index % 2 else _line(c)
-                     for c in chain.commits)
-    for wal in (rows, objects, mixed):
-        log.write_bytes(wal)
-        loaded = VersionChain.load(log)
-        assert loaded.commits == chain.commits
-        assert loaded.graph.state_equal(chain.graph)
-    assert len(rows) < 0.6 * len(objects)
+@pytest.mark.parametrize("step_id", [False, True],
+                         ids=["object line", "step_id object line"])
+def test_an_object_line_before_a_checkpoint_is_refused_on_the_first_read(
+        tmp_path, step_id):
+    """An object line among the lines a checkpoint row was written after,
+    its crc32 made to match, lets `load` start from the row, but the first
+    read of a past version refuses the line at its line, and so does a
+    load that replays every line."""
+    log, chain, wal = _built_log(tmp_path)
+    *lines, row = _lines(wal)
+    lines[1] = _object_line(chain.commits[1], step_id)
+    row = json.loads(row)
+    row[3] = zlib.crc32(b"".join(lines))
+    log.write_bytes(b"".join(lines) + json.dumps(row).encode() + b"\n")
+    message = f"{log}:2: a JSON object is not a row"
+    loaded = VersionChain.load(log)
+    _assert_same_order(loaded, chain)
+    for read in (lambda: loaded.commits[0], lambda: loaded.materialize(0),
+                 lambda: loaded.recall_step(0), lambda: list(loaded.commits)):
+        with pytest.raises(CorruptLog, match=f"^{re.escape(message)}$"):
+            read()
+    with pytest.raises(CorruptLog, match=f"^{re.escape(message)}$"):
+        _full_replay(log)
 
 
 def test_load_reproduces_chain(tmp_path):
@@ -368,14 +391,19 @@ def test_load_append_continues_log(tmp_path):
 def test_load_append_leaves_an_intact_log_untouched(tmp_path, line):
     """Reopening a log that ends with a whole line, and closing it with no
     commit, changes neither its bytes nor its modification time: only a
-    torn final line is cut off."""
+    torn final line is cut off.  A log of object lines, which is refused
+    at its first line, is left so too."""
     log, chain = _tree_log(tmp_path)
     wal = b"".join(map(line, chain.commits))
     log.write_bytes(wal)
     os.utime(log, ns=(10**18, 10**18))
     before = log.stat().st_mtime_ns
-    reopened = VersionChain.load(log, append=True)
-    reopened.close()
+    if line is _object_line:
+        with pytest.raises(CorruptLog, match=":1: a JSON object is not a "
+                           "row$"):
+            VersionChain.load(log, append=True)
+    else:
+        VersionChain.load(log, append=True).close()
     assert log.read_bytes() == wal
     assert log.stat().st_mtime_ns == before == 10**18
 
@@ -440,12 +468,15 @@ def test_load_rejects_gaps_reordering_and_garbled_lines(tmp_path):
 
 
 def test_commit_json_round_trip():
+    """`to_json`, the payload of `RecallStep` and of the `--commits`
+    output digest, names every field: its keys read back to the commit."""
     c = Commit(index=4, trigger=TRIGGER_REPAIR, obs_id=9,
                analysis="swap",
                deltas=(remove(Edge("n1", "n2", "up", 3)),
                        add(Edge("n1", "n2", "down", 3))),
-               renames=(("n2", "Old", "New"),))
-    assert Commit.from_json(c.to_json()) == c
+               new_nodes=(("n3", "Den"),), renames=(("n2", "Old", "New"),),
+               drops=(("n4", "Shed"),))
+    assert _from_json(c.to_json()) == c
     assert c.to_json()["deltas"] == [
         {"op": "-", "src": "n1", "dst": "n2", "dir": "up", "step": 3},
         {"op": "+", "src": "n1", "dst": "n2", "dir": "down", "step": 3}]
@@ -931,11 +962,10 @@ def test_commit_and_load_refuse_the_same_commits(kind, data,
                                                  tmp_path_factory):
     """A commit with no fault, or with one field of the wrong type, is
     taken alike by a logged `commit`, a log-less `commit` and `load` of
-    its line, as a row or as an object line (`json.dumps` of either): all
-    three accept it, as equal commits with equal graphs, or all three
-    refuse it with the same error and change nothing.  `load` refuses it
-    as `CorruptLog` at its line, and drops it as a torn line when its
-    newline is missing."""
+    its row (`json.dumps` of it): all three accept it, as equal commits
+    with equal graphs, or all three refuse it with the same error and
+    change nothing.  `load` refuses it as `CorruptLog` at its line, and
+    drops it as a torn line when its newline is missing."""
     tmp = tmp_path_factory.mktemp("wal")
     logged = VersionChain(log_path=tmp / "chain.jsonl")
     free = VersionChain()
@@ -952,8 +982,6 @@ def test_commit_and_load_refuse_the_same_commits(kind, data,
             parts["obs_id"], parts["analysis"], tuple(parts["new_nodes"]),
             tuple(parts["renames"]), tuple(parts["drops"]))
         row = json.dumps(_row(c)).encode()
-        line = row if data.draw(st.booleans(), label="row") else \
-            json.dumps(c.to_json()).encode()
         outcomes = []
         for chain in (logged, free):
             try:
@@ -964,7 +992,7 @@ def test_commit_and_load_refuse_the_same_commits(kind, data,
         logged.close()
     assert outcomes[0] == outcomes[1]
     log = tmp / "loaded.jsonl"
-    log.write_bytes(wal + line + b"\n")
+    log.write_bytes(wal + row + b"\n")
     if kind is None:
         assert logged.log_path.read_bytes() == wal + row + b"\n"
         loaded = VersionChain.load(log)
@@ -983,7 +1011,7 @@ def test_commit_and_load_refuse_the_same_commits(kind, data,
         VersionChain.load(log)
     assert str(caught.value) == f"{log}:5: {message}"
     assert type(caught.value.__cause__) is error
-    log.write_bytes(wal + line)
+    log.write_bytes(wal + row)
     with pytest.warns(UserWarning, match=re.escape(f"{log}:5: dropped")):
         loaded = VersionChain.load(log)
     assert loaded.commits == commits
@@ -1027,29 +1055,28 @@ def test_commit_and_load_name_the_same_fault(tmp_path, where):
     assert str(caught.value) == f"{log}:{chain.head + 2}: {message}"
 
 
-def _log_with_line(tmp_path, delta: Optional[dict], newline: bool = True,
-                   row: bool = False, **fields):
-    """A log of commits 0 and 1 (n0 -> n1 north 1), then a commit 2 object
-    line, or with `row` its row, holding `delta` (if any) and `fields`,
-    with or without its newline."""
+def _log_with_line(tmp_path, delta: Optional[list], newline: bool = True,
+                   **fields):
+    """A log of commits 0 and 1 (n0 -> n1 north 1), then the row of a
+    commit 2 holding `delta` (if any) and `fields`, columns by their
+    `_KEYS` names, with or without its newline."""
     log = tmp_path / "chain.jsonl"
     chain = VersionChain(log_path=log)
     _grow(chain, n=1)
     chain.close()
-    line = {"index": 2, "deltas": [delta] if delta else [],
-            "trigger": TRIGGER_REPAIR, "obs_id": 2, "analysis": "bad",
-            **fields}
-    if row:
-        line = _row(reference_commit_from_json(line))
+    columns = {"index": 2, "deltas": [delta] if delta else [],
+               "trigger": TRIGGER_REPAIR, "obs_id": 2, "analysis": "bad",
+               "nodes": [], "renames": [], "drops": [], **fields}
+    row = [columns[key] for key in _KEYS["commit"]]
     with open(log, "ab") as fh:
-        fh.write(json.dumps(line).encode() + (b"\n" if newline else b""))
+        fh.write(json.dumps(row).encode() + (b"\n" if newline else b""))
     return log, chain
 
 
 def test_load_rejects_an_unknown_delta_op(tmp_path, capsys):
     """An op other than "+" or "-" does not parse: it used to remove the
     edge it names."""
-    bad = {"op": "x", "src": "n0", "dst": "n1", "dir": "north", "step": 1}
+    bad = ["x", "n0", "n1", "north", 1]
     log, chain = _log_with_line(tmp_path, bad)
     with pytest.raises(CorruptLog,
                        match=re.escape(f"{log}:3: unknown delta op: 'x'")):
@@ -1082,20 +1109,15 @@ def test_commit_refuses_an_unknown_delta_op(tmp_path):
 
 
 @pytest.mark.parametrize("delta, fields, cause", [
-    ({"op": "-", "src": "n0", "dst": "n1", "dir": "east", "step": 7}, {},
-     InvalidDelta),
-    ({"op": "+", "src": "n0", "dst": "ghost", "dir": "east", "step": 7}, {},
-     UnknownNode),
-    ({"op": "+", "src": "n0", "dst": "n0", "dir": "north", "step": 1}, {},
-     DuplicateEdge),
-    (None, {"nodes": [{"id": "n1", "name": "Again"}]}, DuplicateNode),
-    (None, {"drops": [{"id": "n1", "name": "Room 1"}]}, InvalidDelta),
-    (None, {"nodes": [{"id": "n9", "name": 1}]}, TypeError),
-    (None, {"nodes": [{"id": [], "name": "Hall"}]}, TypeError),
-    (None, {"renames": [{"id": "n1", "old": "Room 1", "new": None}]},
-     TypeError),
-    ({"op": "+", "src": "n0", "dst": "n1", "dir": [], "step": 7}, {},
-     TypeError),
+    (["-", "n0", "n1", "east", 7], {}, InvalidDelta),
+    (["+", "n0", "ghost", "east", 7], {}, UnknownNode),
+    (["+", "n0", "n0", "north", 1], {}, DuplicateEdge),
+    (None, {"nodes": [["n1", "Again"]]}, DuplicateNode),
+    (None, {"drops": [["n1", "Room 1"]]}, InvalidDelta),
+    (None, {"nodes": [["n9", 1]]}, TypeError),
+    (None, {"nodes": [[[], "Hall"]]}, TypeError),
+    (None, {"renames": [["n1", "Room 1", None]]}, TypeError),
+    (["+", "n0", "n1", [], 7], {}, TypeError),
 ], ids=["absent edge", "unknown node", "duplicate key", "node id in use",
         "drop of a room with edges", "name", "node id", "new name",
         "direction"])
@@ -1147,30 +1169,26 @@ def test_a_field_no_writer_makes_does_not_parse(tmp_path, capsys, key, value,
     `nodes`, `renames` or `drops` that is not an array (`""` or `{}`) loaded
     as no steps, and the commit lost the steps of its line.  Each is
     `CorruptLog` at its line, or a dropped torn final line; `commit`
-    refuses such a scalar field before anything applies.  A row and an
-    object line are refused alike."""
+    refuses such a scalar field before anything applies."""
     log = tmp_path / "chain.jsonl"
     chain = VersionChain(log_path=log)
     _grow(chain, n=1)
     chain.close()
     first, second = log.read_bytes().splitlines(keepends=True)
-    row, line = json.loads(second), chain.commits[1].to_json()
+    row = json.loads(second)
     if key in ("dir", "step"):
         row[1][0][3 if key == "dir" else 4] = value
-        line["deltas"][0][key] = value
     else:
         row[_KEYS["commit"].index(key)] = value
-        line[key] = value
-    for bad in (json.dumps(row).encode(), json.dumps(line).encode()):
-        log.write_bytes(first + bad + b"\n")
-        with pytest.raises(CorruptLog,
-                           match=re.escape(f"{log}:2: {message}")):
-            VersionChain.load(log)
-        assert cli.main(["detect", "--log", str(log)]) == 2
-        assert f"{log}:2: {message}" in capsys.readouterr().err
-        log.write_bytes(first + bad)
-        with pytest.warns(UserWarning, match="torn final line"):
-            assert VersionChain.load(log).commits == chain.commits[:1]
+    bad = json.dumps(row).encode()
+    log.write_bytes(first + bad + b"\n")
+    with pytest.raises(CorruptLog, match=re.escape(f"{log}:2: {message}")):
+        VersionChain.load(log)
+    assert cli.main(["detect", "--log", str(log)]) == 2
+    assert f"{log}:2: {message}" in capsys.readouterr().err
+    log.write_bytes(first + bad)
+    with pytest.warns(UserWarning, match="torn final line"):
+        assert VersionChain.load(log).commits == chain.commits[:1]
 
     with pytest.warns(UserWarning, match="torn final line"):
         loaded = VersionChain.load(log, append=True)
@@ -1208,6 +1226,12 @@ def _bad_row(column: Optional[int] = None, value=None, length: int = 8):
 
 
 @pytest.mark.parametrize("row, message, unpacks", [
+    (7, "a JSON number is not a row", False),
+    (-1.5e3, "a JSON number is not a row", False),
+    ("row", "a JSON string is not a row", False),
+    (None, "a JSON null is not a row", False),
+    (True, "a JSON boolean is not a row", False),
+    ({}, "a JSON object is not a row", False),
     (_bad_row(length=7), "a row has 7 columns, not 8", False),
     (_bad_row(length=9), "a row has 9 columns, not 8", False),
     (_bad_row(1, {"op": "+"}), "deltas is not an array: {'op': '+'}", False),
@@ -1229,17 +1253,19 @@ def _bad_row(column: Optional[int] = None, value=None, length: int = 8):
     (_bad_row(7, [{"id": "n1", "name": "Room 1"}]),
      "drops holds {'id': 'n1', 'name': 'Room 1'}, not an array of 2 items",
      True),
-], ids=["7 columns", "9 columns", "deltas object", "delta of 4",
+], ids=["int", "float", "string", "null", "true", "empty object",
+        "7 columns", "9 columns", "deltas object", "delta of 4",
         "delta of 6", "rename of 2", "node str", "node object", "drop str",
         "drop object"])
 def test_a_row_the_writer_cannot_write_does_not_parse(tmp_path, capsys, row,
                                                       message, unpacks):
-    """A row of other than 8 columns, or whose step list is not an array
-    of arrays of 5 (a delta), 2 (a node or drop) or 3 (a rename) items, is
-    `CorruptLog` at its line, or a dropped torn final line, before its
-    commit is checked.  A node or drop given as a 2-character str or a
-    2-key object unpacks to two strs that the commit check passes, so only
-    the shape check refuses it."""
+    """A line that is not a row (any JSON value but an array, named by its
+    type), or a row of other than 8 columns, or whose step list is not an
+    array of arrays of 5 (a delta), 2 (a node or drop) or 3 (a rename)
+    items, is `CorruptLog` at its line, or a dropped torn final line,
+    before its commit is checked.  A node or drop given as a 2-character
+    str or a 2-key object unpacks to two strs that the commit check
+    passes, so only the shape check refuses it."""
     log = tmp_path / "chain.jsonl"
     chain = VersionChain(log_path=log)
     _grow(chain, n=1)
@@ -1253,7 +1279,8 @@ def test_a_row_the_writer_cannot_write_does_not_parse(tmp_path, capsys, row,
         VersionChain.load(log)
     assert str(caught.value) == f"{log}:3: {message}"
     assert type(caught.value.__cause__) is (
-        ValueError if "columns" in message else TypeError)
+        ValueError if "columns" in message or message.endswith("not a row")
+        else TypeError)
     assert cli.main(["detect", "--log", str(log)]) == 2
     assert f"{log}:3: {message}" in capsys.readouterr().err
     log.write_bytes(wal + bad)
@@ -1270,9 +1297,10 @@ _NAMES = st.text(max_size=4)
 _JUNK = st.sampled_from([None, "1", 1, 1.5, True, "", "x", "~", "+", "-",
                          "ab", [], ["+"], {}, {"id": "n0"},
                          {"id": "n0", "name": "x"}])
-# an op or an endpoint that parses but may not apply
-_SWAPS = {"op": st.sampled_from(["+", "-", "x", "~"]),
-          "src": st.sampled_from(["n0", "n1", "n2", "ghost"])}
+# an op or a source, by its position in a row's delta, that parses but may
+# not apply
+_SWAPS = {0: st.sampled_from(["+", "-", "x", "~"]),
+          1: st.sampled_from(["n0", "n1", "n2", "ghost"])}
 _KEYS = {"commit": ["index", "deltas", "trigger", "obs_id", "analysis",
                     "nodes", "renames", "drops"],
          "deltas": ["op", "src", "dst", "dir", "step"],
@@ -1283,8 +1311,7 @@ _KEYS = {"commit": ["index", "deltas", "trigger", "obs_id", "analysis",
 
 def _random_log(data, log) -> bytes:
     """The log of a random valid chain: rooms, edge adds and removes,
-    renames and drops, under both triggers.  Each line is the writer's row
-    or, as versions before rows wrote it, the commit's object line."""
+    renames and drops, under both triggers."""
     draw = data.draw
     chain = VersionChain(log_path=log)
     try:
@@ -1325,9 +1352,7 @@ def _random_log(data, log) -> bytes:
                 drops=drops)
     finally:
         chain.close()
-    return b"".join(_object_line(c) if data.draw(st.booleans(), label="object")
-                    else line for c, line
-                    in zip(chain.commits, _lines(log.read_bytes())))
+    return log.read_bytes()
 
 
 def _lines(wal: bytes) -> list[bytes]:
@@ -1336,46 +1361,18 @@ def _lines(wal: bytes) -> list[bytes]:
 
 
 _STEP_COLUMNS = (1, 5, 6, 7)  # a row's deltas, nodes, renames and drops
-_ROW_SWAPS = {"op": 0, "src": 1}  # their positions in a row's delta
 
 
 def _garble(data, line: bytes, swap: bool = False) -> bytes:
-    """`line` as JSON with one key of an object set to a wrong value or
-    removed, or one position of a row (the row, a step list or a step)
-    set, removed or given a value before it; with `swap`, a delta's op or
-    source is set to another string."""
+    """`line` as JSON with one position of its row (the row, a step list or
+    a step) set, removed or given a value before it; with `swap`, a
+    delta's op or source is set to another string."""
     try:
-        d = json.loads(line)
+        row = json.loads(line)
     except ValueError:
         return line
-    if type(d) is list:
-        return _garble_row(data, line, d, swap)
-    if not isinstance(d, dict):
+    if type(row) is not list:
         return line
-    target, kind = d, "commit"
-    nested = [k for k in ("deltas", "nodes", "renames", "drops")
-              if isinstance(d.get(k), list) and d[k]
-              and isinstance(d[k][0], dict)]
-    if swap:
-        if "deltas" not in nested:
-            return line
-        key = data.draw(st.sampled_from(sorted(_SWAPS)))
-        data.draw(st.sampled_from(d["deltas"]))[key] = data.draw(_SWAPS[key])
-        return json.dumps(d).encode() + b"\n"
-    if nested and data.draw(st.booleans()):
-        kind = data.draw(st.sampled_from(nested))
-        target = data.draw(st.sampled_from(d[kind]))
-    key = data.draw(st.sampled_from(_KEYS[kind]))
-    if data.draw(st.booleans()):
-        target.pop(key, None)
-    else:
-        target[key] = data.draw(_JUNK)
-    separators = data.draw(st.sampled_from([None, (",", ":")]))
-    return json.dumps(d, separators=separators).encode() + b"\n"
-
-
-def _garble_row(data, line: bytes, row: list, swap: bool) -> bytes:
-    """`_garble` of `line`, which decodes to the array `row`."""
     steps = [row[i] for i in _STEP_COLUMNS
              if len(row) == 8 and type(row[i]) is list and row[i]]
     if swap:
@@ -1383,9 +1380,8 @@ def _garble_row(data, line: bytes, row: list, swap: bool) -> bytes:
         deltas = [x for x in deltas if type(x) is list and len(x) == 5]
         if not deltas:
             return line
-        key = data.draw(st.sampled_from(sorted(_SWAPS)))
-        data.draw(st.sampled_from(deltas))[_ROW_SWAPS[key]] = \
-            data.draw(_SWAPS[key])
+        at = data.draw(st.sampled_from(sorted(_SWAPS)))
+        data.draw(st.sampled_from(deltas))[at] = data.draw(_SWAPS[at])
         return json.dumps(row).encode() + b"\n"
     target = row
     if steps and data.draw(st.booleans()):
@@ -1488,7 +1484,9 @@ def _assert_same(a, b):
 
 
 _DIRECTION_SET = frozenset(DIRECTIONS)
-_STEP_LISTS = frozenset({"deltas", "nodes", "renames", "drops"})
+# the JSON name of each type a decoded line may have but a row's
+_JSON_NAMES = {dict: "object", str: "string", int: "number",
+               float: "number", bool: "boolean", type(None): "null"}
 
 
 def _fixed(log, wal: bytes):
@@ -1500,11 +1498,11 @@ def _fixed(log, wal: bytes):
     while other rooms remain, are refused before they run;
     an obs_id that is not an int, or a trigger, analysis, room id or name
     that is not a str, does not parse; and a `deltas`, `nodes`, `renames`
-    or `drops` that is not a JSON array does not parse; and a row of other
-    than 8 columns, or whose step list holds a step that is not an array
-    of its step's size, does not parse.  An object's step lists are
-    checked as the parse reads them, a row's shape before it is read; the
-    rest is checked once the commit is read whole: the scalars, then each
+    or `drops` that is not a JSON array does not parse; and a line that is
+    not a row (any JSON value but an array), a row of other than 8
+    columns, or one whose step list holds a step that is not an array of
+    its step's size, does not parse.  A row's shape is checked before it is
+    read; the rest once the commit is read whole: the scalars, then each
     delta, then the new nodes, renames and drops.  `fired` records each
     time a fix changed what happens."""
     fired = []
@@ -1522,21 +1520,11 @@ def _fixed(log, wal: bytes):
                               else (TypeError, "a str"))
             refuse(what, error, f"{what} is not {article}: {value!r}")
 
-    class ArraysOnly(dict):
-        """A line's object whose step lists must be arrays when read."""
-
-        def __getitem__(self, key):
-            value = dict.__getitem__(self, key)
-            if key in _STEP_LISTS and type(value) is not list:
-                refuse("array", TypeError,
-                       f"{key} is not an array: {value!r}")
-            return value
-
-        def get(self, key, default=None):
-            return self[key] if key in self else default
-
     def shaped(row):
         """`row`, if the writer could have written its shape."""
+        if type(row) is not list:
+            refuse("row", ValueError,
+                   f"a JSON {_JSON_NAMES[type(row)]} is not a row")
         if len(row) != 8:
             refuse("row", ValueError, f"a row has {len(row)} columns, not 8")
         for column in _STEP_COLUMNS:
@@ -1550,12 +1538,8 @@ def _fixed(log, wal: bytes):
                            f"array of {size} items")
         return row
 
-    def from_json(d):
-        if type(d) is list:
-            c = reference_commit_from_row(shaped(d))
-        else:
-            c = reference_commit_from_json(ArraysOnly(d) if type(d) is dict
-                                           else d)
+    def from_row(value):
+        c = reference_commit_from_row(shaped(value))
         need(int, "commit index", c.index)
         need(int, "obs_id", c.obs_id)
         need(str, "trigger", c.trigger)
@@ -1601,16 +1585,16 @@ def _fixed(log, wal: bytes):
             fired.append("apply")
             raise CorruptLog(f"{log}:{lineno}: {exc}") from exc
 
-    return from_json, apply, fired
+    return from_row, apply, fired
 
 
 def _assert_load_equals_the_fixed_reference(log, wal: bytes, append: bool):
     """`load` of `wal`, with or without append, gives what the reference
     with the fixes gives, and any log that does not load is `CorruptLog`.
     Returns the reference's outcome and the fixes it fired."""
-    from_json, apply, fired = _fixed(log, wal)
+    from_row, apply, fired = _fixed(log, wal)
     fixed = _outcome(lambda p, append: reference_load(
-        p, append, from_json=from_json, apply=apply), log, wal, append)
+        p, append, from_row=from_row, apply=apply), log, wal, append)
     loaded = _outcome(VersionChain.load, log, wal, append)
     _assert_same(loaded, fixed)
     assert loaded[1] is None or loaded[1][0] is CorruptLog
@@ -1625,13 +1609,12 @@ def test_load_equals_the_reference_on_corrupted_logs(data, tmp_path_factory):
     the seven fixes: an unknown op, a commit that does not apply, an
     index, direction or step no writer makes, a rename or drop of a node
     by another name, any other field of the wrong type, a step list that
-    is not an array and a row of a shape the writer does not make are
-    `CorruptLog` at their line (or a torn final line).  Rows and object
-    lines are mixed at random.  Any log that does not load is
-    `CorruptLog`.  The same corrupted lines followed by the checkpoint row
-    of the log before corruption load as every line's replay does, and
-    are refused as the lines alone are (`_assert_a_checkpoint_after_loads_
-    alike`)."""
+    is not an array and a line that is not a row of the writer's shape are
+    `CorruptLog` at their line (or a torn final line).  Any log that does
+    not load is `CorruptLog`.  The same corrupted lines followed by the
+    checkpoint row of the log before corruption load as every line's
+    replay does, and are refused as the lines alone are
+    (`_assert_a_checkpoint_after_loads_alike`)."""
     log = tmp_path_factory.mktemp("replay") / "chain.jsonl"
     clean = _random_log(data, log)
     wal = _corrupt(data, clean)
@@ -1646,11 +1629,11 @@ def test_load_equals_the_reference_on_corrupted_logs(data, tmp_path_factory):
 @given(data=st.data())
 def test_load_equals_the_reference_on_logs_with_garbled_fields(
         data, tmp_path_factory):
-    """As above, but every corruption sets a field of a line (a key of an
-    object, a position of a row) to a wrong value, removes it, or swaps a
-    delta's op or source, so far more examples reach a line that parses
-    as JSON but is not a commit the writer makes, where the seven fixes
-    act; and the same lines before a checkpoint row load as above."""
+    """As above, but every corruption sets a field of a line (a position of
+    its row) to a wrong value, removes it, or swaps a delta's op or
+    source, so far more examples reach a line that parses as JSON but is
+    not a commit the writer makes, where the seven fixes act; and the same
+    lines before a checkpoint row load as above."""
     log = tmp_path_factory.mktemp("replay") / "chain.jsonl"
     clean = _random_log(data, log)
     lines = _lines(clean)
@@ -1664,29 +1647,24 @@ def test_load_equals_the_reference_on_logs_with_garbled_fields(
 
 
 @pytest.mark.parametrize("delta, fields, fix", [
-    ({"op": "+", "src": "n0", "dst": "n1", "dir": "east", "step": "7"}, {},
-     "step id"),
-    (None, {"renames": [{"id": "n1", "old": "Hall", "new": "Cellar"}]},
-     "name"),
+    (["+", "n0", "n1", "east", "7"], {}, "step id"),
+    (None, {"renames": [["n1", "Hall", "Cellar"]]}, "name"),
     (None, {"analysis": 5}, "analysis"),
-    ({"op": "-", "src": "n0", "dst": "n1", "dir": "north", "step": 1},
-     {"drops": [{"id": "n0", "name": "Room 0"}]}, "origin"),
+    (["-", "n0", "n1", "north", 1], {"drops": [["n0", "Room 0"]]}, "origin"),
 ], ids=["step id", "name", "analysis", "origin"])
 @pytest.mark.parametrize("append", [False, True])
 def test_load_equals_the_fixed_reference_on_a_line_one_fix_refuses(
         tmp_path, delta, fields, fix, append):
     """A fix that random garbling seldom reaches (a delta's step that is
     not an int, a rename by another name, an analysis that is not a str,
-    a drop of the origin while another room remains) refuses a line of its
-    own, an object line or a row: `load` gives what the reference with the
-    fixes gives, and that fix fired."""
-    for row in (False, True):
-        log, _ = _log_with_line(tmp_path, delta, row=row, **fields)
-        fixed, fired = _assert_load_equals_the_fixed_reference(
-            log, log.read_bytes(), append)
-        assert fix in fired
-        assert fixed[1][0] is CorruptLog
-        log.unlink()
+    a drop of the origin while another room remains) refuses a row of its
+    own: `load` gives what the reference with the fixes gives, and that fix
+    fired."""
+    log, _ = _log_with_line(tmp_path, delta, **fields)
+    fixed, fired = _assert_load_equals_the_fixed_reference(
+        log, log.read_bytes(), append)
+    assert fix in fired
+    assert fixed[1][0] is CorruptLog
 
 
 def test_load_of_a_built_grid_calls_json_loads_never(tmp_path):
@@ -1746,6 +1724,7 @@ def test_log_value_types_are_immutable_tuples_of_their_fields():
 # -- checkpoint rows ----------------------------------------------------------
 
 _CHECKPOINT = b'["checkpoint", '
+_REMOVES = "a checkpoint edge op is '-', not '+'"
 
 
 def _checkpoint_row(wal: bytes) -> bytes:
@@ -1755,7 +1734,7 @@ def _checkpoint_row(wal: bytes) -> bytes:
     g, commits = NavGraph(), 0
     for raw in _lines(wal):
         if raw.strip():
-            reference_apply_commit(g, reference_commit_from_line(
+            reference_apply_commit(g, reference_commit_from_row(
                 json.loads(raw)))
             commits += 1
     return json.dumps(["checkpoint", commits - 1, len(_lines(wal)),
@@ -1897,7 +1876,8 @@ def test_a_checkpointed_walk_log_loads_as_it_does_without_the_row(
 @pytest.mark.parametrize("reader", ["rows", "objects"])
 def test_a_reader_before_checkpoints_refuses_the_row(tmp_path, reader):
     """The row is not a commit: a reader of rows refuses it for its columns,
-    and a reader of object lines for its type."""
+    and a reader of object lines, as versions before rows read them, for
+    its type."""
     log = tmp_path / "tree.jsonl"
     generate_world(WorldSpec("tree", (3, 2))).build(log_path=log).close()
     row = json.loads(_lines(log.read_bytes())[-1])
@@ -1906,7 +1886,7 @@ def test_a_reader_before_checkpoints_refuses_the_row(tmp_path, reader):
             Commit.from_row(row)
     else:
         with pytest.raises(TypeError):
-            reference_commit_from_json(row)
+            _from_json(row)
 
 
 def test_the_checkpoint_row_is_json_dumps_of_the_built_state(tmp_path):
@@ -2037,6 +2017,27 @@ def test_a_checkpoint_unlike_the_lines_before_it_is_refused(tmp_path, change,
     assert f"{log}:{row_line}: checkpoint " in capsys.readouterr().err
 
 
+def test_a_checkpoint_row_that_removes_an_edge_is_refused_at_its_line(
+        tmp_path, capsys):
+    """`checkpoint` writes only "+" items, so a row holding a "-" item,
+    which used to read as a row holding no state, is refused when read:
+    `CorruptLog` at its line by `load`, with or without append (the file
+    left as it was), and by the CLI."""
+    log, chain, wal = _built_log(tmp_path)
+    prefix, row = wal[:wal.rindex(b"\n", 0, -1) + 1], json.loads(
+        _lines(wal)[-1])
+    row[5].append(["-", *row[5][-1][1:]])
+    bad = prefix + json.dumps(row).encode() + b"\n"
+    log.write_bytes(bad)
+    message = f"{log}:{len(_lines(bad))}: {_REMOVES}"
+    for append in (False, True):
+        with pytest.raises(CorruptLog, match=f"^{re.escape(message)}$"):
+            VersionChain.load(log, append=append)
+    assert log.read_bytes() == bad
+    assert cli.main(["export", "--log", str(log)]) == 2
+    assert message in capsys.readouterr().err
+
+
 _PAIR = "\ud800\udc00"
 
 
@@ -2150,10 +2151,11 @@ def test_a_garbled_checkpoint_row_reads_and_builds_as_the_reference(
     refuse its state, or both build the same map, rooms and edges in the
     same order, room ids interned and directions `REVERSE`'s keys; and a
     load starts from it exactly when it started from it before.  The one
-    difference: a row whose "-" item removes an edge an earlier item of it
-    added, which `checkpoint` never writes, no longer builds.  In a log,
-    after the lines it was written after, the row is refused at its line
-    with the reference's message, by load or by the first read of a past
+    difference: a row holding a "-" item, which `checkpoint` never writes,
+    is refused when read, with `ValueError`, unless a fault met before that
+    item refuses it first.  In a log, after the lines it was written
+    after, the row is refused at its line with the reference's message (or
+    that of the "-" item), by load or by the first read of a past
     version."""
     tmp = tmp_path_factory.mktemp("checkpoint")
     log, chain, wal = _built_log(tmp)
@@ -2163,13 +2165,17 @@ def test_a_garbled_checkpoint_row_reads_and_builds_as_the_reference(
         _garble_checkpoint(data, row)
     (ref, ref_starts), (new, cp) = _reference_checkpoint(row), \
         _new_checkpoint(row)
-    if ref[0] == "graph" and new == ("state",) and cp.edges is None:
-        return  # the one difference: a row whose removals undo its adds
-    assert new[:1] == ref[:1]
-    assert (new[0] == "graph") == ref_starts
-    if new[0] == "read":
-        assert new == ref
-    elif new[0] == "graph":
+    removes = type(row[5]) is list and any(
+        type(e) is list and len(e) == 5 and e[0] == "-" for e in row[5])
+    if removes:  # the one difference
+        assert new[0] == "read"
+        assert new in (ref, ("read", ValueError, _REMOVES))
+    else:
+        assert new[:1] == ref[:1]
+        assert (new[0] == "graph") == ref_starts
+        if new[0] == "read":
+            assert new == ref
+    if new[0] == "graph":
         g = new[1]
         _assert_same_graph(g, ref[1])
         assert all(sys.intern(n) is n for n in g.nodes)
@@ -2179,7 +2185,8 @@ def test_a_garbled_checkpoint_row_reads_and_builds_as_the_reference(
             assert next(d for d in REVERSE if d == e.direction) is \
                 e.direction
     line = json.dumps(row).encode()
-    decoded, _ = _reference_checkpoint(json.loads(line))
+    decoded = (_new_checkpoint if removes else _reference_checkpoint)(
+        json.loads(line))[0]
     log.write_bytes(prefix + line + b"\n")
     at = f"{log}:{len(_lines(prefix)) + 1}: "
     if decoded[0] == "read":
@@ -2302,3 +2309,38 @@ def test_build_repair_append_and_export_a_checkpointed_log(tmp_path, capsys):
     assert exported == replayed.graph.to_json()
     assert ledger.all_fixed(replayed.graph, ignore_silent=True)
     assert cli.main(["detect", "--log", str(log)]) == 0
+
+
+# README's quick start: synth --shape loopchain --params 10 --fault
+# misdirection --seed 3, build, then repair --append with the oracle
+_QUICKSTART_LOG = Path(__file__).parent / "fixtures" / \
+    "quickstart_loopchain10.jsonl"
+
+
+def test_the_quickstart_log_loads_to_its_pinned_map(monkeypatch):
+    """The one line format the reader takes is pinned by a committed log:
+    11 construction commits, the checkpoint row and 2 repair commits load,
+    from the row with the lines before it undecoded, to the pinned head,
+    commits and map, the one a replay of every line builds."""
+    lines = _lines(_QUICKSTART_LOG.read_bytes())
+    assert len(lines) == 14 and lines[11].startswith(_CHECKPOINT)
+    decodes = _counting_decodes(monkeypatch)
+    loaded = VersionChain.load(_QUICKSTART_LOG)
+    assert (loaded.head, len(loaded.commits)) == (12, 13)
+    assert decodes == []
+    g = loaded.graph
+    assert g.origin == "n0"
+    assert g.nodes == {f"n{i}": f"Room {i}" for i in range(10)}
+    assert list(g.edges()) == [
+        Edge("n0", "n1", "north", 1), Edge("n1", "n2", "north", 2),
+        Edge("n2", "n3", "east", 3), Edge("n3", "n4", "east", 4),
+        Edge("n4", "n5", "east", 5), Edge("n5", "n6", "south", 6),
+        Edge("n7", "n8", "west", 8), Edge("n8", "n9", "west", 9),
+        Edge("n6", "n7", "south", 7), Edge("n9", "n0", "west", 10)]
+    replayed = _full_replay(_QUICKSTART_LOG)
+    _assert_same_order(loaded, replayed)
+    assert decodes == []
+    assert loaded.commits == replayed.commits
+    assert len(decodes) == 1
+    assert [c.trigger for c in loaded.commits] == \
+        [TRIGGER_OBSERVATION] * 11 + [TRIGGER_REPAIR] * 2
