@@ -62,8 +62,7 @@ def _visible(ctx: AdvisorContext, e: Edge) -> bool:
 
 
 def _proposed_before(ctx: AdvisorContext, action: RepairAction) -> bool:
-    return any(entry.get("action") == action.to_json()
-               for entry in ctx.transcript)
+    return any(loop.action == action for loop in ctx.loops)
 
 
 class OracleAdvisor:
@@ -265,8 +264,8 @@ def _extract_json_object(text: str) -> dict:
 
 
 def _describe_entry(entry: dict) -> str:
-    """One transcript entry as a prompt line: the action, then its result
-    or its error."""
+    """One loop's dict (`Loop.entry`) as a prompt line: the action, then
+    its result or its error."""
     action = json.dumps(entry["action"]) if "action" in entry \
         else "(no usable reply)"
     if "result" in entry:
@@ -291,9 +290,9 @@ class LlmAdvisor:
             candidates_block = f"\nRanked suspect edges:\n{rows}\n"
         else:
             candidates_block = ""
-        if ctx.transcript:
-            rows = "\n".join(f"  {_describe_entry(entry)}"
-                             for entry in ctx.transcript)
+        if ctx.loops:
+            rows = "\n".join(f"  {_describe_entry(loop.entry())}"
+                             for loop in ctx.loops)
             session_block = f"\nThis session so far:\n{rows}\n"
         else:
             session_block = ""

@@ -20,7 +20,7 @@ detecting the map again.  Each session starts from the detection its
 predecessor ended on, and every context carries it as `ctx.detection`
 and its conflicts as `ctx.conflicts`.
 
-Budget rules: each loop adds one transcript entry.  A mutating proposal
+Budget rules: each loop adds one `Loop`.  A mutating proposal
 consumes an attempt whether or not it applies; a version query consumes
 no attempt.  Conflicts first exposed mid-session get their own budget.
 GiveUp costs the primary one attempt and a secondary its whole budget.
@@ -62,7 +62,7 @@ ACT_RECALL_STEP = "RecallStep"
 ACT_DIFF_VERSIONS = "DiffVersions"
 ACT_GIVE_UP = "GiveUp"
 
-LOOP_CAP = 200  # transcript entries a session may make, whatever its budgets
+LOOP_CAP = 200  # loops a session may make, whatever its budgets
 
 MUTATING_ACTIONS = frozenset({
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_MERGE_NODES,
@@ -160,20 +160,21 @@ class AdvisorContext:
     """What an advisor sees of one conflict at one chain head.
 
     `conflict`, `graph`, `chain` (None when version control is disabled),
-    `transcript` and `conflicts` (detected at the chain head, one per key)
-    are plain attributes.  `detection`, `neighborhood`, `candidates` and
+    `loops` (the session's `Loop`s so far, the list the session appends
+    to) and `conflicts` (detected at the chain head, one per key) are
+    plain attributes.  `detection`, `neighborhood`, `candidates` and
     `ranked_candidates` are computed on first read, unless given, and
     cached.  They describe the map at the head the context was built at,
     and reading one after the head has moved raises StaleContext."""
 
     def __init__(self, chain: VersionChain, config: ToolConfig,
-                 conflict: Conflict, transcript: list[dict],
+                 conflict: Conflict, loops: list[Loop],
                  conflicts: list[Conflict],
                  detection: Optional[Detection] = None):
         self.conflict = conflict
         self.graph = chain.graph
         self.chain = chain if config.version_control else None
-        self.transcript = transcript
+        self.loops = loops
         self.conflicts = conflicts
         self._source, self._head = chain, chain.head
         self._edge_impact = config.edge_impact
@@ -227,8 +228,9 @@ class AdvisorContext:
         candidates."""
         cands = self.candidates
         if self._ranked is _UNREAD:
-            self._ranked = _rank(self.graph, self.conflicts, self._found[0],
-                                 cands) if cands else None
+            self._ranked = score_candidates(
+                self.graph, self.conflicts, cands,
+                self._found[0]) if cands else None
         return self._ranked
 
 
@@ -249,9 +251,8 @@ class Loop(NamedTuple):
     value: object
 
     def entry(self) -> dict:
-        """The loop's transcript entry, as the advisors saw it: `target`
-        (the key as a list), `action` (its JSON) when one was proposed,
-        then `error` or `result`."""
+        """The loop as a dict: `target` (the key as a list), `action`
+        (its JSON) when one was proposed, then `error` or `result`."""
         d: dict = {"target": list(self.target)}
         if self.action is not None:
             d["action"] = self.action.to_json()
@@ -262,7 +263,7 @@ class Loop(NamedTuple):
 @dataclass(slots=True)
 class RepairSession:
     """A finished session.  It keeps each loop as a `Loop`, less than half
-    the memory of the loop's transcript entry, and builds the entries
+    the memory of the loop's dict (`Loop.entry`), and builds the dicts
     when `transcript` is read."""
     primary: Conflict
     outcome: str
@@ -414,14 +415,6 @@ def _suspects(g: NavGraph, conflict: Conflict, include_silent: bool = False
     return tree, pp, cands
 
 
-def _rank(g: NavGraph, conflicts: list[Conflict], tree: PathTree,
-          cands: list[Edge]) -> Optional[list[CandidateEdge]]:
-    """Localization's second step: `cands` ranked against the open
-    `conflicts`, whose path pairs `tree` holds; None when there is no
-    candidate."""
-    return score_candidates(g, conflicts, cands, tree) if cands else None
-
-
 def localize(g: NavGraph, conflict: Conflict, conflicts: list[Conflict],
              include_silent: bool = False
              ) -> tuple[Optional[PathPair], Optional[list[CandidateEdge]]]:
@@ -433,15 +426,15 @@ def localize(g: NavGraph, conflict: Conflict, conflicts: list[Conflict],
     if found is None:
         return None, None
     tree, pp, cands = found
-    return pp, _rank(g, conflicts, tree, cands)
+    return pp, score_candidates(g, conflicts, cands, tree) if cands else None
 
 
 def build_context(chain: VersionChain, config: ToolConfig, conflict: Conflict,
-                  transcript: list[dict], conflicts: list[Conflict],
+                  loops: list[Loop], conflicts: list[Conflict],
                   detection: Optional[Detection] = None) -> AdvisorContext:
     """The context of `conflict` at the chain head; it computes nothing
     until the advisor reads a part."""
-    return AdvisorContext(chain, config, conflict, transcript, conflicts,
+    return AdvisorContext(chain, config, conflict, loops, conflicts,
                           detection)
 
 
@@ -456,8 +449,7 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
     # one tuple per target, kept by each of its loops: the primary's key,
     # and a secondary's key as `current` holds it
     primary_key = primary.key
-    transcript: list[dict] = []
-    proposed: list = []  # per loop: the target's key and the action, if any
+    loops: list[Loop] = []  # the contexts' live list
     spent: Counter = Counter()  # attempts per conflict key
     failures = 0  # unusable turns in a row
     secondary_seen: dict = {}
@@ -477,32 +469,27 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
             if target is None:
                 outcome = OUTCOME_REPAIRED
                 break
-        if spent[key] >= max_attempts or len(transcript) >= LOOP_CAP:
+        if spent[key] >= max_attempts or len(loops) >= LOOP_CAP:
             break
 
-        ctx = build_context(chain, config, target, transcript,
+        ctx = build_context(chain, config, target, loops,
                             list(current.values()), detection)
-        entry: dict = {"target": list(key)}
-        proposed.append((key, None))
+        action = None
         try:
             action = advisor(ctx)
-            entry["action"] = action.to_json()
-            proposed[-1] = (key, action)
             if action.kind in VERSION_ACTIONS and not config.version_control:
                 raise AdvisorFailure(_describe(
                     ToolUnavailable("version control is disabled")))
             if action.kind in QUERY_ACTIONS:
                 # the chain has not changed since, so neither has the answer
-                query = (json.dumps(entry["action"]), chain.head)
+                query = (json.dumps(action.to_json()), chain.head)
                 if query in asked:
                     raise AdvisorFailure(
                         "query already answered at this chain head")
                 asked.add(query)
         except AdvisorFailure as exc:
-            entry["error"] = f"advisor failure: {exc}"
-            action = None
-        transcript.append(entry)
-        if action is None:
+            loops.append(Loop(key, action, "error",
+                              f"advisor failure: {exc}"))
             failures += 1
             if failures >= 3:
                 break
@@ -512,27 +499,23 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
         if action.kind == ACT_GIVE_UP:
             # a secondary given up on is charged its whole budget
             spent[key] += 1 if key == primary_key else max_attempts
-            entry["result"] = "gave up"
+            loops.append(Loop(key, action, "result", "gave up"))
             continue
         if action.kind in MUTATING_ACTIONS:
             spent[key] += 1  # whether or not it applies
         try:
             result = apply_action(chain, action)
         except MapRepairError as exc:
-            entry["error"] = _describe(exc)
+            loops.append(Loop(key, action, "error", _describe(exc)))
             continue
         if action.kind in QUERY_ACTIONS:
-            entry["result"] = result
+            loops.append(Loop(key, action, "result", result))
         else:
-            entry["result"] = "applied"
+            loops.append(Loop(key, action, "result", "applied"))
             detection = detection.advance(chain.graph, result.deltas,
                                           commit=chain.head)
             current = {c.key: c for c in detection.conflicts}
 
-    loops = []
-    for (key, action), entry in zip(proposed, transcript):
-        ending = "error" if "error" in entry else "result"
-        loops.append(Loop(key, action, ending, entry[ending]))
     return RepairSession(primary=primary, outcome=outcome,
                          attempts=spent[primary_key], loops=tuple(loops),
                          secondary=tuple(secondary_seen.values())), detection

@@ -47,8 +47,8 @@ from maprepair.position_inference import (
     Inconsistency, PositionMap, infer_positions,
 )
 from maprepair.repair_engine import (
-    ACT_GIVE_UP, QUERY_ACTIONS, VERSION_ACTIONS, Advisor, ToolConfig,
-    _describe, apply_action, build_context,
+    ACT_GIVE_UP, QUERY_ACTIONS, VERSION_ACTIONS, Advisor, Loop, RepairAction,
+    ToolConfig, _describe, apply_action, build_context,
 )
 from maprepair.transcript_parser import (
     _first_nonempty, normalize_act, origin_location_line,
@@ -843,17 +843,25 @@ def reference_run_session(chain: VersionChain, config: ToolConfig,
     tool, queries and mutating proposals.  It calls the live
     `build_context` and `apply_action`, and detects the whole map again
     after each applied commit; only the record it returns, with the
-    counted loops, is a namespace instead of a `RepairSession`."""
+    counted loops, is a namespace instead of a `RepairSession`, and its
+    contexts are handed a `Loop` for each entry its transcript holds."""
     conflicts = detection.conflicts
     baseline_keys = {c.key for c in conflicts}
     current = {c.key: c for c in conflicts}
     transcript: list[dict] = []
+    handed: list[Loop] = []  # the `Loop` of each entry, for the contexts
     spent: Counter = Counter()  # attempts per conflict key
     loops = consecutive_failures = 0
     secondary_seen: dict = {}
     abandoned: set = set()
     asked: set = set()  # (query, chain head) of every query run so far
     outcome = OUTCOME_EXHAUSTED
+
+    def record(entry: dict, action: Optional[RepairAction]) -> None:
+        transcript.append(entry)
+        ending = "error" if "error" in entry else "result"
+        handed.append(Loop(tuple(entry["target"]), action, ending,
+                           entry[ending]))
 
     while True:
         if primary.key in current:
@@ -875,10 +883,11 @@ def reference_run_session(chain: VersionChain, config: ToolConfig,
         if loops >= loop_cap:
             break
 
-        ctx = build_context(chain, config, target, transcript,
+        ctx = build_context(chain, config, target, handed,
                             list(current.values()))
         loops += 1
         entry: dict = {"target": list(target.key)}
+        action = None
         try:
             action = advisor(ctx)
         except AdvisorFailure as exc:
@@ -895,7 +904,7 @@ def reference_run_session(chain: VersionChain, config: ToolConfig,
         if failure is not None:
             consecutive_failures += 1
             entry["error"] = f"advisor failure: {failure}"
-            transcript.append(entry)
+            record(entry, action)
             if consecutive_failures >= 3:
                 break
             continue
@@ -907,13 +916,13 @@ def reference_run_session(chain: VersionChain, config: ToolConfig,
             else:
                 abandoned.add(target.key)
             entry["result"] = "gave up"
-            transcript.append(entry)
+            record(entry, action)
             continue
 
         if action.kind in VERSION_ACTIONS and not config.version_control:
             entry["error"] = _describe(
                 ToolUnavailable("version control is disabled"))
-            transcript.append(entry)
+            record(entry, action)
             continue
 
         if action.kind in QUERY_ACTIONS:
@@ -921,7 +930,7 @@ def reference_run_session(chain: VersionChain, config: ToolConfig,
                 entry["result"] = apply_action(chain, action)
             except (IllegalAction, UnknownVersion) as exc:
                 entry["error"] = _describe(exc)
-            transcript.append(entry)
+            record(entry, action)
             continue
 
         # mutating proposal: spends an attempt whether or not it applies
@@ -935,7 +944,7 @@ def reference_run_session(chain: VersionChain, config: ToolConfig,
         else:
             detection = detect(chain.graph, commit=chain.head)
             current = {c.key: c for c in detection.conflicts}
-        transcript.append(entry)
+        record(entry, action)
 
     return SimpleNamespace(primary=primary, outcome=outcome,
                            attempts=spent[primary.key], loop_count=loops,

@@ -22,7 +22,7 @@ from maprepair.conflict_detector import (
 from maprepair.errors import AdvisorFailure, DuplicateEdge
 from maprepair.graph_core import Edge, NavGraph
 from maprepair.repair_engine import (
-    ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_GIVE_UP, RepairAction,
+    ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_GIVE_UP, Loop, RepairAction,
     ToolConfig, build_context, run_repair, run_session,
 )
 from maprepair.version_store import (
@@ -102,7 +102,8 @@ def test_heuristic_never_repeats_a_proposal():
             break
         assert action.to_json() not in seen
         seen.append(action.to_json())
-        ctx.transcript.append({"action": action.to_json()})
+        ctx.loops.append(Loop(ctx.conflict.key, action, "result",
+                              "applied"))
     assert seen
 
 
@@ -334,6 +335,39 @@ def test_llm_prompt_carries_the_session_so_far():
     assert '{"action": "RecallStep", "version": %d} -> {' % version \
         in session
     assert "Room G lies north of Room E" in session
+
+
+def test_llm_session_block_is_pinned_for_each_loop_shape():
+    """The "This session so far:" block, byte for byte, after a turn with
+    no usable reply, a query's answer and the same query refused at the
+    same chain head; each earlier prompt holds the block of the loops
+    before it."""
+    chain, _ = fi.demo_chain(corrupted=True)
+    detection = detect(chain.graph, commit=chain.head)
+    query = json.dumps({"action": "DiffVersions", "i": 1, "j": 2})
+    transport = _fake_transport(["no action here", "still none", query,
+                                 query, '{"action": "GiveUp"}'])
+    advisor = LlmAdvisor(EndpointConfig("http://fake"), transport=transport)
+    session, _ = run_session(chain, ToolConfig(), advisor,
+                             detection.conflicts[0], detection,
+                             max_attempts=1)
+    prompts = [call["messages"][0]["content"] for call in transport.calls]
+    blocks = [p[p.index("\nThis session so far:"):p.index("\nAvailable")]
+              if "This session so far" in p else "" for p in prompts]
+    rows = [
+        "  (no usable reply) -> error: advisor failure: unusable reply "
+        "after reprompt: no JSON object in reply\n",
+        '  {"action": "DiffVersions", "i": 1, "j": 2} -> {"added": '
+        '[{"src": "n1", "dst": "n2", "dir": "north", "step": 2}], '
+        '"removed": []}\n',
+        '  {"action": "DiffVersions", "i": 1, "j": 2} -> error: advisor '
+        'failure: query already answered at this chain head\n',
+    ]
+    head = "\nThis session so far:\n"
+    # the reprompt resends the first prompt as its first message
+    assert blocks == ["", "", head + rows[0], head + "".join(rows[:2]),
+                      head + "".join(rows)]
+    assert session.loop_count == 4 and session.attempts == 1
 
 
 def test_an_advisor_repeating_one_query_stops_after_three_repeats():
@@ -570,7 +604,7 @@ def test_a_one_loop_heuristic_session_builds_no_neighborhood(monkeypatch):
         try:
             return HeuristicAdvisor()(ctx)
         finally:
-            if not ctx.transcript:  # a session's first loop
+            if not ctx.loops:  # a session's first loop
                 firsts.append((len(builds) - built, ctx.conflict))
 
     one_loop = []
@@ -616,7 +650,7 @@ def test_the_heuristic_proposes_what_the_eager_order_proposes(
         head = ctx.graph.copy()
         got = HeuristicAdvisor()(ctx)
         assert ctx.graph.state_equal(head)
-        fresh = build_context(chain, config, ctx.conflict, ctx.transcript,
+        fresh = build_context(chain, config, ctx.conflict, ctx.loops,
                               ctx.conflicts, ctx.detection)
         with mock.patch.object(advisors, "_visible_edges", eager):
             assert HeuristicAdvisor()(fresh) == got

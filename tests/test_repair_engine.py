@@ -696,20 +696,22 @@ def test_run_session_matches_the_reference(world, fault_seed, advisor_seed,
 
 
 def test_a_session_reports_the_transcript_its_advisor_saw():
-    """A finished session builds its transcript from its `Loop`s: the
-    entries equal, keys in the same order, the ones the advisor was handed
-    while the session ran, and each loop keeps the action the advisor
-    proposed (None when it failed), also when the engine then found the
-    turn unusable (a repeated query) or refused the action."""
+    """Every context of a session holds the same live list of `Loop`s,
+    one per earlier turn, and the finished session keeps that list: its
+    loops equal it, each keeps the action the advisor proposed (None when
+    it failed), also when the engine then found the turn unusable (a
+    repeated query) or refused the action, and its transcript is each
+    loop's `entry`."""
     shapes = set()
     for advisor_seed in range(12):
         chain, ledger = _demo()
         detection = _detection(chain)
         scripted = _ScriptedAdvisor(ledger, advisor_seed, flakiness=8)
-        handed, proposed = [], []
+        handed, seen, proposed = [], [], []
 
         def advisor(ctx):
-            handed.append(ctx.transcript)
+            handed.append(ctx.loops)
+            seen.append(tuple(ctx.loops))
             proposed.append(None)
             proposed[-1] = scripted(ctx)
             return proposed[-1]
@@ -718,15 +720,15 @@ def test_a_session_reports_the_transcript_its_advisor_saw():
                                  detection.conflicts[0], detection,
                                  max_attempts=4)
         live = handed[0]
-        assert all(t is live for t in handed)
-        assert session.transcript == live
-        assert [list(entry) for entry in session.transcript] == \
-            [list(entry) for entry in live]
+        assert all(loops is live for loops in handed)
+        assert session.loops == tuple(live)
+        assert seen == [session.loops[:n] for n in range(len(seen))]
         assert session.loop_count == len(session.loops) == len(proposed)
         assert all(loop.action is action
                    for loop, action in zip(session.loops, proposed))
+        assert session.transcript == [loop.entry() for loop in live]
         assert session.transcript is not session.transcript
-        shapes.update(tuple(entry) for entry in live)
+        shapes.update(tuple(entry) for entry in session.transcript)
     assert shapes == {("target", "error"), ("target", "action", "error"),
                       ("target", "action", "result")}
 
@@ -1147,7 +1149,7 @@ def test_context_parts_equal_eager_localization_at_their_head(advisor,
             hood = _eager_neighborhood(g, c).to_json()
             ranked = localize(g, c, ctx.conflicts)[1] \
                 if config.edge_impact else None
-            late = build_context(chain, config, c, ctx.transcript,
+            late = build_context(chain, config, c, ctx.loops,
                                  ctx.conflicts)
             action = inner(ctx)
             for part in (ctx, late):
@@ -1160,7 +1162,7 @@ def test_context_parts_equal_eager_localization_at_their_head(advisor,
                     assert sorted(part.candidates) == sorted(
                         r.edge for r in ranked), name
             contexts.extend((late, build_context(
-                chain, config, c, ctx.transcript, ctx.conflicts)))
+                chain, config, c, ctx.loops, ctx.conflicts)))
             return action
 
         run_repair(chain, config, check, ledger=ledger)
@@ -1196,7 +1198,7 @@ def test_llm_prompt_is_built_from_the_parts_at_the_head():
             eager = SimpleNamespace(
                 conflict=c, neighborhood=_eager_neighborhood(g, c),
                 ranked_candidates=localize(g, c, ctx.conflicts)[1],
-                transcript=ctx.transcript, chain=ctx.chain)
+                loops=ctx.loops, chain=ctx.chain)
             expected.append(llm.build_prompt(eager))
             current["ctx"] = ctx
             return llm(ctx)

@@ -847,7 +847,14 @@ def test_the_inverse_commit_undoes_a_commit_and_each_of_its_prefixes(data):
     used_steps: set = set()
     for _ in range(data.draw(st.integers(1, 4))):
         before = chain.graph.copy()
-        c = chain.commit(**_random_commit(data, chain.graph, used_steps))
+        parts = _random_commit(data, chain.graph, used_steps)
+        if _holds_surrogate_pair(parts):
+            # refused unapplied: there is no commit to invert
+            with pytest.raises(ValueError, match="surrogate pair"):
+                chain.commit(**parts)
+            assert chain.graph.state_equal(before)
+            continue
+        c = chain.commit(**parts)
         after = chain.graph.copy()
         assert _inverse(_inverse(c)) == c
         steps = _reference_steps(c)
@@ -965,7 +972,10 @@ def test_commit_and_load_refuse_the_same_commits(kind, data,
     its row (`json.dumps` of it): all three accept it, as equal commits
     with equal graphs, or all three refuse it with the same error and
     change nothing.  `load` refuses it as `CorruptLog` at its line, and
-    drops it as a torn line when its newline is missing."""
+    drops it as a torn line when its newline is missing.  A commit with no
+    fault but a surrogate pair is refused by both `commit`s, as
+    `test_each_log_line_is_json_dumps_of_its_commit` shows, and changes
+    nothing."""
     tmp = tmp_path_factory.mktemp("wal")
     logged = VersionChain(log_path=tmp / "chain.jsonl")
     free = VersionChain()
@@ -991,6 +1001,15 @@ def test_commit_and_load_refuse_the_same_commits(kind, data,
     finally:
         logged.close()
     assert outcomes[0] == outcomes[1]
+    if kind is None and _holds_surrogate_pair(parts):
+        # its line would load as another commit: refused unwritten
+        assert outcomes[0][0] is ValueError
+        assert "surrogate pair" in outcomes[0][1]
+        assert logged.log_path.read_bytes() == wal
+        for chain in (logged, free):
+            assert chain.graph.state_equal(before)
+            assert chain.commits == commits
+        return
     log = tmp / "loaded.jsonl"
     log.write_bytes(wal + row + b"\n")
     if kind is None:
