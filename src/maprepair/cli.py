@@ -110,7 +110,10 @@ def cmd_repair(args) -> int:
     if args.advisor == "oracle":  # the only advisor that reads a ledger
         if not args.ledger:
             raise MapRepairError("oracle advisor needs --ledger")
-        data = json.loads(Path(args.ledger).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(args.ledger).read_text(encoding="utf-8"))
+        except RecursionError as exc:
+            raise ValueError(f"{args.ledger}: {exc}") from exc
         ledger = fault_injector.FaultLedger.from_json(data)
     advisor = _make_advisor(args.advisor, ledger)
     config = _tool_config(args)
@@ -139,7 +142,7 @@ def cmd_refine(args) -> int:
             if line.strip():
                 try:
                     raw.append(RawEdge.from_json(json.loads(line)))
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise ValueError(f"{args.edges}:{n}: {exc}") from exc
     graph, report = refine(raw)
     print(f"{report.initial_edges} raw edges, "

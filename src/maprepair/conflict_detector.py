@@ -21,9 +21,9 @@ grouped or copied.  An `Edge` is a plain tuple, so edges sort by tuple
 comparison and are unpacked by position in the loops.  Each conflict is
 built once, stamped with the commit it was detected at.
 
-`detect_all` detects a map from scratch.  `detect` does the same and keeps
-what it found as a `Detection`: the conflicts, the positions with the
-record of their inference, the conflicting directional groups by (src,
+`detect` detects a map from scratch and keeps what it found as a
+`Detection`: the conflicts (all `detect_all` returns), the positions with
+the record of their inference, the conflicting directional groups by (src,
 direction) and the asymmetric pairs by room pair.  `Detection.advance`
 turns it into the detection of the map after a change, from the change's
 edge deltas: it finds again only the groups of the changed (src,
@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .graph_core import REVERSE, Edge, NavGraph, reverse_direction
+# perfbench wraps `infer_positions` by the name this module binds
 from .position_inference import (
     PositionMap, PositionRecord, advance_positions, infer_positions,
     position_overlaps, record_positions,
@@ -212,14 +213,12 @@ def _conflicts(g: NavGraph, groups: _Groups, pairs: _Pairs, pm: PositionMap,
 
 def detect_all(g: NavGraph, commit: Optional[int] = None) -> list[Conflict]:
     """All conflicts: directional, then topological, then naming."""
-    adjacency = g.adjacency()
-    return _conflicts(g, _directional_groups(adjacency),
-                      _asymmetric_pairs(adjacency), infer_positions(g), commit)
+    return detect(g, commit).conflicts
 
 
 @dataclass(frozen=True)
 class Detection:
-    """`detect_all` of a map at one head, kept so that it can be advanced
+    """The conflicts of a map at one head, kept so that it can be advanced
     by the edge deltas of a change instead of detected again: its
     `conflicts`, the `record` of its positions, the directional groups by
     (src, direction) and the asymmetric pairs by room pair.  Read-only; it
@@ -267,7 +266,8 @@ class Detection:
 
 
 def detect(g: NavGraph, commit: Optional[int] = None) -> Detection:
-    """`detect_all(g, commit)` as a `Detection`, to be advanced."""
+    """All conflicts of `g` (directional, then topological, then naming),
+    stamped with `commit`, as a `Detection`, to be advanced."""
     adjacency = g.adjacency()
     record = record_positions(g)
     groups = _directional_groups(adjacency)

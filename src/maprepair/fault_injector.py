@@ -252,15 +252,16 @@ _TREE_DIR_ORDER = ("north", "east", "south", "west", "northeast",
 
 def generate_tree(depth: int, branching: int) -> World:
     """DFS walk over a lattice-embedded tree; return moves use the exact
-    reverse direction, and the final walk back to the root is trimmed."""
+    reverse direction, and the final walk back to the root is trimmed.  The
+    walk keeps the rooms on its way down on a stack, so no depth reaches
+    the recursion limit."""
     if depth < 1 or branching < 1:
         raise ValueError("tree needs depth >= 1 and branching >= 1")
     occupied = {(0, 0, 0)}
-    counter = [0]
-    # (direction, destination, is_return_move)
-    moves: list[tuple[str, str, bool]] = []
 
-    def visit(name: str, pos, level: int, incoming: Optional[str]):
+    def children(pos, level: int, incoming: Optional[str]):
+        """Each child direction and position of the room at `pos`, placed
+        when the walk asks for it, after the subtrees of those before."""
         if level >= depth:
             return
         banned = {reverse_direction(incoming)} if incoming else set()
@@ -275,15 +276,26 @@ def generate_tree(depth: int, branching: int) -> World:
             if child_pos in occupied:
                 continue
             occupied.add(child_pos)
-            counter[0] += 1
-            child = f"Room {counter[0]}"
-            moves.append((d, child, False))
-            visit(child, child_pos, level + 1, d)
-            moves.append((reverse_direction(d), name, True))
+            yield d, child_pos
             placed += 1
 
     root = "Room 0"
-    visit(root, (0, 0, 0), 0, None)
+    # (direction, destination, is_return_move)
+    moves: list[tuple[str, str, bool]] = []
+    # the rooms from the root down: name, entering direction, children
+    way = [(root, None, children((0, 0, 0), 0, None))]
+    while way:
+        _, incoming, rest = way[-1]
+        child = next(rest, None)
+        if child is None:
+            way.pop()
+            if way:
+                moves.append((reverse_direction(incoming), way[-1][0], True))
+            continue
+        d, child_pos = child
+        child_name = f"Room {len(occupied) - 1}"  # the rooms placed so far
+        moves.append((d, child_name, False))
+        way.append((child_name, d, children(child_pos, len(way), d)))
     while moves and moves[-1][2]:
         moves.pop()  # the walk need not return to the root at the end
     return _world_from_walk([root], [(d, dst) for d, dst, _ in moves])

@@ -36,20 +36,17 @@ new], ...], [[id, name], ...]]`, the last three the new nodes, renames and
 drops.  `_formatted` formats it in one pass (`_line` is that line), byte
 for byte what `json.dumps` of that list and a newline would be: strings
 through the C escaper of `json.dumps` under `ensure_ascii`, ints as
-`int.__repr__` writes them.  A
-failed write and a failed sync undo the commit and cut the log back to
-where the line started, so no part of the line stays in the file or in a
-buffer: a commit becomes visible only after its whole line is written.
+`int.__repr__` writes them.  One append, `VersionChain._append`, writes a
+commit's line and a checkpoint row: a failed write or sync cuts the log
+back to where the line started, so no part of the line stays in the file
+or in a buffer, and `commit` then undoes the commit: a commit becomes
+visible only after its whole line is written.
 
-Loading reads the log line by line.  A line is decoded with the C scanner
-of one `json.JSONDecoder`, which skips the encoding detection and the
-whitespace passes of `json.loads`.  A line the scanner does not take whole
-(not UTF-8, led by whitespace, not JSON, or followed by anything but JSON
-whitespace) goes to `json.loads`, so the values accepted and the errors
-raised are those of `json.loads` (but for a value nested near the
-recursion limit; see `_decode`).  `Commit`, `EdgeDelta` and `Edge` are
-named tuples, built from a decoded line (and by `commit`) with
-`tuple.__new__`, which skips their Python-level `__new__`.
+Loading reads the log line by line, and `json.loads` decodes each line
+it reads.  A value nested too deep for it (`RecursionError`) is refused as
+a line that is not JSON is.  `Commit`, `EdgeDelta` and `Edge` are named
+tuples, built from a decoded line (and by `commit`) with `tuple.__new__`,
+which skips their Python-level `__new__`.
 
 The row is the one line format `load` reads: `Commit.from_row` builds it
 into its commit, and a line that decodes to any other JSON value (an
@@ -74,9 +71,10 @@ reader of 8-column rows refuses it (`a row has 6 columns, not 8`).  The
 row's node and delta items are the ones `_formatted` made for each commit,
 kept by a chain whose log it started while every commit only adds rooms
 and edges; a log-less chain keeps nothing.  A row holding an edge item of
-any op but "+" is refused when read.  `load` starts from the last
-checkpoint (`_resume`) when it decodes, its version is its line count
-less one, the count and the crc32 match the lines before it, and its
+any op but "+" is refused when read.  One check, `_checkpoint_problem`,
+says what is wrong with a row's version, line count or crc32.  `load`
+starts from the last checkpoint (`_resume`) when it decodes, the check
+finds nothing wrong with it given one commit a line before it, and its
 state builds; it then replays the lines after it.  The state is built in
 one pass per column: `Checkpoint.from_row` checks each room and edge item
 by `_check_commit`'s rules and makes the `Edge` tuples in the same loop,
@@ -440,14 +438,8 @@ class CommitList(Sequence):
             self._pending, self._prefix = 0, None
         return self._commits
 
-    def __getitem__(self, i):
+    def __getitem__(self, i):  # iteration too, by the `Sequence` mixins
         return self._all()[i]
-
-    def __iter__(self):
-        return iter(self._all())
-
-    def __reversed__(self):
-        return reversed(self._all())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CommitList):
@@ -520,20 +512,13 @@ class VersionChain:
         _apply_commit(self.graph, commit)
         if self._log is not None:
             try:
-                formatted = _formatted(commit)
-                line = formatted[0]
-                written = 0
-                while written < len(line):
-                    written += self._log.write(line[written:])
-                if self.fsync:
-                    os.fsync(self._log.fileno())
+                line, items = _formatted(commit)
+                self._append(line)
             except BaseException:
                 _apply_commit(self.graph, _inverse(commit))
-                os.truncate(self.log_path, self._log_end)
                 raise
-            self._log_end += len(line)
             if self._kept is not None:
-                deltas, nodes, renamed, dropped = formatted[1]
+                deltas, nodes, renamed, dropped = items
                 # a "-" op is written `["-", `; a str holding it is escaped
                 if renamed or dropped or '["-", ' in deltas:
                     self._kept = None
@@ -557,25 +542,31 @@ class VersionChain:
         ...]]` and a newline, the node and delta items joined from the
         commits' rows, so rooms come in `graph.nodes` order and edges in
         commit order.  A failed write or sync cuts the log back, as in
-        `commit`."""
+        `commit` (`_append`)."""
         if self._log is None or self._kept is None or not self._kept[0]:
             return False
         lines, nodes, edges = self._kept
-        row = (f'["{TRIGGER_CHECKPOINT}", {self.head!r}, {len(lines)!r}, '
-               f'{zlib.crc32(b"".join(lines))!r}, [{", ".join(nodes)}], '
-               f'[{", ".join(edges)}]]\n').encode()
+        self._append((f'["{TRIGGER_CHECKPOINT}", {self.head!r}, '
+                      f'{len(lines)!r}, {zlib.crc32(b"".join(lines))!r}, '
+                      f'[{", ".join(nodes)}], [{", ".join(edges)}]]\n')
+                     .encode())
+        self._kept = None
+        return True
+
+    def _append(self, data: bytes) -> None:
+        """Write `data` whole at the end of the log, and sync it with
+        `fsync`.  A failed write or sync cuts the log back to where `data`
+        started, then re-raises."""
         try:
             written = 0
-            while written < len(row):
-                written += self._log.write(row[written:])
+            while written < len(data):
+                written += self._log.write(data[written:])
             if self.fsync:
                 os.fsync(self._log.fileno())
         except BaseException:
             os.truncate(self.log_path, self._log_end)
             raise
-        self._log_end += len(row)
-        self._kept = None
-        return True
+        self._log_end += len(data)
 
     def _check_version(self, version: int) -> None:
         """Refuse a version that is not an exact int (`True` is not) in
@@ -641,10 +632,9 @@ _CHECKPOINT_LINE = f'["{TRIGGER_CHECKPOINT}", '.encode()  # how one starts
 
 def _resume(chain: VersionChain, log_path, data: bytes) -> tuple[int, int]:
     """Start the empty `chain` from the last checkpoint of the log `data`:
-    the last line that starts as `checkpoint` writes one and decodes to a
-    checkpoint row written, as `checkpoint` writes one, after one commit
-    a line (its version is its line count less one) and after the lines
-    before it (the count and the crc32 of their bytes fit), whose state
+    the last line that starts as `checkpoint` writes one, follows at least
+    one line and decodes to a checkpoint row in which `_checkpoint_problem`
+    finds nothing wrong, given one commit a line before it, and whose state
     applies to the empty graph.  The chain's commits before it stay bytes
     until first read.  Returns the byte offset and the line number after
     the checkpoint, or (0, 1), the start of the log, when no line
@@ -655,11 +645,11 @@ def _resume(chain: VersionChain, log_path, data: bytes) -> tuple[int, int]:
     end = data.find(b"\n", start) + 1 or len(data)
     lines = data.count(b"\n", 0, start)
     try:
-        cp = Checkpoint.from_row(_decode(data[start:end]))
-    except (ValueError, TypeError):
+        cp = Checkpoint.from_row(json.loads(data[start:end]))
+    except (ValueError, TypeError, RecursionError):
         return 0, 1
-    if not cp.version + 1 == cp.lines == lines > 0 \
-            or cp.crc != zlib.crc32(memoryview(data)[:start]):
+    # a row on the first line would hold a state no first read checks
+    if not lines or _checkpoint_problem(cp, lines - 1, lines, data, start):
         return 0, 1
     graph = _state(cp)
     if graph is None:
@@ -695,7 +685,7 @@ def _replay(chain: VersionChain, log_path, data: bytes, start: int,
             break
         if raw.strip():
             try:
-                value = _decode(raw)
+                value = json.loads(raw)
                 if type(value) is not list:
                     raise ValueError(f"a JSON {_JSON_TYPE[type(value)]} is "
                                      f"not a row")
@@ -703,7 +693,7 @@ def _replay(chain: VersionChain, log_path, data: bytes, start: int,
                     c = Checkpoint.from_row(value)
                 else:
                     c = Commit.from_row(value)
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, RecursionError) as exc:
                 if raw.endswith(b"\n"):
                     raise CorruptLog(f"{log_path}:{lineno}: {exc}") from exc
                 warnings.warn(f"{log_path}:{lineno}: dropped a torn final "
@@ -730,24 +720,34 @@ _JSON_TYPE = {dict: "object", str: "string", int: "number", float: "number",
               bool: "boolean", type(None): "null"}
 
 
+def _checkpoint_problem(cp: Checkpoint, head: int, lines: int, data: bytes,
+                        offset: int) -> Optional[str]:
+    """What is wrong with the checkpoint `cp` at byte `offset` of the log
+    `data`, after `lines` lines that build version `head`: a version other
+    than `head`, a line count other than `lines` or a crc32 other than that
+    of the bytes before it, checked in that order; None if nothing is."""
+    if cp.version != head:
+        return f"is of version {cp.version}, not {head}"
+    if cp.lines != lines:
+        return f"follows {cp.lines} lines, not {lines}"
+    if cp.crc != zlib.crc32(memoryview(data)[:offset]):
+        return f"has crc32 {cp.crc}, not that of the lines before it"
+    return None
+
+
 def _check_checkpoint(chain: VersionChain, log_path, cp: Checkpoint,
                       data: bytes, offset: int, lineno: int) -> None:
     """Refuse, with `CorruptLog` at its line, a checkpoint at byte
-    `offset`, line `lineno`, of the log `data` whose version, line count,
-    crc32 or state is not that of `chain`, the replay of the lines before
-    it.  Its state must hold the same rooms and edges in the same order."""
+    `offset`, line `lineno`, of the log `data` whose version, line count or
+    crc32 (`_checkpoint_problem`) or state is not that of `chain`, the
+    replay of the lines before it.  Its state must hold the same rooms and
+    edges in the same order."""
     head = len(chain.commits) - 1
-    if cp.version != head:
-        problem = f"is of version {cp.version}, not {head}"
-    elif cp.lines != lineno - 1:
-        problem = f"follows {cp.lines} lines, not {lineno - 1}"
-    elif cp.crc != zlib.crc32(memoryview(data)[:offset]):
-        problem = f"has crc32 {cp.crc}, not that of the lines before it"
-    elif not _holds(chain.graph, cp):
+    problem = _checkpoint_problem(cp, head, lineno - 1, data, offset)
+    if problem is None and not _holds(chain.graph, cp):
         problem = f"does not hold the state of version {head}"
-    else:
-        return
-    raise CorruptLog(f"{log_path}:{lineno}: checkpoint {problem}")
+    if problem is not None:
+        raise CorruptLog(f"{log_path}:{lineno}: checkpoint {problem}")
 
 
 def _holds(g: NavGraph, cp: Checkpoint) -> bool:
@@ -794,26 +794,6 @@ def _formatted(c: Commit) -> tuple[bytes, tuple[str, str, str, str]]:
             f"{_str(analysis)}, [{node_items}], [{rename_items}], "
             f"[{drop_items}]]\n").encode(), \
         (delta_items, node_items, rename_items, drop_items)
-
-
-_scan_once = json.JSONDecoder().scan_once
-
-
-def _decode(raw: bytes):
-    """`json.loads(raw)`, without its encoding detection and whitespace
-    passes on a line that is UTF-8, starts with its value and has only JSON
-    whitespace after it.  Any other line goes to `json.loads`, so the values
-    accepted and the exceptions raised are the same, but for one: a value
-    nested within a few frames of the recursion limit can decode here where
-    `json.loads`, called a few frames deeper, raises `RecursionError`."""
-    try:
-        s = raw.decode()
-        value, end = _scan_once(s, 0)
-    except (StopIteration, ValueError):  # no value at 0, or not UTF-8/JSON
-        return json.loads(raw)
-    if s[end:].strip(" \t\n\r"):
-        return json.loads(raw)
-    return value
 
 
 def _open_log(path: Path) -> IO[bytes]:

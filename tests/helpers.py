@@ -807,7 +807,8 @@ def reference_load(log_path: str | Path, append: bool = False,
             if raw.strip():
                 try:
                     c = from_row(json.loads(raw))
-                except (ValueError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError,
+                        RecursionError) as exc:
                     if raw.endswith(b"\n"):
                         raise CorruptLog(
                             f"{log_path}:{lineno}: {exc}") from exc

@@ -244,6 +244,39 @@ def test_repair_with_a_malformed_ledger_exits_2(built_log, capsys, rows,
     assert log.read_bytes() == before
 
 
+# arrays nested deeper than `json.loads` can decode (`RecursionError`)
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_repair_with_a_ledger_nested_too_deep_exits_2(built_log, capsys):
+    log, ledger = built_log
+    ledger.write_text(_DEEP, encoding="utf-8")
+    before = log.read_bytes()
+    assert cli.main(["repair", "--log", str(log), "--advisor", "oracle",
+                     "--ledger", str(ledger), "--append"]) == 2
+    assert "ledger.json: maximum recursion depth exceeded" in \
+        capsys.readouterr().err
+    assert log.read_bytes() == before
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn"])
+def test_detect_on_a_log_line_nested_too_deep(built_log, capsys, torn):
+    """A log line nested too deep to decode is bad input: a whole one
+    exits 2 naming its line, and a torn final one is dropped with the
+    torn-line warning."""
+    log, _ = built_log
+    lineno = log.read_bytes().count(b"\n") + 1
+    with log.open("a", encoding="utf-8") as fh:
+        fh.write(_DEEP[:100_000] if torn else _DEEP + "\n")
+    if torn:
+        with pytest.warns(UserWarning, match=f":{lineno}: dropped a torn"):
+            assert cli.main(["detect", "--log", str(log)]) == 3
+    else:
+        assert cli.main(["detect", "--log", str(log)]) == 2
+        assert f"map.jsonl:{lineno}: maximum recursion depth exceeded" in \
+            capsys.readouterr().err
+
+
 def _exit_code_and_resource_warnings(argv) -> tuple[int, list]:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -318,6 +351,15 @@ def test_refine_with_a_malformed_row_exits_2(tmp_path, capsys, row,
     assert f"edges.jsonl:2: {message}" in capsys.readouterr().err
 
 
+def test_refine_with_a_row_nested_too_deep_exits_2(tmp_path, capsys):
+    edges = tmp_path / "edges.jsonl"
+    good = json.dumps({"src": "A", "dst": "B", "action": "north", "step": 1})
+    edges.write_text("\n".join((good, _DEEP, good)))
+    assert cli.main(["refine", "--edges", str(edges)]) == 2
+    assert "edges.jsonl:2: maximum recursion depth exceeded" in \
+        capsys.readouterr().err
+
+
 def test_synth_round_trips_through_build(tmp_path, capsys):
     out = tmp_path / "walk.txt"
     ledger = tmp_path / "ledger.json"
@@ -327,6 +369,18 @@ def test_synth_round_trips_through_build(tmp_path, capsys):
     assert cli.main(["build", "--transcript", str(out),
                      "--log", str(tmp_path / "m.jsonl")]) == 0
     assert json.loads(ledger.read_text())[0]["kind"] == "misdirection"
+
+
+def test_synth_tree_deeper_than_the_recursion_limit(tmp_path, capsys):
+    """A tree 2000 rooms deep, one child each, is walked without
+    recursion, and its walk builds with no conflict."""
+    out = tmp_path / "walk.txt"
+    assert cli.main(["synth", "--shape", "tree", "--params", "2000", "1",
+                     "--out", str(out)]) == 0
+    assert "2001 rooms, 2000 moves, 0 fault(s)" in capsys.readouterr().out
+    assert cli.main(["build", "--transcript", str(out),
+                     "--log", str(tmp_path / "m.jsonl")]) == 0
+    assert cli.main(["detect", "--log", str(tmp_path / "m.jsonl")]) == 0
 
 
 def test_synth_walk_builds_without_conflict(tmp_path, capsys):

@@ -677,34 +677,51 @@ class _TornLog:
         return self.real.fileno()
 
 
-@pytest.mark.parametrize("fault", ["fsync", "torn write"])
+# how an append to the log fails: its write raises, its write reaches the
+# file halfway and raises, or its sync raises
+_APPEND_FAULTS = ["write", "torn write", "fsync"]
+
+
+def _fail_appends(chain, monkeypatch, fault):
+    """Make every append to `chain`'s log fail by `fault`; returns the
+    chain's real log, to be put back once `monkeypatch` is undone."""
+    real_log = chain._log
+    if fault == "write":
+        chain._log = _FailingLog()
+    elif fault == "torn write":
+        chain._log = _TornLog(real_log)
+    else:
+        _counting_fsync(monkeypatch, fail=True)
+    return real_log
+
+
+@pytest.mark.parametrize("fault", _APPEND_FAULTS)
 def test_failed_commit_leaves_no_line_in_the_log(tmp_path, monkeypatch,
                                                   fault):
-    """A commit whose sync fails, or whose line is written only in part,
-    is cut from the log: the next commit takes its index, and the log
-    replays to the chain."""
+    """A commit whose write fails, whose line is written only in part or
+    whose sync fails is undone and cut from the log, which keeps its bytes:
+    the same commit tried again takes its index, and the log replays to the
+    chain."""
     log = tmp_path / "chain.jsonl"
     chain = VersionChain(log_path=log, fsync=True)
     ids = _grow(chain)
-    wal = log.read_bytes()
-    real_log = chain._log
-    if fault == "fsync":
-        _counting_fsync(monkeypatch, fail=True)
-    else:
-        chain._log = _TornLog(real_log)
+    before, wal = chain.graph.copy(), log.read_bytes()
+    doomed = dict(deltas=[remove(Edge(ids[0], ids[1], "north", 1))],
+                  trigger=TRIGGER_REPAIR, obs_id=9, analysis="doomed",
+                  renames=[(ids[1], "Room 1", "Hall")])
+    real_log = _fail_appends(chain, monkeypatch, fault)
     with pytest.raises(OSError):
-        chain.commit([remove(Edge(ids[0], ids[1], "north", 1))],
-                     TRIGGER_REPAIR, obs_id=9, analysis="doomed",
-                     renames=[(ids[1], "Room 1", "Hall")])
+        chain.commit(**doomed)
     assert log.read_bytes() == wal
+    assert chain.graph.state_equal(before)
+    assert chain.head == 3
     monkeypatch.undo()
     chain._log = real_log
-    c = chain.commit([], TRIGGER_REPAIR, obs_id=10, analysis="ok",
-                     renames=[(ids[1], "Room 1", "Hall")])
+    c = chain.commit(**doomed)
     chain.close()
     assert c.index == 4
     loaded = VersionChain.load(log)
-    assert loaded.head == chain.head
+    assert loaded.commits == chain.commits
     assert loaded.graph.state_equal(chain.graph)
 
 
@@ -1686,31 +1703,6 @@ def test_load_equals_the_fixed_reference_on_a_line_one_fix_refuses(
     assert fixed[1][0] is CorruptLog
 
 
-def test_load_of_a_built_grid_calls_json_loads_never(tmp_path):
-    """Every line of a log the library wrote takes the decoder's fast
-    path; a whitespace-led line goes to `json.loads`, and the guard sees
-    it."""
-    log = tmp_path / "grid.jsonl"
-    chain = generate_world(WorldSpec("grid", (10, 10))).build(log_path=log)
-    chain.close()
-    calls = []
-    real = json.loads
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    with mock.patch.object(json, "loads", counting):
-        loaded = VersionChain.load(log)
-        assert calls == []
-        lines = log.read_bytes().splitlines(keepends=True)
-        log.write_bytes(b"".join(lines[:-1]) + b" " + lines[-1])
-        assert VersionChain.load(log).commits == chain.commits
-    assert len(calls) == 1
-    assert loaded.commits == chain.commits
-    assert loaded.graph.state_equal(chain.graph)
-
-
 def test_log_value_types_are_immutable_tuples_of_their_fields():
     """`Edge`, `EdgeDelta` and `Commit` hash as their field tuples (so sets
     and dicts of them keep their order), refuse assignment, and print as
@@ -1957,19 +1949,26 @@ def test_a_log_that_does_more_than_add_gets_no_checkpoint(tmp_path, step):
     assert log.read_bytes() == wal
 
 
-def test_a_failed_checkpoint_write_cuts_the_log_back(tmp_path):
+@pytest.mark.parametrize("fault", _APPEND_FAULTS)
+def test_a_failed_checkpoint_write_cuts_the_log_back(tmp_path, monkeypatch,
+                                                     fault):
+    """A checkpoint row whose write fails, is written only in part or whose
+    sync fails is cut from the log, as a commit's line is, and the log
+    keeps its bytes: the row's parts are kept for another try, whose row
+    is checked where it stands."""
     log = tmp_path / "chain.jsonl"
-    chain = VersionChain(log_path=log)
+    chain = VersionChain(log_path=log, fsync=True)
     _grow(chain)
     wal = log.read_bytes()
-    real = chain._log
-    chain._log = _FailingLog()
+    real_log = _fail_appends(chain, monkeypatch, fault)
     with pytest.raises(OSError):
         chain.checkpoint()
-    chain._log = real
     assert log.read_bytes() == wal
-    assert chain.checkpoint()  # the parts are kept for another try
+    monkeypatch.undo()
+    chain._log = real_log
+    assert chain.checkpoint()
     chain.close()
+    assert len(_lines(log.read_bytes())) == len(_lines(wal)) + 1
     assert _full_replay(log).commits == chain.commits
 
 
@@ -1978,6 +1977,67 @@ def _built_log(tmp_path):
     chain = generate_world(WorldSpec("tree", (3, 2))).build(log_path=log)
     chain.close()
     return log, chain, log.read_bytes()
+
+
+def test_a_checkpoint_on_the_first_line_is_checked_where_it_stands(
+        tmp_path):
+    """A row on the first line is no checkpoint `load` starts from, though
+    its version, line count and crc32 fit the empty log before it: there
+    is no commit whose first read would check its state, so every line is
+    replayed, and a row holding a room is `CorruptLog` at line 1."""
+    log = tmp_path / "chain.jsonl"
+    log.write_bytes(b'["checkpoint", -1, 0, 0, [["n0", "Room 0"]], []]\n')
+    with pytest.raises(CorruptLog, match=":1: checkpoint does not hold the "
+                                         "state of version -1"):
+        VersionChain.load(log)
+
+
+# arrays nested deeper than `json.loads` can decode (`RecursionError`)
+_DEEP = 100_000
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn"])
+@pytest.mark.parametrize("append", [False, True])
+def test_a_line_nested_too_deep_loads_as_the_reference_loads(tmp_path, torn,
+                                                            append):
+    """A line nested too deep to decode is refused as a line that is not
+    JSON is, as by the fixed reference: a whole one is `CorruptLog` at its
+    line, and a torn final one is dropped with the warning."""
+    log = tmp_path / "chain.jsonl"
+    chain = VersionChain(log_path=log)
+    _grow(chain)
+    chain.close()
+    deep = b"[" * _DEEP + (b"" if torn else b"]" * _DEEP + b"\n")
+    fixed, _ = _assert_load_equals_the_fixed_reference(
+        log, log.read_bytes() + deep, append)
+    if torn:
+        assert fixed[1] is None
+        assert fixed[2] == [f"{log}:5: dropped a torn final line "
+                            f"({len(deep)} bytes)"]
+    else:
+        assert fixed[1][0] is CorruptLog
+        assert fixed[1][1].startswith(f"{log}:5: maximum recursion depth")
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn"])
+def test_a_checkpoint_line_nested_too_deep_is_replayed_where_it_stands(
+        tmp_path, torn):
+    """A final line that starts as a checkpoint row but nests too deep to
+    decode is no checkpoint `load` starts from: every line is replayed, so
+    a whole one is `CorruptLog` at its line and a torn one is dropped with
+    the warning."""
+    log, chain, wal = _built_log(tmp_path)
+    lineno = len(_lines(wal)) + 1
+    log.write_bytes(wal + b'["checkpoint", ' + b"[" * _DEEP + (
+        b"" if torn else b"]" * _DEEP + b"]\n"))
+    if torn:
+        with pytest.warns(UserWarning, match=f":{lineno}: dropped a torn"):
+            loaded = VersionChain.load(log)
+        assert loaded.commits == chain.commits
+        _assert_same_order(loaded, chain)
+    else:
+        with pytest.raises(CorruptLog, match=f":{lineno}: maximum recursion"):
+            VersionChain.load(log)
 
 
 @pytest.mark.parametrize("change", [
