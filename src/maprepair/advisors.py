@@ -28,8 +28,9 @@ from .fault_injector import FAULT_MISDIRECTION, FAULT_MISNAME, \
     fixed_at
 from .graph_core import COMPASS, DIRECTIONS, Edge, NavGraph, normalize_name
 from .repair_engine import (
-    ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_GIVE_UP, ACT_MERGE_NODES,
-    ACT_RENAME_NODE, ACTION_FIELDS, VERSION_ACTIONS, AdvisorContext,
+    ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_DIFF_VERSIONS, ACT_GIVE_UP,
+    ACT_MERGE_NODES, ACT_RECALL_STEP, ACT_REDIRECT_EDGE, ACT_RENAME_NODE,
+    ACT_ROLLBACK_TO, ACTION_FIELDS, VERSION_ACTIONS, AdvisorContext,
     RepairAction,
 )
 from .version_store import add, remove
@@ -201,18 +202,26 @@ Nearby map (nodes and edges):
 {neighborhood}
 {candidates_block}{session_block}{tools_block}
 Respond with a single JSON object and nothing else, shaped like one of:
-  {{"action": "ChangeDirection", "edge": {{"src": ..., "dst": ..., \
-"dir": ..., "step": ...}}, "new_dir": "<direction>"}}
-  {{"action": "DeleteEdge", "edge": {{...}}}}
-  {{"action": "RedirectEdge", "edge": {{...}}, "new_dst": "<node id>"}}
-  {{"action": "RenameNode", "node": "<node id>", "new_name": "<name>"}}
-  {{"action": "MergeNodes", "node": "<node to fold>", "new_dst": \
-"<node to keep>"}}
-  {{"action": "RollbackTo", "version": <int>}}
-  {{"action": "RecallStep", "version": <int>}}
-  {{"action": "DiffVersions", "i": <int>, "j": <int>}}
-  {{"action": "GiveUp"}}
+{shapes}
 """
+
+#: The prompt's JSON shape of each action kind, in the order it lists them.
+_ACTION_SHAPES = {
+    ACT_CHANGE_DIRECTION: '{"action": "ChangeDirection", "edge": {"src": '
+                          '..., "dst": ..., "dir": ..., "step": ...}, '
+                          '"new_dir": "<direction>"}',
+    ACT_DELETE_EDGE: '{"action": "DeleteEdge", "edge": {...}}',
+    ACT_REDIRECT_EDGE: '{"action": "RedirectEdge", "edge": {...}, '
+                       '"new_dst": "<node id>"}',
+    ACT_RENAME_NODE: '{"action": "RenameNode", "node": "<node id>", '
+                     '"new_name": "<name>"}',
+    ACT_MERGE_NODES: '{"action": "MergeNodes", "node": "<node to fold>", '
+                     '"new_dst": "<node to keep>"}',
+    ACT_ROLLBACK_TO: '{"action": "RollbackTo", "version": <int>}',
+    ACT_RECALL_STEP: '{"action": "RecallStep", "version": <int>}',
+    ACT_DIFF_VERSIONS: '{"action": "DiffVersions", "i": <int>, "j": <int>}',
+    ACT_GIVE_UP: '{"action": "GiveUp"}',
+}
 
 _REPROMPT = ("Your previous reply could not be used: {error}\n"
              "Reply again with one valid JSON action object and nothing else.")
@@ -305,6 +314,8 @@ class LlmAdvisor:
             candidates_block=candidates_block,
             session_block=session_block,
             tools_block=tools_block,
+            shapes="\n".join(f"  {shape}" for kind, shape
+                             in _ACTION_SHAPES.items() if kind in tools),
         )
 
     def _ask(self, messages: list[dict]) -> str:

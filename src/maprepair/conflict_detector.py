@@ -224,15 +224,10 @@ class Detection:
     (src, direction) and the asymmetric pairs by room pair.  Read-only; it
     refers to nothing of the graph."""
 
-    commit: Optional[int]
     conflicts: list[Conflict]
     record: PositionRecord
     groups: _Groups
     pairs: _Pairs
-
-    @property
-    def positions(self) -> PositionMap:
-        return self.record.positions
 
     def advance(self, g: NavGraph, deltas: Iterable[EdgeDelta],
                 commit: Optional[int] = None) -> "Detection":
@@ -260,9 +255,8 @@ class Detection:
         pairs.update(_asymmetric_pairs(adjacency, {
             a: adjacency[a] for a, _ in rooms if a in adjacency}))
         record = advance_positions(self.record, g, [e[0] for e in edges])
-        return Detection(commit, _conflicts(g, groups, pairs,
-                                            record.positions, commit),
-                         record, groups, pairs)
+        return Detection(_conflicts(g, groups, pairs, record.positions,
+                                    commit), record, groups, pairs)
 
 
 def detect(g: NavGraph, commit: Optional[int] = None) -> Detection:
@@ -272,8 +266,8 @@ def detect(g: NavGraph, commit: Optional[int] = None) -> Detection:
     record = record_positions(g)
     groups = _directional_groups(adjacency)
     pairs = _asymmetric_pairs(adjacency)
-    return Detection(commit, _conflicts(g, groups, pairs, record.positions,
-                                        commit), record, groups, pairs)
+    return Detection(_conflicts(g, groups, pairs, record.positions, commit),
+                     record, groups, pairs)
 
 
 def unreachable_nodes(g: NavGraph) -> list[str]:

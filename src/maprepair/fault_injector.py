@@ -13,12 +13,13 @@ anything; `rng.shuffle` of their indices makes the swaps a shuffle of the
 options themselves would make, so a seed draws the same faults either way.
 A trial fault at step k leaves the commits before k as they were, so each
 `World` keeps a private build record: its parsed steps and the commits
-construction made of them, built lazily as far as a trial has needed.  A
+construction makes of all of them, built once when the record is made.  A
 trial replays the record's commits before k, parses only its own block,
 constructs the steps from k on (`transcript_parser.extend_graph`) and
-runs `detect_all` on the whole map.  The record is used only while
-`World.steps` is what it was made from, and an accepted trial hands its
-own to the corrupted world, for the next draw of a mix.
+runs `detect_all` on the whole map; it never changes the record.  The
+record is used only while `World.steps` is what it was made from, and an
+accepted trial hands its own to the corrupted world, for the next draw of
+a mix.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 from .conflict_detector import detect_all
-from .errors import MalformedBlock, NonMonotonicStep
+from .errors import MalformedBlock, MapRepairError, NonMonotonicStep
 from .graph_core import (
     COMPASS, Edge, NavGraph, displacement, is_direction, normalize_name,
     reverse_direction,
@@ -481,7 +482,7 @@ def _draw_fault(corrupted: World, kind: str,
         if bool(detect_all(chain.graph)) != (kind == FAULT_SILENT):
             if parsed is not None:
                 trial._record = _BuildRecord(list(trial.steps), parsed,
-                                             chain.commits, len(parsed))
+                                             chain.commits)
             return fault, trial
     raise ValueError(f"no viable {kind} fault for this world")
 
@@ -491,16 +492,17 @@ class _BuildRecord:
     """What fault trials know of one world's build: the world's steps it
     was made from, their parsed steps (None when the transcript does not
     parse to one step per world step numbered as the world numbers them),
-    and the commits construction makes of the first `built` of them."""
+    and the commits construction makes of them (none when not parsed, or
+    when construction refuses a commit of them)."""
     steps: list[tuple[str, str]]
     parsed: Optional[list[WalkthroughStep]]
     commits: list[Commit]
-    built: int
 
 
 def _build_record(world: World) -> _BuildRecord:
-    """The build record of `world`, made anew (parsed, nothing built) when
-    there is none or `world.steps` changed since it was made."""
+    """The build record of `world`, made anew (parsed, and its steps
+    constructed on a log-less chain) when there is none or `world.steps`
+    changed since it was made."""
     record = world._record
     if record is not None and record.steps == world.steps:
         return record
@@ -514,7 +516,15 @@ def _build_record(world: World) -> _BuildRecord:
         if parsed is not None and \
                 [s.step_num for s in parsed] != list(range(len(world.steps))):
             parsed = None
-    world._record = _BuildRecord(list(world.steps), parsed, [], 0)
+    commits: list[Commit] = []
+    if parsed is not None:
+        chain = VersionChain()
+        try:
+            extend_graph(parsed, chain)
+            commits = chain.commits
+        except (MapRepairError, ValueError):
+            parsed = None  # a refused commit: trials are built whole too
+    world._record = _BuildRecord(list(world.steps), parsed, commits)
     return world._record
 
 
@@ -528,25 +538,18 @@ def _trial(record: _BuildRecord, trial: World,
 
     The chain starts from the record's commits of the steps before k
     (`VersionChain.from_commits`), and construction goes on from step k;
-    only step k's block is parsed.  When the record has not been built up
-    to k, construction goes on from where it ends instead, and the record
-    then takes this chain's commits of the steps before k, which are the
-    world's own.  When the world's transcript does
-    not parse step for step, the trial is built whole (`World.build`)."""
+    only step k's block is parsed, and the record is left as it was.  When
+    the world's transcript does not parse step for step, the trial is
+    built whole (`World.build`)."""
     if record.parsed is None:
         return trial.build(), None
     act, obs = trial.steps[k]
     parsed = record.parsed[:k]
     parsed.append(parse_block(_block(k, act, obs).splitlines(), k - 1))
     parsed += record.parsed[k + 1:]
-    start = min(record.built, k)
     chain = VersionChain.from_commits(
-        record.commits[:bisect_left(record.commits, start, key=_obs_id)])
-    extend_graph(parsed[start:], chain)
-    if record.built < k:
-        record.commits = chain.commits[:bisect_left(chain.commits, k,
-                                                    key=_obs_id)]
-        record.built = k
+        record.commits[:bisect_left(record.commits, k, key=_obs_id)])
+    extend_graph(parsed[k:], chain)
     return chain, parsed
 
 

@@ -100,51 +100,19 @@ class NavGraph:
     @classmethod
     def build(cls, rooms: Iterable[tuple[str, str]],
               edges: Iterable[Edge]) -> "NavGraph":
-        """The graph `add_node` of each `(id, name)` room, the first one
-        the origin, then `insert_edge` of each `Edge` would make, in one
-        loop over the rooms (nodes and name index) and one over the edges
-        (adjacency and in-degree counts).  It refuses, with the same error
-        and message, what those calls refuse: a duplicate room id
-        (`DuplicateNode`), an edge end that is no room (`UnknownNode`), an
-        unknown direction (`ValueError`) and a second edge of one (src,
-        direction, step) key (`DuplicateEdge`).  A refused input leaves no
-        graph behind."""
-        nodes: dict[str, str] = {}
-        name_index: dict[str, set[str]] = {}
+        """A fresh graph with `add_node` of each `(id, name)` room, the
+        first one the origin, then `insert_edge` of each `Edge`.  It
+        refuses what those calls refuse, with their errors: a duplicate
+        room id (`DuplicateNode`), an edge end that is no room
+        (`UnknownNode`), an unknown direction (`ValueError`) and a second
+        edge of one (src, direction, step) key (`DuplicateEdge`).  A
+        refused input leaves no graph behind."""
+        g = cls()
         for nid, name in rooms:
-            key = " ".join(name.casefold().split())  # normalize_name
-            if nid in nodes:
-                raise DuplicateNode(f"node id already in use: {nid}")
-            nodes[nid] = name
-            ids = name_index.get(key)
-            if ids is None:
-                name_index[key] = {nid}
-            else:
-                ids.add(nid)
-        out: dict[str, dict[str, dict[int, Edge]]] = {}
-        in_degree: dict[str, int] = {}
+            g.add_node(name, node_id=nid)
         for edge in edges:
-            src, dst, direction, step_id = edge
-            if src not in nodes:
-                raise UnknownNode(src)
-            if dst not in nodes:
-                raise UnknownNode(dst)
-            if direction not in REVERSE:  # an unhashable one raises TypeError
-                raise ValueError(f"unknown direction: {direction!r}")
-            by_dir = out.get(src)
-            if by_dir is None:
-                out[src] = {direction: {step_id: edge}}
-            else:
-                by_step = by_dir.get(direction)
-                if by_step is None:
-                    by_dir[direction] = {step_id: edge}
-                elif step_id in by_step:
-                    raise DuplicateEdge(
-                        f"duplicate (src, direction, step): {edge.key}")
-                else:
-                    by_step[step_id] = edge
-            in_degree[dst] = in_degree.get(dst, 0) + 1
-        return cls(nodes, next(iter(nodes), None), name_index, out, in_degree)
+            g.insert_edge(edge)
+        return g
 
     # -- nodes ------------------------------------------------------------
 
@@ -403,13 +371,10 @@ class NavGraph:
 
     def copy(self) -> "NavGraph":
         """An independent graph of the same state and next fresh id, whose
-        nodes and edges iterate in this graph's order."""
-        return NavGraph(
-            nodes=dict(self.nodes), origin=self.origin,
-            _name_index={k: set(ids) for k, ids in self._name_index.items()},
-            _out={src: {d: dict(by_step) for d, by_step in by_dir.items()}
-                  for src, by_dir in self._out.items()},
-            _in_degree=dict(self._in_degree), _next_id=self._next_id)
+        nodes and edges iterate in this graph's order (`build`)."""
+        g = NavGraph.build(self.nodes.items(), self.edges())
+        g.origin, g._next_id = self.origin, self._next_id
+        return g
 
     def state_equal(self, other: "NavGraph") -> bool:
         return (self.nodes == other.nodes

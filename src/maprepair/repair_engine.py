@@ -129,9 +129,10 @@ class RepairAction:
         return action
 
     def validate_shape(self) -> None:
-        """Refuse, with IllegalAction, a field the kind needs but lacks and
-        a field of the wrong type (a bool is no int)."""
-        if self.kind not in ALL_ACTIONS:
+        """Refuse, with IllegalAction, a kind that is not the str of an
+        action (`unknown action`), a field the kind needs but lacks and a
+        field of the wrong type (a bool is no int)."""
+        if type(self.kind) is not str or self.kind not in ALL_ACTIONS:
             raise IllegalAction(f"unknown action: {self.kind!r}")
         for name in ACTION_FIELDS[self.kind]:
             if getattr(self, name) is None:

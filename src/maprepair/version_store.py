@@ -8,8 +8,8 @@ one replay of recorded commits; `materialize` and the fault trials of
 `fault_injector` both start from it.
 
 One check, `_check_commit`, decides whether a commit is well-formed, that
-is, whether `_line` can write it as a line `load` reads back as the same
-commit.  `commit` runs it before any step applies, with or without a log,
+is, whether `_formatted` can write it as a line `load` reads back as the
+same commit.  `commit` runs it before any step applies, with or without a log,
 and `Commit.from_row` runs it on each line `load` reads, so both refuse the
 same commits.  It checks every field before it searches any str for a
 surrogate pair, so a commit holding both a pair and a wrongly typed field
@@ -33,10 +33,10 @@ line writer, `_formatted`, and appended to the log, unbuffered (and, with
 JSON array of 8 columns read by position: `[index, [[op, src, dst, dir,
 step], ...], trigger, obs_id, analysis, [[id, name], ...], [[id, old,
 new], ...], [[id, name], ...]]`, the last three the new nodes, renames and
-drops.  `_formatted` formats it in one pass (`_line` is that line), byte
-for byte what `json.dumps` of that list and a newline would be: strings
-through the C escaper of `json.dumps` under `ensure_ascii`, ints as
-`int.__repr__` writes them.  One append, `VersionChain._append`, writes a
+drops.  `_formatted` formats it in one pass, byte for byte what
+`json.dumps` of that list and a newline would be: strings through the C
+escaper of `json.dumps` under `ensure_ascii`, ints as `int.__repr__`
+writes them.  One append, `VersionChain._append`, writes a
 commit's line and a checkpoint row: a failed write or sync cuts the log
 back to where the line started, so no part of the line stays in the file
 or in a buffer, and `commit` then undoes the commit: a commit becomes
@@ -78,15 +78,15 @@ finds nothing wrong with it given one commit a line before it, and its
 state builds; it then replays the lines after it.  The state is built in
 one pass per column: `Checkpoint.from_row` checks each room and edge item
 by `_check_commit`'s rules and makes the `Edge` tuples in the same loop,
-and `NavGraph.build` makes the map from the rooms and edges, refusing
-what `add_node` and `insert_edge` would.
-Room ids and directions are the str objects every load shares (a room
-id's interned copy and a direction's key of `REVERSE`), so results kept
-from many loads hold one copy of each.  Otherwise it
-replays every line, which checks each checkpoint where it stands: a
-version, line count, crc32 or state (rooms and edges in the same order)
-other than the lines before it build is `CorruptLog` at its line.  A
-torn checkpoint line is dropped as a torn commit line is.  The lines
+and `NavGraph.build` makes the map by `add_node` of each room and
+`insert_edge` of each edge, refusing what they refuse.  Room ids and
+directions are the str objects every load shares (a room id's interned
+copy and a direction's key of `REVERSE`), so results kept from many loads
+hold one copy of each.  Otherwise it replays every line, which checks
+each checkpoint where it stands: a version, line count, crc32 or state
+(rooms and edges in the same order) other than the lines before it build
+is `CorruptLog` at its line.  A torn checkpoint line is dropped as a torn
+commit line is.  The lines
 before the checkpoint `load` started from are kept as bytes in a
 `CommitList`, and the first read of any commit (an item, `materialize`,
 `recall_step`, `diff`, construction's cursor) replays them with the same
@@ -164,8 +164,8 @@ class Commit(NamedTuple):
 
     @classmethod
     def from_row(cls, row: list) -> "Commit":
-        """The commit of a row, the JSON array `_line` writes.  A row
-        `_line` could not have written raises before `_check_commit` runs:
+        """The commit of a row, the JSON array `_formatted` writes.  A row
+        it could not have written raises before `_check_commit` runs:
         one of other than 8 columns `ValueError`, and a step list that is
         not an array of arrays of 5 (a delta), 2 (a node or drop) or 3 (a
         rename) items `TypeError` (`_items`)."""
@@ -199,10 +199,10 @@ def _items(value: list, size: int, key: str) -> list:
 
 
 def _check_commit(c: Commit) -> Commit:
-    """`c`, if `_line` can write it as a line that loads back as `c`: an
-    index, obs_id or delta step that is not an exact int (`True` is not),
-    an op other than "+" or "-", a direction not among the 14 and a str
-    holding a surrogate pair (`_check_text`) raise `ValueError`; a
+    """`c`, if `_formatted` can write it as a line that loads back as `c`:
+    an index, obs_id or delta step that is not an exact int (`True` is
+    not), an op other than "+" or "-", a direction not among the 14 and a
+    str holding a surrogate pair (`_check_text`) raise `ValueError`; a
     trigger, analysis, room id or name that is not a str raises
     `TypeError`.  `commit` runs it, and so does `Commit.from_row`, the one
     reader of a log's commit lines.  Scalars come first, then deltas, new
@@ -760,14 +760,6 @@ def _holds(g: NavGraph, cp: Checkpoint) -> bool:
 
 
 _str = json.encoder.encode_basestring_ascii  # json.dumps's, ensure_ascii
-
-
-def _line(c: Commit) -> bytes:
-    """The log line of `c`, its row: `json.dumps([index, [[op, src, dst,
-    dir, step], ...], trigger, obs_id, analysis, [[id, name], ...], [[id,
-    old, new], ...], [[id, name], ...]]) + "\\n"`, byte for byte
-    (`_formatted`)."""
-    return _formatted(c)[0]
 
 
 def _formatted(c: Commit) -> tuple[bytes, tuple[str, str, str, str]]:

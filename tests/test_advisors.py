@@ -313,6 +313,40 @@ def test_llm_prompt_lists_the_action_table():
         "DiffVersions"
 
 
+_SHAPES = (
+    'Respond with a single JSON object and nothing else, shaped like one '
+    'of:\n'
+    '  {"action": "ChangeDirection", "edge": {"src": ..., "dst": ..., '
+    '"dir": ..., "step": ...}, "new_dir": "<direction>"}\n'
+    '  {"action": "DeleteEdge", "edge": {...}}\n'
+    '  {"action": "RedirectEdge", "edge": {...}, "new_dst": "<node id>"}\n'
+    '  {"action": "RenameNode", "node": "<node id>", "new_name": "<name>"}\n'
+    '  {"action": "MergeNodes", "node": "<node to fold>", "new_dst": '
+    '"<node to keep>"}\n'
+    '  {"action": "RollbackTo", "version": <int>}\n'
+    '  {"action": "RecallStep", "version": <int>}\n'
+    '  {"action": "DiffVersions", "i": <int>, "j": <int>}\n'
+    '  {"action": "GiveUp"}\n')
+
+
+def test_llm_prompt_shows_the_shapes_of_the_available_actions_only():
+    """With version control on, the prompt ends with the JSON shape of
+    every action kind, as it always did; with it off, no version tool is
+    named anywhere in it, so none is proposed for an unusable turn."""
+    advisor = LlmAdvisor(EndpointConfig("http://fake"),
+                         transport=_fake_transport([]))
+    _, _, ctx = _demo_context()
+    assert advisor.build_prompt(ctx).endswith(_SHAPES)
+    _, _, bare = _demo_context(ToolConfig(version_control=False))
+    prompt = advisor.build_prompt(bare)
+    for kind in ("RollbackTo", "RecallStep", "DiffVersions"):
+        assert kind not in prompt
+    version_lines = [line + "\n" for line in _SHAPES.splitlines()
+                     if '"version"' in line or '"i"' in line]
+    assert len(version_lines) == 3
+    assert prompt.endswith(_SHAPES.replace("".join(version_lines), ""))
+
+
 def test_llm_prompt_carries_the_session_so_far():
     """The second prompt holds the answer to the first reply's query; the
     first, with nothing in the session yet, has no session block."""

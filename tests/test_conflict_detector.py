@@ -317,7 +317,7 @@ def test_a_relabel_advances_to_the_detection_of_the_map(g, relabels):
         trial = g.add_edge(e.src, e.dst, d, e.step_id)
         detection = detection.advance(g, [remove(e), add(trial)], n)
         assert detection.conflicts == detect_all(g, n)
-        assert detection.positions == infer_positions(g)
+        assert detection.record.positions == infer_positions(g)
         assert detection.record == record_positions(g)
         assert detection == detect(g, n)
 

@@ -251,7 +251,8 @@ def test_inject_draws_the_reference_faults(world, mix, seed, data):
 
 @pytest.mark.parametrize("spec", [
     fi.WorldSpec("grid", (3, 3)), fi.WorldSpec("tree", (3, 2)),
-    fi.WorldSpec("loopchain", (8,))], ids=lambda s: s.shape)
+    fi.WorldSpec("loopchain", (8,)), fi.WorldSpec("walk", (4, 4, 30, 1))],
+    ids=lambda s: s.shape)
 def test_inject_draws_the_reference_faults_on_generated_worlds(spec):
     world = fi.generate_world(spec)
     mixes = [(kind,) for kind in _KINDS] + [_KINDS[:3], _KINDS[::-1]]
@@ -275,14 +276,20 @@ def test_inject_draws_the_reference_faults_on_generated_worlds(spec):
     # ... and the step after it is out of order
     [("Init", "Hall\nYou are here."), ("north", "Den"),
      ("look\n==>STEP NUM: 7", "Den\nNothing."), ("east", "Attic")],
-], ids=["separator", "emptied", "split", "renumbered", "unordered"])
+    # a room name holding a surrogate pair is a commit construction
+    # refuses: the world does not build, but a misname of that step does
+    [("Init", "Hall\nYou are here."), ("north", "Den"),
+     ("east", "Attic \ud83d\ude00"), ("west", "Den"), ("south", "Yard")],
+], ids=["separator", "emptied", "split", "renumbered", "unordered",
+        "unbuilt"])
 def test_inject_draws_the_reference_faults_when_steps_are_not_blocks(steps):
     world = fi.World(steps=steps, truth=NavGraph())
     _assert_draws_as_reference(world, [(kind,) for kind in _KINDS], range(3))
 
 
 def test_trials_build_only_the_suffix_and_reuse_the_record():
-    """No trial builds a world whole, and a second `inject` of the same
+    """No trial builds a world whole, no draw changes the build record's
+    commits, which are the world's own, and a second `inject` of the same
     world starts from the build record the first one left."""
     world = fi.generate_grid(6, 6)
     real = fi.World.build
@@ -290,7 +297,9 @@ def test_trials_build_only_the_suffix_and_reuse_the_record():
                            side_effect=real) as build:
         fi.inject(world, _KINDS[:3], seed=4)
         record = world._record
-        assert 0 < record.built < len(world.steps)
+        commits = list(record.commits)
         fi.inject(world, _KINDS[:3], seed=5)
         assert world._record is record
+        assert record.commits == commits
     assert build.call_count == 0
+    assert commits == list(world.build().commits)

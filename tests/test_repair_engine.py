@@ -61,8 +61,9 @@ def test_action_wire_round_trip():
 
 
 def test_action_shape_validation():
-    with pytest.raises(IllegalAction):
-        RepairAction.from_json({"action": "Teleport"})
+    for kind in ("Teleport", ["DeleteEdge"], {"DeleteEdge": 1}, None):
+        with pytest.raises(IllegalAction, match="^unknown action: "):
+            RepairAction.from_json({"action": kind})
     with pytest.raises(IllegalAction):
         RepairAction.from_json({"action": ACT_DELETE_EDGE})
     with pytest.raises(IllegalAction):
@@ -119,7 +120,7 @@ def test_each_kind_requires_the_fields_of_the_action_table():
 def test_apply_action_refuses_a_wrong_typed_field_before_any_change():
     chain, _ = _demo()
     before = chain.graph.copy()
-    for action in (RepairAction("Teleport"),
+    for action in (RepairAction("Teleport"), RepairAction(["DeleteEdge"]),
                    RepairAction(ACT_RENAME_NODE, node="n3", new_name=5),
                    RepairAction(ACT_ROLLBACK_TO, version=True),
                    RepairAction(ACT_DELETE_EDGE,
@@ -880,7 +881,7 @@ def _faulted_chain(spec, kinds, seed):
 def _assert_whole(detection, g, commit):
     """`detection` is the detection of all of `g` at `commit`."""
     assert detection.conflicts == detect_all(g, commit)
-    assert detection.positions == infer_positions(g)
+    assert detection.record.positions == infer_positions(g)
     assert detection == detect(g, commit)
 
 

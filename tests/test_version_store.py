@@ -36,7 +36,8 @@ from maprepair.repair_engine import (
 from maprepair.transcript_parser import extend_graph
 from maprepair.version_store import (
     Checkpoint, Commit, EdgeDelta, TRIGGER_OBSERVATION, TRIGGER_REPAIR,
-    VersionChain, _apply_commit, _check_commit, _inverse, _line, add, remove,
+    VersionChain, _apply_commit, _check_commit, _formatted, _inverse, add,
+    remove,
 )
 
 
@@ -217,7 +218,8 @@ def test_a_rename_or_drop_by_another_name_is_refused_whole(tmp_path):
         assert chain.head == 1
     log = tmp_path / "chain.jsonl"
     bad = Commit(2, (), TRIGGER_REPAIR, 2, "", drops=((lobby, "Ghost"),))
-    log.write_bytes(b"".join(map(_line, (*chain.commits, bad))))
+    log.write_bytes(b"".join(_formatted(c)[0]
+                             for c in (*chain.commits, bad)))
     with pytest.raises(CorruptLog, match=re.escape(
             f"{log}:3: {lobby} is named 'Lobby', not 'Ghost'")):
         VersionChain.load(log)
@@ -272,7 +274,7 @@ _OLD_FORMAT_LOG = (
     b'[{"id": "n1", "name": "Hall"}]}\n')
 
 
-# the same commits as rows, as `_line` writes them
+# the same commits as rows, as `_formatted` writes them
 _ROW_LOG = (
     b'[0, [], "observation_update", 0, "Room 0", [["n0", "Room 0"]], [], []]\n'
     b'[1, [["+", "n0", "n1", "north", 1]], "observation_update", 1, '
@@ -386,7 +388,8 @@ def test_load_append_continues_log(tmp_path):
     assert final.graph.state_equal(reopened.graph)
 
 
-@pytest.mark.parametrize("line", [_line, _object_line],
+@pytest.mark.parametrize("line", [lambda c: _formatted(c)[0],
+                                  _object_line],
                          ids=["rows", "object lines"])
 def test_load_append_leaves_an_intact_log_untouched(tmp_path, line):
     """Reopening a log that ends with a whole line, and closing it with no
@@ -413,7 +416,7 @@ def _tree_log(tmp_path):
     a build writes after them, and the chain built."""
     log = tmp_path / "tree.jsonl"
     chain = generate_world(WorldSpec("tree", (3, 2))).build()
-    log.write_bytes(b"".join(map(_line, chain.commits)))
+    log.write_bytes(b"".join(_formatted(c)[0] for c in chain.commits))
     return log, chain
 
 
@@ -804,7 +807,7 @@ def test_each_log_line_is_json_dumps_of_its_commit(data, tmp_path_factory):
                 assert chain.graph.state_equal(before)
                 continue
             c = chain.commit(**parts)
-            assert log.read_bytes()[end:] == _line(c) == (
+            assert log.read_bytes()[end:] == _formatted(c)[0] == (
                 json.dumps(_row(c)) + "\n").encode()
     finally:
         chain.close()
