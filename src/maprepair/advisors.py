@@ -30,7 +30,7 @@ from .graph_core import COMPASS, DIRECTIONS, Edge, NavGraph, normalize_name
 from .repair_engine import (
     ACT_CHANGE_DIRECTION, ACT_DELETE_EDGE, ACT_DIFF_VERSIONS, ACT_GIVE_UP,
     ACT_MERGE_NODES, ACT_RECALL_STEP, ACT_REDIRECT_EDGE, ACT_RENAME_NODE,
-    ACT_ROLLBACK_TO, ACTION_FIELDS, VERSION_ACTIONS, AdvisorContext,
+    ACT_ROLLBACK_TO, ACTION_FIELDS, VERSION_ACTIONS, AdvisorContext, Loop,
     RepairAction,
 )
 from .version_store import add, remove
@@ -272,14 +272,13 @@ def _extract_json_object(text: str) -> dict:
     raise ValueError("no JSON object in reply")
 
 
-def _describe_entry(entry: dict) -> str:
-    """One loop's dict (`Loop.entry`) as a prompt line: the action, then
-    its result or its error."""
-    action = json.dumps(entry["action"]) if "action" in entry \
-        else "(no usable reply)"
-    if "result" in entry:
-        return f"{action} -> {json.dumps(entry['result'])}"
-    return f"{action} -> error: {entry['error']}"
+def _describe_loop(loop: Loop) -> str:
+    """One loop as a prompt line: the action, then its result or error."""
+    action = "(no usable reply)" if loop.action is None \
+        else json.dumps(loop.action.to_json())
+    if loop.ending == "result":
+        return f"{action} -> {json.dumps(loop.value)}"
+    return f"{action} -> error: {loop.value}"
 
 
 class LlmAdvisor:
@@ -300,8 +299,7 @@ class LlmAdvisor:
         else:
             candidates_block = ""
         if ctx.loops:
-            rows = "\n".join(f"  {_describe_entry(loop.entry())}"
-                             for loop in ctx.loops)
+            rows = "\n".join(f"  {_describe_loop(loop)}" for loop in ctx.loops)
             session_block = f"\nThis session so far:\n{rows}\n"
         else:
             session_block = ""

@@ -107,14 +107,14 @@ def _tool_config(args) -> ToolConfig:
 def cmd_repair(args) -> int:
     # the advisor first: a bad advisor setting leaves the log untouched
     ledger = None
-    if args.advisor == "oracle":  # the only advisor that reads a ledger
-        if not args.ledger:
-            raise MapRepairError("oracle advisor needs --ledger")
+    if args.ledger:  # the oracle's truth, and every advisor's scorecard
         try:
             data = json.loads(Path(args.ledger).read_text(encoding="utf-8"))
         except RecursionError as exc:
             raise ValueError(f"{args.ledger}: {exc}") from exc
         ledger = fault_injector.FaultLedger.from_json(data)
+    elif args.advisor == "oracle":
+        raise MapRepairError("oracle advisor needs --ledger")
     advisor = _make_advisor(args.advisor, ledger)
     config = _tool_config(args)
     chain = VersionChain.load(args.log, append=args.append)
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", required=True)
     p.add_argument("--advisor", choices=("oracle", "heuristic", "llm"),
                    default="heuristic")
-    p.add_argument("--ledger", help="fault ledger JSON (oracle advisor)")
+    p.add_argument("--ledger", help="fault ledger JSON (any advisor)")
     p.add_argument("--max-attempts", type=int, default=10)
     p.add_argument("--append", action="store_true",
                    help="append repair commits to the input log")

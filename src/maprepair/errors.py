@@ -49,10 +49,6 @@ class IllegalAction(MapRepairError):
     """A repair action is not applicable to the current graph."""
 
 
-class ToolUnavailable(MapRepairError):
-    """A version-store action was requested with version control disabled."""
-
-
 class StaleContext(MapRepairError):
     """A repair context part was read after the chain head moved."""
 

@@ -407,6 +407,16 @@ class NavGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "NavGraph":
+        """Refuses what `build` refuses and, with a ValueError naming the
+        row, an id, name, src or dst not a str or a step not an int."""
+        for table, key, want, noun in (
+                ("nodes", "id", str, "a str"), ("nodes", "name", str, "a str"),
+                ("edges", "src", str, "a str"), ("edges", "dst", str, "a str"),
+                ("edges", "step", int, "an int")):
+            for i, row in enumerate(data[table]):
+                if type(row[key]) is not want:
+                    raise ValueError(f"{table} row {i}: {key} not {noun}: "
+                                     f"{row[key]!r}")
         g = cls.build([(n["id"], n["name"]) for n in data["nodes"]],
                       [Edge.from_json(d) for d in data["edges"]])
         origin = data.get("origin")

@@ -26,12 +26,13 @@ no attempt.  Conflicts first exposed mid-session get their own budget.
 GiveUp costs the primary one attempt and a secondary its whole budget.
 An advisor failure, a version tool while version control is off and a
 query already run at the same chain head are unusable turns: they cost no
-attempt, and three in a row end the session.
+attempt, and three in a row end the session.  No malformed action can be
+made (`RepairAction` refuses it), so an llm reply that is one fails its
+turn; any other exception than AdvisorFailure from an advisor ends the run.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -43,8 +44,7 @@ from .error_localizer import (
     score_candidates, shortest_path_tree,
 )
 from .errors import (
-    AdvisorFailure, IllegalAction, MapRepairError, StaleContext,
-    ToolUnavailable, Unreachable,
+    AdvisorFailure, IllegalAction, MapRepairError, StaleContext, Unreachable,
 )
 from .graph_core import Edge, NavGraph, is_direction
 from .metrics_bench import (
@@ -120,25 +120,23 @@ class RepairAction:
     @classmethod
     def from_json(cls, d: dict) -> "RepairAction":
         edge = Edge.from_json(d["edge"]) if "edge" in d else None
-        action = cls(kind=d.get("action"), edge=edge,
-                     new_direction=d.get("new_dir"),
-                     new_dst=d.get("new_dst"), node=d.get("node"),
-                     new_name=d.get("new_name"), version=d.get("version"),
-                     i=d.get("i"), j=d.get("j"))
-        action.validate_shape()
-        return action
+        return cls(kind=d.get("action"), edge=edge,
+                   new_direction=d.get("new_dir"), new_dst=d.get("new_dst"),
+                   node=d.get("node"), new_name=d.get("new_name"),
+                   version=d.get("version"), i=d.get("i"), j=d.get("j"))
 
-    def validate_shape(self) -> None:
+    def __post_init__(self) -> None:
         """Refuse, with IllegalAction, a kind that is not the str of an
-        action (`unknown action`), a field the kind needs but lacks and a
-        field of the wrong type (a bool is no int)."""
+        action (`unknown action`), a missing field the kind needs and a
+        field of the wrong type (a bool is no int, a tuple no `Edge`)."""
         if type(self.kind) is not str or self.kind not in ALL_ACTIONS:
             raise IllegalAction(f"unknown action: {self.kind!r}")
         for name in ACTION_FIELDS[self.kind]:
             if getattr(self, name) is None:
                 raise IllegalAction(f"{self.kind} requires {name}")
         e = self.edge
-        if e is not None and not (type(e.src) is type(e.dst) is str
+        if e is not None and not (isinstance(e, Edge)
+                                  and type(e.src) is type(e.dst) is str
                                   and is_direction(e.direction)
                                   and type(e.step_id) is int):
             raise IllegalAction(f"not an edge: {e!r}")
@@ -238,10 +236,6 @@ class AdvisorContext:
 Advisor = Callable[[AdvisorContext], RepairAction]
 
 
-def _describe(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 class Loop(NamedTuple):
     """One loop of a session: the key of the conflict it targeted, the
     action the advisor proposed (None when it proposed none) and how the
@@ -294,7 +288,6 @@ def apply_action(chain: VersionChain, action: RepairAction):
     Every refusal is a MapRepairError: IllegalAction, UnknownVersion from
     a version tool, or one from `commit`.
     """
-    action.validate_shape()
     g = chain.graph
     kind = action.kind
     if kind in QUERY_ACTIONS:
@@ -479,11 +472,11 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
         try:
             action = advisor(ctx)
             if action.kind in VERSION_ACTIONS and not config.version_control:
-                raise AdvisorFailure(_describe(
-                    ToolUnavailable("version control is disabled")))
+                raise AdvisorFailure(
+                    "ToolUnavailable: version control is disabled")
             if action.kind in QUERY_ACTIONS:
                 # the chain has not changed since, so neither has the answer
-                query = (json.dumps(action.to_json()), chain.head)
+                query = (action, chain.head)
                 if query in asked:
                     raise AdvisorFailure(
                         "query already answered at this chain head")
@@ -507,7 +500,8 @@ def run_session(chain: VersionChain, config: ToolConfig, advisor: Advisor,
         try:
             result = apply_action(chain, action)
         except MapRepairError as exc:
-            loops.append(Loop(key, action, "error", _describe(exc)))
+            loops.append(Loop(key, action, "error",
+                              f"{type(exc).__name__}: {exc}"))
             continue
         if action.kind in QUERY_ACTIONS:
             loops.append(Loop(key, action, "result", result))

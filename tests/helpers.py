@@ -31,8 +31,8 @@ from maprepair.error_localizer import (
 )
 from maprepair.errors import (
     AdvisorFailure, CorruptLog, DuplicateEdge, EmptyCandidates, IllegalAction,
-    InvalidDelta, MalformedBlock, NonMonotonicStep, ToolUnavailable,
-    UnknownNode, UnknownVersion, Unreachable,
+    InvalidDelta, MalformedBlock, NonMonotonicStep, UnknownNode,
+    UnknownVersion, Unreachable,
 )
 from maprepair.fault_injector import (
     FAULT_MISDIRECTION, FAULT_MISNAME, FAULT_PHANTOM, FAULT_SILENT, Fault,
@@ -48,7 +48,7 @@ from maprepair.position_inference import (
 )
 from maprepair.repair_engine import (
     ACT_GIVE_UP, QUERY_ACTIONS, VERSION_ACTIONS, Advisor, Loop, RepairAction,
-    ToolConfig, _describe, apply_action, build_context,
+    ToolConfig, apply_action, build_context,
 )
 from maprepair.transcript_parser import (
     _first_nonempty, normalize_act, origin_location_line,
@@ -834,6 +834,10 @@ def reference_load(log_path: str | Path, append: bool = False,
     return chain
 
 
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def reference_run_session(chain: VersionChain, config: ToolConfig,
                           advisor: Advisor, primary: Conflict,
                           detection: Detection, max_attempts: int = 10,
@@ -921,8 +925,7 @@ def reference_run_session(chain: VersionChain, config: ToolConfig,
             continue
 
         if action.kind in VERSION_ACTIONS and not config.version_control:
-            entry["error"] = _describe(
-                ToolUnavailable("version control is disabled"))
+            entry["error"] = "ToolUnavailable: version control is disabled"
             record(entry, action)
             continue
 

@@ -9,7 +9,8 @@ from maprepair import fault_injector as fi
 from maprepair.conflict_detector import detect_all
 from maprepair.errors import MapRepairError
 from maprepair.graph_core import Edge, NavGraph
-from maprepair.repair_engine import ToolConfig, build_context
+from maprepair.advisors import HeuristicAdvisor
+from maprepair.repair_engine import ToolConfig, build_context, run_repair
 from maprepair.version_store import TRIGGER_OBSERVATION, VersionChain, add
 
 
@@ -206,6 +207,46 @@ def test_repair_oracle_requires_ledger(built_log, capsys):
     log, _ = built_log
     assert cli.main(["repair", "--log", str(log),
                      "--advisor", "oracle"]) == 2
+
+
+def _table_row(out: str, config: str) -> dict:
+    """The row of `config` in a printed metrics table, by column."""
+    lines = [line.split() for line in out.splitlines()]
+    header = next(cols for cols in lines if cols[:1] == ["config"])
+    return dict(zip(header, next(cols for cols in lines
+                                 if cols[:1] == [config])))
+
+
+def test_repair_reads_the_ledger_for_every_advisor(built_log, capsys):
+    """`repair --ledger` scores any advisor, as `bench` does: the
+    heuristic's `correct` and `accuracy_pct` are what `run_repair(...,
+    ledger=...)` computes, not `n/a`."""
+    log, ledger_path = built_log
+    assert cli.main(["repair", "--log", str(log), "--advisor", "heuristic",
+                     "--ledger", str(ledger_path)]) == 0
+    row = _table_row(capsys.readouterr().out, "heuristic")
+    ledger = fi.FaultLedger.from_json(json.loads(ledger_path.read_text()))
+    chain = VersionChain.load(log)
+    _, _, metrics = run_repair(chain, ToolConfig(), HeuristicAdvisor(),
+                               ledger=ledger)
+    assert metrics.correct is not None
+    assert row["correct"] == str(metrics.correct)
+    assert row["accuracy_pct"] == (
+        "n/a" if metrics.accuracy_pct is None
+        else f"{metrics.accuracy_pct:.2f}")
+
+
+@pytest.mark.parametrize("advisor", ["heuristic", "llm"])
+def test_a_malformed_ledger_exits_2_for_every_advisor(built_log, capsys,
+                                                      advisor):
+    log, ledger = built_log
+    ledger.write_text(json.dumps([{"kind": "teleport", "step": 3}]),
+                      encoding="utf-8")
+    before = log.read_bytes()
+    assert cli.main(["repair", "--log", str(log), "--advisor", advisor,
+                     "--ledger", str(ledger), "--append"]) == 2
+    assert "row 0: unknown kind 'teleport'" in capsys.readouterr().err
+    assert log.read_bytes() == before
 
 
 @pytest.mark.parametrize("rows, message", [

@@ -305,6 +305,36 @@ def test_json_round_trip():
         assert h.state_equal(g)
 
 
+@pytest.mark.parametrize("table, row, key, value, message", [
+    ("nodes", 1, "id", 7, "nodes row 1: id not a str: 7"),
+    ("nodes", 0, "id", None, "nodes row 0: id not a str: None"),
+    ("nodes", 1, "name", 5, "nodes row 1: name not a str: 5"),
+    ("nodes", 0, "name", None, "nodes row 0: name not a str: None"),
+    ("edges", 1, "src", ["n0"], "edges row 1: src not a str: ['n0']"),
+    ("edges", 0, "dst", 1, "edges row 0: dst not a str: 1"),
+    ("edges", 1, "step", "3", "edges row 1: step not an int: '3'"),
+    ("edges", 0, "step", True, "edges row 0: step not an int: True"),
+    ("edges", 0, "step", 1.0, "edges row 0: step not an int: 1.0"),
+])
+def test_from_json_refuses_a_row_to_json_never_writes(table, row, key, value,
+                                                      message):
+    """An int room id used to load as an int-keyed room, a null one got a
+    fresh id (so a later `n0` row raised DuplicateNode), a name that is
+    not a str raised AttributeError and a step of `"3"` or `true` loaded
+    as it was; each is now a ValueError naming its row."""
+    g = NavGraph()
+    a, b = g.add_node("A"), g.add_node("B")
+    g.add_edge(a, b, "north", 1)
+    g.add_edge(b, a, "south", 2)
+    data = g.to_json()
+    h = NavGraph.from_json(data)
+    assert h.state_equal(g) and h.to_json() == data
+    data[table][row][key] = value
+    with pytest.raises(ValueError) as refused:
+        NavGraph.from_json(data)
+    assert str(refused.value) == message
+
+
 def test_to_dot_mentions_nodes_and_labels():
     g = NavGraph()
     a, b = g.add_node("Start"), g.add_node("End")

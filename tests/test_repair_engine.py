@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from contextlib import ExitStack
+from functools import partial
 from types import SimpleNamespace
 from unittest import mock
 
@@ -91,16 +92,19 @@ def test_action_shape_validation():
 
 
 @pytest.mark.parametrize("action, message", [
-    (RepairAction(ACT_ROLLBACK_TO, version="3"), "version not an int: '3'"),
-    (RepairAction(ACT_DIFF_VERSIONS, i=0, j=1.0), "j not an int: 1.0"),
-    (RepairAction(ACT_RENAME_NODE, node="n3", new_name=5),
+    (partial(RepairAction, ACT_ROLLBACK_TO, version="3"),
+     "version not an int: '3'"),
+    (partial(RepairAction, ACT_DIFF_VERSIONS, i=0, j=1.0),
+     "j not an int: 1.0"),
+    (partial(RepairAction, ACT_RENAME_NODE, node="n3", new_name=5),
      "new_name not a str: 5"),
 ])
 def test_a_wrong_typed_field_is_named_with_its_article(action, message):
     """The refusal reaches the llm advisor's transcript and prompt, so it
-    reads "not an int", not "not a int"."""
+    reads "not an int", not "not a int".  `action` makes the action, so
+    the refusal is raised inside `pytest.raises`."""
     with pytest.raises(IllegalAction) as refused:
-        action.validate_shape()
+        action()
     assert str(refused.value) == message
 
 
@@ -110,23 +114,101 @@ def test_each_kind_requires_the_fields_of_the_action_table():
               "version": 0, "i": 0, "j": 1}
     assert ALL_ACTIONS == set(ACTION_FIELDS)
     for kind, fields in ACTION_FIELDS.items():
-        RepairAction(kind, **{f: values[f] for f in fields}).validate_shape()
+        RepairAction(kind, **{f: values[f] for f in fields})
         for missing in fields:
             with pytest.raises(IllegalAction, match=f"requires {missing}"):
                 RepairAction(kind, **{f: values[f] for f in fields
-                                      if f != missing}).validate_shape()
+                                      if f != missing})
+
+
+_EDGE = Edge("n1", "n2", "up", 3)
+
+
+@pytest.mark.parametrize("kind, fields, message", [
+    ("Teleport", {}, "unknown action: 'Teleport'"),
+    (["DeleteEdge"], {}, "unknown action: ['DeleteEdge']"),
+    ({"DeleteEdge": 1}, {}, "unknown action: {'DeleteEdge': 1}"),
+    (None, {}, "unknown action: None"),
+    (ACT_DELETE_EDGE, {}, "DeleteEdge requires edge"),
+    (ACT_DIFF_VERSIONS, {"i": 0}, "DiffVersions requires j"),
+    (ACT_DELETE_EDGE, {"edge": _EDGE._replace(src=["n1"])},
+     "not an edge: Edge(src=['n1'], dst='n2', direction='up', step_id=3)"),
+    (ACT_DELETE_EDGE, {"edge": _EDGE._replace(dst=2)},
+     "not an edge: Edge(src='n1', dst=2, direction='up', step_id=3)"),
+    (ACT_DELETE_EDGE, {"edge": _EDGE._replace(direction="sideways")},
+     "not an edge: Edge(src='n1', dst='n2', direction='sideways', "
+     "step_id=3)"),
+    (ACT_DELETE_EDGE, {"edge": _EDGE._replace(step_id="3")},
+     "not an edge: Edge(src='n1', dst='n2', direction='up', step_id='3')"),
+    (ACT_DELETE_EDGE, {"edge": _EDGE._replace(step_id=True)},
+     "not an edge: Edge(src='n1', dst='n2', direction='up', step_id=True)"),
+    (ACT_DELETE_EDGE, {"edge": ("n1", "n2", "up", 3)},
+     "not an edge: ('n1', 'n2', 'up', 3)"),
+    (ACT_CHANGE_DIRECTION, {"edge": _EDGE, "new_direction": "sideways"},
+     "not a direction: 'sideways'"),
+    (ACT_CHANGE_DIRECTION, {"edge": _EDGE, "new_direction": ["down"]},
+     "not a direction: ['down']"),
+    (ACT_REDIRECT_EDGE, {"edge": _EDGE, "new_dst": 4}, "new_dst not a str: 4"),
+    (ACT_MERGE_NODES, {"node": ["n3"], "new_dst": "n2"},
+     "node not a str: ['n3']"),
+    (ACT_RENAME_NODE, {"node": "n3", "new_name": 5}, "new_name not a str: 5"),
+    (ACT_ROLLBACK_TO, {"version": True}, "version not an int: True"),
+    (ACT_RECALL_STEP, {"version": "1"}, "version not an int: '1'"),
+    (ACT_DIFF_VERSIONS, {"i": 1.0, "j": 1}, "i not an int: 1.0"),
+    (ACT_DIFF_VERSIONS, {"i": 0, "j": False}, "j not an int: False"),
+    (ACT_GIVE_UP, {"version": "2"}, "version not an int: '2'"),
+], ids=["str-kind", "list-kind", "dict-kind", "none-kind", "missing-edge",
+        "missing-j", "edge-src", "edge-dst", "edge-direction", "edge-step-str",
+        "edge-step-bool", "plain-tuple-edge", "new-direction",
+        "new-direction-list", "new-dst", "node", "new-name", "version-bool",
+        "version-str", "i", "j", "unneeded-field"])
+def test_a_malformed_action_is_refused_where_it_is_made(kind, fields,
+                                                        message):
+    """Every action that exists is well formed: making a malformed one
+    raises IllegalAction with the shape check's message, so no reader of
+    an action has to check it again."""
+    with pytest.raises(IllegalAction) as refused:
+        RepairAction(kind, **fields)
+    assert str(refused.value) == message
+
+
+def test_an_unhashable_kind_fails_before_a_session_sees_it():
+    """`PlaybackAdvisor([RepairAction(["DeleteEdge"])])` once reached
+    `run_session`, which hashed the kind and ended `run_repair` with
+    `TypeError: unhashable type: 'list'`; the action now fails where it is
+    made.  An in-process advisor that makes an unknown kind raises out of
+    the run on its first turn instead of looping to `LOOP_CAP` at no
+    attempt cost, and the map stays as it was."""
+    with pytest.raises(IllegalAction,
+                       match=r"^unknown action: \['DeleteEdge'\]$"):
+        advisors.PlaybackAdvisor([RepairAction(["DeleteEdge"])])
+    chain, _ = _demo()
+    before = chain.graph.copy()
+    calls = []
+
+    def teleporter(ctx):
+        calls.append(ctx.conflict.key)
+        return RepairAction("Teleport")
+
+    with pytest.raises(IllegalAction, match="^unknown action: 'Teleport'$"):
+        run_repair(chain, ToolConfig(), teleporter)
+    assert len(calls) == 1
+    assert chain.graph.state_equal(before)
 
 
 def test_apply_action_refuses_a_wrong_typed_field_before_any_change():
+    """A malformed action is refused where it is made, so it never reaches
+    `apply_action` and the map is unchanged."""
     chain, _ = _demo()
     before = chain.graph.copy()
-    for action in (RepairAction("Teleport"), RepairAction(["DeleteEdge"]),
-                   RepairAction(ACT_RENAME_NODE, node="n3", new_name=5),
-                   RepairAction(ACT_ROLLBACK_TO, version=True),
-                   RepairAction(ACT_DELETE_EDGE,
-                                edge=_edge(chain, 5)._replace(step_id=True))):
+    bad_step = _edge(chain, 5)._replace(step_id=True)
+    for make in (partial(RepairAction, "Teleport"),
+                 partial(RepairAction, ["DeleteEdge"]),
+                 partial(RepairAction, ACT_RENAME_NODE, node="n3", new_name=5),
+                 partial(RepairAction, ACT_ROLLBACK_TO, version=True),
+                 partial(RepairAction, ACT_DELETE_EDGE, edge=bad_step)):
         with pytest.raises(IllegalAction):
-            apply_action(chain, action)
+            apply_action(chain, make())
     assert chain.graph.state_equal(before)
     assert chain.graph.indices_consistent()
 
